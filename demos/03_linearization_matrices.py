@@ -3,8 +3,9 @@ Matrix views: linearization and the adjoint as a transpose
 ==========================================================
 
 On coefficient vectors the degree-1 adjoint q |-> q o P is a plain matrix.
-That matrix is, up to explicit basis relabelings, the transpose of the
-linearization matrix whose rows expand the products P^beta.
+That matrix is the transpose of the linearization matrix whose rows expand
+the products P^beta: a coefficient space and its tensor-power model share
+the monomial basis.
 """
 from fractions import Fraction
 
@@ -30,8 +31,8 @@ k = 2
 # rows are the coefficient vectors of P^beta over the domain monomials
 M = linearization_matrix(P, k)
 x = (Fraction(1), Fraction(-2))
-lhs = M.apply(tensor_power(x, P.degree * k).coord_vector())
-rhs = tensor_power(P.eval_map(x), k).coord_vector()
+lhs = M.apply(tensor_power(x, P.degree * k))
+rhs = tensor_power(P.eval_map(x), k)
 print("M sends (x tensor ... tensor x) to (P(x) tensor P(x)):", list(lhs) == list(rhs))
 
 # the adjoint matrix acts on q-coefficients; the transpose identity holds

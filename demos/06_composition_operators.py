@@ -13,14 +13,12 @@ from polyadjoint import (
     HomPoly,
     PolyMap,
     adjoint_apply,
+    compose_scalar,
     compose_three,
-    eval_at,
-    form_to_rank_one,
     injectivity_witness,
     nonadditivity_witness,
     normalization_witness,
-    post_compose_form,
-    vector_to_rank_one,
+    rank_one_map,
 )
 
 inner = PolyMap((
@@ -45,16 +43,16 @@ print("operator output degree:", S.degree)
 # evaluate at z -- the outer map reappears
 phi, z = normalization_witness(inner)
 x = (Fraction(2), Fraction(-1))
-probe = vector_to_rank_one(phi, m)(x)
-print("recovered outer(x):", eval_at(z)(compose_three(inst, probe)),
+probe = rank_one_map(phi ** m, x)
+print("recovered outer(x):", compose_three(inst, probe).eval_map(z),
       "==", outer.eval_map(x))
 
 # recovery (b): with psi(outer(w)) = 1, pushing phi'^m tensor w through the
 # operator and then psi yields the iterated adjoint of the inner map
 psi, w = normalization_witness(outer)
 phi2 = HomPoly.linear_form([Fraction(1), Fraction(1)])
-lift = form_to_rank_one(w, m)(phi2)
-routed = post_compose_form(psi)(compose_three(inst, lift))
+lift = rank_one_map(phi2 ** m, w)
+routed = compose_scalar(psi, compose_three(inst, lift))
 print("matches the iterated pullback:",
       routed == adjoint_apply(inner, m * outer.degree, 1, phi2))
 

@@ -36,7 +36,6 @@ from .adjoint import (
 from .linearization import (
     DEFAULT_SIZE_CAP,
     LinearMap,
-    SymTensor,
     adjoint_matrix,
     adjoint_rank_bound,
     coefficient_matrix,
@@ -75,16 +74,8 @@ from .composition import (
     check_recovery_identities,
     check_two_sided_norm,
     compose_three,
-    eval_at,
-    eval_at_one,
-    form_to_rank_one,
-    left_compose,
     normalization_witness,
-    post_compose_form,
     rank_one_map,
-    scalar_embedding,
-    tensor_with_vector,
-    vector_to_rank_one,
 )
 from .serialization import (
     expansion_to_obj,

@@ -34,10 +34,12 @@ from .algebra import (
     MultiIndex,
     PolyMap,
     Scalar,
+    _eval_monomial,
     compose_map,
     compose_scalar,
     enumerate_multi_indices,
     infer_field,
+    map_powers,
     multinomial,
 )
 from .errors import (
@@ -102,32 +104,24 @@ def materialize_adjoint(P: PolyMap, n: int, k: int,
     if n < 1 or k < 1:
         raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
+    nvars = math.comb(e + k - 1, k)
+    check_capacity(f"degree-{k} coefficient space on R^{e}", nvars, cap)
+    check_capacity(f"degree-{m * n * k} coefficient space on R^{d}",
+                   math.comb(d + m * n * k - 1, m * n * k), cap)
+    check_capacity(f"degree-{n} coefficient space on the {nvars} formal q-coefficients",
+                   math.comb(nvars + n - 1, n), cap)
     q_basis = enumerate_multi_indices(e, k)
     out_basis = enumerate_multi_indices(d, m * n * k)
-    check_capacity(f"degree-{k} coefficient space on R^{e}", len(q_basis), cap)
-    check_capacity(f"degree-{m * n * k} coefficient space on R^{d}", len(out_basis), cap)
-    check_capacity(f"degree-{n} coefficient space on the {len(q_basis)} "
-                   "formal q-coefficients",
-                   math.comb(len(q_basis) + n - 1, n), cap)
-
-    # substituted basis monomials: P^beta for each monomial beta of the q-space
-    substituted = [compose_scalar(HomPoly.monomial(e, beta, 1, P.field), P)
-                   for beta in q_basis]
 
     # (sum_beta c_beta P^beta)^n expands over exponent vectors mu on the
     # c-variables; each mu contributes the monomial c^mu with the polynomial
-    # multinomial(n, mu) * prod_beta (P^beta)^mu_beta as its coefficient.
-    nvars = len(q_basis)
+    # multinomial(n, mu) * S^mu as its coefficient, where S is the map whose
+    # components are the substituted basis monomials P^beta.
+    S = PolyMap(tuple(map_powers(P, q_basis)))
+    mus = enumerate_multi_indices(nvars, n)
     component_coeffs: list[dict[MultiIndex, Scalar]] = [dict() for _ in out_basis]
     out_index = {g: i for i, g in enumerate(out_basis)}
-    for mu in enumerate_multi_indices(nvars, n):
-        g_mu: HomPoly | None = None
-        for j, mj in enumerate(mu):
-            if mj == 0:
-                continue
-            f = substituted[j] ** mj
-            g_mu = f if g_mu is None else g_mu * f
-        assert g_mu is not None
+    for mu, g_mu in zip(mus, map_powers(S, mus)):
         w = multinomial(n, mu)
         for gamma, c in g_mu.coeffs.items():
             component_coeffs[out_index[gamma]][mu] = c * w
@@ -151,15 +145,9 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     d = len(x)
     if field is None:
         field = infer_field(x)
+    check_capacity(f"degree-{n} coefficient space on R^{d}", math.comb(d + n - 1, n), cap)
     basis = enumerate_multi_indices(d, n)
-    check_capacity(f"degree-{n} coefficient space on R^{d}", len(basis), cap)
-    xpow = []
-    for beta in basis:
-        v = 1
-        for xi, b in zip(x, beta):
-            if b:
-                v = v * xi ** b
-        xpow.append(v)
+    xpow = [_eval_monomial(beta, x) for beta in basis]
     coeffs: dict[MultiIndex, Scalar] = {}
     for mu in enumerate_multi_indices(len(basis), m):
         v = multinomial(m, mu)

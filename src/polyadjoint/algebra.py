@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeError, DimensionError, FieldError
 
@@ -297,6 +297,23 @@ class PolyMap:
         return PolyMap(tuple(c.as_field(field) for c in self.components))
 
 
+def map_powers(P: PolyMap, betas: Iterable[MultiIndex]) -> Iterator[HomPoly]:
+    """P^beta = P_1^beta_1 * ... * P_e^beta_e for each codomain multi-index
+    beta (|beta| >= 1), in order.  Each component power is built only once."""
+    powers = [[c] for c in P.components]  # powers[i][a - 1] = P_i ** a
+    for beta in betas:
+        prod: HomPoly | None = None
+        for pw, b in zip(powers, beta):
+            if b == 0:
+                continue
+            while len(pw) < b:
+                pw.append(pw[-1] * pw[0])
+            prod = pw[b - 1] if prod is None else prod * pw[b - 1]
+        if prod is None:
+            raise DegreeError(f"P^beta needs |beta| >= 1, got beta={beta}")
+        yield prod
+
+
 def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
     """q o P: substitute the components of P into q.  Degree multiplies."""
     if q.domain_dim != P.codomain_dim:
@@ -304,27 +321,17 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
             f"q has {q.domain_dim} variables but P has codomain dimension {P.codomain_dim}")
     if q.field != P.field:
         raise FieldError("mixed-field composition")
-    d, m = P.domain_dim, P.degree
-    out = HomPoly.zero(d, m * q.degree, q.field)
-    # cache powers of the components: powers[i][a] = P_i ** a
-    powers: list[dict[int, HomPoly]] = [dict() for _ in range(P.codomain_dim)]
-
-    def comp_power(i: int, a: int) -> HomPoly:
-        if a not in powers[i]:
-            powers[i][a] = P.components[i] ** a
-        return powers[i][a]
-
-    for alpha, c in q.coeffs.items():
-        term: HomPoly | None = None
-        for i, a in enumerate(alpha):
-            if a == 0:
-                continue
-            f = comp_power(i, a)
-            term = f if term is None else term * f
-        if term is None:  # cannot happen: |alpha| = q.degree >= 1
-            continue
-        out = out + term.scale(c)
-    return out
+    out: dict[MultiIndex, Scalar] = {}
+    for c, term in zip(q.coeffs.values(), map_powers(P, q.coeffs)):
+        for gamma, v in term.coeffs.items():
+            total = out.get(gamma, 0) + c * v
+            # a cancelled coefficient leaves at once, keeping the key order of
+            # term-by-term HomPoly addition (it fixes eval's f64 summation order)
+            if total:
+                out[gamma] = total
+            else:
+                out.pop(gamma, None)
+    return HomPoly(P.domain_dim, P.degree * q.degree, out, q.field)
 
 
 def compose_map(Q: PolyMap, P: PolyMap) -> PolyMap:

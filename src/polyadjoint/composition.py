@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import (
     F64,
@@ -82,57 +82,6 @@ def rank_one_map(q: HomPoly, b: Sequence) -> PolyMap:
     return PolyMap(tuple(q.scale(bi) for bi in b))
 
 
-def vector_to_rank_one(phi: HomPoly, m: int) -> Callable[[Sequence], PolyMap]:
-    """x |-> (y |-> phi(y)^m x): lifts a vector to a rank-one degree-m map."""
-    if phi.degree != 1:
-        raise DegreeError("phi must be a linear form")
-    pm = phi ** m
-    return lambda x: rank_one_map(pm, x)
-
-
-def form_to_rank_one(z: Sequence, m: int) -> Callable[[HomPoly], PolyMap]:
-    """phi |-> phi^m tensor z, for linear forms phi."""
-    def build(phi: HomPoly) -> PolyMap:
-        if phi.degree != 1:
-            raise DegreeError("expected a linear form")
-        return rank_one_map(phi ** m, z)
-    return build
-
-
-def tensor_with_vector(b: Sequence) -> Callable[[HomPoly], PolyMap]:
-    """q |-> q tensor b (no degree restriction on q)."""
-    return lambda q: rank_one_map(q, b)
-
-
-def eval_at(z: Sequence) -> Callable[[PolyMap], tuple[Scalar, ...]]:
-    """P |-> P(z)."""
-    return lambda P: P.eval_map(z)
-
-
-def post_compose_form(psi: HomPoly) -> Callable[[PolyMap], HomPoly]:
-    """P |-> psi o P for a linear form psi on P's codomain."""
-    if psi.degree != 1:
-        raise DegreeError("psi must be a linear form")
-    return lambda P: compose_scalar(psi, P)
-
-
-def left_compose(A: PolyMap) -> Callable[[PolyMap], PolyMap]:
-    """P |-> A o P (used for both flanking linear maps of a sandwich)."""
-    return lambda P: compose_map(A, P)
-
-
-def scalar_embedding(m: int, field: str = RATIONAL) -> Callable[[Sequence], PolyMap]:
-    """x |-> (t |-> t^m x): the rank-one lift over a one-dimensional test space."""
-    tm = HomPoly.monomial(1, (m,), 1, field)
-    return lambda x: rank_one_map(tm, x)
-
-
-def eval_at_one(field: str = RATIONAL) -> Callable[[PolyMap], tuple[Scalar, ...]]:
-    """P |-> P(1) on a one-dimensional domain."""
-    one = Fraction(1) if field == RATIONAL else 1.0
-    return lambda P: P.eval_map((one,))
-
-
 def normalization_witness(B: PolyMap, budget: int = 10_000
                           ) -> tuple[HomPoly, tuple[Fraction, ...]]:
     """Deterministic (phi, z) with phi a linear form and phi(B(z)) = 1.
@@ -173,26 +122,26 @@ def check_recovery_identities(inst: CompositionInstance,
         phi' |-> phi'^m tensor z_b through the operator and then through psi
         equals the (m*r)-fold adjoint of the inner map on phi'; coefficient-
         wise max abs defect over ``test_forms``.
-    Raises PreconditionError when a normalization fails.
+    Raises DegreeError unless phi and psi are linear forms, and
+    PreconditionError when a normalization fails.
     """
     m = inst.middle_degree
     r = inst.outer.degree
+    if phi.degree != 1 or psi.degree != 1:
+        raise DegreeError("phi and psi must be linear forms")
     if phi.eval(inst.inner.eval_map(z_a)) != 1:
         raise PreconditionError("phi(inner(z_a)) must equal 1")
     if psi.eval(inst.outer.eval_map(z_b)) != 1:
         raise PreconditionError("psi(outer(z_b)) must equal 1")
-    lift = vector_to_rank_one(phi, m)
-    at_za = eval_at(z_a)
+    phi_m = phi ** m
     defect_a = Fraction(0)
     for x in test_points:
-        got = at_za(compose_three(inst, lift(x)))
+        got = compose_three(inst, rank_one_map(phi_m, x)).eval_map(z_a)
         want = inst.outer.eval_map(x)
         defect_a = max(defect_a, _max_abs(g - w for g, w in zip(got, want)))
-    lift_form = form_to_rank_one(z_b, m)
-    through_psi = post_compose_form(psi)
     defect_b = Fraction(0)
     for form in test_forms:
-        got_poly = through_psi(compose_three(inst, lift_form(form)))
+        got_poly = compose_scalar(psi, compose_three(inst, rank_one_map(form ** m, z_b)))
         want_poly = adjoint_apply(inst.inner, m * r, 1, form)
         defect_b = max(defect_b, _max_abs((got_poly - want_poly).coeffs.values()))
     return defect_a, defect_b
@@ -206,13 +155,13 @@ def check_linear_recovery(inst: CompositionInstance,
     space, not only on powers of forms."""
     if inst.outer.degree != 1:
         raise PreconditionError("this identity needs a linear outer map")
+    if psi.degree != 1:
+        raise DegreeError("psi must be a linear form")
     if psi.eval(inst.outer.eval_map(z)) != 1:
         raise PreconditionError("psi(outer(z)) must equal 1")
-    lift = tensor_with_vector(z)
-    through_psi = post_compose_form(psi)
     worst = Fraction(0)
     for q in test_qs:
-        got = through_psi(compose_three(inst, lift(q)))
+        got = compose_scalar(psi, compose_three(inst, rank_one_map(q, z)))
         want = adjoint_apply(inst.inner, 1, inst.middle_degree, q)
         worst = max(worst, _max_abs((got - want).coeffs.values()))
     return worst
@@ -243,11 +192,10 @@ def check_factorization_identities(m: int, B: PolyMap,
     # rank-one factorization: operator outer = phi (x) b, inner = B
     rank_one_outer = rank_one_map(phi, b)
     inst1 = CompositionInstance(rank_one_outer, B, m)
-    mb = tensor_with_vector(b)
     worst = Fraction(0)
     for P in test_maps:
         lhs = compose_three(inst1, P)
-        rhs = mb(adjoint_apply(B, 1, m, compose_scalar(phi, P)))
+        rhs = rank_one_map(adjoint_apply(B, 1, m, compose_scalar(phi, P)), b)
         worst = max(worst, _max_abs(c for comp in (lhs - rhs).components
                                     for c in comp.coeffs.values()))
     defects["rank_one"] = worst
@@ -256,12 +204,10 @@ def check_factorization_identities(m: int, B: PolyMap,
     outer_full = compose_map(C, compose_map(R_mid, A))
     inst_full = CompositionInstance(outer_full, B, m)
     inst_mid = CompositionInstance(R_mid, B, m)
-    pre = left_compose(A)
-    post = left_compose(C)
     worst = Fraction(0)
     for P in test_maps:
         lhs = compose_three(inst_full, P)
-        rhs = post(compose_three(inst_mid, pre(P)))
+        rhs = compose_map(C, compose_three(inst_mid, compose_map(A, P)))
         worst = max(worst, _max_abs(c for comp in (lhs - rhs).components
                                     for c in comp.coeffs.values()))
     defects["sandwich"] = worst
@@ -269,11 +215,11 @@ def check_factorization_identities(m: int, B: PolyMap,
     # unit factorization over scalar test spaces
     ident1 = PolyMap.identity(1, field)
     inst_unit = CompositionInstance(R_scalar, ident1, m)
-    delta = scalar_embedding(m, field)
-    gamma = eval_at_one(field)
+    t_m = HomPoly.monomial(1, (m,), 1, field)
+    one = (Fraction(1),) if field == RATIONAL else (1.0,)
     worst = Fraction(0)
     for x in test_points:
-        got = gamma(compose_three(inst_unit, delta(x)))
+        got = compose_three(inst_unit, rank_one_map(t_m, x)).eval_map(one)
         want = R_scalar.eval_map(x)
         worst = max(worst, _max_abs(g - w for g, w in zip(got, want)))
     defects["unit"] = worst

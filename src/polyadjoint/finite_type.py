@@ -28,11 +28,12 @@ from .algebra import (
     PolyMap,
     Scalar,
     enumerate_multi_indices,
+    map_powers,
     polarize,
 )
 from .adjoint import adjoint_apply
 from .errors import CapacityError, DegreeError, DimensionError, PreconditionError
-from .linearization import DEFAULT_SIZE_CAP, coefficient_matrix
+from .linearization import DEFAULT_SIZE_CAP, coefficient_matrix, rref
 from . import sampling
 
 
@@ -72,25 +73,7 @@ def finite_rank_rep(P: PolyMap) -> FiniteRankRep:
     cm = coefficient_matrix(P)
     basis = list(cm.col_labels)
     e, ncols = cm.rows, cm.cols
-    a = [list(r) for r in cm.entries]
-    pivots: list[int] = []
-    # reduce, tracking pivot columns: row-echelon with full normalization
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, e) if a[r][col] != 0), None)
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        pv = a[row][col]
-        a[row] = [v / pv for v in a[row]]
-        for r in range(e):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == e:
-            break
+    a, pivots = rref(cm.entries, ncols)
     if not pivots:
         return FiniteRankRep(P.domain_dim, e, P.degree, P.field, (), ())
     vectors = tuple(tuple(cm.entries[i][c] for i in range(e)) for c in pivots)
@@ -190,8 +173,11 @@ def expand_adjoint(rep: FiniteRankRep, n: int, k: int,
     if n_terms > cap:
         raise CapacityError("finite-type term list", n_terms, cap)
     alphas = enumerate_multi_indices(len(comps), n)
+    # p_alpha = prod over compositions c of prod_j p_j^(c_j * alpha_c)
+    exponents = [tuple(sum(comp[j] * a for comp, a in zip(comps, alpha)) for j in range(l))
+                 for alpha in alphas]
     terms = []
-    for alpha in alphas:
+    for alpha, p_alpha in zip(alphas, map_powers(PolyMap(rep.scalars), exponents)):
         alpha_fact = 1
         for a in alpha:
             alpha_fact *= math.factorial(a)
@@ -207,17 +193,6 @@ def expand_adjoint(rep: FiniteRankRep, n: int, k: int,
                          alpha_fact * kinner)
         factored = (f"{n}!*({k}!)^{n}/{alpha_fact} * 1/{kinner}"
                     f" [alpha={alpha}]")
-        p_alpha: HomPoly | None = None
-        for comp, a in zip(comps, alpha):
-            if a == 0:
-                continue
-            for pj, ci in zip(rep.scalars, comp):
-                if ci * a == 0:
-                    continue
-                f = pj ** (ci * a)
-                p_alpha = f if p_alpha is None else p_alpha * f
-        if p_alpha is None:
-            raise AssertionError("empty term: degrees cannot all vanish")
         psi_powers = tuple((comp, a) for comp, a in zip(comps, alpha) if a > 0)
         terms.append(ExpansionTerm(theta, factored, p_alpha, psi_powers))
     return FiniteTypeExpansion(n, k, l, rep.domain_dim, rep.codomain_dim,

@@ -4,9 +4,8 @@ The k-th symmetric tensor power of R^d is coordinatized by the monomial
 basis: the tensor power of a vector x has coordinate x^alpha at the
 multi-index alpha, so pairing a degree-k polynomial's coefficient vector
 with those coordinates by a plain dot product evaluates the polynomial.
-Under this convention the relabeling maps between a polynomial space and
-its tensor-power model are identity matrices; they are still kept explicit
-in the checker API so a different convention could be plugged in.
+A coefficient space and its tensor-power model therefore share one basis,
+and no relabeling between them is needed.
 
 Degree counting for the two matrices built here, with P of degree m from
 R^d to R^e and k >= 1:
@@ -18,7 +17,7 @@ R^d to R^e and k >= 1:
   polynomial q on R^e to the coefficient vector of q o P on R^d.
 
 The transpose identity checked by ``transpose_identity_defect`` says these
-two matrices are transposes of each other up to the explicit relabelings.
+two matrices are transposes of each other.
 """
 from __future__ import annotations
 
@@ -33,9 +32,11 @@ from .algebra import (
     MultiIndex,
     PolyMap,
     Scalar,
+    _eval_monomial,
     compose_scalar,
     enumerate_multi_indices,
     infer_field,
+    map_powers,
 )
 from .errors import CapacityError, DimensionError, FieldError, SingularMatrixError
 
@@ -47,36 +48,39 @@ def check_capacity(what: str, dim: int, cap: int = DEFAULT_SIZE_CAP) -> None:
         raise CapacityError(what, dim, cap)
 
 
-@dataclass(frozen=True)
-class SymTensor:
-    """Element of the order-k symmetric power of R^d in monomial coordinates."""
-
-    base_dim: int
-    order: int
-    coords: dict[MultiIndex, Scalar]
-    field: str = RATIONAL
-
-    def coord_vector(self) -> list[Scalar]:
-        zero = Fraction(0) if self.field == RATIONAL else 0.0
-        return [self.coords.get(a, zero)
-                for a in enumerate_multi_indices(self.base_dim, self.order)]
-
-
-def tensor_power(x: Sequence, k: int, field: str | None = None) -> SymTensor:
-    """Coordinates of the k-th tensor power of x: x^alpha at each alpha."""
+def tensor_power(x: Sequence, k: int, field: str | None = None) -> list[Scalar]:
+    """Coordinates of the k-th tensor power of x: x^alpha at each alpha, in
+    canonical order."""
     if k < 1:
         raise DimensionError(f"tensor order must be >= 1, got {k}")
-    d = len(x)
     if field is None:
         field = infer_field(x)
-    coords = {}
-    for alpha in enumerate_multi_indices(d, k):
-        v = 1
-        for xi, a in zip(x, alpha):
-            if a:
-                v = v * xi ** a
-        coords[alpha] = v if field == RATIONAL else float(v)
-    return SymTensor(d, k, coords, field)
+    coords = [_eval_monomial(alpha, x) for alpha in enumerate_multi_indices(len(x), k)]
+    return coords if field == RATIONAL else [float(v) for v in coords]
+
+
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination over the first ``ncols`` columns with
+    leftmost pivots: the reduced rows and the pivot columns.  Exact on
+    Fractions; the rows may carry further (augmented) columns."""
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(a):
+            break
+        pr = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if pr is None:
+            continue
+        a[row], a[pr] = a[pr], a[row]
+        pv = a[row][col]
+        a[row] = [v / pv for v in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append(col)
+    return a, pivots
 
 
 @dataclass(frozen=True)
@@ -159,45 +163,19 @@ class LinearMap:
 
     def rank(self) -> int:
         self._require_rational()
-        a = [list(r) for r in self.entries]
-        rank = 0
-        row = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(row, self.rows) if a[r][col] != 0), None)
-            if pivot is None:
-                continue
-            a[row], a[pivot] = a[pivot], a[row]
-            pv = a[row][col]
-            a[row] = [v / pv for v in a[row]]
-            for r in range(self.rows):
-                if r != row and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-            row += 1
-            rank += 1
-            if row == self.rows:
-                break
-        return rank
+        return len(rref(self.entries, self.cols)[1])
 
     def inverse(self) -> LinearMap:
         self._require_rational()
         if self.rows != self.cols:
             raise DimensionError("only square matrices can be inverted")
         n = self.rows
-        a = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i, r in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            pv = a[col][col]
-            a[col] = [v / pv for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-        ent = tuple(tuple(a[i][n:]) for i in range(n))
+        augmented = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+                     for i, r in enumerate(self.entries)]
+        a, pivots = rref(augmented, n)
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular")
+        ent = tuple(tuple(r[n:]) for r in a)
         return LinearMap(ent, self.col_labels, self.row_labels, RATIONAL)
 
 
@@ -219,26 +197,18 @@ def relabeling_map(d: int, k: int, field: str = RATIONAL) -> LinearMap:
 def linearization_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap:
     """Matrix taking order-mk tensor coordinates on the domain to the
     order-k tensor coordinates of P(x); rows indexed by codomain
-    multi-indices beta, columns by domain multi-indices gamma."""
+    multi-indices beta (row beta holds the coefficients of P^beta), columns
+    by domain multi-indices gamma."""
     if k < 1:
         raise DimensionError(f"k must be >= 1, got {k}")
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
+    check_capacity(f"order-{k} tensor space on R^{e}", math.comb(e + k - 1, k), cap)
+    check_capacity(f"order-{m * k} tensor space on R^{d}", math.comb(d + m * k - 1, m * k), cap)
     row_basis = enumerate_multi_indices(e, k)
     col_basis = enumerate_multi_indices(d, m * k)
-    check_capacity(f"order-{k} tensor space on R^{e}", len(row_basis), cap)
-    check_capacity(f"order-{m * k} tensor space on R^{d}", len(col_basis), cap)
-    rows = []
-    for beta in row_basis:
-        # expand the product of component powers P^beta
-        prod: HomPoly | None = None
-        for i, b in enumerate(beta):
-            if b == 0:
-                continue
-            f = P.components[i] ** b
-            prod = f if prod is None else prod * f
-        assert prod is not None  # |beta| = k >= 1
-        rows.append(tuple(prod.coefficient(g) for g in col_basis))
-    return LinearMap(tuple(rows), tuple(row_basis), tuple(col_basis), P.field)
+    rows = tuple(tuple(prod.coefficient(g) for g in col_basis)
+                 for prod in map_powers(P, row_basis))
+    return LinearMap(rows, tuple(row_basis), tuple(col_basis), P.field)
 
 
 def adjoint_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap:
@@ -250,10 +220,11 @@ def adjoint_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap
     if k < 1:
         raise DimensionError(f"k must be >= 1, got {k}")
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
+    check_capacity(f"degree-{k} coefficient space on R^{e}", math.comb(e + k - 1, k), cap)
+    check_capacity(f"degree-{m * k} coefficient space on R^{d}",
+                   math.comb(d + m * k - 1, m * k), cap)
     col_basis = enumerate_multi_indices(e, k)
     row_basis = enumerate_multi_indices(d, m * k)
-    check_capacity(f"degree-{k} coefficient space on R^{e}", len(col_basis), cap)
-    check_capacity(f"degree-{m * k} coefficient space on R^{d}", len(row_basis), cap)
     cols = []
     for beta in col_basis:
         image = compose_scalar(HomPoly.monomial(e, beta, 1, P.field), P)
@@ -264,27 +235,20 @@ def adjoint_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap
 
 
 def transpose_identity_defect(P: PolyMap, k: int,
-                              relabel_domain: LinearMap | None = None,
-                              relabel_codomain: LinearMap | None = None,
                               cap: int = DEFAULT_SIZE_CAP) -> LinearMap:
-    """Defect of: adjoint matrix == relabel_codomain . (linearization)^T . relabel_domain^{-1}.
+    """Defect of: adjoint matrix == (linearization matrix)^T.
 
-    The relabelings default to the identity maps of the monomial-coordinate
-    convention; the defect is the zero matrix exactly for every P and k.
+    Zero exactly for every P and k, since both matrices hold the
+    coefficients of the P^beta in the shared monomial basis.
     """
-    d, e, m = P.domain_dim, P.codomain_dim, P.degree
-    if relabel_domain is None:
-        relabel_domain = relabeling_map(e, k, P.field)
-    if relabel_codomain is None:
-        relabel_codomain = relabeling_map(d, m * k, P.field)
-    adj = adjoint_matrix(P, k, cap)
-    lin = linearization_matrix(P, k, cap)
-    return adj - (relabel_codomain @ lin.transpose() @ relabel_domain.inverse())
+    return adjoint_matrix(P, k, cap) - linearization_matrix(P, k, cap).transpose()
 
 
 def coefficient_matrix(P: PolyMap) -> LinearMap:
     """e x C(d+m-1, m) matrix of component coefficient vectors."""
-    basis = enumerate_multi_indices(P.domain_dim, P.degree)
+    d, m = P.domain_dim, P.degree
+    check_capacity(f"degree-{m} coefficient space on R^{d}", math.comb(d + m - 1, m))
+    basis = enumerate_multi_indices(d, m)
     ent = tuple(tuple(c.coefficient(a) for a in basis) for c in P.components)
     return LinearMap(ent, None, tuple(basis), P.field)
 

@@ -22,6 +22,7 @@ polynomials confirm the upper bound is never exceeded.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -44,6 +45,7 @@ from .errors import (
     FieldError,
     PreconditionError,
 )
+from .linearization import check_capacity
 
 BALLS = ("l2", "l1", "linf")
 
@@ -148,6 +150,8 @@ class _CompiledMap:
         self.d = P.domain_dim
         self.e = P.codomain_dim
         self.m = P.degree
+        check_capacity(f"degree-{self.m} coefficient space on R^{self.d}",
+                       math.comb(self.d + self.m - 1, self.m))
         basis = enumerate_multi_indices(self.d, self.m)
         self.expts = np.array(basis, dtype=np.int64)          # (T, d)
         self.coeffs = np.array(

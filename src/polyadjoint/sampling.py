@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from .algebra import RATIONAL, HomPoly, PolyMap, enumerate_multi_indices
+from .linearization import rref
 
 
 def rng(seed: int, label: str) -> random.Random:
@@ -60,27 +61,8 @@ def random_polymap(r: random.Random, d: int, e: int, m: int) -> PolyMap:
 
 
 def random_invertible_matrix(r: random.Random, d: int) -> list[list[Fraction]]:
-    """Small-integer matrix with nonzero determinant (retry loop)."""
+    """Small-integer matrix of full rank (retry loop)."""
     while True:
         rows = [[Fraction(r.randint(-4, 4)) for _ in range(d)] for _ in range(d)]
-        if _det(rows) != 0:
+        if len(rref(rows, d)[1]) == d:
             return rows
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((k for k in range(col, n) if a[k][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for k in range(col + 1, n):
-            if a[k][col] != 0:
-                f = a[k][col] / a[col][col]
-                a[k] = [v - f * w for v, w in zip(a[k], a[col])]
-    return det

@@ -38,13 +38,19 @@ def _scalar_to_json(v, field: str):
     return float(v)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _scalar_from_json(v, field: str):
     if field == RATIONAL:
         if not isinstance(v, str) or "/" not in v:
             raise FieldError(f"rational values must look like 'num/den', got {v!r}")
-        num, den = v.split("/", 1)
-        return Fraction(int(num), int(den))
-    if isinstance(v, str):
+        num, den = (int(p) for p in v.split("/", 1))
+        if den == 0:
+            raise FieldError(f"rational value {v!r} has a zero denominator")
+        return Fraction(num, den)
+    if not (_is_int(v) or isinstance(v, float)):
         raise FieldError(f"f64 values must be JSON numbers, got {v!r}")
     return float(v)
 
@@ -73,6 +79,9 @@ def polymap_from_obj(obj: dict) -> PolyMap:
         if key not in obj:
             raise DimensionError(f"polynomial map object is missing {key!r}")
     d, e, m = obj["domain_dim"], obj["codomain_dim"], obj["degree"]
+    for key, v in (("domain_dim", d), ("codomain_dim", e), ("degree", m)):
+        if not _is_int(v):
+            raise DimensionError(f"{key} must be an integer, got {v!r}")
     field = obj["field"]
     if field not in (RATIONAL, F64):
         raise FieldError(f"unknown field {field!r}")
@@ -83,7 +92,12 @@ def polymap_from_obj(obj: dict) -> PolyMap:
     for terms in comps:
         coeffs = {}
         for t in terms:
-            alpha = tuple(int(a) for a in t["alpha"])
+            alpha = t["alpha"]
+            if not isinstance(alpha, (list, tuple)) or not all(_is_int(a) for a in alpha):
+                raise DimensionError(f"alpha must be a list of integers, got {alpha!r}")
+            alpha = tuple(alpha)
+            if alpha in coeffs:
+                raise DimensionError(f"alpha {list(alpha)} appears twice in one component")
             coeffs[alpha] = _scalar_from_json(t["value"], field)
         out.append(HomPoly(d, m, coeffs, field))
     return PolyMap(tuple(out))

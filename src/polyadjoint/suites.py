@@ -30,7 +30,6 @@ from .adjoint import (
     composition_identity_defect,
     diagram_defect,
     injectivity_witness,
-    integer_points,
     inverse_adjoint_defects,
     materialize_adjoint,
     nonadditivity_witness,
@@ -45,7 +44,14 @@ from .composition import (
 )
 from .errors import PreconditionError, SearchBudgetError
 from .finite_type import expand_adjoint, expansion_defect, finite_rank_rep
-from .linearization import adjoint_matrix, adjoint_rank_bound, map_rank, transpose_identity_defect
+from .linearization import (
+    adjoint_matrix,
+    adjoint_rank_bound,
+    linearization_matrix,
+    map_rank,
+    tensor_power,
+    transpose_identity_defect,
+)
 from .norms import (
     NormConfig,
     check_adjoint_norm,
@@ -53,6 +59,7 @@ from .norms import (
     check_metric_injection,
     check_norm_duality,
     _np_rng,
+    _random_hompoly_f64,
 )
 from . import sampling
 
@@ -281,7 +288,12 @@ def claim_nonadditivity(cfg: SuiteConfig) -> ClaimResult:
 
 
 def claim_linearization_transpose(cfg: SuiteConfig) -> ClaimResult:
+    """The adjoint matrix is the transpose of the linearization matrix, and
+    the linearization matrix sends x^(tensor mk) to P(x)^(tensor k) at a
+    random rational point.  Both matrices expand P^beta with the same code;
+    the point check compares against direct evaluation of P instead."""
     rng = sampling.rng(cfg.seed, "linearization-transpose")
+    points = sampling.rng(cfg.seed, "linearization-intertwining")
     worst = Fraction(0)
     count = 0
     for d in cfg.dims:
@@ -293,6 +305,10 @@ def claim_linearization_transpose(cfg: SuiteConfig) -> ClaimResult:
                         defect = transpose_identity_defect(P, k)
                         if not defect.is_zero:
                             worst = max(worst, defect.max_abs())
+                        x = sampling.random_point(points, d)
+                        image = linearization_matrix(P, k).apply(tensor_power(x, m * k))
+                        for got, want in zip(image, tensor_power(P.eval_map(x), k)):
+                            worst = max(worst, abs(got - want))
                         count += 1
     return ClaimResult("linearization_transpose", RATIONAL, count,
                        _frac_str(worst), worst == 0)
@@ -435,20 +451,9 @@ def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
                         B = sampling.random_polymap(rng, dim, dim, s)
                     R = sampling.random_polymap(rng, dim, dim, r)
                     phi, z_a = normalization_witness(B)
-                    # a point z_b with R(z_b) != 0, then a normalizing psi
-                    psi = None
-                    for z_b in integer_points(dim, 200):
-                        w = R.eval_map(z_b)
-                        for i, wi in enumerate(w):
-                            if wi != 0:
-                                coeffs = [Fraction(0)] * dim
-                                coeffs[i] = Fraction(1) / wi
-                                psi = HomPoly.linear_form(coeffs)
-                                break
-                        if psi is not None:
-                            break
-                    if psi is None:
-                        continue  # R == 0; no normalization exists
+                    if R.is_zero:
+                        continue  # no normalization exists
+                    psi, z_b = normalization_witness(R)
                     inst = CompositionInstance(R, B, m)
                     test_points = [sampling.random_point(rng, dim) for _ in range(4)]
                     test_forms = [sampling.random_nonzero_hompoly(rng, dim, 1)
@@ -483,14 +488,8 @@ def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
 
 # -- numeric claims ---------------------------------------------------------
 
-def _random_f64_poly(rng: np.random.Generator, d: int, m: int) -> HomPoly:
-    basis = enumerate_multi_indices(d, m)
-    vals = rng.standard_normal(len(basis))
-    return HomPoly(d, m, dict(zip(basis, (float(v) for v in vals))), F64)
-
-
 def _random_f64_map(rng: np.random.Generator, d: int, e: int, m: int) -> PolyMap:
-    return PolyMap(tuple(_random_f64_poly(rng, d, m) for _ in range(e)))
+    return PolyMap(tuple(_random_hompoly_f64(rng, d, m) for _ in range(e)))
 
 
 def _tolerance_flag(details: dict, cfg: SuiteConfig, rel_err: float) -> None:
@@ -577,7 +576,7 @@ def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
             Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             proj = PolyMap.from_matrix([[float(v) for v in Q[:, 0]],
                                         [float(v) for v in Q[:, 1]]], F64)
-        q = _random_f64_poly(rng, 2, k)
+        q = _random_hompoly_f64(rng, 2, k)
         rep = check_metric_injection(proj, q, ncfg)
         worst = max(worst, rep.rel_err)
         all_pass = all_pass and rep.passed

@@ -2,23 +2,33 @@
 
 Run as `pytest -s tests/test_acceptance.py` to see the per-criterion lines;
 each criterion is also its own test so `pytest -v` lists the verdicts.
-The exact suite must finish under 60 s, the numeric suite under 120 s, and
-two same-seed verify runs must produce byte-identical reports.
+The exact suite must finish under 60 s, the numeric suite under 120 s, the
+rational report must match the digest in perfbench/oracle.json, and two
+same-seed verify runs must produce byte-identical reports.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from polyadjoint.suites import SuiteConfig, run_exact_suite, run_numeric_suite
+from polyadjoint.suites import (
+    ClaimResult,
+    SuiteConfig,
+    report_to_json,
+    run_all,
+    run_numeric_suite,
+)
 
 ACCEPT_SEED = 20260815
 EXACT_TOL = 0  # exact claims must have defect identically zero
 NUMERIC_TOL = 1e-6
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
 
 
 def _report(name: str, ok: bool) -> None:
@@ -28,11 +38,12 @@ def _report(name: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def exact():
-    cfg = SuiteConfig(seed=ACCEPT_SEED)
+    cfg = SuiteConfig(seed=ACCEPT_SEED, field="rational")
     t0 = time.perf_counter()
-    results = {r.name: r for r in run_exact_suite(cfg)}
+    report = run_all(cfg)
     wall = time.perf_counter() - t0
-    return results, wall
+    results = {c["name"]: ClaimResult(**c) for c in report["claims"]}
+    return results, wall, report
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +100,8 @@ def test_nonadditivity_witnesses(exact):
 def test_linearization_transpose(exact):
     r = exact[0]["linearization_transpose"]
     ok = r.passed and r.max_defect == "0/1" and r.instances >= 320
-    _report("adjoint matrix equals relabeled transpose of the linearization", ok)
+    _report("adjoint matrix equals the transpose of the linearization, which "
+            "intertwines tensor powers at a rational point per instance", ok)
 
 
 def test_finite_type_expansion(exact):
@@ -125,6 +137,14 @@ def test_rank_bound(exact):
     ok = r.passed and r.details["surjective_full_rank"] and r.instances >= 480
     _report("rank of the adjoint matrix within C(rank(P)+k-1, k) on every "
             "instance family", ok)
+
+
+def test_rational_report_matches_oracle(exact):
+    # the refactor oracle: sha256 of what `polyadjoint verify --seed 20260815
+    # --field rational` writes; any change to the exact layer must keep it
+    want = json.loads(ORACLE.read_text())["rational_report_sha256"]
+    got = hashlib.sha256((report_to_json(exact[2]) + "\n").encode()).hexdigest()
+    _report("rational report bytes match the recorded oracle digest", got == want)
 
 
 def test_exact_suite_wall_under_60s(exact):

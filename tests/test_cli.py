@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from polyadjoint import HomPoly, PolyMap, polymap_dumps
+from polyadjoint import cli
 
 CLI = [sys.executable, "-m", "polyadjoint.cli"]
 
@@ -106,6 +110,50 @@ def test_invalid_map_object_exits_2(tmp_path):
     proc = run_cli("adjoint", str(src), "--n", "1", "--k", "1")
     assert proc.returncode == 2
     assert "missing" in proc.stderr
+
+
+# x |-> 3x on R^1: each edit below was once accepted as a different map or
+# crashed, because True == 1 and int(1.7) == 1
+SCALAR_MAP = {"domain_dim": 1, "codomain_dim": 1, "degree": 1, "field": "rational",
+              "components": [[{"alpha": [1], "value": "3/1"}]]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("components", [[{"alpha": [1], "value": "1/0"}]]),
+    ("components", [[{"alpha": [1], "value": "1/1"}, {"alpha": [1], "value": "5/1"}]]),
+    ("degree", True),
+    ("domain_dim", True),
+    ("codomain_dim", True),
+    ("components", [[{"alpha": [1.7], "value": "3/1"}]]),
+], ids=["zero-denominator", "repeated-alpha", "bool-degree", "bool-domain-dim",
+        "bool-codomain-dim", "float-alpha"])
+def test_bad_map_json_exits_2(tmp_path, capsys, key, value):
+    src = tmp_path / "map.json"
+    src.write_text(json.dumps({**SCALAR_MAP, key: value}))
+    assert cli.main(["adjoint", str(src), "--n", "1", "--k", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _limit_memory() -> None:
+    # 2 GB of address space: a missed cap fails instead of exhausting memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command", [["adjoint", "--n", "1", "--k", "1"], ["norm"],
+                                     ["decompose"]])
+def test_huge_coefficient_space_exits_3_promptly(tmp_path, command):
+    # C(51, 12) > 10^11 monomials: the cap must fire before any basis is built
+    d, m = 40, 12
+    big = {"domain_dim": d, "codomain_dim": 2, "degree": m, "field": "rational",
+           "components": [[{"alpha": [m] + [0] * (d - 1), "value": "1/1"}],
+                          [{"alpha": [0] * (d - 1) + [m], "value": "2/1"}]]}
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(big))
+    proc = subprocess.run(CLI + [command[0], str(src)] + command[1:],
+                          preexec_fn=_limit_memory, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "cap" in proc.stderr
 
 
 def test_capacity_overflow_exits_3(tmp_path):

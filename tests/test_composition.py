@@ -18,20 +18,12 @@ from polyadjoint import (
     check_linear_recovery,
     check_recovery_identities,
     check_two_sided_norm,
-    compose_map,
+    compose_scalar,
     compose_three,
     enumerate_multi_indices,
-    eval_at,
-    eval_at_one,
-    form_to_rank_one,
     integer_points,
-    left_compose,
     normalization_witness,
-    post_compose_form,
     rank_one_map,
-    scalar_embedding,
-    tensor_with_vector,
-    vector_to_rank_one,
 )
 from polyadjoint.errors import (
     DegreeError,
@@ -100,35 +92,6 @@ def test_rank_one_map_values():
         assert M.eval_map(x) == (2 * v, -v, 3 * v)
 
 
-def test_rank_one_factories_agree():
-    phi = HomPoly.linear_form([Fraction(1), Fraction(2)])
-    x = (Fraction(3), Fraction(-1))
-    u = vector_to_rank_one(phi, 2)(x)
-    w = form_to_rank_one(x, 2)(phi)
-    assert u == w == rank_one_map(phi ** 2, x)
-    with pytest.raises(DegreeError):
-        vector_to_rank_one(phi ** 2, 2)
-
-
-def test_scalar_embedding_unit_round_trip():
-    x = (Fraction(5), Fraction(-2))
-    for m in (1, 2, 3):
-        lifted = scalar_embedding(m)(x)
-        assert lifted.domain_dim == 1 and lifted.degree == m
-        assert eval_at_one()(lifted) == x
-
-
-def test_eval_and_compose_helpers():
-    rng = sampling.rng(11, "helpers")
-    P = sampling.random_polymap(rng, 2, 2, 2)
-    z = sampling.random_point(rng, 2)
-    assert eval_at(z)(P) == P.eval_map(z)
-    psi = HomPoly.linear_form([Fraction(1), Fraction(-1)])
-    assert post_compose_form(psi)(P) == P.components[0] - P.components[1]
-    A = PolyMap.from_matrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-    assert left_compose(A)(P) == compose_map(A, P)
-
-
 def test_normalization_witness_property():
     rng = sampling.rng(13, "witness")
     for _ in range(10):
@@ -164,6 +127,8 @@ def test_recovery_rejects_bad_normalization():
     with pytest.raises(PreconditionError):
         check_recovery_identities(inst, phi.scale(Fraction(2)), z_a, psi, z_b,
                                   [(Fraction(1), Fraction(0))], [])
+    with pytest.raises(DegreeError):
+        check_recovery_identities(inst, phi ** 2, z_a, psi, z_b, [], [])
 
 
 def test_recovery_b_is_the_iterated_adjoint():
@@ -175,8 +140,8 @@ def test_recovery_b_is_the_iterated_adjoint():
     inst = CompositionInstance(R, B, m)
     psi, z_b = find_normalizer(R)
     phi = sampling.random_nonzero_hompoly(rng, 2, 1)
-    lift = form_to_rank_one(z_b, m)(phi)
-    routed = post_compose_form(psi)(compose_three(inst, lift))
+    lift = rank_one_map(phi ** m, z_b)
+    routed = compose_scalar(psi, compose_three(inst, lift))
     assert routed == adjoint_apply(B, m * R.degree, 1, phi)
 
 

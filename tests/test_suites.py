@@ -3,13 +3,17 @@ themselves are exercised by the acceptance gate)."""
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from polyadjoint import algebra, sampling
 from polyadjoint.errors import PreconditionError
+from polyadjoint.linearization import transpose_identity_defect
 from polyadjoint.suites import (
     SuiteConfig,
     claim_inverse_identity,
+    claim_linearization_transpose,
     report_to_json,
     run_all,
 )
@@ -54,3 +58,24 @@ def test_field_filter_selects_suites():
     names = {c["name"] for c in run_all(cfg)["claims"]}
     assert "norm_duality" not in names
     assert "composition_identity" in names
+
+
+def test_linearization_claim_catches_a_corrupt_power(monkeypatch):
+    # double P^(1,1) in the shared expansion, wherever it is bound: the
+    # adjoint and linearization matrices stay transposes of each other, so
+    # only the intertwining check against direct evaluation can fail
+    original = algebra.map_powers
+
+    def corrupt(P, betas):
+        betas = list(betas)
+        for beta, power in zip(betas, original(P, betas)):
+            yield power.scale(2) if beta == (1, 1) else power
+
+    cfg = SuiteConfig(seed=3, dims=(2,), trials=2)
+    assert claim_linearization_transpose(cfg).passed
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "map_powers", None) is original:
+            monkeypatch.setattr(mod, "map_powers", corrupt)
+    P = sampling.random_polymap(sampling.rng(3, "corrupt"), 2, 2, 2)
+    assert transpose_identity_defect(P, 2).is_zero
+    assert not claim_linearization_transpose(cfg).passed
