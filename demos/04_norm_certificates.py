@@ -34,7 +34,7 @@ print("maximizer on the sphere:", est.maximizer)
 # norming functionals: phi attains |y| with sup norm one, so phi^m attains
 # |y|^m -- the duality the embedding norms lean on
 y = [3.0, -4.0]
-phi = norming_functional(y, "l2")
+phi = norming_functional(y)
 print("phi(y) =", phi.eval(y), "against |y| = 5")
 print("duality report passes:", check_norm_duality(y, 3, cfg).passed)
 

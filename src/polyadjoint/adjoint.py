@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
-    RATIONAL,
     HomPoly,
     MultiIndex,
     PolyMap,
@@ -48,12 +47,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetError,
 )
-from .linearization import (
-    DEFAULT_SIZE_CAP,
-    LinearMap,
-    adjoint_matrix,
-    check_capacity,
-)
+from .linearization import LinearMap, adjoint_matrix, check_capacity
 
 
 def adjoint_apply(P: PolyMap, n: int, k: int, q: HomPoly) -> HomPoly:
@@ -98,18 +92,17 @@ class MaterializedAdjoint:
                        q.field)
 
 
-def materialize_adjoint(P: PolyMap, n: int, k: int,
-                        cap: int = DEFAULT_SIZE_CAP) -> MaterializedAdjoint:
+def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
     """Expand q |-> q(P(.))^n with the coefficients of q as formal variables."""
     if n < 1 or k < 1:
         raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
     nvars = math.comb(e + k - 1, k)
-    check_capacity(f"degree-{k} coefficient space on R^{e}", nvars, cap)
+    check_capacity(f"degree-{k} coefficient space on R^{e}", nvars)
     check_capacity(f"degree-{m * n * k} coefficient space on R^{d}",
-                   math.comb(d + m * n * k - 1, m * n * k), cap)
+                   math.comb(d + m * n * k - 1, m * n * k))
     check_capacity(f"degree-{n} coefficient space on the {nvars} formal q-coefficients",
-                   math.comb(nvars + n - 1, n), cap)
+                   math.comb(nvars + n - 1, n))
     q_basis = enumerate_multi_indices(e, k)
     out_basis = enumerate_multi_indices(d, m * n * k)
 
@@ -131,8 +124,7 @@ def materialize_adjoint(P: PolyMap, n: int, k: int,
 
 
 def evaluation_embedding(x: Sequence, m: int, n: int,
-                         field: str | None = None,
-                         cap: int = DEFAULT_SIZE_CAP) -> HomPoly:
+                         field: str | None = None) -> HomPoly:
     """The degree-m polynomial q |-> q(x)^m on the degree-n coefficient space.
 
     Variables are the coefficients of a degree-n polynomial q on R^len(x) in
@@ -145,7 +137,7 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     d = len(x)
     if field is None:
         field = infer_field(x)
-    check_capacity(f"degree-{n} coefficient space on R^{d}", math.comb(d + n - 1, n), cap)
+    check_capacity(f"degree-{n} coefficient space on R^{d}", math.comb(d + n - 1, n))
     basis = enumerate_multi_indices(d, n)
     xpow = [_eval_monomial(beta, x) for beta in basis]
     coeffs: dict[MultiIndex, Scalar] = {}
@@ -173,8 +165,7 @@ def composition_identity_defect(P: PolyMap, Q: PolyMap, n: int, k: int, s: int,
 
 
 def diagram_defect(P: PolyMap, n: int, k: int, r: int, s: int,
-                   q: HomPoly, x: Sequence,
-                   cap: int = DEFAULT_SIZE_CAP) -> Scalar:
+                   q: HomPoly, x: Sequence) -> Scalar:
     """Defect at (x, q) of the commuting square relating the twice-iterated
     adjoint of P to the power evaluation embeddings.
 
@@ -189,15 +180,14 @@ def diagram_defect(P: PolyMap, n: int, k: int, r: int, s: int,
         raise DimensionError("x does not lie in P's domain")
     m = P.degree
     g = adjoint_apply(P, n, k, q)
-    j_dom = evaluation_embedding(x, r, m * n * k, field=q.field, cap=cap)
+    j_dom = evaluation_embedding(x, r, m * n * k, field=q.field)
     left = j_dom.eval(g.coeff_vector()) ** s
-    j_cod = evaluation_embedding(P.eval_map(x), n * r * s, k, field=q.field, cap=cap)
+    j_cod = evaluation_embedding(P.eval_map(x), n * r * s, k, field=q.field)
     right = j_cod.eval(q.coeff_vector())
     return left - right
 
 
-def inverse_adjoint_defects(u: PolyMap, k: int,
-                            cap: int = DEFAULT_SIZE_CAP) -> tuple[LinearMap, LinearMap]:
+def inverse_adjoint_defects(u: PolyMap, k: int) -> tuple[LinearMap, LinearMap]:
     """Both defects of: adjoint(u) . adjoint(u^{-1}) = id and the reverse.
 
     u must be linear, square and invertible (exact rational inversion;
@@ -214,8 +204,8 @@ def inverse_adjoint_defects(u: PolyMap, k: int,
                     field=u.field)
     inv = mat.inverse()
     u_inv = PolyMap.from_matrix(inv.entries, u.field)
-    a = adjoint_matrix(u, k, cap)
-    b = adjoint_matrix(u_inv, k, cap)
+    a = adjoint_matrix(u, k)
+    b = adjoint_matrix(u_inv, k)
     n = a.rows
     ident = LinearMap.identity(n, a.row_labels, u.field)
     return (a @ b) - ident, (b @ a) - ident
@@ -237,16 +227,16 @@ def integer_points(d: int, budget: int = 10_000) -> Iterator[tuple[Fraction, ...
         shell += 1
 
 
-def injectivity_witness(P1: PolyMap, P2: PolyMap, n: int, k: int,
-                        budget: int = 10_000) -> tuple[HomPoly, tuple[Fraction, ...]] | None:
+def injectivity_witness(P1: PolyMap, P2: PolyMap, n: int, k: int
+                        ) -> tuple[HomPoly, tuple[Fraction, ...]] | None:
     """For odd kn: a pair (q, x) with q a k-th power of a coordinate
     functional such that the adjoints of P1 and P2 differ on q at x.
 
     Returns None when P1 == P2.  Distinct maps differ at some rational grid
     point x0 in some coordinate i; q = (y_i)^k works because t |-> t^{kn} is
     injective on the reals for odd kn.  Raises SearchBudgetError if the
-    point stream is exhausted (cannot happen within the default budget for
-    the supported degrees and dimensions).
+    first 10000 grid points do not separate them (cannot happen for the
+    supported degrees and dimensions).
     """
     if (P1.domain_dim, P1.codomain_dim, P1.degree) != (P2.domain_dim, P2.codomain_dim, P2.degree):
         raise DimensionError("maps must share domain, codomain and degree")
@@ -255,7 +245,7 @@ def injectivity_witness(P1: PolyMap, P2: PolyMap, n: int, k: int,
     if P1 == P2:
         return None
     e = P1.codomain_dim
-    for x0 in integer_points(P1.domain_dim, budget):
+    for x0 in integer_points(P1.domain_dim):
         v1 = P1.eval_map(x0)
         v2 = P2.eval_map(x0)
         for i in range(e):
@@ -263,44 +253,34 @@ def injectivity_witness(P1: PolyMap, P2: PolyMap, n: int, k: int,
                 alpha = tuple(k if j == i else 0 for j in range(e))
                 q = HomPoly.monomial(e, alpha, 1, P1.field)
                 return q, x0
-    raise SearchBudgetError(f"no separating point among the first {budget} grid points")
+    raise SearchBudgetError("no separating point among the first 10000 grid points")
 
 
-def nonadditivity_witness(m: int, n: int, k: int, d: int = 1, e: int = 1,
+def nonadditivity_witness(m: int, n: int, k: int,
                           ) -> tuple[PolyMap, PolyMap, HomPoly, tuple[Fraction, ...], Scalar]:
-    """Search small-integer rank-one data (P, Q, q, x) whose adjoint
+    """Search small-integer data (P, Q, q, x) on the line whose adjoint
     additivity defect at (q, x) is nonzero; exists whenever kn > 1.
 
-    Candidates are rank-one maps built from single monomials with
-    coefficients in {1, 2, 3} and grid points; the first nonzero defect is
-    returned.  For k = n = 1 the defect vanishes identically and the search
-    reports failure by raising SearchBudgetError.
+    Candidates are P = a t^m and Q = b t^m with a, b in {1, 2, 3}, q = t^k
+    and nonzero grid points x; the first nonzero defect is returned.  For
+    k = n = 1 the defect vanishes identically and the search reports failure
+    by raising SearchBudgetError.
     """
-    if min(m, n, k, d, e) < 1:
+    if min(m, n, k) < 1:
         raise DimensionError("all parameters must be >= 1")
-    monos = enumerate_multi_indices(d, m)
-    q_monos = enumerate_multi_indices(e, k)
-    coeffs = (1, 2, 3)
-    points = [p for p in integer_points(d, 60) if any(c != 0 for c in p)]
-    for am, bm in itertools.product(monos[:3], repeat=2):
-        for ca, cb in itertools.product(coeffs, repeat=2):
-            for unit_a, unit_b in itertools.product(range(min(e, 2)), repeat=2):
-                P = PolyMap(tuple(
-                    HomPoly.monomial(d, am, ca, RATIONAL) if i == unit_a
-                    else HomPoly.zero(d, m, RATIONAL) for i in range(e)))
-                Q = PolyMap(tuple(
-                    HomPoly.monomial(d, bm, cb, RATIONAL) if i == unit_b
-                    else HomPoly.zero(d, m, RATIONAL) for i in range(e)))
-                for beta in q_monos[:3]:
-                    q = HomPoly.monomial(e, beta, 1, RATIONAL)
-                    defect_poly = (adjoint_apply(P + Q, n, k, q)
-                                   - adjoint_apply(P, n, k, q)
-                                   - adjoint_apply(Q, n, k, q))
-                    if defect_poly.is_zero:
-                        continue
-                    for x in points:
-                        val = defect_poly.eval(x)
-                        if val != 0:
-                            return P, Q, q, x, val
+    q = HomPoly.monomial(1, (k,))
+    points = [p for p in integer_points(1, 60) if p[0] != 0]
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        P = PolyMap((HomPoly.monomial(1, (m,), a),))
+        Q = PolyMap((HomPoly.monomial(1, (m,), b),))
+        defect_poly = (adjoint_apply(P + Q, n, k, q)
+                       - adjoint_apply(P, n, k, q)
+                       - adjoint_apply(Q, n, k, q))
+        if defect_poly.is_zero:
+            continue
+        for x in points:
+            val = defect_poly.eval(x)
+            if val != 0:
+                return P, Q, q, x, val
     raise SearchBudgetError(
         f"no non-additivity witness found for m={m}, n={n}, k={k} (expected only for kn=1)")

@@ -222,8 +222,7 @@ class HomPoly:
             return HomPoly(self.domain_dim, self.degree,
                            {a: float(c) for a, c in self.coeffs.items()}, F64)
         return HomPoly(self.domain_dim, self.degree,
-                       {a: Fraction(c).limit_denominator(10 ** 12)
-                        for a, c in self.coeffs.items()}, RATIONAL)
+                       {a: Fraction(c) for a, c in self.coeffs.items()}, RATIONAL)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from .algebra import (
     F64,
-    RATIONAL,
     HomPoly,
     PolyMap,
     Scalar,
@@ -82,14 +81,13 @@ def rank_one_map(q: HomPoly, b: Sequence) -> PolyMap:
     return PolyMap(tuple(q.scale(bi) for bi in b))
 
 
-def normalization_witness(B: PolyMap, budget: int = 10_000
-                          ) -> tuple[HomPoly, tuple[Fraction, ...]]:
+def normalization_witness(B: PolyMap) -> tuple[HomPoly, tuple[Fraction, ...]]:
     """Deterministic (phi, z) with phi a linear form and phi(B(z)) = 1.
 
     Walks the integer grid for a z with B(z) != 0, then rescales the first
     nonvanishing coordinate functional.
     """
-    for z in integer_points(B.domain_dim, budget):
+    for z in integer_points(B.domain_dim):
         w = B.eval_map(z)
         for i, wi in enumerate(w):
             if wi != 0:
@@ -172,8 +170,7 @@ def check_factorization_identities(m: int, B: PolyMap,
                                    A: PolyMap, R_mid: PolyMap, C: PolyMap,
                                    R_scalar: PolyMap,
                                    test_maps: Sequence[PolyMap],
-                                   test_points: Sequence[Sequence],
-                                   field: str = RATIONAL) -> dict[str, Scalar]:
+                                   test_points: Sequence[Sequence]) -> dict[str, Scalar]:
     """Max abs defects of the three operator factorizations, all exact.
 
     rank_one:  the operator with outer map phi tensor b equals
@@ -213,13 +210,11 @@ def check_factorization_identities(m: int, B: PolyMap,
     defects["sandwich"] = worst
 
     # unit factorization over scalar test spaces
-    ident1 = PolyMap.identity(1, field)
-    inst_unit = CompositionInstance(R_scalar, ident1, m)
-    t_m = HomPoly.monomial(1, (m,), 1, field)
-    one = (Fraction(1),) if field == RATIONAL else (1.0,)
+    inst_unit = CompositionInstance(R_scalar, PolyMap.identity(1), m)
+    t_m = HomPoly.monomial(1, (m,), 1)
     worst = Fraction(0)
     for x in test_points:
-        got = compose_three(inst_unit, rank_one_map(t_m, x)).eval_map(one)
+        got = compose_three(inst_unit, rank_one_map(t_m, x)).eval_map((Fraction(1),))
         want = R_scalar.eval_map(x)
         worst = max(worst, _max_abs(g - w for g, w in zip(got, want)))
     defects["unit"] = worst

@@ -32,8 +32,8 @@ from .algebra import (
     polarize,
 )
 from .adjoint import adjoint_apply
-from .errors import CapacityError, DegreeError, DimensionError, PreconditionError
-from .linearization import DEFAULT_SIZE_CAP, coefficient_matrix, rref
+from .errors import DegreeError, DimensionError, PreconditionError
+from .linearization import check_capacity, coefficient_matrix, rref
 from . import sampling
 
 
@@ -149,8 +149,7 @@ class FiniteTypeExpansion:
         return total
 
 
-def expand_adjoint(rep: FiniteRankRep, n: int, k: int,
-                   cap: int = DEFAULT_SIZE_CAP) -> FiniteTypeExpansion:
+def expand_adjoint(rep: FiniteRankRep, n: int, k: int) -> FiniteTypeExpansion:
     """Closed-form expansion of q |-> q(P(.))^n from a rank-l representation.
 
     Terms are indexed by exponent vectors alpha of degree n over the weak
@@ -168,10 +167,10 @@ def expand_adjoint(rep: FiniteRankRep, n: int, k: int,
     l = rep.rank
     if l < 1:
         raise PreconditionError("expansion needs rank >= 1 (nonzero map)")
+    n_comps = math.comb(k + l - 1, k)
+    check_capacity(f"weak compositions of {k} into {l} parts", n_comps)
+    check_capacity("finite-type term list", math.comb(n_comps + n - 1, n))
     comps = enumerate_multi_indices(l, k)
-    n_terms = math.comb(len(comps) + n - 1, n)
-    if n_terms > cap:
-        raise CapacityError("finite-type term list", n_terms, cap)
     alphas = enumerate_multi_indices(len(comps), n)
     # p_alpha = prod over compositions c of prod_j p_j^(c_j * alpha_c)
     exponents = [tuple(sum(comp[j] * a for comp, a in zip(comps, alpha)) for j in range(l))

@@ -40,12 +40,12 @@ from .algebra import (
 )
 from .errors import CapacityError, DimensionError, FieldError, SingularMatrixError
 
-DEFAULT_SIZE_CAP = 3003  # C(14, 6); largest coefficient space materialized by default
+DEFAULT_SIZE_CAP = 3003  # C(14, 6); largest coefficient space ever materialized
 
 
-def check_capacity(what: str, dim: int, cap: int = DEFAULT_SIZE_CAP) -> None:
-    if dim > cap:
-        raise CapacityError(what, dim, cap)
+def check_capacity(what: str, dim: int) -> None:
+    if dim > DEFAULT_SIZE_CAP:
+        raise CapacityError(what, dim, DEFAULT_SIZE_CAP)
 
 
 def tensor_power(x: Sequence, k: int, field: str | None = None) -> list[Scalar]:
@@ -194,7 +194,7 @@ def relabeling_map(d: int, k: int, field: str = RATIONAL) -> LinearMap:
     return LinearMap.identity(len(labels), labels, field)
 
 
-def linearization_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap:
+def linearization_matrix(P: PolyMap, k: int) -> LinearMap:
     """Matrix taking order-mk tensor coordinates on the domain to the
     order-k tensor coordinates of P(x); rows indexed by codomain
     multi-indices beta (row beta holds the coefficients of P^beta), columns
@@ -202,8 +202,8 @@ def linearization_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> Lin
     if k < 1:
         raise DimensionError(f"k must be >= 1, got {k}")
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
-    check_capacity(f"order-{k} tensor space on R^{e}", math.comb(e + k - 1, k), cap)
-    check_capacity(f"order-{m * k} tensor space on R^{d}", math.comb(d + m * k - 1, m * k), cap)
+    check_capacity(f"order-{k} tensor space on R^{e}", math.comb(e + k - 1, k))
+    check_capacity(f"order-{m * k} tensor space on R^{d}", math.comb(d + m * k - 1, m * k))
     row_basis = enumerate_multi_indices(e, k)
     col_basis = enumerate_multi_indices(d, m * k)
     rows = tuple(tuple(prod.coefficient(g) for g in col_basis)
@@ -211,7 +211,7 @@ def linearization_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> Lin
     return LinearMap(rows, tuple(row_basis), tuple(col_basis), P.field)
 
 
-def adjoint_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap:
+def adjoint_matrix(P: PolyMap, k: int) -> LinearMap:
     """Matrix of q |-> q o P on coefficient vectors, for degree-k q.
 
     Columns are indexed by the codomain monomials beta (the basis of the
@@ -220,9 +220,9 @@ def adjoint_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap
     if k < 1:
         raise DimensionError(f"k must be >= 1, got {k}")
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
-    check_capacity(f"degree-{k} coefficient space on R^{e}", math.comb(e + k - 1, k), cap)
+    check_capacity(f"degree-{k} coefficient space on R^{e}", math.comb(e + k - 1, k))
     check_capacity(f"degree-{m * k} coefficient space on R^{d}",
-                   math.comb(d + m * k - 1, m * k), cap)
+                   math.comb(d + m * k - 1, m * k))
     col_basis = enumerate_multi_indices(e, k)
     row_basis = enumerate_multi_indices(d, m * k)
     cols = []
@@ -234,14 +234,13 @@ def adjoint_matrix(P: PolyMap, k: int, cap: int = DEFAULT_SIZE_CAP) -> LinearMap
     return LinearMap(ent, tuple(row_basis), tuple(col_basis), P.field)
 
 
-def transpose_identity_defect(P: PolyMap, k: int,
-                              cap: int = DEFAULT_SIZE_CAP) -> LinearMap:
+def transpose_identity_defect(P: PolyMap, k: int) -> LinearMap:
     """Defect of: adjoint matrix == (linearization matrix)^T.
 
     Zero exactly for every P and k, since both matrices hold the
     coefficients of the P^beta in the shared monomial basis.
     """
-    return adjoint_matrix(P, k, cap) - linearization_matrix(P, k, cap).transpose()
+    return adjoint_matrix(P, k) - linearization_matrix(P, k).transpose()
 
 
 def coefficient_matrix(P: PolyMap) -> LinearMap:

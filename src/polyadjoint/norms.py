@@ -1,19 +1,18 @@
-"""Sup norms of polynomial maps on the unit ball, with certificates.
+"""Sup norms of polynomial maps on the Euclidean unit ball, with certificates.
 
-The sup norm here is the maximum of the codomain norm of P(x) over the unit
-ball of the chosen domain norm; for homogeneous maps the maximum sits on the
-unit sphere.  Estimates are always certified lower bounds: the reported
+The sup norm here is the maximum of the Euclidean norm of P(x) over the
+Euclidean unit ball of the domain; for homogeneous maps the maximum sits on
+the unit sphere.  Estimates are always certified lower bounds: the reported
 value is the evaluation of P at the reported maximizer, which lies on the
-sphere up to machine precision.  An upper-bound sanity cap (the coefficient
-absolute sum, valid on all three balls) is asserted on every call.
+sphere up to machine precision.  An upper-bound sanity cap (the Euclidean
+norm of the coefficient absolute sums) is asserted on every call.
 
-Strategy on the Euclidean ball: a quasi-random sample floor (scrambled
-Sobol points pushed to the sphere), then batched projected gradient ascent
-with per-restart adaptive step and backtracking from the best samples.  For
-two variables the critical equation on the circle is solved outright by a
+Strategy: a quasi-random sample floor (scrambled Sobol points pushed to the
+sphere, plus the points +-e_i), then batched projected gradient ascent with
+per-restart adaptive step and backtracking from the best samples.  For two
+variables the critical equation on the circle is solved outright by a
 rational parametrization and companion-matrix root-finding, which pins the
-global maximum to near machine precision.  The l1/linf balls are supported
-by vertex-aware sampling only and are flagged as heuristic.
+global maximum to near machine precision.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
@@ -47,23 +46,19 @@ from .errors import (
 )
 from .linearization import check_capacity
 
-BALLS = ("l2", "l1", "linf")
+MAX_ASCENT_ITERS = 400
 
 
 @dataclass(frozen=True)
 class NormConfig:
-    ball: str = "l2"
     restarts: int = 64
     samples: int = 1 << 14
-    max_iters: int = 400
     tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.ball not in BALLS:
-            raise PreconditionError(f"unknown ball {self.ball!r}")
-        if self.restarts < 1 or self.samples < 1 or self.max_iters < 1:
-            raise PreconditionError("restarts, samples and max_iters must be >= 1")
+        if self.restarts < 1 or self.samples < 1:
+            raise PreconditionError("restarts and samples must be >= 1")
         if self.tol < 0:
             raise PreconditionError("tol must be >= 0")
 
@@ -93,8 +88,8 @@ class Report:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def to_dict(self, include_wall: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "claim": self.claim,
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -105,10 +100,8 @@ class Report:
             "seed": self.seed,
             "passed": self.passed,
             "details": self.details,
+            "wall_ms": self.wall_ms,
         }
-        if include_wall:
-            out["wall_ms"] = self.wall_ms
-        return out
 
 
 def _np_rng(seed: int, label: str) -> np.random.Generator:
@@ -116,15 +109,9 @@ def _np_rng(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def vector_norm(y: Sequence, ball: str = "l2") -> float:
+def vector_norm(y: Sequence) -> float:
     v = np.asarray(y, dtype=float)
-    if ball == "l2":
-        return float(np.sqrt((v * v).sum()))
-    if ball == "l1":
-        return float(np.abs(v).sum())
-    if ball == "linf":
-        return float(np.abs(v).max())
-    raise PreconditionError(f"unknown ball {ball!r}")
+    return float(np.sqrt((v * v).sum()))
 
 
 def _monomials(X: np.ndarray, expts: np.ndarray) -> np.ndarray:
@@ -163,13 +150,9 @@ class _CompiledMap:
         """X: (N, d) points -> (N, e) values."""
         return _monomials(X, self.expts) @ self.coeffs.T
 
-    def norms(self, X: np.ndarray, ball: str) -> np.ndarray:
+    def norms(self, X: np.ndarray) -> np.ndarray:
         V = self.values(X)
-        if ball == "l2":
-            return np.sqrt((V * V).sum(axis=1))
-        if ball == "l1":
-            return np.abs(V).sum(axis=1)
-        return np.abs(V).max(axis=1)
+        return np.sqrt((V * V).sum(axis=1))
 
     def squared_norm_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f(x) = |P(x)|_2^2 and its gradient, batched over rows of X."""
@@ -187,43 +170,20 @@ class _CompiledMap:
             G[:, j] = 2.0 * (V * dV).sum(axis=1)
         return f, G
 
-    def coeff_sum_bound(self, ball: str) -> float:
-        sums = np.abs(self.coeffs).sum(axis=1)
-        return vector_norm(sums, ball)
+    def coeff_sum_bound(self) -> float:
+        return vector_norm(np.abs(self.coeffs).sum(axis=1))
 
 
-def _sphere_samples(d: int, ball: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Quasi-random points on the unit sphere of the chosen ball."""
+def _sphere_samples(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Quasi-random points on the Euclidean unit sphere."""
     n_pow2 = 1 << max(1, (n - 1).bit_length())
     sob = qmc.Sobol(d, scramble=True, seed=rng)
     U = sob.random(n_pow2)[:n]
     U = np.clip(U, 1e-12, 1 - 1e-12)
-    if ball == "l2":
-        G = ndtri(U)
-        nrm = np.sqrt((G * G).sum(axis=1))
-        good = nrm > 1e-12
-        return G[good] / nrm[good, None]
-    if ball == "l1":
-        E = -np.log(U)
-        signs = np.where(rng.random(U.shape) < 0.5, -1.0, 1.0)
-        X = signs * E
-        return X / np.abs(X).sum(axis=1, keepdims=True)
-    X = 2.0 * U - 1.0
-    mx = np.abs(X).max(axis=1)
-    good = mx > 1e-12
-    return X[good] / mx[good, None]
-
-
-def _ball_vertices(d: int, ball: str) -> np.ndarray:
-    if ball == "l1":
-        return np.vstack([np.eye(d), -np.eye(d)])
-    if ball == "linf":
-        if d <= 12:
-            combos = np.array(
-                [[1.0 if (i >> j) & 1 else -1.0 for j in range(d)] for i in range(1 << d)])
-            return combos
-        return np.vstack([np.ones((1, d)), -np.ones((1, d))])
-    return np.vstack([np.eye(d), -np.eye(d)])
+    G = ndtri(U)
+    nrm = np.sqrt((G * G).sum(axis=1))
+    good = nrm > 1e-12
+    return G[good] / nrm[good, None]
 
 
 def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
@@ -265,7 +225,7 @@ def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
     return np.array(pts)
 
 
-def _ascend_batch(cm: _CompiledMap, X: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
+def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
     """Projected gradient ascent on the Euclidean sphere, all rows at once.
 
     Per-row adaptive step with backtracking: a step is kept only if it
@@ -276,7 +236,7 @@ def _ascend_batch(cm: _CompiledMap, X: np.ndarray, max_iters: int) -> tuple[np.n
     eta = np.full(X.shape[0], 0.1)
     iters = 0
     stall = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_ASCENT_ITERS):
         iters += 1
         _, G = cm.squared_norm_grad(X)
         # tangential component; near a maximizer it vanishes
@@ -314,96 +274,72 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     if P.field != F64:
         raise FieldError("sup_norm runs on the f64 field; convert with as_field")
     cm = _CompiledMap(P)
-    d, ball = cm.d, cfg.ball
-    rng = _np_rng(cfg.seed, f"sup-norm-{ball}-{d}")
+    d = cm.d
+    rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
 
     if d == 1:
         pts = np.array([[1.0], [-1.0]])
-        vals = cm.norms(pts, ball)
+        vals = cm.norms(pts)
         i = int(vals.argmax())
         method = "endpoint-enumeration"
-        best, bestval, iters = pts[i], float(vals[i]), 0
+        best, iters = pts[i], 0
     else:
-        cand = [_sphere_samples(d, ball, cfg.samples, rng), _ball_vertices(d, ball)]
+        cand = [_sphere_samples(d, cfg.samples, rng), np.vstack([np.eye(d), -np.eye(d)])]
         for s in extra_starts:
             v = np.asarray(s, dtype=float)
-            n = vector_norm(v, ball)
+            n = vector_norm(v)
             if n > 1e-300:
                 cand.append((v / n)[None, :])
-        iters = 0
-        if ball == "l2":
-            # the circle pass is exhaustive for d = 2, so only a light polish
-            # of the leaders is needed there; otherwise full multistart ascent
-            if d == 2:
-                cand.append(_circle_critical_points(cm))
-                method = "circle-critical-points"
-                n_starts = 4
-            else:
-                method = "sobol+gradient-ascent"
-                n_starts = cfg.restarts
-            X = np.vstack(cand)
-            vals = cm.norms(X, ball)
-            order = np.argsort(vals)[::-1]
-            starts = X[order[: min(n_starts, X.shape[0])]]
-            refined, iters = _ascend_batch(cm, starts.copy(), cfg.max_iters)
-            rvals = cm.norms(refined, ball)
-            i0, i1 = int(vals.argmax()), int(rvals.argmax())
-            if float(rvals[i1]) >= float(vals[i0]):
-                best, bestval = refined[i1], float(rvals[i1])
-            else:
-                best, bestval = X[i0], float(vals[i0])
+        # the circle pass is exhaustive for d = 2, so only a light polish
+        # of the leaders is needed there; otherwise full multistart ascent
+        if d == 2:
+            cand.append(_circle_critical_points(cm))
+            method = "circle-critical-points"
+            n_starts = 4
         else:
-            X = np.vstack(cand)
-            vals = cm.norms(X, ball)
-            method = "vertex-sampling-heuristic"
-            i = int(vals.argmax())
-            best, bestval = X[i], float(vals[i])
+            method = "sobol+gradient-ascent"
+            n_starts = cfg.restarts
+        X = np.vstack(cand)
+        vals = cm.norms(X)
+        order = np.argsort(vals)[::-1]
+        starts = X[order[: min(n_starts, X.shape[0])]]
+        refined, iters = _ascend_batch(cm, starts.copy())
+        rvals = cm.norms(refined)
+        i0, i1 = int(vals.argmax()), int(rvals.argmax())
+        best = refined[i1] if float(rvals[i1]) >= float(vals[i0]) else X[i0]
 
     # renormalize exactly onto the sphere and re-evaluate: the value reported
     # is an evaluation, hence a certified lower bound
-    n = vector_norm(best, ball)
+    n = vector_norm(best)
     if n > 0:
         best = best / n
-    value = float(cm.norms(best[None, :], ball)[0])
-    bound = cm.coeff_sum_bound(ball)
+    value = float(cm.norms(best[None, :])[0])
+    bound = cm.coeff_sum_bound()
     if value > bound * (1.0 + 1e-9) + 1e-300:
         raise AssertionError(
             f"estimate {value} exceeds the coefficient-sum bound {bound}")
     est = NormEstimate(value, tuple(float(v) for v in best), True, iters, method)
-    _validate_estimate(cm, est, ball)
+    _validate_estimate(cm, est)
     return est
 
 
-def _validate_estimate(cm: _CompiledMap, est: NormEstimate, ball: str) -> None:
+def _validate_estimate(cm: _CompiledMap, est: NormEstimate) -> None:
     x = np.asarray(est.maximizer)
-    if abs(vector_norm(x, ball) - 1.0) > 1e-12 and est.value > 0:
+    if abs(vector_norm(x) - 1.0) > 1e-12 and est.value > 0:
         raise AssertionError("maximizer is not on the unit sphere")
-    again = float(cm.norms(x[None, :], ball)[0])
+    again = float(cm.norms(x[None, :])[0])
     if abs(again - est.value) > 1e-12 * max(1.0, abs(est.value)):
         raise AssertionError("estimate does not reproduce at its maximizer")
 
 
-def norming_functional(y: Sequence, ball: str = "l2") -> HomPoly:
-    """A linear functional of dual norm one with phi(y) = |y|.
-
-    l2: the inner product with y/|y|; l1: the sign pattern of y; linf: the
-    signed coordinate functional at the first maximal coordinate.
-    """
+def norming_functional(y: Sequence) -> HomPoly:
+    """The inner product with y/|y|: a linear functional of dual norm one
+    with phi(y) = |y|."""
     v = np.asarray(y, dtype=float)
-    n = vector_norm(v, ball)
+    n = vector_norm(v)
     if n < 1e-300:
         raise DegenerateInputError("cannot norm the zero vector")
-    if ball == "l2":
-        coeffs = v / n
-    elif ball == "l1":
-        coeffs = np.where(v >= 0, 1.0, -1.0)
-    elif ball == "linf":
-        i = int(np.abs(v).argmax())
-        coeffs = np.zeros(len(v))
-        coeffs[i] = 1.0 if v[i] >= 0 else -1.0
-    else:
-        raise PreconditionError(f"unknown ball {ball!r}")
-    return HomPoly.linear_form([float(c) for c in coeffs], F64)
+    return HomPoly.linear_form([float(c) for c in v / n], F64)
 
 
 def _elapsed_ms(t0: float) -> float:
@@ -415,14 +351,14 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> R
     power has sup norm at most one."""
     t0 = time.perf_counter()
     xv = [float(v) for v in x]
-    target = vector_norm(xv, cfg.ball) ** m
+    target = vector_norm(xv) ** m
     if target == 0.0:
         raise DegenerateInputError("x must be nonzero")
-    phi = norming_functional(xv, cfg.ball)
+    phi = norming_functional(xv)
     q = phi ** m
     lhs = abs(q.eval(xv))
     rel = abs(lhs / target - 1.0)
-    unit = (np.asarray(xv) / vector_norm(xv, cfg.ball)).tolist()
+    unit = (np.asarray(xv) / vector_norm(xv)).tolist()
     qn = sup_norm(q, cfg, extra_starts=[unit])
     passed = rel <= cfg.tol and qn.value <= 1.0 + cfg.tol
     return Report("norm_duality", lhs, target, rel, cfg.tol, True,
@@ -450,7 +386,7 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
     if est.value <= 0.0:
         raise DegenerateInputError("zero map has no norming direction")
     target = est.value ** (k * n)
-    phi = norming_functional(P.eval_map(est.maximizer), cfg.ball)
+    phi = norming_functional(P.eval_map(est.maximizer))
     q_star = phi ** k
     lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg,
                      extra_starts=[est.maximizer]).value
@@ -483,12 +419,12 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     t0 = time.perf_counter()
     xv = [float(v) for v in x]
     d = len(xv)
-    nx = vector_norm(xv, cfg.ball)
+    nx = vector_norm(xv)
     if nx == 0.0:
         raise DegenerateInputError("x must be nonzero")
     target = nx ** (m * n)
     jp = evaluation_embedding(xv, m, n, field=F64)
-    phi = norming_functional(xv, cfg.ball)
+    phi = norming_functional(xv)
     q_star = phi ** n
     lower = abs(jp.eval(q_star.coeff_vector()))
     rel_lower = abs(lower / target - 1.0)
@@ -514,8 +450,6 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     preserves the sup norm; here the surjection is a matrix with orthonormal
     rows acting between Euclidean balls."""
     t0 = time.perf_counter()
-    if cfg.ball != "l2":
-        raise PreconditionError("the metric-injection check is wired for the l2 ball")
     proj = proj.as_field(F64)
     if proj.degree != 1:
         raise PreconditionError("proj must be linear")

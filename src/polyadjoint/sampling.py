@@ -34,14 +34,14 @@ def random_nonzero_point(r: random.Random, d: int) -> tuple[Fraction, ...]:
             return x
 
 
-def random_hompoly(r: random.Random, d: int, m: int, density: float = 0.9,
-                   max_num: int = 9, max_den: int = 4) -> HomPoly:
-    """Random rational polynomial; at least one term is always kept."""
+def random_hompoly(r: random.Random, d: int, m: int) -> HomPoly:
+    """Random rational polynomial, each term kept with probability 0.9; at
+    least one term is always kept."""
     basis = enumerate_multi_indices(d, m)
     coeffs = {}
     for alpha in basis:
-        if r.random() < density:
-            c = random_fraction(r, max_num, max_den)
+        if r.random() < 0.9:
+            c = random_fraction(r)
             if c != 0:
                 coeffs[alpha] = c
     if not coeffs:

@@ -18,13 +18,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .algebra import (
-    F64,
-    RATIONAL,
-    HomPoly,
-    PolyMap,
-    enumerate_multi_indices,
-)
+from .algebra import F64, RATIONAL, HomPoly, PolyMap
 from .adjoint import MaterializedAdjoint
 from .errors import DimensionError, FieldError
 from .finite_type import FiniteTypeExpansion
@@ -56,12 +50,9 @@ def _scalar_from_json(v, field: str):
 
 
 def hompoly_to_obj(p: HomPoly) -> list[dict]:
-    terms = []
-    for alpha in enumerate_multi_indices(p.domain_dim, p.degree):
-        if alpha in p.coeffs:
-            terms.append({"alpha": list(alpha),
-                          "value": _scalar_to_json(p.coeffs[alpha], p.field)})
-    return terms
+    # reverse tuple order is the canonical descending-lex order
+    return [{"alpha": list(alpha), "value": _scalar_to_json(p.coeffs[alpha], p.field)}
+            for alpha in sorted(p.coeffs, reverse=True)]
 
 
 def polymap_to_obj(P: PolyMap) -> dict:

@@ -94,7 +94,7 @@ class SuiteConfig:
             raise PreconditionError("tol must be >= 0")
 
     def norm_config(self) -> NormConfig:
-        return NormConfig(ball="l2", restarts=self.restarts, samples=self.samples,
+        return NormConfig(restarts=self.restarts, samples=self.samples,
                           tol=self.tol, seed=self.seed)
 
 
@@ -357,10 +357,9 @@ def claim_finite_type(cfg: SuiteConfig) -> ClaimResult:
                 m = 2 if 2 * n * k <= 8 else 1
                 for _ in range(cfg.trials):
                     d = _dims_cycle(cfg, count)
+                    while math.comb(d + m - 1, m) < l:
+                        d += 1
                     basis = enumerate_multi_indices(d, m)
-                    if len(basis) < l:
-                        d = max(cfg.dims)
-                        basis = enumerate_multi_indices(d, m)
                     B = sampling.random_invertible_matrix(rng, l)
                     comps = []
                     for i in range(l):

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 from polyadjoint import (
+    F64,
+    RATIONAL,
     HomPoly,
     PolyMap,
     SymForm,
@@ -98,6 +100,15 @@ def test_bad_index_shapes_rejected():
 def test_rational_field_rejects_floats():
     with pytest.raises(FieldError):
         HomPoly(2, 2, {(2, 0): 0.5})
+
+
+def test_as_field_rational_is_exact():
+    p = HomPoly(2, 1, {(1, 0): 0.1, (0, 1): 1.0 / 3.0}, F64)
+    exact = p.as_field(RATIONAL)
+    assert exact.coefficient((1, 0)) == Fraction(0.1)
+    assert exact.coefficient((1, 0)) != Fraction(1, 10)
+    assert exact.coefficient((0, 1)) == Fraction(1.0 / 3.0)
+    assert exact.as_field(F64) == p
 
 
 def test_coeff_vector_round_trip():

@@ -156,6 +156,17 @@ def test_huge_coefficient_space_exits_3_promptly(tmp_path, command):
     assert "cap" in proc.stderr
 
 
+def test_huge_expansion_degree_exits_3_promptly(tmp_path):
+    # C(k+1, k) weak compositions of k into the two parts of a rank-2 map
+    src = tmp_path / "map.json"
+    src.write_text(sample_map_json())
+    proc = subprocess.run(CLI + ["decompose", str(src), "--k", "30000000"],
+                          preexec_fn=_limit_memory, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "cap" in proc.stderr
+
+
 def test_capacity_overflow_exits_3(tmp_path):
     src = tmp_path / "map.json"
     src.write_text(sample_map_json())
@@ -200,6 +211,15 @@ def test_verify_rational_suite(tmp_path):
     assert "factorization_identities" in names
     # one human-readable PASS line per claim on stderr
     assert proc.stderr.count("PASS") == 11
+
+
+@pytest.mark.parametrize("dims", ["2", "1", "1,2"])
+def test_verify_small_dims(tmp_path, dims):
+    # the finite-type claim grows d until there are enough degree-m monomials
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--dims", dims, "--trials", "1", "--field", "rational",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

@@ -5,12 +5,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyadjoint import (
     F64,
+    RATIONAL,
     HomPoly,
     PolyMap,
     adjoint_matrix,
+    enumerate_multi_indices,
     expand_adjoint,
     expansion_to_obj,
     finite_rank_rep,
@@ -24,7 +27,7 @@ from polyadjoint import (
     sha256_hex,
 )
 from polyadjoint.errors import DimensionError, FieldError
-from polyadjoint import sampling
+from polyadjoint import sampling, serialization
 
 
 def test_polymap_round_trip_rational():
@@ -42,6 +45,46 @@ def test_polymap_round_trip_f64():
     Q = polymap_loads(polymap_dumps(P))
     assert Q == P
     assert Q.field == F64
+
+
+def test_sparse_map_round_trip_skips_the_basis(monkeypatch):
+    # C(51, 12) > 10^11 monomials: serializing must cost the terms, not the basis
+    def no_basis(*args):
+        raise AssertionError("serialization walked the monomial basis")
+
+    monkeypatch.setattr(serialization, "enumerate_multi_indices", no_basis, raising=False)
+    top = (12,) + (0,) * 39
+    mixed = (0,) * 20 + (5, 7) + (0,) * 18
+    P = PolyMap((HomPoly(40, 12, {top: Fraction(3, 4), mixed: Fraction(-2)}),))
+    text = polymap_dumps(P)
+    assert [t["alpha"] for t in json.loads(text)["components"][0]] == [list(top), list(mixed)]
+    assert polymap_loads(text) == P
+
+
+@st.composite
+def sparse_maps(draw, field):
+    d = draw(st.integers(1, 4))
+    e = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    basis = enumerate_multi_indices(d, m)
+    values = (st.fractions() if field == RATIONAL
+              else st.floats(allow_nan=False, allow_infinity=False))
+    comps = tuple(
+        HomPoly(d, m, draw(st.dictionaries(st.sampled_from(basis), values, max_size=6)), field)
+        for _ in range(e))
+    return PolyMap(comps)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((RATIONAL, F64)).flatmap(sparse_maps))
+def test_polymap_round_trip_property(P):
+    text = polymap_dumps(P)
+    assert polymap_loads(text) == P
+    # terms are emitted in the canonical basis order
+    rank = {alpha: i for i, alpha in enumerate(enumerate_multi_indices(P.domain_dim, P.degree))}
+    for terms in json.loads(text)["components"]:
+        order = [rank[tuple(t["alpha"])] for t in terms]
+        assert order == sorted(order)
 
 
 def test_rationals_travel_as_num_den_strings():
