@@ -47,7 +47,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetError,
 )
-from .linearization import LinearMap, adjoint_matrix, check_capacity
+from .linearization import LinearMap, adjoint_matrix, check_capacity, coefficient_matrix
 
 
 def adjoint_apply(P: PolyMap, n: int, k: int, q: HomPoly) -> HomPoly:
@@ -198,11 +198,7 @@ def inverse_adjoint_defects(u: PolyMap, k: int) -> tuple[LinearMap, LinearMap]:
         raise DegreeError("inverse identity needs a linear map")
     if u.domain_dim != u.codomain_dim:
         raise DimensionError("inverse identity needs a square linear map")
-    d = u.domain_dim
-    basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    mat = LinearMap(tuple(tuple(c.coefficient(b) for b in basis) for c in u.components),
-                    field=u.field)
-    inv = mat.inverse()
+    inv = coefficient_matrix(u).inverse()
     u_inv = PolyMap.from_matrix(inv.entries, u.field)
     a = adjoint_matrix(u, k)
     b = adjoint_matrix(u_inv, k)

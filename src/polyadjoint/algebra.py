@@ -156,6 +156,10 @@ class HomPoly:
     def coefficient(self, alpha: MultiIndex) -> Scalar:
         return self.coeffs.get(tuple(alpha), _coerce(0, self.field))
 
+    def max_abs(self) -> Scalar:
+        """Largest absolute coefficient; the field's zero for the zero polynomial."""
+        return max(map(abs, self.coeffs.values()), default=_coerce(0, self.field))
+
     def coeff_vector(self) -> list[Scalar]:
         """Coefficients in canonical (descending lex) basis order."""
         zero = _coerce(0, self.field)
@@ -260,6 +264,10 @@ class PolyMap:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
+
+    def max_abs(self) -> Scalar:
+        """Largest absolute coefficient over all components."""
+        return max(c.max_abs() for c in self.components)
 
     @classmethod
     def zero(cls, d: int, e: int, m: int, field: str = RATIONAL) -> PolyMap:

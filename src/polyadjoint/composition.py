@@ -99,13 +99,6 @@ def normalization_witness(B: PolyMap) -> tuple[HomPoly, tuple[Fraction, ...]]:
 
 # -- identity checkers -----------------------------------------------------
 
-def _max_abs(values) -> Scalar:
-    worst = Fraction(0)
-    for v in values:
-        worst = max(worst, abs(v))
-    return worst
-
-
 def check_recovery_identities(inst: CompositionInstance,
                               phi: HomPoly, z_a: Sequence,
                               psi: HomPoly, z_b: Sequence,
@@ -136,12 +129,13 @@ def check_recovery_identities(inst: CompositionInstance,
     for x in test_points:
         got = compose_three(inst, rank_one_map(phi_m, x)).eval_map(z_a)
         want = inst.outer.eval_map(x)
-        defect_a = max(defect_a, _max_abs(g - w for g, w in zip(got, want)))
+        defect_a = max(defect_a, max(map(abs, (g - w for g, w in zip(got, want))),
+                                     default=Fraction(0)))
     defect_b = Fraction(0)
     for form in test_forms:
         got_poly = compose_scalar(psi, compose_three(inst, rank_one_map(form ** m, z_b)))
         want_poly = adjoint_apply(inst.inner, m * r, 1, form)
-        defect_b = max(defect_b, _max_abs((got_poly - want_poly).coeffs.values()))
+        defect_b = max(defect_b, (got_poly - want_poly).max_abs())
     return defect_a, defect_b
 
 
@@ -161,7 +155,7 @@ def check_linear_recovery(inst: CompositionInstance,
     for q in test_qs:
         got = compose_scalar(psi, compose_three(inst, rank_one_map(q, z)))
         want = adjoint_apply(inst.inner, 1, inst.middle_degree, q)
-        worst = max(worst, _max_abs((got - want).coeffs.values()))
+        worst = max(worst, (got - want).max_abs())
     return worst
 
 
@@ -193,8 +187,7 @@ def check_factorization_identities(m: int, B: PolyMap,
     for P in test_maps:
         lhs = compose_three(inst1, P)
         rhs = rank_one_map(adjoint_apply(B, 1, m, compose_scalar(phi, P)), b)
-        worst = max(worst, _max_abs(c for comp in (lhs - rhs).components
-                                    for c in comp.coeffs.values()))
+        worst = max(worst, (lhs - rhs).max_abs())
     defects["rank_one"] = worst
 
     # sandwich factorization
@@ -205,8 +198,7 @@ def check_factorization_identities(m: int, B: PolyMap,
     for P in test_maps:
         lhs = compose_three(inst_full, P)
         rhs = compose_map(C, compose_three(inst_mid, compose_map(A, P)))
-        worst = max(worst, _max_abs(c for comp in (lhs - rhs).components
-                                    for c in comp.coeffs.values()))
+        worst = max(worst, (lhs - rhs).max_abs())
     defects["sandwich"] = worst
 
     # unit factorization over scalar test spaces
@@ -216,7 +208,8 @@ def check_factorization_identities(m: int, B: PolyMap,
     for x in test_points:
         got = compose_three(inst_unit, rank_one_map(t_m, x)).eval_map((Fraction(1),))
         want = R_scalar.eval_map(x)
-        worst = max(worst, _max_abs(g - w for g, w in zip(got, want)))
+        worst = max(worst, max(map(abs, (g - w for g, w in zip(got, want))),
+                               default=Fraction(0)))
     defects["unit"] = worst
     return defects
 

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyadjoint import (
     F64,
@@ -283,3 +284,39 @@ def test_symform_validates_arity():
     form = SymForm(2, 2, {(0, 1): Fraction(1)})
     with pytest.raises(DimensionError):
         form.apply([(Fraction(1), Fraction(0))])  # one slot instead of two
+
+
+@st.composite
+def ring_instances(draw):
+    """Sparse rational p, q (degree m), s (degree k), P (degree m, R^d -> R^e),
+    Q (degree k, R^e -> R^g), a power n and a rational point x."""
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+    def poly(dim: int, deg: int) -> HomPoly:
+        basis = enumerate_multi_indices(dim, deg)
+        return HomPoly(dim, deg, draw(st.dictionaries(st.sampled_from(basis), values,
+                                                      max_size=4)))
+
+    d, e, g = (draw(st.integers(1, 3)) for _ in range(3))
+    m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+    p, q, s = poly(d, m), poly(d, m), poly(e, k)
+    P = PolyMap(tuple(poly(d, m) for _ in range(e)))
+    Q = PolyMap(tuple(poly(e, k) for _ in range(g)))
+    x = tuple(draw(st.lists(values, min_size=d, max_size=d)))
+    return p, q, s, P, Q, n, x
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(ring_instances())
+def test_ring_laws_match_pointwise_evaluation(instance):
+    p, q, s, P, Q, n, x = instance
+    px, qx = p.eval(x), q.eval(x)
+    assert (p + q).eval(x) == px + qx
+    assert (p - q).eval(x) == px - qx
+    assert (p * q).eval(x) == px * qx
+    assert (p ** n).eval(x) == px ** n
+    assert compose_scalar(s, P).eval(x) == s.eval(P.eval_map(x))
+    assert compose_map(Q, P).eval_map(x) == Q.eval_map(P.eval_map(x))
+    # max_abs against the dense coefficient vectors, zero polynomials included
+    assert p.max_abs() == max(map(abs, p.coeff_vector()))
+    assert P.max_abs() == max(abs(c) for comp in P.components for c in comp.coeff_vector())

@@ -79,3 +79,25 @@ def test_linearization_claim_catches_a_corrupt_power(monkeypatch):
     P = sampling.random_polymap(sampling.rng(3, "corrupt"), 2, 2, 2)
     assert transpose_identity_defect(P, 2).is_zero
     assert not claim_linearization_transpose(cfg).passed
+
+
+def test_instance_counts_on_a_non_default_grid():
+    # the oracle runs every cap at 2; caps of 3 and 1 move the grid limits
+    # (m*k <= 8 drops m = k = 3) and the capped ranges of every claim
+    cfg = SuiteConfig(seed=5, dims=(2,), max_m=3, max_n=1, max_k=3, max_r=1,
+                      max_s=1, trials=1, field="rational")
+    report = run_all(cfg)
+    assert {c["name"]: c["instances"] for c in report["claims"]} == {
+        "composition_identity": 8,
+        "diagram_identity": 8,
+        "additivity_defect_formula": 4,
+        "adjoint_homogeneity": 32,
+        "adjoint_nonadditivity": 113,
+        "linearization_transpose": 4,
+        "adjoint_rank_bound": 9,
+        "finite_type_expansion": 9,
+        "inverse_identity": 3,
+        "injectivity_separation": 100,
+        "factorization_identities": 2,
+    }
+    assert report["passed"]
