@@ -9,20 +9,16 @@ from .algebra import (
     F64,
     RATIONAL,
     HomPoly,
-    MultiIndex,
     PolyMap,
-    Scalar,
     SymForm,
     additivity_defect,
     compose_map,
     compose_scalar,
     enumerate_multi_indices,
-    infer_field,
     multinomial,
     polarize,
 )
 from .adjoint import (
-    MaterializedAdjoint,
     adjoint_apply,
     composition_identity_defect,
     diagram_defect,
@@ -34,7 +30,6 @@ from .adjoint import (
     nonadditivity_witness,
 )
 from .linearization import (
-    DEFAULT_SIZE_CAP,
     LinearMap,
     adjoint_matrix,
     adjoint_rank_bound,
@@ -47,9 +42,6 @@ from .linearization import (
     transpose_identity_defect,
 )
 from .finite_type import (
-    ExpansionTerm,
-    FiniteRankRep,
-    FiniteTypeExpansion,
     expand_adjoint,
     expansion_defect,
     finite_rank_rep,
@@ -57,8 +49,6 @@ from .finite_type import (
 )
 from .norms import (
     NormConfig,
-    NormEstimate,
-    Report,
     check_adjoint_norm,
     check_embedding_norm,
     check_metric_injection,
@@ -79,7 +69,6 @@ from .composition import (
 )
 from .serialization import (
     expansion_to_obj,
-    hompoly_to_obj,
     linearmap_to_obj,
     materialized_to_obj,
     polymap_dumps,
@@ -87,14 +76,6 @@ from .serialization import (
     polymap_loads,
     polymap_to_obj,
     sha256_hex,
-)
-from .suites import (
-    ClaimResult,
-    SuiteConfig,
-    report_to_json,
-    run_all,
-    run_exact_suite,
-    run_numeric_suite,
 )
 from . import errors, sampling, serialization
 

@@ -23,7 +23,6 @@ the rational field.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -47,7 +46,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetError,
 )
-from .linearization import LinearMap, adjoint_matrix, check_capacity, coefficient_matrix
+from .linearization import LinearMap, adjoint_matrix, coefficient_matrix
 
 
 def adjoint_apply(P: PolyMap, n: int, k: int, q: HomPoly) -> HomPoly:
@@ -97,21 +96,16 @@ def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
     if n < 1 or k < 1:
         raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
-    nvars = math.comb(e + k - 1, k)
-    check_capacity(f"degree-{k} coefficient space on R^{e}", nvars)
-    check_capacity(f"degree-{m * n * k} coefficient space on R^{d}",
-                   math.comb(d + m * n * k - 1, m * n * k))
-    check_capacity(f"degree-{n} coefficient space on the {nvars} formal q-coefficients",
-                   math.comb(nvars + n - 1, n))
     q_basis = enumerate_multi_indices(e, k)
     out_basis = enumerate_multi_indices(d, m * n * k)
+    nvars = len(q_basis)
+    mus = enumerate_multi_indices(nvars, n)
 
     # (sum_beta c_beta P^beta)^n expands over exponent vectors mu on the
     # c-variables; each mu contributes the monomial c^mu with the polynomial
     # multinomial(n, mu) * S^mu as its coefficient, where S is the map whose
     # components are the substituted basis monomials P^beta.
     S = PolyMap(tuple(map_powers(P, q_basis)))
-    mus = enumerate_multi_indices(nvars, n)
     component_coeffs: list[dict[MultiIndex, Scalar]] = [dict() for _ in out_basis]
     out_index = {g: i for i, g in enumerate(out_basis)}
     for mu, g_mu in zip(mus, map_powers(S, mus)):
@@ -134,11 +128,9 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     """
     if m < 1 or n < 1:
         raise DegreeError(f"embedding parameters must be >= 1, got m={m}, n={n}")
-    d = len(x)
     if field is None:
         field = infer_field(x)
-    check_capacity(f"degree-{n} coefficient space on R^{d}", math.comb(d + n - 1, n))
-    basis = enumerate_multi_indices(d, n)
+    basis = enumerate_multi_indices(len(x), n)
     xpow = [_eval_monomial(beta, x) for beta in basis]
     coeffs: dict[MultiIndex, Scalar] = {}
     for mu in enumerate_multi_indices(len(basis), m):
@@ -202,8 +194,7 @@ def inverse_adjoint_defects(u: PolyMap, k: int) -> tuple[LinearMap, LinearMap]:
     u_inv = PolyMap.from_matrix(inv.entries, u.field)
     a = adjoint_matrix(u, k)
     b = adjoint_matrix(u_inv, k)
-    n = a.rows
-    ident = LinearMap.identity(n, a.row_labels, u.field)
+    ident = LinearMap.identity(a.rows, u.field)
     return (a @ b) - ident, (b @ a) - ident
 
 

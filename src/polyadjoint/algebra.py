@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegreeError, DimensionError, FieldError
+from .errors import CapacityError, DegreeError, DimensionError, FieldError
 
 RATIONAL = "rational"
 F64 = "f64"
@@ -34,6 +34,8 @@ FIELDS = (RATIONAL, F64)
 
 MultiIndex = tuple[int, ...]
 Scalar = Fraction | float
+
+DEFAULT_SIZE_CAP = 3003  # C(14, 6); largest monomial basis ever built
 
 
 def _coerce(value, field: str) -> Scalar:
@@ -46,6 +48,17 @@ def _coerce(value, field: str) -> Scalar:
     raise FieldError(f"unknown field {field!r}")
 
 
+def _finite_f64(value) -> float:
+    """float(value); FieldError when that is not a finite double."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise FieldError(f"{value!r} is not a finite f64 value")
+    return out
+
+
 def _check_field(field: str) -> None:
     if field not in FIELDS:
         raise FieldError(f"unknown field {field!r}")
@@ -56,22 +69,47 @@ def infer_field(values: Iterable) -> str:
     return F64 if any(isinstance(v, float) for v in values) else RATIONAL
 
 
+def _basis_size_exceeds_cap(d: int, m: int) -> bool:
+    """C(d+m-1, m) > DEFAULT_SIZE_CAP, without computing a huge binomial:
+    C(n, i) grows with i up to i = min(m, d-1) <= n/2, so the product can
+    stop as soon as it passes the cap."""
+    n, c = d + m - 1, 1
+    for i in range(1, min(m, d - 1) + 1):
+        c = c * (n - i + 1) // i
+        if c > DEFAULT_SIZE_CAP:
+            return True
+    return False
+
+
 def enumerate_multi_indices(d: int, m: int) -> list[MultiIndex]:
     """All length-d multi-indices of total degree m, descending lex order.
 
     The count is C(d+m-1, m).  d must be >= 1; m >= 0 is allowed (m=0 yields
-    the single all-zero index).
+    the single all-zero index).  Every coefficient space the package builds
+    comes from here, so this is where the size cap is enforced: a basis over
+    DEFAULT_SIZE_CAP raises CapacityError before anything is built.
     """
     if d < 1:
         raise DimensionError(f"need at least one variable, got d={d}")
     if m < 0:
         raise DegreeError(f"degree must be non-negative, got {m}")
-    if d == 1:
-        return [(m,)]
-    out: list[MultiIndex] = []
-    for first in range(m, -1, -1):
-        for rest in enumerate_multi_indices(d - 1, m - first):
-            out.append((first,) + rest)
+    if _basis_size_exceeds_cap(d, m):
+        raise CapacityError(f"degree-{m} monomial basis on R^{d} has dimension "
+                            f"C({d + m - 1}, {m}), exceeding the size cap {DEFAULT_SIZE_CAP}")
+    # each index follows from the previous one: move one unit from the
+    # rightmost nonzero entry before the last into the next entry, together
+    # with everything in the last entry; (0, ..., 0, m) comes last
+    a = [m] + [0] * (d - 1)
+    out = [tuple(a)]
+    while a[-1] != m:
+        i = d - 2
+        while not a[i]:
+            i -= 1
+        tail = a[-1]
+        a[-1] = 0
+        a[i] -= 1
+        a[i + 1] = tail + 1
+        out.append(tuple(a))
     return out
 
 
@@ -224,7 +262,7 @@ class HomPoly:
             return self
         if field == F64:
             return HomPoly(self.domain_dim, self.degree,
-                           {a: float(c) for a, c in self.coeffs.items()}, F64)
+                           {a: _finite_f64(c) for a, c in self.coeffs.items()}, F64)
         return HomPoly(self.domain_dim, self.degree,
                        {a: Fraction(c) for a, c in self.coeffs.items()}, RATIONAL)
 

@@ -7,7 +7,9 @@ Subcommands:
   decompose  finite-type representation and expansion terms for a map
 
 POLYADJOINT_SEED, POLYADJOINT_TOL, POLYADJOINT_DIMS, POLYADJOINT_FIELD and
-POLYADJOINT_RESTARTS supply defaults; explicit flags always win.
+POLYADJOINT_RESTARTS supply defaults; explicit flags always win.  --seed,
+--tol and --restarts belong to verify and norm, the two commands that run a
+numeric search.
 
 Exit codes: 0 all claims hold, 1 a claim failed, 2 bad input, 3 a size cap
 would be exceeded.
@@ -72,18 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="adjoint calculus for homogeneous polynomial maps")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def out(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", default=None,
+                       help="write the JSON result here instead of stdout")
+
+    def numeric(p: argparse.ArgumentParser) -> None:
+        """The knobs of the sup-norm search; only verify and norm run one."""
         p.add_argument("--seed", type=int,
                        default=_env_int("POLYADJOINT_SEED", 1729))
         p.add_argument("--tol", type=float,
                        default=_env_float("POLYADJOINT_TOL", 1e-6))
         p.add_argument("--restarts", type=int,
                        default=_env_int("POLYADJOINT_RESTARTS", 64))
-        p.add_argument("--out", default=None,
-                       help="write the JSON result here instead of stdout")
 
     pv = sub.add_parser("verify", help="run every claim suite")
-    common(pv)
+    out(pv)
+    numeric(pv)
     pv.add_argument("--dims", type=_parse_dims,
                     default=_parse_dims(_env_str("POLYADJOINT_DIMS", "2,3")))
     pv.add_argument("--max-m", type=int, default=2)
@@ -97,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pa = sub.add_parser("adjoint", help="materialize the adjoint of a map")
-    common(pa)
+    out(pa)
     pa.add_argument("input", help="polynomial-map JSON file, or - for stdin")
     pa.add_argument("--n", type=int, required=True, help="power of the pullback")
     pa.add_argument("--k", type=int, required=True,
@@ -105,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_adjoint)
 
     pn = sub.add_parser("norm", help="certify a norm claim for a map")
-    common(pn)
+    out(pn)
+    numeric(pn)
     pn.add_argument("input", help="polynomial-map JSON file, or - for stdin")
     pn.add_argument("--claim", choices=("sup", "delta"), default="sup")
     pn.add_argument("--n", type=int, default=1)
@@ -114,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decompose",
                         help="finite-type representation and expansion")
-    common(pd)
+    out(pd)
     pd.add_argument("input", help="polynomial-map JSON file, or - for stdin")
     pd.add_argument("--n", type=int, default=1)
     pd.add_argument("--k", type=int, default=1)
@@ -129,7 +136,17 @@ def _read_input(path: str) -> tuple[dict, bytes]:
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
-    return json.loads(raw.decode("utf-8")), raw
+    text = raw.decode("utf-8")
+    try:
+        return json.loads(text), raw
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
+def _dumps(obj) -> str:
+    # NaN and Infinity are not JSON: a result that overflowed raises
+    # ValueError here and exits 2 instead of being written
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -159,7 +176,7 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
     P = polymap_from_obj(obj)
     mat = materialize_adjoint(P, args.n, args.k)
     out_obj = materialized_to_obj(mat, sha256_hex(raw))
-    _emit(json.dumps(out_obj, indent=2, sort_keys=True), args.out)
+    _emit(_dumps(out_obj), args.out)
     return 0
 
 
@@ -179,10 +196,10 @@ def cmd_norm(args: argparse.Namespace) -> int:
             "iterations": est.iterations,
             "method": est.method,
         }
-        _emit(json.dumps(out_obj, indent=2, sort_keys=True), args.out)
+        _emit(_dumps(out_obj), args.out)
         return 0
     rep = check_adjoint_norm(P, args.n, args.k, cfg)
-    _emit(json.dumps(rep.to_dict(), indent=2, sort_keys=True), args.out)
+    _emit(_dumps(rep.to_dict()), args.out)
     return 0 if rep.passed else 1
 
 
@@ -193,8 +210,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if rep.rank == 0:
         raise DegenerateInputError("the zero map has no finite-type expansion")
     expansion = expand_adjoint(rep, args.n, args.k)
-    _emit(json.dumps(expansion_to_obj(expansion), indent=2, sort_keys=True),
-          args.out)
+    _emit(_dumps(expansion_to_obj(expansion)), args.out)
     return 0
 
 

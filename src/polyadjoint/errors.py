@@ -20,15 +20,7 @@ class FieldError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A materialized coefficient space would exceed the configured cap."""
-
-    def __init__(self, what: str, dim: int, cap: int):
-        super().__init__(
-            f"{what} has dimension {dim}, exceeding the size cap {cap}"
-        )
-        self.what = what
-        self.dim = dim
-        self.cap = cap
+    """A monomial basis would exceed the size cap."""
 
 
 class SingularMatrixError(ValueError):

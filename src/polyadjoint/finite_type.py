@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .adjoint import adjoint_apply
 from .errors import DegreeError, DimensionError, PreconditionError
-from .linearization import check_capacity, coefficient_matrix, rref
+from .linearization import coefficient_matrix, rref
 from . import sampling
 
 
@@ -71,7 +71,7 @@ def finite_rank_rep(P: PolyMap) -> FiniteRankRep:
     if P.field != RATIONAL:
         raise PreconditionError("finite-rank extraction is exact-only; convert to rational first")
     cm = coefficient_matrix(P)
-    basis = list(cm.col_labels)
+    basis = enumerate_multi_indices(P.domain_dim, P.degree)
     e, ncols = cm.rows, cm.cols
     a, pivots = rref(cm.entries, ncols)
     if not pivots:
@@ -167,9 +167,6 @@ def expand_adjoint(rep: FiniteRankRep, n: int, k: int) -> FiniteTypeExpansion:
     l = rep.rank
     if l < 1:
         raise PreconditionError("expansion needs rank >= 1 (nonzero map)")
-    n_comps = math.comb(k + l - 1, k)
-    check_capacity(f"weak compositions of {k} into {l} parts", n_comps)
-    check_capacity("finite-type term list", math.comb(n_comps + n - 1, n))
     comps = enumerate_multi_indices(l, k)
     alphas = enumerate_multi_indices(len(comps), n)
     # p_alpha = prod over compositions c of prod_j p_j^(c_j * alpha_c)

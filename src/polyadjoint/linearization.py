@@ -29,7 +29,6 @@ from typing import Sequence
 from .algebra import (
     RATIONAL,
     HomPoly,
-    MultiIndex,
     PolyMap,
     Scalar,
     _eval_monomial,
@@ -38,14 +37,7 @@ from .algebra import (
     infer_field,
     map_powers,
 )
-from .errors import CapacityError, DimensionError, FieldError, SingularMatrixError
-
-DEFAULT_SIZE_CAP = 3003  # C(14, 6); largest coefficient space ever materialized
-
-
-def check_capacity(what: str, dim: int) -> None:
-    if dim > DEFAULT_SIZE_CAP:
-        raise CapacityError(what, dim, DEFAULT_SIZE_CAP)
+from .errors import DimensionError, FieldError, SingularMatrixError
 
 
 def tensor_power(x: Sequence, k: int, field: str | None = None) -> list[Scalar]:
@@ -85,11 +77,10 @@ def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Dense matrix with optional multi-index labels on rows and columns."""
+    """Dense matrix; rows and columns follow the canonical monomial order of
+    the spaces it maps between."""
 
     entries: tuple[tuple[Scalar, ...], ...]
-    row_labels: tuple[MultiIndex, ...] | None = None
-    col_labels: tuple[MultiIndex, ...] | None = None
     field: str = RATIONAL
 
     def __post_init__(self):
@@ -100,10 +91,6 @@ class LinearMap:
         if any(len(r) != ncol for r in rows):
             raise DimensionError("ragged matrix")
         object.__setattr__(self, "entries", rows)
-        if self.row_labels is not None and len(self.row_labels) != len(rows):
-            raise DimensionError("row label count mismatch")
-        if self.col_labels is not None and len(self.col_labels) != ncol:
-            raise DimensionError("column label count mismatch")
 
     @property
     def rows(self) -> int:
@@ -121,17 +108,16 @@ class LinearMap:
         return max(abs(v) for r in self.entries for v in r)
 
     @classmethod
-    def identity(cls, n: int, labels: tuple[MultiIndex, ...] | None = None,
-                 field: str = RATIONAL) -> LinearMap:
+    def identity(cls, n: int, field: str = RATIONAL) -> LinearMap:
         one = Fraction(1) if field == RATIONAL else 1.0
         zero = Fraction(0) if field == RATIONAL else 0.0
         ent = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return cls(ent, labels, labels, field)
+        return cls(ent, field)
 
     def transpose(self) -> LinearMap:
         ent = tuple(tuple(self.entries[i][j] for i in range(self.rows))
                     for j in range(self.cols))
-        return LinearMap(ent, self.col_labels, self.row_labels, self.field)
+        return LinearMap(ent, self.field)
 
     def __matmul__(self, other: LinearMap) -> LinearMap:
         if self.cols != other.rows:
@@ -142,14 +128,14 @@ class LinearMap:
             tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
                   for j in range(other.cols))
             for i in range(self.rows))
-        return LinearMap(ent, self.row_labels, other.col_labels, self.field)
+        return LinearMap(ent, self.field)
 
     def __sub__(self, other: LinearMap) -> LinearMap:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("matrix shapes differ")
         ent = tuple(tuple(a - b for a, b in zip(ra, rb))
                     for ra, rb in zip(self.entries, other.entries))
-        return LinearMap(ent, self.row_labels, self.col_labels, self.field)
+        return LinearMap(ent, self.field)
 
     def apply(self, vec: Sequence) -> list[Scalar]:
         if len(vec) != self.cols:
@@ -176,22 +162,18 @@ class LinearMap:
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
         ent = tuple(tuple(r[n:]) for r in a)
-        return LinearMap(ent, self.col_labels, self.row_labels, RATIONAL)
+        return LinearMap(ent, RATIONAL)
 
 
 def linearize(q: HomPoly) -> LinearMap:
     """Covector pairing tensor-power coordinates to the value of q."""
-    return LinearMap((tuple(q.coeff_vector()),),
-                     row_labels=((),),
-                     col_labels=tuple(enumerate_multi_indices(q.domain_dim, q.degree)),
-                     field=q.field)
+    return LinearMap((tuple(q.coeff_vector()),), q.field)
 
 
 def relabeling_map(d: int, k: int, field: str = RATIONAL) -> LinearMap:
     """Explicit identity between a degree-k coefficient space on R^d and its
     tensor-power model (the identity under monomial coordinates)."""
-    labels = tuple(enumerate_multi_indices(d, k))
-    return LinearMap.identity(len(labels), labels, field)
+    return LinearMap.identity(len(enumerate_multi_indices(d, k)), field)
 
 
 def linearization_matrix(P: PolyMap, k: int) -> LinearMap:
@@ -201,14 +183,11 @@ def linearization_matrix(P: PolyMap, k: int) -> LinearMap:
     by domain multi-indices gamma."""
     if k < 1:
         raise DimensionError(f"k must be >= 1, got {k}")
-    d, e, m = P.domain_dim, P.codomain_dim, P.degree
-    check_capacity(f"order-{k} tensor space on R^{e}", math.comb(e + k - 1, k))
-    check_capacity(f"order-{m * k} tensor space on R^{d}", math.comb(d + m * k - 1, m * k))
-    row_basis = enumerate_multi_indices(e, k)
-    col_basis = enumerate_multi_indices(d, m * k)
+    row_basis = enumerate_multi_indices(P.codomain_dim, k)
+    col_basis = enumerate_multi_indices(P.domain_dim, P.degree * k)
     rows = tuple(tuple(prod.coefficient(g) for g in col_basis)
                  for prod in map_powers(P, row_basis))
-    return LinearMap(rows, tuple(row_basis), tuple(col_basis), P.field)
+    return LinearMap(rows, P.field)
 
 
 def adjoint_matrix(P: PolyMap, k: int) -> LinearMap:
@@ -219,19 +198,16 @@ def adjoint_matrix(P: PolyMap, k: int) -> LinearMap:
     """
     if k < 1:
         raise DimensionError(f"k must be >= 1, got {k}")
-    d, e, m = P.domain_dim, P.codomain_dim, P.degree
-    check_capacity(f"degree-{k} coefficient space on R^{e}", math.comb(e + k - 1, k))
-    check_capacity(f"degree-{m * k} coefficient space on R^{d}",
-                   math.comb(d + m * k - 1, m * k))
+    e = P.codomain_dim
     col_basis = enumerate_multi_indices(e, k)
-    row_basis = enumerate_multi_indices(d, m * k)
+    row_basis = enumerate_multi_indices(P.domain_dim, P.degree * k)
     cols = []
     for beta in col_basis:
         image = compose_scalar(HomPoly.monomial(e, beta, 1, P.field), P)
         cols.append([image.coefficient(g) for g in row_basis])
     ent = tuple(tuple(cols[j][i] for j in range(len(col_basis)))
                 for i in range(len(row_basis)))
-    return LinearMap(ent, tuple(row_basis), tuple(col_basis), P.field)
+    return LinearMap(ent, P.field)
 
 
 def transpose_identity_defect(P: PolyMap, k: int) -> LinearMap:
@@ -245,11 +221,9 @@ def transpose_identity_defect(P: PolyMap, k: int) -> LinearMap:
 
 def coefficient_matrix(P: PolyMap) -> LinearMap:
     """e x C(d+m-1, m) matrix of component coefficient vectors."""
-    d, m = P.domain_dim, P.degree
-    check_capacity(f"degree-{m} coefficient space on R^{d}", math.comb(d + m - 1, m))
-    basis = enumerate_multi_indices(d, m)
+    basis = enumerate_multi_indices(P.domain_dim, P.degree)
     ent = tuple(tuple(c.coefficient(a) for a in basis) for c in P.components)
-    return LinearMap(ent, None, tuple(basis), P.field)
+    return LinearMap(ent, P.field)
 
 
 def map_rank(P: PolyMap) -> int:

@@ -21,7 +21,6 @@ polynomials confirm the upper bound is never exceeded.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -44,7 +43,7 @@ from .errors import (
     FieldError,
     PreconditionError,
 )
-from .linearization import check_capacity, coefficient_matrix
+from .linearization import coefficient_matrix
 
 MAX_ASCENT_ITERS = 400
 
@@ -125,8 +124,6 @@ class _CompiledMap:
         self.d = P.domain_dim
         self.e = P.codomain_dim
         self.m = P.degree
-        check_capacity(f"degree-{self.m} coefficient space on R^{self.d}",
-                       math.comb(self.d + self.m - 1, self.m))
         basis = enumerate_multi_indices(self.d, self.m)
         self.expts = np.array(basis, dtype=np.int64)          # (T, d)
         self.coeffs = np.array(

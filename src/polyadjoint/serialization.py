@@ -18,7 +18,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .algebra import F64, RATIONAL, HomPoly, PolyMap
+from .algebra import F64, RATIONAL, HomPoly, PolyMap, _finite_f64
 from .adjoint import MaterializedAdjoint
 from .errors import DimensionError, FieldError
 from .finite_type import FiniteTypeExpansion
@@ -46,7 +46,7 @@ def _scalar_from_json(v, field: str):
         return Fraction(num, den)
     if not (_is_int(v) or isinstance(v, float)):
         raise FieldError(f"f64 values must be JSON numbers, got {v!r}")
-    return float(v)
+    return _finite_f64(v)
 
 
 def hompoly_to_obj(p: HomPoly) -> list[dict]:
@@ -118,8 +118,6 @@ def linearmap_to_obj(M: LinearMap) -> dict:
         "rows": M.rows,
         "cols": M.cols,
         "field": M.field,
-        "row_labels": [list(l) for l in M.row_labels] if M.row_labels else None,
-        "col_labels": [list(l) for l in M.col_labels] if M.col_labels else None,
         "entries": [[_scalar_to_json(v, M.field) for v in row] for row in M.entries],
     }
 

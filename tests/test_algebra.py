@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +29,7 @@ from polyadjoint import (
     multinomial,
     polarize,
 )
-from polyadjoint.errors import DegreeError, DimensionError, FieldError
+from polyadjoint.errors import CapacityError, DegreeError, DimensionError, FieldError
 from polyadjoint import sampling
 
 
@@ -54,6 +57,42 @@ def test_enumerate_rejects_bad_args():
         enumerate_multi_indices(0, 2)
     with pytest.raises(DegreeError):
         enumerate_multi_indices(2, -1)
+
+
+def test_enumerate_owns_the_size_cap():
+    # C(14, 6) = 3003 is the cap itself: the degree-6 basis on R^9 is built,
+    # the one on R^10 (C(15, 6) = 5005) is refused with its name
+    assert len(enumerate_multi_indices(9, 6)) == 3003
+    with pytest.raises(CapacityError) as exc:
+        enumerate_multi_indices(10, 6)
+    assert "degree-6 monomial basis on R^10 " in str(exc.value)
+    # as many variables as the cap allows, far beyond the recursion limit
+    assert enumerate_multi_indices(3003, 1)[-1] == (0,) * 3002 + (1,)
+    with pytest.raises(CapacityError):
+        enumerate_multi_indices(3004, 1)
+
+
+def _limit_memory() -> None:
+    # 2 GB of address space: a missed cap fails instead of exhausting memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("call", [
+    "adjoint.evaluation_embedding([1] * 40, 8, 1)",
+    "linearization.tensor_power([1] * 40, 8)",
+    "HomPoly(40, 12, {(12,) + (0,) * 39: 1}).coeff_vector()",
+    "sampling.random_hompoly(sampling.rng(0, 'cap'), 40, 8)",
+    # the check must not compute C(2*10**7 - 1, 10**7): that takes far longer
+    "enumerate_multi_indices(10**7, 10**7)",
+])
+def test_oversized_basis_raises_capacity_error_promptly(call):
+    code = ("from polyadjoint import HomPoly, adjoint, enumerate_multi_indices, "
+            "linearization, sampling\n"
+            "from polyadjoint.errors import CapacityError\n"
+            f"try:\n    {call}\nexcept CapacityError:\n    raise SystemExit(3)\n")
+    proc = subprocess.run([sys.executable, "-c", code], preexec_fn=_limit_memory,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_multinomial_values():

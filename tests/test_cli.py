@@ -2,16 +2,20 @@
 and environment-variable defaults."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyadjoint import HomPoly, PolyMap, polymap_dumps
+from polyadjoint import F64, HomPoly, PolyMap, polymap_dumps
 from polyadjoint import cli
 
 CLI = [sys.executable, "-m", "polyadjoint.cli"]
@@ -134,6 +138,34 @@ def test_bad_map_json_exits_2(tmp_path, capsys, key, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, argv", [
+    ("f64", float("nan"), ["adjoint", "--n", "1", "--k", "1"]),
+    ("f64", float("inf"), ["adjoint", "--n", "1", "--k", "1"]),
+    ("f64", 10 ** 400, ["adjoint", "--n", "1", "--k", "1"]),
+    # (1e300 x)^2 overflows: the result is not JSON, so nothing is written
+    ("f64", 1e300, ["adjoint", "--n", "2", "--k", "1"]),
+    ("rational", f"{10 ** 400}/1", ["norm"]),
+], ids=["nan", "infinity", "401-digit-integer", "overflowing-result",
+        "rational-beyond-f64"])
+def test_non_finite_f64_exits_2(tmp_path, capsys, field, value, argv):
+    src = tmp_path / "map.json"
+    src.write_text(json.dumps({**SCALAR_MAP, "field": field,
+                               "components": [[{"alpha": [1], "value": value}]]}))
+    out = tmp_path / "out.json"
+    assert cli.main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["adjoint", "--n", "1", "--k", "1"], ["norm"],
+                                     ["decompose"]])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main([command[0], str(src), *command[1:]]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
 def _limit_memory() -> None:
     # 2 GB of address space: a missed cap fails instead of exhausting memory
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -165,6 +197,21 @@ def test_huge_expansion_degree_exits_3_promptly(tmp_path):
                           timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert "cap" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["adjoint", "--n", "1", "--k", "1"], ["norm"],
+                                     ["decompose"]])
+def test_huge_binomial_exits_3_promptly(tmp_path, command):
+    # the zero map of degree 10^7 on R^(10^7): the cap must fire without
+    # computing C(2*10^7 - 1, 10^7), which alone takes far longer than a minute
+    zero = {"domain_dim": 10 ** 7, "codomain_dim": 1, "degree": 10 ** 7,
+            "field": "rational", "components": [[]]}
+    src = tmp_path / "zero.json"
+    src.write_text(json.dumps(zero))
+    proc = subprocess.run(CLI + [command[0], str(src)] + command[1:],
+                          preexec_fn=_limit_memory, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_capacity_overflow_exits_3(tmp_path):
@@ -231,3 +278,51 @@ def test_verify_reports_are_byte_identical(tmp_path):
         assert proc.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# any JSON value: unbounded integers, non-finite floats, text (including
+# strings shaped like the fields it replaces) and nested lists and dicts
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([10 ** 400, 1e300, "1/2", "3/0", "f64", "rational"])
+                | st.text(max_size=6))
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def malformed_maps(value, term: tuple[int, int]):
+    """Every way to put value into a valid map object, rational or f64: as
+    one top-level field, or as the alpha or the value of one term."""
+    P = PolyMap((HomPoly(2, 2, {(2, 0): Fraction(1), (0, 2): Fraction(1)}),
+                 HomPoly(2, 2, {(1, 1): Fraction(2)})))
+    for text in (polymap_dumps(P.as_field(F64)), polymap_dumps(P)):
+        for where in ("domain_dim", "codomain_dim", "degree", "field", "components",
+                      "alpha", "value"):
+            obj = json.loads(text)
+            target = obj["components"][term[0]][term[1]] if where in ("alpha", "value") else obj
+            target[where] = value
+            yield obj
+
+
+def _reject_constant(name: str):
+    raise AssertionError(f"the output holds {name}, which is not JSON")
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES, st.sampled_from([(0, 0), (0, 1), (1, 0)]))
+def test_malformed_map_objects_end_in_a_documented_exit(value, term):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "map.json"), os.path.join(tmp, "out.json")
+        for obj in malformed_maps(value, term):
+            with open(src, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            for argv in (["adjoint", "--n", "1", "--k", "1"], ["norm"], ["decompose"]):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([argv[0], src, *argv[1:], "--out", out])
+                assert code in (0, 2, 3), (obj, argv, code)
+                if os.path.exists(out):
+                    with open(out, encoding="utf-8") as fh:
+                        json.loads(fh.read(), parse_constant=_reject_constant)
+                    os.remove(out)
