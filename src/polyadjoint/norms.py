@@ -7,12 +7,12 @@ value is the evaluation of P at the reported maximizer, which lies on the
 sphere up to machine precision.  An upper-bound sanity cap (the Euclidean
 norm of the coefficient absolute sums) is asserted on every call.
 
-Strategy: a quasi-random sample floor (scrambled Sobol points pushed to the
-sphere, plus the points +-e_i), then batched projected gradient ascent with
-per-restart adaptive step and backtracking from the best samples.  For two
-variables the critical equation on the circle is solved outright by a
-rational parametrization and companion-matrix root-finding, which pins the
-global maximum to near machine precision.
+Strategy: a random sample floor (normalized standard-normal vectors, which
+are uniform on the sphere, plus the points +-e_i), then batched projected
+gradient ascent with per-restart adaptive step and backtracking from the
+best samples.  For two variables the critical equation on the circle is
+solved outright by a rational parametrization and companion-matrix
+root-finding, which pins the global maximum to near machine precision.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
@@ -26,8 +26,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .algebra import (
     F64,
@@ -130,6 +128,15 @@ class _CompiledMap:
             [[float(c.coefficient(a)) for a in basis] for c in P.components])  # (e, T)
         if not np.isfinite(self.coeffs).all():
             raise FieldError("non-finite coefficient in polynomial map")
+        # dP/dx_j for every variable that occurs: the lowered exponents of
+        # the monomials containing x_j and their coefficients times that power
+        self.partials = []
+        for j in range(self.d):
+            mask = self.expts[:, j] > 0
+            if mask.any():
+                lowered = self.expts[mask].copy()
+                lowered[:, j] -= 1
+                self.partials.append((j, lowered, self.coeffs[:, mask] * self.expts[mask, j]))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """X: (N, d) points -> (N, e) values."""
@@ -139,36 +146,23 @@ class _CompiledMap:
         V = self.values(X)
         return np.sqrt((V * V).sum(axis=1))
 
-    def squared_norm_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(x) = |P(x)|_2^2 and its gradient, batched over rows of X."""
-        V = self.values(X)                                     # (N, e)
-        f = (V * V).sum(axis=1)
+    def squared_norm_grad(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Gradient of f(x) = |P(x)|_2^2 at the rows of X, given V = P(X)."""
         G = np.zeros_like(X)
-        for j in range(self.d):
-            mask = self.expts[:, j] > 0
-            if not mask.any():
-                continue
-            Ej = self.expts[mask].copy()
-            Ej[:, j] -= 1
-            dcoeffs = self.coeffs[:, mask] * self.expts[mask, j]
-            dV = _monomials(X, Ej) @ dcoeffs.T  # (N, e)
+        for j, lowered, dcoeffs in self.partials:
+            dV = _monomials(X, lowered) @ dcoeffs.T            # (N, e)
             G[:, j] = 2.0 * (V * dV).sum(axis=1)
-        return f, G
+        return G
 
     def coeff_sum_bound(self) -> float:
         return vector_norm(np.abs(self.coeffs).sum(axis=1))
 
 
 def _sphere_samples(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Quasi-random points on the Euclidean unit sphere."""
-    n_pow2 = 1 << max(1, (n - 1).bit_length())
-    sob = qmc.Sobol(d, scramble=True, seed=rng)
-    U = sob.random(n_pow2)[:n]
-    U = np.clip(U, 1e-12, 1 - 1e-12)
-    G = ndtri(U)
-    nrm = np.sqrt((G * G).sum(axis=1))
-    good = nrm > 1e-12
-    return G[good] / nrm[good, None]
+    """Uniform random points on the Euclidean unit sphere: normalized
+    standard-normal vectors (Muller 1959)."""
+    G = rng.standard_normal((n, d))
+    return G / np.sqrt((G * G).sum(axis=1, keepdims=True))
 
 
 def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
@@ -217,20 +211,23 @@ def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
     improves the squared norm; the step then grows, otherwise it shrinks.
     """
     X = X / np.sqrt((X * X).sum(axis=1, keepdims=True))
-    f, _ = cm.squared_norm_grad(X)
+    V = cm.values(X)
+    f = (V * V).sum(axis=1)
     eta = np.full(X.shape[0], 0.1)
     iters = 0
     stall = 0
     for _ in range(MAX_ASCENT_ITERS):
         iters += 1
-        _, G = cm.squared_norm_grad(X)
+        G = cm.squared_norm_grad(X, V)
         # tangential component; near a maximizer it vanishes
         Gt = G - ((G * X).sum(axis=1, keepdims=True)) * X
         cand = X + eta[:, None] * Gt
         cand /= np.sqrt((cand * cand).sum(axis=1, keepdims=True))
-        f_new, _ = cm.squared_norm_grad(cand)
+        Vc = cm.values(cand)
+        f_new = (Vc * Vc).sum(axis=1)
         better = f_new > f
         X[better] = cand[better]
+        V[better] = Vc[better]
         improvement = np.where(better, f_new - f, 0.0)
         f = np.where(better, f_new, f)
         eta[better] *= 1.3
@@ -282,6 +279,8 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
             method = "circle-critical-points"
             n_starts = 4
         else:
+            # `norm` prints this label and the benchmark counts by it, so
+            # it keeps its name although the samples are now Gaussian
             method = "sobol+gradient-ascent"
             n_starts = cfg.restarts
         X = np.vstack(cand)

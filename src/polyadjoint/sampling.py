@@ -49,13 +49,6 @@ def random_hompoly(r: random.Random, d: int, m: int) -> HomPoly:
     return HomPoly(d, m, coeffs, RATIONAL)
 
 
-def random_nonzero_hompoly(r: random.Random, d: int, m: int) -> HomPoly:
-    while True:
-        p = random_hompoly(r, d, m)
-        if not p.is_zero:
-            return p
-
-
 def random_polymap(r: random.Random, d: int, e: int, m: int) -> PolyMap:
     return PolyMap(tuple(random_hompoly(r, d, m) for _ in range(e)))
 

@@ -168,8 +168,9 @@ def claim_additivity_formula(cfg: SuiteConfig) -> ClaimResult:
                 d, e = _dims_cycle(cfg, t), _dims_cycle(cfg, t + 1)
                 R = sampling.random_polymap(rng, d, e, m)
                 W = additivity_defect(R)
-                # mixed terms exist for every nonzero map of degree > 1
-                zero_iff_linear.append(W.is_zero == (m == 1 or R.is_zero))
+                # random maps are never zero, and every nonzero map of
+                # degree > 1 has mixed terms
+                zero_iff_linear.append(W.is_zero == (m == 1))
                 x = sampling.random_point(rng, d)
                 y = sampling.random_point(rng, d)
                 direct = W.eval_map(tuple(x) + tuple(y))
@@ -254,7 +255,7 @@ def claim_linearization_transpose(cfg: SuiteConfig) -> ClaimResult:
 
     def defects():
         for d, e, (m, k) in itertools.product(
-                cfg.dims, cfg.dims, _grid(min(cfg.max_m, 2), min(cfg.max_k, 2))):
+                cfg.dims, cfg.dims, _grid(cfg.max_m, cfg.max_k)):
             for _ in range(cfg.trials):
                 P = sampling.random_polymap(rng, d, e, m)
                 L = linearization_matrix(P, k)
@@ -277,12 +278,12 @@ def claim_rank_bound(cfg: SuiteConfig) -> ClaimResult:
 
     def defects():
         for d, e, (m, k) in itertools.product(
-                cfg.dims, cfg.dims, _grid(min(cfg.max_m, 2), max(cfg.max_k, 3))):
+                cfg.dims, cfg.dims, _grid(cfg.max_m, max(cfg.max_k, 3))):
             for _ in range(cfg.trials):
                 P = sampling.random_polymap(rng, d, e, m)
                 yield max(0, adjoint_matrix(P, k).rank() - adjoint_rank_bound(P, k))
         d, e = max(cfg.dims), min(cfg.dims)
-        for k in range(1, min(cfg.max_k, 3) + 1):
+        for k in range(1, cfg.max_k + 1):
             for _ in range(cfg.trials):
                 rows = [sampling.random_point(rng, d, max_num=4, max_den=1) for _ in range(e)]
                 u = PolyMap.from_matrix(rows)
@@ -300,7 +301,7 @@ def claim_finite_type(cfg: SuiteConfig) -> ClaimResult:
     term_counts: list[bool] = []
 
     def defects():
-        for l, k, n in _grid(3, max(cfg.max_k, 3), min(cfg.max_n, 2)):
+        for l, k, n in _grid(3, max(cfg.max_k, 3), cfg.max_n):
             m = 2 if 2 * n * k <= 8 else 1
             for _ in range(cfg.trials):
                 # the instance index picks d and the expansion seed
@@ -374,26 +375,21 @@ def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
     dim = min(2, min(cfg.dims))
 
     def instances():  # named defects; linear_recovery only for linear R
-        for m, r, s in _grid(min(cfg.max_m, 2), min(cfg.max_r, 2), min(cfg.max_s, 2)):
+        for m, r, s in _grid(cfg.max_m, cfg.max_r, cfg.max_s):
             for _ in range(cfg.trials):
                 B = sampling.random_polymap(rng, dim, dim, s)
-                while B.is_zero:
-                    B = sampling.random_polymap(rng, dim, dim, s)
                 R = sampling.random_polymap(rng, dim, dim, r)
                 phi, z_a = normalization_witness(B)
-                if R.is_zero:
-                    continue  # no normalization exists
                 psi, z_b = normalization_witness(R)
                 inst = CompositionInstance(R, B, m)
                 test_points = [sampling.random_point(rng, dim) for _ in range(4)]
-                test_forms = [sampling.random_nonzero_hompoly(rng, dim, 1)
-                              for _ in range(4)]
+                test_forms = [sampling.random_hompoly(rng, dim, 1) for _ in range(4)]
                 defects = dict(zip(names, check_recovery_identities(
                     inst, phi, z_a, psi, z_b, test_points, test_forms)))
                 if r == 1:
                     test_qs = [sampling.random_hompoly(rng, dim, m) for _ in range(3)]
                     defects["linear_recovery"] = check_linear_recovery(inst, psi, z_b, test_qs)
-                phi_e = sampling.random_nonzero_hompoly(rng, dim, 1)
+                phi_e = sampling.random_hompoly(rng, dim, 1)
                 b_vec = sampling.random_nonzero_point(rng, dim)
                 A = sampling.random_polymap(rng, dim, dim, 1)
                 R_mid = sampling.random_polymap(rng, dim, dim, r)
@@ -460,7 +456,7 @@ def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "adjoint-norm-P")
     reports = (check_adjoint_norm(_random_f64_map(rng, 2, 2, m), n, k, ncfg, q_trials=100)
-               for m, (n, k) in itertools.product(range(1, min(cfg.max_m, 2) + 1),
+               for m, (n, k) in itertools.product(range(1, cfg.max_m + 1),
                                                   ((1, 1), (1, 2), (2, 1))))
     return _norm_claim("adjoint_norm", cfg, reports, q_trials=100)
 
@@ -470,7 +466,7 @@ def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
     rng = _np_rng(cfg.seed, "embedding-norm-x")
     reports = (check_embedding_norm(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2),
                                     m, n, ncfg, q_trials=12)
-               for m, n in _grid(min(cfg.max_m, 2), min(cfg.max_n, 2))
+               for m, n in _grid(cfg.max_m, cfg.max_n)
                for t in range(20))
     return _norm_claim("embedding_norm", cfg, reports)
 

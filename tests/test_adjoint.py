@@ -71,7 +71,7 @@ def test_adjoint_scaling_in_q():
     rng = sampling.rng(11, "q-scale")
     for n in (1, 2, 3):
         P = sampling.random_polymap(rng, 2, 2, 1)
-        q = sampling.random_nonzero_hompoly(rng, 2, 2)
+        q = sampling.random_hompoly(rng, 2, 2)
         lam = Fraction(-3, 2)
         assert adjoint_apply(P, n, 2, q.scale(lam)) == \
             adjoint_apply(P, n, 2, q).scale(lam ** n)
@@ -155,7 +155,7 @@ def test_composition_identity_detects_mutation():
     rng = sampling.rng(29, "mutation")
     P = sampling.random_polymap(rng, 2, 2, 2)
     Q = sampling.random_polymap(rng, 2, 2, 1)
-    q = sampling.random_nonzero_hompoly(rng, 2, 2)
+    q = sampling.random_hompoly(rng, 2, 2)
     x = (Fraction(1), Fraction(1))
     inner = adjoint_apply(Q, 2, 2, q)
     lhs = adjoint_apply(P, 1, inner.degree, inner).eval(x)

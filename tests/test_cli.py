@@ -42,6 +42,14 @@ def test_no_subcommand_exits_2():
     assert proc.returncode == 2
 
 
+def test_import_loads_no_scipy():
+    code = ("import sys, polyadjoint.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_adjoint_subcommand(tmp_path):
     src = tmp_path / "map.json"
     src.write_text(sample_map_json())

@@ -82,7 +82,7 @@ def test_compose_three_validates_middle_degree():
 
 def test_rank_one_map_values():
     rng = sampling.rng(7, "rank-one")
-    q = sampling.random_nonzero_hompoly(rng, 2, 2)
+    q = sampling.random_hompoly(rng, 2, 2)
     b = (Fraction(2), Fraction(-1), Fraction(3))
     M = rank_one_map(q, b)
     assert M.codomain_dim == 3
@@ -111,7 +111,7 @@ def test_recovery_identities_exact():
         phi, z_a = normalization_witness(B)
         psi, z_b = find_normalizer(R)
         pts = [sampling.random_point(rng, 2) for _ in range(4)]
-        forms = [sampling.random_nonzero_hompoly(rng, 2, 1) for _ in range(4)]
+        forms = [sampling.random_hompoly(rng, 2, 1) for _ in range(4)]
         da, db = check_recovery_identities(inst, phi, z_a, psi, z_b, pts, forms)
         assert da == 0
         assert db == 0
@@ -139,7 +139,7 @@ def test_recovery_b_is_the_iterated_adjoint():
     m = 2
     inst = CompositionInstance(R, B, m)
     psi, z_b = find_normalizer(R)
-    phi = sampling.random_nonzero_hompoly(rng, 2, 1)
+    phi = sampling.random_hompoly(rng, 2, 1)
     lift = rank_one_map(phi ** m, z_b)
     routed = compose_scalar(psi, compose_three(inst, lift))
     assert routed == adjoint_apply(B, m * R.degree, 1, phi)
@@ -161,7 +161,7 @@ def test_factorization_identities_exact():
     rng = sampling.rng(31, "factor")
     for (m, r) in ((1, 1), (2, 1), (1, 2), (2, 2)):
         B = nonzero_polymap(rng, 2, 2, 1)
-        phi = sampling.random_nonzero_hompoly(rng, 2, 1)
+        phi = sampling.random_hompoly(rng, 2, 1)
         b = sampling.random_nonzero_point(rng, 2)
         A = sampling.random_polymap(rng, 2, 2, 1)
         R_mid = sampling.random_polymap(rng, 2, 2, r)

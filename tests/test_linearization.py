@@ -116,7 +116,7 @@ def test_rank_bound_holds_and_is_tight_for_rank_one():
         k = 2
         assert adjoint_matrix(P, k).rank() <= adjoint_rank_bound(P, k)
     # rank-one map: adjoint matrix rank is at most C(1+k-1, k) = 1
-    p = sampling.random_nonzero_hompoly(rng, 2, 2)
+    p = sampling.random_hompoly(rng, 2, 2)
     R1 = PolyMap((p, p.scale(Fraction(2)), p.scale(Fraction(-1))))
     assert adjoint_matrix(R1, 3).rank() <= 1
     assert adjoint_rank_bound(R1, 3) == 1

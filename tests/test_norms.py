@@ -41,6 +41,26 @@ def test_linear_sup_norm_matches_largest_singular_value():
             assert abs(est.value - sv) <= 1e-9 * sv
 
 
+def test_quadratic_form_sup_norm_matches_largest_eigenvalue():
+    # on the sphere |x^T A x| peaks at the largest |eigenvalue| of A: an
+    # independent oracle for the sampling-and-ascent path on nonlinear maps
+    rng = np.random.default_rng(2024)
+    for d in (3, 4, 5):
+        B = rng.standard_normal((d, d))
+        A = (B + B.T) / 2
+        coeffs = {}
+        for i in range(d):
+            for j in range(i, d):
+                alpha = [0] * d
+                alpha[i] += 1
+                alpha[j] += 1
+                coeffs[tuple(alpha)] = float(A[i, j] if i == j else 2 * A[i, j])
+        est = sup_norm(HomPoly(d, 2, coeffs, F64), NormConfig(seed=7))
+        want = float(np.abs(np.linalg.eigvalsh(A)).max())
+        assert est.method == "sobol+gradient-ascent"
+        assert abs(est.value - want) <= 1e-9 * want
+
+
 def test_sup_norm_diagonal_quadratic_frozen():
     # P = (x^2, y^2): on the unit circle sqrt(x^4 + y^4) peaks at the axes
     P = PolyMap((

@@ -167,7 +167,7 @@ def test_linearmap_obj_shape():
 
 def test_expansion_obj_shape():
     rng = sampling.rng(17, "exp")
-    p = sampling.random_nonzero_hompoly(rng, 2, 2)
+    p = sampling.random_hompoly(rng, 2, 2)
     P = PolyMap((p, p.scale(Fraction(2))))
     exp = expand_adjoint(finite_rank_rep(P), 2, 1)
     obj = expansion_to_obj(exp)
