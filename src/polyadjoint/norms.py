@@ -7,12 +7,15 @@ value is the evaluation of P at the reported maximizer, which lies on the
 sphere up to machine precision.  An upper-bound sanity cap (the Euclidean
 norm of the coefficient absolute sums) is asserted on every call.
 
-Strategy: a random sample floor (normalized standard-normal vectors, which
-are uniform on the sphere, plus the points +-e_i), then batched projected
-gradient ascent with per-restart adaptive step and backtracking from the
-best samples.  For two variables the critical equation on the circle is
-solved outright by a rational parametrization and companion-matrix
-root-finding, which pins the global maximum to near machine precision.
+Strategy for three or more variables: a random sample floor (normalized
+standard-normal vectors, which are uniform on the sphere, plus the points
++-e_i), then batched projected gradient ascent with per-restart adaptive
+step and backtracking from the best samples.  For two variables the critical
+equation on the circle is solved outright by a rational parametrization and
+companion-matrix root-finding; the largest value at those critical points is
+the global maximum, to near machine precision, with no sampling and no
+ascent.  A cross-check of a few hundred random circle points, none of which
+may beat it, makes a root-finder that misses the maximum fail loudly.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
@@ -21,6 +24,7 @@ polynomials confirm the upper bound is never exceeded.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -36,6 +40,7 @@ from .algebra import (
 )
 from .adjoint import adjoint_apply, evaluation_embedding
 from .errors import (
+    CapacityError,
     DegenerateInputError,
     DimensionError,
     FieldError,
@@ -44,10 +49,19 @@ from .errors import (
 from .linearization import coefficient_matrix
 
 MAX_ASCENT_ITERS = 400
+# random circle points that must not beat the circle pass's maximum (d = 2)
+CROSS_CHECK = 256
+# largest (points x monomials) value table the d >= 3 sample floor may build
+MAX_SAMPLE_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
 class NormConfig:
+    """``samples`` and ``restarts`` size the sample floor and the ascent,
+    which only sup norms on three or more variables run; ``restarts`` is
+    also the default count of random test polynomials in
+    ``check_adjoint_norm``."""
+
     restarts: int = 64
     samples: int = 1 << 14
     tol: float = 1e-6
@@ -175,10 +189,13 @@ def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
     P = np.polynomial.polynomial
     base_a = np.array([1.0, 0.0, -1.0])   # 1 - t^2
     base_b = np.array([0.0, 2.0])         # 2t
+    # scaling every coefficient by one power of two leaves the roots alone,
+    # and with the largest below one S cannot overflow
+    coeffs = np.ldexp(cm.coeffs, -math.frexp(float(np.abs(cm.coeffs).max(initial=0.0)))[1])
     S = np.zeros(1)
     for i in range(cm.e):
         Ni = np.zeros(1)
-        for alpha, c in zip(cm.expts, cm.coeffs[i]):
+        for alpha, c in zip(cm.expts, coeffs[i]):
             if c == 0.0:
                 continue
             term = np.array([float(c)])
@@ -248,8 +265,12 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
              extra_starts: Sequence[Sequence[float]] = ()) -> NormEstimate:
     """Certified lower-bound estimate of the sup norm on the unit ball.
 
-    Requires the f64 field.  ``extra_starts`` seeds the optimizer with known
-    good points (they are projected to the sphere first).
+    Requires the f64 field.  ``extra_starts`` adds known good points to the
+    candidates (they are projected to the sphere first).  Two-variable maps
+    are answered by the circle critical points with no ascent
+    (``iterations == 0``); ``cfg.samples`` and ``cfg.restarts`` size the
+    search on three or more variables, where ``(samples + 2d)`` times the
+    monomial count may not exceed MAX_SAMPLE_ENTRIES (CapacityError).
     """
     if isinstance(P, HomPoly):
         P = PolyMap((P,))
@@ -266,31 +287,41 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
         method = "endpoint-enumeration"
         best, iters = pts[i], 0
     else:
-        cand = [_sphere_samples(d, cfg.samples, rng), np.vstack([np.eye(d), -np.eye(d)])]
+        if d > 2 and (cfg.samples + 2 * d) * len(cm.expts) > MAX_SAMPLE_ENTRIES:
+            raise CapacityError(
+                f"{cfg.samples + 2 * d} sphere points times {len(cm.expts)} monomials "
+                f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
+        cand = [np.eye(d), -np.eye(d)]
         for s in extra_starts:
             v = np.asarray(s, dtype=float)
             n = vector_norm(v)
             if n > 1e-300:
                 cand.append((v / n)[None, :])
-        # the circle pass is exhaustive for d = 2, so only a light polish
-        # of the leaders is needed there; otherwise full multistart ascent
         if d == 2:
-            cand.append(_circle_critical_points(cm))
+            # the circle pass is exhaustive (t = infinity is +-e_1), so its
+            # best point is the maximum; random points only guard the root-finder
+            X = np.vstack([_circle_critical_points(cm)] + cand)
+            vals = cm.norms(X)
+            i = int(vals.argmax())
             method = "circle-critical-points"
-            n_starts = 4
+            best, iters = X[i], 0
+            check = float(cm.norms(_sphere_samples(d, CROSS_CHECK, rng)).max())
+            if check > float(vals[i]) * (1.0 + 1e-9):
+                raise AssertionError(
+                    f"a random circle point reaches {check}, above the circle "
+                    f"critical-point maximum {float(vals[i])}")
         else:
             # `norm` prints this label and the benchmark counts by it, so
             # it keeps its name although the samples are now Gaussian
             method = "sobol+gradient-ascent"
-            n_starts = cfg.restarts
-        X = np.vstack(cand)
-        vals = cm.norms(X)
-        order = np.argsort(vals)[::-1]
-        starts = X[order[: min(n_starts, X.shape[0])]]
-        refined, iters = _ascend_batch(cm, starts.copy())
-        rvals = cm.norms(refined)
-        i0, i1 = int(vals.argmax()), int(rvals.argmax())
-        best = refined[i1] if float(rvals[i1]) >= float(vals[i0]) else X[i0]
+            X = np.vstack([_sphere_samples(d, cfg.samples, rng)] + cand)
+            vals = cm.norms(X)
+            order = np.argsort(vals)[::-1]
+            starts = X[order[: min(cfg.restarts, X.shape[0])]]
+            refined, iters = _ascend_batch(cm, starts.copy())
+            rvals = cm.norms(refined)
+            i0, i1 = int(vals.argmax()), int(rvals.argmax())
+            best = refined[i1] if float(rvals[i1]) >= float(vals[i0]) else X[i0]
 
     # renormalize exactly onto the sphere and re-evaluate: the value reported
     # is an evaluation, hence a certified lower bound

@@ -372,7 +372,7 @@ def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
     rng = sampling.rng(cfg.seed, "factorizations")
     names = ("recovery_a", "recovery_b", "rank_one", "sandwich", "unit",
              "linear_recovery")
-    dim = min(2, min(cfg.dims))
+    dim = min(cfg.dims)
 
     def instances():  # named defects; linear_recovery only for linear R
         for m, r, s in _grid(cfg.max_m, cfg.max_r, cfg.max_s):

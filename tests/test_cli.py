@@ -222,6 +222,20 @@ def test_huge_binomial_exits_3_promptly(tmp_path, command):
     assert proc.returncode == 3, proc.stderr
 
 
+def test_huge_sample_table_exits_3_promptly(tmp_path):
+    # x -> x_1 on R^3000: the basis is small, but the d >= 3 sample floor
+    # would build (16384 + 6000) x 3000 value tables, 512 MiB each
+    d = 3000
+    obj = {"domain_dim": d, "codomain_dim": 1, "degree": 1, "field": "f64",
+           "components": [[{"alpha": [1] + [0] * (d - 1), "value": 1.0}]]}
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps(obj))
+    proc = subprocess.run(CLI + ["norm", str(src)], preexec_fn=_limit_memory,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "cap" in proc.stderr
+
+
 def test_capacity_overflow_exits_3(tmp_path):
     src = tmp_path / "map.json"
     src.write_text(sample_map_json())

@@ -24,6 +24,7 @@ from polyadjoint import (
     sup_norm,
     vector_norm,
 )
+from polyadjoint import norms
 from polyadjoint.errors import DegenerateInputError, FieldError, PreconditionError
 
 
@@ -43,9 +44,10 @@ def test_linear_sup_norm_matches_largest_singular_value():
 
 def test_quadratic_form_sup_norm_matches_largest_eigenvalue():
     # on the sphere |x^T A x| peaks at the largest |eigenvalue| of A: an
-    # independent oracle for the sampling-and-ascent path on nonlinear maps
+    # independent oracle for the circle pass (d = 2) and for the
+    # sampling-and-ascent path (d >= 3) on nonlinear maps
     rng = np.random.default_rng(2024)
-    for d in (3, 4, 5):
+    for d in (2, 3, 4, 5):
         B = rng.standard_normal((d, d))
         A = (B + B.T) / 2
         coeffs = {}
@@ -57,8 +59,38 @@ def test_quadratic_form_sup_norm_matches_largest_eigenvalue():
                 coeffs[tuple(alpha)] = float(A[i, j] if i == j else 2 * A[i, j])
         est = sup_norm(HomPoly(d, 2, coeffs, F64), NormConfig(seed=7))
         want = float(np.abs(np.linalg.eigvalsh(A)).max())
-        assert est.method == "sobol+gradient-ascent"
+        if d == 2:
+            assert est.method == "circle-critical-points"
+            assert est.iterations == 0
+        else:
+            assert est.method == "sobol+gradient-ascent"
         assert abs(est.value - want) <= 1e-9 * want
+
+
+def test_circle_pass_missing_the_maximum_fails_loudly(monkeypatch):
+    # xy vanishes on the axes and peaks at 1/2 on the diagonals: a circle
+    # pass that returns only +-e_1 must trip the random cross-check
+    monkeypatch.setattr(norms, "_circle_critical_points",
+                        lambda cm: np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    with pytest.raises(AssertionError):
+        sup_norm(HomPoly(2, 2, {(1, 1): 1.0}, F64), NormConfig(seed=1))
+
+
+def test_circle_critical_points_ignore_a_power_of_two_scale():
+    # scaling P by 2^j scales S by 4^j; the pass normalizes the coefficients
+    # first, so neither 2^500 (S overflows) nor 2^-600 (S underflows) moves a root
+    rng = np.random.default_rng(3)
+    from polyadjoint import enumerate_multi_indices
+    basis = enumerate_multi_indices(2, 3)
+    rows = rng.standard_normal((2, len(basis)))
+    points = [
+        norms._circle_critical_points(norms._CompiledMap(PolyMap(tuple(
+            HomPoly(2, 3, {a: math.ldexp(float(c), j) for a, c in zip(basis, row)}, F64)
+            for row in rows))))
+        for j in (-600, 0, 500)]
+    assert len(points[1]) > 2
+    for pts in points:
+        assert np.array_equal(pts, points[1])
 
 
 def test_sup_norm_diagonal_quadratic_frozen():

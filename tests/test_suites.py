@@ -12,6 +12,7 @@ from polyadjoint.errors import PreconditionError
 from polyadjoint.linearization import transpose_identity_defect
 from polyadjoint.suites import (
     SuiteConfig,
+    claim_factorizations,
     claim_inverse_identity,
     claim_linearization_transpose,
     report_to_json,
@@ -101,3 +102,19 @@ def test_instance_counts_on_a_non_default_grid():
         "factorization_identities": 3,
     }
     assert report["passed"]
+
+
+def test_factorizations_run_on_the_smallest_configured_dimension(monkeypatch):
+    # the report echoes the configured dims, so the sampled maps must live there
+    original = sampling.random_polymap
+    domains = set()
+
+    def recording(rng, d, e, m):
+        domains.add(d)
+        return original(rng, d, e, m)
+
+    monkeypatch.setattr(sampling, "random_polymap", recording)
+    cfg = SuiteConfig(seed=2, dims=(3,), max_m=1, max_r=1, max_s=1, trials=1,
+                      field="rational")
+    assert claim_factorizations(cfg).passed
+    assert domains == {3}
