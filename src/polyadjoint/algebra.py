@@ -9,6 +9,16 @@ field tag and `float` under "f64"; the tag travels with every object and
 mixed-field operations are rejected.  Zero coefficients are dropped on
 construction, so equality of the dicts is equality of polynomials.
 
+A rational polynomial also has an integer form, built once and cached on
+the instance: the least common denominator D of its coefficients and the
+integer numerators c*D, in ``coeffs`` order.  Products, sums, scaling,
+composition and evaluation at a rational point run on these integers and
+build one Fraction per output coefficient (or per value), not one per term
+product.  The integer form is not a dataclass field, so ``==``, ``repr``
+and ``asdict`` ignore it.  Results that the algebra builds from validated
+operands come from a private trusted constructor that skips re-validation;
+the public ``HomPoly(...)`` checks every index and coefficient.
+
 The canonical basis order everywhere is descending lexicographic on the
 exponent tuples — e.g. for d=2, m=2: (2,0), (1,1), (0,2) — and the
 coefficient-vector helpers read and write that order.
@@ -24,6 +34,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DegreeError, DimensionError, FieldError
@@ -69,14 +81,14 @@ def infer_field(values: Iterable) -> str:
     return F64 if any(isinstance(v, float) for v in values) else RATIONAL
 
 
-def _basis_size_exceeds_cap(d: int, m: int) -> bool:
-    """C(d+m-1, m) > DEFAULT_SIZE_CAP, without computing a huge binomial:
-    C(n, i) grows with i up to i = min(m, d-1) <= n/2, so the product can
-    stop as soon as it passes the cap."""
+def _basis_size_exceeds(d: int, m: int, cap: int) -> bool:
+    """C(d+m-1, m) > cap, without computing a huge binomial: C(n, i) grows
+    with i up to i = min(m, d-1) <= n/2, so the product can stop as soon as
+    it passes the cap."""
     n, c = d + m - 1, 1
     for i in range(1, min(m, d - 1) + 1):
         c = c * (n - i + 1) // i
-        if c > DEFAULT_SIZE_CAP:
+        if c > cap:
             return True
     return False
 
@@ -93,7 +105,7 @@ def enumerate_multi_indices(d: int, m: int) -> list[MultiIndex]:
         raise DimensionError(f"need at least one variable, got d={d}")
     if m < 0:
         raise DegreeError(f"degree must be non-negative, got {m}")
-    if _basis_size_exceeds_cap(d, m):
+    if _basis_size_exceeds(d, m, DEFAULT_SIZE_CAP):
         raise CapacityError(f"degree-{m} monomial basis on R^{d} has dimension "
                             f"C({d + m - 1}, {m}), exceeding the size cap {DEFAULT_SIZE_CAP}")
     # each index follows from the previous one: move one unit from the
@@ -131,6 +143,25 @@ def _eval_monomial(alpha: MultiIndex, x: Sequence):
     return v
 
 
+def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
+           den: int = 1) -> HomPoly:
+    """The polynomial with coefficients values[alpha] / den, zeros dropped in
+    place, from the trusted constructor.  Rational values are integer
+    numerators: dividing out the gcd of den and every numerator leaves the
+    least common denominator, so the cached integer form is the one
+    ``HomPoly._int_form`` would compute.  f64 values are the coefficients
+    themselves (den = 1)."""
+    nums = {a: v for a, v in values.items() if v != 0}
+    if field == F64:
+        return HomPoly._trusted(d, m, nums, F64)
+    g = math.gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {a: v // g for a, v in nums.items()}
+    coeffs = {a: Fraction(v, den) for a, v in nums.items()}
+    return HomPoly._trusted(d, m, coeffs, RATIONAL, (den, list(nums.values())))
+
+
 @dataclass(frozen=True)
 class HomPoly:
     """Homogeneous polynomial of fixed degree on R^domain_dim."""
@@ -157,6 +188,25 @@ class HomPoly:
             if c != 0:
                 clean[alpha] = c
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, d: int, m: int, coeffs: dict[MultiIndex, Scalar], field: str,
+                 int_form: tuple[int, list[int]] | None = None) -> HomPoly:
+        """A result built by the algebra from validated operands: tuple keys
+        of degree m on R^d and nonzero coefficients of the field's type, so
+        nothing is re-checked.  ``int_form`` seeds the cached integer form."""
+        self = object.__new__(cls)
+        self.__dict__.update(domain_dim=d, degree=m, coeffs=coeffs, field=field)
+        if int_form is not None:
+            self.__dict__["_int_form"] = int_form
+        return self
+
+    @cached_property
+    def _int_form(self) -> tuple[int, list[int]]:
+        """(D, [c*D for each coefficient c in coeffs order]), D the least
+        common denominator; rational field only."""
+        den = math.lcm(*[c.denominator for c in self.coeffs.values()])
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs.values()]
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -206,6 +256,13 @@ class HomPoly:
     def eval(self, x: Sequence) -> Scalar:
         if len(x) != self.domain_dim:
             raise DimensionError(f"point has length {len(x)}, expected {self.domain_dim}")
+        if self.field == RATIONAL and all(isinstance(v, (int, Fraction)) for v in x):
+            # homogeneity: with x = X/R, p(x) = sum n_alpha X^alpha / (D R^m)
+            den, nums = self._int_form
+            r = math.lcm(*[v.denominator for v in x])
+            X = [v.numerator * (r // v.denominator) for v in x]
+            total = sum(n * _eval_monomial(a, X) for a, n in zip(self.coeffs, nums))
+            return Fraction(total, den * r ** self.degree)
         total = _coerce(0, self.field)
         for alpha, c in self.coeffs.items():
             total += c * _eval_monomial(alpha, x)
@@ -222,10 +279,16 @@ class HomPoly:
         self._require_same_shape(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add homogeneous polynomials of different degrees")
-        data = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            data[alpha] = data.get(alpha, 0) + c
-        return HomPoly(self.domain_dim, self.degree, data, self.field)
+        if self.field == RATIONAL:
+            (d1, n1), (d2, n2) = self._int_form, other._int_form
+            den = math.lcm(d1, d2)
+            data = {a: den // d1 * v for a, v in zip(self.coeffs, n1)}
+            other_values = zip(other.coeffs, (den // d2 * v for v in n2))
+        else:
+            den, data, other_values = 1, dict(self.coeffs), other.coeffs.items()
+        for alpha, v in other_values:
+            data[alpha] = data.get(alpha, 0) + v
+        return _built(self.domain_dim, self.degree, data, self.field, den)
 
     def __neg__(self) -> HomPoly:
         return self.scale(-1)
@@ -235,18 +298,29 @@ class HomPoly:
 
     def scale(self, c) -> HomPoly:
         c = _coerce(c, self.field)
-        return HomPoly(self.domain_dim, self.degree,
-                       {a: c * v for a, v in self.coeffs.items()}, self.field)
+        if self.field == RATIONAL:
+            den, nums = self._int_form
+            return _built(self.domain_dim, self.degree,
+                          {a: c.numerator * v for a, v in zip(self.coeffs, nums)},
+                          RATIONAL, den * c.denominator)
+        return _built(self.domain_dim, self.degree,
+                      {a: c * v for a, v in self.coeffs.items()}, F64)
 
     def __mul__(self, other: HomPoly) -> HomPoly:
-        """Pointwise product; degrees add."""
+        """Pointwise product; degrees add.  Rational products multiply the
+        integer numerators, over the denominator D1*D2."""
         self._require_same_shape(other)
+        if self.field == RATIONAL:
+            (d1, v1), (d2, v2) = self._int_form, other._int_form
+        else:
+            (d1, v1), (d2, v2) = (1, self.coeffs.values()), (1, other.coeffs.values())
+        right = list(zip(other.coeffs, v2))
         data: dict[MultiIndex, Scalar] = {}
-        for a1, c1 in self.coeffs.items():
-            for a2, c2 in other.coeffs.items():
-                a = tuple(i + j for i, j in zip(a1, a2))
+        for a1, c1 in zip(self.coeffs, v1):
+            for a2, c2 in right:
+                a = tuple(map(add, a1, a2))
                 data[a] = data.get(a, 0) + c1 * c2
-        return HomPoly(self.domain_dim, self.degree + other.degree, data, self.field)
+        return _built(self.domain_dim, self.degree + other.degree, data, self.field, d1 * d2)
 
     def __pow__(self, n: int) -> HomPoly:
         if n < 1:
@@ -366,9 +440,20 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
             f"q has {q.domain_dim} variables but P has codomain dimension {P.codomain_dim}")
     if q.field != P.field:
         raise FieldError("mixed-field composition")
+    terms = list(map_powers(P, q.coeffs))
+    if q.field == RATIONAL:
+        # c_beta * P^beta has numerators c.numerator * n over c.denominator * D_beta;
+        # bring every term to the lcm of those denominators
+        dens = [c.denominator * t._int_form[0] for c, t in zip(q.coeffs.values(), terms)]
+        den = math.lcm(*dens)
+        scaled = [(c.numerator * (den // cd), t._int_form[1])
+                  for c, t, cd in zip(q.coeffs.values(), terms, dens)]
+    else:
+        den = 1
+        scaled = [(c, t.coeffs.values()) for c, t in zip(q.coeffs.values(), terms)]
     out: dict[MultiIndex, Scalar] = {}
-    for c, term in zip(q.coeffs.values(), map_powers(P, q.coeffs)):
-        for gamma, v in term.coeffs.items():
+    for (c, values), term in zip(scaled, terms):
+        for gamma, v in zip(term.coeffs, values):
             total = out.get(gamma, 0) + c * v
             # a cancelled coefficient leaves at once, keeping the key order of
             # term-by-term HomPoly addition (it fixes eval's f64 summation order)
@@ -376,7 +461,7 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
                 out[gamma] = total
             else:
                 out.pop(gamma, None)
-    return HomPoly(P.domain_dim, P.degree * q.degree, out, q.field)
+    return _built(P.domain_dim, P.degree * q.degree, out, q.field, den)
 
 
 def compose_map(Q: PolyMap, P: PolyMap) -> PolyMap:

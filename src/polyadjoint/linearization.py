@@ -51,28 +51,61 @@ def tensor_power(x: Sequence, k: int, field: str | None = None) -> list[Scalar]:
     return coords if field == RATIONAL else [float(v) for v in coords]
 
 
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan elimination over the first ``ncols`` columns with
-    leftmost pivots: the reduced rows and the pivot columns.  Exact on
-    Fractions; the rows may carry further (augmented) columns."""
-    a = [list(r) for r in rows]
+def _eliminate(rows: Sequence[Sequence], ncols: int
+               ) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+    """Fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22, 1968) on
+    rational rows: each row is cleared of denominators, a row is reduced
+    against the pivot row as ``row*pv - f*pivot_row`` and then divided by its
+    content, so every row stays a nonzero rational multiple of the row that
+    Fraction elimination would hold.  Returns the integer rows, the pivot
+    columns, and for each row the factor (numerator, denominator) that turns
+    its integer row back into that Fraction row while it is not a pivot row."""
+    a: list[list[int]] = []
+    scale: list[tuple[int, int]] = []
+    for r in rows:
+        den = math.lcm(*[v.denominator for v in r])
+        ints = [v.numerator * (den // v.denominator) for v in r]
+        g = math.gcd(*ints) or 1
+        a.append([v // g for v in ints])
+        scale.append((g, den))
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
         if row == len(a):
             break
-        pr = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        pr = next((r for r in range(row, len(a)) if a[r][col]), None)
         if pr is None:
             continue
         a[row], a[pr] = a[pr], a[row]
-        pv = a[row][col]
-        a[row] = [v / pv for v in a[row]]
+        scale[row], scale[pr] = scale[pr], scale[row]
+        prow = a[row]
+        pv = prow[col]
         for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+            f = a[r][col]
+            if r != row and f:
+                ints = [v * pv - f * w for v, w in zip(a[r], prow)]
+                g = math.gcd(*ints) or 1
+                a[r] = [v // g for v in ints]
+                num, den = scale[r]
+                scale[r] = (num * g, den * pv)
         pivots.append(col)
-    return a, pivots
+    return a, pivots, scale
+
+
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination over the first ``ncols`` columns with
+    leftmost pivots: the reduced rows and the pivot columns.  The rows hold
+    rationals (ints or Fractions) and may carry further (augmented) columns.
+
+    The elimination runs on integers (``_eliminate``); each pivot row is
+    divided by its pivot only when it is returned, and every other row is
+    returned as the exact multiple that Fraction Gauss-Jordan would leave,
+    so the output equals that of Fraction elimination row for row."""
+    a, pivots, scale = _eliminate(rows, ncols)
+    out = [[Fraction(v, a[i][c]) for v in a[i]] for i, c in enumerate(pivots)]
+    for r, (num, den) in zip(a[len(pivots):], scale[len(pivots):]):
+        out.append([Fraction(v * num, den) for v in r])
+    return out, pivots
 
 
 @dataclass(frozen=True)
@@ -149,7 +182,7 @@ class LinearMap:
 
     def rank(self) -> int:
         self._require_rational()
-        return len(rref(self.entries, self.cols)[1])
+        return len(_eliminate(self.entries, self.cols)[1])
 
     def inverse(self) -> LinearMap:
         self._require_rational()

@@ -35,6 +35,7 @@ from .algebra import (
     F64,
     HomPoly,
     PolyMap,
+    _basis_size_exceeds,
     compose_scalar,
     enumerate_multi_indices,
 )
@@ -53,14 +54,14 @@ MAX_ASCENT_ITERS = 400
 CROSS_CHECK = 256
 # largest (points x monomials) value table the d >= 3 sample floor may build
 MAX_SAMPLE_ENTRIES = 1 << 24
+# random test polynomials check_adjoint_norm tries on the upper side
+ADJOINT_Q_TRIALS = 64
 
 
 @dataclass(frozen=True)
 class NormConfig:
     """``samples`` and ``restarts`` size the sample floor and the ascent,
-    which only sup norms on three or more variables run; ``restarts`` is
-    also the default count of random test polynomials in
-    ``check_adjoint_norm``."""
+    which only sup norms on three or more variables run."""
 
     restarts: int = 64
     samples: int = 1 << 14
@@ -276,8 +277,15 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
         P = PolyMap((P,))
     if P.field != F64:
         raise FieldError("sup_norm runs on the f64 field; convert with as_field")
+    d, m = P.domain_dim, P.degree
+    points = cfg.samples + 2 * d
+    # checked before the compiled map, whose exponent and derivative tables
+    # alone grow with d times the monomial count
+    if d > 2 and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
+        raise CapacityError(
+            f"{points} sphere points times C({d + m - 1}, {m}) monomials "
+            f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
     cm = _CompiledMap(P)
-    d = cm.d
     rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
 
     if d == 1:
@@ -287,10 +295,6 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
         method = "endpoint-enumeration"
         best, iters = pts[i], 0
     else:
-        if d > 2 and (cfg.samples + 2 * d) * len(cm.expts) > MAX_SAMPLE_ENTRIES:
-            raise CapacityError(
-                f"{cfg.samples + 2 * d} sphere points times {len(cm.expts)} monomials "
-                f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
         cand = [np.eye(d), -np.eye(d)]
         for s in extra_starts:
             v = np.asarray(s, dtype=float)
@@ -391,14 +395,12 @@ def _random_hompoly_f64(rng: np.random.Generator, d: int, k: int) -> HomPoly:
 
 def check_adjoint_norm(P: PolyMap, n: int, k: int,
                        cfg: NormConfig = NormConfig(),
-                       q_trials: int | None = None) -> Report:
+                       q_trials: int = ADJOINT_Q_TRIALS) -> Report:
     """The adjoint's norm equals |P|^{kn}: certified from below by the k-th
     power of a functional norming P at its maximizer, and never exceeded on
     normalized random test polynomials."""
     t0 = time.perf_counter()
     P = P.as_field(F64)
-    if q_trials is None:
-        q_trials = cfg.restarts
     est = sup_norm(P, cfg)
     if est.value <= 0.0:
         raise DegenerateInputError("zero map has no norming direction")

@@ -325,37 +325,170 @@ def test_symform_validates_arity():
         form.apply([(Fraction(1), Fraction(0))])  # one slot instead of two
 
 
+def _plain_eval(p: HomPoly, x) -> Fraction:
+    """Oracle evaluation on plain Fractions; shares no code with HomPoly.eval."""
+    total = Fraction(0)
+    for alpha, c in p.coeffs.items():
+        term = Fraction(c)
+        for xi, a in zip(x, alpha):
+            term *= Fraction(xi) ** a
+        total += term
+    return total
+
+
+# large primes as denominators: every draw gets a fresh, coprime denominator
+_PRIMES = (1000003, 998244353, 1000000007, 2 ** 31 - 1, 2 ** 61 - 1)
+
+
+def _mirror(coeffs: dict, i: int) -> dict:
+    """The coefficients of p(..., -x_i, ...)."""
+    return {a: -c if a[i] % 2 else c for a, c in coeffs.items()}
+
+
 @st.composite
 def ring_instances(draw):
     """Sparse rational p, q (degree m), s (degree k), P (degree m, R^d -> R^e),
-    Q (degree k, R^e -> R^g), a power n and a rational point x."""
-    values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    Q (degree k, R^e -> R^g), a power n and a rational point x.  Some draws
+    use large coprime denominators; some make products and sums cancel."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    large = st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15), st.sampled_from(_PRIMES))
+    values = st.one_of(small, large) if draw(st.booleans()) else small
+
+    def coeffs(dim: int, deg: int) -> dict:
+        basis = enumerate_multi_indices(dim, deg)
+        return draw(st.dictionaries(st.sampled_from(basis), values, max_size=4))
 
     def poly(dim: int, deg: int) -> HomPoly:
-        basis = enumerate_multi_indices(dim, deg)
-        return HomPoly(dim, deg, draw(st.dictionaries(st.sampled_from(basis), values,
-                                                      max_size=4)))
+        return HomPoly(dim, deg, coeffs(dim, deg))
 
     d, e, g = (draw(st.integers(1, 3)) for _ in range(3))
     m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
-    p, q, s = poly(d, m), poly(d, m), poly(e, k)
+    p, s = poly(d, m), poly(e, k)
     P = PolyMap(tuple(poly(d, m) for _ in range(e)))
     Q = PolyMap(tuple(poly(e, k) for _ in range(g)))
+    mode = draw(st.sampled_from(("plain", "mirror", "negate")))
+    if mode == "plain":
+        q = poly(d, m)
+    elif mode == "negate":
+        q = -p  # p + q is the zero polynomial
+    else:
+        # q(x) = p(-x_1, ...): p + q drops the terms odd in x_1 and p * q
+        # loses cross terms, e.g. (x + y)(-x + y) = y^2 - x^2
+        q = HomPoly(d, m, _mirror(p.coeffs, 0))
+        if e >= 2:
+            # equal components and s antisymmetric in u_1, u_2: s o P = 0
+            P = PolyMap((P.components[0],) * e)
+            t = coeffs(e, k)
+            anti: dict = {}
+            for a, c in t.items():
+                swapped = (a[1], a[0]) + a[2:]
+                anti[a] = anti.get(a, 0) + c
+                anti[swapped] = anti.get(swapped, 0) - c
+            s = HomPoly(e, k, anti)
     x = tuple(draw(st.lists(values, min_size=d, max_size=d)))
     return p, q, s, P, Q, n, x
 
 
-@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(ring_instances())
 def test_ring_laws_match_pointwise_evaluation(instance):
     p, q, s, P, Q, n, x = instance
-    px, qx = p.eval(x), q.eval(x)
-    assert (p + q).eval(x) == px + qx
-    assert (p - q).eval(x) == px - qx
-    assert (p * q).eval(x) == px * qx
-    assert (p ** n).eval(x) == px ** n
-    assert compose_scalar(s, P).eval(x) == s.eval(P.eval_map(x))
-    assert compose_map(Q, P).eval_map(x) == Q.eval_map(P.eval_map(x))
+    px, qx = _plain_eval(p, x), _plain_eval(q, x)
+    Px = [_plain_eval(c, x) for c in P.components]
+    assert p.eval(x) == px and q.eval(x) == qx
+    for result, expected in (
+            (p + q, px + qx),
+            (p - q, px - qx),
+            (p * q, px * qx),
+            (p ** n, px ** n),
+            (p.scale(Fraction(-7, 3)), Fraction(-7, 3) * px),
+            (compose_scalar(s, P), _plain_eval(s, Px))):
+        assert _plain_eval(result, x) == expected
+        assert result.eval(x) == expected
+    assert compose_map(Q, P).eval_map(x) == tuple(_plain_eval(c, Px) for c in Q.components)
     # max_abs against the dense coefficient vectors, zero polynomials included
     assert p.max_abs() == max(map(abs, p.coeff_vector()))
     assert P.max_abs() == max(abs(c) for comp in P.components for c in comp.coeff_vector())
+
+
+def _plain_sum(*terms: dict) -> dict:
+    """Term-by-term addition on a plain dict: a key whose sum cancels leaves
+    at once, and one that comes back goes to the end."""
+    out: dict = {}
+    for term in terms:
+        for a, c in term.items():
+            total = out.get(a, 0) + c
+            if total:
+                out[a] = total
+            else:
+                out.pop(a, None)
+    return out
+
+
+def _plain_product(c1: dict, c2: dict) -> dict:
+    """Product in double-loop order; each monomial keeps the place where it
+    first appears, and the zero sums are dropped at the end."""
+    out: dict = {}
+    for a1, v1 in c1.items():
+        for a2, v2 in c2.items():
+            a = tuple(i + j for i, j in zip(a1, a2))
+            out[a] = out.get(a, 0) + v1 * v2
+    return {a: c for a, c in out.items() if c}
+
+
+def _plain_compose(q: HomPoly, P: PolyMap) -> dict:
+    """q o P: each P^beta multiplied up as the kernel does, component powers
+    left to right, then the terms c_beta * P^beta added one by one."""
+    terms = []
+    for beta, c in q.coeffs.items():
+        prod = None
+        for comp, b in zip(P.components, beta):
+            if b:
+                power = comp.coeffs
+                for _ in range(b - 1):
+                    power = _plain_product(power, comp.coeffs)
+                prod = power if prod is None else _plain_product(prod, power)
+        terms.append({a: c * v for a, v in prod.items()})
+    return _plain_sum(*terms)
+
+
+def _assert_built_like_validated(result: HomPoly, expected: dict) -> None:
+    """Same keys, order and values as the plain-dict oracle; no zero
+    coefficient; equal to its re-validated copy, integer form included."""
+    assert list(result.coeffs.items()) == list(expected.items())
+    kind = Fraction if result.field == RATIONAL else float
+    assert all(type(c) is kind and c != 0 for c in result.coeffs.values())
+    copy = HomPoly(result.domain_dim, result.degree, dict(result.coeffs), result.field)
+    assert copy == result
+    if result.field == RATIONAL:
+        assert copy._int_form == result._int_form
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ring_instances(), st.sampled_from((RATIONAL, F64)))
+def test_algebra_results_equal_their_validated_copies(instance, field):
+    p, q, s, P, Q, n, _ = instance
+    p, q, s, P = p.as_field(field), q.as_field(field), s.as_field(field), P.as_field(field)
+    c = Fraction(-7, 3) if field == RATIONAL else -2.5
+    cases = [
+        (p + q, _plain_sum(p.coeffs, q.coeffs)),
+        (p * q, _plain_product(p.coeffs, q.coeffs)),
+        (p.scale(c), {a: c * v for a, v in p.coeffs.items()}),
+        (p.scale(0), {}),
+        (compose_scalar(s, P), _plain_compose(s, P)),
+    ]
+    for result, expected in cases:
+        _assert_built_like_validated(result, expected)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, F64])
+def test_compose_scalar_keeps_term_by_term_order(field):
+    # q = u + v + w on P = (x^2 + y^2, -x^2, x^2): x^2 cancels after the
+    # second term and comes back with the third, so term-by-term addition
+    # puts it after y^2; f64 eval sums in this order
+    x2, y2 = HomPoly.monomial(2, (2, 0), 1, field), HomPoly.monomial(2, (0, 2), 1, field)
+    P = PolyMap((x2 + y2, -x2, x2))
+    q = HomPoly.linear_form([1, 1, 1], field)
+    result = compose_scalar(q, P)
+    assert list(result.coeffs) == [(0, 2), (2, 0)]
+    _assert_built_like_validated(result, _plain_compose(q, P))

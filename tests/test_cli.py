@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,20 @@ def test_norm_delta_subcommand(tmp_path):
     obj = json.loads(proc.stdout)
     assert obj["passed"] is True
     assert "wall_ms" in obj
+
+
+def test_adjoint_norm_test_count_ignores_restarts(tmp_path):
+    # --restarts sizes the d >= 3 ascent; the number of random test
+    # polynomials on the upper side stays at its default
+    src = tmp_path / "map.json"
+    src.write_text(sample_map_json())
+    counts = []
+    for restarts in ("8", "64"):
+        proc = run_cli("norm", str(src), "--claim", "delta", "--n", "1", "--k", "2",
+                       "--restarts", restarts)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(json.loads(proc.stdout)["details"]["q_instances"])
+    assert counts[0] == counts[1] == 64
 
 
 def test_decompose_subcommand(tmp_path):
@@ -222,18 +237,40 @@ def test_huge_binomial_exits_3_promptly(tmp_path, command):
     assert proc.returncode == 3, proc.stderr
 
 
+def _run_measured(argv: list[str]) -> tuple[int, str, float]:
+    """Run argv under the memory limit: its exit code, its stderr and its
+    own peak resident set in MB (from wait4, so no other child counts)."""
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, preexec_fn=_limit_memory,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        deadline = time.monotonic() + 60
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.monotonic() > deadline:
+                proc.kill()
+                pid, status, usage = os.wait4(proc.pid, 0)
+                break
+            time.sleep(0.02)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return proc.returncode, err.read().decode(), usage.ru_maxrss / 1024
+
+
 def test_huge_sample_table_exits_3_promptly(tmp_path):
     # x -> x_1 on R^3000: the basis is small, but the d >= 3 sample floor
-    # would build (16384 + 6000) x 3000 value tables, 512 MiB each
+    # would build (16384 + 6000) x 3000 value tables, 512 MiB each; the cap
+    # fires before the map's (3000 x 3000) exponent table is built
     d = 3000
     obj = {"domain_dim": d, "codomain_dim": 1, "degree": 1, "field": "f64",
            "components": [[{"alpha": [1] + [0] * (d - 1), "value": 1.0}]]}
     src = tmp_path / "wide.json"
     src.write_text(json.dumps(obj))
-    proc = subprocess.run(CLI + ["norm", str(src)], preexec_fn=_limit_memory,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3, proc.stderr
-    assert "cap" in proc.stderr
+    code, err, peak_mb = _run_measured(CLI + ["norm", str(src)])
+    assert code == 3, err
+    assert "cap" in err
+    assert peak_mb < 100
 
 
 def test_capacity_overflow_exits_3(tmp_path):

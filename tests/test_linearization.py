@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyadjoint import (
     HomPoly,
@@ -23,6 +24,7 @@ from polyadjoint import (
     transpose_identity_defect,
 )
 from polyadjoint.errors import CapacityError, SingularMatrixError
+from polyadjoint.linearization import rref
 from polyadjoint import sampling
 
 
@@ -140,3 +142,61 @@ def test_capacity_error_names_offender():
         adjoint_matrix(P, 40)
     assert "3003" in str(exc.value)
     assert "dimension" in str(exc.value)
+
+
+def _fraction_gauss_jordan(rows, ncols):
+    """Oracle: textbook Gauss-Jordan on Fractions with leftmost pivots, each
+    pivot row normalized before it eliminates the others."""
+    a = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(a):
+            break
+        pr = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if pr is None:
+            continue
+        a[row], a[pr] = a[pr], a[row]
+        pv = a[row][col]
+        a[row] = [v / pv for v in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append(col)
+    return a, pivots
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows of ncols + aug rationals (ints among them), with zero rows,
+    repeated rows and multiples of rows mixed in."""
+    ncols, aug = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    value = st.one_of(st.just(0), st.integers(-5, 5),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                      st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                                st.sampled_from((999983, 2 ** 31 - 1, 10 ** 9 + 7))))
+    rows = draw(st.lists(st.lists(value, min_size=ncols + aug, max_size=ncols + aug),
+                         min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "repeat", "multiple")))
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        new = ([0] * (ncols + aug) if kind == "zero" else list(src) if kind == "repeat"
+               else [Fraction(-3, 7) * v for v in src])
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_fraction_gauss_jordan(matrix):
+    rows, ncols = matrix
+    reduced, pivots = rref(rows, ncols)
+    want_rows, want_pivots = _fraction_gauss_jordan(rows, ncols)
+    assert pivots == want_pivots
+    # row for row, the rows below the pivots (nonzero only in the augmented
+    # columns) included
+    assert reduced == want_rows
+    assert all(type(v) is Fraction for r in reduced for v in r)
+    if ncols == len(rows[0]):
+        assert LinearMap(tuple(map(tuple, rows))).rank() == len(want_pivots)

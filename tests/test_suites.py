@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from polyadjoint import algebra, sampling
+from polyadjoint import algebra, finite_type, linearization, sampling
 from polyadjoint.errors import PreconditionError
 from polyadjoint.linearization import transpose_identity_defect
 from polyadjoint.suites import (
+    EXACT_CLAIMS,
     SuiteConfig,
     claim_factorizations,
     claim_inverse_identity,
@@ -118,3 +119,70 @@ def test_factorizations_run_on_the_smallest_configured_dimension(monkeypatch):
                       field="rational")
     assert claim_factorizations(cfg).passed
     assert domains == {3}
+
+
+def _exact_verdicts(cfg: SuiteConfig) -> dict[str, str]:
+    """Each exact claim's verdict: "pass", "fail", or the name of the error
+    it raised, so one claim that stops on a fault hides none of the others."""
+    out = {}
+    for claim in EXACT_CLAIMS:
+        try:
+            out[claim.__name__] = "pass" if claim(cfg).passed else "fail"
+        except (ValueError, RuntimeError) as exc:
+            out[claim.__name__] = type(exc).__name__
+    return out
+
+
+def _doubled_product_coefficient(mul):
+    def faulty(self, other):
+        p = mul(self, other)
+        if p.is_zero:
+            return p
+        coeffs = dict(p.coeffs)
+        first = next(iter(coeffs))
+        coeffs[first] *= 2
+        return algebra.HomPoly(p.domain_dim, p.degree, coeffs, p.field)
+    return faulty
+
+
+def _last_pivot_dropped(rref):
+    def faulty(rows, ncols):
+        reduced, pivots = rref(rows, ncols)
+        return reduced, pivots[:-1]
+    return faulty
+
+
+def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
+    # the claims that catch each fault are recorded here, so a refactor that
+    # blinds the suite to one of them breaks this test
+    cfg = SuiteConfig(seed=5, dims=(2,), max_m=2, max_n=2, max_k=2, max_r=1,
+                      max_s=1, trials=1, field="rational")
+    clean = _exact_verdicts(cfg)
+    assert set(clean.values()) == {"pass"}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra.HomPoly, "__mul__",
+                      _doubled_product_coefficient(algebra.HomPoly.__mul__))
+        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+    assert caught == {
+        "claim_composition_identity": "fail",
+        "claim_diagram_identity": "fail",
+        "claim_additivity_formula": "fail",
+        "claim_linearization_transpose": "fail",
+        "claim_finite_type": "fail",
+        "claim_inverse_identity": "fail",
+        "claim_factorizations": "fail",
+    }
+
+    # the sampler keeps the true rref: random_invertible_matrix retries until
+    # it sees full rank, which a dropped pivot would never report
+    with monkeypatch.context() as patch:
+        faulty = _last_pivot_dropped(linearization.rref)
+        patch.setattr(linearization, "rref", faulty)
+        patch.setattr(finite_type, "rref", faulty)
+        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+    assert caught == {
+        "claim_finite_type": "fail",
+        "claim_inverse_identity": "SingularMatrixError",
+    }
+    assert _exact_verdicts(cfg) == clean
