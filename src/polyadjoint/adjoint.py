@@ -112,7 +112,9 @@ def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
         w = multinomial(n, mu)
         for gamma, c in g_mu.coeffs.items():
             component_coeffs[out_index[gamma]][mu] = c * w
-    comps = tuple(HomPoly(nvars, n, data, P.field) for data in component_coeffs)
+    # every key is a degree-n multi-index on nvars variables and every value
+    # a nonzero coefficient times w >= 1, so there is nothing to re-check
+    comps = tuple(HomPoly._trusted(nvars, n, data, P.field) for data in component_coeffs)
     return MaterializedAdjoint(PolyMap(comps), n, k, d, e, m,
                                tuple(q_basis), tuple(out_basis))
 

@@ -35,6 +35,7 @@ from .errors import (
 from .finite_type import expand_adjoint, finite_rank_rep
 from .norms import NormConfig, check_adjoint_norm, sup_norm
 from .serialization import (
+    _json_dumps,
     expansion_to_obj,
     materialized_to_obj,
     polymap_from_obj,
@@ -42,6 +43,8 @@ from .serialization import (
 )
 from .suites import SuiteConfig, run_all, report_to_json
 
+# ValueError covers a result that overflowed to a non-finite float: the JSON
+# writer refuses it, so it exits 2 instead of being written
 INPUT_ERRORS = (DimensionError, DegreeError, FieldError, PreconditionError,
                 DegenerateInputError, SearchBudgetError, KeyError, TypeError,
                 ValueError, OSError)
@@ -143,12 +146,6 @@ def _read_input(path: str) -> tuple[dict, bytes]:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
-def _dumps(obj) -> str:
-    # NaN and Infinity are not JSON: a result that overflowed raises
-    # ValueError here and exits 2 instead of being written
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text + "\n")
@@ -176,7 +173,7 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
     P = polymap_from_obj(obj)
     mat = materialize_adjoint(P, args.n, args.k)
     out_obj = materialized_to_obj(mat, sha256_hex(raw))
-    _emit(_dumps(out_obj), args.out)
+    _emit(_json_dumps(out_obj), args.out)
     return 0
 
 
@@ -196,10 +193,10 @@ def cmd_norm(args: argparse.Namespace) -> int:
             "iterations": est.iterations,
             "method": est.method,
         }
-        _emit(_dumps(out_obj), args.out)
+        _emit(_json_dumps(out_obj), args.out)
         return 0
     rep = check_adjoint_norm(P, args.n, args.k, cfg)
-    _emit(_dumps(rep.to_dict()), args.out)
+    _emit(_json_dumps(rep.to_dict()), args.out)
     return 0 if rep.passed else 1
 
 
@@ -210,7 +207,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if rep.rank == 0:
         raise DegenerateInputError("the zero map has no finite-type expansion")
     expansion = expand_adjoint(rep, args.n, args.k)
-    _emit(_dumps(expansion_to_obj(expansion)), args.out)
+    _emit(_json_dumps(expansion_to_obj(expansion)), args.out)
     return 0
 
 

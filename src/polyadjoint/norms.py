@@ -71,8 +71,8 @@ class NormConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.samples < 1:
             raise PreconditionError("restarts and samples must be >= 1")
-        if self.tol < 0:
-            raise PreconditionError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise PreconditionError(f"tol must be a finite number >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ them once per field: an exact claim yields one defect per instance to
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .linearization import (adjoint_matrix, adjoint_rank_bound, linearization_ma
 from .norms import (NormConfig, Report, check_adjoint_norm, check_embedding_norm,
                     check_metric_injection, check_norm_duality, _np_rng, _random_hompoly_f64)
 from . import sampling
+from .serialization import _json_dumps
 
 REPORT_SCHEMA = 1
 
@@ -64,8 +64,8 @@ class SuiteConfig:
             raise PreconditionError("grid caps must be >= 1")
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
-        if self.tol < 0:
-            raise PreconditionError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise PreconditionError(f"tol must be a finite number >= 0, got {self.tol!r}")
 
     def norm_config(self) -> NormConfig:
         return NormConfig(restarts=self.restarts, samples=self.samples,
@@ -550,5 +550,6 @@ def run_all(cfg: SuiteConfig) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    """Deterministic serialization: fixed key order, no timestamps."""
-    return json.dumps(report, indent=2, sort_keys=True)
+    """Deterministic serialization: fixed key order, no timestamps, and
+    strict JSON (a non-finite number raises ValueError)."""
+    return _json_dumps(report)

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from polyadjoint import (
+    F64,
+    RATIONAL,
     HomPoly,
     PolyMap,
     adjoint_apply,
@@ -100,6 +102,22 @@ def test_materialized_adjoint_agrees_with_direct_application():
         for _ in range(5):
             q = sampling.random_hompoly(rng, e, k)
             assert mat.apply_to(q) == adjoint_apply(P, n, k, q)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, F64])
+def test_materialized_components_equal_their_validated_copies(field):
+    # the components skip re-validation: each must be what the public
+    # constructor would have built from the same data, key order included
+    rng = sampling.rng(19, "trusted")
+    for (d, e, m, n, k) in ((2, 2, 2, 2, 1), (2, 3, 1, 3, 2), (3, 2, 2, 1, 2)):
+        P = sampling.random_polymap(rng, d, e, m).as_field(field)
+        mat = materialize_adjoint(P, n, k)
+        kind = Fraction if field == RATIONAL else float
+        for c in mat.polymap.components:
+            assert all(type(v) is kind and v != 0 for v in c.coeffs.values())
+            copy = HomPoly(c.domain_dim, c.degree, dict(c.coeffs), field)
+            assert copy == c
+            assert list(copy.coeffs) == list(c.coeffs)
 
 
 def test_materialized_coefficients_are_multinomial_products():

@@ -3,6 +3,7 @@ and environment-variable defaults."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -297,6 +298,30 @@ def test_env_defaults_and_flag_precedence(tmp_path):
         json.loads(out2.read_text())["value"]
 
 
+# the smallest f64 grid: without the check, a tolerance of nan fails every
+# numeric claim (exit 1) and one of inf passes every claim (exit 0)
+TINY_F64_VERIFY = ["verify", "--field", "f64", "--dims", "2", "--trials", "1", "--max-m", "1",
+                   "--max-n", "1", "--max-k", "1", "--max-r", "1", "--max-s", "1"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    ([*TINY_F64_VERIFY, "--tol", "nan"], None),
+    ([*TINY_F64_VERIFY, "--tol", "inf"], None),
+    (["norm", "MAP", "--claim", "sup", "--tol", "nan"], None),
+    (["norm", "MAP", "--claim", "sup"], "nan"),
+], ids=["verify-nan", "verify-inf", "norm-nan", "env-nan"])
+def test_non_finite_tol_exits_2(tmp_path, capsys, monkeypatch, argv, env):
+    src = tmp_path / "map.json"
+    src.write_text(sample_map_json())
+    out = tmp_path / "out.json"
+    if env is not None:
+        monkeypatch.setenv("POLYADJOINT_TOL", env)
+    argv = [str(src) if a == "MAP" else a for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tol must be a finite number" in capsys.readouterr().err
+
+
 def test_bad_env_value_exits_2():
     proc = run_cli("verify", env_extra={"POLYADJOINT_SEED": "not-a-number"})
     assert proc.returncode == 2
@@ -385,3 +410,54 @@ def test_malformed_map_objects_end_in_a_documented_exit(value, term):
                     with open(out, encoding="utf-8") as fh:
                         json.loads(fh.read(), parse_constant=_reject_constant)
                     os.remove(out)
+
+
+def _pinned_rational_map() -> PolyMap:
+    """A fixed d=3, e=3, m=2 rational map with every coefficient present."""
+    basis = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    return PolyMap(tuple(
+        HomPoly(3, 2, {a: Fraction((-1) ** (i + j) * (2 * i + j + 1), 1 + (i + j) % 4)
+                       for j, a in enumerate(basis)})
+        for i in range(3)))
+
+
+def _pinned_f64_map() -> PolyMap:
+    """A fixed d=3, e=2, m=2 f64 map, with values whose shortest repr is long."""
+    return PolyMap((
+        HomPoly(3, 2, {(2, 0, 0): 0.1, (1, 1, 0): -2.5e-8, (0, 1, 1): 1.75,
+                       (0, 0, 2): -1 / 3}, F64),
+        HomPoly(3, 2, {(1, 0, 1): 3.0, (0, 2, 0): -0.7, (0, 0, 2): 1e16 / 3e16}, F64),
+    ))
+
+
+# sha256 of each output on these fixed maps: users diff these bytes, so no
+# change to the writer may move them.  The norm digest also follows numpy's
+# float results; it was recorded with numpy 2.4 on x86-64
+PINNED_OUTPUT_SHA256 = {
+    "adjoint":
+        "ae952da71866ab3ffe5ed030a76ba93ec75ad05110368bd1a1132dd041fb96c0",
+    "decompose":
+        "1c06d68841f84a83b143545d0bff5ba07d810a07d33f9c4bf5aba5ca04e83f6d",
+    "norm-sup":
+        "0e4c80640cd6f36986bb60af3ebee987ed4af7f75643e349608d32e015d6da06",
+    "polymap_dumps-rational":
+        "f3ee8d53f6d7bc4c0905916f2673a86724d4c4bb7c762b13bb3d329f27b40556",
+    "polymap_dumps-f64":
+        "46c1fc6d5d8b5e334673f29130765f6228541d82f9d1781660ac2f734a9338f6",
+}
+
+
+def test_request_output_bytes_are_pinned(tmp_path):
+    rational, real = tmp_path / "rational.json", tmp_path / "f64.json"
+    rational.write_text(polymap_dumps(_pinned_rational_map()))
+    real.write_text(polymap_dumps(_pinned_f64_map()))
+    got = {"polymap_dumps-rational": rational.read_bytes(),
+           "polymap_dumps-f64": real.read_bytes()}
+    for name, argv in (("adjoint", ["adjoint", str(rational), "--n", "2", "--k", "2"]),
+                       ("decompose", ["decompose", str(rational), "--n", "2", "--k", "2"]),
+                       ("norm-sup", ["norm", str(real), "--claim", "sup"])):
+        out = tmp_path / f"{name}.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        got[name] = out.read_bytes()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+    assert digests == PINNED_OUTPUT_SHA256

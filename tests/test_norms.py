@@ -220,3 +220,6 @@ def test_check_metric_injection_passes_for_projection():
 def test_norm_config_validation():
     with pytest.raises(PreconditionError):
         NormConfig(restarts=0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            NormConfig(tol=tol)

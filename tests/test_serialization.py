@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,91 @@ def test_expansion_obj_shape():
         assert "theta_factored" in t_obj
         assert "psi" in t_obj
     json.dumps(obj)
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+def stdlib_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# small ints and bools collide under == and hash, so flat lists repeat and
+# the memo of integer lists is exercised against look-alikes
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2) | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([1.0, -0.0, 5e-324, 1e16]) | st.text(max_size=4))
+# short lists over look-alike values, so that equal and look-alike lists
+# meet at one depth and at different depths
+FLAT_LISTS = st.lists(st.sampled_from([0, 1, True, 1.0]), max_size=2)
+ROW_KEYS = st.sampled_from(["alpha", "value", "%s", "é"])
+JSON_TREES = st.recursive(
+    JSON_LEAVES | FLAT_LISTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | ROW_KEYS, inner, max_size=4)
+    | st.lists(FLAT_LISTS, min_size=2, max_size=6)
+    | inner.map(lambda v: [v, [v]])  # one value at two depths
+    # rows: dicts drawn from few keys, so that many share one key set
+    | st.lists(st.dictionaries(ROW_KEYS, inner, min_size=1, max_size=2), max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(JSON_TREES)
+def test_json_writer_matches_stdlib(obj):
+    assert serialization._json_dumps(obj) == stdlib_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    # one memo, three look-alike lists at the same depth
+    [[1, 1], [1, True], [1.0, 1], [1, 1]],
+    [[True, 1], [1, 1], [1, 1.0]],
+    # one flat list at two depths
+    [[0, 2, 1], [[0, 2, 1]], {"a": [0, 2, 1], "b": [[0, 2, 1]]}],
+    # row lists: a different key set, a nested list, empty containers
+    [{"alpha": [1, 0], "value": "1/2"}, {"alpha": [0, 1], "other": "3/1"}],
+    [{"alpha": [1, 0], "value": "1/2"}, {"alpha": [[0, 1]], "value": "3/1"}],
+    [{"alpha": [], "value": "1/2"}, {"alpha": [0, 1], "value": {}}],
+    [{"alpha": [1, 0], "value": "1/2"}, {}],
+    [{}, {"alpha": [1, 0]}],
+    [{"alpha": [1, 0], "value": 1}, [1, 0]],
+    [{"%s": 1, "%%": [2, 3], "%d": "%"}, {"%s": 4, "%%": [], "%d": None}],
+    # tuples render as lists
+    (1, (2, 3), {"t": (True, None)}, ()),
+    # strings: non-ASCII, control characters, quotes and backslashes
+    ["é中\U0001f600", "\x00\x1f\x7f\n\t", '"\\', ""],
+    {"é": 1, "\n": 2, "": 3, "b": 4, "a": 5},
+    # floats at the edges of repr
+    [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1, -1e-7, 2.0 ** 53],
+    # scalars at the top level and big integers
+    "x", 0, 1.5, None, True, [], {}, [10 ** 100, -(10 ** 30)],
+], ids=lambda obj: repr(obj)[:40])
+def test_json_writer_named_cases(obj):
+    assert serialization._json_dumps(obj) == stdlib_dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [
+    lambda x: x,
+    lambda x: [1, x],
+    lambda x: {"alpha": [0, 1], "value": x},
+    lambda x: [{"alpha": [0, 1], "value": "1/1"}, {"alpha": [1, 0], "value": x}],
+    lambda x: [{"alpha": [0, x], "value": "1/1"}],
+], ids=["top", "flat-list", "dict", "row-value", "row-list-item"])
+def test_json_writer_refuses_non_finite_floats(bad, where):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        serialization._json_dumps(where(bad))
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, [Fraction(1, 2)], {"a": {1, 2}}])
+def test_json_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        serialization._json_dumps(obj)
+
+
+def test_polymap_dumps_refuses_nan():
+    # the public constructor accepts NaN on the f64 field; writing it would
+    # give a file polymap_loads refuses
+    P = PolyMap((HomPoly(2, 1, {(1, 0): math.nan, (0, 1): 1.0}, F64),))
+    with pytest.raises(ValueError):
+        polymap_dumps(P)

@@ -28,8 +28,9 @@ def test_config_validation():
         SuiteConfig(dims=())
     with pytest.raises(PreconditionError):
         SuiteConfig(trials=0)
-    with pytest.raises(PreconditionError):
-        SuiteConfig(tol=-1.0)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(PreconditionError):
+            SuiteConfig(tol=tol)
 
 
 def test_claim_result_obj_is_json_ready():
