@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .algebra import (
@@ -123,6 +124,14 @@ class LinearMap:
         ncol = len(rows[0])
         if any(len(r) != ncol for r in rows):
             raise DimensionError("ragged matrix")
+        if self.field == RATIONAL:
+            # exact elimination reads numerators and denominators; a bool
+            # is an int but not a number anyone meant
+            kinds = set(map(type, chain.from_iterable(rows)))
+            if not kinds <= {int, Fraction}:
+                bad = sorted(k.__name__ for k in kinds - {int, Fraction})
+                raise FieldError(f"rational matrix entries must be int or Fraction, "
+                                 f"got {', '.join(bad)}")
         object.__setattr__(self, "entries", rows)
 
     @property

@@ -17,16 +17,27 @@ the global maximum, to near machine precision, with no sampling and no
 ascent.  A cross-check of a few hundred random circle points, none of which
 may beat it, makes a root-finder that misses the maximum fail loudly.
 
+Each piece of kernel work is done once.  A compiled map holds the degree-m
+exponent table for values and one degree-(m-1) table shared by all d
+partial derivatives, each of which gathers its monomials from it through an
+index array; one power table per variable and batch of points fills both,
+and the ascent carries the lower table of its accepted points forward, so
+the gradient at an iterate costs no new table.  The circle pass reads the
+coefficients of (1-t^2)^{a1} (2t)^{a2} from a table cached per degree.  A
+map far from unit scale is measured scaled by a power of two, which is
+exact, so no square underflows or overflows.
+
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
 polynomials confirm the upper bound is never exceeded.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +65,9 @@ MAX_ASCENT_ITERS = 400
 CROSS_CHECK = 256
 # largest (points x monomials) value table the d >= 3 sample floor may build
 MAX_SAMPLE_ENTRIES = 1 << 24
+# sup_norm measures a map at unit scale when the binary exponent of its
+# largest coefficient (math.frexp) exceeds this in absolute value
+MAX_SCALE_EXP = 256
 # random test polynomials check_adjoint_norm tries on the upper side
 ADJOINT_Q_TRIALS = 64
 
@@ -114,24 +128,15 @@ def vector_norm(y: Sequence) -> float:
     return float(np.sqrt((v * v).sum()))
 
 
-def _monomials(X: np.ndarray, expts: np.ndarray) -> np.ndarray:
-    """(N, T) monomial values at the rows of X via cumulative power tables."""
-    N = X.shape[0]
-    mon = np.ones((N, expts.shape[0]))
-    for j in range(X.shape[1]):
-        top = int(expts[:, j].max(initial=0))
-        if top == 0:
-            continue
-        powers = np.empty((N, top + 1))
-        powers[:, 0] = 1.0
-        for a in range(1, top + 1):
-            powers[:, a] = powers[:, a - 1] * X[:, j]
-        mon *= powers[:, expts[:, j]]
-    return mon
-
-
 class _CompiledMap:
-    """numpy view of a float polynomial map for bulk evaluation."""
+    """numpy view of a float polynomial map for bulk evaluation.
+
+    Two exponent tables serve every evaluation: the degree-m basis for the
+    values and the degree-(m-1) basis for all d partials.  dP/dx_j reads the
+    monomials it needs from the shared lower table through an index array,
+    so one set of power tables per batch of points yields the values and the
+    whole gradient.
+    """
 
     def __init__(self, P: PolyMap):
         self.d = P.domain_dim
@@ -143,29 +148,70 @@ class _CompiledMap:
             [[float(c.coefficient(a)) for a in basis] for c in P.components])  # (e, T)
         if not np.isfinite(self.coeffs).all():
             raise FieldError("non-finite coefficient in polynomial map")
-        # dP/dx_j for every variable that occurs: the lowered exponents of
-        # the monomials containing x_j and their coefficients times that power
-        self.partials = []
+
+    # only the ascent needs the lower table and the partials, so they are
+    # built on its first use
+    @functools.cached_property
+    def lower_expts(self) -> np.ndarray:
+        """(T', d) degree-(m-1) exponent table, shared by all partials."""
+        return np.array(enumerate_multi_indices(self.d, self.m - 1), dtype=np.int64)
+
+    @functools.cached_property
+    def partials(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """dP/dx_j for every variable that occurs: where alpha - e_j sits in
+        the lower table, for each monomial alpha containing x_j, and the
+        coefficients times alpha_j."""
+        where = {a: i for i, a in enumerate(map(tuple, self.lower_expts.tolist()))}
+        basis = list(map(tuple, self.expts.tolist()))
+        partials = []
         for j in range(self.d):
             mask = self.expts[:, j] > 0
             if mask.any():
-                lowered = self.expts[mask].copy()
-                lowered[:, j] -= 1
-                self.partials.append((j, lowered, self.coeffs[:, mask] * self.expts[mask, j]))
+                idx = np.array([where[a[:j] + (a[j] - 1,) + a[j + 1:]]
+                                for a, keep in zip(basis, mask.tolist()) if keep],
+                               dtype=np.intp)
+                partials.append((j, idx, self.coeffs[:, mask] * self.expts[mask, j]))
+        return partials
+
+    def monomials(self, X: np.ndarray,
+                  lower: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """(N, T) degree-m monomial values at the rows of X and, with
+        ``lower``, the (N, T') degree-(m-1) ones (else None), both read from
+        one cumulative power table per variable."""
+        N = X.shape[0]
+        mon = np.ones((N, self.expts.shape[0]))
+        low = np.ones((N, self.lower_expts.shape[0])) if lower else None
+        for j in range(self.d):
+            powers = np.empty((N, self.m + 1))
+            powers[:, 0] = 1.0
+            for a in range(1, self.m + 1):
+                powers[:, a] = powers[:, a - 1] * X[:, j]
+            mon *= powers[:, self.expts[:, j]]
+            if lower and self.m > 1:
+                low *= powers[:, self.lower_expts[:, j]]
+        return mon, low
+
+    def values_and_lower(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, e) values at the rows of X and their (N, T') lower table."""
+        mon, low = self.monomials(X, lower=True)
+        return mon @ self.coeffs.T, low
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """X: (N, d) points -> (N, e) values."""
-        return _monomials(X, self.expts) @ self.coeffs.T
+        return self.monomials(X)[0] @ self.coeffs.T
 
     def norms(self, X: np.ndarray) -> np.ndarray:
         V = self.values(X)
         return np.sqrt((V * V).sum(axis=1))
 
-    def squared_norm_grad(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Gradient of f(x) = |P(x)|_2^2 at the rows of X, given V = P(X)."""
-        G = np.zeros_like(X)
-        for j, lowered, dcoeffs in self.partials:
-            dV = _monomials(X, lowered) @ dcoeffs.T            # (N, e)
+    def gradient(self, V: np.ndarray, low: np.ndarray) -> np.ndarray:
+        """Gradient of f(x) = |P(x)|_2^2 at N points, given their values V
+        and their degree-(m-1) monomial table ``low``."""
+        G = np.zeros((V.shape[0], self.d))
+        for j, idx, dcoeffs in self.partials:
+            # take, not low[:, idx], which is F-ordered: the last bits of
+            # the matmul follow the layout of its operands
+            dV = low.take(idx, axis=1) @ dcoeffs.T             # (N, e)
             G[:, j] = 2.0 * (V * dV).sum(axis=1)
         return G
 
@@ -180,6 +226,23 @@ def _sphere_samples(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return G / np.sqrt((G * G).sum(axis=1, keepdims=True))
 
 
+@functools.lru_cache(maxsize=16)
+def _circle_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-m monomials on the circle parametrization, in basis order:
+    row alpha of the first table holds the coefficients of
+    (1-t^2)^{a1} t^{a2}, and the second holds 2^{a2}, so that
+    c (1-t^2)^{a1} (2t)^{a2} is (c * row) * 2^{a2} coefficientwise."""
+    P = np.polynomial.polynomial
+    basis = enumerate_multi_indices(2, m)
+    rows = np.zeros((len(basis), 2 * m + 1))
+    for r, (a1, a2) in enumerate(basis):
+        a = P.polypow(np.array([1.0, 0.0, -1.0]), a1)
+        rows[r, a2:a2 + a.size] = a
+    scale = np.ldexp(1.0, np.array([a2 for _, a2 in basis]))[:, None]
+    rows.flags.writeable = scale.flags.writeable = False
+    return rows, scale
+
+
 def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
     """All critical points of |P|^2 on the Euclidean circle (d = 2).
 
@@ -188,24 +251,18 @@ def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
     polynomial S'(t)(1+t^2) - 4m t S(t) = 0 with S = sum N_i^2.
     """
     P = np.polynomial.polynomial
-    base_a = np.array([1.0, 0.0, -1.0])   # 1 - t^2
-    base_b = np.array([0.0, 2.0])         # 2t
     # scaling every coefficient by one power of two leaves the roots alone,
     # and with the largest below one S cannot overflow
     coeffs = np.ldexp(cm.coeffs, -math.frexp(float(np.abs(cm.coeffs).max(initial=0.0)))[1])
+    rows, scale = _circle_rows(cm.m)
     S = np.zeros(1)
-    for i in range(cm.e):
-        Ni = np.zeros(1)
-        for alpha, c in zip(cm.expts, coeffs[i]):
-            if c == 0.0:
-                continue
-            term = np.array([float(c)])
-            a1, a2 = int(alpha[0]), int(alpha[1])
-            if a1:
-                term = P.polymul(term, P.polypow(base_a, a1))
-            if a2:
-                term = P.polymul(term, P.polypow(base_b, a2))
-            Ni = P.polyadd(Ni, term)
+    for c in coeffs:
+        # N_i is the sum of its terms in basis order; a zero coefficient
+        # adds only zeros, and the trailing zeros go as polyadd drops them
+        Ni = np.zeros(rows.shape[1])
+        for term in (c[:, None] * rows) * scale:
+            Ni += term
+        Ni = np.polynomial.polyutils.trimseq(Ni)
         S = P.polyadd(S, P.polymul(Ni, Ni))
     h = P.polysub(P.polymul(P.polyder(S), np.array([1.0, 0.0, 1.0])),
                   4.0 * cm.m * P.polymul(np.array([0.0, 1.0]), S))
@@ -229,23 +286,25 @@ def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
     improves the squared norm; the step then grows, otherwise it shrinks.
     """
     X = X / np.sqrt((X * X).sum(axis=1, keepdims=True))
-    V = cm.values(X)
+    V, low = cm.values_and_lower(X)
     f = (V * V).sum(axis=1)
     eta = np.full(X.shape[0], 0.1)
     iters = 0
     stall = 0
     for _ in range(MAX_ASCENT_ITERS):
         iters += 1
-        G = cm.squared_norm_grad(X, V)
+        G = cm.gradient(V, low)
         # tangential component; near a maximizer it vanishes
         Gt = G - ((G * X).sum(axis=1, keepdims=True)) * X
         cand = X + eta[:, None] * Gt
         cand /= np.sqrt((cand * cand).sum(axis=1, keepdims=True))
-        Vc = cm.values(cand)
+        Vc, low_c = cm.values_and_lower(cand)
         f_new = (Vc * Vc).sum(axis=1)
         better = f_new > f
         X[better] = cand[better]
         V[better] = Vc[better]
+        # the accepted rows' lower table is the next gradient's input
+        low[better] = low_c[better]
         improvement = np.where(better, f_new - f, 0.0)
         f = np.where(better, f_new, f)
         eta[better] *= 1.3
@@ -271,7 +330,10 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     are answered by the circle critical points with no ascent
     (``iterations == 0``); ``cfg.samples`` and ``cfg.restarts`` size the
     search on three or more variables, where ``(samples + 2d)`` times the
-    monomial count may not exceed MAX_SAMPLE_ENTRIES (CapacityError).
+    monomial count may not exceed MAX_SAMPLE_ENTRIES (CapacityError).  A map
+    whose largest coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as
+    2^-e P and its value scaled back, both exactly; a norm past the largest
+    double raises PreconditionError.
     """
     if isinstance(P, HomPoly):
         P = PolyMap((P,))
@@ -286,6 +348,14 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
             f"{points} sphere points times C({d + m - 1}, {m}) monomials "
             f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
     cm = _CompiledMap(P)
+    # |2^-e P| = 2^-e |P|: far from unit scale the squares of the values
+    # would underflow or overflow, so there the map measured is 2^-e P (the
+    # partials, built on the ascent's first use, read the scaled coefficients)
+    shift = math.frexp(float(np.abs(cm.coeffs).max(initial=0.0)))[1]
+    if abs(shift) > MAX_SCALE_EXP:
+        cm.coeffs = np.ldexp(cm.coeffs, -shift)
+    else:
+        shift = 0
     rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
 
     if d == 1:
@@ -339,6 +409,12 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
             f"estimate {value} exceeds the coefficient-sum bound {bound}")
     est = NormEstimate(value, tuple(float(v) for v in best), True, iters, method)
     _validate_estimate(cm, est)
+    if shift:
+        try:
+            est = replace(est, value=math.ldexp(value, shift))
+        except OverflowError:
+            raise PreconditionError(
+                f"the sup norm, {value} * 2^{shift}, exceeds the largest double") from None
     return est
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyadjoint import F64, HomPoly, PolyMap, polymap_dumps
+from polyadjoint import F64, HomPoly, PolyMap, enumerate_multi_indices, polymap_dumps
 from polyadjoint import cli
 
 CLI = [sys.executable, "-m", "polyadjoint.cli"]
@@ -82,6 +82,21 @@ def test_norm_sup_subcommand(tmp_path):
     assert abs(obj["value"] - 2.0 ** 0.5) < 1e-9
     assert obj["lower_bound_certified"] is True
     assert len(obj["maximizer"]) == 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_norm_sup_at_extreme_coefficient_scales(tmp_path, d, c):
+    # c (|x|^2, 2 x_1 x_2) has norm c sqrt(2); unscaled, its squared values
+    # underflow to 0 or overflow to inf
+    square = {tuple(2 * (j == i) for j in range(d)): c for i in range(d)}
+    P = PolyMap((HomPoly(d, 2, square, F64),
+                 HomPoly(d, 2, {(1, 1) + (0,) * (d - 2): 2 * c}, F64)))
+    src, out = tmp_path / "map.json", tmp_path / "out.json"
+    src.write_text(polymap_dumps(P))
+    assert cli.main(["norm", str(src), "--claim", "sup", "--out", str(out)]) == 0
+    value = json.loads(out.read_text())["value"]
+    assert abs(value / (c * 2.0 ** 0.5) - 1.0) < 1e-12
 
 
 def test_norm_delta_subcommand(tmp_path):
@@ -394,6 +409,7 @@ def _reject_constant(name: str):
     raise AssertionError(f"the output holds {name}, which is not JSON")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(JSON_VALUES, st.sampled_from([(0, 0), (0, 1), (1, 0)]))
 def test_malformed_map_objects_end_in_a_documented_exit(value, term):
@@ -430,9 +446,26 @@ def _pinned_f64_map() -> PolyMap:
     ))
 
 
+def _pinned_wide_f64_map(d: int, e: int, m: int) -> PolyMap:
+    """A fixed f64 map with every coefficient present and its maximum away
+    from the axes, so its sup norm takes tens of ascent steps, whose last
+    bits follow the memory layout of the matmul operands."""
+    basis = enumerate_multi_indices(d, m)
+    return PolyMap(tuple(
+        HomPoly(d, m, {a: (-1) ** (j * (j + 1) // 2 + i) * (1 + (5 * j + 2 * i) % 9)
+                       / (2 + (j + 3 * i) % 7)
+                       for j, a in enumerate(basis)}, F64)
+        for i in range(e)))
+
+
+PINNED_WIDE_SHAPES = {"norm-sup-d4-m4": (4, 2, 4), "norm-sup-d5-m4": (5, 2, 4),
+                      "norm-sup-d3-m5": (3, 1, 5)}
+
+
 # sha256 of each output on these fixed maps: users diff these bytes, so no
-# change to the writer may move them.  The norm digest also follows numpy's
-# float results; it was recorded with numpy 2.4 on x86-64
+# change to the writer may move them.  The norm digests also follow numpy's
+# float results, and the three wide-map ones the memory layout of the
+# kernel's matmul operands; they were recorded with numpy 2.4 on x86-64
 PINNED_OUTPUT_SHA256 = {
     "adjoint":
         "ae952da71866ab3ffe5ed030a76ba93ec75ad05110368bd1a1132dd041fb96c0",
@@ -444,6 +477,12 @@ PINNED_OUTPUT_SHA256 = {
         "f3ee8d53f6d7bc4c0905916f2673a86724d4c4bb7c762b13bb3d329f27b40556",
     "polymap_dumps-f64":
         "46c1fc6d5d8b5e334673f29130765f6228541d82f9d1781660ac2f734a9338f6",
+    "norm-sup-d4-m4":
+        "92d3d665d8bc6fffea951ffa6e6f9adee2a9ea4968a24e68879590c1464aa683",
+    "norm-sup-d5-m4":
+        "32799c537ba433889dee45772778607c28c0e6285db2c38793c945f7da9acc8e",
+    "norm-sup-d3-m5":
+        "a9db47f39d025ce1f1dfb39794f877760e21946322af87f3e1bea6c996eeb6d0",
 }
 
 
@@ -453,9 +492,14 @@ def test_request_output_bytes_are_pinned(tmp_path):
     real.write_text(polymap_dumps(_pinned_f64_map()))
     got = {"polymap_dumps-rational": rational.read_bytes(),
            "polymap_dumps-f64": real.read_bytes()}
-    for name, argv in (("adjoint", ["adjoint", str(rational), "--n", "2", "--k", "2"]),
-                       ("decompose", ["decompose", str(rational), "--n", "2", "--k", "2"]),
-                       ("norm-sup", ["norm", str(real), "--claim", "sup"])):
+    requests = [("adjoint", ["adjoint", str(rational), "--n", "2", "--k", "2"]),
+                ("decompose", ["decompose", str(rational), "--n", "2", "--k", "2"]),
+                ("norm-sup", ["norm", str(real), "--claim", "sup"])]
+    for name, shape in PINNED_WIDE_SHAPES.items():
+        src = tmp_path / f"{name}-map.json"
+        src.write_text(polymap_dumps(_pinned_wide_f64_map(*shape)))
+        requests.append((name, ["norm", str(src), "--claim", "sup"]))
+    for name, argv in requests:
         out = tmp_path / f"{name}.json"
         assert cli.main([*argv, "--out", str(out)]) == 0
         got[name] = out.read_bytes()

@@ -23,7 +23,7 @@ from polyadjoint import (
     tensor_power,
     transpose_identity_defect,
 )
-from polyadjoint.errors import CapacityError, SingularMatrixError
+from polyadjoint.errors import CapacityError, FieldError, SingularMatrixError
 from polyadjoint.linearization import rref
 from polyadjoint import sampling
 
@@ -134,6 +134,15 @@ def test_linear_map_inverse_and_rank():
     assert S.rank() == 1
     with pytest.raises(SingularMatrixError):
         S.inverse()
+
+
+def test_rational_matrix_holds_only_ints_and_fractions():
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(FieldError):
+            LinearMap(((bad, Fraction(1)), (1, 3)))
+    A = LinearMap(((Fraction(1, 2), 1), (1, 3)))
+    assert A.rank() == 2
+    assert LinearMap(((0.5, 1.0), (1.0, 3.0)), "f64").cols == 2
 
 
 def test_capacity_error_names_offender():

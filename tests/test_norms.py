@@ -7,9 +7,11 @@ but never above it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyadjoint import (
     F64,
@@ -20,6 +22,7 @@ from polyadjoint import (
     check_embedding_norm,
     check_metric_injection,
     check_norm_duality,
+    enumerate_multi_indices,
     norming_functional,
     sup_norm,
     vector_norm,
@@ -93,6 +96,50 @@ def test_circle_critical_points_ignore_a_power_of_two_scale():
         assert np.array_equal(pts, points[1])
 
 
+def _exact_monomial(alpha, x) -> Fraction:
+    return math.prod((v ** a for v, a in zip(x, alpha)), start=Fraction(1))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_kernel_values_and_gradients_match_exact_evaluation(data):
+    # the oracle: values from HomPoly.eval in exact arithmetic, partials
+    # written out from the coefficients as alpha_j x^(alpha - e_j); the
+    # points are multiples of 1/32, so the kernel sees them exactly and
+    # only its own rounding is measured, against the sum of the absolute
+    # terms of each exact sum
+    d, m, e = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    basis = enumerate_multi_indices(d, m)
+    rows = [data.draw(st.lists(st.integers(-4, 4), min_size=len(basis), max_size=len(basis)))
+            for _ in range(e)]
+    points = data.draw(st.lists(st.lists(st.integers(-64, 64), min_size=d, max_size=d),
+                                min_size=1, max_size=4))
+    P = PolyMap(tuple(HomPoly(d, m, dict(zip(basis, row))) for row in rows))
+    X = [[Fraction(p, 32) for p in point] for point in points]
+    cm = norms._CompiledMap(P.as_field(F64))
+    Xf = np.array([[float(v) for v in x] for x in X])
+    V, low = cm.values_and_lower(Xf)
+    assert np.array_equal(V, cm.values(Xf))
+    G = cm.gradient(V, low)
+    for x, v, g in zip(X, V, G):
+        absx = [abs(t) for t in x]
+        exact = [(p.eval(x), sum(abs(c) * _exact_monomial(a, absx) for a, c in p.coeffs.items()))
+                 for p in P.components]
+        for got, (want, size) in zip(v, exact):
+            assert abs(Fraction(float(got)) - want) <= Fraction(1e-12) * size
+        for j in range(d):
+            want, size = Fraction(0), Fraction(0)
+            for p, (val, val_size) in zip(P.components, exact):
+                lowered = [(a[j] * c, a[:j] + (a[j] - 1,) + a[j + 1:])
+                           for a, c in p.coeffs.items() if a[j]]
+                part = sum((c * _exact_monomial(b, x) for c, b in lowered), Fraction(0))
+                part_size = sum((abs(c) * _exact_monomial(b, absx) for c, b in lowered),
+                                Fraction(0))
+                want += 2 * val * part
+                size += 2 * val_size * part_size
+            assert abs(Fraction(float(g[j])) - want) <= Fraction(1e-12) * size
+
+
 def test_sup_norm_diagonal_quadratic_frozen():
     # P = (x^2, y^2): on the unit circle sqrt(x^4 + y^4) peaks at the axes
     P = PolyMap((
@@ -119,6 +166,27 @@ def test_sup_norm_scaling_homogeneity():
     base = sup_norm(p, NormConfig(seed=5)).value
     scaled = sup_norm(p.scale(-4.0), NormConfig(seed=5)).value
     assert abs(scaled - 4.0 * base) <= 1e-9 * max(1.0, base)
+
+
+def test_sup_norm_far_from_unit_scale_is_exact():
+    # past 2^-256 or 2^256 the map is measured scaled by a power of two; on
+    # the circle path that scaling moves no bit, so the value scales exactly
+    rng = np.random.default_rng(778)
+    basis = enumerate_multi_indices(2, 3)
+    rows = rng.standard_normal((2, len(basis)))
+    P = PolyMap(tuple(HomPoly(2, 3, dict(zip(basis, map(float, row))), F64) for row in rows))
+    base = sup_norm(P)
+    for j in (-900, -300, 300, 900):
+        est = sup_norm(P.scale(math.ldexp(1.0, j)))
+        assert est.value == math.ldexp(base.value, j)
+        assert est.maximizer == base.maximizer
+
+
+def test_sup_norm_past_the_largest_double_raises():
+    # (c x, c x) has norm c sqrt(2), which no double holds for c = 1.5e308
+    P = PolyMap((HomPoly(1, 1, {(1,): 1.5e308}, F64),) * 2)
+    with pytest.raises(PreconditionError):
+        sup_norm(P)
 
 
 def test_sup_norm_maximizer_is_feasible_and_attains_value():
