@@ -2,10 +2,12 @@
 Sup norms on the unit sphere and bracketed norm identities
 ==========================================================
 
-The float backend estimates sup norms over the unit ball by quasirandom
-sphere sampling plus projected gradient ascent (an exact critical-point
-pass in the plane).  Estimates are certified lower bounds: the reported
-value is attained at the reported maximizer.
+The float backend computes the sup norm of a linear map or quadratic form
+in closed form (the top eigenvector of A^T A or of M), with an upper bound
+proven in exact integer arithmetic.  Other maps take an exact
+critical-point pass in the plane, or random sphere sampling (normalized
+Gaussian vectors) plus projected gradient ascent.  Estimates are certified
+lower bounds: the reported value is attained at the reported maximizer.
 """
 import numpy as np
 
@@ -29,6 +31,7 @@ lin = PolyMap.from_matrix([[float(v) for v in row] for row in A], F64)
 est = sup_norm(lin, cfg)
 print("largest singular value:", float(np.linalg.svd(A, compute_uv=False)[0]))
 print("estimated sup norm:    ", est.value, f"({est.method})")
+print("proven upper bound:    ", est.upper)
 print("maximizer on the sphere:", est.maximizer)
 
 # norming functionals: phi attains |y| with sup norm one, so phi^m attains

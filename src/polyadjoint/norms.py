@@ -7,6 +7,18 @@ value is the evaluation of P at the reported maximizer, which lies on the
 sphere up to machine precision.  An upper-bound sanity cap (the Euclidean
 norm of the coefficient absolute sums) is asserted on every call.
 
+Linear maps x -> Ax and scalar quadratic forms x^T M x on 2 to
+MAX_CLOSED_FORM_DIM variables have a closed form: the norm is sigma_max(A),
+the square root of the largest eigenvalue of A^T A, or max |lambda(M)|
+(Courant-Fischer).  The value is the largest evaluation at the top
+eigenvector from np.linalg.eigh, the points +-e_i and any extra starts, and
+the estimate also carries a proven upper bound ``upper = value (1 + 2^-40)``.  Every double is a dyadic rational, so the
+proof is exact integer arithmetic: over one power-of-two denominator,
+u^2 I - A^T A (or u I - M and u I + M) is positive definite when every
+leading principal minor is positive (Sylvester), and fraction-free
+symmetric Bareiss elimination without pivoting yields those minors as its
+pivots.  A certificate that fails raises AssertionError.
+
 Strategy for three or more variables: a random sample floor (normalized
 standard-normal vectors, which are uniform on the sphere, plus the points
 +-e_i), then batched projected gradient ascent with per-restart adaptive
@@ -65,6 +77,14 @@ MAX_ASCENT_ITERS = 400
 CROSS_CHECK = 256
 # largest (points x monomials) value table the d >= 3 sample floor may build
 MAX_SAMPLE_ENTRIES = 1 << 24
+# widest linear map or quadratic form whose norm is computed in closed form
+# and proven exactly.  The integer certificate's cost grows with d and with
+# the exponent spread of the coefficients: about 0.1 ms at d = 3, a few ms at
+# d = 16 near unit scale but about 2 s there when they span 2^+-1000, and
+# seconds to minutes at d = 32..64, so wider maps take the search
+MAX_CLOSED_FORM_DIM = 16
+# the proven upper bound is the value times 1 + CLOSED_FORM_SLACK
+CLOSED_FORM_SLACK = 2.0 ** -40
 # sup_norm measures a map at unit scale when the binary exponent of its
 # largest coefficient (math.frexp) exceeds this in absolute value
 MAX_SCALE_EXP = 256
@@ -91,11 +111,15 @@ class NormConfig:
 
 @dataclass(frozen=True)
 class NormEstimate:
+    """``upper``, when set, is an exactly proven upper bound on the norm;
+    only the closed form (method "closed-form") sets it."""
+
     value: float
     maximizer: tuple[float, ...]
     lower_bound_certified: bool
     iterations: int
     method: str
+    upper: float | None = None
 
 
 @dataclass(frozen=True)
@@ -321,6 +345,89 @@ def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
     return X, iters
 
 
+@functools.lru_cache(maxsize=MAX_CLOSED_FORM_DIM)
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the degree-2 basis x_i x_j, i <= j: its descending lex
+    order is the row-major upper triangle."""
+    i, j = np.triu_indices(d)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _form_matrix(c: np.ndarray, d: int) -> np.ndarray:
+    """The symmetric M with x^T M x = sum c_alpha x^alpha for degree 2."""
+    i, j = _upper_triangle(d)
+    M = np.zeros((d, d))
+    M[i, j] = np.where(i == j, c, 0.5 * c)
+    M[j, i] = M[i, j]
+    return M
+
+
+def _top_eigenvector(cm: _CompiledMap) -> np.ndarray:
+    """A unit vector at which the linear map or quadratic form attains its
+    norm, up to rounding: the top eigenvector of A^T A, or the eigenvector
+    of M whose eigenvalue is largest in absolute value."""
+    if cm.m == 1:
+        # degree 1 lists the basis e_1, ..., e_d in order, so coeffs is A
+        w, V = np.linalg.eigh(cm.coeffs.T @ cm.coeffs)
+    else:
+        w, V = np.linalg.eigh(_form_matrix(cm.coeffs[0], cm.d))
+        w = np.abs(w)
+    return V[:, int(w.argmax())]
+
+
+def _dyadic_integers(values: Sequence[float]) -> list[int]:
+    """Integers n_i with values[i] = n_i / 2^D for one D; every finite
+    double is a dyadic rational, so this is exact."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = max(q.bit_length() for _, q in ratios)
+    return [p << (D - q.bit_length()) for p, q in ratios]
+
+
+def _positive_definite(W: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix W is positive definite.
+
+    Sylvester's criterion by fraction-free (Bareiss) elimination without
+    pivoting: the k-th pivot is the k-th leading principal minor, and every
+    division is exact.
+    """
+    prev = 1
+    while W:
+        p, head = W[0][0], W[0]
+        if p <= 0:
+            return False
+        W = [[(p * x - r[0] * h) // prev for x, h in zip(r[1:], head[1:])]
+             for r in W[1:]]
+        prev = p
+    return True
+
+
+def _proves_upper(coeffs: np.ndarray, d: int, m: int, u: float) -> bool:
+    """Exact proof that the linear map (m = 1) or quadratic form (m = 2,
+    one row) on d variables with these coefficients has sup norm below u.
+
+    With every number over one power-of-two denominator: for A, u^2 I - A^T A
+    is positive definite, tested on the smaller Gram matrix (A A^T has the
+    same nonzero eigenvalues); for the form, writing N for the integer
+    matrix of 2M, both 2u I - N and 2u I + N are.
+    """
+    e = coeffs.shape[0]
+    *ints, a = _dyadic_integers(coeffs.ravel().tolist() + [u])
+    if m == 1:
+        A = [ints[r * d:(r + 1) * d] for r in range(e)]
+        if e >= d:
+            A = list(zip(*A))
+        a2 = a * a
+        return _positive_definite([[(a2 if i == j else 0) - sum(x * y for x, y in zip(ri, rj))
+                                    for j, rj in enumerate(A)] for i, ri in enumerate(A)])
+    N = [[0] * d for _ in range(d)]
+    for i, j, n in zip(*map(np.ndarray.tolist, _upper_triangle(d)), ints):
+        N[i][j] = N[j][i] = 2 * n if i == j else n
+    return all(_positive_definite([[(2 * a if i == j else 0) + sign * x
+                                    for j, x in enumerate(row)] for i, row in enumerate(N)])
+               for sign in (-1, 1))
+
+
 def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
              extra_starts: Sequence[Sequence[float]] = ()) -> NormEstimate:
     """Certified lower-bound estimate of the sup norm on the unit ball.
@@ -330,24 +437,30 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     are answered by the circle critical points with no ascent
     (``iterations == 0``); ``cfg.samples`` and ``cfg.restarts`` size the
     search on three or more variables, where ``(samples + 2d)`` times the
-    monomial count may not exceed MAX_SAMPLE_ENTRIES (CapacityError).  A map
-    whose largest coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as
-    2^-e P and its value scaled back, both exactly; a norm past the largest
-    double raises PreconditionError.
+    monomial count may not exceed MAX_SAMPLE_ENTRIES (CapacityError).
+    Linear maps and scalar quadratic forms on 2..MAX_CLOSED_FORM_DIM
+    variables take the closed form instead (method "closed-form", no
+    samples, no ascent), and only they carry ``upper``, proven exactly on
+    the map's own coefficients.  A map whose largest coefficient is 2^e with
+    |e| > MAX_SCALE_EXP is measured as 2^-e P and its value scaled back,
+    both exactly; a norm past the largest double raises PreconditionError.
     """
     if isinstance(P, HomPoly):
         P = PolyMap((P,))
     if P.field != F64:
         raise FieldError("sup_norm runs on the f64 field; convert with as_field")
     d, m = P.domain_dim, P.degree
+    # a linear map or a scalar quadratic form
+    closed_form = 2 <= d <= MAX_CLOSED_FORM_DIM and (m == 1 or (m == 2 and P.codomain_dim == 1))
     points = cfg.samples + 2 * d
     # checked before the compiled map, whose exponent and derivative tables
     # alone grow with d times the monomial count
-    if d > 2 and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
+    if d > 2 and not closed_form and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
         raise CapacityError(
             f"{points} sphere points times C({d + m - 1}, {m}) monomials "
             f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
     cm = _CompiledMap(P)
+    raw = cm.coeffs
     # |2^-e P| = 2^-e |P|: far from unit scale the squares of the values
     # would underflow or overflow, so there the map measured is 2^-e P (the
     # partials, built on the ascent's first use, read the scaled coefficients)
@@ -356,7 +469,6 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
         cm.coeffs = np.ldexp(cm.coeffs, -shift)
     else:
         shift = 0
-    rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
 
     if d == 1:
         pts = np.array([[1.0], [-1.0]])
@@ -371,7 +483,13 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
             n = vector_norm(v)
             if n > 1e-300:
                 cand.append((v / n)[None, :])
-        if d == 2:
+        if closed_form:
+            X = np.vstack([_top_eigenvector(cm)[None, :]] + cand)
+            vals = cm.norms(X)
+            i = int(vals.argmax())
+            method = "closed-form"
+            best, iters = X[i], 0
+        elif d == 2:
             # the circle pass is exhaustive (t = infinity is +-e_1), so its
             # best point is the maximum; random points only guard the root-finder
             X = np.vstack([_circle_critical_points(cm)] + cand)
@@ -379,6 +497,7 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
             i = int(vals.argmax())
             method = "circle-critical-points"
             best, iters = X[i], 0
+            rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
             check = float(cm.norms(_sphere_samples(d, CROSS_CHECK, rng)).max())
             if check > float(vals[i]) * (1.0 + 1e-9):
                 raise AssertionError(
@@ -388,6 +507,7 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
             # `norm` prints this label and the benchmark counts by it, so
             # it keeps its name although the samples are now Gaussian
             method = "sobol+gradient-ascent"
+            rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
             X = np.vstack([_sphere_samples(d, cfg.samples, rng)] + cand)
             vals = cm.norms(X)
             order = np.argsort(vals)[::-1]
@@ -409,13 +529,33 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
             f"estimate {value} exceeds the coefficient-sum bound {bound}")
     est = NormEstimate(value, tuple(float(v) for v in best), True, iters, method)
     _validate_estimate(cm, est)
-    if shift:
-        try:
+    try:
+        if shift:
             est = replace(est, value=math.ldexp(value, shift))
-        except OverflowError:
-            raise PreconditionError(
-                f"the sup norm, {value} * 2^{shift}, exceeds the largest double") from None
+        if closed_form:
+            est = replace(est, upper=_certified_upper(raw, d, m, value, shift))
+    except OverflowError:
+        raise PreconditionError(
+            f"the sup norm, {value} * 2^{shift}, exceeds the largest double") from None
     return est
+
+
+def _certified_upper(raw: np.ndarray, d: int, m: int, value: float, shift: int) -> float:
+    """(1 + CLOSED_FORM_SLACK) value 2^shift, rounded up to a double, proven
+    an upper bound on the norm of the map with coefficients ``raw``; value is
+    the norm of the map scaled by 2^-shift.  AssertionError if the proof
+    fails."""
+    if not raw.any():
+        return 0.0
+    scaled = value * (1.0 + CLOSED_FORM_SLACK)
+    upper = math.ldexp(scaled, shift)
+    if math.ldexp(upper, -shift) < scaled:
+        upper = math.nextafter(upper, math.inf)
+    if not _proves_upper(raw, d, m, upper):
+        raise AssertionError(
+            f"the closed form's upper bound {upper} is not proven: "
+            f"an eigenvalue was missed or under-reported")
+    return upper
 
 
 def _validate_estimate(cm: _CompiledMap, est: NormEstimate) -> None:

@@ -6,6 +6,8 @@ but never above it.
 """
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -48,7 +50,9 @@ def test_linear_sup_norm_matches_largest_singular_value():
 def test_quadratic_form_sup_norm_matches_largest_eigenvalue():
     # on the sphere |x^T A x| peaks at the largest |eigenvalue| of A: an
     # independent oracle for the circle pass (d = 2) and for the
-    # sampling-and-ascent path (d >= 3) on nonlinear maps
+    # sampling-and-ascent path (d >= 3) on nonlinear maps.  The zero second
+    # component makes the map (x^T A x, 0), which the closed form (one
+    # component only) does not take, so neither path computes eigenvalues
     rng = np.random.default_rng(2024)
     for d in (2, 3, 4, 5):
         B = rng.standard_normal((d, d))
@@ -60,23 +64,191 @@ def test_quadratic_form_sup_norm_matches_largest_eigenvalue():
                 alpha[i] += 1
                 alpha[j] += 1
                 coeffs[tuple(alpha)] = float(A[i, j] if i == j else 2 * A[i, j])
-        est = sup_norm(HomPoly(d, 2, coeffs, F64), NormConfig(seed=7))
+        P = PolyMap((HomPoly(d, 2, coeffs, F64), HomPoly(d, 2, {}, F64)))
+        est = sup_norm(P, NormConfig(seed=7))
         want = float(np.abs(np.linalg.eigvalsh(A)).max())
         if d == 2:
             assert est.method == "circle-critical-points"
             assert est.iterations == 0
         else:
             assert est.method == "sobol+gradient-ascent"
+        assert est.upper is None
         assert abs(est.value - want) <= 1e-9 * want
 
 
 def test_circle_pass_missing_the_maximum_fails_loudly(monkeypatch):
-    # xy vanishes on the axes and peaks at 1/2 on the diagonals: a circle
-    # pass that returns only +-e_1 must trip the random cross-check
+    # x^2 y - x y^2 vanishes on the axes and not elsewhere on the circle: a
+    # circle pass that returns only +-e_1 must trip the random cross-check
     monkeypatch.setattr(norms, "_circle_critical_points",
                         lambda cm: np.array([[1.0, 0.0], [-1.0, 0.0]]))
     with pytest.raises(AssertionError):
-        sup_norm(HomPoly(2, 2, {(1, 1): 1.0}, F64), NormConfig(seed=1))
+        sup_norm(HomPoly(2, 3, {(2, 1): 1.0, (1, 2): -1.0}, F64), NormConfig(seed=1))
+
+
+def quadratic_form(M) -> HomPoly:
+    """x^T M x for a symmetric M, as a degree-2 f64 HomPoly."""
+    d = len(M)
+    return HomPoly(d, 2, {tuple(int(t == i) + int(t == j) for t in range(d)):
+                          float(M[i][j] if i == j else 2 * M[i][j])
+                          for i in range(d) for j in range(i, d)}, F64)
+
+
+def rotated(diagonal, seed: int) -> np.ndarray:
+    """Q diag(diagonal) Q^T for a random orthogonal Q, so that no axis
+    attains the norm."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(diagonal),) * 2))[0]
+    return Q @ np.diag(diagonal) @ Q.T
+
+
+def assert_tight_upper(est) -> None:
+    assert est.method == "closed-form"
+    assert est.iterations == 0
+    assert est.value <= est.upper <= est.value * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_matches_svd_and_eigvalsh_with_a_tight_upper(d, e, form, seed):
+    rng = np.random.default_rng(seed)
+    if form:
+        M = rng.standard_normal((d, d))
+        M = (M + M.T) / 2
+        est = sup_norm(quadratic_form(M))
+        want = float(np.abs(np.linalg.eigvalsh(M)).max())
+    else:
+        A = rng.standard_normal((e, d))
+        est = sup_norm(linear_map(A))
+        want = float(np.linalg.svd(A, compute_uv=False)[0])
+    assert_tight_upper(est)
+    assert abs(est.value - want) <= 1e-12 * want
+    assert abs(vector_norm(est.maximizer) - 1.0) <= 1e-12
+
+
+def _dropping_top_eigenpair(monkeypatch):
+    real = np.linalg.eigh
+
+    def eigh(M):
+        w, V = real(M)
+        keep = np.arange(w.size) != int(np.abs(w).argmax())
+        return w[keep], V[:, keep]
+
+    monkeypatch.setattr(norms.np.linalg, "eigh", eigh)
+
+
+def test_closed_form_missing_the_top_eigenpair_fails_loudly(monkeypatch):
+    # the evaluations fall short of the norm, so u = value (1 + 2^-40) is
+    # below it and the exact check refuses; for the form the missed
+    # eigenvalue is negative, so only u I + M catches it
+    A = rotated([3.0, 1.0, 0.5], seed=1)
+    M = rotated([-3.0, 1.0, 2.0], seed=2)
+    assert sup_norm(linear_map(A)).upper is not None
+    assert sup_norm(quadratic_form(M)).upper is not None
+    _dropping_top_eigenpair(monkeypatch)
+    for P in (linear_map(A), quadratic_form(M)):
+        with pytest.raises(AssertionError):
+            sup_norm(P)
+
+
+def test_integer_check_rejects_an_under_reported_eigenvalue():
+    # both bounds are exact: at 2^-40 below the norm the check refuses, at
+    # 2^-40 above it proves
+    A = rotated([3.0, 1.0, 0.5], seed=3)
+    M = rotated([-3.0, 1.0, 2.0], seed=4)
+    for P, top in ((linear_map(A), float(np.linalg.svd(A, compute_uv=False)[0])),
+                   (quadratic_form(M), float(np.abs(np.linalg.eigvalsh(M)).max()))):
+        cm = norms._CompiledMap(PolyMap((P,)) if isinstance(P, HomPoly) else P)
+        assert norms._proves_upper(cm.coeffs, 3, cm.m, top * (1.0 + 2.0 ** -40))
+        assert not norms._proves_upper(cm.coeffs, 3, cm.m, top * (1.0 - 2.0 ** -40))
+
+
+def _det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions, with row swaps."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def _all_principal_minors_nonnegative(W) -> bool:
+    n = len(W)
+    return all(_det([[W[i][j] for j in idx] for i in idx]) >= 0
+               for size in range(1, n + 1) for idx in itertools.combinations(range(n), size))
+
+
+def test_upper_bound_is_psd_by_principal_minors_in_fractions():
+    # an oracle that shares no code with the certificate: every principal
+    # minor of upper I -+ M and of upper^2 I - A^T A, in exact Fractions
+    rng = np.random.default_rng(55)
+    for d in (2, 3, 4):
+        B = rng.standard_normal((d, d))
+        q = quadratic_form((B + B.T) / 2)
+        est = sup_norm(q)
+        assert_tight_upper(est)
+        M = [[Fraction(q.coefficient(tuple(int(t == i) + int(t == j) for t in range(d))))
+              / (1 if i == j else 2) for j in range(d)] for i in range(d)]
+        u = Fraction(est.upper)
+        for sign in (-1, 1):
+            assert _all_principal_minors_nonnegative(
+                [[(u if i == j else 0) + sign * M[i][j] for j in range(d)] for i in range(d)])
+        A = rng.standard_normal((d + 1, d))
+        est = sup_norm(linear_map(A))
+        assert_tight_upper(est)
+        Af = [[Fraction(float(v)) for v in row] for row in A]
+        u2 = Fraction(est.upper) ** 2
+        assert _all_principal_minors_nonnegative(
+            [[(u2 if i == j else 0) - sum(r[i] * r[j] for r in Af) for j in range(d)]
+             for i in range(d)])
+
+
+def test_closed_form_zero_map_has_upper_zero():
+    for P in (linear_map([[0.0, 0.0, 0.0]] * 2), HomPoly(3, 2, {}, F64)):
+        est = sup_norm(P)
+        assert est.method == "closed-form"
+        assert est.value == 0.0 and est.upper == 0.0
+
+
+def wide_closed_form_maps() -> list:
+    """Linear maps near 2^300 and 2^-300 (and both in one map), and d = 2
+    quadratic forms whose coefficients span 1e-150 to 1e148."""
+    rng = np.random.default_rng(61)
+    maps = [linear_map(rng.standard_normal((3, 4)) * 2.0 ** j) for j in (300, -300)]
+    maps.append(linear_map(rng.standard_normal((3, 4)) * 2.0 ** np.array([[300.0], [-300.0], [0.0]])))
+    for _ in range(6):
+        c = rng.standard_normal(3) * 10.0 ** rng.uniform(-150, 148, 3)
+        maps.append(HomPoly(2, 2, dict(zip([(2, 0), (1, 1), (0, 2)], map(float, c))), F64))
+    maps.append(HomPoly(2, 2, {(2, 0): 1e-150, (1, 1): -3e10, (0, 2): 1e148}, F64))
+    return maps
+
+
+def test_closed_form_certifies_maps_far_from_unit_scale(tmp_path):
+    from polyadjoint import cli, polymap_dumps
+    for P in wide_closed_form_maps():
+        est = sup_norm(P)
+        assert_tight_upper(est)
+        src, out = tmp_path / "map.json", tmp_path / "out.json"
+        src.write_text(polymap_dumps(P if isinstance(P, PolyMap) else PolyMap((P,))))
+        assert cli.main(["norm", str(src), "--claim", "sup", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["method"] == "closed-form"
+
+
+def test_closed_form_stops_at_its_widest_shape():
+    # a linear map on one more variable than the closed form takes searches
+    rng = np.random.default_rng(17)
+    wide = sup_norm(linear_map(rng.standard_normal((2, norms.MAX_CLOSED_FORM_DIM + 1))))
+    assert wide.method == "sobol+gradient-ascent"
+    assert wide.upper is None
+    edge = sup_norm(linear_map(rng.standard_normal((2, norms.MAX_CLOSED_FORM_DIM))))
+    assert_tight_upper(edge)
 
 
 def test_circle_critical_points_ignore_a_power_of_two_scale():
