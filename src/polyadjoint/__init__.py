@@ -69,7 +69,6 @@ from .composition import (
 )
 from .serialization import (
     expansion_to_obj,
-    linearmap_to_obj,
     materialized_to_obj,
     polymap_dumps,
     polymap_from_obj,

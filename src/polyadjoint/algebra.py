@@ -14,10 +14,12 @@ the instance: the least common denominator D of its coefficients and the
 integer numerators c*D, in ``coeffs`` order.  Products, sums, scaling,
 composition and evaluation at a rational point run on these integers and
 build one Fraction per output coefficient (or per value), not one per term
-product.  The integer form is not a dataclass field, so ``==``, ``repr``
-and ``asdict`` ignore it.  Results that the algebra builds from validated
-operands come from a private trusted constructor that skips re-validation;
-the public ``HomPoly(...)`` checks every index and coefficient.
+product.  An f64 polynomial's form is D = 1 over its own floats, so sums,
+products and composition share one code path across the fields.  The
+integer form is not a dataclass field, so ``==``, ``repr`` and ``asdict``
+ignore it.  Results that the algebra builds from validated operands come
+from a private trusted constructor that skips re-validation; the public
+``HomPoly(...)`` checks every index and coefficient.
 
 The canonical basis order everywhere is descending lexicographic on the
 exponent tuples — e.g. for d=2, m=2: (2,0), (1,1), (0,2) — and the
@@ -202,9 +204,14 @@ class HomPoly:
         return self
 
     @cached_property
-    def _int_form(self) -> tuple[int, list[int]]:
+    def _int_form(self) -> tuple[int, list[int | float]]:
         """(D, [c*D for each coefficient c in coeffs order]), D the least
-        common denominator; rational field only."""
+        common denominator.  An f64 polynomial has D = 1 and its floats as
+        the "numerators", so sums, products and compositions take one path
+        for both fields: the only extra float operation is a product with
+        the int 1, which is exact."""
+        if self.field == F64:
+            return 1, list(self.coeffs.values())
         den = math.lcm(*[c.denominator for c in self.coeffs.values()])
         return den, [c.numerator * (den // c.denominator) for c in self.coeffs.values()]
 
@@ -279,15 +286,11 @@ class HomPoly:
         self._require_same_shape(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add homogeneous polynomials of different degrees")
-        if self.field == RATIONAL:
-            (d1, n1), (d2, n2) = self._int_form, other._int_form
-            den = math.lcm(d1, d2)
-            data = {a: den // d1 * v for a, v in zip(self.coeffs, n1)}
-            other_values = zip(other.coeffs, (den // d2 * v for v in n2))
-        else:
-            den, data, other_values = 1, dict(self.coeffs), other.coeffs.items()
-        for alpha, v in other_values:
-            data[alpha] = data.get(alpha, 0) + v
+        (d1, n1), (d2, n2) = self._int_form, other._int_form
+        den = math.lcm(d1, d2)
+        data = {a: den // d1 * v for a, v in zip(self.coeffs, n1)}
+        for alpha, v in zip(other.coeffs, n2):
+            data[alpha] = data.get(alpha, 0) + den // d2 * v
         return _built(self.domain_dim, self.degree, data, self.field, den)
 
     def __neg__(self) -> HomPoly:
@@ -307,13 +310,10 @@ class HomPoly:
                       {a: c * v for a, v in self.coeffs.items()}, F64)
 
     def __mul__(self, other: HomPoly) -> HomPoly:
-        """Pointwise product; degrees add.  Rational products multiply the
-        integer numerators, over the denominator D1*D2."""
+        """Pointwise product; degrees add.  The integer numerators are
+        multiplied, over the denominator D1*D2."""
         self._require_same_shape(other)
-        if self.field == RATIONAL:
-            (d1, v1), (d2, v2) = self._int_form, other._int_form
-        else:
-            (d1, v1), (d2, v2) = (1, self.coeffs.values()), (1, other.coeffs.values())
+        (d1, v1), (d2, v2) = self._int_form, other._int_form
         right = list(zip(other.coeffs, v2))
         data: dict[MultiIndex, Scalar] = {}
         for a1, c1 in zip(self.coeffs, v1):
@@ -441,18 +441,14 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
     if q.field != P.field:
         raise FieldError("mixed-field composition")
     terms = list(map_powers(P, q.coeffs))
-    if q.field == RATIONAL:
-        # c_beta * P^beta has numerators c.numerator * n over c.denominator * D_beta;
-        # bring every term to the lcm of those denominators
-        dens = [c.denominator * t._int_form[0] for c, t in zip(q.coeffs.values(), terms)]
-        den = math.lcm(*dens)
-        scaled = [(c.numerator * (den // cd), t._int_form[1])
-                  for c, t, cd in zip(q.coeffs.values(), terms, dens)]
-    else:
-        den = 1
-        scaled = [(c, t.coeffs.values()) for c, t in zip(q.coeffs.values(), terms)]
+    # with q = sum c_beta x^beta / Q and P^beta = sum n_gamma x^gamma / D_beta,
+    # every term goes over Q * lcm(D_beta)
+    qden, qnums = q._int_form
+    den = math.lcm(*[t._int_form[0] for t in terms])
     out: dict[MultiIndex, Scalar] = {}
-    for (c, values), term in zip(scaled, terms):
+    for c, term in zip(qnums, terms):
+        tden, values = term._int_form
+        c *= den // tden
         for gamma, v in zip(term.coeffs, values):
             total = out.get(gamma, 0) + c * v
             # a cancelled coefficient leaves at once, keeping the key order of
@@ -461,7 +457,7 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
                 out[gamma] = total
             else:
                 out.pop(gamma, None)
-    return _built(P.domain_dim, P.degree * q.degree, out, q.field, den)
+    return _built(P.domain_dim, P.degree * q.degree, out, q.field, qden * den)
 
 
 def compose_map(Q: PolyMap, P: PolyMap) -> PolyMap:

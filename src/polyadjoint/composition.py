@@ -57,10 +57,6 @@ class CompositionInstance:
         if self.middle_degree < 1:
             raise DegreeError("middle degree must be >= 1")
 
-    @property
-    def result_degree(self) -> int:
-        return self.outer.degree * self.middle_degree * self.inner.degree
-
 
 def compose_three(inst: CompositionInstance, P: PolyMap) -> PolyMap:
     """outer o P o inner, exactly; degree multiplies out to r*m*s."""

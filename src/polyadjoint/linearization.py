@@ -52,23 +52,19 @@ def tensor_power(x: Sequence, k: int, field: str | None = None) -> list[Scalar]:
     return coords if field == RATIONAL else [float(v) for v in coords]
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int
-               ) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+def _eliminate(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22, 1968) on
     rational rows: each row is cleared of denominators, a row is reduced
     against the pivot row as ``row*pv - f*pivot_row`` and then divided by its
     content, so every row stays a nonzero rational multiple of the row that
-    Fraction elimination would hold.  Returns the integer rows, the pivot
-    columns, and for each row the factor (numerator, denominator) that turns
-    its integer row back into that Fraction row while it is not a pivot row."""
+    Fraction elimination would hold.  Returns the integer rows, pivot rows
+    first, and the pivot columns."""
     a: list[list[int]] = []
-    scale: list[tuple[int, int]] = []
     for r in rows:
         den = math.lcm(*[v.denominator for v in r])
         ints = [v.numerator * (den // v.denominator) for v in r]
         g = math.gcd(*ints) or 1
         a.append([v // g for v in ints])
-        scale.append((g, den))
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
@@ -78,7 +74,6 @@ def _eliminate(rows: Sequence[Sequence], ncols: int
         if pr is None:
             continue
         a[row], a[pr] = a[pr], a[row]
-        scale[row], scale[pr] = scale[pr], scale[row]
         prow = a[row]
         pv = prow[col]
         for r in range(len(a)):
@@ -87,26 +82,22 @@ def _eliminate(rows: Sequence[Sequence], ncols: int
                 ints = [v * pv - f * w for v, w in zip(a[r], prow)]
                 g = math.gcd(*ints) or 1
                 a[r] = [v // g for v in ints]
-                num, den = scale[r]
-                scale[r] = (num * g, den * pv)
         pivots.append(col)
-    return a, pivots, scale
+    return a, pivots
 
 
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Gauss-Jordan elimination over the first ``ncols`` columns with
-    leftmost pivots: the reduced rows and the pivot columns.  The rows hold
-    rationals (ints or Fractions) and may carry further (augmented) columns.
+    leftmost pivots: the reduced pivot rows and the pivot columns.  The rows
+    hold rationals (ints or Fractions) and may carry further (augmented)
+    columns; the rows below the pivots, zero in the first ``ncols`` columns,
+    are not returned.
 
-    The elimination runs on integers (``_eliminate``); each pivot row is
-    divided by its pivot only when it is returned, and every other row is
-    returned as the exact multiple that Fraction Gauss-Jordan would leave,
-    so the output equals that of Fraction elimination row for row."""
-    a, pivots, scale = _eliminate(rows, ncols)
-    out = [[Fraction(v, a[i][c]) for v in a[i]] for i, c in enumerate(pivots)]
-    for r, (num, den) in zip(a[len(pivots):], scale[len(pivots):]):
-        out.append([Fraction(v * num, den) for v in r])
-    return out, pivots
+    The elimination runs on integers (``_eliminate``), and each pivot row is
+    divided by its pivot only when it is returned, so the output equals the
+    pivot rows of Fraction elimination row for row."""
+    a, pivots = _eliminate(rows, ncols)
+    return [[Fraction(v, a[i][c]) for v in a[i]] for i, c in enumerate(pivots)], pivots
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""JSON interchange for polynomial maps, matrices and expansions.
+"""JSON interchange for polynomial maps and expansions.
 
 Rational scalars travel as "num/den" strings (always with the slash, e.g.
 "3/4", "-2/1"), f64 scalars as JSON numbers.  A polynomial map is
@@ -34,7 +34,6 @@ from .algebra import F64, RATIONAL, HomPoly, PolyMap, _finite_f64
 from .adjoint import MaterializedAdjoint
 from .errors import DimensionError, FieldError
 from .finite_type import FiniteTypeExpansion
-from .linearization import LinearMap
 
 
 _INDENT = "  "
@@ -234,15 +233,6 @@ def materialized_to_obj(mat: MaterializedAdjoint, source_hash: str) -> dict:
     obj["provenance"] = {"op": "delta", "n": mat.n, "k": mat.k,
                          "source": source_hash}
     return obj
-
-
-def linearmap_to_obj(M: LinearMap) -> dict:
-    return {
-        "rows": M.rows,
-        "cols": M.cols,
-        "field": M.field,
-        "entries": [[_scalar_to_json(v, M.field) for v in row] for row in M.entries],
-    }
 
 
 def expansion_to_obj(exp: FiniteTypeExpansion) -> dict:

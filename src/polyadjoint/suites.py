@@ -33,8 +33,10 @@ from .finite_type import expand_adjoint, expansion_defect, finite_rank_rep
 from .linearization import (adjoint_matrix, adjoint_rank_bound, linearization_matrix,
                             map_rank, tensor_power)
 from .norms import (NormConfig, Report, check_adjoint_norm, check_embedding_norm,
-                    check_metric_injection, check_norm_duality, _np_rng, _random_hompoly_f64)
+                    check_metric_injection, check_norm_duality)
 from . import sampling
+from .sampling import (_np_rng, _random_f64_map, _random_hompoly_f64,
+                       _random_nonzero_f64_point)
 from .serialization import _json_dumps
 
 REPORT_SCHEMA = 1
@@ -409,17 +411,6 @@ def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
 
 
 # -- numeric claims ---------------------------------------------------------
-
-def _random_f64_map(rng: np.random.Generator, d: int, e: int, m: int) -> PolyMap:
-    return PolyMap(tuple(_random_hompoly_f64(rng, d, m) for _ in range(e)))
-
-
-def _random_nonzero_f64_point(rng: np.random.Generator, d: int) -> list[float]:
-    x = rng.standard_normal(d)
-    while float(np.abs(x).max()) < 1e-6:
-        x = rng.standard_normal(d)
-    return [float(v) for v in x]
-
 
 def _numeric_fold(reports: Iterable[Report]) -> tuple[float, int, bool]:
     """The worst error over the reports, how many there were, and whether

@@ -486,6 +486,18 @@ PINNED_OUTPUT_SHA256 = {
 }
 
 
+# sha256 of what `polyadjoint verify --seed 20260815 --field f64` writes;
+# like the norm digests above it follows numpy's float results, and it was
+# recorded with numpy 2.4 on x86-64
+PINNED_F64_REPORT_SHA256 = "520c6183160fc73b160d9682dfe9bbf71724519abdc45f0b5192a507f797e479"
+
+
+def test_f64_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "f64.json"
+    assert cli.main(["verify", "--seed", "20260815", "--field", "f64", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_F64_REPORT_SHA256
+
+
 def test_request_output_bytes_are_pinned(tmp_path):
     rational, real = tmp_path / "rational.json", tmp_path / "f64.json"
     rational.write_text(polymap_dumps(_pinned_rational_map()))

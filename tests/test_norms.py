@@ -326,7 +326,12 @@ def test_sup_norm_diagonal_quadratic_frozen():
 def test_sup_norm_univariate_endpoints():
     p = HomPoly(1, 3, {(3,): -2.5}, F64)
     est = sup_norm(p, NormConfig(seed=1))
+    assert est.method == "endpoint-enumeration" and est.iterations == 0
     assert abs(est.value - 2.5) <= 1e-12
+    # extra starts join the candidates, but on the line they are the
+    # endpoints again (or the zero vector, which is dropped)
+    for starts in ([[3.0]], [[-1e-9]], [[0.0]], [[1.0], [-7.0]]):
+        assert sup_norm(p, NormConfig(seed=1), extra_starts=starts) == est
 
 
 def test_sup_norm_scaling_homogeneity():
@@ -361,19 +366,35 @@ def test_sup_norm_past_the_largest_double_raises():
         sup_norm(P)
 
 
+# (d, e, m, scale) of a random map per sup_norm method; the last two are
+# measured at unit scale and their value scaled back
+MAXIMIZER_CASES = [
+    ("endpoint-enumeration", (1, 2, 3, 1.0)),
+    ("closed-form", (3, 2, 1, 1.0)),
+    ("circle-critical-points", (2, 2, 3, 1.0)),
+    ("sobol+gradient-ascent", (3, 2, 2, 1.0)),
+    ("circle-critical-points", (2, 2, 3, 2.0 ** -300)),
+    ("sobol+gradient-ascent", (3, 2, 2, 2.0 ** 300)),
+]
+
+
 def test_sup_norm_maximizer_is_feasible_and_attains_value():
-    rng = np.random.default_rng(99)
-    from polyadjoint import enumerate_multi_indices
-    basis = enumerate_multi_indices(3, 2)
-    P = PolyMap(tuple(
-        HomPoly(3, 2, dict(zip(basis, (float(v) for v in rng.standard_normal(len(basis))))), F64)
-        for _ in range(2)))
-    est = sup_norm(P, NormConfig(seed=11))
-    x = np.asarray(est.maximizer)
-    assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
-    val = math.hypot(*P.eval_map(tuple(float(v) for v in x)))
-    assert abs(val - est.value) <= 1e-12
-    assert est.lower_bound_certified
+    # whatever the method, the reported value is P at the reported point,
+    # and that point lies on the unit sphere
+    for method, (d, e, m, scale) in MAXIMIZER_CASES:
+        rng = np.random.default_rng(99)
+        basis = enumerate_multi_indices(d, m)
+        P = PolyMap(tuple(
+            HomPoly(d, m, dict(zip(basis, (scale * float(v)
+                                           for v in rng.standard_normal(len(basis))))), F64)
+            for _ in range(e)))
+        est = sup_norm(P, NormConfig(seed=11))
+        assert est.method == method, (method, scale)
+        x = np.asarray(est.maximizer)
+        assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12, (method, scale)
+        val = math.hypot(*P.eval_map(tuple(float(v) for v in x)))
+        assert math.isclose(val, est.value, rel_tol=1e-12), (method, scale)
+        assert est.lower_bound_certified
 
 
 def test_sup_norm_same_seed_reproduces():

@@ -13,12 +13,10 @@ from polyadjoint import (
     RATIONAL,
     HomPoly,
     PolyMap,
-    adjoint_matrix,
     enumerate_multi_indices,
     expand_adjoint,
     expansion_to_obj,
     finite_rank_rep,
-    linearmap_to_obj,
     materialize_adjoint,
     materialized_to_obj,
     polymap_dumps,
@@ -153,17 +151,6 @@ def test_materialized_obj_carries_provenance():
     # the embedded polymap is itself loadable
     clean = {k: v for k, v in obj.items() if k != "provenance"}
     assert polymap_from_obj(clean) == mat.polymap
-
-
-def test_linearmap_obj_shape():
-    rng = sampling.rng(13, "lin")
-    P = sampling.random_polymap(rng, 2, 2, 2)
-    M = adjoint_matrix(P, 1)
-    obj = linearmap_to_obj(M)
-    assert obj["rows"] == M.rows and obj["cols"] == M.cols
-    assert len(obj["entries"]) == M.rows
-    assert all(len(r) == M.cols for r in obj["entries"])
-    json.dumps(obj)  # must be serializable as-is
 
 
 def test_expansion_obj_shape():
