@@ -23,15 +23,19 @@ the rational field.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
+    RATIONAL,
     HomPoly,
     MultiIndex,
     PolyMap,
     Scalar,
+    _built,
+    _cleared,
     _eval_monomial,
     compose_map,
     compose_scalar,
@@ -43,6 +47,7 @@ from .algebra import (
 from .errors import (
     DegreeError,
     DimensionError,
+    FieldError,
     PreconditionError,
     SearchBudgetError,
 )
@@ -84,11 +89,15 @@ class MaterializedAdjoint:
     def apply_to(self, q: HomPoly) -> HomPoly:
         if q.domain_dim != self.source_codomain_dim or q.degree != self.k:
             raise DimensionError("q does not match the materialized coefficient space")
+        if q.field != self.polymap.field:
+            raise FieldError("mixed-field adjoint application")
         values = self.polymap.eval_map(q.coeff_vector())
-        return HomPoly(self.source_domain_dim,
-                       self.source_degree * self.n * self.k,
-                       dict(zip(self.codomain_basis, values)),
-                       q.field)
+        # the values of the package's own map at a point of its field are of
+        # that field, so only the zeros need dropping
+        return HomPoly._trusted(self.source_domain_dim,
+                                self.source_degree * self.n * self.k,
+                                {g: v for g, v in zip(self.codomain_basis, values) if v},
+                                q.field)
 
 
 def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
@@ -103,19 +112,25 @@ def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
 
     # (sum_beta c_beta P^beta)^n expands over exponent vectors mu on the
     # c-variables; each mu contributes the monomial c^mu with the polynomial
-    # multinomial(n, mu) * S^mu as its coefficient, where S is the map whose
-    # components are the substituted basis monomials P^beta.
+    # w * S^mu as its coefficient, w = multinomial(n, mu), where S is the map
+    # whose components are the substituted basis monomials P^beta.  With
+    # S^mu = sum_gamma n_gamma x^gamma / D_mu, component gamma gets the term
+    # w n_gamma / D_mu at mu, and is built from integer numerators over the
+    # lcm of its D_mu (for f64, D_mu = 1 and the numerators are the floats).
     S = PolyMap(tuple(map_powers(P, q_basis)))
-    component_coeffs: list[dict[MultiIndex, Scalar]] = [dict() for _ in out_basis]
+    parts: list[list[tuple[MultiIndex, Scalar, int]]] = [[] for _ in out_basis]
     out_index = {g: i for i, g in enumerate(out_basis)}
     for mu, g_mu in zip(mus, map_powers(S, mus)):
         w = multinomial(n, mu)
-        for gamma, c in g_mu.coeffs.items():
-            component_coeffs[out_index[gamma]][mu] = c * w
-    # every key is a degree-n multi-index on nvars variables and every value
-    # a nonzero coefficient times w >= 1, so there is nothing to re-check
-    comps = tuple(HomPoly._trusted(nvars, n, data, P.field) for data in component_coeffs)
-    return MaterializedAdjoint(PolyMap(comps), n, k, d, e, m,
+        den, nums = g_mu._terms
+        for gamma, v in nums.items():
+            parts[out_index[gamma]].append((mu, v * w, den))
+    comps = []
+    for part in parts:
+        den = math.lcm(*[t[2] for t in part])
+        comps.append(_built(nvars, n, {mu: v * (den // dm) for mu, v, dm in part},
+                            P.field, den))
+    return MaterializedAdjoint(PolyMap(tuple(comps)), n, k, d, e, m,
                                tuple(q_basis), tuple(out_basis))
 
 
@@ -133,7 +148,10 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     if field is None:
         field = infer_field(x)
     basis = enumerate_multi_indices(len(x), n)
-    xpow = [_eval_monomial(beta, x) for beta in basis]
+    # a rational point x = X / r puts every coefficient over r^(nm), so the
+    # numerators are built on X and the result from its integer form
+    cleared = _cleared(x) if field == RATIONAL else None
+    xpow = [_eval_monomial(beta, x if cleared is None else cleared[1]) for beta in basis]
     coeffs: dict[MultiIndex, Scalar] = {}
     for mu in enumerate_multi_indices(len(basis), m):
         v = multinomial(m, mu)
@@ -141,7 +159,9 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
             if mj:
                 v = v * xpow[j] ** mj
         coeffs[mu] = v
-    return HomPoly(len(basis), m, coeffs, field)
+    if cleared is None:
+        return HomPoly(len(basis), m, coeffs, field)
+    return _built(len(basis), m, coeffs, RATIONAL, cleared[0] ** (n * m))
 
 
 def composition_identity_defect(P: PolyMap, Q: PolyMap, n: int, k: int, s: int,

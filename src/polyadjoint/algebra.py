@@ -9,17 +9,19 @@ field tag and `float` under "f64"; the tag travels with every object and
 mixed-field operations are rejected.  Zero coefficients are dropped on
 construction, so equality of the dicts is equality of polynomials.
 
-A rational polynomial also has an integer form, built once and cached on
-the instance: the least common denominator D of its coefficients and the
-integer numerators c*D, in ``coeffs`` order.  Products, sums, scaling,
-composition and evaluation at a rational point run on these integers and
-build one Fraction per output coefficient (or per value), not one per term
-product.  An f64 polynomial's form is D = 1 over its own floats, so sums,
-products and composition share one code path across the fields.  The
-integer form is not a dataclass field, so ``==``, ``repr`` and ``asdict``
-ignore it.  Results that the algebra builds from validated operands come
-from a private trusted constructor that skips re-validation; the public
-``HomPoly(...)`` checks every index and coefficient.
+A rational polynomial is stored as its integer form: the least common
+denominator D of its coefficients and a dict of the integer numerators c*D.
+``coeffs``, the dict of Fractions, is a view of that form, built on first
+read and then cached on the instance.  Sums, products, scaling,
+composition, evaluation at a rational point, ``is_zero`` and ``==`` read
+the integer form, so a product that is only composed, evaluated, compared
+or folded into a defect never builds a Fraction.  The form is canonical
+(zeros dropped, D least), so equal forms are equal polynomials.  An f64
+polynomial keeps its float dict as ``coeffs``, and its integer form is
+D = 1 over that same dict, so sums, products and composition share one
+code path across the fields.  Results that the algebra builds from
+validated operands skip re-validation; the public ``HomPoly(...)`` checks
+every index and coefficient.
 
 The canonical basis order everywhere is descending lexicographic on the
 exponent tuples — e.g. for d=2, m=2: (2,0), (1,1), (0,2) — and the
@@ -36,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -51,9 +53,14 @@ Scalar = Fraction | float
 
 DEFAULT_SIZE_CAP = 3003  # C(14, 6); largest monomial basis ever built
 
+_ZERO = {RATIONAL: Fraction(0), F64: 0.0}
+_RATIONALS = (int, Fraction)
+
 
 def _coerce(value, field: str) -> Scalar:
     if field == RATIONAL:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, float):
             raise FieldError("float coefficient given for the rational field")
         return Fraction(value)
@@ -145,14 +152,23 @@ def _eval_monomial(alpha: MultiIndex, x: Sequence):
     return v
 
 
+def _cleared(x: Sequence) -> tuple[int, list[int]] | None:
+    """(r, X) with x = X / r, r the least common denominator, for a point of
+    ints and Fractions; None for any other point."""
+    if not all(isinstance(v, _RATIONALS) for v in x):
+        return None
+    r = math.lcm(*[v.denominator for v in x])
+    return r, [v.numerator * (r // v.denominator) for v in x]
+
+
 def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
            den: int = 1) -> HomPoly:
     """The polynomial with coefficients values[alpha] / den, zeros dropped in
-    place, from the trusted constructor.  Rational values are integer
+    place, built without re-validation.  Rational values are integer
     numerators: dividing out the gcd of den and every numerator leaves the
-    least common denominator, so the cached integer form is the one
-    ``HomPoly._int_form`` would compute.  f64 values are the coefficients
-    themselves (den = 1)."""
+    least common denominator, and the result stores that integer form alone;
+    its ``coeffs`` view is built only if something reads it.  f64 values are
+    the coefficients themselves (den = 1)."""
     nums = {a: v for a, v in values.items() if v != 0}
     if field == F64:
         return HomPoly._trusted(d, m, nums, F64)
@@ -160,8 +176,9 @@ def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
     if g > 1:
         den //= g
         nums = {a: v // g for a, v in nums.items()}
-    coeffs = {a: Fraction(v, den) for a, v in nums.items()}
-    return HomPoly._trusted(d, m, coeffs, RATIONAL, (den, list(nums.values())))
+    self = object.__new__(HomPoly)
+    self.__dict__.update(domain_dim=d, degree=m, field=RATIONAL, _terms=(den, nums))
+    return self
 
 
 @dataclass(frozen=True)
@@ -192,28 +209,51 @@ class HomPoly:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def _trusted(cls, d: int, m: int, coeffs: dict[MultiIndex, Scalar], field: str,
-                 int_form: tuple[int, list[int]] | None = None) -> HomPoly:
-        """A result built by the algebra from validated operands: tuple keys
-        of degree m on R^d and nonzero coefficients of the field's type, so
-        nothing is re-checked.  ``int_form`` seeds the cached integer form."""
+    def _trusted(cls, d: int, m: int, coeffs: dict[MultiIndex, Scalar],
+                 field: str) -> HomPoly:
+        """A polynomial from data the package built itself: tuple keys of
+        degree m on R^d and nonzero coefficients of the field's type, so
+        nothing is re-checked.  Its integer form is derived on first use."""
         self = object.__new__(cls)
         self.__dict__.update(domain_dim=d, degree=m, coeffs=coeffs, field=field)
-        if int_form is not None:
-            self.__dict__["_int_form"] = int_form
         return self
 
+    def __getattr__(self, name: str):
+        # only the coeffs view of a rational result of _built can be missing:
+        # it is built here from the stored integer form, once
+        terms = self.__dict__.get("_terms")
+        if name != "coeffs" or terms is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, nums = terms
+        coeffs = {a: Fraction(v, den) for a, v in nums.items()}
+        self.__dict__["coeffs"] = coeffs
+        return coeffs
+
     @cached_property
-    def _int_form(self) -> tuple[int, list[int | float]]:
-        """(D, [c*D for each coefficient c in coeffs order]), D the least
-        common denominator.  An f64 polynomial has D = 1 and its floats as
-        the "numerators", so sums, products and compositions take one path
-        for both fields: the only extra float operation is a product with
-        the int 1, which is exact."""
+    def _terms(self) -> tuple[int, dict[MultiIndex, int | float]]:
+        """The integer form (D, {alpha: c*D}), D the least common denominator
+        of the coefficients.  An f64 polynomial has D = 1 and its own float
+        dict as the "numerators", so sums, products and compositions take
+        one path for both fields: the only extra float operation is a
+        product with the int 1, which is exact."""
         if self.field == F64:
-            return 1, list(self.coeffs.values())
+            return 1, self.coeffs
         den = math.lcm(*[c.denominator for c in self.coeffs.values()])
-        return den, [c.numerator * (den // c.denominator) for c in self.coeffs.values()]
+        return den, {a: c.numerator * (den // c.denominator) for a, c in self.coeffs.items()}
+
+    @property
+    def _int_form(self) -> tuple[int, list[int | float]]:
+        """(D, [c*D for each coefficient c in coeffs order])."""
+        den, nums = self._terms
+        return den, list(nums.values())
+
+    def __eq__(self, other):
+        # the integer form is canonical, so equal forms are equal polynomials
+        # and no Fraction view is needed
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain_dim == other.domain_dim and self.degree == other.degree
+                and self.field == other.field and self._terms == other._terms)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -246,29 +286,32 @@ class HomPoly:
     # -- queries ------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms[1]
 
     def coefficient(self, alpha: MultiIndex) -> Scalar:
-        return self.coeffs.get(tuple(alpha), _coerce(0, self.field))
+        return self.coeffs.get(tuple(alpha), _ZERO[self.field])
 
     def max_abs(self) -> Scalar:
         """Largest absolute coefficient; the field's zero for the zero polynomial."""
-        return max(map(abs, self.coeffs.values()), default=_coerce(0, self.field))
+        if self.field == F64:
+            return max(map(abs, self.coeffs.values()), default=0.0)
+        den, nums = self._terms
+        return Fraction(max(map(abs, nums.values()), default=0), den)
 
     def coeff_vector(self) -> list[Scalar]:
         """Coefficients in canonical (descending lex) basis order."""
-        zero = _coerce(0, self.field)
+        zero = _ZERO[self.field]
         return [self.coeffs.get(a, zero) for a in enumerate_multi_indices(self.domain_dim, self.degree)]
 
     def eval(self, x: Sequence) -> Scalar:
         if len(x) != self.domain_dim:
             raise DimensionError(f"point has length {len(x)}, expected {self.domain_dim}")
-        if self.field == RATIONAL and all(isinstance(v, (int, Fraction)) for v in x):
-            # homogeneity: with x = X/R, p(x) = sum n_alpha X^alpha / (D R^m)
-            den, nums = self._int_form
-            r = math.lcm(*[v.denominator for v in x])
-            X = [v.numerator * (r // v.denominator) for v in x]
-            total = sum(n * _eval_monomial(a, X) for a, n in zip(self.coeffs, nums))
+        cleared = _cleared(x) if self.field == RATIONAL else None
+        if cleared is not None:
+            # homogeneity: with x = X/r, p(x) = sum n_alpha X^alpha / (D r^m)
+            den, nums = self._terms
+            r, X = cleared
+            total = sum(n * _eval_monomial(a, X) for a, n in nums.items())
             return Fraction(total, den * r ** self.degree)
         total = _coerce(0, self.field)
         for alpha, c in self.coeffs.items():
@@ -286,11 +329,12 @@ class HomPoly:
         self._require_same_shape(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add homogeneous polynomials of different degrees")
-        (d1, n1), (d2, n2) = self._int_form, other._int_form
+        (d1, n1), (d2, n2) = self._terms, other._terms
         den = math.lcm(d1, d2)
-        data = {a: den // d1 * v for a, v in zip(self.coeffs, n1)}
-        for alpha, v in zip(other.coeffs, n2):
-            data[alpha] = data.get(alpha, 0) + den // d2 * v
+        f1, f2 = den // d1, den // d2
+        data = {a: f1 * v for a, v in n1.items()}
+        for alpha, v in n2.items():
+            data[alpha] = data.get(alpha, 0) + f2 * v
         return _built(self.domain_dim, self.degree, data, self.field, den)
 
     def __neg__(self) -> HomPoly:
@@ -302,9 +346,9 @@ class HomPoly:
     def scale(self, c) -> HomPoly:
         c = _coerce(c, self.field)
         if self.field == RATIONAL:
-            den, nums = self._int_form
+            den, nums = self._terms
             return _built(self.domain_dim, self.degree,
-                          {a: c.numerator * v for a, v in zip(self.coeffs, nums)},
+                          {a: c.numerator * v for a, v in nums.items()},
                           RATIONAL, den * c.denominator)
         return _built(self.domain_dim, self.degree,
                       {a: c * v for a, v in self.coeffs.items()}, F64)
@@ -313,10 +357,10 @@ class HomPoly:
         """Pointwise product; degrees add.  The integer numerators are
         multiplied, over the denominator D1*D2."""
         self._require_same_shape(other)
-        (d1, v1), (d2, v2) = self._int_form, other._int_form
-        right = list(zip(other.coeffs, v2))
+        (d1, v1), (d2, v2) = self._terms, other._terms
+        right = list(v2.items())
         data: dict[MultiIndex, Scalar] = {}
-        for a1, c1 in zip(self.coeffs, v1):
+        for a1, c1 in v1.items():
             for a2, c2 in right:
                 a = tuple(map(add, a1, a2))
                 data[a] = data.get(a, 0) + c1 * c2
@@ -440,16 +484,16 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
             f"q has {q.domain_dim} variables but P has codomain dimension {P.codomain_dim}")
     if q.field != P.field:
         raise FieldError("mixed-field composition")
-    terms = list(map_powers(P, q.coeffs))
+    qden, qnums = q._terms
+    terms = list(map_powers(P, qnums))
     # with q = sum c_beta x^beta / Q and P^beta = sum n_gamma x^gamma / D_beta,
     # every term goes over Q * lcm(D_beta)
-    qden, qnums = q._int_form
-    den = math.lcm(*[t._int_form[0] for t in terms])
+    den = math.lcm(*[t._terms[0] for t in terms])
     out: dict[MultiIndex, Scalar] = {}
-    for c, term in zip(qnums, terms):
-        tden, values = term._int_form
+    for c, term in zip(qnums.values(), terms):
+        tden, values = term._terms
         c *= den // tden
-        for gamma, v in zip(term.coeffs, values):
+        for gamma, v in values.items():
             total = out.get(gamma, 0) + c * v
             # a cancelled coefficient leaves at once, keeping the key order of
             # term-by-term HomPoly addition (it fixes eval's f64 summation order)
@@ -488,23 +532,56 @@ class SymForm:
                 clean[t] = v
         object.__setattr__(self, "entries", clean)
 
+    @cached_property
+    def _int_entries(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """(E, {t: v*E}) for a rational form, E the least common denominator
+        of its entries."""
+        den = math.lcm(*[v.denominator for v in self.entries.values()])
+        return den, {t: v.numerator * (den // v.denominator) for t, v in self.entries.items()}
+
     def apply(self, args: Sequence[Sequence]) -> Scalar:
-        """Evaluate on arity-many vectors."""
+        """Evaluate on arity-many vectors: each entry times the sum, over the
+        distinct orderings of its index tuple, of the product of the
+        argument coordinates."""
         if len(args) != self.arity:
             raise DimensionError(f"expected {self.arity} vectors, got {len(args)}")
         for v in args:
             if len(v) != self.domain_dim:
                 raise DimensionError("argument vector has wrong length")
+        if self.field == RATIONAL:
+            # with vector j = X_j / r_j and entry t = e_t / E the value is
+            # sum_t e_t S_t(X) / (E prod r_j)
+            cleared = [_cleared(v) for v in args]
+            if None not in cleared:
+                den, entries = self._int_entries
+                den *= math.prod(r for r, _ in cleared)
+                rows = [X for _, X in cleared]
+                total = 0
+                for t, e in entries.items():
+                    s = 0
+                    for order in _orderings(t):
+                        prod = 1
+                        for X, i in zip(rows, order):
+                            prod *= X[i]
+                        s += prod
+                    total += e * s
+                return Fraction(total, den)
         total = _coerce(0, self.field)
         for t, val in self.entries.items():
             s = _coerce(0, self.field)
-            for order in sorted(set(itertools.permutations(t))):
+            for order in _orderings(t):
                 prod = 1
                 for j, idx in enumerate(order):
                     prod = prod * args[j][idx]
                 s += prod
             total += val * s
         return total
+
+
+@lru_cache(maxsize=1024)
+def _orderings(t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of an index tuple, in sorted order."""
+    return tuple(sorted(set(itertools.permutations(t))))
 
 
 def polarize(p: HomPoly) -> SymForm:

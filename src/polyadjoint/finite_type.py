@@ -81,8 +81,9 @@ def finite_rank_rep(P: PolyMap) -> FiniteRankRep:
     # the pivot basis: column c = sum_j a[j][c] * vectors[j]
     scalars = []
     for j in range(len(pivots)):
+        # rref's rows hold Fractions, and the basis is P's own
         coeffs = {basis[c]: a[j][c] for c in range(ncols) if a[j][c] != 0}
-        scalars.append(HomPoly(P.domain_dim, P.degree, coeffs, P.field))
+        scalars.append(HomPoly._trusted(P.domain_dim, P.degree, coeffs, RATIONAL))
     return FiniteRankRep(P.domain_dim, e, P.degree, P.field, tuple(scalars), vectors)
 
 

@@ -20,9 +20,13 @@ value is picked once.  The heads:
   points of the squared norm on the circle, solved outright by a rational
   parametrization and companion-matrix root-finding, so the pick is the
   global maximum to near machine precision;
-* other maps of three or more variables ("sobol+gradient-ascent"): a random
-  sample floor of normalized standard-normal vectors, which are uniform on
-  the sphere.
+* other maps of three or more variables, and two-variable maps whose
+  nonzero coefficients span more than MAX_CIRCLE_SPREAD binary orders of
+  magnitude ("sobol+gradient-ascent"): a random sample floor of normalized
+  standard-normal vectors, which are uniform on the sphere.  The spread is
+  read from the coefficients before any circle work: over such a range the
+  critical polynomial's small coefficients are lost against its large ones,
+  and its roots miss the maximum or overflow.
 
 Two methods add a step after the pick.  The circle pass is cross-checked by
 a few hundred random circle points, none of which may beat it, so a
@@ -102,6 +106,11 @@ CLOSED_FORM_SLACK = 2.0 ** -40
 # sup_norm measures a map at unit scale when the binary exponent of its
 # largest coefficient (math.frexp) exceeds this in absolute value
 MAX_SCALE_EXP = 256
+# a two-variable map whose nonzero coefficients span more binary orders of
+# magnitude than this takes the search instead of the circle pass: the
+# critical polynomial's small coefficients are lost against its large ones,
+# so its roots miss the maximum or come back as infinities and NaNs
+MAX_CIRCLE_SPREAD = 200
 # random test polynomials check_adjoint_norm tries on the upper side
 ADJOINT_Q_TRIALS = 64
 
@@ -109,7 +118,8 @@ ADJOINT_Q_TRIALS = 64
 @dataclass(frozen=True)
 class NormConfig:
     """``samples`` and ``restarts`` size the sample floor and the ascent,
-    which only sup norms on three or more variables run."""
+    which only the search of sup_norm runs (three or more variables, or
+    two over a wide coefficient range)."""
 
     restarts: int = 64
     samples: int = 1 << 14
@@ -274,6 +284,13 @@ def _circle_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
     scale = np.ldexp(1.0, np.array([a2 for _, a2 in basis]))[:, None]
     rows.flags.writeable = scale.flags.writeable = False
     return rows, scale
+
+
+def _exponent_spread(P: PolyMap) -> int:
+    """Binary orders of magnitude between the largest and the smallest
+    nonzero coefficient of P (0 for the zero map)."""
+    exps = [math.frexp(c)[1] for comp in P.components for c in comp.coeffs.values()]
+    return max(exps) - min(exps) if exps else 0
 
 
 def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
@@ -444,8 +461,9 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     Requires the f64 field.  The method's head of candidate points, then
     +-e_i and ``extra_starts`` (known good points, projected to the sphere
     first), are evaluated together and the best is picked once; see the
-    module docstring for the heads.  Only the search on three or more
-    variables iterates: ``cfg.samples`` and ``cfg.restarts`` size it, and
+    module docstring for the heads.  Only the search (three or more
+    variables, or two over a wide coefficient range) iterates:
+    ``cfg.samples`` and ``cfg.restarts`` size it, and
     ``(samples + 2d)`` times the monomial count may not exceed
     MAX_SAMPLE_ENTRIES (CapacityError).  Every other method reports
     ``iterations == 0``.  Only the closed form (linear maps and scalar
@@ -462,10 +480,12 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     d, m = P.domain_dim, P.degree
     # a linear map or a scalar quadratic form
     closed_form = 2 <= d <= MAX_CLOSED_FORM_DIM and (m == 1 or (m == 2 and P.codomain_dim == 1))
+    search = not closed_form and (
+        d > 2 or (d == 2 and _exponent_spread(P) > MAX_CIRCLE_SPREAD))
     points = cfg.samples + 2 * d
     # checked before the compiled map, whose exponent and derivative tables
     # alone grow with d times the monomial count
-    if d > 2 and not closed_form and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
+    if search and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
         raise CapacityError(
             f"{points} sphere points times C({d + m - 1}, {m}) monomials "
             f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
@@ -486,7 +506,7 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
         method, head = "endpoint-enumeration", np.empty((0, 1))
     elif closed_form:
         method, head = "closed-form", _top_eigenvector(cm)[None, :]
-    elif d == 2:
+    elif not search:
         # the circle pass is exhaustive (t = infinity is +-e_1), so its
         # best point is the maximum
         method, head = "circle-critical-points", _circle_critical_points(cm)

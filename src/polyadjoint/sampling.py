@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import F64, RATIONAL, HomPoly, PolyMap, enumerate_multi_indices
+from .algebra import F64, RATIONAL, HomPoly, PolyMap, _built, enumerate_multi_indices
 from .linearization import rref
 
 
@@ -47,17 +47,19 @@ def random_nonzero_point(r: random.Random, d: int) -> tuple[Fraction, ...]:
 
 def random_hompoly(r: random.Random, d: int, m: int) -> HomPoly:
     """Random rational polynomial, each term kept with probability 0.9; at
-    least one term is always kept."""
+    least one term is always kept.  Each kept term is a random_fraction,
+    drawn as its integer numerator over 12 = lcm(1, ..., 4), so the result
+    is built from its integer form without a Fraction per term."""
     basis = enumerate_multi_indices(d, m)
-    coeffs = {}
+    nums = {}
     for alpha in basis:
         if r.random() < 0.9:
-            c = random_fraction(r)
-            if c != 0:
-                coeffs[alpha] = c
-    if not coeffs:
-        coeffs[basis[r.randrange(len(basis))]] = Fraction(1)
-    return HomPoly(d, m, coeffs, RATIONAL)
+            num, den = r.randint(-9, 9), r.randint(1, 4)
+            if num:
+                nums[alpha] = num * (12 // den)
+    if not nums:
+        nums[basis[r.randrange(len(basis))]] = 12
+    return _built(d, m, nums, RATIONAL, 12)
 
 
 def random_polymap(r: random.Random, d: int, e: int, m: int) -> PolyMap:

@@ -171,10 +171,20 @@ def _scalar_from_json(v, field: str):
     return _finite_f64(v)
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """"n/d" of num / den (den > 0) in lowest terms, as a Fraction prints it."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def hompoly_to_obj(p: HomPoly) -> list[dict]:
-    # reverse tuple order is the canonical descending-lex order
-    return [{"alpha": list(alpha), "value": _scalar_to_json(p.coeffs[alpha], p.field)}
-            for alpha in sorted(p.coeffs, reverse=True)]
+    # rational terms are written from the integer form (D, {alpha: n}) as
+    # n/D in lowest terms, so no Fraction view is built; reverse tuple order
+    # is the canonical descending-lex order
+    den, nums = p._terms
+    text = (lambda n: _ratio_text(n, den)) if p.field == RATIONAL else float
+    return [{"alpha": list(alpha), "value": text(nums[alpha])}
+            for alpha in sorted(nums, reverse=True)]
 
 
 def polymap_to_obj(P: PolyMap) -> dict:

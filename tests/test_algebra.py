@@ -6,8 +6,11 @@ hand-computed value.
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import resource
 import subprocess
 import sys
@@ -30,7 +33,7 @@ from polyadjoint import (
     polarize,
 )
 from polyadjoint.errors import CapacityError, DegreeError, DimensionError, FieldError
-from polyadjoint import sampling
+from polyadjoint import algebra, sampling
 
 
 def brute_force_indices(d: int, m: int) -> list[tuple[int, ...]]:
@@ -492,3 +495,52 @@ def test_compose_scalar_keeps_term_by_term_order(field):
     result = compose_scalar(q, P)
     assert list(result.coeffs) == [(0, 2), (2, 0)]
     _assert_built_like_validated(result, _plain_compose(q, P))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ring_instances(), st.sampled_from((RATIONAL, F64)), st.integers(0, 2 ** 32))
+def test_stored_form_behaves_like_its_validated_copy(instance, field, seed):
+    # a result holds its integer form and builds the coeffs view on first
+    # read; copies and pickles taken before that read, and the view itself,
+    # must be indistinguishable from the re-validated polynomial
+    p, q, s, P, Q, n, _ = instance
+    p, q, s, P = p.as_field(field), q.as_field(field), s.as_field(field), P.as_field(field)
+    c = Fraction(-7, 3) if field == RATIONAL else -2.5
+    results = [p + q, p * q, p ** n, p.scale(c), compose_scalar(s, P),
+               sampling.random_hompoly(sampling.rng(seed, "stored-form"), p.domain_dim, p.degree)]
+    for result in results:
+        int_form = result._int_form
+        early = [copy.deepcopy(result), pickle.loads(pickle.dumps(result))]
+        validated = HomPoly(result.domain_dim, result.degree, dict(result.coeffs), result.field)
+        assert int_form == validated._int_form
+        assert result == validated and validated == result
+        for other in [result, *early, copy.deepcopy(validated),
+                      pickle.loads(pickle.dumps(validated))]:
+            assert other == validated
+            assert repr(other) == repr(validated)
+            assert dataclasses.asdict(other) == dataclasses.asdict(validated)
+            assert list(other.coeffs) == list(validated.coeffs)
+            assert other._int_form == validated._int_form
+
+
+def test_composed_power_builds_one_fraction_for_its_value(monkeypatch):
+    # a product that is only compared and evaluated never builds its
+    # Fraction view: the value at a rational point is the one Fraction made
+    r = sampling.rng(7, "one-fraction")
+    P = sampling.random_polymap(r, 2, 3, 2)
+    q = sampling.random_hompoly(r, 3, 2)
+    x = sampling.random_point(r, 2)
+    expected = _plain_eval(q, [_plain_eval(c, x) for c in P.components]) ** 2
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(algebra, "Fraction", counting)
+    g = compose_scalar(q, P) ** 2
+    assert g == compose_scalar(q, P) ** 2
+    value = g.eval(x)
+    monkeypatch.undo()
+    assert len(made) <= 1
+    assert value == expected

@@ -14,6 +14,7 @@ import tempfile
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,24 @@ def test_norm_sup_at_extreme_coefficient_scales(tmp_path, d, c):
     assert cli.main(["norm", str(src), "--claim", "sup", "--out", str(out)]) == 0
     value = json.loads(out.read_text())["value"]
     assert abs(value / (c * 2.0 ** 0.5) - 1.0) < 1e-12
+
+
+def test_norm_sup_on_a_wide_range_two_variable_map(tmp_path):
+    # coefficients from about 1e-150 to 1e148: the circle pass used to end
+    # this in an AssertionError traceback (exit 1)
+    rng = np.random.default_rng(1)
+    basis = enumerate_multi_indices(2, 12)
+    P = PolyMap(tuple(
+        HomPoly(2, 12, dict(zip(basis, map(float, rng.standard_normal(len(basis))
+                                           * 10.0 ** rng.integers(-150, 150, len(basis))))), F64)
+        for _ in range(3)))
+    src = tmp_path / "map.json"
+    src.write_text(polymap_dumps(P))
+    proc = run_cli("norm", str(src), "--claim", "sup")
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["method"] == "sobol+gradient-ascent"
+    assert obj["value"] > 0
 
 
 def test_norm_delta_subcommand(tmp_path):

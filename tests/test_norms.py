@@ -359,6 +359,47 @@ def test_sup_norm_far_from_unit_scale_is_exact():
         assert est.maximizer == base.maximizer
 
 
+def wide_range_map(seed: int) -> PolyMap:
+    """A d=2, m=12, e=3 map whose coefficients span about 10^+-150."""
+    rng = np.random.default_rng(seed)
+    basis = enumerate_multi_indices(2, 12)
+    return PolyMap(tuple(
+        HomPoly(2, 12, dict(zip(basis, map(float, rng.standard_normal(len(basis))
+                                           * 10.0 ** rng.integers(-150, 150, len(basis))))), F64)
+        for _ in range(3)))
+
+
+def circle_scan(P: PolyMap, points: int) -> float:
+    """max |P| over equally spaced points of the unit circle."""
+    theta = np.linspace(0.0, 2.0 * np.pi, points)
+    c, s = np.cos(theta), np.sin(theta)
+    squares = np.zeros(points)
+    for comp in P.components:
+        v = np.zeros(points)
+        for (a1, a2), x in comp.coeffs.items():
+            v += x * c ** a1 * s ** a2
+        squares += v * v
+    return float(np.sqrt(squares.max()))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 40])
+def test_wide_range_two_variable_maps_take_the_search(seed):
+    # the circle pass loses the critical polynomial's small coefficients
+    # against its large ones: it missed the maximum (seeds 1, 2) or handed
+    # infinities to the root-finder (seed 40); the spread routes such maps
+    # to the search, whose value is an evaluation at least as high as a
+    # dense circle scan (which can undershoot a sharp peak by about 1e-9)
+    P = wide_range_map(seed)
+    assert norms._exponent_spread(P) > norms.MAX_CIRCLE_SPREAD
+    est = sup_norm(P)
+    assert est.method == "sobol+gradient-ascent"
+    x = tuple(est.maximizer)
+    assert abs(math.hypot(*x) - 1.0) <= 1e-12
+    assert math.isclose(math.hypot(*P.eval_map(x)), est.value, rel_tol=1e-12)
+    scan = circle_scan(P, 200_001)
+    assert scan * (1.0 - 1e-12) <= est.value <= scan * (1.0 + 1e-6)
+
+
 def test_sup_norm_past_the_largest_double_raises():
     # (c x, c x) has norm c sqrt(2), which no double holds for c = 1.5e308
     P = PolyMap((HomPoly(1, 1, {(1,): 1.5e308}, F64),) * 2)

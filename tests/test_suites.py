@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +147,25 @@ def _doubled_product_coefficient(mul):
     return faulty
 
 
+def _view_off_by_one(getattr_):
+    # the Fraction view of a stored integer form, one numerator too large
+    def faulty(self, name):
+        coeffs = getattr_(self, name)
+        if coeffs:
+            den, nums = self._terms
+            first = next(iter(nums))
+            coeffs[first] = Fraction(nums[first] + 1, den)
+        return coeffs
+    return faulty
+
+
+def _one_ordering_skipped(orderings):
+    def faulty(t):
+        out = orderings(t)
+        return out[:-1] if len(out) > 1 else out
+    return faulty
+
+
 def _last_pivot_dropped(rref):
     def faulty(rows, ncols):
         reduced, pivots = rref(rows, ncols)
@@ -173,6 +193,31 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_finite_type": "fail",
         "claim_inverse_identity": "fail",
         "claim_factorizations": "fail",
+    }
+
+    # a wrong coeffs view reaches every claim that reads coefficients one by
+    # one (coefficient vectors, matrices, polarization) while the kernel
+    # reads the integer form
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra.HomPoly, "__getattr__",
+                      _view_off_by_one(algebra.HomPoly.__getattr__))
+        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+    assert caught == {
+        "claim_diagram_identity": "fail",
+        "claim_additivity_formula": "fail",
+        "claim_linearization_transpose": "fail",
+        "claim_finite_type": "fail",
+        "claim_inverse_identity": "fail",
+    }
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_orderings", _one_ordering_skipped(algebra._orderings))
+        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+    # only the polarization side of additivity and the finite-type psi
+    # evaluate the symmetric form
+    assert caught == {
+        "claim_additivity_formula": "fail",
+        "claim_finite_type": "fail",
     }
 
     # the sampler keeps the true rref: random_invertible_matrix retries until
