@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
+    F64,
     RATIONAL,
     HomPoly,
     MultiIndex,
@@ -92,12 +93,8 @@ class MaterializedAdjoint:
         if q.field != self.polymap.field:
             raise FieldError("mixed-field adjoint application")
         values = self.polymap.eval_map(q.coeff_vector())
-        # the values of the package's own map at a point of its field are of
-        # that field, so only the zeros need dropping
-        return HomPoly._trusted(self.source_domain_dim,
-                                self.source_degree * self.n * self.k,
-                                {g: v for g, v in zip(self.codomain_basis, values) if v},
-                                q.field)
+        return HomPoly(self.source_domain_dim, self.source_degree * self.n * self.k,
+                       dict(zip(self.codomain_basis, values)), q.field)
 
 
 def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
@@ -150,8 +147,8 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     basis = enumerate_multi_indices(len(x), n)
     # a rational point x = X / r puts every coefficient over r^(nm), so the
     # numerators are built on X and the result from its integer form
-    cleared = _cleared(x) if field == RATIONAL else None
-    xpow = [_eval_monomial(beta, x if cleared is None else cleared[1]) for beta in basis]
+    r, X = _cleared(x, field)
+    xpow = [_eval_monomial(beta, X) for beta in basis]
     coeffs: dict[MultiIndex, Scalar] = {}
     for mu in enumerate_multi_indices(len(basis), m):
         v = multinomial(m, mu)
@@ -159,9 +156,9 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
             if mj:
                 v = v * xpow[j] ** mj
         coeffs[mu] = v
-    if cleared is None:
-        return HomPoly(len(basis), m, coeffs, field)
-    return _built(len(basis), m, coeffs, RATIONAL, cleared[0] ** (n * m))
+    if field == F64:
+        return HomPoly(len(basis), m, coeffs, F64)
+    return _built(len(basis), m, coeffs, RATIONAL, r ** (n * m))
 
 
 def composition_identity_defect(P: PolyMap, Q: PolyMap, n: int, k: int, s: int,

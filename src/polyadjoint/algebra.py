@@ -9,19 +9,19 @@ field tag and `float` under "f64"; the tag travels with every object and
 mixed-field operations are rejected.  Zero coefficients are dropped on
 construction, so equality of the dicts is equality of polynomials.
 
-A rational polynomial is stored as its integer form: the least common
-denominator D of its coefficients and a dict of the integer numerators c*D.
-``coeffs``, the dict of Fractions, is a view of that form, built on first
-read and then cached on the instance.  Sums, products, scaling,
-composition, evaluation at a rational point, ``is_zero`` and ``==`` read
-the integer form, so a product that is only composed, evaluated, compared
-or folded into a defect never builds a Fraction.  The form is canonical
+Every polynomial holds its integer form ``_terms = (D, {alpha: c*D})``, D
+the least common denominator of its coefficients; the form is canonical
 (zeros dropped, D least), so equal forms are equal polynomials.  An f64
-polynomial keeps its float dict as ``coeffs``, and its integer form is
-D = 1 over that same dict, so sums, products and composition share one
-code path across the fields.  Results that the algebra builds from
-validated operands skip re-validation; the public ``HomPoly(...)`` checks
-every index and coefficient.
+polynomial has D = 1 and its float coefficients as the numerators.  Sums,
+products, scaling, composition, evaluation, ``is_zero`` and ``==`` read the
+integer form alone, with one code path for both fields.  ``coeffs`` is a
+view of that form: for rational, the dict of Fractions, built on first read
+and then cached, so a product that is only composed, evaluated, compared
+or folded into a defect never builds a Fraction; for f64, the same dict as
+the numerators.  There are two constructors: the public ``HomPoly(...)``
+checks every index and coefficient (an f64 one must be a finite double),
+and ``_built`` stores what the algebra computes from validated operands
+without re-checking it.
 
 The canonical basis order everywhere is descending lexicographic on the
 exponent tuples — e.g. for d=2, m=2: (2,0), (1,1), (0,2) — and the
@@ -65,7 +65,7 @@ def _coerce(value, field: str) -> Scalar:
             raise FieldError("float coefficient given for the rational field")
         return Fraction(value)
     if field == F64:
-        return float(value)
+        return _finite_f64(value)
     raise FieldError(f"unknown field {field!r}")
 
 
@@ -152,13 +152,24 @@ def _eval_monomial(alpha: MultiIndex, x: Sequence):
     return v
 
 
-def _cleared(x: Sequence) -> tuple[int, list[int]] | None:
-    """(r, X) with x = X / r, r the least common denominator, for a point of
-    ints and Fractions; None for any other point."""
+def _common_denominator(values: Iterable) -> tuple[int, list[int]]:
+    """(D, [v*D for v in values]) with D the least common denominator of
+    ints, Fractions or finite doubles; the products are exact integers."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in ratios])
+    return den, [p * (den // q) for p, q in ratios]
+
+
+def _cleared(x: Sequence, field: str) -> tuple[int, Sequence]:
+    """(r, X) with x = X / r.  On the rational field r is the least common
+    denominator of the point and X its integer numerators, and a float in
+    the point raises FieldError, as does anything else that is not an int
+    or a Fraction; on f64 the point is left as it is (r = 1)."""
+    if field == F64:
+        return 1, x
     if not all(isinstance(v, _RATIONALS) for v in x):
-        return None
-    r = math.lcm(*[v.denominator for v in x])
-    return r, [v.numerator * (r // v.denominator) for v in x]
+        raise FieldError("the rational field takes points of ints and Fractions only")
+    return _common_denominator(x)
 
 
 def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
@@ -166,18 +177,20 @@ def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
     """The polynomial with coefficients values[alpha] / den, zeros dropped in
     place, built without re-validation.  Rational values are integer
     numerators: dividing out the gcd of den and every numerator leaves the
-    least common denominator, and the result stores that integer form alone;
-    its ``coeffs`` view is built only if something reads it.  f64 values are
-    the coefficients themselves (den = 1)."""
+    least common denominator, and the result stores that integer form; its
+    ``coeffs`` view is built only if something reads it.  f64 values are
+    the coefficients themselves (den = 1), stored as both the numerators
+    and ``coeffs``."""
     nums = {a: v for a, v in values.items() if v != 0}
-    if field == F64:
-        return HomPoly._trusted(d, m, nums, F64)
-    g = math.gcd(den, *nums.values())
-    if g > 1:
-        den //= g
-        nums = {a: v // g for a, v in nums.items()}
     self = object.__new__(HomPoly)
-    self.__dict__.update(domain_dim=d, degree=m, field=RATIONAL, _terms=(den, nums))
+    if field == F64:
+        self.__dict__["coeffs"] = nums
+    else:
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {a: v // g for a, v in nums.items()}
+    self.__dict__.update(domain_dim=d, degree=m, field=field, _terms=(den, nums))
     return self
 
 
@@ -207,20 +220,16 @@ class HomPoly:
             if c != 0:
                 clean[alpha] = c
         object.__setattr__(self, "coeffs", clean)
-
-    @classmethod
-    def _trusted(cls, d: int, m: int, coeffs: dict[MultiIndex, Scalar],
-                 field: str) -> HomPoly:
-        """A polynomial from data the package built itself: tuple keys of
-        degree m on R^d and nonzero coefficients of the field's type, so
-        nothing is re-checked.  Its integer form is derived on first use."""
-        self = object.__new__(cls)
-        self.__dict__.update(domain_dim=d, degree=m, coeffs=coeffs, field=field)
-        return self
+        if self.field == F64:
+            terms = 1, clean
+        else:
+            den, nums = _common_denominator(clean.values())
+            terms = den, dict(zip(clean, nums))
+        object.__setattr__(self, "_terms", terms)
 
     def __getattr__(self, name: str):
-        # only the coeffs view of a rational result of _built can be missing:
-        # it is built here from the stored integer form, once
+        """Build the ``coeffs`` view of a rational result of ``_built``, the
+        one attribute that can be missing, from its integer form, once."""
         terms = self.__dict__.get("_terms")
         if name != "coeffs" or terms is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -228,18 +237,6 @@ class HomPoly:
         coeffs = {a: Fraction(v, den) for a, v in nums.items()}
         self.__dict__["coeffs"] = coeffs
         return coeffs
-
-    @cached_property
-    def _terms(self) -> tuple[int, dict[MultiIndex, int | float]]:
-        """The integer form (D, {alpha: c*D}), D the least common denominator
-        of the coefficients.  An f64 polynomial has D = 1 and its own float
-        dict as the "numerators", so sums, products and compositions take
-        one path for both fields: the only extra float operation is a
-        product with the int 1, which is exact."""
-        if self.field == F64:
-            return 1, self.coeffs
-        den = math.lcm(*[c.denominator for c in self.coeffs.values()])
-        return den, {a: c.numerator * (den // c.denominator) for a, c in self.coeffs.items()}
 
     @property
     def _int_form(self) -> tuple[int, list[int | float]]:
@@ -293,10 +290,9 @@ class HomPoly:
 
     def max_abs(self) -> Scalar:
         """Largest absolute coefficient; the field's zero for the zero polynomial."""
-        if self.field == F64:
-            return max(map(abs, self.coeffs.values()), default=0.0)
         den, nums = self._terms
-        return Fraction(max(map(abs, nums.values()), default=0), den)
+        top = max(map(abs, nums.values()), default=0)
+        return float(top) if self.field == F64 else Fraction(top, den)
 
     def coeff_vector(self) -> list[Scalar]:
         """Coefficients in canonical (descending lex) basis order."""
@@ -306,17 +302,16 @@ class HomPoly:
     def eval(self, x: Sequence) -> Scalar:
         if len(x) != self.domain_dim:
             raise DimensionError(f"point has length {len(x)}, expected {self.domain_dim}")
-        cleared = _cleared(x) if self.field == RATIONAL else None
-        if cleared is not None:
-            # homogeneity: with x = X/r, p(x) = sum n_alpha X^alpha / (D r^m)
-            den, nums = self._terms
-            r, X = cleared
-            total = sum(n * _eval_monomial(a, X) for a, n in nums.items())
-            return Fraction(total, den * r ** self.degree)
-        total = _coerce(0, self.field)
-        for alpha, c in self.coeffs.items():
-            total += c * _eval_monomial(alpha, x)
-        return total
+        # homogeneity: with x = X/r, p(x) = sum n_alpha X^alpha / (D r^m)
+        den, nums = self._terms
+        r, X = _cleared(x, self.field)
+        # a plain loop: sum() compensates float rounding from Python 3.12 on
+        total = 0
+        for alpha, n in nums.items():
+            total += n * _eval_monomial(alpha, X)
+        if self.field == F64:
+            return float(total)
+        return Fraction(total, den * r ** self.degree)
 
     # -- arithmetic ---------------------------------------------------
     def _require_same_shape(self, other: HomPoly) -> None:
@@ -345,13 +340,10 @@ class HomPoly:
 
     def scale(self, c) -> HomPoly:
         c = _coerce(c, self.field)
-        if self.field == RATIONAL:
-            den, nums = self._terms
-            return _built(self.domain_dim, self.degree,
-                          {a: c.numerator * v for a, v in nums.items()},
-                          RATIONAL, den * c.denominator)
-        return _built(self.domain_dim, self.degree,
-                      {a: c * v for a, v in self.coeffs.items()}, F64)
+        num, cden = (c, 1) if self.field == F64 else c.as_integer_ratio()
+        den, nums = self._terms
+        return _built(self.domain_dim, self.degree, {a: num * v for a, v in nums.items()},
+                      self.field, den * cden)
 
     def __mul__(self, other: HomPoly) -> HomPoly:
         """Pointwise product; degrees add.  The integer numerators are
@@ -378,11 +370,10 @@ class HomPoly:
         _check_field(field)
         if field == self.field:
             return self
-        if field == F64:
-            return HomPoly(self.domain_dim, self.degree,
-                           {a: _finite_f64(c) for a, c in self.coeffs.items()}, F64)
-        return HomPoly(self.domain_dim, self.degree,
-                       {a: Fraction(c) for a, c in self.coeffs.items()}, RATIONAL)
+        # the f64 constructor refuses a rational coefficient beyond the
+        # double range; the rational one takes floats only as Fractions
+        coeffs = self.coeffs if field == F64 else {a: Fraction(c) for a, c in self.coeffs.items()}
+        return HomPoly(self.domain_dim, self.degree, coeffs, field)
 
 
 @dataclass(frozen=True)
@@ -533,11 +524,13 @@ class SymForm:
         object.__setattr__(self, "entries", clean)
 
     @cached_property
-    def _int_entries(self) -> tuple[int, dict[tuple[int, ...], int]]:
-        """(E, {t: v*E}) for a rational form, E the least common denominator
-        of its entries."""
-        den = math.lcm(*[v.denominator for v in self.entries.values()])
-        return den, {t: v.numerator * (den // v.denominator) for t, v in self.entries.items()}
+    def _int_entries(self) -> tuple[int, dict[tuple[int, ...], int | float]]:
+        """(E, {t: v*E}), E the least common denominator of the entries;
+        an f64 form has E = 1 and its own entries."""
+        if self.field == F64:
+            return 1, self.entries
+        den, nums = _common_denominator(self.entries.values())
+        return den, dict(zip(self.entries, nums))
 
     def apply(self, args: Sequence[Sequence]) -> Scalar:
         """Evaluate on arity-many vectors: each entry times the sum, over the
@@ -548,34 +541,25 @@ class SymForm:
         for v in args:
             if len(v) != self.domain_dim:
                 raise DimensionError("argument vector has wrong length")
-        if self.field == RATIONAL:
-            # with vector j = X_j / r_j and entry t = e_t / E the value is
-            # sum_t e_t S_t(X) / (E prod r_j)
-            cleared = [_cleared(v) for v in args]
-            if None not in cleared:
-                den, entries = self._int_entries
-                den *= math.prod(r for r, _ in cleared)
-                rows = [X for _, X in cleared]
-                total = 0
-                for t, e in entries.items():
-                    s = 0
-                    for order in _orderings(t):
-                        prod = 1
-                        for X, i in zip(rows, order):
-                            prod *= X[i]
-                        s += prod
-                    total += e * s
-                return Fraction(total, den)
-        total = _coerce(0, self.field)
-        for t, val in self.entries.items():
-            s = _coerce(0, self.field)
+        # with vector j = X_j / r_j and entry t = e_t / E the value is
+        # sum_t e_t S_t(X) / (E prod r_j); an f64 sum S_t starts from 0.0,
+        # so a sum of exact Fraction or int products rounds term by term
+        cleared = [_cleared(v, self.field) for v in args]
+        den, entries = self._int_entries
+        rows = [X for _, X in cleared]
+        start = 0.0 if self.field == F64 else 0
+        total = 0
+        for t, e in entries.items():
+            s = start
             for order in _orderings(t):
                 prod = 1
-                for j, idx in enumerate(order):
-                    prod = prod * args[j][idx]
+                for X, i in zip(rows, order):
+                    prod *= X[i]
                 s += prod
-            total += val * s
-        return total
+            total += e * s
+        if self.field == F64:
+            return float(total)
+        return Fraction(total, den * math.prod(r for r, _ in cleared))
 
 
 @lru_cache(maxsize=1024)
@@ -595,7 +579,7 @@ def polarize(p: HomPoly) -> SymForm:
     for alpha, c in p.coeffs.items():
         t = tuple(i for i, a in enumerate(alpha) for _ in range(a))
         w = multinomial(p.degree, alpha)
-        entries[t] = c / w if p.field == RATIONAL else c / float(w)
+        entries[t] = c / w
     return SymForm(p.domain_dim, p.degree, entries, p.field)
 
 

@@ -32,6 +32,7 @@ from .algebra import (
     HomPoly,
     PolyMap,
     Scalar,
+    _common_denominator,
     _eval_monomial,
     compose_scalar,
     enumerate_multi_indices,
@@ -61,8 +62,7 @@ def _eliminate(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], l
     first, and the pivot columns."""
     a: list[list[int]] = []
     for r in rows:
-        den = math.lcm(*[v.denominator for v in r])
-        ints = [v.numerator * (den // v.denominator) for v in r]
+        _, ints = _common_denominator(r)
         g = math.gcd(*ints) or 1
         a.append([v // g for v in ints])
     pivots: list[int] = []

@@ -76,6 +76,7 @@ from .algebra import (
     HomPoly,
     PolyMap,
     _basis_size_exceeds,
+    _common_denominator,
     compose_scalar,
     enumerate_multi_indices,
 )
@@ -402,14 +403,6 @@ def _top_eigenvector(cm: _CompiledMap) -> np.ndarray:
     return V[:, int(w.argmax())]
 
 
-def _dyadic_integers(values: Sequence[float]) -> list[int]:
-    """Integers n_i with values[i] = n_i / 2^D for one D; every finite
-    double is a dyadic rational, so this is exact."""
-    ratios = [v.as_integer_ratio() for v in values]
-    D = max(q.bit_length() for _, q in ratios)
-    return [p << (D - q.bit_length()) for p, q in ratios]
-
-
 def _positive_definite(W: list[list[int]]) -> bool:
     """Whether the symmetric integer matrix W is positive definite.
 
@@ -432,13 +425,14 @@ def _proves_upper(coeffs: np.ndarray, d: int, m: int, u: float) -> bool:
     """Exact proof that the linear map (m = 1) or quadratic form (m = 2,
     one row) on d variables with these coefficients has sup norm below u.
 
-    With every number over one power-of-two denominator: for A, u^2 I - A^T A
+    With every number over the least common denominator of the doubles, a
+    power of two, so the numerators are exact integers: for A, u^2 I - A^T A
     is positive definite, tested on the smaller Gram matrix (A A^T has the
     same nonzero eigenvalues); for the form, writing N for the integer
     matrix of 2M, both 2u I - N and 2u I + N are.
     """
     e = coeffs.shape[0]
-    *ints, a = _dyadic_integers(coeffs.ravel().tolist() + [u])
+    _, (*ints, a) = _common_denominator(coeffs.ravel().tolist() + [u])
     if m == 1:
         A = [ints[r * d:(r + 1) * d] for r in range(e)]
         if e >= d:
@@ -619,6 +613,27 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> R
                   {"attaining_sup_norm": qn.value, "degree": m})
 
 
+def _upper_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
+                  cfg: NormConfig, rel_lower: float,
+                  ratio) -> tuple[float, int, float, bool]:
+    """The upper side of a norm identity: ``ratio`` on q_trials random
+    degree-k polynomials on R^d, each scaled to sup norm one (those below
+    1e-12 are skipped).  Returns the worst ratio, how many q were tested,
+    and the relative error and verdict of the bracket with ``rel_lower``."""
+    worst_ratio = 0.0
+    tested = 0
+    for _ in range(q_trials):
+        q = _random_hompoly_f64(rng, d, k)
+        qn = sup_norm(q, cfg).value
+        if qn < 1e-12:
+            continue
+        tested += 1
+        worst_ratio = max(worst_ratio, ratio(q.scale(1.0 / qn)))
+    passed = rel_lower <= cfg.tol and worst_ratio <= 1.0 + cfg.tol
+    rel = max(rel_lower, max(0.0, worst_ratio - 1.0))
+    return worst_ratio, tested, rel, passed
+
+
 def check_adjoint_norm(P: PolyMap, n: int, k: int,
                        cfg: NormConfig = NormConfig(),
                        q_trials: int = ADJOINT_Q_TRIALS) -> Report:
@@ -637,18 +652,9 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
                      extra_starts=[est.maximizer]).value
     rel_lower = abs(lower / target - 1.0)
     rng = _np_rng(cfg.seed, f"adjoint-norm-q-{n}-{k}")
-    worst_ratio = 0.0
-    tested = 0
-    for _ in range(q_trials):
-        q = _random_hompoly_f64(rng, P.codomain_dim, k)
-        qn = sup_norm(q, cfg).value
-        if qn < 1e-12:
-            continue
-        tested += 1
-        val = sup_norm(adjoint_apply(P, n, k, q.scale(1.0 / qn)), cfg).value
-        worst_ratio = max(worst_ratio, val / target)
-    passed = rel_lower <= cfg.tol and worst_ratio <= 1.0 + cfg.tol
-    rel = max(rel_lower, max(0.0, worst_ratio - 1.0))
+    worst_ratio, tested, rel, passed = _upper_trials(
+        rng, P.codomain_dim, k, q_trials, cfg, rel_lower,
+        lambda q: sup_norm(adjoint_apply(P, n, k, q), cfg).value / target)
     return Report("adjoint_norm", lower, target, rel, cfg.tol, True,
                   cfg.samples, cfg.seed, _elapsed_ms(t0), passed,
                   {"sup_norm_P": est.value, "worst_upper_ratio": worst_ratio,
@@ -674,16 +680,9 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     lower = abs(jp.eval(q_star.coeff_vector()))
     rel_lower = abs(lower / target - 1.0)
     rng = _np_rng(cfg.seed, f"embedding-norm-q-{m}-{n}-{d}")
-    worst_ratio = 0.0
-    for _ in range(q_trials):
-        q = _random_hompoly_f64(rng, d, n)
-        qn = sup_norm(q, cfg).value
-        if qn < 1e-12:
-            continue
-        val = abs(jp.eval(q.scale(1.0 / qn).coeff_vector()))
-        worst_ratio = max(worst_ratio, val / target)
-    passed = rel_lower <= cfg.tol and worst_ratio <= 1.0 + cfg.tol
-    rel = max(rel_lower, max(0.0, worst_ratio - 1.0))
+    worst_ratio, _, rel, passed = _upper_trials(
+        rng, d, n, q_trials, cfg, rel_lower,
+        lambda q: abs(jp.eval(q.coeff_vector())) / target)
     return Report("embedding_norm", lower, target, rel, cfg.tol, True,
                   cfg.samples, cfg.seed, _elapsed_ms(t0), passed,
                   {"worst_upper_ratio": worst_ratio, "m": m, "n": n})

@@ -12,6 +12,7 @@ import itertools
 import math
 import pickle
 import resource
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -544,3 +545,151 @@ def test_composed_power_builds_one_fraction_for_its_value(monkeypatch):
     monkeypatch.undo()
     assert len(made) <= 1
     assert value == expected
+
+
+# -- one integer form for both fields ------------------------------------
+
+def _generic_eval(p: HomPoly, x) -> float:
+    """Reference f64 evaluation on the coefficients themselves: a float
+    total, terms added in coeffs order."""
+    total = 0.0
+    for alpha, c in p.coeffs.items():
+        v = 1
+        for xi, a in zip(x, alpha):
+            if a:
+                v = v * xi ** a
+        total += c * v
+    return total
+
+
+def _generic_apply(form: SymForm, args) -> float:
+    """Reference f64 symmetric-form evaluation on the entries themselves:
+    float sums, over every distinct ordering of each index tuple."""
+    total = 0.0
+    for t, val in form.entries.items():
+        s = 0.0
+        for order in sorted(set(itertools.permutations(t))):
+            prod = 1
+            for j, idx in enumerate(order):
+                prod = prod * args[j][idx]
+            s += prod
+        total += val * s
+    return total
+
+
+def _same_double(got, expected) -> bool:
+    return type(got) is float and struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+_f64_floats = st.one_of(st.floats(-1e3, 1e3, allow_subnormal=True),
+                        st.sampled_from((0.0, -0.0, 5e-324, -5e-324)))
+_f64_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=10 ** 6)
+_f64_coordinates = {
+    "float": _f64_floats,
+    "fraction": _f64_fractions,
+    "mixed": st.one_of(_f64_floats, _f64_fractions, st.integers(-50, 50)),
+}
+
+
+@st.composite
+def f64_operands(draw):
+    """An f64 polynomial or symmetric form, its coefficients scaled by
+    2^-300, 1 or 2^300, and points of floats and signed zeros, of
+    Fractions, or of both mixed with ints; some draws are the zero
+    polynomial or form."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from((2.0 ** -300, 1.0, 2.0 ** 300)))
+    values = st.floats(-1e3, 1e3, allow_subnormal=True).map(lambda v: v * scale)
+    coeffs = draw(st.dictionaries(st.sampled_from(enumerate_multi_indices(d, m)), values,
+                                  max_size=5))
+    tuples = sorted({tuple(sorted(t)) for t in itertools.product(range(d), repeat=m)})
+    entries = draw(st.dictionaries(st.sampled_from(tuples), values, max_size=5))
+    coordinates = _f64_coordinates[draw(st.sampled_from(sorted(_f64_coordinates)))]
+    points = [tuple(draw(st.lists(coordinates, min_size=d, max_size=d))) for _ in range(m)]
+    return HomPoly(d, m, coeffs, F64), SymForm(d, m, entries, F64), points
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(f64_operands())
+def test_f64_eval_and_apply_match_the_generic_loops_bit_for_bit(operands):
+    p, form, points = operands
+    assert _same_double(p.eval(points[0]), _generic_eval(p, points[0]))
+    assert _same_double(form.apply(points), _generic_apply(form, points))
+
+
+def test_f64_zero_polynomial_and_form_evaluate_to_float_zero():
+    for x in [(1.5, -0.0), (Fraction(1, 3), 2)]:
+        assert _same_double(HomPoly.zero(2, 3, F64).eval(x), 0.0)
+        assert _same_double(SymForm(2, 2, {}, F64).apply([x, x]), 0.0)
+
+
+def _dyadic_integers(values: list[float]) -> list[int]:
+    """Reference integers n_i with values[i] = n_i / 2^D for one D, found
+    from the bit lengths of the power-of-two denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = max(q.bit_length() for _, q in ratios)
+    return [p << (D - q.bit_length()) for p, q in ratios]
+
+
+_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from((5e-324, -2.2e-308, 2.0 ** -1000, 2.0 ** 1000, -(2.0 ** -1074), 0.0)),
+)
+
+
+def _assert_least_exact(values, den, nums):
+    assert den >= 1 and len(nums) == len(values)
+    assert all(type(n) is int for n in nums)
+    assert all(Fraction(n, den) == Fraction(v) for n, v in zip(nums, values))
+    # D is least: any smaller common denominator would divide D and every
+    # numerator by a common factor
+    assert math.gcd(den, *nums) == 1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.fractions(), _doubles),
+                max_size=8))
+def test_common_denominator_is_least_and_exact(values):
+    den, nums = algebra._common_denominator(values)
+    _assert_least_exact(values, den, nums)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(_doubles, min_size=1, max_size=8))
+def test_common_denominator_of_doubles_matches_dyadic_integers(values):
+    den, nums = algebra._common_denominator(values)
+    assert den & (den - 1) == 0  # a power of two
+    assert nums == _dyadic_integers(values)
+
+
+def test_common_denominator_named_cases():
+    assert algebra._common_denominator([]) == (1, [])
+    assert algebra._common_denominator([3, -4]) == (1, [3, -4])
+    assert algebra._common_denominator([Fraction(1, 6), Fraction(-3, 4), 2]) == (12, [2, -9, 24])
+    assert algebra._common_denominator([0.5, 0.25]) == (4, [2, 1])
+    for values in ([5e-324, 2.0 ** 1000], [2.0 ** -1000, -(2.0 ** 1000), 3]):
+        _assert_least_exact(values, *algebra._common_denominator(values))
+    assert algebra._common_denominator([5e-324]) == (2 ** 1074, [1])
+
+
+@pytest.mark.parametrize("x", [(0.5, 1), (Fraction(1, 2), 1.0), (0.0, 0.0)])
+def test_rational_evaluation_refuses_float_points(x):
+    p = HomPoly(2, 2, {(2, 0): Fraction(1, 3), (0, 2): 1})
+    with pytest.raises(FieldError):
+        p.eval(x)
+    with pytest.raises(FieldError):
+        PolyMap((p, p)).eval_map(x)
+    with pytest.raises(FieldError):
+        polarize(p).apply([(Fraction(1), 2), x])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_f64_constructors_and_scale_refuse_non_finite_values(bad):
+    with pytest.raises(FieldError):
+        HomPoly(2, 1, {(1, 0): bad, (0, 1): 1.0}, F64)
+    with pytest.raises(FieldError):
+        HomPoly.from_coeff_vector(2, 1, [1.0, bad], F64)
+    with pytest.raises(FieldError):
+        SymForm(2, 2, {(0, 1): bad}, F64)
+    with pytest.raises(FieldError):
+        HomPoly(2, 1, {(1, 0): 1.0}, F64).scale(bad)
