@@ -210,10 +210,10 @@ def inverse_adjoint_defects(u: PolyMap, k: int) -> tuple[LinearMap, LinearMap]:
     if u.domain_dim != u.codomain_dim:
         raise DimensionError("inverse identity needs a square linear map")
     inv = coefficient_matrix(u).inverse()
-    u_inv = PolyMap.from_matrix(inv.entries, u.field)
+    u_inv = PolyMap.from_matrix(inv.entries)
     a = adjoint_matrix(u, k)
     b = adjoint_matrix(u_inv, k)
-    ident = LinearMap.identity(a.rows, u.field)
+    ident = LinearMap.identity(a.rows)
     return (a @ b) - ident, (b @ a) - ident
 
 

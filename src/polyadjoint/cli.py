@@ -23,15 +23,7 @@ import sys
 
 from .algebra import F64, RATIONAL
 from .adjoint import materialize_adjoint
-from .errors import (
-    CapacityError,
-    DegenerateInputError,
-    DegreeError,
-    DimensionError,
-    FieldError,
-    PreconditionError,
-    SearchBudgetError,
-)
+from .errors import CapacityError, DegenerateInputError, SearchBudgetError
 from .finite_type import expand_adjoint, finite_rank_rep
 from .norms import NormConfig, check_adjoint_norm, sup_norm
 from .serialization import (
@@ -43,11 +35,9 @@ from .serialization import (
 )
 from .suites import SuiteConfig, run_all, report_to_json
 
-# ValueError covers a result that overflowed to a non-finite float: the JSON
-# writer refuses it, so it exits 2 instead of being written
-INPUT_ERRORS = (DimensionError, DegreeError, FieldError, PreconditionError,
-                DegenerateInputError, SearchBudgetError, KeyError, TypeError,
-                ValueError, OSError)
+# ValueError is the base of every input error and covers a result that
+# overflowed to a non-finite float, which the JSON writer refuses
+INPUT_ERRORS = (SearchBudgetError, KeyError, TypeError, ValueError, OSError)
 
 
 def _env_int(name: str, fallback: int) -> int:

@@ -72,6 +72,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    DEFAULT_SIZE_CAP,
     F64,
     HomPoly,
     PolyMap,
@@ -88,7 +89,6 @@ from .errors import (
     FieldError,
     PreconditionError,
 )
-from .linearization import coefficient_matrix
 from .sampling import _np_rng, _random_hompoly_f64
 
 MAX_ASCENT_ITERS = 400
@@ -186,6 +186,10 @@ class _CompiledMap:
         self.d = P.domain_dim
         self.e = P.codomain_dim
         self.m = P.degree
+        # power tables have m + 1 columns: the basis cap bounds m only at d >= 2
+        if self.m + 1 > DEFAULT_SIZE_CAP:
+            raise CapacityError(f"a degree-{self.m} map needs power tables of {self.m + 1} "
+                                f"columns, exceeding the size cap {DEFAULT_SIZE_CAP}")
         basis = enumerate_multi_indices(self.d, self.m)
         self.expts = np.array(basis, dtype=np.int64)          # (T, d)
         self.coeffs = np.array(
@@ -698,7 +702,7 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     if proj.degree != 1:
         raise PreconditionError("proj must be linear")
     e, g = proj.codomain_dim, proj.domain_dim
-    A = np.array(coefficient_matrix(proj).entries, dtype=float)
+    A = np.array([c.coeff_vector() for c in proj.components], dtype=float)
     if np.abs(A @ A.T - np.eye(e)).max() > 1e-12:
         raise PreconditionError("proj rows are not orthonormal (not a metric surjection)")
     if q.domain_dim != e:

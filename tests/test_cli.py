@@ -308,6 +308,23 @@ def test_huge_sample_table_exits_3_promptly(tmp_path):
     assert peak_mb < 100
 
 
+@pytest.mark.parametrize("claim", ["sup", "delta"])
+def test_huge_one_variable_degree_exits_3_promptly(tmp_path, claim):
+    # on R^1 the basis is one monomial at any degree, but the power tables
+    # of the numeric layer would have 10^12 + 1 columns
+    m = 10 ** 12
+    obj = {"domain_dim": 1, "codomain_dim": 1, "degree": m, "field": "f64",
+           "components": [[{"alpha": [m], "value": 1.5}]]}
+    src = tmp_path / "steep.json"
+    src.write_text(json.dumps(obj))
+    proc = subprocess.run(CLI + ["norm", str(src), "--claim", claim],
+                          preexec_fn=_limit_memory, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_capacity_overflow_exits_3(tmp_path):
     src = tmp_path / "map.json"
     src.write_text(sample_map_json())

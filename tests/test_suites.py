@@ -166,6 +166,35 @@ def _one_ordering_skipped(orderings):
     return faulty
 
 
+def _first_numerator_bumped(matrix):
+    # every matrix the module computes, one numerator too large
+    def faulty(den, rows):
+        rows = [list(r) for r in rows]
+        rows[0][0] += 1
+        return matrix(den, rows)
+    return faulty
+
+
+def _product_entry_off(matmul):
+    def faulty(self, other):
+        den, rows = matmul(self, other)._rows
+        rows = [list(r) for r in rows]
+        rows[0][0] += den
+        return linearization._matrix(den, rows)
+    return faulty
+
+
+def _last_pivot_row_perturbed(eliminate):
+    # the pivots stay where they are, so every rank reads true
+    def faulty(rows, ncols):
+        a, pivots = eliminate(rows, ncols)
+        if pivots:
+            row = a[len(pivots) - 1]
+            row[-1] += row[pivots[-1]]
+        return a, pivots
+    return faulty
+
+
 def _last_pivot_dropped(rref):
     def faulty(rows, ncols):
         reduced, pivots = rref(rows, ncols)
@@ -196,8 +225,8 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     }
 
     # a wrong coeffs view reaches every claim that reads coefficients one by
-    # one (coefficient vectors, matrices, polarization) while the kernel
-    # reads the integer form
+    # one (coefficient vectors, polarization) while the kernel and the
+    # matrices read the integer form
     with monkeypatch.context() as patch:
         patch.setattr(algebra.HomPoly, "__getattr__",
                       _view_off_by_one(algebra.HomPoly.__getattr__))
@@ -205,7 +234,31 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     assert caught == {
         "claim_diagram_identity": "fail",
         "claim_additivity_formula": "fail",
+        "claim_finite_type": "fail",
+    }
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linearization, "_matrix",
+                      _first_numerator_bumped(linearization._matrix))
+        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+    assert caught == {
         "claim_linearization_transpose": "fail",
+        "claim_rank_bound": "fail",
+        "claim_finite_type": "fail",
+        "claim_inverse_identity": "fail",
+    }
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linearization.LinearMap, "__matmul__",
+                      _product_entry_off(linearization.LinearMap.__matmul__))
+        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+    assert caught == {"claim_inverse_identity": "fail"}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linearization, "_eliminate",
+                      _last_pivot_row_perturbed(linearization._eliminate))
+        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+    assert caught == {
         "claim_finite_type": "fail",
         "claim_inverse_identity": "fail",
     }
@@ -221,14 +274,12 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     }
 
     # the sampler keeps the true rref: random_invertible_matrix retries until
-    # it sees full rank, which a dropped pivot would never report
+    # it sees full rank, which a dropped pivot would never report; inverse
+    # eliminates with _eliminate, pinned above
     with monkeypatch.context() as patch:
         faulty = _last_pivot_dropped(linearization.rref)
         patch.setattr(linearization, "rref", faulty)
         patch.setattr(finite_type, "rref", faulty)
         caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
-    assert caught == {
-        "claim_finite_type": "fail",
-        "claim_inverse_identity": "SingularMatrixError",
-    }
+    assert caught == {"claim_finite_type": "fail"}
     assert _exact_verdicts(cfg) == clean
