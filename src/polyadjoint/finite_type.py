@@ -73,7 +73,7 @@ def finite_rank_rep(P: PolyMap) -> FiniteRankRep:
     cm = coefficient_matrix(P)
     basis = enumerate_multi_indices(P.domain_dim, P.degree)
     e, ncols = cm.rows, cm.cols
-    a, pivots = rref(cm._rows[1], ncols)
+    a, pivots = rref(cm.entries, ncols)
     if not pivots:
         return FiniteRankRep(P.domain_dim, e, P.degree, P.field, (), ())
     vectors = tuple(tuple(cm.entries[i][c] for i in range(e)) for c in pivots)

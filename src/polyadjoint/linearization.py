@@ -161,6 +161,8 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n: int) -> LinearMap:
+        if n < 1:
+            raise DimensionError("matrix must have at least one row and column")
         return _matrix(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def transpose(self) -> LinearMap:

@@ -25,7 +25,7 @@ from polyadjoint import (
     tensor_power,
     transpose_identity_defect,
 )
-from polyadjoint.errors import CapacityError, FieldError, SingularMatrixError
+from polyadjoint.errors import CapacityError, DimensionError, FieldError, SingularMatrixError
 from polyadjoint.algebra import map_powers
 from polyadjoint.linearization import rref
 from polyadjoint import sampling
@@ -148,6 +148,12 @@ def test_rational_matrix_holds_only_ints_and_fractions():
     # matrices are exact only: an f64 map has no coefficient matrix
     with pytest.raises(FieldError):
         coefficient_matrix(PolyMap.from_matrix(((0.5, 1.0), (1.0, 3.0)), "f64"))
+
+
+def test_identity_needs_a_positive_size():
+    for n in (0, -1):
+        with pytest.raises(DimensionError):
+            LinearMap.identity(n)
 
 
 def test_capacity_error_names_offender(monkeypatch):

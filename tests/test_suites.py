@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyadjoint import algebra, finite_type, linearization, sampling
+from polyadjoint import algebra, linearization, sampling
 from polyadjoint.errors import PreconditionError
 from polyadjoint.linearization import transpose_identity_defect
 from polyadjoint.suites import (
@@ -195,9 +195,9 @@ def _last_pivot_row_perturbed(eliminate):
     return faulty
 
 
-def _last_pivot_dropped(rref):
+def _last_pivot_dropped(eliminate):
     def faulty(rows, ncols):
-        reduced, pivots = rref(rows, ncols)
+        reduced, pivots = eliminate(rows, ncols)
         return reduced, pivots[:-1]
     return faulty
 
@@ -273,13 +273,19 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_finite_type": "fail",
     }
 
-    # the sampler keeps the true rref: random_invertible_matrix retries until
-    # it sees full rank, which a dropped pivot would never report; inverse
-    # eliminates with _eliminate, pinned above
+    # a dropped pivot reaches rank, inverse and rref, which all eliminate
+    # with _eliminate; the sampler keeps the true elimination on its integer
+    # matrices: random_invertible_matrix retries until it sees full rank,
+    # which a dropped pivot would never report
     with monkeypatch.context() as patch:
-        faulty = _last_pivot_dropped(linearization.rref)
-        patch.setattr(linearization, "rref", faulty)
-        patch.setattr(finite_type, "rref", faulty)
+        eliminate = linearization._eliminate
+        patch.setattr(linearization, "_eliminate", _last_pivot_dropped(eliminate))
+        patch.setattr(sampling, "rref", lambda rows, ncols: eliminate(
+            [[int(v) for v in r] for r in rows], ncols))
         caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
-    assert caught == {"claim_finite_type": "fail"}
+    assert caught == {
+        "claim_rank_bound": "fail",
+        "claim_finite_type": "fail",
+        "claim_inverse_identity": "SingularMatrixError",
+    }
     assert _exact_verdicts(cfg) == clean
