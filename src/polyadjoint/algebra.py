@@ -28,7 +28,11 @@ exponent tuples — e.g. for d=2, m=2: (2,0), (1,1), (0,2) — and the
 coefficient-vector helpers read and write that order.
 
 A polynomial map R^d -> R^e is a tuple of e scalar polynomials sharing
-domain dimension, degree and field.  A symmetric m-linear form is stored by
+domain dimension, degree and field.  Every substituted monomial P^beta that
+composition and the adjoint build comes from ``map_powers``, which keeps
+them in a memo on the map: each is built once per map, the memo lives and
+dies with its map, and every caller gets the same (immutable) component
+objects.  A symmetric m-linear form is stored by
 its entries on sorted index tuples i_1 <= ... <= i_m; `polarize` produces the
 unique symmetric form whose diagonal restriction recovers the polynomial.
 """
@@ -174,14 +178,18 @@ def _cleared(x: Sequence, field: str) -> tuple[int, Sequence]:
 
 def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
            den: int = 1) -> HomPoly:
-    """The polynomial with coefficients values[alpha] / den, zeros dropped in
-    place, built without re-validation.  Rational values are integer
-    numerators: dividing out the gcd of den and every numerator leaves the
-    least common denominator, and the result stores that integer form; its
-    ``coeffs`` view is built only if something reads it.  f64 values are
-    the coefficients themselves (den = 1), stored as both the numerators
-    and ``coeffs``."""
-    nums = {a: v for a, v in values.items() if v != 0}
+    """The polynomial with coefficients values[alpha] / den, built without
+    re-validation.  The result takes ``values`` as its own when no value is
+    zero, so the caller hands over a dict it no longer uses; otherwise the
+    zeros are dropped in a copy.  Rational values are integer numerators:
+    dividing out the gcd of den and every numerator leaves the least common
+    denominator, and the result stores that integer form; its ``coeffs``
+    view is built only if something reads it.  f64 values are the
+    coefficients themselves (den = 1), stored as both the numerators and
+    ``coeffs``."""
+    nums = values
+    if 0 in values.values():
+        nums = {a: v for a, v in values.items() if v != 0}
     self = object.__new__(HomPoly)
     if field == F64:
         self.__dict__["coeffs"] = nums
@@ -320,23 +328,28 @@ class HomPoly:
         if self.field != other.field:
             raise FieldError("mixed-field polynomial arithmetic")
 
-    def __add__(self, other: HomPoly) -> HomPoly:
+    def _combine(self, other: HomPoly, sign: int) -> HomPoly:
+        """self + sign * other (sign = 1 or -1) in one pass over the
+        numerators, both brought over the lcm of their denominators."""
         self._require_same_shape(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add homogeneous polynomials of different degrees")
         (d1, n1), (d2, n2) = self._terms, other._terms
         den = math.lcm(d1, d2)
-        f1, f2 = den // d1, den // d2
+        f1, f2 = den // d1, sign * (den // d2)
         data = {a: f1 * v for a, v in n1.items()}
         for alpha, v in n2.items():
             data[alpha] = data.get(alpha, 0) + f2 * v
         return _built(self.domain_dim, self.degree, data, self.field, den)
 
+    def __add__(self, other: HomPoly) -> HomPoly:
+        return self._combine(other, 1)
+
     def __neg__(self) -> HomPoly:
         return self.scale(-1)
 
     def __sub__(self, other: HomPoly) -> HomPoly:
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, c) -> HomPoly:
         c = _coerce(c, self.field)
@@ -453,18 +466,33 @@ class PolyMap:
 
 def map_powers(P: PolyMap, betas: Iterable[MultiIndex]) -> Iterator[HomPoly]:
     """P^beta = P_1^beta_1 * ... * P_e^beta_e for each codomain multi-index
-    beta (|beta| >= 1), in order.  Each component power is built only once."""
-    powers = [[c] for c in P.components]  # powers[i][a - 1] = P_i ** a
+    beta (a tuple, |beta| >= 1), in order.
+
+    Each P^beta is built once per map: the map keeps a memo (in its
+    ``__dict__``, as a rational ``HomPoly`` keeps its ``coeffs`` view) of
+    the component powers P_i^a and of every P^beta asked for, which lives
+    and dies with the map.  So every caller, and every call with the same
+    map, gets the same ``HomPoly`` objects, which are immutable and shared.
+    The product order never depends on the memo: P_i^a is P_i^(a-1) * P_i,
+    and P^beta the left-to-right product of its component powers, so f64
+    results are the same bits whatever was asked for before."""
+    memo = P.__dict__.get("_powers")
+    if memo is None:
+        # powers[i][a - 1] = P_i ** a; products[beta] = P ** beta
+        memo = P.__dict__["_powers"] = ([[c] for c in P.components], {})
+    powers, products = memo
     for beta in betas:
-        prod: HomPoly | None = None
-        for pw, b in zip(powers, beta):
-            if b == 0:
-                continue
-            while len(pw) < b:
-                pw.append(pw[-1] * pw[0])
-            prod = pw[b - 1] if prod is None else prod * pw[b - 1]
+        prod = products.get(beta)
         if prod is None:
-            raise DegreeError(f"P^beta needs |beta| >= 1, got beta={beta}")
+            for pw, b in zip(powers, beta):
+                if b == 0:
+                    continue
+                while len(pw) < b:
+                    pw.append(pw[-1] * pw[0])
+                prod = pw[b - 1] if prod is None else prod * pw[b - 1]
+            if prod is None:
+                raise DegreeError(f"P^beta needs |beta| >= 1, got beta={beta}")
+            products[beta] = prod
         yield prod
 
 

@@ -33,6 +33,7 @@ from .algebra import (
     RATIONAL,
     HomPoly,
     PolyMap,
+    _built,
     _cleared,
     _common_denominator,
     _eval_monomial,
@@ -241,7 +242,8 @@ def adjoint_matrix(P: PolyMap, k: int) -> LinearMap:
         raise DimensionError(f"k must be >= 1, got {k}")
     betas = enumerate_multi_indices(P.codomain_dim, k)
     enumerate_multi_indices(P.domain_dim, P.degree * k)
-    images = tuple(compose_scalar(HomPoly.monomial(P.codomain_dim, beta), P) for beta in betas)
+    images = tuple(compose_scalar(_built(P.codomain_dim, k, {beta: 1}, RATIONAL), P)
+                   for beta in betas)
     return coefficient_matrix(PolyMap(images)).transpose()
 
 

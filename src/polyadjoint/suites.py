@@ -250,8 +250,13 @@ def claim_nonadditivity(cfg: SuiteConfig) -> ClaimResult:
 def claim_linearization_transpose(cfg: SuiteConfig) -> ClaimResult:
     """The adjoint matrix is the transpose of the linearization matrix, and
     the linearization matrix sends x^(tensor mk) to P(x)^(tensor k) at a
-    random rational point.  Both matrices expand P^beta with the same code;
-    the point check compares against direct evaluation of P instead."""
+    random rational point.  Both matrices read the same memoized P^beta
+    objects (``map_powers``), so the transpose comparison checks only what
+    lies between those and the matrices: the accumulation in
+    ``compose_scalar`` that builds each adjoint column, and
+    ``coefficient_matrix`` and ``transpose``.  A fault in the products
+    themselves reaches both sides alike; the point check, which compares
+    against direct evaluation of P, is the one that catches it."""
     rng = sampling.rng(cfg.seed, "linearization-transpose")
     points = sampling.rng(cfg.seed, "linearization-intertwining")
 
@@ -274,8 +279,12 @@ def claim_rank_bound(cfg: SuiteConfig) -> ClaimResult:
     """rank(adjoint matrix) <= C(rank(P)+k-1, k) on random maps, with
     equality to the full column dimension for surjective linear maps.  The
     defect is the rank's excess over the bound, or its deficit under the
-    full column dimension."""
+    full column dimension.  On the random maps the matrix itself is checked
+    too: applied to the coefficient vector of a random q, it gives that of
+    q o P, which must take the value q(P(x)) at a random point x; the other
+    side evaluates q and P directly, so no expansion code is shared."""
     rng = sampling.rng(cfg.seed, "rank-bound")
+    oracle = sampling.rng(cfg.seed, "rank-bound-oracle")
     surjective_full_rank: list[bool] = []
 
     def defects():
@@ -283,7 +292,12 @@ def claim_rank_bound(cfg: SuiteConfig) -> ClaimResult:
                 cfg.dims, cfg.dims, _grid(cfg.max_m, max(cfg.max_k, 3))):
             for _ in range(cfg.trials):
                 P = sampling.random_polymap(rng, d, e, m)
-                yield max(0, adjoint_matrix(P, k).rank() - adjoint_rank_bound(P, k))
+                A = adjoint_matrix(P, k)
+                q = sampling.random_hompoly(oracle, e, k)
+                x = sampling.random_point(oracle, d)
+                image = HomPoly.from_coeff_vector(d, m * k, A.apply(q.coeff_vector()))
+                yield max(A.rank() - adjoint_rank_bound(P, k),
+                          abs(image.eval(x) - q.eval(P.eval_map(x))))
         d, e = max(cfg.dims), min(cfg.dims)
         for k in range(1, cfg.max_k + 1):
             for _ in range(cfg.trials):

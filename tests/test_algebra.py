@@ -693,3 +693,68 @@ def test_f64_constructors_and_scale_refuse_non_finite_values(bad):
         SymForm(2, 2, {(0, 1): bad}, F64)
     with pytest.raises(FieldError):
         HomPoly(2, 1, {(1, 0): 1.0}, F64).scale(bad)
+
+
+# -- each P^beta once per map --------------------------------------------
+
+def test_compose_map_builds_each_power_once(monkeypatch):
+    # every component of Q holds every cubic monomial on R^3: without the
+    # memo each component would rebuild the same P^beta
+    P = sampling.random_polymap(sampling.rng(16, "power-memo"), 2, 3, 2)
+    betas = enumerate_multi_indices(3, 3)
+    Q = PolyMap(tuple(HomPoly(3, 3, dict.fromkeys(betas, c)) for c in (1, -2, Fraction(1, 3))))
+    # P_i^a = P_i^(a-1) * P_i up to the largest exponent, then one product
+    # per further nonzero entry of each beta
+    expected = (sum(max(beta[i] for beta in betas) - 1 for i in range(3))
+                + sum(sum(1 for b in beta if b) - 1 for beta in betas))
+    fresh = compose_map(Q, PolyMap(P.components))
+    made = []
+    mul = HomPoly.__mul__
+
+    def counting(self, other):
+        made.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(HomPoly, "__mul__", counting)
+    first = compose_map(Q, P)
+    assert len(made) == expected == 14
+    assert compose_map(Q, P) == first == fresh
+    assert len(made) == expected
+
+
+def test_memo_filled_f64_map_gives_the_same_bits_as_a_fresh_one():
+    # Gaussian coefficients round in every product: asking for the powers in
+    # another order first must not change a single bit or key position
+    P = sampling._random_f64_map(sampling._np_rng(16, "power-memo-f64"), 2, 3, 2)
+    for deg in (3, 1, 2):
+        list(algebra.map_powers(P, enumerate_multi_indices(3, deg)[::-1]))
+    fresh = PolyMap(P.components)
+    for deg in (1, 2, 3):
+        betas = enumerate_multi_indices(3, deg)
+        for got, want in zip(algebra.map_powers(P, betas), algebra.map_powers(fresh, betas)):
+            assert list(got._terms[1].items()) == list(want._terms[1].items())
+    q = HomPoly.from_coeff_vector(3, 2, [0.5, -1.25, 3.0, 0.1, -0.7, 2.2], F64)
+    filled, clean = compose_scalar(q, P), compose_scalar(q, PolyMap(P.components))
+    assert list(filled._terms[1].items()) == list(clean._terms[1].items())
+
+
+@pytest.mark.parametrize("field", [RATIONAL, F64])
+def test_memo_leaves_map_equality_and_repr_alone(field):
+    P = sampling.random_polymap(sampling.rng(16, "power-memo-eq"), 2, 2, 2).as_field(field)
+    copy_ = PolyMap(tuple(HomPoly(2, 2, dict(c.coeffs), field) for c in P.components))
+    compose_scalar(HomPoly.from_coeff_vector(2, 3, [1, 2, 3, 4], field), P)
+    assert "_powers" in P.__dict__ and "_powers" not in copy_.__dict__
+    assert P == copy_ and copy_ == P
+    assert repr(P) == repr(copy_)
+    assert dataclasses.asdict(P) == dataclasses.asdict(copy_)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ring_instances(), st.sampled_from((RATIONAL, F64)))
+def test_one_pass_difference_equals_adding_the_negation(instance, field):
+    p, q = instance[0].as_field(field), instance[1].as_field(field)
+    for a, b in ((p, q), (q, p), (p, p)):
+        diff, summed = a - b, a + (-b)
+        assert diff._terms[0] == summed._terms[0]
+        assert list(diff._terms[1].items()) == list(summed._terms[1].items())
+        assert list(diff.coeffs.items()) == list(summed.coeffs.items())

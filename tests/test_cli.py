@@ -11,7 +11,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -224,9 +223,12 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     assert "malformed" in capsys.readouterr().err
 
 
+# 2 GB of address space: a missed cap fails instead of exhausting memory
+ADDRESS_LIMIT = 2 << 30
+
+
 def _limit_memory() -> None:
-    # 2 GB of address space: a missed cap fails instead of exhausting memory
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
 
 
 @pytest.mark.parametrize("command", [["adjoint", "--n", "1", "--k", "1"], ["norm"],
@@ -272,25 +274,40 @@ def test_huge_binomial_exits_3_promptly(tmp_path, command):
     assert proc.returncode == 3, proc.stderr
 
 
+# Runs argv[1:] under ADDRESS_LIMIT in a child of this small interpreter,
+# with stdout discarded and stderr passed through, and prints the child's
+# exit code and its peak resident set in KiB.  wait4 reads the child alone;
+# a child forked from the test process instead would start with that
+# process's resident set, and ru_maxrss keeps it across exec.
+_MEASURE = f"""
+import os, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_LIMIT}, {ADDRESS_LIMIT}))
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.argv[1], sys.argv[1:])
+deadline = time.monotonic() + 60
+while True:
+    done, status, usage = os.wait4(pid, os.WNOHANG)
+    if done:
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        done, status, usage = os.wait4(pid, 0)
+        break
+    time.sleep(0.02)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def _run_measured(argv: list[str]) -> tuple[int, str, float]:
     """Run argv under the memory limit: its exit code, its stderr and its
-    own peak resident set in MB (from wait4, so no other child counts)."""
-    with tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(argv, preexec_fn=_limit_memory,
-                                stdout=subprocess.DEVNULL, stderr=err)
-        deadline = time.monotonic() + 60
-        while True:
-            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-            if pid:
-                break
-            if time.monotonic() > deadline:
-                proc.kill()
-                pid, status, usage = os.wait4(proc.pid, 0)
-                break
-            time.sleep(0.02)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        return proc.returncode, err.read().decode(), usage.ru_maxrss / 1024
+    own peak resident set in MB."""
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, kib = proc.stdout.split()
+    return int(code), proc.stderr, int(kib) / 1024
 
 
 def test_huge_sample_table_exits_3_promptly(tmp_path):

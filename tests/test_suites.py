@@ -219,6 +219,7 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_diagram_identity": "fail",
         "claim_additivity_formula": "fail",
         "claim_linearization_transpose": "fail",
+        "claim_rank_bound": "fail",
         "claim_finite_type": "fail",
         "claim_inverse_identity": "fail",
         "claim_factorizations": "fail",
@@ -234,6 +235,7 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     assert caught == {
         "claim_diagram_identity": "fail",
         "claim_additivity_formula": "fail",
+        "claim_rank_bound": "fail",
         "claim_finite_type": "fail",
     }
 
