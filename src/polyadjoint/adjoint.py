@@ -109,15 +109,16 @@ def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
 
     # (sum_beta c_beta P^beta)^n expands over exponent vectors mu on the
     # c-variables; each mu contributes the monomial c^mu with the polynomial
-    # w * S^mu as its coefficient, w = multinomial(n, mu), where S is the map
-    # whose components are the substituted basis monomials P^beta.  With
-    # S^mu = sum_gamma n_gamma x^gamma / D_mu, component gamma gets the term
-    # w n_gamma / D_mu at mu, and is built from integer numerators over the
-    # lcm of its D_mu (for f64, D_mu = 1 and the numerators are the floats).
-    S = PolyMap(tuple(map_powers(P, q_basis)))
+    # w * prod_beta (P^beta)^mu_beta as its coefficient, w = multinomial(n,
+    # mu).  That product is P^g for the codomain index g = sum_beta mu_beta
+    # beta, of degree nk, so it is read from P's own memo.  With P^g = sum
+    # n_gamma x^gamma / D_mu, component gamma gets the term w n_gamma / D_mu
+    # at mu, and is built from integer numerators over the lcm of its D_mu
+    # (for f64, D_mu = 1 and the numerators are the floats).
+    gs = [tuple(sum(c * b for c, b in zip(mu, col)) for col in zip(*q_basis)) for mu in mus]
     parts: list[list[tuple[MultiIndex, Scalar, int]]] = [[] for _ in out_basis]
     out_index = {g: i for i, g in enumerate(out_basis)}
-    for mu, g_mu in zip(mus, map_powers(S, mus)):
+    for mu, g_mu in zip(mus, map_powers(P, gs)):
         w = multinomial(n, mu)
         den, nums = g_mu._terms
         for gamma, v in nums.items():

@@ -246,12 +246,6 @@ class HomPoly:
         self.__dict__["coeffs"] = coeffs
         return coeffs
 
-    @property
-    def _int_form(self) -> tuple[int, list[int | float]]:
-        """(D, [c*D for each coefficient c in coeffs order])."""
-        den, nums = self._terms
-        return den, list(nums.values())
-
     def __eq__(self, other):
         # the integer form is canonical, so equal forms are equal polynomials
         # and no Fraction view is needed

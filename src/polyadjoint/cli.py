@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .algebra import F64, RATIONAL
 from .adjoint import materialize_adjoint
@@ -185,7 +186,10 @@ def cmd_norm(args: argparse.Namespace) -> int:
         }
         _emit(_json_dumps(out_obj), args.out)
         return 0
+    # the wall time goes to stderr, so same-seed stdout stays byte-identical
+    t0 = time.perf_counter()
     rep = check_adjoint_norm(P, args.n, args.k, cfg)
+    print(f"wall_ms={(time.perf_counter() - t0) * 1000.0:.3f}", file=sys.stderr)
     _emit(_json_dumps(rep.to_dict()), args.out)
     return 0 if rep.passed else 1
 

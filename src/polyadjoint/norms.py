@@ -59,13 +59,15 @@ exact, so no square underflows or overflows.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
-polynomials confirm the upper bound is never exceeded.
+polynomials confirm the upper bound is never exceeded.  Each returns a
+`Report` of what it measured; the verdict is one rule, which the report
+applies itself: a claim passes exactly when its relative error is within
+its tolerance.  No check reads the clock, so same-seed reports are equal.
 """
 from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -149,7 +151,10 @@ class NormEstimate:
 
 @dataclass(frozen=True)
 class Report:
-    """One verified norm claim, bracketed from below and above."""
+    """One verified norm claim, bracketed from below and above.
+
+    ``passed`` is not an argument: it is ``rel_err <= tol``, so a NaN error
+    fails.  ``measured`` is the constructor the checks use."""
 
     claim: str
     lhs: float
@@ -159,9 +164,20 @@ class Report:
     certified_lower: bool
     samples: int
     seed: int
-    wall_ms: float
-    passed: bool
+    passed: bool = field(init=False)
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", self.rel_err <= self.tol)
+
+    @classmethod
+    def measured(cls, claim: str, cfg: NormConfig, lhs: float, rhs: float,
+                 rel_err: float, details: dict, tol: float | None = None) -> Report:
+        """The report of a check run at ``cfg``, whose tolerance it takes
+        unless ``tol`` is given; every lower side is an evaluation, hence
+        certified."""
+        return cls(claim, lhs, rhs, rel_err, cfg.tol if tol is None else tol, True,
+                   cfg.samples, cfg.seed, details)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -591,15 +607,10 @@ def norming_functional(y: Sequence) -> HomPoly:
     return HomPoly.linear_form([float(c) for c in v / n], F64)
 
 
-def _elapsed_ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
-
-
 def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> Report:
     """|x|^m is attained by the m-th power of a norming functional, and that
     power has sup norm at most one.  The error brackets both sides: the
     relative attainment gap and the excess of that sup norm over one."""
-    t0 = time.perf_counter()
     xv = [float(v) for v in x]
     target = vector_norm(xv) ** m
     if target == 0.0:
@@ -610,20 +621,18 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> R
     rel_lower = abs(lhs / target - 1.0)
     unit = (np.asarray(xv) / vector_norm(xv)).tolist()
     qn = sup_norm(q, cfg, extra_starts=[unit])
-    passed = rel_lower <= cfg.tol and qn.value <= 1.0 + cfg.tol
-    rel = max(rel_lower, qn.value - 1.0)
-    return Report("norm_duality", lhs, target, rel, cfg.tol, True,
-                  cfg.samples, cfg.seed, _elapsed_ms(t0), passed,
-                  {"attaining_sup_norm": qn.value, "degree": m})
+    # np.maximum, unlike max, keeps a NaN on either side, which then fails
+    rel = float(np.maximum(rel_lower, qn.value - 1.0))
+    return Report.measured("norm_duality", cfg, lhs, target, rel,
+                           {"attaining_sup_norm": qn.value, "degree": m})
 
 
 def _upper_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
-                  cfg: NormConfig, rel_lower: float,
-                  ratio) -> tuple[float, int, float, bool]:
+                  cfg: NormConfig, ratio) -> tuple[float, int]:
     """The upper side of a norm identity: ``ratio`` on q_trials random
     degree-k polynomials on R^d, each scaled to sup norm one (those below
-    1e-12 are skipped).  Returns the worst ratio, how many q were tested,
-    and the relative error and verdict of the bracket with ``rel_lower``."""
+    1e-12 are skipped).  Returns the worst ratio, NaN if any ratio is, and
+    how many q were tested."""
     worst_ratio = 0.0
     tested = 0
     for _ in range(q_trials):
@@ -632,10 +641,8 @@ def _upper_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
         if qn < 1e-12:
             continue
         tested += 1
-        worst_ratio = max(worst_ratio, ratio(q.scale(1.0 / qn)))
-    passed = rel_lower <= cfg.tol and worst_ratio <= 1.0 + cfg.tol
-    rel = max(rel_lower, max(0.0, worst_ratio - 1.0))
-    return worst_ratio, tested, rel, passed
+        worst_ratio = float(np.maximum(worst_ratio, ratio(q.scale(1.0 / qn))))
+    return worst_ratio, tested
 
 
 def check_adjoint_norm(P: PolyMap, n: int, k: int,
@@ -644,7 +651,6 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
     """The adjoint's norm equals |P|^{kn}: certified from below by the k-th
     power of a functional norming P at its maximizer, and never exceeded on
     normalized random test polynomials."""
-    t0 = time.perf_counter()
     P = P.as_field(F64)
     est = sup_norm(P, cfg)
     if est.value <= 0.0:
@@ -656,13 +662,13 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
                      extra_starts=[est.maximizer]).value
     rel_lower = abs(lower / target - 1.0)
     rng = _np_rng(cfg.seed, f"adjoint-norm-q-{n}-{k}")
-    worst_ratio, tested, rel, passed = _upper_trials(
-        rng, P.codomain_dim, k, q_trials, cfg, rel_lower,
+    worst_ratio, tested = _upper_trials(
+        rng, P.codomain_dim, k, q_trials, cfg,
         lambda q: sup_norm(adjoint_apply(P, n, k, q), cfg).value / target)
-    return Report("adjoint_norm", lower, target, rel, cfg.tol, True,
-                  cfg.samples, cfg.seed, _elapsed_ms(t0), passed,
-                  {"sup_norm_P": est.value, "worst_upper_ratio": worst_ratio,
-                   "q_instances": tested, "n": n, "k": k})
+    return Report.measured("adjoint_norm", cfg, lower, target,
+                           float(np.maximum(rel_lower, worst_ratio - 1.0)),
+                           {"sup_norm_P": est.value, "worst_upper_ratio": worst_ratio,
+                            "q_instances": tested, "n": n, "k": k})
 
 
 def check_embedding_norm(x: Sequence, m: int, n: int,
@@ -671,7 +677,6 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     """The power evaluation embedding of x has norm |x|^{mn}: attained by the
     n-th power of a norming functional of x, never exceeded by normalized
     random q."""
-    t0 = time.perf_counter()
     xv = [float(v) for v in x]
     d = len(xv)
     nx = vector_norm(xv)
@@ -684,12 +689,11 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     lower = abs(jp.eval(q_star.coeff_vector()))
     rel_lower = abs(lower / target - 1.0)
     rng = _np_rng(cfg.seed, f"embedding-norm-q-{m}-{n}-{d}")
-    worst_ratio, _, rel, passed = _upper_trials(
-        rng, d, n, q_trials, cfg, rel_lower,
-        lambda q: abs(jp.eval(q.coeff_vector())) / target)
-    return Report("embedding_norm", lower, target, rel, cfg.tol, True,
-                  cfg.samples, cfg.seed, _elapsed_ms(t0), passed,
-                  {"worst_upper_ratio": worst_ratio, "m": m, "n": n})
+    worst_ratio, _ = _upper_trials(
+        rng, d, n, q_trials, cfg, lambda q: abs(jp.eval(q.coeff_vector())) / target)
+    return Report.measured("embedding_norm", cfg, lower, target,
+                           float(np.maximum(rel_lower, worst_ratio - 1.0)),
+                           {"worst_upper_ratio": worst_ratio, "m": m, "n": n})
 
 
 def check_metric_injection(proj: PolyMap, q: HomPoly,
@@ -697,7 +701,6 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     """Precomposition with a surjection that maps the ball onto the ball
     preserves the sup norm; here the surjection is a matrix with orthonormal
     rows acting between Euclidean balls."""
-    t0 = time.perf_counter()
     proj = proj.as_field(F64)
     if proj.degree != 1:
         raise PreconditionError("proj must be linear")
@@ -713,8 +716,6 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
         raise DegenerateInputError("q is zero")
     lifted_start = (A.T @ np.asarray(rhs_est.maximizer)).tolist()
     lhs_est = sup_norm(compose_scalar(q, proj), cfg, extra_starts=[lifted_start])
-    rel = abs(lhs_est.value / rhs_est.value - 1.0)
-    passed = rel <= cfg.tol
-    return Report("metric_injection", lhs_est.value, rhs_est.value, rel, cfg.tol,
-                  True, cfg.samples, cfg.seed, _elapsed_ms(t0), passed,
-                  {"domain_dim": g, "codomain_dim": e, "k": q.degree})
+    return Report.measured("metric_injection", cfg, lhs_est.value, rhs_est.value,
+                           abs(lhs_est.value / rhs_est.value - 1.0),
+                           {"domain_dim": g, "codomain_dim": e, "k": q.degree})

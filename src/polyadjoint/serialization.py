@@ -148,12 +148,6 @@ def _json_dumps(obj) -> str:
     return value(obj, 0)
 
 
-def _scalar_to_json(v, field: str):
-    if field == RATIONAL:
-        return f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -249,7 +243,7 @@ def expansion_to_obj(exp: FiniteTypeExpansion) -> dict:
     terms = []
     for t in exp.terms:
         terms.append({
-            "theta": f"{t.theta.numerator}/{t.theta.denominator}",
+            "theta": _ratio_text(*t.theta.as_integer_ratio()),
             "theta_factored": t.theta_factored,
             "p_alpha": hompoly_to_obj(t.p_alpha),
             "psi": [{"composition": list(c), "exponent": e} for c, e in t.psi_powers],
@@ -261,6 +255,6 @@ def expansion_to_obj(exp: FiniteTypeExpansion) -> dict:
         "domain_dim": exp.source_domain_dim,
         "codomain_dim": exp.source_codomain_dim,
         "degree": exp.source_degree,
-        "vectors": [[_scalar_to_json(v, RATIONAL) for v in vec] for vec in exp.vectors],
+        "vectors": [[_ratio_text(*v.as_integer_ratio()) for v in vec] for vec in exp.vectors],
         "terms": terms,
     }

@@ -8,7 +8,8 @@ reproducible byte for byte for a fixed configuration.
 
 Each claim draws its instances over a parameter grid (`_grid`) and folds
 them once per field: an exact claim yields one defect per instance to
-`_exact_fold`, a numeric claim one `Report` per instance to `_numeric_fold`.
+`_exact_claim`, a failed side condition counting as a defect of 1, and a
+numeric claim one `Report` per instance to `_numeric_fold`.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .norms import (NormConfig, Report, check_adjoint_norm, check_embedding_norm
 from . import sampling
 from .sampling import (_np_rng, _random_f64_map, _random_hompoly_f64,
                        _random_nonzero_f64_point)
-from .serialization import _json_dumps
+from .serialization import _json_dumps, _ratio_text
 
 REPORT_SCHEMA = 1
 
@@ -87,9 +88,8 @@ class ClaimResult:
         return asdict(self)
 
 
-def _frac_str(x: Fraction) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+def _frac_str(x: Fraction | int) -> str:
+    return _ratio_text(*x.as_integer_ratio())
 
 
 def _dims_cycle(cfg: SuiteConfig, i: int) -> int:
@@ -113,14 +113,16 @@ def _exact_fold(defects: Iterable[Scalar]) -> tuple[Fraction, int]:
     return worst, count
 
 
-def _exact_claim(name: str, defects: Iterable[Scalar], **flags: list[bool]) -> ClaimResult:
+def _exact_claim(name: str, defects: Iterable[Scalar], details: dict | None = None,
+                 **flags: list[bool]) -> ClaimResult:
     """Fold ``defects``; each flag holds when every instance met that side
-    condition (the lists fill in while the fold draws the instances).  The
-    claim passes when the worst defect is zero and every flag holds."""
+    condition (the lists fill in while the fold draws the instances) and
+    joins ``details``.  The claim passes when the worst defect is zero and
+    every flag holds."""
     worst, count = _exact_fold(defects)
     held = {key: all(hits) for key, hits in flags.items()}
     return ClaimResult(name, RATIONAL, count, _frac_str(worst),
-                       worst == 0 and all(held.values()), held)
+                       worst == 0 and all(held.values()), {**(details or {}), **held})
 
 
 # -- exact claims -----------------------------------------------------------
@@ -210,15 +212,14 @@ def claim_homogeneity(cfg: SuiteConfig) -> ClaimResult:
                     yield max((scaled.polymap - base.polymap.scale(weight)).max_abs(),
                               abs(pointwise))
 
-    worst, count = _exact_fold(defects())
-    return ClaimResult("adjoint_homogeneity", RATIONAL, count,
-                       _frac_str(worst), worst == 0,
-                       {"lambdas": [str(l) for l in lambdas]})
+    return _exact_claim("adjoint_homogeneity", defects(),
+                        {"lambdas": [str(l) for l in lambdas]})
 
 
 def claim_nonadditivity(cfg: SuiteConfig) -> ClaimResult:
-    """Witnesses must exist whenever kn > 1; for k = n = 1 the adjoint is
-    additive in the map on 100 random instances."""
+    """Witnesses must exist whenever kn > 1, and a missing one is a defect
+    of 1; for k = n = 1 the adjoint is additive in the map on 100 random
+    instances."""
     rng = sampling.rng(cfg.seed, "nonadditivity")
 
     def witness(k: int, n: int) -> str:
@@ -231,6 +232,8 @@ def claim_nonadditivity(cfg: SuiteConfig) -> ClaimResult:
              for k, n in _grid(6, 6, limit=6) if (k, n) != (1, 1)}
 
     def defects():
+        for w in found.values():
+            yield int(w == "NOT FOUND")
         for t in range(100):
             d, e = _dims_cycle(cfg, t), _dims_cycle(cfg, t + 1)
             m = 1 + (t % 2)
@@ -240,11 +243,7 @@ def claim_nonadditivity(cfg: SuiteConfig) -> ClaimResult:
             yield (adjoint_apply(P + Q, 1, 1, q)
                    - adjoint_apply(P, 1, 1, q) - adjoint_apply(Q, 1, 1, q)).max_abs()
 
-    worst, count = _exact_fold(defects())
-    witnessed = "NOT FOUND" not in found.values()
-    return ClaimResult("adjoint_nonadditivity", RATIONAL, len(found) + count,
-                       _frac_str(worst), witnessed and worst == 0,
-                       {"witness_defects": found})
+    return _exact_claim("adjoint_nonadditivity", defects(), {"witness_defects": found})
 
 
 def claim_linearization_transpose(cfg: SuiteConfig) -> ClaimResult:
@@ -357,6 +356,7 @@ def claim_inverse_identity(cfg: SuiteConfig) -> ClaimResult:
 
 
 def claim_injectivity(cfg: SuiteConfig) -> ClaimResult:
+    """Each instance that the witness fails to separate is a defect of 1."""
     rng = sampling.rng(cfg.seed, "injectivity")
     pairs = ((1, 1), (3, 1), (1, 3))
 
@@ -377,8 +377,8 @@ def claim_injectivity(cfg: SuiteConfig) -> ClaimResult:
         return adjoint_apply(P1, n, k, q).eval(x0) != adjoint_apply(P2, n, k, q).eval(x0)
 
     hits = [separates(t) for t in range(100)]
-    return ClaimResult("injectivity_separation", RATIONAL, len(hits), "0/1",
-                       all(hits), {"separated": sum(hits)})
+    return _exact_claim("injectivity_separation", (int(not hit) for hit in hits),
+                        {"separated": sum(hits)})
 
 
 def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
@@ -418,10 +418,8 @@ def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
 
     rows = list(instances())
     worst = {nm: _exact_fold(row.get(nm, 0) for row in rows)[0] for nm in names}
-    overall = max(worst.values())
-    return ClaimResult("factorization_identities", RATIONAL, len(rows),
-                       _frac_str(overall), overall == 0,
-                       {nm: _frac_str(v) for nm, v in worst.items()})
+    return _exact_claim("factorization_identities", (max(row.values()) for row in rows),
+                        {nm: _frac_str(v) for nm, v in worst.items()})
 
 
 # -- numeric claims ---------------------------------------------------------

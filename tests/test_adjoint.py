@@ -104,6 +104,26 @@ def test_materialized_adjoint_agrees_with_direct_application():
             assert mat.apply_to(q) == adjoint_apply(P, n, k, q)
 
 
+def test_materialize_reads_its_products_from_the_map_memo(monkeypatch):
+    # every coefficient of c^mu is P^g for g = sum_beta mu_beta beta, which
+    # P's own memo keeps, so materializing again on the same P multiplies
+    # nothing
+    P = sampling.random_polymap(sampling.rng(13, "materialize-memo"), 3, 3, 2)
+    made = []
+    mul = HomPoly.__mul__
+
+    def counting(self, other):
+        made.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(HomPoly, "__mul__", counting)
+    first = materialize_adjoint(P, 2, 2)
+    assert made
+    made.clear()
+    assert materialize_adjoint(P, 2, 2) == first
+    assert made == []
+
+
 @pytest.mark.parametrize("field", [RATIONAL, F64])
 def test_materialized_components_equal_their_validated_copies(field):
     # the components skip re-validation: each must be what the public

@@ -125,7 +125,19 @@ def test_norm_delta_subcommand(tmp_path):
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["passed"] is True
-    assert "wall_ms" in obj
+    # the wall time goes to stderr, never into the report
+    assert "wall_ms" not in obj
+
+
+def test_norm_delta_stdout_is_byte_stable(tmp_path):
+    src = tmp_path / "map.json"
+    src.write_text(sample_map_json())
+    runs = [run_cli("norm", str(src), "--claim", "delta", "--n", "1", "--k", "2",
+                    "--seed", "7") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        assert "wall_ms=" in proc.stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_adjoint_norm_test_count_ignores_restarts(tmp_path):

@@ -492,7 +492,24 @@ def test_check_adjoint_norm_report():
     assert rep.rel_err <= 1e-6
     assert rep.details["worst_upper_ratio"] <= 1.0 + 1e-9
     d = rep.to_dict()
-    assert "wall_ms" in d
+    # no clock in the report: equal checks give equal reports
+    assert "wall_ms" not in d
+    assert check_adjoint_norm(P, 1, 2, NormConfig(seed=31), q_trials=25) == rep
+
+
+@pytest.mark.parametrize("rel_err, passed", [
+    (1e-6, True),                                  # at the tolerance
+    (math.nextafter(1e-6, math.inf), False),       # one rounding above it
+    (math.nan, False),
+])
+def test_report_verdict_is_error_within_tolerance(rel_err, passed):
+    cfg = NormConfig(tol=1e-6, seed=3)
+    rep = norms.Report.measured("c", cfg, 1.0, 1.0, rel_err, {})
+    assert rep.passed is passed
+    assert (rep.tol, rep.samples, rep.seed, rep.certified_lower) == (1e-6, cfg.samples, 3, True)
+    assert norms.Report.measured("c", cfg, 1.0, 1.0, 1e-9, {}, tol=1e-9).passed
+    with pytest.raises(TypeError):
+        norms.Report("c", 1.0, 1.0, 2.0, 1e-6, True, 1, 0, passed=True)
 
 
 def test_check_embedding_norm_report():

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from polyadjoint import algebra, linearization, sampling
-from polyadjoint.errors import PreconditionError
+from polyadjoint import algebra, linearization, sampling, suites
+from polyadjoint.algebra import HomPoly
+from polyadjoint.errors import PreconditionError, SearchBudgetError
 from polyadjoint.linearization import transpose_identity_defect
 from polyadjoint.suites import (
     EXACT_CLAIMS,
@@ -121,6 +122,28 @@ def test_factorizations_run_on_the_smallest_configured_dimension(monkeypatch):
                       field="rational")
     assert claim_factorizations(cfg).passed
     assert domains == {3}
+
+
+def test_unseparated_injectivity_instance_is_a_defect(monkeypatch):
+    # at the origin both adjoints vanish, so no instance is separated
+    def at_origin(P1, P2, n, k):
+        e = P1.codomain_dim
+        return HomPoly.monomial(e, (k,) + (0,) * (e - 1)), (Fraction(0),) * P1.domain_dim
+
+    monkeypatch.setattr(suites, "injectivity_witness", at_origin)
+    result = suites.claim_injectivity(SuiteConfig(seed=5, dims=(2,), trials=1))
+    assert (result.passed, result.max_defect, result.instances) == (False, "1/1", 100)
+    assert result.details == {"separated": 0}
+
+
+def test_missing_nonadditivity_witness_is_a_defect(monkeypatch):
+    def none_found(m, n, k):
+        raise SearchBudgetError("none")
+
+    monkeypatch.setattr(suites, "nonadditivity_witness", none_found)
+    result = suites.claim_nonadditivity(SuiteConfig(seed=5, dims=(2,), trials=1))
+    assert (result.passed, result.max_defect, result.instances) == (False, "1/1", 113)
+    assert set(result.details["witness_defects"].values()) == {"NOT FOUND"}
 
 
 def _exact_verdicts(cfg: SuiteConfig) -> dict[str, str]:
