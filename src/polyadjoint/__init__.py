@@ -68,12 +68,9 @@ from .composition import (
     rank_one_map,
 )
 from .serialization import (
-    expansion_to_obj,
-    materialized_to_obj,
     polymap_dumps,
     polymap_from_obj,
     polymap_loads,
-    polymap_to_obj,
     sha256_hex,
 )
 from . import errors, sampling, serialization

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -219,7 +220,12 @@ class HomPoly:
             raise DegreeError(f"degree must be >= 1, got {self.degree}")
         clean: dict[MultiIndex, Scalar] = {}
         for alpha, c in self.coeffs.items():
-            alpha = tuple(alpha)
+            # exponents are stored as exact ints: 1.0 or True would hash like
+            # 1 but print otherwise
+            try:
+                alpha = tuple(map(operator.index, alpha))
+            except TypeError:
+                raise DimensionError(f"multi-index {alpha!r} holds a non-integer") from None
             if len(alpha) != self.domain_dim or any(a < 0 for a in alpha):
                 raise DimensionError(f"bad multi-index {alpha} for d={self.domain_dim}")
             if sum(alpha) != self.degree:

@@ -17,16 +17,20 @@ comes from one writer, ``_json_dumps``.  Its output is byte for byte that of
 ``json.dumps(obj, indent=2, sort_keys=True)``, so files stay diffable and
 same-input outputs stay byte-identical, and it is always strict: NaN and
 infinities raise ValueError instead of being written as bare ``NaN`` or
-``Infinity``.  It is faster than the standard library's pure-Python indent
-encoder because it renders each repeated list of integers (the multi-indices
-of a map) once per call and each list of same-keyed dicts (the terms of a
-component) through one format string.
+``Infinity``.  The tree makers (``polymap_to_obj``, ``materialized_to_obj``,
+``expansion_to_obj``) put each ``HomPoly`` itself where its term list goes,
+so their trees are the writer's input, not plain JSON data.  The writer
+renders a ``HomPoly`` straight from its integer form ``(D, {alpha: n})``: a
+rational value as n/D in lowest terms, an f64 value as the float it is,
+and the text of each term up to its value once per multi-index and depth,
+so no dict is built per term.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -37,7 +41,7 @@ from .finite_type import FiniteTypeExpansion
 
 
 _INDENT = "  "
-_INT_ONLY = frozenset({int})
+_RATIO = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def _scalar_text(o) -> str | None:
@@ -68,73 +72,50 @@ def _block(items: list[str], depth: int, brackets: str) -> str:
 
 def _json_dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for trees of
-    dicts with str keys, lists, tuples, str, int, float, bool and None.  A
-    non-finite float raises ValueError: the output is always strict JSON."""
-    # (depth, *items) -> text of a list whose items all have type int; keying
-    # on exact ints keeps [1, 1], [1, True] and [1.0, 1] apart, which compare
-    # and hash alike
-    int_lists: dict[tuple, str] = {}
-    # (depth, keys) -> %-format of one dict of a row list
-    row_formats: dict[tuple, str] = {}
+    dicts with str keys, lists, tuples, str, int, float, bool, None and
+    ``HomPoly`` nodes, a node standing for the list of its term dicts
+    {"alpha": [...], "value": ...} in descending-lex order.  A non-finite
+    float raises ValueError: the output is always strict JSON."""
+    # depth -> alpha -> text of one term dict up to its value,
+    # '{"alpha": [...], "value": '; exponents are exact ints (the HomPoly
+    # constructor makes them so), so equal keys render alike
+    heads: dict[int, dict[tuple, str]] = {}
 
-    def flat(o, depth: int) -> str | None:
-        """A list or tuple of scalars at depth, or None if it holds a container."""
-        if not o:
+    def poly(p: HomPoly, depth: int) -> str:
+        den, nums = p._terms
+        if not nums:
             return "[]"
-        key = None
-        if set(map(type, o)) == _INT_ONLY:
-            key = (depth, *o)
-            text = int_lists.get(key)
-            if text is not None:
-                return text
-        items = []
-        for x in o:
-            text = _scalar_text(x)
-            if text is None:
-                return None
-            items.append(text)
-        text = _block(items, depth, "[]")
-        if key is not None:
-            int_lists[key] = text
-        return text
-
-    def rows(o, depth: int) -> str | None:
-        """A list of dicts with one key set whose values are scalars or flat
-        lists, each dict through one format string; None for other shapes."""
-        first = o[0]
-        if type(first) is not dict or not first:
-            return None
-        keys = first.keys()
-        order = tuple(sorted(keys))
-        fmt = row_formats.get((depth, order))
-        if fmt is None:
-            fmt = _block([_quote(k).replace("%", "%%") + ": %s" for k in order], depth + 1, "{}")
-            row_formats[(depth, order)] = fmt
+        at = heads.setdefault(depth, {})
+        key_line = "\n" + _INDENT * (depth + 2)
+        tail = "\n" + _INDENT * (depth + 1) + "}"
+        rational = p.field == RATIONAL
         out = []
-        for row in o:
-            if type(row) is not dict or row.keys() != keys:
-                return None
-            values = []
-            for k in order:
-                v = row[k]
-                text = flat(v, depth + 2) if isinstance(v, (list, tuple)) else _scalar_text(v)
-                if text is None:
-                    return None
-                values.append(text)
-            out.append(fmt % tuple(values))
+        for alpha in sorted(nums, reverse=True):
+            head = at.get(alpha)
+            if head is None:
+                head = at[alpha] = ("{" + key_line + '"alpha": '
+                                    + _block(list(map(str, alpha)), depth + 2, "[]")
+                                    + "," + key_line + '"value": ')
+            n = nums[alpha]
+            if rational:
+                # _ratio_text inlined: a call per term costs about a seventh
+                # of the writer's time on request outputs
+                g = math.gcd(n, den)
+                out.append(f'{head}"{n // g}/{den // g}"{tail}')
+            else:
+                out.append(head + _scalar_text(n) + tail)
         return _block(out, depth, "[]")
 
     def value(o, depth: int) -> str:
         text = _scalar_text(o)
         if text is not None:
             return text
+        if type(o) is HomPoly:
+            return poly(o, depth)
         if isinstance(o, (list, tuple)):
-            text = flat(o, depth)
-            if text is None:
-                text = rows(o, depth)
-            if text is None:
-                text = _block([value(x, depth + 1) for x in o], depth, "[]")
-            return text
+            if not o:
+                return "[]"
+            return _block([value(x, depth + 1) for x in o], depth, "[]")
         if isinstance(o, dict):
             if not o:
                 return "{}"
@@ -154,9 +135,10 @@ def _is_int(v) -> bool:
 
 def _scalar_from_json(v, field: str):
     if field == RATIONAL:
-        if not isinstance(v, str) or "/" not in v:
+        # ASCII digits only: int() would also take "1_000", " 2" and "\u0661"
+        if not isinstance(v, str) or _RATIO.fullmatch(v) is None:
             raise FieldError(f"rational values must look like 'num/den', got {v!r}")
-        num, den = (int(p) for p in v.split("/", 1))
+        num, den = (int(p) for p in v.split("/"))
         if den == 0:
             raise FieldError(f"rational value {v!r} has a zero denominator")
         return Fraction(num, den)
@@ -171,23 +153,13 @@ def _ratio_text(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def hompoly_to_obj(p: HomPoly) -> list[dict]:
-    # rational terms are written from the integer form (D, {alpha: n}) as
-    # n/D in lowest terms, so no Fraction view is built; reverse tuple order
-    # is the canonical descending-lex order
-    den, nums = p._terms
-    text = (lambda n: _ratio_text(n, den)) if p.field == RATIONAL else float
-    return [{"alpha": list(alpha), "value": text(nums[alpha])}
-            for alpha in sorted(nums, reverse=True)]
-
-
 def polymap_to_obj(P: PolyMap) -> dict:
     return {
         "domain_dim": P.domain_dim,
         "codomain_dim": P.codomain_dim,
         "degree": P.degree,
         "field": P.field,
-        "components": [hompoly_to_obj(c) for c in P.components],
+        "components": list(P.components),
     }
 
 
@@ -245,7 +217,7 @@ def expansion_to_obj(exp: FiniteTypeExpansion) -> dict:
         terms.append({
             "theta": _ratio_text(*t.theta.as_integer_ratio()),
             "theta_factored": t.theta_factored,
-            "p_alpha": hompoly_to_obj(t.p_alpha),
+            "p_alpha": t.p_alpha,
             "psi": [{"composition": list(c), "exponent": e} for c, e in t.psi_powers],
         })
     return {

@@ -186,7 +186,8 @@ def test_invalid_map_object_exits_2(tmp_path):
 
 
 # x |-> 3x on R^1: each edit below was once accepted as a different map or
-# crashed, because True == 1 and int(1.7) == 1
+# crashed, because True == 1, int(1.7) == 1 and int() reads "1_000", " 2"
+# and non-ASCII digits
 SCALAR_MAP = {"domain_dim": 1, "codomain_dim": 1, "degree": 1, "field": "rational",
               "components": [[{"alpha": [1], "value": "3/1"}]]}
 
@@ -198,8 +199,13 @@ SCALAR_MAP = {"domain_dim": 1, "codomain_dim": 1, "degree": 1, "field": "rationa
     ("domain_dim", True),
     ("codomain_dim", True),
     ("components", [[{"alpha": [1.7], "value": "3/1"}]]),
+    ("components", [[{"alpha": [1], "value": "1_000/3"}]]),
+    ("components", [[{"alpha": [1], "value": " 2/ 3 "}]]),
+    ("components", [[{"alpha": [1], "value": "2/-3"}]]),
+    ("components", [[{"alpha": [1], "value": "\u0661/\u0662"}]]),
 ], ids=["zero-denominator", "repeated-alpha", "bool-degree", "bool-domain-dim",
-        "bool-codomain-dim", "float-alpha"])
+        "bool-codomain-dim", "float-alpha", "underscore-digits", "spaces",
+        "negative-denominator", "arabic-indic-digits"])
 def test_bad_map_json_exits_2(tmp_path, capsys, key, value):
     src = tmp_path / "map.json"
     src.write_text(json.dumps({**SCALAR_MAP, key: value}))

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -15,18 +17,16 @@ from polyadjoint import (
     PolyMap,
     enumerate_multi_indices,
     expand_adjoint,
-    expansion_to_obj,
     finite_rank_rep,
     materialize_adjoint,
-    materialized_to_obj,
     polymap_dumps,
     polymap_from_obj,
     polymap_loads,
-    polymap_to_obj,
     sha256_hex,
 )
 from polyadjoint.errors import DimensionError, FieldError
-from polyadjoint import sampling, serialization
+from polyadjoint import cli, sampling, serialization
+from polyadjoint.serialization import expansion_to_obj, materialized_to_obj
 
 
 def test_polymap_round_trip_rational():
@@ -88,7 +88,7 @@ def test_polymap_round_trip_property(P):
 
 def test_rationals_travel_as_num_den_strings():
     P = PolyMap((HomPoly(2, 1, {(1, 0): Fraction(-2, 3)}),))
-    obj = polymap_to_obj(P)
+    obj = json.loads(polymap_dumps(P))
     assert obj["components"][0][0]["value"] == "-2/3"
 
 
@@ -106,7 +106,7 @@ def test_dumps_is_byte_stable():
 
 def test_from_obj_validates_shape():
     P = PolyMap((HomPoly(2, 1, {(1, 0): Fraction(1)}),))
-    obj = polymap_to_obj(P)
+    obj = json.loads(polymap_dumps(P))
     missing = dict(obj)
     del missing["degree"]
     with pytest.raises(DimensionError):
@@ -123,14 +123,40 @@ def test_from_obj_validates_shape():
 
 def test_strict_scalar_parsing():
     P = PolyMap((HomPoly(2, 1, {(1, 0): Fraction(1)}),))
-    obj = polymap_to_obj(P)
+    obj = json.loads(polymap_dumps(P))
     obj["components"][0][0]["value"] = 0.5  # number where "num/den" expected
     with pytest.raises(FieldError):
         polymap_from_obj(obj)
-    obj2 = polymap_to_obj(PolyMap((HomPoly(2, 1, {(1, 0): 1.0}, F64),)))
+    obj2 = json.loads(polymap_dumps(PolyMap((HomPoly(2, 1, {(1, 0): 1.0}, F64),))))
     obj2["components"][0][0]["value"] = "1/2"  # string where number expected
     with pytest.raises(FieldError):
         polymap_from_obj(obj2)
+
+
+@pytest.mark.parametrize("text", ["1_000/3", " 2/ 3 ", "2/-3", "\u0661/\u0662"],
+                         ids=["underscore", "spaces", "negative-denominator", "arabic-indic"])
+def test_rationals_take_ascii_digits_only(text):
+    # int() would take each of these
+    obj = json.loads(polymap_dumps(PolyMap((HomPoly(2, 1, {(1, 0): Fraction(1)}),))))
+    obj["components"][0][0]["value"] = text
+    with pytest.raises(FieldError):
+        polymap_from_obj(obj)
+
+
+def test_rationals_need_not_be_in_lowest_terms():
+    obj = json.loads(polymap_dumps(PolyMap((HomPoly(2, 1, {(1, 0): Fraction(1)}),))))
+    obj["components"][0][0]["value"] = "2/4"
+    assert polymap_from_obj(obj).components[0].coefficient((1, 0)) == Fraction(1, 2)
+
+
+def test_exponents_are_stored_as_ints():
+    # 1.0 and True hash like 1 but print otherwise: the constructor refuses
+    # the one and stores the other as 1, so the file loads back
+    with pytest.raises(DimensionError):
+        HomPoly(2, 1, {(1.0, 0): Fraction(1)})
+    P = PolyMap((HomPoly(2, 1, {(True, False): Fraction(1)}),))
+    assert json.loads(polymap_dumps(P))["components"][0][0]["alpha"] == [1, 0]
+    assert polymap_loads(polymap_dumps(P)) == P
 
 
 def test_sha256_frozen():
@@ -143,7 +169,7 @@ def test_materialized_obj_carries_provenance():
     P = sampling.random_polymap(rng, 2, 2, 1)
     mat = materialize_adjoint(P, 2, 1)
     raw = polymap_dumps(P).encode()
-    obj = materialized_to_obj(mat, sha256_hex(raw))
+    obj = json.loads(serialization._json_dumps(materialized_to_obj(mat, sha256_hex(raw))))
     assert obj["provenance"]["op"] == "delta"
     assert obj["provenance"]["n"] == 2
     assert obj["provenance"]["k"] == 1
@@ -158,14 +184,13 @@ def test_expansion_obj_shape():
     p = sampling.random_hompoly(rng, 2, 2)
     P = PolyMap((p, p.scale(Fraction(2))))
     exp = expand_adjoint(finite_rank_rep(P), 2, 1)
-    obj = expansion_to_obj(exp)
+    obj = json.loads(serialization._json_dumps(expansion_to_obj(exp)))
     assert obj["n"] == 2 and obj["k"] == 1
     assert len(obj["terms"]) == len(exp.terms)
     for t_obj, t in zip(obj["terms"], exp.terms):
         assert t_obj["theta"] == f"{t.theta.numerator}/{t.theta.denominator}"
         assert "theta_factored" in t_obj
         assert "psi" in t_obj
-    json.dumps(obj)
 
 
 # -- the JSON writer ------------------------------------------------------------
@@ -174,8 +199,8 @@ def stdlib_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-# small ints and bools collide under == and hash, so flat lists repeat and
-# the memo of integer lists is exercised against look-alikes
+# small ints and bools collide under == and hash, so lists that compare
+# equal but print differently meet in one tree
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2) | st.integers()
                | st.floats(allow_nan=False, allow_infinity=False)
                | st.sampled_from([1.0, -0.0, 5e-324, 1e16]) | st.text(max_size=4))
@@ -190,7 +215,7 @@ JSON_TREES = st.recursive(
     | st.dictionaries(st.text(max_size=4) | ROW_KEYS, inner, max_size=4)
     | st.lists(FLAT_LISTS, min_size=2, max_size=6)
     | inner.map(lambda v: [v, [v]])  # one value at two depths
-    # rows: dicts drawn from few keys, so that many share one key set
+    # dicts drawn from few keys, so that many share one key set, as terms do
     | st.lists(st.dictionaries(ROW_KEYS, inner, min_size=1, max_size=2), max_size=4),
     max_leaves=20)
 
@@ -202,12 +227,12 @@ def test_json_writer_matches_stdlib(obj):
 
 
 @pytest.mark.parametrize("obj", [
-    # one memo, three look-alike lists at the same depth
+    # three look-alike lists at the same depth
     [[1, 1], [1, True], [1.0, 1], [1, 1]],
     [[True, 1], [1, 1], [1, 1.0]],
     # one flat list at two depths
     [[0, 2, 1], [[0, 2, 1]], {"a": [0, 2, 1], "b": [[0, 2, 1]]}],
-    # row lists: a different key set, a nested list, empty containers
+    # term-like dicts: a different key set, a nested list, empty containers
     [{"alpha": [1, 0], "value": "1/2"}, {"alpha": [0, 1], "other": "3/1"}],
     [{"alpha": [1, 0], "value": "1/2"}, {"alpha": [[0, 1]], "value": "3/1"}],
     [{"alpha": [], "value": "1/2"}, {"alpha": [0, 1], "value": {}}],
@@ -258,3 +283,81 @@ def test_polymap_dumps_refuses_nan():
     for poly in (p, p - p):
         with pytest.raises(ValueError):
             polymap_dumps(PolyMap((poly,)))
+
+
+# -- the writer against a dict-form oracle --------------------------------------
+
+def oracle_terms(p: HomPoly) -> list[dict]:
+    """The term list of p built from its Fraction or float coefficients."""
+    def value(c):
+        return f"{c.numerator}/{c.denominator}" if p.field == RATIONAL else c
+    return [{"alpha": list(alpha), "value": value(p.coeffs[alpha])}
+            for alpha in sorted(p.coeffs, reverse=True)]
+
+
+def oracle_map_text(P: PolyMap) -> str:
+    return stdlib_dumps({"codomain_dim": P.codomain_dim,
+                         "components": [oracle_terms(c) for c in P.components],
+                         "degree": P.degree, "domain_dim": P.domain_dim, "field": P.field})
+
+
+BIG = st.integers(2 ** 64, 2 ** 80)
+ORACLE_VALUES = {
+    # numerators and denominators past 2^64, and small ones that share factors
+    RATIONAL: st.builds(Fraction, st.integers(-12, 12) | BIG | BIG.map(lambda n: -n),
+                        st.integers(1, 12) | BIG),
+    # subnormals and values near the top of the double range
+    F64: st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([5e-324, -1e-310, 2.2250738585072014e-308,
+                       1.7976931348623157e308, -1e308, 9.999999999999999e307]),
+}
+
+
+@st.composite
+def oracle_maps(draw):
+    field = draw(st.sampled_from((RATIONAL, F64)))
+    d, e, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    basis = enumerate_multi_indices(d, m)
+    # an empty dict, or one whose values are all zero, is a zero component
+    coeffs = st.dictionaries(st.sampled_from(basis),
+                             ORACLE_VALUES[field] | st.just(0), max_size=6)
+    return PolyMap(tuple(HomPoly(d, m, draw(coeffs), field) for _ in range(e)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(oracle_maps(), oracle_maps())
+def test_polymap_dumps_matches_a_dict_form_oracle(P, Q):
+    assert polymap_dumps(P) == oracle_map_text(P)
+    # polynomials at several depths of one tree, so that one multi-index
+    # meets the writer at two depths and twice at one
+    tree = {"a": list(Q.components), "b": [[P.components[0]], {"c": P.components[-1]}],
+            "d": P.components[0]}
+    oracle = {"a": [oracle_terms(c) for c in Q.components],
+              "b": [[oracle_terms(P.components[0])], {"c": oracle_terms(P.components[-1])}],
+              "d": oracle_terms(P.components[0])}
+    assert serialization._json_dumps(tree) == stdlib_dumps(oracle)
+
+
+@st.composite
+def request_maps(draw):
+    d, e, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    basis = enumerate_multi_indices(d, m)
+    values = st.builds(Fraction, st.integers(-9, 9).filter(bool) | BIG, st.integers(1, 6))
+    comps = tuple(HomPoly(d, m, draw(st.dictionaries(st.sampled_from(basis), values,
+                                                     min_size=1, max_size=4)))
+                  for _ in range(e))
+    return PolyMap(comps)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(request_maps(), st.integers(1, 2), st.integers(1, 2))
+def test_cli_outputs_are_stdlib_json(P, n, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "map.json"), os.path.join(tmp, "out.json")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(polymap_dumps(P))
+        for command in ("adjoint", "decompose"):
+            assert cli.main([command, src, "--n", str(n), "--k", str(k), "--out", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                text = fh.read()
+            assert text == stdlib_dumps(json.loads(text)) + "\n"

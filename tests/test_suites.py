@@ -240,6 +240,7 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     assert caught == {
         "claim_composition_identity": "fail",
         "claim_diagram_identity": "fail",
+        "claim_homogeneity": "fail",
         "claim_additivity_formula": "fail",
         "claim_linearization_transpose": "fail",
         "claim_rank_bound": "fail",
