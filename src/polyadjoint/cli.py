@@ -12,7 +12,8 @@ POLYADJOINT_RESTARTS supply defaults; explicit flags always win.  --seed,
 numeric search.
 
 Exit codes: 0 all claims hold, 1 a claim failed, 2 bad input, 3 a size cap
-would be exceeded.
+would be exceeded (an input integer longer than the interpreter's limit for
+integer string conversion counts as one).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .finite_type import expand_adjoint, finite_rank_rep
 from .norms import NormConfig, check_adjoint_norm, sup_norm
 from .serialization import (
     _json_dumps,
+    _json_loads,
     expansion_to_obj,
     materialized_to_obj,
     polymap_from_obj,
@@ -132,7 +134,7 @@ def _read_input(path: str) -> tuple[dict, bytes]:
             raw = fh.read()
     text = raw.decode("utf-8")
     try:
-        return json.loads(text), raw
+        return _json_loads(text), raw
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
 

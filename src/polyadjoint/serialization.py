@@ -24,6 +24,11 @@ renders a ``HomPoly`` straight from its integer form ``(D, {alpha: n})``: a
 rational value as n/D in lowest terms, an f64 value as the float it is,
 and the text of each term up to its value once per multi-index and depth,
 so no dict is built per term.
+
+Integers of any length are written, past CPython's limit on int-to-text
+conversion (4300 digits by default), and no process-wide setting changes.
+Reading keeps that limit: a longer integer in the input raises
+CapacityError, which the CLI reports as a size cap (exit 3).
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import F64, RATIONAL, HomPoly, PolyMap, _finite_f64
 from .adjoint import MaterializedAdjoint
-from .errors import DimensionError, FieldError
+from .errors import CapacityError, DimensionError, FieldError
 from .finite_type import FiniteTypeExpansion
 
 
@@ -56,12 +61,43 @@ def _scalar_text(o) -> str | None:
     if o is False:
         return "false"
     if isinstance(o, int):
-        return int.__repr__(o)
+        return _int_text(o)
     if isinstance(o, float):
         if not math.isfinite(o):
             raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
         return float.__repr__(o)
     return None
+
+
+def _int_text(n: int) -> str:
+    """The decimal text of an int of any size.  CPython refuses to turn an
+    int of more digits than its limit (4300 by default, see
+    sys.set_int_max_str_digits) into text; such a number is split at a power
+    of ten into parts it will turn, so no process-wide setting changes."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half its digits
+    hi, lo = divmod(n, 10 ** k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _parse_int(text: str) -> int:
+    """int(text) of a string of ASCII digits with an optional sign.  Reading
+    keeps the interpreter's digit limit: a longer number is a size cap."""
+    try:
+        return int(text)
+    except ValueError:
+        raise CapacityError(f"an integer of {len(text.lstrip('-'))} digits exceeds this "
+                            "interpreter's limit for integer string conversion") from None
+
+
+def _json_loads(text: str):
+    """json.loads, with an integer past the digit limit a CapacityError."""
+    return json.loads(text, parse_int=_parse_int)
 
 
 def _block(items: list[str], depth: int, brackets: str) -> str:
@@ -101,7 +137,10 @@ def _json_dumps(obj) -> str:
                 # _ratio_text inlined: a call per term costs about a seventh
                 # of the writer's time on request outputs
                 g = math.gcd(n, den)
-                out.append(f'{head}"{n // g}/{den // g}"{tail}')
+                try:
+                    out.append(f'{head}"{n // g}/{den // g}"{tail}')
+                except ValueError:  # past the digit limit of int-to-text
+                    out.append(f'{head}"{_int_text(n // g)}/{_int_text(den // g)}"{tail}')
             else:
                 out.append(head + _scalar_text(n) + tail)
         return _block(out, depth, "[]")
@@ -138,7 +177,7 @@ def _scalar_from_json(v, field: str):
         # ASCII digits only: int() would also take "1_000", " 2" and "\u0661"
         if not isinstance(v, str) or _RATIO.fullmatch(v) is None:
             raise FieldError(f"rational values must look like 'num/den', got {v!r}")
-        num, den = (int(p) for p in v.split("/"))
+        num, den = map(_parse_int, v.split("/"))
         if den == 0:
             raise FieldError(f"rational value {v!r} has a zero denominator")
         return Fraction(num, den)
@@ -150,7 +189,7 @@ def _scalar_from_json(v, field: str):
 def _ratio_text(num: int, den: int) -> str:
     """"n/d" of num / den (den > 0) in lowest terms, as a Fraction prints it."""
     g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
+    return f"{_int_text(num // g)}/{_int_text(den // g)}"
 
 
 def polymap_to_obj(P: PolyMap) -> dict:
@@ -197,7 +236,7 @@ def polymap_dumps(P: PolyMap) -> str:
 
 
 def polymap_loads(text: str) -> PolyMap:
-    return polymap_from_obj(json.loads(text))
+    return polymap_from_obj(_json_loads(text))
 
 
 def sha256_hex(data: bytes) -> str:

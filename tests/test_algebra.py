@@ -431,13 +431,18 @@ def _plain_sum(*terms: dict) -> dict:
 
 def _plain_product(c1: dict, c2: dict) -> dict:
     """Product in double-loop order; each monomial keeps the place where it
-    first appears, and the zero sums are dropped at the end."""
+    first appears, and the zero sums are dropped at the end.  A rational
+    product is then put in canonical (descending lex) order; an f64 one
+    keeps the loop's order, which fixes eval's summation order."""
     out: dict = {}
     for a1, v1 in c1.items():
         for a2, v2 in c2.items():
             a = tuple(i + j for i, j in zip(a1, a2))
             out[a] = out.get(a, 0) + v1 * v2
-    return {a: c for a, c in out.items() if c}
+    out = {a: c for a, c in out.items() if c}
+    if any(isinstance(c, float) for c in out.values()):
+        return out
+    return dict(sorted(out.items(), reverse=True))
 
 
 def _plain_compose(q: HomPoly, P: PolyMap) -> dict:
@@ -764,3 +769,115 @@ def test_one_pass_difference_equals_adding_the_negation(instance, field):
         assert diff._terms[0] == summed._terms[0]
         assert list(diff._terms[1].items()) == list(summed._terms[1].items())
         assert list(diff.coeffs.items()) == list(summed.coeffs.items())
+
+
+# -- packed rational products ----------------------------------------------
+
+# (d, m1, m2) of the products below: d = 1..6, on both sides of the box rule
+_PRODUCT_SHAPES = ((1, 2, 3), (2, 1, 5), (2, 3, 3), (3, 2, 2), (3, 2, 4), (4, 2, 2),
+                   (4, 1, 3), (5, 1, 2), (5, 2, 2), (6, 1, 1), (6, 1, 2))
+
+
+def _packs(d: int, m: int) -> bool:
+    """The box rule, recomputed: (m+1)^(d-1) <= 8 * C(d+m-1, m)."""
+    return (m + 1) ** (d - 1) <= 8 * math.comb(d + m - 1, m)
+
+
+@st.composite
+def product_operands(draw):
+    """Rational p (degree m1) and q (degree m2) on R^d, mostly dense (a
+    product packs only with enough term pairs), with numerators of both
+    signs up to 4, 2^64 or 2^4096.  In some draws q is p mirrored in x_1, so
+    that p * q cancels coefficients to zero, or q is -p."""
+    d, m1, m2 = draw(st.sampled_from(_PRODUCT_SHAPES))
+    bound = draw(st.sampled_from((4, 2 ** 64, 2 ** 4096)))
+    nums = st.integers(-bound, bound)
+    dens = st.sampled_from((1, 1, 3, 2 ** 61 - 1))
+
+    def poly(m: int) -> HomPoly:
+        basis = enumerate_multi_indices(d, m)
+        if draw(st.integers(0, 3)):
+            keys = basis
+        else:
+            keys = draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis)))
+        return HomPoly(d, m, {a: Fraction(draw(nums), draw(dens)) for a in keys})
+
+    p = poly(m1)
+    mode = draw(st.sampled_from(("plain", "mirror", "negate")))
+    if mode == "mirror":
+        return p, HomPoly(d, m1, _mirror(p.coeffs, 0))
+    if mode == "negate":
+        return p, -p
+    return p, poly(m2)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(product_operands(), st.integers(1, 3))
+def test_rational_products_and_powers_match_the_plain_oracle(operands, n):
+    p, q = operands
+    _assert_built_like_validated(p * q, _plain_product(p.coeffs, q.coeffs))
+    expected = p.coeffs
+    for _ in range(n - 1):
+        expected = _plain_product(expected, p.coeffs)
+    _assert_built_like_validated(p ** n, expected)
+
+
+def test_box_rule_packs_every_d_up_to_4_and_d_5_at_low_degree():
+    for d in range(1, 7):
+        for m in range(2, 21):
+            if math.comb(d + m - 1, m) > algebra.DEFAULT_SIZE_CAP:
+                assert algebra._product_slots(d, m) is None
+                continue
+            assert (algebra._product_slots(d, m) is not None) == _packs(d, m), (d, m)
+            assert _packs(d, m) == (d <= 4 or (d == 5 and m <= 3)), (d, m)
+
+
+def test_dense_products_take_the_packed_path_by_the_box_rule(monkeypatch):
+    packed = []
+
+    def spy(*args):
+        packed.append(args)
+        return kernel(*args)
+
+    kernel = algebra._packed_product
+    monkeypatch.setattr(algebra, "_packed_product", spy)
+    r = sampling.rng(19, "packed-path")
+    sides = set()
+    for d, m1, m2 in _PRODUCT_SHAPES:
+        p, q = sampling.random_hompoly(r, d, m1), sampling.random_hompoly(r, d, m2)
+        p, q = (HomPoly.from_coeff_vector(d, deg, [c or 1 for c in x.coeff_vector()])
+                for deg, x in ((m1, p), (m2, q)))
+        del packed[:]
+        _assert_built_like_validated(p * q, _plain_product(p.coeffs, q.coeffs))
+        # and at least two term pairs per basis monomial
+        pairs = len(p.coeffs) * len(q.coeffs)
+        expected = _packs(d, m1 + m2) and pairs >= 2 * math.comb(d + m1 + m2 - 1, m1 + m2)
+        assert len(packed) == expected, (d, m1, m2)
+        sides.add(expected)
+        # the f64 product never packs
+        p.as_field(F64) * q.as_field(F64)
+        assert len(packed) == expected
+    assert sides == {False, True}
+
+
+def test_packed_product_reads_a_coefficient_near_its_slot_bound():
+    # p = 12x^3 + x^2y + xy^2 + y^3: |p|_1^2 = 225 and the x^6 coefficient
+    # 144 both have 8 bits, so a slot must have 16 bits (one more than 8 for
+    # the sign); 8 would not hold 144 above the offset of 2^7
+    p = HomPoly(2, 3, {(3, 0): 12, (2, 1): 1, (1, 2): 1, (0, 3): 1})
+    square = p * p
+    assert square.coefficient((6, 0)) == 144
+    _assert_built_like_validated(square, _plain_product(p.coeffs, p.coeffs))
+    _assert_built_like_validated(p * (-p), _plain_product(p.coeffs, (-p).coeffs))
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64, 4095, 4096])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_kernel_holds_a_coefficient_equal_to_its_bound(bits, sign):
+    # one term each in d = 1: the coefficient is |v1|_1 * |v2|_1 itself,
+    # the largest a slot must hold.  A d = 1 product has one pair per basis
+    # monomial and so multiplies pair by pair; the kernel is called directly
+    for c1, c2 in ((2 ** bits - 1, sign), (2 ** (bits - 1), sign),
+                   (sign * (2 ** (bits // 2) + 1), 2 ** (bits - bits // 2) - 3)):
+        got = algebra._packed_product({(2,): c1}, {(3,): c2}, *algebra._product_slots(1, 5))
+        assert got == {(5,): c1 * c2}

@@ -1,9 +1,12 @@
 """Round-trip and strictness tests for the JSON interchange formats."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -24,7 +27,7 @@ from polyadjoint import (
     polymap_loads,
     sha256_hex,
 )
-from polyadjoint.errors import DimensionError, FieldError
+from polyadjoint.errors import CapacityError, DimensionError, FieldError
 from polyadjoint import cli, sampling, serialization
 from polyadjoint.serialization import expansion_to_obj, materialized_to_obj
 
@@ -361,3 +364,89 @@ def test_cli_outputs_are_stdlib_json(P, n, k):
             with open(out, encoding="utf-8") as fh:
                 text = fh.read()
             assert text == stdlib_dumps(json.loads(text)) + "\n"
+
+
+# -- integers past the interpreter's int/str digit limit ----------------------
+
+@contextlib.contextmanager
+def digit_limit(n: int):
+    """The interpreter's int/str digit limit set to n (0 lifts it) for the
+    block, where it has one (CPython from 3.11 and late 3.10 releases)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def current_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@st.composite
+def long_ints(draw):
+    """Ints of up to about 12,000 digits, both signs, with runs of zeros and
+    powers of ten and their neighbours among them."""
+    k = draw(st.integers(0, 12000))
+    head = draw(st.integers(0, 2 ** 64))
+    n = draw(st.sampled_from((head * 10 ** k + draw(st.integers(0, 10 ** 30)),
+                              10 ** k, 10 ** k - 1, 10 ** k + 1)))
+    return n * draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(long_ints(), st.sampled_from((640, 4300)))
+def test_writer_prints_ints_past_the_digit_limit(n, limit):
+    with digit_limit(0):
+        expected = str(n)
+    with digit_limit(limit):
+        before = current_limit()
+        assert serialization._int_text(n) == expected
+        assert serialization._json_dumps({"n": n, "r": [n]}) == (
+            '{\n  "n": ' + expected + ',\n  "r": [\n    ' + expected + "\n  ]\n}")
+        assert current_limit() == before
+
+
+@pytest.mark.parametrize("command", ["adjoint", "decompose"])
+def test_request_with_a_result_past_the_digit_limit_exits_0(tmp_path, command):
+    # x |-> c*x with c of 1000 digits: the adjoint's coefficient c^5 has 5000
+    c = 10 ** 999 + 7
+    src, out = tmp_path / "map.json", tmp_path / "out.json"
+    src.write_text(polymap_dumps(PolyMap((HomPoly(1, 1, {(1,): c}),))))
+    with digit_limit(4300), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, str(src), "--n", "5", "--k", "1", "--out", str(out)])
+        assert current_limit() in (4300, None)
+    assert code == 0
+    obj = json.loads(out.read_text())  # values are strings: no int() of 5000 digits
+    if command == "adjoint":
+        num, den = obj["components"][0][0]["value"].split("/")
+        with digit_limit(0):
+            assert (int(num), int(den)) == (c ** 5, 1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rational", '"' + "9" * 5000 + '/1"'),
+    ("rational", '"1/' + "7" * 5000 + '"'),
+    ("rational", '"-' + "9" * 5000 + '/1"'),
+    ("f64", "9" * 5000),
+])
+def test_reading_a_number_past_the_digit_limit_is_a_size_cap(tmp_path, field, value):
+    if current_limit() is None:
+        pytest.skip("this interpreter has no int/str digit limit")
+    text = ('{"domain_dim": 1, "codomain_dim": 1, "degree": 1, "field": "%s", '
+            '"components": [[{"alpha": [1], "value": %s}]]}' % (field, value))
+    src = tmp_path / "map.json"
+    src.write_text(text)
+    err = io.StringIO()
+    with digit_limit(4300):
+        with pytest.raises(CapacityError, match="5000 digits"):
+            polymap_loads(text)
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["adjoint", str(src), "--n", "1", "--k", "1"])
+    assert code == 3
+    assert "5000 digits exceeds" in err.getvalue()
