@@ -39,9 +39,9 @@ slots of the product's basis are read back, in canonical order.  Two kinds of
 product keep the pair-by-pair loop: a shape whose slot box (m+1)^(d-1)
 exceeds 8 times the basis C(d+m-1, m) (every d >= 6, and d = 5 from m = 4;
 every d <= 4 packs), and a product with fewer than two term pairs per basis
-monomial.  Rational results of the loop are put in canonical order too.
-f64 products always take the loop, and keep its order (each monomial where
-it first appears), which fixes the summation order of f64 evaluation.
+monomial.  f64 products always take the loop, and keep its order (each
+monomial where it first appears), which fixes the summation order of f64
+evaluation.
 
 A polynomial map R^d -> R^e is a tuple of e scalar polynomials sharing
 domain dimension, degree and field.  Every substituted monomial P^beta that
@@ -440,21 +440,18 @@ class HomPoly:
         self._require_same_shape(other)
         (d1, v1), (d2, v2) = self._terms, other._terms
         d, m = self.domain_dim, self.degree + other.degree
-        rational = self.field == RATIONAL
-        slots = _product_slots(d, m) if rational else None
+        slots = _product_slots(d, m) if self.field == RATIONAL else None
         if slots is not None and len(v1) * len(v2) >= _PAIRS_PER_BASIS * len(slots[1]):
             data = _packed_product(v1, v2, *slots)
         else:
             # each monomial where it first appears: that order fixes the
-            # summation order of f64 eval; rational results go canonical
+            # summation order of f64 eval
             right = list(v2.items())
             data = {}
             for a1, c1 in v1.items():
                 for a2, c2 in right:
                     a = tuple(map(add, a1, a2))
                     data[a] = data.get(a, 0) + c1 * c2
-            if rational and len(data) > 1:
-                data = {a: data[a] for a in sorted(data, reverse=True)}
         return _built(d, m, data, self.field, d1 * d2)
 
     def __pow__(self, n: int) -> HomPoly:

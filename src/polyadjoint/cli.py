@@ -9,7 +9,8 @@ Subcommands:
 POLYADJOINT_SEED, POLYADJOINT_TOL, POLYADJOINT_DIMS, POLYADJOINT_FIELD and
 POLYADJOINT_RESTARTS supply defaults; explicit flags always win.  --seed,
 --tol and --restarts belong to verify and norm, the two commands that run a
-numeric search.
+numeric search, and --dims and --field to verify; a variable is read only
+by a command that takes its flag, so a bad value fails that command alone.
 
 Exit codes: 0 all claims hold, 1 a claim failed, 2 bad input, 3 a size cap
 would be exceeded (an input integer longer than the interpreter's limit for
@@ -43,18 +44,23 @@ from .suites import SuiteConfig, run_all, report_to_json
 INPUT_ERRORS = (SearchBudgetError, KeyError, TypeError, ValueError, OSError)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    return fallback if raw is None else int(raw)
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    return fallback if raw is None else float(raw)
-
-
-def _env_str(name: str, fallback: str) -> str:
-    return os.environ.get(name, fallback)
+def _env_defaults(args: argparse.Namespace, **extra) -> None:
+    """Fill each flag left out with POLYADJOINT_<FLAG>, else its fallback:
+    the numeric-search flags and any ``extra`` ones, each given as
+    flag=(convert, fallback).  Only verify and norm call this, so no other
+    command reads the environment; a value that does not convert is bad
+    input, and the error names its variable."""
+    table = dict(seed=(int, 1729), tol=(float, 1e-6), restarts=(int, 64), **extra)
+    for flag, (convert, fallback) in table.items():
+        if getattr(args, flag) is not None:
+            continue
+        name = f"POLYADJOINT_{flag.upper()}"
+        raw = os.environ.get(name)
+        try:
+            value = fallback if raw is None else convert(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad environment variable {name}={raw!r}: {exc}") from None
+        setattr(args, flag, value)
 
 
 def _parse_dims(raw: str) -> tuple[int, ...]:
@@ -75,27 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSON result here instead of stdout")
 
     def numeric(p: argparse.ArgumentParser) -> None:
-        """The knobs of the sup-norm search; only verify and norm run one."""
-        p.add_argument("--seed", type=int,
-                       default=_env_int("POLYADJOINT_SEED", 1729))
-        p.add_argument("--tol", type=float,
-                       default=_env_float("POLYADJOINT_TOL", 1e-6))
-        p.add_argument("--restarts", type=int,
-                       default=_env_int("POLYADJOINT_RESTARTS", 64))
+        """The knobs of the sup-norm search; only verify and norm run one.
+        A flag left out is filled in by ``_env_defaults``."""
+        p.add_argument("--seed", type=int)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--restarts", type=int)
 
     pv = sub.add_parser("verify", help="run every claim suite")
     out(pv)
     numeric(pv)
-    pv.add_argument("--dims", type=_parse_dims,
-                    default=_parse_dims(_env_str("POLYADJOINT_DIMS", "2,3")))
+    pv.add_argument("--dims", type=_parse_dims)
     pv.add_argument("--max-m", type=int, default=2)
     pv.add_argument("--max-n", type=int, default=2)
     pv.add_argument("--max-k", type=int, default=2)
     pv.add_argument("--max-r", type=int, default=2)
     pv.add_argument("--max-s", type=int, default=2)
     pv.add_argument("--trials", type=int, default=20)
-    pv.add_argument("--field", choices=("rational", "f64", "both"),
-                    default=_env_str("POLYADJOINT_FIELD", "both"))
+    pv.add_argument("--field", choices=("rational", "f64", "both"))
     pv.set_defaults(func=cmd_verify)
 
     pa = sub.add_parser("adjoint", help="materialize the adjoint of a map")
@@ -148,6 +150,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _env_defaults(args, dims=(_parse_dims, (2, 3)), field=(str, "both"))
     cfg = SuiteConfig(seed=args.seed, dims=tuple(args.dims),
                       max_m=args.max_m, max_n=args.max_n, max_k=args.max_k,
                       max_r=args.max_r, max_s=args.max_s, trials=args.trials,
@@ -171,6 +174,7 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
 
 
 def cmd_norm(args: argparse.Namespace) -> int:
+    _env_defaults(args)
     obj, _ = _read_input(args.input)
     P = polymap_from_obj(obj)
     if P.field == RATIONAL:
@@ -208,11 +212,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: bad environment variable: {exc}", file=sys.stderr)
-        return 2
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help(file=sys.stderr)

@@ -27,14 +27,14 @@ from .algebra import (
     MultiIndex,
     PolyMap,
     Scalar,
+    _built,
     enumerate_multi_indices,
     map_powers,
     polarize,
 )
 from .adjoint import adjoint_apply
 from .errors import DegreeError, DimensionError, PreconditionError
-from .linearization import coefficient_matrix, rref
-from . import sampling
+from . import linearization, sampling
 
 
 @dataclass(frozen=True)
@@ -70,20 +70,21 @@ def finite_rank_rep(P: PolyMap) -> FiniteRankRep:
     """
     if P.field != RATIONAL:
         raise PreconditionError("finite-rank extraction is exact-only; convert to rational first")
-    cm = coefficient_matrix(P)
+    den, rows = linearization.coefficient_matrix(P)._rows
     basis = enumerate_multi_indices(P.domain_dim, P.degree)
-    e, ncols = cm.rows, cm.cols
-    a, pivots = rref(cm.entries, ncols)
-    if not pivots:
-        return FiniteRankRep(P.domain_dim, e, P.degree, P.field, (), ())
-    vectors = tuple(tuple(cm.entries[i][c] for i in range(e)) for c in pivots)
-    # after reduction, row j of `a` holds the coordinates of every column in
-    # the pivot basis: column c = sum_j a[j][c] * vectors[j]
+    # read from the module at call time, as rank and inverse read it, so a
+    # replaced elimination reaches all three
+    a, pivots = linearization._eliminate(rows, len(basis))
+    vectors = tuple(tuple(Fraction(r[c], den) for r in rows) for c in pivots)
+    # pivot row j over its pivot holds every column's coordinate on
+    # vectors[j]; the pivot's sign goes to the numerators, so that D > 0
     scalars = []
-    for j in range(len(pivots)):
-        coeffs = {basis[c]: a[j][c] for c in range(ncols) if a[j][c] != 0}
-        scalars.append(HomPoly(P.domain_dim, P.degree, coeffs, RATIONAL))
-    return FiniteRankRep(P.domain_dim, e, P.degree, P.field, tuple(scalars), vectors)
+    for row, c in zip(a, pivots):
+        sign = -1 if row[c] < 0 else 1
+        scalars.append(_built(P.domain_dim, P.degree,
+                              {b: sign * v for b, v in zip(basis, row) if v},
+                              RATIONAL, sign * row[c]))
+    return FiniteRankRep(P.domain_dim, len(rows), P.degree, P.field, tuple(scalars), vectors)
 
 
 def multilinear_functional(multiset: Sequence[tuple[Sequence, int]], q: HomPoly) -> Scalar:

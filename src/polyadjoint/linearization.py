@@ -19,6 +19,10 @@ of a matrix from polynomials.  With P of degree m from R^d to R^e, k >= 1:
   that of q o P on R^d.
 
 ``transpose_identity_defect`` checks that they are transposes of each other.
+
+``_eliminate`` is the one elimination: rank, inverse, the finite-type
+representation and the sampler's full-rank test all run it on integer
+rows, and only their results are turned into Fractions.
 """
 from __future__ import annotations
 
@@ -58,8 +62,9 @@ def _eliminate(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
     integer rows: a row is reduced against the pivot row as
     ``row*pv - f*pivot_row`` and then divided by its content, so every row
     stays a nonzero rational multiple of the row that Fraction elimination
-    would hold.  Returns the integer rows, pivot rows first, and the pivot
-    columns."""
+    would hold.  Returns the integer rows, pivot rows first, and the
+    (leftmost) pivot columns; pivot row i divided by its pivot, which may be
+    negative, is row i of the reduced echelon form."""
     a = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(ncols):
@@ -80,17 +85,6 @@ def _eliminate(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
                 a[r] = [v // g for v in ints]
         pivots.append(col)
     return a, pivots
-
-
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination over the first ``ncols`` columns with
-    leftmost pivots: the reduced pivot rows and the pivot columns.  The rows
-    hold ints or Fractions and may carry further (augmented) columns; the
-    rows below the pivots are not returned.  Each row is cleared of
-    denominators for ``_eliminate`` and each pivot row divided by its pivot
-    on return, so the output equals Fraction elimination row for row."""
-    a, pivots = _eliminate([_common_denominator(r)[1] for r in rows], ncols)
-    return [[Fraction(v, a[i][c]) for v in a[i]] for i, c in enumerate(pivots)], pivots
 
 
 def _matrix(den: int, rows: Sequence[Sequence[int]]) -> LinearMap:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import F64, RATIONAL, HomPoly, PolyMap, _built, enumerate_multi_indices
-from .linearization import rref
+from .linearization import _eliminate
 
 
 def _stream_seed(seed: int, label: str) -> int:
@@ -67,11 +67,11 @@ def random_polymap(r: random.Random, d: int, e: int, m: int) -> PolyMap:
 
 
 def random_invertible_matrix(r: random.Random, d: int) -> list[list[Fraction]]:
-    """Small-integer matrix of full rank (retry loop)."""
+    """Small-integer matrix of full rank (retry loop), as Fractions."""
     while True:
-        rows = [[Fraction(r.randint(-4, 4)) for _ in range(d)] for _ in range(d)]
-        if len(rref(rows, d)[1]) == d:
-            return rows
+        rows = [[r.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+        if len(_eliminate(rows, d)[1]) == d:
+            return [[Fraction(v) for v in row] for row in rows]
 
 
 def _random_hompoly_f64(rng: np.random.Generator, d: int, k: int) -> HomPoly:

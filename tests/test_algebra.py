@@ -431,18 +431,14 @@ def _plain_sum(*terms: dict) -> dict:
 
 def _plain_product(c1: dict, c2: dict) -> dict:
     """Product in double-loop order; each monomial keeps the place where it
-    first appears, and the zero sums are dropped at the end.  A rational
-    product is then put in canonical (descending lex) order; an f64 one
-    keeps the loop's order, which fixes eval's summation order."""
+    first appears, and the zero sums are dropped at the end.  The order
+    counts for f64 only, where it fixes eval's summation order."""
     out: dict = {}
     for a1, v1 in c1.items():
         for a2, v2 in c2.items():
             a = tuple(i + j for i, j in zip(a1, a2))
             out[a] = out.get(a, 0) + v1 * v2
-    out = {a: c for a, c in out.items() if c}
-    if any(isinstance(c, float) for c in out.values()):
-        return out
-    return dict(sorted(out.items(), reverse=True))
+    return {a: c for a, c in out.items() if c}
 
 
 def _plain_compose(q: HomPoly, P: PolyMap) -> dict:
@@ -468,15 +464,20 @@ def _int_form(p: HomPoly) -> tuple:
 
 
 def _assert_built_like_validated(result: HomPoly, expected: dict) -> None:
-    """Same keys, order and values as the plain-dict oracle; no zero
-    coefficient; equal to its re-validated copy, integer form included."""
-    assert list(result.coeffs.items()) == list(expected.items())
+    """Same values as the plain-dict oracle, and for f64 its key order too,
+    which fixes eval's summation order; no zero coefficient; equal to its
+    re-validated copy, so the integer form is canonical (D least, no zero
+    numerator).  Rational key order is not promised: exact evaluation does
+    not depend on it, and the writer sorts terms itself."""
+    if result.field == RATIONAL:
+        assert result.coeffs == expected
+    else:
+        assert list(result.coeffs.items()) == list(expected.items())
     kind = Fraction if result.field == RATIONAL else float
     assert all(type(c) is kind and c != 0 for c in result.coeffs.values())
     copy = HomPoly(result.domain_dim, result.degree, dict(result.coeffs), result.field)
     assert copy == result
-    if result.field == RATIONAL:
-        assert _int_form(copy) == _int_form(result)
+    assert copy._terms == result._terms
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -414,6 +414,24 @@ def test_bad_env_value_exits_2():
     assert "environment" in proc.stderr
 
 
+def test_bad_env_value_leaves_commands_without_its_flag_alone(tmp_path, monkeypatch):
+    # adjoint and decompose take no --seed or --dims, so they never read
+    # POLYADJOINT_SEED or POLYADJOINT_DIMS
+    src = tmp_path / "map.json"
+    src.write_text(sample_map_json())
+    usual = {}
+    for cmd in ("adjoint", "decompose"):
+        out = tmp_path / f"{cmd}.json"
+        assert cli.main([cmd, str(src), "--n", "1", "--k", "1", "--out", str(out)]) == 0
+        usual[cmd] = out.read_bytes()
+    monkeypatch.setenv("POLYADJOINT_SEED", "abc")
+    monkeypatch.setenv("POLYADJOINT_DIMS", "2,x")
+    for cmd in ("adjoint", "decompose"):
+        out = tmp_path / f"{cmd}-bad-env.json"
+        assert cli.main([cmd, str(src), "--n", "1", "--k", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == usual[cmd]
+
+
 def test_verify_rational_suite(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify", "--field", "rational", "--trials", "2",
@@ -529,6 +547,15 @@ def _pinned_wide_f64_map(d: int, e: int, m: int) -> PolyMap:
         for i in range(e)))
 
 
+def _pinned_rank_deficient_map() -> PolyMap:
+    """A fixed d=3, e=3, m=2 rational map of rank 2, P3 = P1 - 2 P2, whose
+    elimination meets a negative pivot in each of its two pivot rows."""
+    P1 = HomPoly(3, 2, {(2, 0, 0): Fraction(-3, 2), (1, 1, 0): 2, (0, 1, 1): Fraction(5, 6),
+                        (0, 0, 2): -1})
+    P2 = HomPoly(3, 2, {(1, 0, 1): Fraction(-1, 3), (0, 2, 0): -4, (0, 1, 1): Fraction(7, 2)})
+    return PolyMap((P1, P2, P1 - P2.scale(2)))
+
+
 PINNED_WIDE_SHAPES = {"norm-sup-d4-m4": (4, 2, 4), "norm-sup-d5-m4": (5, 2, 4),
                       "norm-sup-d3-m5": (3, 1, 5)}
 
@@ -542,6 +569,8 @@ PINNED_OUTPUT_SHA256 = {
         "ae952da71866ab3ffe5ed030a76ba93ec75ad05110368bd1a1132dd041fb96c0",
     "decompose":
         "1c06d68841f84a83b143545d0bff5ba07d810a07d33f9c4bf5aba5ca04e83f6d",
+    "decompose-rank-deficient":
+        "f45ad626b2d122ef2bce4a30b9adc5b3b34fe97078e06a7739d3928b9e349f80",
     "norm-sup":
         "0e4c80640cd6f36986bb60af3ebee987ed4af7f75643e349608d32e015d6da06",
     "polymap_dumps-rational":
@@ -571,12 +600,16 @@ def test_f64_report_bytes_are_pinned(tmp_path):
 
 def test_request_output_bytes_are_pinned(tmp_path):
     rational, real = tmp_path / "rational.json", tmp_path / "f64.json"
+    deficient = tmp_path / "rank-deficient.json"
     rational.write_text(polymap_dumps(_pinned_rational_map()))
     real.write_text(polymap_dumps(_pinned_f64_map()))
+    deficient.write_text(polymap_dumps(_pinned_rank_deficient_map()))
     got = {"polymap_dumps-rational": rational.read_bytes(),
            "polymap_dumps-f64": real.read_bytes()}
     requests = [("adjoint", ["adjoint", str(rational), "--n", "2", "--k", "2"]),
                 ("decompose", ["decompose", str(rational), "--n", "2", "--k", "2"]),
+                ("decompose-rank-deficient",
+                 ["decompose", str(deficient), "--n", "2", "--k", "2"]),
                 ("norm-sup", ["norm", str(real), "--claim", "sup"])]
     for name, shape in PINNED_WIDE_SHAPES.items():
         src = tmp_path / f"{name}-map.json"

@@ -20,6 +20,7 @@ from polyadjoint import (
 )
 from polyadjoint.errors import DegreeError, DimensionError
 from polyadjoint import sampling
+from polyadjoint.linearization import _eliminate, coefficient_matrix
 
 
 def rank_l_map(rng, d: int, m: int, l: int) -> PolyMap:
@@ -98,6 +99,27 @@ def test_expansion_term_count_formula():
                 exp = expand_adjoint(rep, n, k)
                 expected = math.comb(math.comb(k + l - 1, l - 1) + n - 1, n)
                 assert len(exp.terms) == expected
+
+
+def test_rep_of_a_rank_deficient_map_with_negative_pivots():
+    # P3 = P1 - 2 P2, and both pivots of the elimination are negative: each
+    # p_j takes the sign into its numerators, so its denominator is positive
+    P1 = HomPoly(3, 2, {(2, 0, 0): Fraction(-3, 2), (1, 1, 0): 2, (0, 1, 1): Fraction(5, 6),
+                        (0, 0, 2): -1})
+    P2 = HomPoly(3, 2, {(1, 0, 1): Fraction(-1, 3), (0, 2, 0): -4, (0, 1, 1): Fraction(7, 2)})
+    P = PolyMap((P1, P2, P1 - P2.scale(2)))
+    cm = coefficient_matrix(P)
+    a, pivots = _eliminate(cm._rows[1], cm.cols)
+    assert [a[j][c] < 0 for j, c in enumerate(pivots)] == [True, True]
+    rep = finite_rank_rep(P)
+    assert rep.rank == 2
+    for p in rep.scalars:
+        assert p._terms[0] > 0
+        assert p == HomPoly(p.domain_dim, p.degree, dict(p.coeffs))
+    rng = sampling.rng(11, "negative-pivots")
+    for _ in range(5):
+        x = sampling.random_point(rng, 3)
+        assert rep.reconstruct(x) == P.eval_map(x)
 
 
 def test_classical_case_splits_over_vectors():

@@ -299,15 +299,14 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_finite_type": "fail",
     }
 
-    # a dropped pivot reaches rank, inverse and rref, which all eliminate
-    # with _eliminate; the sampler keeps the true elimination on its integer
-    # matrices: random_invertible_matrix retries until it sees full rank,
+    # a dropped pivot reaches rank, inverse and finite_rank_rep, which all
+    # eliminate with linearization._eliminate; the sampler keeps the true
+    # elimination: random_invertible_matrix retries until it sees full rank,
     # which a dropped pivot would never report
     with monkeypatch.context() as patch:
         eliminate = linearization._eliminate
         patch.setattr(linearization, "_eliminate", _last_pivot_dropped(eliminate))
-        patch.setattr(sampling, "rref", lambda rows, ncols: eliminate(
-            [[int(v) for v in r] for r in rows], ncols))
+        patch.setattr(sampling, "_eliminate", eliminate)
         caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
     assert caught == {
         "claim_rank_bound": "fail",
