@@ -203,12 +203,17 @@ def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
     denominator, and the result stores that integer form; its ``coeffs``
     view is built only if something reads it.  f64 values are the
     coefficients themselves (den = 1), stored as both the numerators and
-    ``coeffs``."""
+    ``coeffs``; one that overflowed raises CapacityError, as the result does
+    not fit a double."""
     nums = values
     if 0 in values.values():
         nums = {a: v for a, v in values.items() if v != 0}
     self = object.__new__(HomPoly)
     if field == F64:
+        # finite operands overflow to an infinity, or to NaN as inf - inf
+        if not all(map(math.isfinite, nums.values())):
+            raise CapacityError(f"a degree-{m} f64 result on R^{d} has a coefficient "
+                                f"past the largest double")
         self.__dict__["coeffs"] = nums
     else:
         g = math.gcd(den, *nums.values())

@@ -20,7 +20,8 @@ class FieldError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A monomial basis would exceed the size cap."""
+    """A result would exceed a size cap: a monomial basis over the cap, or
+    an f64 value past the largest double."""
 
 
 class SingularMatrixError(ValueError):

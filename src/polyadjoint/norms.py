@@ -47,15 +47,24 @@ positive definite when every leading principal minor is positive
 pivoting yields those minors as its pivots.  A certificate that fails
 raises AssertionError.
 
-Each piece of kernel work is done once.  A compiled map holds the degree-m
-exponent table for values and one degree-(m-1) table shared by all d
-partial derivatives, each of which gathers its monomials from it through an
-index array; one power table per variable and batch of points fills both,
-and the ascent carries the lower table of its accepted points forward, so
-the gradient at an iterate costs no new table.  The circle pass reads the
+Each piece of kernel work is done once.  The index tables a map evaluates
+with depend only on its shape (d, m), so they are built once per shape and
+cached, not per map: where each degree-m monomial, for the values, and each
+degree-(m-1) monomial, for the table shared by all d partial derivatives,
+reads its factors in a batch's power table, and where each partial gathers
+its monomials from that lower table.  For the ascent's few rows the tables
+are products over the variables in turn, and the ascent carries the lower
+table of its accepted points forward, so the gradient at an iterate costs no
+new table.  The sample floor's many rows take shared prefix products
+instead: each monomial is the left-to-right product of x_j^{a_j} over its
+nonzero exponents, which is the per-variable product too (its other factors
+are 1.0, which is exact), so a depth-first walk of the basis in its own
+order, holding one product per depth, writes each column of the same table
+with one multiplication, to the same bits.  The circle pass reads the
 coefficients of (1-t^2)^{a1} (2t)^{a2} from a table cached per degree.  A
 map far from unit scale is measured scaled by a power of two, which is
-exact, so no square underflows or overflows.
+exact, so no square underflows or overflows; `vector_norm` scales a vector
+the same way.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
@@ -68,6 +77,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -184,8 +194,96 @@ class Report:
 
 
 def vector_norm(y: Sequence) -> float:
+    """The Euclidean norm of y.  A vector whose largest entry is 2^e with
+    |e| > MAX_SCALE_EXP is measured as 2^-e y, exactly, so that no square
+    underflows or overflows, and its norm scaled back (inf past the largest
+    double)."""
     v = np.asarray(y, dtype=float)
-    return float(np.sqrt((v * v).sum()))
+    shift = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
+    if abs(shift) <= MAX_SCALE_EXP:
+        return float(np.sqrt((v * v).sum()))
+    v = np.ldexp(v, -shift)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt((v * v).sum()), shift))
+
+
+class _Shape:
+    """What every degree-m map on R^d evaluates with, built once per (d, m)
+    by `_shape`: the basis and, per variable x_j, where each monomial reads
+    its power of x_j in a point's power table; on first use, the same for
+    the degree-(m-1) basis, the partials' index arrays and the sample
+    floor's prefix walk."""
+
+    def __init__(self, d: int, m: int):
+        self.d, self.m = d, m
+        self.basis = enumerate_multi_indices(d, m)
+        self.gather = _gather_index(self.basis, d, m)
+
+    @functools.cached_property
+    def lower_gather(self) -> tuple[np.ndarray, ...]:
+        return _gather_index(enumerate_multi_indices(self.d, self.m - 1), self.d, self.m)
+
+    @functools.cached_property
+    def partials(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(mask, idx, alpha_j) for each variable x_j, in order: which
+        monomials alpha contain x_j, where alpha - e_j sits in the lower
+        table, and their exponents of x_j."""
+        where = {a: i for i, a in enumerate(enumerate_multi_indices(self.d, self.m - 1))}
+        expts = np.array(self.basis, dtype=np.int64)
+        partials = []
+        for j in range(self.d):
+            mask = expts[:, j] > 0
+            idx = np.array([where[a[:j] + (a[j] - 1,) + a[j + 1:]]
+                            for a, keep in zip(self.basis, mask.tolist()) if keep],
+                           dtype=np.intp)
+            partials.append(_read_only(mask, idx, expts[mask, j]))
+        return tuple(partials)
+
+    @functools.cached_property
+    def walk(self) -> tuple[tuple[int, int, int, int], ...]:
+        return _prefix_walk(self.basis)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _gather_index(basis: list[tuple[int, ...]], d: int, m: int) -> tuple[np.ndarray, ...]:
+    """Where x_j^{alpha_j} sits in the flattened (d, m + 1) power table of a
+    point, over the basis, one read-only index array per variable."""
+    expts = np.array(basis, dtype=np.intp)
+    return _read_only(*((m + 1) * j + expts[:, j] for j in range(d)))
+
+
+def _prefix_walk(basis: list[tuple[int, ...]]) -> tuple[tuple[int, int, int, int], ...]:
+    """The steps that build the monomial table from shared prefix products.
+
+    Monomial alpha is the left-to-right product of x_j^{a_j} over its
+    nonzero exponents, the product the per-variable table forms too, whose
+    extra factors of 1.0 are exact.  In the basis's descending lex order the
+    monomials sharing a prefix of those factors are adjacent, so a
+    depth-first walk keeps one product per depth.  Step (i, j, a, t) sets
+    depth i to depth i - 1 (nothing at i = 0) times x_j^a, and writes that
+    into column t of the table when t >= 0 instead.
+    """
+    walk, live = [], []
+    for t, alpha in enumerate(basis):
+        factors = [(j, a) for j, a in enumerate(alpha) if a]
+        # the products of live[:k] are still held at depths 0..k-1
+        k = 0
+        while k < min(len(live), len(factors) - 1) and live[k] == factors[k]:
+            k += 1
+        walk.extend((i, j, a, -1) for i, (j, a) in enumerate(factors[k:-1], k))
+        walk.append((len(factors) - 1, *factors[-1], t))
+        live = factors[:-1]
+    return tuple(walk)
+
+
+@functools.lru_cache(maxsize=16)
+def _shape(d: int, m: int) -> _Shape:
+    return _Shape(d, m)
 
 
 class _CompiledMap:
@@ -195,7 +293,8 @@ class _CompiledMap:
     values and the degree-(m-1) basis for all d partials.  dP/dx_j reads the
     monomials it needs from the shared lower table through an index array,
     so one set of power tables per batch of points yields the values and the
-    whole gradient.
+    whole gradient.  Both tables, and the walk that builds the sample
+    floor's table, are shared by every map of the same shape.
     """
 
     def __init__(self, P: PolyMap):
@@ -206,54 +305,66 @@ class _CompiledMap:
         if self.m + 1 > DEFAULT_SIZE_CAP:
             raise CapacityError(f"a degree-{self.m} map needs power tables of {self.m + 1} "
                                 f"columns, exceeding the size cap {DEFAULT_SIZE_CAP}")
-        basis = enumerate_multi_indices(self.d, self.m)
-        self.expts = np.array(basis, dtype=np.int64)          # (T, d)
+        self.shape = _shape(self.d, self.m)
         self.coeffs = np.array(
-            [[float(c.coefficient(a)) for a in basis] for c in P.components])  # (e, T)
+            [[float(c.coefficient(a)) for a in self.shape.basis] for c in P.components])  # (e, T)
         if not np.isfinite(self.coeffs).all():
             raise FieldError("non-finite coefficient in polynomial map")
 
-    # only the ascent needs the lower table and the partials, so they are
-    # built on its first use
+    # only the ascent needs the partials, so they are built on its first use
     @functools.cached_property
-    def lower_expts(self) -> np.ndarray:
-        """(T', d) degree-(m-1) exponent table, shared by all partials."""
-        return np.array(enumerate_multi_indices(self.d, self.m - 1), dtype=np.int64)
-
-    @functools.cached_property
-    def partials(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """dP/dx_j for every variable that occurs: where alpha - e_j sits in
-        the lower table, for each monomial alpha containing x_j, and the
-        coefficients times alpha_j."""
-        where = {a: i for i, a in enumerate(map(tuple, self.lower_expts.tolist()))}
-        basis = list(map(tuple, self.expts.tolist()))
-        partials = []
-        for j in range(self.d):
-            mask = self.expts[:, j] > 0
-            if mask.any():
-                idx = np.array([where[a[:j] + (a[j] - 1,) + a[j + 1:]]
-                                for a, keep in zip(basis, mask.tolist()) if keep],
-                               dtype=np.intp)
-                partials.append((j, idx, self.coeffs[:, mask] * self.expts[mask, j]))
-        return partials
+    def partials(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """dP/dx_j for each variable x_j, in order (each occurs at m >= 1):
+        where alpha - e_j sits in the lower table, for each monomial alpha
+        containing x_j, and the coefficients times alpha_j."""
+        return [(idx, self.coeffs[:, mask] * weights)
+                for mask, idx, weights in self.shape.partials]
 
     def monomials(self, X: np.ndarray,
                   lower: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """(N, T) degree-m monomial values at the rows of X and, with
         ``lower``, the (N, T') degree-(m-1) ones (else None), both read from
-        one cumulative power table per variable."""
+        one cumulative power table per point: each is the product over the
+        variables in turn of the powers gathered from it, a 1.0 for each
+        zero exponent included."""
         N = X.shape[0]
-        mon = np.ones((N, self.expts.shape[0]))
-        low = np.ones((N, self.lower_expts.shape[0])) if lower else None
-        for j in range(self.d):
-            powers = np.empty((N, self.m + 1))
-            powers[:, 0] = 1.0
-            for a in range(1, self.m + 1):
-                powers[:, a] = powers[:, a - 1] * X[:, j]
-            mon *= powers[:, self.expts[:, j]]
-            if lower and self.m > 1:
-                low *= powers[:, self.lower_expts[:, j]]
-        return mon, low
+        powers = np.empty((N, self.d, self.m + 1))
+        powers[:, :, 0] = 1.0
+        powers[:, :, 1] = X
+        for a in range(2, self.m + 1):
+            np.multiply(powers[:, :, a - 1], X, out=powers[:, :, a])
+        flat = powers.reshape(N, -1)
+
+        def table(gather: tuple[np.ndarray, ...]) -> np.ndarray:
+            out = flat.take(gather[0], axis=1)
+            for index in gather[1:]:
+                out *= flat.take(index, axis=1)
+            return out
+        return table(self.shape.gather), table(self.shape.lower_gather) if lower else None
+
+    def floor_monomials(self, X: np.ndarray) -> np.ndarray:
+        """The (N, T) table of `monomials` at the many rows of the sample
+        floor, equal to it bit for bit, built column by column by the
+        shape's prefix walk from one power row per variable and exponent."""
+        N = X.shape[0]
+        # row a - 1 holds x_j^a: the walk reads no zero exponent
+        powers = np.empty((self.d, self.m, N))
+        powers[:, 0] = X.T
+        for a in range(1, self.m):
+            np.multiply(powers[:, a - 1], powers[:, 0], out=powers[:, a])
+        mon = np.empty((N, len(self.shape.basis)))
+        # a monomial has at most min(d, m) factors, so the walk as many depths
+        held = np.empty((min(self.d, self.m), N))
+        path = [None] * len(held)
+        for i, j, a, t in self.shape.walk:
+            factor = powers[j, a - 1]
+            if t < 0:
+                path[i] = np.multiply(path[i - 1], factor, out=held[i]) if i else factor
+            elif i:
+                np.multiply(path[i - 1], factor, out=mon[:, t])
+            else:
+                mon[:, t] = factor
+        return mon
 
     def values_and_lower(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, e) values at the rows of X and their (N, T') lower table."""
@@ -265,22 +376,24 @@ class _CompiledMap:
         return self.monomials(X)[0] @ self.coeffs.T
 
     def norms(self, X: np.ndarray) -> np.ndarray:
-        V = self.values(X)
-        return np.sqrt((V * V).sum(axis=1))
+        return _row_norms(self.values(X))
 
     def gradient(self, V: np.ndarray, low: np.ndarray) -> np.ndarray:
         """Gradient of f(x) = |P(x)|_2^2 at N points, given their values V
         and their degree-(m-1) monomial table ``low``."""
-        G = np.zeros((V.shape[0], self.d))
-        for j, idx, dcoeffs in self.partials:
+        dV = np.empty((V.shape[0], self.d, self.e))
+        for j, (idx, dcoeffs) in enumerate(self.partials):
             # take, not low[:, idx], which is F-ordered: the last bits of
             # the matmul follow the layout of its operands
-            dV = low.take(idx, axis=1) @ dcoeffs.T             # (N, e)
-            G[:, j] = 2.0 * (V * dV).sum(axis=1)
-        return G
+            dV[:, j] = low.take(idx, axis=1) @ dcoeffs.T
+        return 2.0 * (V[:, None, :] * dV).sum(axis=2)
 
     def coeff_sum_bound(self) -> float:
         return vector_norm(np.abs(self.coeffs).sum(axis=1))
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    return np.sqrt((V * V).sum(axis=1))
 
 
 def _sphere_samples(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -372,14 +485,14 @@ def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
         Vc, low_c = cm.values_and_lower(cand)
         f_new = (Vc * Vc).sum(axis=1)
         better = f_new > f
-        X[better] = cand[better]
-        V[better] = Vc[better]
+        rows = better[:, None]
+        np.copyto(X, cand, where=rows)
+        np.copyto(V, Vc, where=rows)
         # the accepted rows' lower table is the next gradient's input
-        low[better] = low_c[better]
+        np.copyto(low, low_c, where=rows)
         improvement = np.where(better, f_new - f, 0.0)
         f = np.where(better, f_new, f)
-        eta[better] *= 1.3
-        eta[~better] *= 0.4
+        eta *= np.where(better, 1.3, 0.4)
         rel = improvement.max() / max(f.max(), 1e-300)
         if rel < 1e-16:
             stall += 1
@@ -537,7 +650,9 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
         if n > 1e-300:
             rows.append((v / n)[None, :])
     X = np.vstack(rows)
-    vals = cm.norms(X)
+    # the sample floor's many rows take the prefix walk, to the same bits
+    mon = cm.floor_monomials(X) if search else cm.monomials(X)[0]
+    vals = _row_norms(mon @ cm.coeffs.T)
     i = int(vals.argmax())
     best, iters = X[i], 0
     if method == "circle-critical-points":
@@ -650,12 +765,21 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
                        q_trials: int = ADJOINT_Q_TRIALS) -> Report:
     """The adjoint's norm equals |P|^{kn}: certified from below by the k-th
     power of a functional norming P at its maximizer, and never exceeded on
-    normalized random test polynomials."""
+    normalized random test polynomials.  CapacityError when |P|^{kn} is not
+    a normal double."""
     P = P.as_field(F64)
     est = sup_norm(P, cfg)
     if est.value <= 0.0:
         raise DegenerateInputError("zero map has no norming direction")
-    target = est.value ** (k * n)
+    try:
+        target = est.value ** (k * n)
+    except OverflowError:
+        target = math.inf
+    # past the largest double, or below the smallest normal one, where it
+    # keeps too few bits to compare with, or none
+    if not sys.float_info.min <= target <= sys.float_info.max:
+        raise CapacityError(f"the adjoint's norm |P|^{k * n} = ({est.value!r})^{k * n} "
+                            f"does not fit a double")
     phi = norming_functional(P.eval_map(est.maximizer))
     q_star = phi ** k
     lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg,

@@ -76,6 +76,16 @@ def test_enumerate_owns_the_size_cap():
         enumerate_multi_indices(3004, 1)
 
 
+def test_f64_result_past_the_largest_double_is_refused():
+    p = HomPoly(2, 1, {(1, 0): 1e200, (0, 1): 1.0}, F64)
+    q = HomPoly(2, 1, {(1, 0): 1.5e308}, F64)
+    for build in (lambda: p * p, lambda: p ** 2, lambda: p.scale(1e200), lambda: q + q):
+        with pytest.raises(CapacityError, match="past the largest double"):
+            build()
+    # finite products of the same operands are kept
+    assert (p * p.scale(1e-200)).coeffs[(2, 0)] == pytest.approx(1e200)
+
+
 def _limit_memory() -> None:
     # 2 GB of address space: a missed cap fails instead of exhausting memory
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -117,6 +117,36 @@ def test_norm_sup_on_a_wide_range_two_variable_map(tmp_path):
     assert obj["value"] > 0
 
 
+TINY, HUGE = (1e-200, 1e-200), (1e200, 1.0)
+
+
+@pytest.mark.parametrize("coeffs, argv, code, message", [
+    # the norming functional of P(x) = 1e-200 (1, 1) at its maximizer used
+    # to fail as "cannot norm the zero vector" (exit 2)
+    (TINY, ["norm", "--claim", "delta", "--n", "1", "--k", "1"], 0, "wall_ms="),
+    # |P|^2 = 2e-400 underflows to 0 and (1e200)^2 overflows: the claim
+    # cannot be compared in doubles, which ended in exit 2 and in an
+    # OverflowError traceback (exit 1)
+    (TINY, ["norm", "--claim", "delta", "--n", "2", "--k", "1"], 3, "does not fit a double"),
+    (HUGE, ["norm", "--claim", "delta", "--n", "2", "--k", "1"], 3, "does not fit a double"),
+    # the adjoint's coefficients overflow; the writer used to refuse the
+    # infinity with exit 2
+    (HUGE, ["adjoint", "--n", "2", "--k", "1"], 3, "past the largest double"),
+], ids=["tiny-delta-n1", "tiny-delta-n2", "huge-delta-n2", "huge-adjoint"])
+def test_f64_requests_far_from_unit_scale_end_in_their_exit(tmp_path, coeffs, argv, code,
+                                                            message):
+    # the map x |-> c1 x1 + c2 x2
+    src = tmp_path / "map.json"
+    src.write_text(polymap_dumps(PolyMap((HomPoly(2, 1, dict(zip([(1, 0), (0, 1)], coeffs)),
+                                                   F64),))))
+    proc = run_cli(argv[0], str(src), *argv[1:])
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["passed"] is True
+
+
 def test_norm_delta_subcommand(tmp_path):
     src = tmp_path / "map.json"
     src.write_text(sample_map_json())
@@ -217,11 +247,8 @@ def test_bad_map_json_exits_2(tmp_path, capsys, key, value):
     ("f64", float("nan"), ["adjoint", "--n", "1", "--k", "1"]),
     ("f64", float("inf"), ["adjoint", "--n", "1", "--k", "1"]),
     ("f64", 10 ** 400, ["adjoint", "--n", "1", "--k", "1"]),
-    # (1e300 x)^2 overflows: the result is not JSON, so nothing is written
-    ("f64", 1e300, ["adjoint", "--n", "2", "--k", "1"]),
     ("rational", f"{10 ** 400}/1", ["norm"]),
-], ids=["nan", "infinity", "401-digit-integer", "overflowing-result",
-        "rational-beyond-f64"])
+], ids=["nan", "infinity", "401-digit-integer", "rational-beyond-f64"])
 def test_non_finite_f64_exits_2(tmp_path, capsys, field, value, argv):
     src = tmp_path / "map.json"
     src.write_text(json.dumps({**SCALAR_MAP, "field": field,
@@ -230,6 +257,18 @@ def test_non_finite_f64_exits_2(tmp_path, capsys, field, value, argv):
     assert cli.main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 2
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_overflowing_f64_result_exits_3(tmp_path, capsys):
+    # (1e300 x)^2 does not fit a double: the product refuses it as a size
+    # cap, so nothing is written
+    src = tmp_path / "map.json"
+    src.write_text(json.dumps({**SCALAR_MAP, "field": "f64",
+                               "components": [[{"alpha": [1], "value": 1e300}]]}))
+    out = tmp_path / "out.json"
+    assert cli.main(["adjoint", str(src), "--n", "2", "--k", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "past the largest double" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["adjoint", "--n", "1", "--k", "1"], ["norm"],

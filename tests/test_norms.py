@@ -312,6 +312,69 @@ def test_kernel_values_and_gradients_match_exact_evaluation(data):
             assert abs(Fraction(float(g[j])) - want) <= Fraction(1e-12) * size
 
 
+def _per_variable_tables(X, basis, lower_basis, m):
+    # the reference: the monomial tables as the kernel first built them, one
+    # cumulative power table and one gathered product per variable in turn
+    N, d = X.shape
+    expts, lower = np.array(basis), np.array(lower_basis)
+    mon, low = np.ones((N, len(basis))), np.ones((N, len(lower_basis)))
+    for j in range(d):
+        powers = np.empty((N, m + 1))
+        powers[:, 0] = 1.0
+        for a in range(1, m + 1):
+            powers[:, a] = powers[:, a - 1] * X[:, j]
+        mon *= powers[:, expts[:, j]]
+        if m > 1:
+            low *= powers[:, lower[:, j]]
+    return mon, low
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.flags.c_contiguous and np.array_equal(
+        a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_monomial_tables_equal_the_per_variable_product_bit_for_bit(d):
+    # the sample floor's prefix walk and the ascent's gathered product both
+    # reproduce every bit of the reference, C-ordered as the matmul needs
+    rng = np.random.default_rng(d)
+    for m in range(1, 6):
+        P = PolyMap((HomPoly(d, m, {(m,) + (0,) * (d - 1): 1.0}, F64),))
+        cm = norms._CompiledMap(P)
+        basis, lower = enumerate_multi_indices(d, m), enumerate_multi_indices(d, m - 1)
+        for N in (1, 7, 64, 16394):
+            X = norms._sphere_samples(d, N, rng)
+            mon, low = _per_variable_tables(X, basis, lower, m)
+            assert _same_bits(cm.floor_monomials(X), mon), (d, m, N)
+            if N <= 64:
+                got, got_low = cm.monomials(X, lower=True)
+                assert _same_bits(got, mon) and _same_bits(got_low, low), (d, m, N)
+
+
+@pytest.mark.parametrize("e", [1, 2, 9])
+def test_gradient_equals_one_reduction_per_variable_bit_for_bit(e):
+    # the reference reduces each partial's column on its own, as the kernel
+    # first did; the kernel now reduces all d of them in one sum
+    rng = np.random.default_rng(e)
+    for d, m in itertools.product(range(2, 7), range(1, 6)):
+        basis, lower = enumerate_multi_indices(d, m), enumerate_multi_indices(d, m - 1)
+        P = PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, rng.standard_normal(len(basis))))),
+                                  F64) for _ in range(e)))
+        cm = norms._CompiledMap(P)
+        X = norms._sphere_samples(d, 64, rng)
+        V, low = cm.values_and_lower(X)
+        where = {a: i for i, a in enumerate(lower)}
+        want = np.zeros((64, d))
+        for j in range(d):
+            keep = [t for t, a in enumerate(basis) if a[j]]
+            idx = np.array([where[basis[t][:j] + (basis[t][j] - 1,) + basis[t][j + 1:]]
+                            for t in keep], dtype=np.intp)
+            dcoeffs = cm.coeffs[:, keep] * np.array([basis[t][j] for t in keep])
+            want[:, j] = 2.0 * (V * (low.take(idx, axis=1) @ dcoeffs.T)).sum(axis=1)
+        assert _same_bits(cm.gradient(V, low), want), (d, m)
+
+
 def test_sup_norm_diagonal_quadratic_frozen():
     # P = (x^2, y^2): on the unit circle sqrt(x^4 + y^4) peaks at the axes
     P = PolyMap((
@@ -469,6 +532,18 @@ def test_vector_norm_and_norming_functional():
             vector_norm([float(v) for v in z]) + 1e-12
     with pytest.raises(DegenerateInputError):
         norming_functional([0.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [-700, -300, 300, 700])
+def test_vector_norm_far_from_unit_scale(scale):
+    # (3, 4) 2^s has norm 5 * 2^s exactly; unscaled, its squares underflow
+    # to 0 or overflow to inf
+    assert vector_norm([math.ldexp(3.0, scale), math.ldexp(-4.0, scale)]) == math.ldexp(5.0, scale)
+    # a norm past the largest double is inf, without a warning
+    assert vector_norm([1.5e308, 1.5e308]) == math.inf
+    # norming 1e-200 (1, 1) used to fail as the zero vector
+    phi = norming_functional([1e-200, 1e-200])
+    assert phi.eval((1e-200, 1e-200)) == pytest.approx(2.0 ** 0.5 * 1e-200, rel=1e-15)
 
 
 def test_check_norm_duality_report():
