@@ -114,7 +114,9 @@ def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
     # beta, of degree nk, so it is read from P's own memo.  With P^g = sum
     # n_gamma x^gamma / D_mu, component gamma gets the term w n_gamma / D_mu
     # at mu, and is built from integer numerators over the lcm of its D_mu
-    # (for f64, D_mu = 1 and the numerators are the floats).
+    # (for f64, D_mu = 1 and the numerators are the floats).  An f64 P^g
+    # whose coefficient underflowed to zero was refused where it was
+    # multiplied, and w is an integer >= 1, so no term here rounds to zero.
     gs = [tuple(sum(c * b for c, b in zip(mu, col)) for col in zip(*q_basis)) for mu in mus]
     parts: list[list[tuple[MultiIndex, Scalar, int]]] = [[] for _ in out_basis]
     out_index = {g: i for i, g in enumerate(out_basis)}

@@ -224,6 +224,20 @@ def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
     return self
 
 
+def _refuse_lost_terms(d: int, m: int, terms: Iterable[tuple[MultiIndex, float]],
+                       out: dict[MultiIndex, float]) -> None:
+    """CapacityError when a coefficient of ``out`` is zero although a
+    product summed into it, (alpha, product) in ``terms``, is one of nonzero
+    doubles that rounded to zero: the coefficient is below the smallest
+    double, and dropping it as a zero would lose it unseen.  A refused
+    coefficient is a zero, so callers run this only on an f64 result that
+    holds or dropped one; a zero from a true cancellation passes."""
+    for alpha, product in terms:
+        if product == 0.0 and not out.get(alpha):
+            raise CapacityError(f"a degree-{m} f64 result on R^{d} has a coefficient "
+                                f"below the smallest double")
+
+
 # a rational product packs when its slot box (m+1)^(d-1) is at most
 # _BOX_PER_BASIS times its basis C(d+m-1, m) and it has at least
 # _PAIRS_PER_BASIS term pairs per basis monomial.  Measured on dense and
@@ -434,8 +448,10 @@ class HomPoly:
         c = _coerce(c, self.field)
         num, cden = (c, 1) if self.field == F64 else c.as_integer_ratio()
         den, nums = self._terms
-        return _built(self.domain_dim, self.degree, {a: num * v for a, v in nums.items()},
-                      self.field, den * cden)
+        data = {a: num * v for a, v in nums.items()}
+        if self.field == F64 and num and 0 in data.values():
+            _refuse_lost_terms(self.domain_dim, self.degree, data.items(), data)
+        return _built(self.domain_dim, self.degree, data, self.field, den * cden)
 
     def __mul__(self, other: HomPoly) -> HomPoly:
         """Pointwise product; degrees add.  The integer numerators are
@@ -457,6 +473,9 @@ class HomPoly:
                 for a2, c2 in right:
                     a = tuple(map(add, a1, a2))
                     data[a] = data.get(a, 0) + c1 * c2
+            if self.field == F64 and 0 in data.values():
+                _refuse_lost_terms(d, m, ((tuple(map(add, a1, a2)), c1 * c2)
+                                          for a1, c1 in v1.items() for a2, c2 in right), data)
         return _built(d, m, data, self.field, d1 * d2)
 
     def __pow__(self, n: int) -> HomPoly:
@@ -597,6 +616,7 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
     # every term goes over Q * lcm(D_beta)
     den = math.lcm(*[t._terms[0] for t in terms])
     out: dict[MultiIndex, Scalar] = {}
+    dropped = False
     for c, term in zip(qnums.values(), terms):
         tden, values = term._terms
         c *= den // tden
@@ -608,6 +628,11 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
                 out[gamma] = total
             else:
                 out.pop(gamma, None)
+                dropped = True
+    if dropped and q.field == F64:
+        _refuse_lost_terms(P.domain_dim, P.degree * q.degree,
+                           ((gamma, c * v) for c, t in zip(qnums.values(), terms)
+                            for gamma, v in t._terms[1].items()), out)
     return _built(P.domain_dim, P.degree * q.degree, out, q.field, qden * den)
 
 

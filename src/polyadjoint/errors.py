@@ -20,8 +20,9 @@ class FieldError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A result would exceed a size cap: a monomial basis over the cap, or
-    an f64 value past the largest double."""
+    """A result would exceed a size cap: a monomial basis over the cap, an
+    f64 value past the largest double, or a nonzero one below the
+    smallest."""
 
 
 class SingularMatrixError(ValueError):

@@ -6,16 +6,20 @@ the unit sphere.  Estimates are always certified lower bounds: the reported
 value is the evaluation of P at the reported maximizer, which lies on the
 sphere up to machine precision.
 
-`sup_norm` runs one pipeline for every map.  A method, chosen by shape,
-supplies the head of the candidate points; the points +-e_i and any extra
-starts, projected to the sphere, follow it, and the candidate of largest
-value is picked once.  The heads:
+`sup_norm` runs one pipeline over a stack of maps of one shape (d, m, e);
+a single map is a stack of one.  A method, chosen by shape, supplies the
+head of each map's candidate points; the points +-e_i and any extra starts,
+projected to the sphere, follow it, and the candidate of largest value is
+picked once.  The heads:
 
 * one variable ("endpoint-enumeration"): none, the endpoints are +-e_1;
 * linear maps x -> Ax and scalar quadratic forms x^T M x on 2 to
   MAX_CLOSED_FORM_DIM variables ("closed-form"): the top eigenvector from
   np.linalg.eigh, since the norm is sigma_max(A), the square root of the
-  largest eigenvalue of A^T A, or max |lambda(M)| (Courant-Fischer);
+  largest eigenvalue of A^T A, or max |lambda(M)| (Courant-Fischer).  The
+  closed form stacks its eigh: one call over the (B, d, d) stack, whose
+  LAPACK work on each matrix is that of the matrix alone, and its
+  candidates are evaluated with one monomial table and one stacked matmul;
 * other maps of two variables ("circle-critical-points"): the critical
   points of the squared norm on the circle, solved outright by a rational
   parametrization and companion-matrix root-finding, so the pick is the
@@ -35,17 +39,21 @@ projected gradient ascent, with per-restart adaptive step and backtracking,
 from the best candidates, and its best point replaces the pick if it is at
 least as good.
 
-The tail is shared: the point is renormalized onto the sphere and P is
+The circle pass and the search keep their heads map by map.  The tail is
+shared, and stacked: each pick is renormalized onto the sphere and its map
 evaluated there, which gives the certified lower bound; that value is
 asserted below the Euclidean norm of the coefficient absolute sums; and it
-is scaled back if the map was measured scaled.  Only the closed form also
-carries a proven upper bound ``upper = value (1 + 2^-40)``.  Every double
-is a dyadic rational, so the proof is exact integer arithmetic: over one
-power-of-two denominator, u^2 I - A^T A (or u I - M and u I + M) is
-positive definite when every leading principal minor is positive
-(Sylvester), and fraction-free symmetric Bareiss elimination without
-pivoting yields those minors as its pivots.  A certificate that fails
-raises AssertionError.
+is scaled back if the map was measured scaled.  Every slice of a stacked
+step computes what the map alone would, so an estimate has the same bits
+in a stack as by itself.
+
+Only the closed form also carries a proven upper bound ``upper = value
+(1 + 2^-40)``, proven map by map.  Every double is a dyadic rational, so
+the proof is exact integer arithmetic: over one power-of-two denominator,
+u^2 I - A^T A (or u I - M and u I + M) is positive definite when every
+leading principal minor is positive (Sylvester), and fraction-free
+symmetric Bareiss elimination without pivoting yields those minors as its
+pivots.  A certificate that fails raises AssertionError.
 
 Each piece of kernel work is done once.  The index tables a map evaluates
 with depend only on its shape (d, m), so they are built once per shape and
@@ -68,17 +76,19 @@ the same way.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
-polynomials confirm the upper bound is never exceeded.  Each returns a
-`Report` of what it measured; the verdict is one rule, which the report
-applies itself: a claim passes exactly when its relative error is within
-its tolerance.  No check reads the clock, so same-seed reports are equal.
+polynomials confirm the upper bound is never exceeded.  Those polynomials
+are drawn first and normed in one stack, and so are the adjoint images
+they give.  Each helper returns a `Report` of what it measured; the
+verdict is one rule, which the report applies itself: a claim passes
+exactly when its relative error is within its tolerance.  No check reads
+the clock, so same-seed reports are equal.
 """
 from __future__ import annotations
 
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -212,7 +222,8 @@ class _Shape:
     by `_shape`: the basis and, per variable x_j, where each monomial reads
     its power of x_j in a point's power table; on first use, the same for
     the degree-(m-1) basis, the partials' index arrays and the sample
-    floor's prefix walk."""
+    floor's prefix walk; and the monomial tables of points, which depend on
+    nothing else, so that maps of one shape can share them."""
 
     def __init__(self, d: int, m: int):
         self.d, self.m = d, m
@@ -242,6 +253,62 @@ class _Shape:
     @functools.cached_property
     def walk(self) -> tuple[tuple[int, int, int, int], ...]:
         return _prefix_walk(self.basis)
+
+    def monomials(self, X: np.ndarray,
+                  lower: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """(N, T) degree-m monomial values at the rows of X and, with
+        ``lower``, the (N, T') degree-(m-1) ones (else None), both read from
+        one cumulative power table per point: each is the product over the
+        variables in turn of the powers gathered from it, a 1.0 for each
+        zero exponent included.  Row for row, so a stack of maps may share
+        one call."""
+        N = X.shape[0]
+        powers = np.empty((N, self.d, self.m + 1))
+        powers[:, :, 0] = 1.0
+        powers[:, :, 1] = X
+        for a in range(2, self.m + 1):
+            np.multiply(powers[:, :, a - 1], X, out=powers[:, :, a])
+        flat = powers.reshape(N, -1)
+
+        def table(gather: tuple[np.ndarray, ...]) -> np.ndarray:
+            out = flat.take(gather[0], axis=1)
+            for index in gather[1:]:
+                out *= flat.take(index, axis=1)
+            return out
+        return table(self.gather), table(self.lower_gather) if lower else None
+
+    def floor_monomials(self, X: np.ndarray) -> np.ndarray:
+        """The (N, T) table of `monomials` at the many rows of the sample
+        floor, equal to it bit for bit, built column by column by the
+        prefix walk from one power row per variable and exponent."""
+        N = X.shape[0]
+        # row a - 1 holds x_j^a: the walk reads no zero exponent
+        powers = np.empty((self.d, self.m, N))
+        powers[:, 0] = X.T
+        for a in range(1, self.m):
+            np.multiply(powers[:, a - 1], powers[:, 0], out=powers[:, a])
+        mon = np.empty((N, len(self.basis)))
+        # a monomial has at most min(d, m) factors, so the walk as many depths
+        held = np.empty((min(self.d, self.m), N))
+        path = [None] * len(held)
+        for i, j, a, t in self.walk:
+            factor = powers[j, a - 1]
+            if t < 0:
+                path[i] = np.multiply(path[i - 1], factor, out=held[i]) if i else factor
+            elif i:
+                np.multiply(path[i - 1], factor, out=mon[:, t])
+            else:
+                mon[:, t] = factor
+        return mon
+
+    def norms(self, X: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """(B, R) norms |P_b(x)| at the (B, R, d) stack of points X for the
+        (B, e, T) stack of coefficients: one monomial table and one stacked
+        matmul, each slice of which is the product of one map alone."""
+        B, R, d = X.shape
+        mon = self.monomials(X.reshape(B * R, d))[0].reshape(B, R, -1)
+        V = mon @ coeffs.transpose(0, 2, 1)
+        return _row_norms(V.reshape(B * R, -1)).reshape(B, R)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -286,6 +353,23 @@ def _shape(d: int, m: int) -> _Shape:
     return _Shape(d, m)
 
 
+def _coefficient_stack(maps: Sequence[PolyMap]) -> tuple[_Shape, np.ndarray]:
+    """The shape (d, m) of maps that share it and their (B, e, T)
+    coefficients in basis order; every slice is C-ordered, as the matmul
+    needs."""
+    d, m = maps[0].domain_dim, maps[0].degree
+    # power tables have m + 1 columns: the basis cap bounds m only at d >= 2
+    if m + 1 > DEFAULT_SIZE_CAP:
+        raise CapacityError(f"a degree-{m} map needs power tables of {m + 1} "
+                            f"columns, exceeding the size cap {DEFAULT_SIZE_CAP}")
+    shape = _shape(d, m)
+    coeffs = np.array([[[c.coeffs.get(a, 0.0) for a in shape.basis] for c in P.components]
+                       for P in maps], dtype=float)
+    if not np.isfinite(coeffs).all():
+        raise FieldError("non-finite coefficient in polynomial map")
+    return shape, coeffs
+
+
 class _CompiledMap:
     """numpy view of a float polynomial map for bulk evaluation.
 
@@ -297,19 +381,9 @@ class _CompiledMap:
     floor's table, are shared by every map of the same shape.
     """
 
-    def __init__(self, P: PolyMap):
-        self.d = P.domain_dim
-        self.e = P.codomain_dim
-        self.m = P.degree
-        # power tables have m + 1 columns: the basis cap bounds m only at d >= 2
-        if self.m + 1 > DEFAULT_SIZE_CAP:
-            raise CapacityError(f"a degree-{self.m} map needs power tables of {self.m + 1} "
-                                f"columns, exceeding the size cap {DEFAULT_SIZE_CAP}")
-        self.shape = _shape(self.d, self.m)
-        self.coeffs = np.array(
-            [[float(c.coefficient(a)) for a in self.shape.basis] for c in P.components])  # (e, T)
-        if not np.isfinite(self.coeffs).all():
-            raise FieldError("non-finite coefficient in polynomial map")
+    def __init__(self, shape: _Shape, coeffs: np.ndarray):
+        self.shape, self.coeffs = shape, coeffs  # (e, T)
+        self.d, self.m, self.e = shape.d, shape.m, coeffs.shape[0]
 
     # only the ascent needs the partials, so they are built on its first use
     @functools.cached_property
@@ -320,60 +394,14 @@ class _CompiledMap:
         return [(idx, self.coeffs[:, mask] * weights)
                 for mask, idx, weights in self.shape.partials]
 
-    def monomials(self, X: np.ndarray,
-                  lower: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-        """(N, T) degree-m monomial values at the rows of X and, with
-        ``lower``, the (N, T') degree-(m-1) ones (else None), both read from
-        one cumulative power table per point: each is the product over the
-        variables in turn of the powers gathered from it, a 1.0 for each
-        zero exponent included."""
-        N = X.shape[0]
-        powers = np.empty((N, self.d, self.m + 1))
-        powers[:, :, 0] = 1.0
-        powers[:, :, 1] = X
-        for a in range(2, self.m + 1):
-            np.multiply(powers[:, :, a - 1], X, out=powers[:, :, a])
-        flat = powers.reshape(N, -1)
-
-        def table(gather: tuple[np.ndarray, ...]) -> np.ndarray:
-            out = flat.take(gather[0], axis=1)
-            for index in gather[1:]:
-                out *= flat.take(index, axis=1)
-            return out
-        return table(self.shape.gather), table(self.shape.lower_gather) if lower else None
-
-    def floor_monomials(self, X: np.ndarray) -> np.ndarray:
-        """The (N, T) table of `monomials` at the many rows of the sample
-        floor, equal to it bit for bit, built column by column by the
-        shape's prefix walk from one power row per variable and exponent."""
-        N = X.shape[0]
-        # row a - 1 holds x_j^a: the walk reads no zero exponent
-        powers = np.empty((self.d, self.m, N))
-        powers[:, 0] = X.T
-        for a in range(1, self.m):
-            np.multiply(powers[:, a - 1], powers[:, 0], out=powers[:, a])
-        mon = np.empty((N, len(self.shape.basis)))
-        # a monomial has at most min(d, m) factors, so the walk as many depths
-        held = np.empty((min(self.d, self.m), N))
-        path = [None] * len(held)
-        for i, j, a, t in self.shape.walk:
-            factor = powers[j, a - 1]
-            if t < 0:
-                path[i] = np.multiply(path[i - 1], factor, out=held[i]) if i else factor
-            elif i:
-                np.multiply(path[i - 1], factor, out=mon[:, t])
-            else:
-                mon[:, t] = factor
-        return mon
-
     def values_and_lower(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, e) values at the rows of X and their (N, T') lower table."""
-        mon, low = self.monomials(X, lower=True)
+        mon, low = self.shape.monomials(X, lower=True)
         return mon @ self.coeffs.T, low
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """X: (N, d) points -> (N, e) values."""
-        return self.monomials(X)[0] @ self.coeffs.T
+        return self.shape.monomials(X)[0] @ self.coeffs.T
 
     def norms(self, X: np.ndarray) -> np.ndarray:
         return _row_norms(self.values(X))
@@ -387,9 +415,6 @@ class _CompiledMap:
             # the matmul follow the layout of its operands
             dV[:, j] = low.take(idx, axis=1) @ dcoeffs.T
         return 2.0 * (V[:, None, :] * dV).sum(axis=2)
-
-    def coeff_sum_bound(self) -> float:
-        return vector_norm(np.abs(self.coeffs).sum(axis=1))
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -505,6 +530,14 @@ def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
     return X, iters
 
 
+@functools.lru_cache(maxsize=16)
+def _signed_basis(d: int) -> np.ndarray:
+    """The (2d, d) rows e_1, ..., e_d, -e_1, ..., -e_d, read-only."""
+    rows = np.vstack([np.eye(d), -np.eye(d)])
+    rows.flags.writeable = False
+    return rows
+
+
 @functools.lru_cache(maxsize=MAX_CLOSED_FORM_DIM)
 def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) of the degree-2 basis x_i x_j, i <= j: its descending lex
@@ -514,26 +547,29 @@ def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _form_matrix(c: np.ndarray, d: int) -> np.ndarray:
-    """The symmetric M with x^T M x = sum c_alpha x^alpha for degree 2."""
+def _form_matrices(c: np.ndarray, d: int) -> np.ndarray:
+    """The symmetric M_b with x^T M_b x = sum c_b,alpha x^alpha for each
+    row c_b of degree-2 coefficients: a (B, d, d) stack."""
     i, j = _upper_triangle(d)
-    M = np.zeros((d, d))
-    M[i, j] = np.where(i == j, c, 0.5 * c)
-    M[j, i] = M[i, j]
+    M = np.zeros((len(c), d, d))
+    M[:, i, j] = np.where(i == j, c, 0.5 * c)
+    M[:, j, i] = M[:, i, j]
     return M
 
 
-def _top_eigenvector(cm: _CompiledMap) -> np.ndarray:
-    """A unit vector at which the linear map or quadratic form attains its
-    norm, up to rounding: the top eigenvector of A^T A, or the eigenvector
-    of M whose eigenvalue is largest in absolute value."""
-    if cm.m == 1:
-        # degree 1 lists the basis e_1, ..., e_d in order, so coeffs is A
-        w, V = np.linalg.eigh(cm.coeffs.T @ cm.coeffs)
+def _top_eigenvectors(coeffs: np.ndarray, d: int, m: int) -> np.ndarray:
+    """(B, d): for each linear map or quadratic form of the (B, e, T) stack,
+    a unit vector at which it attains its norm, up to rounding: the top
+    eigenvector of A^T A, or the eigenvector of M whose eigenvalue is
+    largest in absolute value.  One eigh runs over the stack, each slice as
+    it would alone."""
+    if m == 1:
+        # degree 1 lists the basis e_1, ..., e_d in order, so each slice is A
+        w, V = np.linalg.eigh(coeffs.transpose(0, 2, 1) @ coeffs)
     else:
-        w, V = np.linalg.eigh(_form_matrix(cm.coeffs[0], cm.d))
+        w, V = np.linalg.eigh(_form_matrices(coeffs[:, 0], d))
         w = np.abs(w)
-    return V[:, int(w.argmax())]
+    return V[np.arange(len(V)), :, w.argmax(axis=1)]
 
 
 def _positive_definite(W: list[list[int]]) -> bool:
@@ -600,98 +636,123 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     its value scaled back, both exactly; a norm past the largest double
     raises PreconditionError.
     """
-    if isinstance(P, HomPoly):
-        P = PolyMap((P,))
-    if P.field != F64:
+    return _sup_norms([P], cfg, extra_starts)[0]
+
+
+def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
+               extra_starts: Sequence[Sequence[float]] = ()) -> list[NormEstimate]:
+    """`sup_norm` of each map of a stack that shares one shape (d, m, e),
+    each to the bits it gets alone.  The closed form and the endpoints
+    evaluate their candidates, and every method its renormalized pick, over
+    the whole stack; the circle pass and the search find their candidates
+    and refine their pick map by map."""
+    maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
+    if not maps:
+        return []
+    if any(P.field != F64 for P in maps):
         raise FieldError("sup_norm runs on the f64 field; convert with as_field")
-    d, m = P.domain_dim, P.degree
+    d, m, e = maps[0].domain_dim, maps[0].degree, maps[0].codomain_dim
+    if any((P.domain_dim, P.degree, P.codomain_dim) != (d, m, e) for P in maps):
+        raise DimensionError("a stack of maps shares one shape (d, m, e)")
     # a linear map or a scalar quadratic form
-    closed_form = 2 <= d <= MAX_CLOSED_FORM_DIM and (m == 1 or (m == 2 and P.codomain_dim == 1))
-    search = not closed_form and (
-        d > 2 or (d == 2 and _exponent_spread(P) > MAX_CIRCLE_SPREAD))
+    closed_form = 2 <= d <= MAX_CLOSED_FORM_DIM and (m == 1 or (m == 2 and e == 1))
+    search = [not closed_form and (d > 2 or (d == 2 and _exponent_spread(P) > MAX_CIRCLE_SPREAD))
+              for P in maps]
     points = cfg.samples + 2 * d
-    # checked before the compiled map, whose exponent and derivative tables
-    # alone grow with d times the monomial count
-    if search and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
+    # checked before the coefficients are read, as the exponent and
+    # derivative tables alone grow with d times the monomial count
+    if any(search) and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
         raise CapacityError(
             f"{points} sphere points times C({d + m - 1}, {m}) monomials "
             f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
-    cm = _CompiledMap(P)
-    raw = cm.coeffs
-    # |2^-e P| = 2^-e |P|: far from unit scale the squares of the values
-    # would underflow or overflow, so there the map measured is 2^-e P (the
-    # partials, built on the ascent's first use, read the scaled coefficients)
-    shift = math.frexp(float(np.abs(cm.coeffs).max(initial=0.0)))[1]
-    if abs(shift) > MAX_SCALE_EXP:
-        cm.coeffs = np.ldexp(cm.coeffs, -shift)
-    else:
-        shift = 0
+    shape, raw = _coefficient_stack(maps)
+    # |2^-s P| = 2^-s |P|: far from unit scale the squares of the values
+    # would underflow or overflow, so there the map measured is 2^-s P, with
+    # s the binary exponent of its largest coefficient
+    shifts = np.frexp(np.abs(raw).reshape(len(raw), -1).max(axis=1, initial=0.0))[1]
+    shifts[np.abs(shifts) <= MAX_SCALE_EXP] = 0
+    coeffs = np.ldexp(raw, -shifts[:, None, None])
 
-    # each method supplies the head of the candidate rows: none for d = 1,
-    # whose endpoints are the +-e_1 below
-    if d == 1:
-        method, head = "endpoint-enumeration", np.empty((0, 1))
-    elif closed_form:
-        method, head = "closed-form", _top_eigenvector(cm)[None, :]
-    elif not search:
-        # the circle pass is exhaustive (t = infinity is +-e_1), so its
-        # best point is the maximum
-        method, head = "circle-critical-points", _circle_critical_points(cm)
-    else:
-        # `norm` prints this label and the benchmark counts by it, so it
-        # keeps its name although the samples are now Gaussian
-        method = "sobol+gradient-ascent"
-        rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
-        head = _sphere_samples(d, cfg.samples, rng)
-    rows = [head, np.eye(d), -np.eye(d)]
+    # the candidate rows after each method's head: +-e_i and the extra starts
+    rows = [_signed_basis(d)]
     for s in extra_starts:
         v = np.asarray(s, dtype=float)
         n = vector_norm(v)
         if n > 1e-300:
             rows.append((v / n)[None, :])
-    X = np.vstack(rows)
+    starts = np.vstack(rows)
+    B = len(maps)
+    if d == 1 or closed_form:
+        # the head is none for d = 1, whose endpoints are the +-e_1, and the
+        # top eigenvector for the closed form: one row at most, so the
+        # candidates of the whole stack are evaluated at once
+        h = int(closed_form)
+        X = np.empty((B, h + len(starts), d))
+        if closed_form:
+            X[:, 0] = _top_eigenvectors(coeffs, d, m)
+        X[:, h:] = starts
+        best = X[np.arange(B), shape.norms(X, coeffs).argmax(axis=1)]
+        iters = [0] * B
+        method = ["closed-form" if closed_form else "endpoint-enumeration"] * B
+    else:
+        picks = [_refined_pick(_CompiledMap(shape, c), searches, cfg, starts)
+                 for c, searches in zip(coeffs, search)]
+        best = np.array([x for x, _ in picks])
+        iters = [i for _, i in picks]
+        # `norm` prints this label and the benchmark counts by it, so it
+        # keeps its name although the samples are now Gaussian
+        method = ["sobol+gradient-ascent" if s else "circle-critical-points" for s in search]
+
+    # renormalize exactly onto the sphere and re-evaluate: the value reported
+    # is an evaluation, hence a certified lower bound
+    best = best / np.sqrt((best * best).sum(axis=1))[:, None]
+    values = shape.norms(best[:, None], coeffs)[:, 0]
+    bounds = _row_norms(np.abs(coeffs).sum(axis=2))
+    over = values > bounds * (1.0 + 1e-9) + 1e-300
+    if over.any():
+        b = int(over.argmax())
+        raise AssertionError(
+            f"estimate {values[b]} exceeds the coefficient-sum bound {bounds[b]}")
+    out = []
+    for b, value in enumerate(values.tolist()):
+        shift = int(shifts[b])
+        try:
+            upper = _certified_upper(raw[b], d, m, value, shift) if closed_form else None
+            if shift:
+                value = math.ldexp(value, shift)
+        except OverflowError:
+            raise PreconditionError(
+                f"the sup norm, {value} * 2^{shift}, exceeds the largest double") from None
+        out.append(NormEstimate(value, tuple(best[b].tolist()), True, iters[b], method[b], upper))
+    return out
+
+
+def _refined_pick(cm: _CompiledMap, search: bool, cfg: NormConfig,
+                  starts: np.ndarray) -> tuple[np.ndarray, int]:
+    """The best candidate of one map that the circle pass or the search
+    measures, and the ascent's iterations (0 on the circle).  The circle
+    pass is exhaustive (t = infinity is +-e_1), so its best point is the
+    maximum; random circle points only guard the root-finder."""
+    d = cm.d
+    rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
+    head = _sphere_samples(d, cfg.samples, rng) if search else _circle_critical_points(cm)
+    X = np.vstack([head, starts])
     # the sample floor's many rows take the prefix walk, to the same bits
-    mon = cm.floor_monomials(X) if search else cm.monomials(X)[0]
+    mon = cm.shape.floor_monomials(X) if search else cm.shape.monomials(X)[0]
     vals = _row_norms(mon @ cm.coeffs.T)
     i = int(vals.argmax())
-    best, iters = X[i], 0
-    if method == "circle-critical-points":
-        # random circle points only guard the root-finder
-        rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
+    if not search:
         check = float(cm.norms(_sphere_samples(d, CROSS_CHECK, rng)).max())
         if check > float(vals[i]) * (1.0 + 1e-9):
             raise AssertionError(
                 f"a random circle point reaches {check}, above the circle "
                 f"critical-point maximum {float(vals[i])}")
-    elif method == "sobol+gradient-ascent":
-        order = np.argsort(vals)[::-1]
-        starts = X[order[: min(cfg.restarts, X.shape[0])]]
-        refined, iters = _ascend_batch(cm, starts.copy())
-        rvals = cm.norms(refined)
-        j = int(rvals.argmax())
-        if float(rvals[j]) >= float(vals[i]):
-            best = refined[j]
-
-    # renormalize exactly onto the sphere and re-evaluate: the value reported
-    # is an evaluation, hence a certified lower bound
-    n = vector_norm(best)
-    if n > 0:
-        best = best / n
-    value = float(cm.norms(best[None, :])[0])
-    bound = cm.coeff_sum_bound()
-    if value > bound * (1.0 + 1e-9) + 1e-300:
-        raise AssertionError(
-            f"estimate {value} exceeds the coefficient-sum bound {bound}")
-    est = NormEstimate(value, tuple(float(v) for v in best), True, iters, method)
-    try:
-        if shift:
-            est = replace(est, value=math.ldexp(value, shift))
-        if closed_form:
-            est = replace(est, upper=_certified_upper(raw, d, m, value, shift))
-    except OverflowError:
-        raise PreconditionError(
-            f"the sup norm, {value} * 2^{shift}, exceeds the largest double") from None
-    return est
+        return X[i], 0
+    order = np.argsort(vals)[::-1]
+    refined, iters = _ascend_batch(cm, X[order[: min(cfg.restarts, X.shape[0])]])
+    rvals = cm.norms(refined)
+    j = int(rvals.argmax())
+    return (refined[j] if float(rvals[j]) >= float(vals[i]) else X[i]), iters
 
 
 def _certified_upper(raw: np.ndarray, d: int, m: int, value: float, shift: int) -> float:
@@ -743,21 +804,24 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> R
 
 
 def _upper_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
-                  cfg: NormConfig, ratio) -> tuple[float, int]:
-    """The upper side of a norm identity: ``ratio`` on q_trials random
-    degree-k polynomials on R^d, each scaled to sup norm one (those below
-    1e-12 are skipped).  Returns the worst ratio, NaN if any ratio is, and
-    how many q were tested."""
-    worst_ratio = 0.0
-    tested = 0
-    for _ in range(q_trials):
-        q = _random_hompoly_f64(rng, d, k)
-        qn = sup_norm(q, cfg).value
-        if qn < 1e-12:
+                  cfg: NormConfig, ratios) -> tuple[float, int]:
+    """The upper side of a norm identity on q_trials random degree-k
+    polynomials on R^d.  All of them are drawn from rng first, in order, and
+    normed in one stack; each is scaled to sup norm one (those below 1e-12
+    are skipped) and ``ratios`` maps the list of those to their ratios.
+    Returns the worst ratio, NaN if any ratio is, and how many q were
+    tested."""
+    qs = [_random_hompoly_f64(rng, d, k) for _ in range(q_trials)]
+    unit = []
+    for q, est in zip(qs, _sup_norms(qs, cfg)):
+        if est.value < 1e-12:
             continue
-        tested += 1
-        worst_ratio = float(np.maximum(worst_ratio, ratio(q.scale(1.0 / qn))))
-    return worst_ratio, tested
+        unit.append(q.scale(1.0 / est.value))
+    worst_ratio = 0.0
+    for ratio in ratios(unit):
+        # np.maximum, unlike max, keeps a NaN on either side
+        worst_ratio = float(np.maximum(worst_ratio, ratio))
+    return worst_ratio, len(unit)
 
 
 def check_adjoint_norm(P: PolyMap, n: int, k: int,
@@ -788,7 +852,8 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
     rng = _np_rng(cfg.seed, f"adjoint-norm-q-{n}-{k}")
     worst_ratio, tested = _upper_trials(
         rng, P.codomain_dim, k, q_trials, cfg,
-        lambda q: sup_norm(adjoint_apply(P, n, k, q), cfg).value / target)
+        lambda qs: [est.value / target
+                    for est in _sup_norms([adjoint_apply(P, n, k, q) for q in qs], cfg)])
     return Report.measured("adjoint_norm", cfg, lower, target,
                            float(np.maximum(rel_lower, worst_ratio - 1.0)),
                            {"sup_norm_P": est.value, "worst_upper_ratio": worst_ratio,
@@ -814,7 +879,8 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     rel_lower = abs(lower / target - 1.0)
     rng = _np_rng(cfg.seed, f"embedding-norm-q-{m}-{n}-{d}")
     worst_ratio, _ = _upper_trials(
-        rng, d, n, q_trials, cfg, lambda q: abs(jp.eval(q.coeff_vector())) / target)
+        rng, d, n, q_trials, cfg,
+        lambda qs: [abs(jp.eval(q.coeff_vector())) / target for q in qs])
     return Report.measured("embedding_norm", cfg, lower, target,
                            float(np.maximum(rel_lower, worst_ratio - 1.0)),
                            {"worst_upper_ratio": worst_ratio, "m": m, "n": n})

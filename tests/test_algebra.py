@@ -30,6 +30,7 @@ from polyadjoint import (
     compose_map,
     compose_scalar,
     enumerate_multi_indices,
+    materialize_adjoint,
     multinomial,
     polarize,
 )
@@ -84,6 +85,36 @@ def test_f64_result_past_the_largest_double_is_refused():
             build()
     # finite products of the same operands are kept
     assert (p * p.scale(1e-200)).coeffs[(2, 0)] == pytest.approx(1e200)
+
+
+def test_f64_result_below_the_smallest_double_is_refused():
+    # each product of 1e-200 and 1e-200 rounds to zero, so P^2, 1e-200 P and
+    # q o P would come out zero where they are not; q o P with q = 1e-200 t
+    # multiplies in compose_scalar itself, and with q = t^2 in P^2
+    p = HomPoly(2, 1, {(1, 0): 1e-200, (0, 1): 1e-200}, F64)
+    builds = (lambda: p * p, lambda: p ** 2, lambda: p.scale(1e-200),
+              lambda: compose_scalar(HomPoly(1, 1, {(1,): 1e-200}, F64), PolyMap((p,))),
+              lambda: compose_scalar(HomPoly(1, 2, {(2,): 1.0}, F64), PolyMap((p,))),
+              lambda: materialize_adjoint(PolyMap((p,)), 2, 1))
+    for build in builds:
+        with pytest.raises(CapacityError, match="below the smallest double"):
+            build()
+    # zeros that are exact are kept: a scale by zero, a cancellation, and a
+    # coefficient whose lost term sits beside one that holds it
+    assert p.scale(0.0).is_zero
+    plus = HomPoly(2, 1, {(1, 0): 1.0, (0, 1): 1.0}, F64)
+    minus = HomPoly(2, 1, {(1, 0): 1.0, (0, 1): -1.0}, F64)
+    assert (plus * minus).coeffs == {(2, 0): 1.0, (0, 2): -1.0}
+    # x y loses 1e-170 * 1e-170 beside 1 * 1, while z w cancels exactly
+    left = HomPoly(4, 1, {(1, 0, 0, 0): 1e-170, (0, 1, 0, 0): 1.0, (0, 0, 1, 0): 1.0,
+                          (0, 0, 0, 1): 1.0}, F64)
+    right = HomPoly(4, 1, {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1e-170, (0, 0, 1, 0): 1.0,
+                           (0, 0, 0, 1): -1.0}, F64)
+    product = (left * right).coeffs
+    assert product[(1, 1, 0, 0)] == 1.0 and (0, 0, 1, 1) not in product
+    # products that stay above zero, subnormal or not, are kept
+    assert (p * p.scale(1e200)).coeffs[(2, 0)] == pytest.approx(1e-200)
+    assert p.scale(1e-110).coeffs[(1, 0)] == 1e-200 * 1e-110
 
 
 def _limit_memory() -> None:

@@ -132,7 +132,10 @@ TINY, HUGE = (1e-200, 1e-200), (1e200, 1.0)
     # the adjoint's coefficients overflow; the writer used to refuse the
     # infinity with exit 2
     (HUGE, ["adjoint", "--n", "2", "--k", "1"], 3, "past the largest double"),
-], ids=["tiny-delta-n1", "tiny-delta-n2", "huge-delta-n2", "huge-adjoint"])
+    # every coefficient of P^2, about 1e-400, underflows: it used to exit 0
+    # with three empty components
+    (TINY, ["adjoint", "--n", "2", "--k", "1"], 3, "below the smallest double"),
+], ids=["tiny-delta-n1", "tiny-delta-n2", "huge-delta-n2", "huge-adjoint", "tiny-adjoint"])
 def test_f64_requests_far_from_unit_scale_end_in_their_exit(tmp_path, coeffs, argv, code,
                                                             message):
     # the map x |-> c1 x1 + c2 x2

@@ -30,7 +30,13 @@ from polyadjoint import (
     vector_norm,
 )
 from polyadjoint import norms
-from polyadjoint.errors import DegenerateInputError, FieldError, PreconditionError
+from polyadjoint.errors import (DegenerateInputError, DimensionError, FieldError,
+                               PreconditionError)
+
+
+def compiled(P: PolyMap) -> norms._CompiledMap:
+    shape, (coeffs,) = norms._coefficient_stack([P])
+    return norms._CompiledMap(shape, coeffs)
 
 
 def linear_map(rows) -> PolyMap:
@@ -128,9 +134,11 @@ def _dropping_top_eigenpair(monkeypatch):
     real = np.linalg.eigh
 
     def eigh(M):
+        # each matrix of a stack (or the one matrix) without its top pair
         w, V = real(M)
-        keep = np.arange(w.size) != int(np.abs(w).argmax())
-        return w[keep], V[:, keep]
+        keep = np.arange(w.shape[-1]) != np.abs(w).argmax(axis=-1)[..., None]
+        rows = np.swapaxes(V, -1, -2)[keep].reshape(*w.shape[:-1], -1, V.shape[-2])
+        return w[keep].reshape(*w.shape[:-1], -1), np.swapaxes(rows, -1, -2)
 
     monkeypatch.setattr(norms.np.linalg, "eigh", eigh)
 
@@ -156,7 +164,7 @@ def test_integer_check_rejects_an_under_reported_eigenvalue():
     M = rotated([-3.0, 1.0, 2.0], seed=4)
     for P, top in ((linear_map(A), float(np.linalg.svd(A, compute_uv=False)[0])),
                    (quadratic_form(M), float(np.abs(np.linalg.eigvalsh(M)).max()))):
-        cm = norms._CompiledMap(PolyMap((P,)) if isinstance(P, HomPoly) else P)
+        cm = compiled(PolyMap((P,)) if isinstance(P, HomPoly) else P)
         assert norms._proves_upper(cm.coeffs, 3, cm.m, top * (1.0 + 2.0 ** -40))
         assert not norms._proves_upper(cm.coeffs, 3, cm.m, top * (1.0 - 2.0 ** -40))
 
@@ -259,7 +267,7 @@ def test_circle_critical_points_ignore_a_power_of_two_scale():
     basis = enumerate_multi_indices(2, 3)
     rows = rng.standard_normal((2, len(basis)))
     points = [
-        norms._circle_critical_points(norms._CompiledMap(PolyMap(tuple(
+        norms._circle_critical_points(compiled(PolyMap(tuple(
             HomPoly(2, 3, {a: math.ldexp(float(c), j) for a, c in zip(basis, row)}, F64)
             for row in rows))))
         for j in (-600, 0, 500)]
@@ -288,7 +296,7 @@ def test_kernel_values_and_gradients_match_exact_evaluation(data):
                                 min_size=1, max_size=4))
     P = PolyMap(tuple(HomPoly(d, m, dict(zip(basis, row))) for row in rows))
     X = [[Fraction(p, 32) for p in point] for point in points]
-    cm = norms._CompiledMap(P.as_field(F64))
+    cm = compiled(P.as_field(F64))
     Xf = np.array([[float(v) for v in x] for x in X])
     V, low = cm.values_and_lower(Xf)
     assert np.array_equal(V, cm.values(Xf))
@@ -341,14 +349,14 @@ def test_monomial_tables_equal_the_per_variable_product_bit_for_bit(d):
     rng = np.random.default_rng(d)
     for m in range(1, 6):
         P = PolyMap((HomPoly(d, m, {(m,) + (0,) * (d - 1): 1.0}, F64),))
-        cm = norms._CompiledMap(P)
+        cm = compiled(P)
         basis, lower = enumerate_multi_indices(d, m), enumerate_multi_indices(d, m - 1)
         for N in (1, 7, 64, 16394):
             X = norms._sphere_samples(d, N, rng)
             mon, low = _per_variable_tables(X, basis, lower, m)
-            assert _same_bits(cm.floor_monomials(X), mon), (d, m, N)
+            assert _same_bits(cm.shape.floor_monomials(X), mon), (d, m, N)
             if N <= 64:
-                got, got_low = cm.monomials(X, lower=True)
+                got, got_low = cm.shape.monomials(X, lower=True)
                 assert _same_bits(got, mon) and _same_bits(got_low, low), (d, m, N)
 
 
@@ -361,7 +369,7 @@ def test_gradient_equals_one_reduction_per_variable_bit_for_bit(e):
         basis, lower = enumerate_multi_indices(d, m), enumerate_multi_indices(d, m - 1)
         P = PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, rng.standard_normal(len(basis))))),
                                   F64) for _ in range(e)))
-        cm = norms._CompiledMap(P)
+        cm = compiled(P)
         X = norms._sphere_samples(d, 64, rng)
         V, low = cm.values_and_lower(X)
         where = {a: i for i, a in enumerate(lower)}
@@ -373,6 +381,175 @@ def test_gradient_equals_one_reduction_per_variable_bit_for_bit(e):
             dcoeffs = cm.coeffs[:, keep] * np.array([basis[t][j] for t in keep])
             want[:, j] = 2.0 * (V * (low.take(idx, axis=1) @ dcoeffs.T)).sum(axis=1)
         assert _same_bits(cm.gradient(V, low), want), (d, m)
+
+
+def _closed_form_reference(P: PolyMap, starts) -> tuple[float, tuple, float]:
+    """(value, maximizer, upper) of one linear map or quadratic form as the
+    closed form ran map by map: its own eigh, candidate rows and
+    evaluations."""
+    cm = compiled(P)
+    raw, d = cm.coeffs, cm.d
+    shift = math.frexp(float(np.abs(raw).max(initial=0.0)))[1]
+    shift = shift if abs(shift) > norms.MAX_SCALE_EXP else 0
+    C = np.ldexp(raw, -shift)
+    if cm.m == 1:
+        w, V = np.linalg.eigh(C.T @ C)
+    else:
+        i, j = np.triu_indices(d)
+        M = np.zeros((d, d))
+        M[i, j] = np.where(i == j, C[0], 0.5 * C[0])
+        M[j, i] = M[i, j]
+        w, V = np.linalg.eigh(M)
+        w = np.abs(w)
+    rows = [V[:, int(w.argmax())][None, :], np.eye(d), -np.eye(d)]
+    for start in starts:
+        v = np.asarray(start, dtype=float)
+        if vector_norm(v) > 1e-300:
+            rows.append((v / vector_norm(v))[None, :])
+    X = np.vstack(rows)
+
+    def norms_at(Y):
+        values = cm.shape.monomials(Y)[0] @ C.T
+        return np.sqrt((values * values).sum(axis=1))
+    best = X[int(norms_at(X).argmax())]
+    n = vector_norm(best)
+    if n > 0:
+        best = best / n
+    value = float(norms_at(best[None, :])[0])
+    upper = norms._certified_upper(raw, d, cm.m, value, shift)
+    return math.ldexp(value, shift), tuple(best.tolist()), upper
+
+
+def _hex(est) -> tuple:
+    return (est.value.hex(), tuple(v.hex() for v in est.maximizer),
+            None if est.upper is None else est.upper.hex())
+
+
+def closed_form_stacks():
+    """(maps, extra starts) of one shape each: d = 2..16, linear maps with
+    e = 1..5 and quadratic forms; in each stack one zero map, maps at 2^300
+    and 2^-300 (measured scaled), a map with zeros in its basis, and maps
+    at unit scale."""
+    rng = np.random.default_rng(2026)
+    for d in range(2, norms.MAX_CLOSED_FORM_DIM + 1):
+        for m, e in [(1, e) for e in range(1, 6)] + [(2, 1)]:
+            basis = enumerate_multi_indices(d, m)
+            maps = []
+            for scale in (0.0, 2.0 ** 300, 2.0 ** -300, 1.0, 1.0, 1.0):
+                rows = rng.standard_normal((e, len(basis))) * scale
+                if len(maps) == 3:
+                    rows[:, ::3] = 0.0
+                maps.append(PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, row))), F64)
+                                          for row in rows)))
+            yield maps, ([rng.standard_normal(d).tolist(), [0.0] * d] if d % 2 else [])
+
+
+def test_stacked_closed_form_equals_single_maps_bit_for_bit():
+    # signed zeros count: float.hex tells -0.0 from 0.0
+    for maps, starts in closed_form_stacks():
+        stacked = norms._sup_norms(maps, NormConfig(), starts)
+        for P, est in zip(maps, stacked):
+            alone, = norms._sup_norms([P], NormConfig(), starts)
+            assert est == alone
+            assert _hex(est) == _hex(alone) == tuple(
+                x.hex() if isinstance(x, float) else tuple(v.hex() for v in x)
+                for x in _closed_form_reference(P, starts)), (P.domain_dim, P.degree)
+            assert (est.method, est.iterations) == ("closed-form", 0)
+            assert sup_norm(P, NormConfig(), starts) == est
+        assert stacked[0].upper == 0.0 and stacked[0].value == 0.0
+
+
+def test_stacked_norms_take_every_method_map_by_map():
+    # the circle pass and the search refine one map at a time; a stack of
+    # them gives each the estimate it gets alone, as does a stack of points
+    rng = np.random.default_rng(7)
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    # over 270 binary orders, so this d = 2 map takes the search
+    wide = PolyMap((HomPoly(2, 3, {(3, 0): 1e-150, (2, 1): 1.0, (0, 3): 1e120}, F64),))
+    methods = {}
+    for d, m, e in ((1, 3, 2), (2, 3, 1), (2, 4, 2), (3, 2, 2)):
+        basis = enumerate_multi_indices(d, m)
+        maps = [PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, rng.standard_normal(
+            len(basis))))), F64) for _ in range(e))) for _ in range(4)]
+        if (d, m, e) == (2, 3, 1):
+            maps.insert(2, wide)
+        stacked = norms._sup_norms(maps, cfg, [[1.0] * d])
+        assert stacked == [sup_norm(P, cfg, [[1.0] * d]) for P in maps]
+        assert [_hex(est) for est in stacked] == [
+            _hex(sup_norm(P, cfg, [[1.0] * d])) for P in maps]
+        methods[d, m, e] = [est.method for est in stacked]
+    assert methods[1, 3, 2] == ["endpoint-enumeration"] * 4
+    assert methods[2, 3, 1] == ["circle-critical-points"] * 2 + ["sobol+gradient-ascent"] + [
+        "circle-critical-points"] * 2
+    assert methods[3, 2, 2] == ["sobol+gradient-ascent"] * 4
+
+
+def test_stacked_norms_refuse_mixed_shapes_and_fields():
+    P = PolyMap.from_matrix([[1.0, 2.0]], F64)
+    assert norms._sup_norms([], NormConfig()) == []
+    with pytest.raises(DimensionError):
+        norms._sup_norms([P, PolyMap.from_matrix([[1.0, 2.0], [3.0, 4.0]], F64)], NormConfig())
+    with pytest.raises(FieldError):
+        norms._sup_norms([P, PolyMap.from_matrix([[1, 2]])], NormConfig())
+
+
+def _upper_trials_per_q(rng, d, k, q_trials, cfg, ratio):
+    # the reference: each q is drawn, normed alone and measured in turn
+    worst, tested = 0.0, 0
+    for _ in range(q_trials):
+        q = norms._random_hompoly_f64(rng, d, k)
+        qn = sup_norm(q, cfg).value
+        if qn < 1e-12:
+            continue
+        tested += 1
+        worst = float(np.maximum(worst, ratio(q.scale(1.0 / qn))))
+    return worst, tested
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_upper_trials_draw_in_order_and_match_a_per_q_loop(d, k):
+    # each method of sup_norm on the way: closed form, circle and search
+    cfg = NormConfig(samples=256, restarts=8, seed=11)
+    x = np.random.default_rng(d * k).standard_normal(d).tolist()
+    seen = {"loop": [], "stack": []}
+
+    def ratio(side):
+        def measure(q):
+            seen[side].append(q.coeffs)
+            return abs(q.eval(x))
+        return measure
+    loop_rng, stack_rng = norms._np_rng(5, "trials"), norms._np_rng(5, "trials")
+    want = _upper_trials_per_q(loop_rng, d, k, 12, cfg, ratio("loop"))
+    got = norms._upper_trials(stack_rng, d, k, 12, cfg,
+                              lambda qs: [ratio("stack")(q) for q in qs])
+    assert got == want and got[1] == 12
+    assert seen["stack"] == seen["loop"]
+    # both consumed the same draws
+    assert stack_rng.standard_normal() == loop_rng.standard_normal()
+
+
+@pytest.mark.parametrize("position", range(10))
+def test_a_nan_ratio_anywhere_fails_the_upper_side(monkeypatch, position):
+    # the worst-ratio fold keeps a NaN wherever it sits, and the report fails
+    worst, tested = norms._upper_trials(
+        norms._np_rng(1, "nan"), 2, 2, 10, NormConfig(),
+        lambda qs: [math.nan if t == position else 0.5 for t in range(len(qs))])
+    assert math.isnan(worst) and tested == 10
+    real = norms.evaluation_embedding
+
+    class NanAt:
+        """The embedding, but NaN at one trial (call 0 is the lower side)."""
+
+        def __init__(self, jp):
+            self.jp, self.calls = jp, 0
+
+        def eval(self, v):
+            self.calls += 1
+            return math.nan if self.calls == position + 2 else self.jp.eval(v)
+    monkeypatch.setattr(norms, "evaluation_embedding", lambda *a, **kw: NanAt(real(*a, **kw)))
+    rep = check_embedding_norm([0.6, -1.1], 2, 2, NormConfig(seed=5), q_trials=10)
+    assert math.isnan(rep.details["worst_upper_ratio"]) and math.isnan(rep.rel_err)
+    assert not rep.passed
 
 
 def test_sup_norm_diagonal_quadratic_frozen():
