@@ -38,6 +38,7 @@ from .algebra import (
     _built,
     _cleared,
     _eval_monomial,
+    _refuse_lost_terms,
     compose_map,
     compose_scalar,
     enumerate_multi_indices,
@@ -141,7 +142,8 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     Variables are the coefficients of a degree-n polynomial q on R^len(x) in
     canonical order; evaluating the result at q.coeff_vector() yields q(x)^m.
     With m = n = 1 this is evaluation at x itself.  x = 0 gives the zero
-    polynomial.
+    polynomial.  On f64, a coefficient that rounds to zero although no
+    coordinate among its factors is zero raises CapacityError.
     """
     if m < 1 or n < 1:
         raise DegreeError(f"embedding parameters must be >= 1, got m={m}, n={n}")
@@ -160,7 +162,15 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
                 v = v * xpow[j] ** mj
         coeffs[mu] = v
     if field == F64:
-        return HomPoly(len(basis), m, coeffs, F64)
+        out = HomPoly(len(basis), m, coeffs, F64)
+        if len(out.coeffs) < len(coeffs):
+            # a coefficient is a true zero only when a zero coordinate is
+            # among its factors; the constructor dropped every other zero
+            # as well, though it is a value below the smallest double
+            zero = [any(a and not v for a, v in zip(beta, X)) for beta in basis]
+            _refuse_lost_terms(len(basis), m, ((mu, v) for mu, v in coeffs.items() if not any(
+                mj and zero[j] for j, mj in enumerate(mu))), out.coeffs)
+        return out
     return _built(len(basis), m, coeffs, RATIONAL, r ** (n * m))
 
 

@@ -490,10 +490,18 @@ class HomPoly:
         _check_field(field)
         if field == self.field:
             return self
+        if field == RATIONAL:
+            # the rational constructor takes floats only as Fractions
+            return HomPoly(self.domain_dim, self.degree,
+                           {a: Fraction(c) for a, c in self.coeffs.items()}, field)
         # the f64 constructor refuses a rational coefficient beyond the
-        # double range; the rational one takes floats only as Fractions
-        coeffs = self.coeffs if field == F64 else {a: Fraction(c) for a, c in self.coeffs.items()}
-        return HomPoly(self.domain_dim, self.degree, coeffs, field)
+        # double range and drops one that rounds to zero, which is refused
+        # here: it is nonzero, as every stored coefficient is
+        out = HomPoly(self.domain_dim, self.degree, self.coeffs, field)
+        if len(out.coeffs) < len(self.coeffs):
+            raise CapacityError(f"a degree-{self.degree} f64 result on R^{self.domain_dim} "
+                                f"has a coefficient below the smallest double")
+        return out
 
 
 @dataclass(frozen=True)

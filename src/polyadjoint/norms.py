@@ -1,9 +1,8 @@
 """Sup norms of polynomial maps on the Euclidean unit ball, with certificates.
 
-The sup norm here is the maximum of the Euclidean norm of P(x) over the
-Euclidean unit ball of the domain; for homogeneous maps the maximum sits on
-the unit sphere.  Estimates are always certified lower bounds: the reported
-value is the evaluation of P at the reported maximizer, which lies on the
+The sup norm is the maximum of |P(x)| over the Euclidean unit ball; for a
+homogeneous map it sits on the unit sphere.  Every estimate is a certified
+lower bound: its value is P evaluated at its maximizer, which lies on the
 sphere up to machine precision.
 
 `sup_norm` runs one pipeline over a stack of maps of one shape (d, m, e);
@@ -14,74 +13,47 @@ picked once.  The heads:
 
 * one variable ("endpoint-enumeration"): none, the endpoints are +-e_1;
 * linear maps x -> Ax and scalar quadratic forms x^T M x on 2 to
-  MAX_CLOSED_FORM_DIM variables ("closed-form"): the top eigenvector from
-  np.linalg.eigh, since the norm is sigma_max(A), the square root of the
-  largest eigenvalue of A^T A, or max |lambda(M)| (Courant-Fischer).  The
-  closed form stacks its eigh: one call over the (B, d, d) stack, whose
-  LAPACK work on each matrix is that of the matrix alone, and its
-  candidates are evaluated with one monomial table and one stacked matmul;
+  MAX_CLOSED_FORM_DIM variables ("closed-form"): the top eigenvector, as
+  the norm is sigma_max(A) or max |lambda(M)| (Courant-Fischer), from one
+  np.linalg.eigh over the (B, d, d) stack;
 * other maps of two variables ("circle-critical-points"): the critical
   points of the squared norm on the circle, solved outright by a rational
   parametrization and companion-matrix root-finding, so the pick is the
-  global maximum to near machine precision;
+  global maximum to near machine precision.  The stack shares the work:
+  every N_i(t) is built at once, one np.linalg.eigvals runs per companion
+  size, and one monomial table serves all the candidates;
 * other maps of three or more variables, and two-variable maps whose
-  nonzero coefficients span more than MAX_CIRCLE_SPREAD binary orders of
-  magnitude ("sobol+gradient-ascent"): a random sample floor of normalized
-  standard-normal vectors, which are uniform on the sphere.  The spread is
-  read from the coefficients before any circle work: over such a range the
-  critical polynomial's small coefficients are lost against its large ones,
-  and its roots miss the maximum or overflow.
+  coefficients span more than MAX_CIRCLE_SPREAD binary orders of magnitude
+  ("sobol+gradient-ascent"): a random sample floor of normalized
+  standard-normal vectors, which are uniform on the sphere.
 
 Two methods add a step after the pick.  The circle pass is cross-checked by
-a few hundred random circle points, none of which may beat it, so a
-root-finder that misses the maximum fails loudly.  The search runs batched
-projected gradient ascent, with per-restart adaptive step and backtracking,
-from the best candidates, and its best point replaces the pick if it is at
-least as good.
+a few hundred random circle points, the same for every map of a seed and
+drawn once, none of which may beat it, so a root-finder that misses the
+maximum fails loudly.  The search runs batched projected gradient ascent,
+with per-restart adaptive step and backtracking, from the best candidates,
+map by map, and its best point replaces the pick if it is at least as good.
+The tail is stacked: each pick is renormalized onto the sphere and its map
+evaluated there, which gives the certified lower bound, asserted below the
+Euclidean norm of the coefficient absolute sums and scaled back if the map
+was measured scaled.  Every slice of a stacked step computes what the map
+alone would, so an estimate has the same bits in a stack as by itself.
 
-The circle pass and the search keep their heads map by map.  The tail is
-shared, and stacked: each pick is renormalized onto the sphere and its map
-evaluated there, which gives the certified lower bound; that value is
-asserted below the Euclidean norm of the coefficient absolute sums; and it
-is scaled back if the map was measured scaled.  Every slice of a stacked
-step computes what the map alone would, so an estimate has the same bits
-in a stack as by itself.
+Only the closed form also carries an upper bound ``upper = value (1 +
+2^-40)``, proven map by map in exact integer arithmetic (`_proves_upper`);
+a certificate that fails raises AssertionError.
 
-Only the closed form also carries a proven upper bound ``upper = value
-(1 + 2^-40)``, proven map by map.  Every double is a dyadic rational, so
-the proof is exact integer arithmetic: over one power-of-two denominator,
-u^2 I - A^T A (or u I - M and u I + M) is positive definite when every
-leading principal minor is positive (Sylvester), and fraction-free
-symmetric Bareiss elimination without pivoting yields those minors as its
-pivots.  A certificate that fails raises AssertionError.
-
-Each piece of kernel work is done once.  The index tables a map evaluates
-with depend only on its shape (d, m), so they are built once per shape and
-cached, not per map: where each degree-m monomial, for the values, and each
-degree-(m-1) monomial, for the table shared by all d partial derivatives,
-reads its factors in a batch's power table, and where each partial gathers
-its monomials from that lower table.  For the ascent's few rows the tables
-are products over the variables in turn, and the ascent carries the lower
-table of its accepted points forward, so the gradient at an iterate costs no
-new table.  The sample floor's many rows take shared prefix products
-instead: each monomial is the left-to-right product of x_j^{a_j} over its
-nonzero exponents, which is the per-variable product too (its other factors
-are 1.0, which is exact), so a depth-first walk of the basis in its own
-order, holding one product per depth, writes each column of the same table
-with one multiplication, to the same bits.  The circle pass reads the
-coefficients of (1-t^2)^{a1} (2t)^{a2} from a table cached per degree.  A
-map far from unit scale is measured scaled by a power of two, which is
-exact, so no square underflows or overflows; `vector_norm` scales a vector
-the same way.
+The index tables a map evaluates with depend only on its shape (d, m), so
+`_Shape` builds them once per shape (see it and `_prefix_walk`).  A map far
+from unit scale is measured scaled by a power of two, which is exact, so no
+square underflows or overflows; `vector_norm` scales a vector the same way.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
-polynomials confirm the upper bound is never exceeded.  Those polynomials
-are drawn first and normed in one stack, and so are the adjoint images
-they give.  Each helper returns a `Report` of what it measured; the
-verdict is one rule, which the report applies itself: a claim passes
-exactly when its relative error is within its tolerance.  No check reads
-the clock, so same-seed reports are equal.
+polynomials, drawn first and normed in one stack, confirm the upper bound
+is never exceeded.  Each returns a `Report`, which passes exactly when its
+relative error is within its tolerance.  No check reads the clock, so
+same-seed reports are equal.
 """
 from __future__ import annotations
 
@@ -93,24 +65,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_SIZE_CAP,
-    F64,
-    HomPoly,
-    PolyMap,
-    _basis_size_exceeds,
-    _common_denominator,
-    compose_scalar,
-    enumerate_multi_indices,
-)
+from .algebra import (DEFAULT_SIZE_CAP, F64, HomPoly, PolyMap, _basis_size_exceeds,
+                      _common_denominator, compose_scalar, enumerate_multi_indices)
 from .adjoint import adjoint_apply, evaluation_embedding
-from .errors import (
-    CapacityError,
-    DegenerateInputError,
-    DimensionError,
-    FieldError,
-    PreconditionError,
-)
+from .errors import (CapacityError, DegenerateInputError, DimensionError, FieldError,
+                     PreconditionError)
 from .sampling import _np_rng, _random_hompoly_f64
 
 MAX_ASCENT_ITERS = 400
@@ -219,11 +178,10 @@ def vector_norm(y: Sequence) -> float:
 
 class _Shape:
     """What every degree-m map on R^d evaluates with, built once per (d, m)
-    by `_shape`: the basis and, per variable x_j, where each monomial reads
-    its power of x_j in a point's power table; on first use, the same for
-    the degree-(m-1) basis, the partials' index arrays and the sample
-    floor's prefix walk; and the monomial tables of points, which depend on
-    nothing else, so that maps of one shape can share them."""
+    by `_shape`: where each monomial, and on first use each degree-(m-1)
+    one, reads its factors in a point's power table, the partials' index
+    arrays and the sample floor's prefix walk; and the monomial tables of
+    points, which maps of one shape share."""
 
     def __init__(self, d: int, m: int):
         self.d, self.m = d, m
@@ -325,16 +283,16 @@ def _gather_index(basis: list[tuple[int, ...]], d: int, m: int) -> tuple[np.ndar
 
 
 def _prefix_walk(basis: list[tuple[int, ...]]) -> tuple[tuple[int, int, int, int], ...]:
-    """The steps that build the monomial table from shared prefix products.
+    """The steps that build the sample floor's monomial table from shared
+    prefix products, to the bits of the per-variable table.
 
     Monomial alpha is the left-to-right product of x_j^{a_j} over its
     nonzero exponents, the product the per-variable table forms too, whose
     extra factors of 1.0 are exact.  In the basis's descending lex order the
     monomials sharing a prefix of those factors are adjacent, so a
     depth-first walk keeps one product per depth.  Step (i, j, a, t) sets
-    depth i to depth i - 1 (nothing at i = 0) times x_j^a, and writes that
-    into column t of the table when t >= 0 instead.
-    """
+    depth i to depth i - 1 (nothing at i = 0) times x_j^a, or writes that
+    into column t of the table when t >= 0."""
     walk, live = [], []
     for t, alpha in enumerate(basis):
         factors = [(j, a) for j, a in enumerate(alpha) if a]
@@ -371,15 +329,9 @@ def _coefficient_stack(maps: Sequence[PolyMap]) -> tuple[_Shape, np.ndarray]:
 
 
 class _CompiledMap:
-    """numpy view of a float polynomial map for bulk evaluation.
-
-    Two exponent tables serve every evaluation: the degree-m basis for the
-    values and the degree-(m-1) basis for all d partials.  dP/dx_j reads the
-    monomials it needs from the shared lower table through an index array,
-    so one set of power tables per batch of points yields the values and the
-    whole gradient.  Both tables, and the walk that builds the sample
-    floor's table, are shared by every map of the same shape.
-    """
+    """One float map for the search's bulk evaluation: one power table per
+    batch of points yields the values and, through the shared degree-(m-1)
+    table from which each dP/dx_j reads its monomials, the whole gradient."""
 
     def __init__(self, shape: _Shape, coeffs: np.ndarray):
         self.shape, self.coeffs = shape, coeffs  # (e, T)
@@ -440,9 +392,7 @@ def _circle_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
     for r, (a1, a2) in enumerate(basis):
         a = P.polypow(np.array([1.0, 0.0, -1.0]), a1)
         rows[r, a2:a2 + a.size] = a
-    scale = np.ldexp(1.0, np.array([a2 for _, a2 in basis]))[:, None]
-    rows.flags.writeable = scale.flags.writeable = False
-    return rows, scale
+    return _read_only(rows, np.ldexp(1.0, np.array([a2 for _, a2 in basis]))[:, None])
 
 
 def _exponent_spread(P: PolyMap) -> int:
@@ -452,40 +402,116 @@ def _exponent_spread(P: PolyMap) -> int:
     return max(exps) - min(exps) if exps else 0
 
 
-def _circle_critical_points(cm: _CompiledMap) -> np.ndarray:
-    """All critical points of |P|^2 on the Euclidean circle (d = 2).
+# 1 + t^2 and t as coefficient series, and the critical points t = +-infinity
+_ONE_PLUS_T2, _T = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])
+_AXES = _read_only(np.array([[-1.0, 0.0], [1.0, 0.0]]))[0]
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zeros, keeping its first entry (trimseq)."""
+    if c[-1] != 0:
+        return c
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _plus(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """c1 + c2, trimmed, as polyadd adds them: the shorter series into the
+    longer, which is overwritten.  c1 - c2 is _plus(c1, -c2) bit for bit."""
+    if c1.size > c2.size:
+        c1, c2 = c2, c1
+    c2[:c1.size] += c1
+    return _trimmed(c2)
+
+
+def _circle_points(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
+    """All critical points of |P|^2 on the Euclidean circle (d = 2), -e_1
+    and e_1 first, for each map of the (B, e, T) stack.
 
     Parametrize x = ((1-t^2)/(1+t^2), 2t/(1+t^2)); each component becomes
     N_i(t)/(1+t^2)^m and the critical equation of the squared norm is the
-    polynomial S'(t)(1+t^2) - 4m t S(t) = 0 with S = sum N_i^2.
+    polynomial h = S'(t)(1+t^2) - 4m t S(t) = 0 with S = sum N_i^2.  Each
+    map takes the steps of numpy.polynomial without its input checks, to
+    the same bits: np.convolve, whose dots run through BLAS, and the
+    eigenvalues of the companion matrix, one eigvals per companion size.
     """
-    P = np.polynomial.polynomial
-    # scaling every coefficient by one power of two leaves the roots alone,
-    # and with the largest below one S cannot overflow
-    coeffs = np.ldexp(cm.coeffs, -math.frexp(float(np.abs(cm.coeffs).max(initial=0.0)))[1])
-    rows, scale = _circle_rows(cm.m)
-    S = np.zeros(1)
-    for c in coeffs:
-        # N_i is the sum of its terms in basis order; a zero coefficient
-        # adds only zeros, and the trailing zeros go as polyadd drops them
-        Ni = np.zeros(rows.shape[1])
-        for term in (c[:, None] * rows) * scale:
-            Ni += term
-        Ni = np.polynomial.polyutils.trimseq(Ni)
-        S = P.polyadd(S, P.polymul(Ni, Ni))
-    h = P.polysub(P.polymul(P.polyder(S), np.array([1.0, 0.0, 1.0])),
-                  4.0 * cm.m * P.polymul(np.array([0.0, 1.0]), S))
-    h = np.trim_zeros(h, "b")
-    pts = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
-    if h.size > 1 and np.abs(h).max() > 0:
-        h = h / np.abs(h).max()
-        roots = P.polyroots(h)
-        for t in roots:
-            if abs(t.imag) < 1e-9 * (1.0 + abs(t.real)):
-                tr = t.real
-                den = 1.0 + tr * tr
-                pts.append(np.array([(1.0 - tr * tr) / den, 2.0 * tr / den]))
-    return np.array(pts)
+    B, e, T = coeffs.shape
+    # scaling a map by one power of two leaves its roots alone, and with its
+    # largest coefficient below one S cannot overflow
+    exps = np.frexp(np.abs(coeffs).reshape(B, -1).max(axis=1, initial=0.0))[1]
+    coeffs = np.ldexp(coeffs, -exps[:, None, None])
+    rows, scale = _circle_rows(m)
+    # N_i is the sum of its terms in basis order; a zero coefficient adds
+    # only zeros, and the trailing zeros go when each N_i is trimmed
+    N = np.zeros((B, e, rows.shape[1]))
+    for r in range(T):
+        N += (coeffs[:, :, r, None] * rows[r]) * scale[r]
+    roots = [np.empty(0)] * B
+    companions: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for b in range(B):
+        S = np.zeros(1)
+        for Ni in map(_trimmed, N[b]):
+            S = _plus(S, _trimmed(np.convolve(Ni, Ni)))
+        dS = _trimmed(S[1:] * np.arange(1.0, S.size) if S.size > 1 else S[:1] * 0)
+        h = _plus(_trimmed(np.convolve(dS, _ONE_PLUS_T2)),
+                  -_trimmed((4.0 * m) * _trimmed(np.convolve(_T, S))))
+        if h.size > 1 and np.abs(h).max() > 0:
+            h = _trimmed(h / np.abs(h).max())
+            if h.size == 2:
+                roots[b] = np.array([-h[0] / h[1]])
+            elif h.size > 2:
+                companions.setdefault(h.size - 1, []).append((b, h))
+    for n, group in companions.items():
+        H = np.array([h for _, h in group])
+        # ones below the diagonal and -h[:-1]/h[-1] in the last column
+        C = np.zeros((len(H), n, n))
+        C.reshape(len(H), -1)[:, n::n + 1] = 1
+        C[:, :, -1] -= H[:, :-1] / H[:, -1:]
+        for (b, _), w in zip(group, np.linalg.eigvals(C)):
+            # real when its own imaginary parts are all zero, as for one map
+            roots[b] = np.sort(w.real if (w.imag == 0).all() else w)
+    heads = []
+    for r in roots:
+        t = r.real[np.abs(r.imag) < 1e-9 * (1.0 + np.abs(r.real))]
+        den = 1.0 + t * t
+        head = np.empty((2 + t.size, 2))
+        head[:2], head[2:, 0], head[2:, 1] = _AXES, (1.0 - t * t) / den, 2.0 * t / den
+        heads.append(head)
+    return heads
+
+
+@functools.lru_cache(maxsize=4)
+def _cross_check_points(seed: int) -> np.ndarray:
+    """The circle pass's CROSS_CHECK random circle points at this seed, the
+    first draw of a fresh stream: the same for every map, so drawn once."""
+    return _read_only(_sphere_samples(2, CROSS_CHECK, _np_rng(seed, "sup-norm-l2-2")))[0]
+
+
+def _circle_picks(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig,
+                  starts: np.ndarray) -> np.ndarray:
+    """(B, 2): the best candidate of each map of the (B, e, T) stack (d =
+    2), its circle points then ``starts``.  The circle pass is exhaustive
+    (t = infinity is +-e_1), so that is the maximum; random circle points,
+    none of which may beat it, only guard the root-finder.  One monomial
+    table serves every map's candidates, each map its own matmul; one
+    serves the random points, with one stacked matmul."""
+    heads = _circle_points(coeffs, shape.m)
+    X = np.concatenate([rows for head in heads for rows in (head, starts)])
+    mon = shape.monomials(X)[0]
+    ends = np.cumsum([len(head) + len(starts) for head in heads]).tolist()
+    picks, tops = np.empty((len(heads), 2)), []
+    for b, (at, end) in enumerate(zip([0] + ends, ends)):
+        vals = _row_norms(mon[at:end] @ coeffs[b].T)
+        picks[b] = X[at + int(vals.argmax())]
+        tops.append(float(vals.max()))
+    V = shape.monomials(_cross_check_points(cfg.seed))[0] @ coeffs.transpose(0, 2, 1)
+    checks = _row_norms(V.reshape(-1, V.shape[2])).reshape(len(V), -1).max(axis=1)
+    for check, top in zip(checks.tolist(), tops):
+        if check > top * (1.0 + 1e-9):
+            raise AssertionError(
+                f"a random circle point reaches {check}, above the circle "
+                f"critical-point maximum {top}")
+    return picks
 
 
 def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
@@ -533,18 +559,14 @@ def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
 @functools.lru_cache(maxsize=16)
 def _signed_basis(d: int) -> np.ndarray:
     """The (2d, d) rows e_1, ..., e_d, -e_1, ..., -e_d, read-only."""
-    rows = np.vstack([np.eye(d), -np.eye(d)])
-    rows.flags.writeable = False
-    return rows
+    return _read_only(np.vstack([np.eye(d), -np.eye(d)]))[0]
 
 
 @functools.lru_cache(maxsize=MAX_CLOSED_FORM_DIM)
 def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) of the degree-2 basis x_i x_j, i <= j: its descending lex
     order is the row-major upper triangle."""
-    i, j = np.triu_indices(d)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    return _read_only(*np.triu_indices(d))
 
 
 def _form_matrices(c: np.ndarray, d: int) -> np.ndarray:
@@ -619,33 +641,23 @@ def _proves_upper(coeffs: np.ndarray, d: int, m: int, u: float) -> bool:
 
 def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
              extra_starts: Sequence[Sequence[float]] = ()) -> NormEstimate:
-    """Certified lower-bound estimate of the sup norm on the unit ball.
-
-    Requires the f64 field.  The method's head of candidate points, then
-    +-e_i and ``extra_starts`` (known good points, projected to the sphere
-    first), are evaluated together and the best is picked once; see the
-    module docstring for the heads.  Only the search (three or more
-    variables, or two over a wide coefficient range) iterates:
-    ``cfg.samples`` and ``cfg.restarts`` size it, and
-    ``(samples + 2d)`` times the monomial count may not exceed
-    MAX_SAMPLE_ENTRIES (CapacityError).  Every other method reports
-    ``iterations == 0``.  Only the closed form (linear maps and scalar
-    quadratic forms on 2..MAX_CLOSED_FORM_DIM variables) carries ``upper``,
-    proven exactly on the map's own coefficients.  A map whose largest
-    coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as 2^-e P and
-    its value scaled back, both exactly; a norm past the largest double
-    raises PreconditionError.
-    """
+    """Certified lower-bound estimate of the sup norm on the unit ball, on
+    the f64 field; see the module docstring for the methods.
+    ``extra_starts`` are known good points, projected to the sphere.  Only
+    the search iterates (every other method reports ``iterations == 0``):
+    ``cfg.samples`` and ``cfg.restarts`` size it, and ``(samples + 2d)``
+    times the monomial count may not exceed MAX_SAMPLE_ENTRIES
+    (CapacityError).  Only the closed form carries ``upper``.  A map whose
+    largest coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as
+    2^-e P and its value scaled back, both exactly; a norm past the
+    largest double raises PreconditionError."""
     return _sup_norms([P], cfg, extra_starts)[0]
 
 
 def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
                extra_starts: Sequence[Sequence[float]] = ()) -> list[NormEstimate]:
     """`sup_norm` of each map of a stack that shares one shape (d, m, e),
-    each to the bits it gets alone.  The closed form and the endpoints
-    evaluate their candidates, and every method its renormalized pick, over
-    the whole stack; the circle pass and the search find their candidates
-    and refine their pick map by map."""
+    each to the bits it gets alone; only the search works map by map."""
     maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
     if not maps:
         return []
@@ -695,10 +707,12 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
         iters = [0] * B
         method = ["closed-form" if closed_form else "endpoint-enumeration"] * B
     else:
-        picks = [_refined_pick(_CompiledMap(shape, c), searches, cfg, starts)
-                 for c, searches in zip(coeffs, search)]
-        best = np.array([x for x, _ in picks])
-        iters = [i for _, i in picks]
+        best, iters = np.empty((B, d)), [0] * B
+        circle = [b for b, s in enumerate(search) if not s]
+        if circle:
+            best[circle] = _circle_picks(shape, coeffs[circle], cfg, starts)
+        for b in np.flatnonzero(search).tolist():
+            best[b], iters[b] = _refined_pick(_CompiledMap(shape, coeffs[b]), cfg, starts)
         # `norm` prints this label and the benchmark counts by it, so it
         # keeps its name although the samples are now Gaussian
         method = ["sobol+gradient-ascent" if s else "circle-critical-points" for s in search]
@@ -727,27 +741,16 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     return out
 
 
-def _refined_pick(cm: _CompiledMap, search: bool, cfg: NormConfig,
+def _refined_pick(cm: _CompiledMap, cfg: NormConfig,
                   starts: np.ndarray) -> tuple[np.ndarray, int]:
-    """The best candidate of one map that the circle pass or the search
-    measures, and the ascent's iterations (0 on the circle).  The circle
-    pass is exhaustive (t = infinity is +-e_1), so its best point is the
-    maximum; random circle points only guard the root-finder."""
-    d = cm.d
-    rng = _np_rng(cfg.seed, f"sup-norm-l2-{d}")
-    head = _sphere_samples(d, cfg.samples, rng) if search else _circle_critical_points(cm)
-    X = np.vstack([head, starts])
+    """The best point the search finds for one map, and the ascent's
+    iterations: the best of the sample floor and ``starts``, refined by
+    gradient ascent from the best candidates."""
+    rng = _np_rng(cfg.seed, f"sup-norm-l2-{cm.d}")
+    X = np.vstack([_sphere_samples(cm.d, cfg.samples, rng), starts])
     # the sample floor's many rows take the prefix walk, to the same bits
-    mon = cm.shape.floor_monomials(X) if search else cm.shape.monomials(X)[0]
-    vals = _row_norms(mon @ cm.coeffs.T)
+    vals = _row_norms(cm.shape.floor_monomials(X) @ cm.coeffs.T)
     i = int(vals.argmax())
-    if not search:
-        check = float(cm.norms(_sphere_samples(d, CROSS_CHECK, rng)).max())
-        if check > float(vals[i]) * (1.0 + 1e-9):
-            raise AssertionError(
-                f"a random circle point reaches {check}, above the circle "
-                f"critical-point maximum {float(vals[i])}")
-        return X[i], 0
     order = np.argsort(vals)[::-1]
     refined, iters = _ascend_batch(cm, X[order[: min(cfg.restarts, X.shape[0])]])
     rvals = cm.norms(refined)
@@ -812,11 +815,8 @@ def _upper_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
     Returns the worst ratio, NaN if any ratio is, and how many q were
     tested."""
     qs = [_random_hompoly_f64(rng, d, k) for _ in range(q_trials)]
-    unit = []
-    for q, est in zip(qs, _sup_norms(qs, cfg)):
-        if est.value < 1e-12:
-            continue
-        unit.append(q.scale(1.0 / est.value))
+    unit = [q.scale(1.0 / est.value) for q, est in zip(qs, _sup_norms(qs, cfg))
+            if not est.value < 1e-12]
     worst_ratio = 0.0
     for ratio in ratios(unit):
         # np.maximum, unlike max, keeps a NaN on either side

@@ -75,9 +75,10 @@ def random_invertible_matrix(r: random.Random, d: int) -> list[list[Fraction]]:
 
 
 def _random_hompoly_f64(rng: np.random.Generator, d: int, k: int) -> HomPoly:
+    """Standard-normal coefficients in basis order, built without
+    re-validating them: they are finite doubles by construction."""
     basis = enumerate_multi_indices(d, k)
-    vals = rng.standard_normal(len(basis))
-    return HomPoly(d, k, dict(zip(basis, (float(v) for v in vals))), F64)
+    return _built(d, k, dict(zip(basis, rng.standard_normal(len(basis)).tolist())), F64)
 
 
 def _random_f64_map(rng: np.random.Generator, d: int, e: int, m: int) -> PolyMap:

@@ -177,6 +177,22 @@ def test_evaluation_embedding_zero_point():
     assert J.is_zero
 
 
+def test_f64_evaluation_embedding_refuses_values_below_the_smallest_double():
+    # x1^2 = 1e-400 rounds to zero, although neither factor is zero
+    for x, m, n in (([1e-200, 1.0], 1, 2), ([1.0, 1e-200], 1, 2), ([1e-100, 1.0], 3, 2),
+                    ([1e-200, 1e-200], 2, 1)):
+        with pytest.raises(CapacityError, match="below the smallest double"):
+            evaluation_embedding(x, m, n, field=F64)
+    # a zero coordinate gives true zeros, which are dropped
+    assert evaluation_embedding([0.0, 1.0], 1, 2, field=F64).coeffs == {(0, 0, 1): 1.0}
+    assert evaluation_embedding([0.0, 0.0], 2, 2, field=F64).is_zero
+    assert evaluation_embedding([0.0, 1e-200], 1, 1, field=F64).coeffs == {(0, 1): 1e-200}
+    # values that stay above zero, subnormal or not, are kept
+    J = evaluation_embedding([1e-160, 1.0], 1, 2, field=F64)
+    assert sorted(J.coeffs) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert 0.0 < J.coeffs[(1, 0, 0)] < 1e-300
+
+
 def test_composition_identity_exact():
     rng = sampling.rng(23, "composition")
     for (m, r, n, k, s) in ((1, 1, 2, 2, 1), (2, 2, 1, 1, 2), (2, 1, 2, 1, 1)):

@@ -187,6 +187,17 @@ def test_rational_field_rejects_floats():
         HomPoly(2, 2, {(2, 0): 0.5})
 
 
+def test_as_field_f64_refuses_a_coefficient_below_the_smallest_double():
+    # 10^-400 rounds to 0.0: the f64 map would be the zero map
+    tiny = Fraction(1, 10 ** 400)
+    p = HomPoly(2, 1, {(1, 0): tiny, (0, 1): 1})
+    for convert in (lambda: p.as_field(F64), lambda: PolyMap((p, p)).as_field(F64)):
+        with pytest.raises(CapacityError, match="below the smallest double"):
+            convert()
+    # a subnormal double is kept
+    assert HomPoly(1, 1, {(1,): Fraction(1, 10 ** 310)}).as_field(F64).coeffs == {(1,): 1e-310}
+
+
 def test_as_field_rational_is_exact():
     p = HomPoly(2, 1, {(1, 0): 0.1, (0, 1): 1.0 / 3.0}, F64)
     exact = p.as_field(RATIONAL)

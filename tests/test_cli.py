@@ -150,6 +150,17 @@ def test_f64_requests_far_from_unit_scale_end_in_their_exit(tmp_path, coeffs, ar
         assert json.loads(proc.stdout)["passed"] is True
 
 
+def test_rational_map_below_the_smallest_double_exits_3(tmp_path, capsys):
+    # x |-> 10^-400 (x1 + x2) converts to f64 as the zero map, whose norm
+    # used to be reported as 0.0 with exit 0
+    tiny = Fraction(1, 10 ** 400)
+    src, out = tmp_path / "map.json", tmp_path / "out.json"
+    src.write_text(polymap_dumps(PolyMap((HomPoly(2, 1, {(1, 0): tiny, (0, 1): tiny}),))))
+    assert cli.main(["norm", str(src), "--claim", "sup", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "below the smallest double" in capsys.readouterr().err
+
+
 def test_norm_delta_subcommand(tmp_path):
     src = tmp_path / "map.json"
     src.write_text(sample_map_json())

@@ -82,13 +82,35 @@ def test_quadratic_form_sup_norm_matches_largest_eigenvalue():
         assert abs(est.value - want) <= 1e-9 * want
 
 
+# -e_1 and e_1, the circle pass's first critical points
+AXES = np.array([[-1.0, 0.0], [1.0, 0.0]])
+
+
 def test_circle_pass_missing_the_maximum_fails_loudly(monkeypatch):
     # x^2 y - x y^2 vanishes on the axes and not elsewhere on the circle: a
     # circle pass that returns only +-e_1 must trip the random cross-check
-    monkeypatch.setattr(norms, "_circle_critical_points",
-                        lambda cm: np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    monkeypatch.setattr(norms, "_circle_points", lambda coeffs, m: [AXES] * len(coeffs))
     with pytest.raises(AssertionError):
         sup_norm(HomPoly(2, 3, {(2, 1): 1.0, (1, 2): -1.0}, F64), NormConfig(seed=1))
+
+
+def test_circle_pass_missing_one_maximum_in_a_stack_fails_loudly(monkeypatch):
+    # the same fault, in the middle map of a stack of three only: the stack
+    # fails; with x^3, whose maximum is at +-e_1, in the middle it passes
+    basis = enumerate_multi_indices(2, 3)
+    rng = np.random.default_rng(8)
+    outer = [HomPoly(2, 3, dict(zip(basis, map(float, rng.standard_normal(4)))), F64)
+             for _ in range(2)]
+    faulty = HomPoly(2, 3, {(2, 1): 1.0, (1, 2): -1.0}, F64)
+    cube = HomPoly(2, 3, {(3, 0): 1.0}, F64)
+    real = norms._circle_points
+    want = norms._sup_norms([outer[0], cube, outer[1]], NormConfig(seed=1))
+    assert norms._sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
+    monkeypatch.setattr(norms, "_circle_points", lambda coeffs, m: [
+        AXES if b == 1 else points for b, points in enumerate(real(coeffs, m))])
+    with pytest.raises(AssertionError, match="random circle point"):
+        norms._sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
+    assert norms._sup_norms([outer[0], cube, outer[1]], NormConfig(seed=1)) == want
 
 
 def quadratic_form(M) -> HomPoly:
@@ -266,11 +288,10 @@ def test_circle_critical_points_ignore_a_power_of_two_scale():
     from polyadjoint import enumerate_multi_indices
     basis = enumerate_multi_indices(2, 3)
     rows = rng.standard_normal((2, len(basis)))
-    points = [
-        norms._circle_critical_points(compiled(PolyMap(tuple(
-            HomPoly(2, 3, {a: math.ldexp(float(c), j) for a, c in zip(basis, row)}, F64)
-            for row in rows))))
-        for j in (-600, 0, 500)]
+    shape, coeffs = norms._coefficient_stack([PolyMap(tuple(
+        HomPoly(2, 3, {a: math.ldexp(float(c), j) for a, c in zip(basis, row)}, F64)
+        for row in rows)) for j in (-600, 0, 500)])
+    points = norms._circle_points(coeffs, shape.m)
     assert len(points[1]) > 2
     for pts in points:
         assert np.array_equal(pts, points[1])
@@ -484,6 +505,145 @@ def test_stacked_norms_take_every_method_map_by_map():
     assert methods[3, 2, 2] == ["sobol+gradient-ascent"] * 4
 
 
+def _circle_points_reference(c: np.ndarray, m: int) -> np.ndarray:
+    """The critical points of one map as the circle pass found them map by
+    map, with numpy.polynomial."""
+    P = np.polynomial.polynomial
+    c = np.ldexp(c, -math.frexp(float(np.abs(c).max(initial=0.0)))[1])
+    rows, scale = norms._circle_rows(m)
+    S = np.zeros(1)
+    for ci in c:
+        Ni = np.zeros(rows.shape[1])
+        for term in (ci[:, None] * rows) * scale:
+            Ni += term
+        Ni = np.polynomial.polyutils.trimseq(Ni)
+        S = P.polyadd(S, P.polymul(Ni, Ni))
+    h = P.polysub(P.polymul(P.polyder(S), np.array([1.0, 0.0, 1.0])),
+                  4.0 * m * P.polymul(np.array([0.0, 1.0]), S))
+    h = np.trim_zeros(h, "b")
+    pts = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
+    if h.size > 1 and np.abs(h).max() > 0:
+        h = h / np.abs(h).max()
+        for t in P.polyroots(h):
+            if abs(t.imag) < 1e-9 * (1.0 + abs(t.real)):
+                tr = t.real
+                den = 1.0 + tr * tr
+                pts.append(np.array([(1.0 - tr * tr) / den, 2.0 * tr / den]))
+    return np.array(pts)
+
+
+def _circle_picks_reference(shape, coeffs, cfg, starts) -> np.ndarray:
+    """The picks of a stack of maps as the circle pass made them map by map:
+    each map's critical points, candidates and cross-check on its own."""
+    picks = []
+    for c in coeffs:
+        X = np.vstack([_circle_points_reference(c, shape.m), starts])
+        vals = norms._row_norms(shape.monomials(X)[0] @ c.T)
+        i = int(vals.argmax())
+        rng = norms._np_rng(cfg.seed, "sup-norm-l2-2")
+        check = float(norms._row_norms(shape.monomials(
+            norms._sphere_samples(2, norms.CROSS_CHECK, rng))[0] @ c.T).max())
+        if check > float(vals[i]) * (1.0 + 1e-9):
+            raise AssertionError(f"a random circle point reaches {check}")
+        picks.append(X[i])
+    return np.array(picks)
+
+
+def circle_stack(rng, m: int, e: int, size: int) -> np.ndarray:
+    """(size, e, m + 1) circle coefficients: random maps and, in a stack of
+    100, a zero map, maps at 2^300 and 2^-300, one with zeros in its basis,
+    3 x^m and y^m, whose h have lower degrees (y^m's roots include t = 0),
+    and, for e >= 2, (Re z^m, Im z^m, 0, ...), whose h vanishes."""
+    C = rng.standard_normal((size, e, m + 1))
+    if size == 100:
+        C[0] = 0.0
+        C[1] *= 2.0 ** 300
+        C[2] *= 2.0 ** -300
+        C[3, :, ::2] = 0.0
+        C[5:7] = 0.0
+        C[5, 0, 0], C[6, 0, -1] = 3.0, 1.0
+        if e >= 2:
+            # (x + iy)^m = sum over a2 of C(m, a2) i^a2 x^(m - a2) y^a2
+            z = np.array([math.comb(m, a2) * 1j ** a2 for a2 in range(m + 1)])
+            C[4] = 0.0
+            C[4, 0], C[4, 1] = z.real, z.imag
+    return C
+
+
+def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(2310)
+    starts = np.vstack([norms._signed_basis(2), [[0.6, -0.8]]])
+    sizes = []
+
+    def eigvals(C):
+        sizes.append(C.shape)
+        return real(C)
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    for m in range(1, 9):
+        shape = norms._shape(2, m)
+        for e in (1, 2, 3):
+            for size in (1, 2, 100):
+                C = circle_stack(rng, m, e, size)
+                cfg = NormConfig(seed=m * e + size)
+                del sizes[:]
+                points = norms._circle_points(C, m)
+                assert len(points) == size
+                # one eigvals per companion size; the lower-degree h of a
+                # stack of 100 give it at least two sizes from m = 2 on
+                assert len({n for _, n, _ in sizes}) == len(sizes)
+                assert len(sizes) >= 2 or size < 100 or m == 1
+                for c, got in zip(C, points):
+                    assert _same_bits(got, _circle_points_reference(c, m)), (m, e, size)
+                assert _same_bits(norms._circle_picks(shape, C, cfg, starts),
+                                  _circle_picks_reference(shape, C, cfg, starts)), (m, e, size)
+                if size == 100 and e >= 2:
+                    # |z^m| = 1 on the circle: no critical point beyond +-e_1
+                    assert _same_bits(points[4], AXES)
+
+
+def test_cross_check_points_are_the_first_draw_of_their_stream():
+    # drawn once per seed, as each map of that seed drew them alone
+    for seed in (0, 1, 2 ** 40):
+        X = norms._cross_check_points(seed)
+        want = norms._sphere_samples(2, norms.CROSS_CHECK, norms._np_rng(seed, "sup-norm-l2-2"))
+        assert _same_bits(X, want) and not X.flags.writeable
+        assert norms._cross_check_points(seed) is X
+
+
+def test_circle_pass_on_a_map_of_constant_norm():
+    # (x^2 - y^2, 2xy) has norm 1 everywhere on the circle, so its h
+    # vanishes identically and only +-e_1 are critical points
+    P = PolyMap((HomPoly(2, 2, {(2, 0): 1.0, (0, 2): -1.0}, F64),
+                 HomPoly(2, 2, {(1, 1): 2.0}, F64)))
+    shape, coeffs = norms._coefficient_stack([P])
+    assert _same_bits(norms._circle_points(coeffs, 2)[0], AXES)
+    est = sup_norm(P, NormConfig(seed=4))
+    assert est.method == "circle-critical-points"
+    assert (est.value, est.maximizer) == (1.0, (-1.0, 0.0))
+
+
+def test_stacked_circle_pass_in_sup_norm_equals_the_per_map_reference(monkeypatch):
+    # whole estimates through _sup_norms, where maps past 2^+-256 are measured
+    # scaled and a map past MAX_CIRCLE_SPREAD takes the search mid-stack
+    rng = np.random.default_rng(2311)
+    cfg = NormConfig(samples=512, restarts=8, seed=6)
+    wide = PolyMap((HomPoly(2, 3, {(3, 0): 1e-150, (2, 1): 1.0, (0, 3): 1e120}, F64),
+                    HomPoly(2, 3, {(1, 2): 1.0}, F64)))
+    basis = enumerate_multi_indices(2, 3)
+    maps = [PolyMap(tuple(HomPoly(2, 3, dict(zip(basis, map(float, row))), F64) for row in c))
+            for c in circle_stack(rng, 3, 2, 100)]
+    maps.insert(50, wide)
+    starts = [[1.0, 2.0]]
+    got = norms._sup_norms(maps, cfg, starts)
+    monkeypatch.setattr(norms, "_circle_picks", _circle_picks_reference)
+    want = norms._sup_norms(maps, cfg, starts)
+    assert [_hex(est) for est in got] == [_hex(est) for est in want]
+    assert got == want
+    assert [est.method for est in got] == ["circle-critical-points"] * 50 + [
+        "sobol+gradient-ascent"] + ["circle-critical-points"] * 50
+
+
 def test_stacked_norms_refuse_mixed_shapes_and_fields():
     P = PolyMap.from_matrix([[1.0, 2.0]], F64)
     assert norms._sup_norms([], NormConfig()) == []
@@ -504,6 +664,17 @@ def _upper_trials_per_q(rng, d, k, q_trials, cfg, ratio):
         tested += 1
         worst = float(np.maximum(worst, ratio(q.scale(1.0 / qn))))
     return worst, tested
+
+
+def test_random_f64_polynomials_equal_validated_ones():
+    # built without re-validation: the same dict, in the same key order
+    for d, k in ((1, 3), (2, 2), (3, 4)):
+        basis = enumerate_multi_indices(d, k)
+        got = norms._random_hompoly_f64(norms._np_rng(d, "q"), d, k)
+        draws = norms._np_rng(d, "q").standard_normal(len(basis))
+        want = HomPoly(d, k, dict(zip(basis, (float(v) for v in draws))), F64)
+        assert got == want and list(got.coeffs.items()) == list(want.coeffs.items())
+        assert got._terms == want._terms and all(type(c) is float for c in got.coeffs.values())
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
