@@ -47,6 +47,7 @@ from .algebra import (
     multinomial,
 )
 from .errors import (
+    CapacityError,
     DegreeError,
     DimensionError,
     FieldError,
@@ -105,34 +106,27 @@ def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
     d, e, m = P.domain_dim, P.codomain_dim, P.degree
     q_basis = enumerate_multi_indices(e, k)
     out_basis = enumerate_multi_indices(d, m * n * k)
-    nvars = len(q_basis)
-    mus = enumerate_multi_indices(nvars, n)
+    mus = enumerate_multi_indices(len(q_basis), n)
 
     # (sum_beta c_beta P^beta)^n expands over exponent vectors mu on the
-    # c-variables; each mu contributes the monomial c^mu with the polynomial
-    # w * prod_beta (P^beta)^mu_beta as its coefficient, w = multinomial(n,
-    # mu).  That product is P^g for the codomain index g = sum_beta mu_beta
-    # beta, of degree nk, so it is read from P's own memo.  With P^g = sum
-    # n_gamma x^gamma / D_mu, component gamma gets the term w n_gamma / D_mu
-    # at mu, and is built from integer numerators over the lcm of its D_mu
-    # (for f64, D_mu = 1 and the numerators are the floats).  An f64 P^g
-    # whose coefficient underflowed to zero was refused where it was
-    # multiplied, and w is an integer >= 1, so no term here rounds to zero.
+    # c-variables: c^mu gets the coefficient w P^g, w = multinomial(n, mu),
+    # g = sum_beta mu_beta beta, read from P's own memo.  With P^g = sum
+    # n_gamma x^gamma / D_mu and L the lcm of every D_mu, component gamma
+    # gets n_gamma f_mu / L at mu, f_mu = w L / D_mu, written in one pass in
+    # mu order; ``_built`` reduces each to its least denominator.  For f64,
+    # D_mu = L = 1, so f_mu = w.  An f64 P^g that underflowed was refused
+    # where it was multiplied, and w >= 1, so no term here rounds to zero.
     gs = [tuple(sum(c * b for c, b in zip(mu, col)) for col in zip(*q_basis)) for mu in mus]
-    parts: list[list[tuple[MultiIndex, Scalar, int]]] = [[] for _ in out_basis]
-    out_index = {g: i for i, g in enumerate(out_basis)}
-    for mu, g_mu in zip(mus, map_powers(P, gs)):
-        w = multinomial(n, mu)
-        den, nums = g_mu._terms
+    powers = list(map_powers(P, gs))
+    den = math.lcm(*[g._terms[0] for g in powers])
+    data: dict[MultiIndex, dict[MultiIndex, Scalar]] = {gamma: {} for gamma in out_basis}
+    for mu, g_mu in zip(mus, powers):
+        dm, nums = g_mu._terms
+        f = multinomial(n, mu) * (den // dm)
         for gamma, v in nums.items():
-            parts[out_index[gamma]].append((mu, v * w, den))
-    comps = []
-    for part in parts:
-        den = math.lcm(*[t[2] for t in part])
-        comps.append(_built(nvars, n, {mu: v * (den // dm) for mu, v, dm in part},
-                            P.field, den))
-    return MaterializedAdjoint(PolyMap(tuple(comps)), n, k, d, e, m,
-                               tuple(q_basis), tuple(out_basis))
+            data[gamma][mu] = v * f
+    comps = tuple(_built(len(q_basis), n, c, P.field, den) for c in data.values())
+    return MaterializedAdjoint(PolyMap(comps), n, k, d, e, m, tuple(q_basis), tuple(out_basis))
 
 
 def evaluation_embedding(x: Sequence, m: int, n: int,
@@ -142,8 +136,9 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     Variables are the coefficients of a degree-n polynomial q on R^len(x) in
     canonical order; evaluating the result at q.coeff_vector() yields q(x)^m.
     With m = n = 1 this is evaluation at x itself.  x = 0 gives the zero
-    polynomial.  On f64, a coefficient that rounds to zero although no
-    coordinate among its factors is zero raises CapacityError.
+    polynomial.  On f64, a coefficient past the largest double, or one that
+    rounds to zero although no coordinate among its factors is zero, raises
+    CapacityError.
     """
     if m < 1 or n < 1:
         raise DegreeError(f"embedding parameters must be >= 1, got m={m}, n={n}")
@@ -153,20 +148,25 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     # a rational point x = X / r puts every coefficient over r^(nm), so the
     # numerators are built on X and the result from its integer form
     r, X = _cleared(x, field)
-    xpow = [_eval_monomial(beta, X) for beta in basis]
     coeffs: dict[MultiIndex, Scalar] = {}
-    for mu in enumerate_multi_indices(len(basis), m):
-        v = multinomial(m, mu)
-        for j, mj in enumerate(mu):
-            if mj:
-                v = v * xpow[j] ** mj
-        coeffs[mu] = v
+    try:
+        xpow = [_eval_monomial(beta, X) for beta in basis]
+        for mu in enumerate_multi_indices(len(basis), m):
+            v = multinomial(m, mu)
+            for j, mj in enumerate(mu):
+                if mj:
+                    v = v * xpow[j] ** mj
+            coeffs[mu] = v if field == RATIONAL else float(v)
+    except OverflowError:
+        # float ** raises past the largest double, where float * gives inf
+        raise CapacityError(f"a degree-{m} f64 result on R^{len(basis)} has a coefficient "
+                            f"past the largest double") from None
     if field == F64:
-        out = HomPoly(len(basis), m, coeffs, F64)
+        out = _built(len(basis), m, coeffs, F64)
         if len(out.coeffs) < len(coeffs):
             # a coefficient is a true zero only when a zero coordinate is
-            # among its factors; the constructor dropped every other zero
-            # as well, though it is a value below the smallest double
+            # among its factors; _built dropped every other zero as well,
+            # though it is a value below the smallest double
             zero = [any(a and not v for a, v in zip(beta, X)) for beta in basis]
             _refuse_lost_terms(len(basis), m, ((mu, v) for mu, v in coeffs.items() if not any(
                 mj and zero[j] for j, mj in enumerate(mu))), out.coeffs)

@@ -199,9 +199,9 @@ def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
     re-validation.  The result takes ``values`` as its own when no value is
     zero, so the caller hands over a dict it no longer uses; otherwise the
     zeros are dropped in a copy.  Rational values are integer numerators:
-    dividing out the gcd of den and every numerator leaves the least common
-    denominator, and the result stores that integer form; its ``coeffs``
-    view is built only if something reads it.  f64 values are the
+    dividing out the gcd of den and every numerator, in place, leaves the
+    least common denominator, and the result stores that integer form; its
+    ``coeffs`` view is built only if something reads it.  f64 values are the
     coefficients themselves (den = 1), stored as both the numerators and
     ``coeffs``; one that overflowed raises CapacityError, as the result does
     not fit a double."""
@@ -219,7 +219,8 @@ def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
         g = math.gcd(den, *nums.values())
         if g > 1:
             den //= g
-            nums = {a: v // g for a, v in nums.items()}
+            for a, v in nums.items():
+                nums[a] = v // g
     self.__dict__.update(domain_dim=d, degree=m, field=field, _terms=(den, nums))
     return self
 
@@ -494,11 +495,16 @@ class HomPoly:
             # the rational constructor takes floats only as Fractions
             return HomPoly(self.domain_dim, self.degree,
                            {a: Fraction(c) for a, c in self.coeffs.items()}, field)
-        # the f64 constructor refuses a rational coefficient beyond the
-        # double range and drops one that rounds to zero, which is refused
-        # here: it is nonzero, as every stored coefficient is
-        out = HomPoly(self.domain_dim, self.degree, self.coeffs, field)
-        if len(out.coeffs) < len(self.coeffs):
+        # a rational coefficient past the largest double does not fit one,
+        # and one that rounds to zero is refused too: it is nonzero, as
+        # every stored coefficient is, though _built drops it as a zero
+        try:
+            values = {a: float(c) for a, c in self.coeffs.items()}
+        except OverflowError:
+            raise CapacityError(f"a degree-{self.degree} f64 result on R^{self.domain_dim} "
+                                f"has a coefficient past the largest double") from None
+        out = _built(self.domain_dim, self.degree, values, field)
+        if len(out.coeffs) < len(values):
             raise CapacityError(f"a degree-{self.degree} f64 result on R^{self.domain_dim} "
                                 f"has a coefficient below the smallest double")
         return out

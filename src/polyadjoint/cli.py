@@ -19,6 +19,7 @@ integer string conversion counts as one).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,10 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
     return dims
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing
+    leaves it as it was, so every call can share it."""
     parser = argparse.ArgumentParser(
         prog="polyadjoint",
         description="adjoint calculus for homogeneous polynomial maps")
@@ -98,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-s", type=int, default=2)
     pv.add_argument("--trials", type=int, default=20)
     pv.add_argument("--field", choices=("rational", "f64", "both"))
-    pv.set_defaults(func=cmd_verify)
 
     pa = sub.add_parser("adjoint", help="materialize the adjoint of a map")
     out(pa)
@@ -106,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--n", type=int, required=True, help="power of the pullback")
     pa.add_argument("--k", type=int, required=True,
                     help="degree of the scalar test polynomials")
-    pa.set_defaults(func=cmd_adjoint)
 
     pn = sub.add_parser("norm", help="certify a norm claim for a map")
     out(pn)
@@ -115,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--claim", choices=("sup", "delta"), default="sup")
     pn.add_argument("--n", type=int, default=1)
     pn.add_argument("--k", type=int, default=1)
-    pn.set_defaults(func=cmd_norm)
 
     pd = sub.add_parser("decompose",
                         help="finite-type representation and expansion")
@@ -123,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("input", help="polynomial-map JSON file, or - for stdin")
     pd.add_argument("--n", type=int, default=1)
     pd.add_argument("--k", type=int, default=1)
-    pd.set_defaults(func=cmd_decompose)
 
     return parser
 
@@ -166,8 +166,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_adjoint(args: argparse.Namespace) -> int:
     obj, raw = _read_input(args.input)
-    P = polymap_from_obj(obj)
-    mat = materialize_adjoint(P, args.n, args.k)
+    # the map, with the memo of powers it keeps, is freed before the writer
+    # runs: the memo holds as many terms as the adjoint
+    mat = materialize_adjoint(polymap_from_obj(obj), args.n, args.k)
     out_obj = materialized_to_obj(mat, sha256_hex(raw))
     _emit(_json_dumps(out_obj), args.out)
     return 0
@@ -214,11 +215,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help(file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # looked up at call time, so a wrapper set on the module is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

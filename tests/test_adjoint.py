@@ -2,6 +2,7 @@
 embedding and the exact identities tying them together."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from polyadjoint import (
     multinomial,
     nonadditivity_witness,
 )
+from polyadjoint.algebra import _built, map_powers
 from polyadjoint.errors import (
     CapacityError,
     DegreeError,
@@ -140,6 +142,72 @@ def test_materialized_components_equal_their_validated_copies(field):
             assert list(copy.coeffs) == list(c.coeffs)
 
 
+def _two_pass_components(P: PolyMap, n: int, k: int) -> list[HomPoly]:
+    """The reference for materialize_adjoint's components: every term
+    (mu, w n_gamma, D_mu) is staged in its component's list first, and each
+    component is then put over the lcm of its own D_mu."""
+    q_basis = enumerate_multi_indices(P.codomain_dim, k)
+    out_basis = enumerate_multi_indices(P.domain_dim, P.degree * n * k)
+    mus = enumerate_multi_indices(len(q_basis), n)
+    gs = [tuple(sum(c * b for c, b in zip(mu, col)) for col in zip(*q_basis)) for mu in mus]
+    parts = {gamma: [] for gamma in out_basis}
+    for mu, g_mu in zip(mus, map_powers(P, gs)):
+        den, nums = g_mu._terms
+        for gamma, v in nums.items():
+            parts[gamma].append((mu, v * multinomial(n, mu), den))
+    comps = []
+    for part in parts.values():
+        den = math.lcm(*[dm for _, _, dm in part])
+        comps.append(_built(len(q_basis), n, {mu: v * (den // dm) for mu, v, dm in part},
+                            P.field, den))
+    return comps
+
+
+def _same_components(got: list[HomPoly], want: list[HomPoly]) -> None:
+    """Equal integer forms, key order included; f64 values bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.field == w.field and g._terms[0] == w._terms[0]
+        assert list(g._terms[1]) == list(w._terms[1])
+        if g.field == F64:
+            assert [v.hex() for v in g._terms[1].values()] == [
+                v.hex() for v in w._terms[1].values()]
+        else:
+            assert g._terms == w._terms
+
+
+def test_materialized_components_equal_the_two_pass_reference():
+    rng = sampling.rng(23, "one-pass")
+    for d, e, n, k in itertools.product(range(1, 5), range(1, 5), range(1, 4), range(1, 4)):
+        m = 1 + (d + e + n + k) % 2
+        if math.comb(math.comb(e + k - 1, k) + n - 1, n) * math.comb(d + m * n * k - 1,
+                                                                    m * n * k) > 20_000:
+            continue
+        P = sampling.random_polymap(rng, d, e, m)
+        for field in (RATIONAL, F64):
+            Pf = P.as_field(field)
+            _same_components(list(materialize_adjoint(Pf, n, k).polymap.components),
+                             _two_pass_components(Pf, n, k))
+    # components over different denominators, and one (x2^2) with no term
+    P = PolyMap((HomPoly(2, 2, {(2, 0): Fraction(1, 2), (1, 1): Fraction(-5, 3)}),
+                 HomPoly(2, 2, {(2, 0): Fraction(7, 4), (1, 1): Fraction(1, 9)})))
+    for n, k in itertools.product(range(1, 4), range(1, 4)):
+        mat = materialize_adjoint(P, n, k)
+        comps = mat.polymap.components
+        _same_components(list(comps), _two_pass_components(P, n, k))
+        assert comps[-1].is_zero and len({c._terms[0] for c in comps}) > 2
+        for _ in range(3):
+            q = sampling.random_hompoly(rng, 2, k)
+            assert mat.apply_to(q) == adjoint_apply(P, n, k, q)
+    # f64 maps at 2^300 and 2^-300: with nk <= 3 every coefficient, near
+    # 2^(+-900), is still a normal double
+    for scale in (2.0 ** 300, 2.0 ** -300):
+        Pf = sampling.random_polymap(rng, 3, 2, 1).as_field(F64).scale(scale)
+        for n, k in ((1, 1), (2, 1), (1, 3), (3, 1)):
+            _same_components(list(materialize_adjoint(Pf, n, k).polymap.components),
+                             _two_pass_components(Pf, n, k))
+
+
 def test_materialized_coefficients_are_multinomial_products():
     # single-component P, k = 1: coefficient of c^mu must be
     # multinomial(n, mu) * prod_beta P_beta^mu_beta
@@ -191,6 +259,16 @@ def test_f64_evaluation_embedding_refuses_values_below_the_smallest_double():
     J = evaluation_embedding([1e-160, 1.0], 1, 2, field=F64)
     assert sorted(J.coeffs) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert 0.0 < J.coeffs[(1, 0, 0)] < 1e-300
+
+
+@pytest.mark.parametrize("x, m, n", [
+    ([1e200, 1.0], 1, 2),     # x1^2 raises OverflowError as a float power
+    ([1e160, 1e160], 2, 1),   # so does (x1)^2 among the m-th powers
+    ([1e154, 1e154], 2, 1),   # 2 x1 x2 = 2e308 rounds to inf as a product
+], ids=["power-of-coordinate", "power-of-monomial", "product"])
+def test_f64_evaluation_embedding_refuses_values_past_the_largest_double(x, m, n):
+    with pytest.raises(CapacityError, match="past the largest double"):
+        evaluation_embedding(x, m, n, field=F64)
 
 
 def test_composition_identity_exact():

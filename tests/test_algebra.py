@@ -198,6 +198,20 @@ def test_as_field_f64_refuses_a_coefficient_below_the_smallest_double():
     assert HomPoly(1, 1, {(1,): Fraction(1, 10 ** 310)}).as_field(F64).coeffs == {(1,): 1e-310}
 
 
+def test_as_field_f64_refuses_a_coefficient_past_the_largest_double():
+    # 10^400 and the rational just past the rounding edge of the largest
+    # double do not fit one: a size cap, like an f64 product that overflows
+    edge = Fraction(2 ** 1024 - 2 ** 970)
+    for c in (Fraction(10 ** 400), Fraction(-10 ** 400), edge):
+        p = HomPoly(2, 1, {(1, 0): c, (0, 1): 1})
+        for convert in (lambda: p.as_field(F64), lambda: PolyMap((p, p)).as_field(F64)):
+            with pytest.raises(CapacityError, match="past the largest double"):
+                convert()
+    # the largest double itself converts
+    top = HomPoly(1, 1, {(1,): Fraction(sys.float_info.max)}).as_field(F64)
+    assert top.coeffs == {(1,): sys.float_info.max}
+
+
 def test_as_field_rational_is_exact():
     p = HomPoly(2, 1, {(1, 0): 0.1, (0, 1): 1.0 / 3.0}, F64)
     exact = p.as_field(RATIONAL)
