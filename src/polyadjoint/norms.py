@@ -8,8 +8,7 @@ sphere up to machine precision.
 `sup_norm` runs one pipeline over a stack of maps of one shape (d, m, e);
 a single map is a stack of one.  A method, chosen by shape, supplies the
 head of each map's candidate points; the points +-e_i and any extra starts,
-projected to the sphere, follow it, and the candidate of largest value is
-picked once.  The heads:
+projected to the sphere, follow it.  The heads:
 
 * one variable ("endpoint-enumeration"): none, the endpoints are +-e_1;
 * linear maps x -> Ax and scalar quadratic forms x^T M x on 2 to
@@ -19,25 +18,27 @@ picked once.  The heads:
 * other maps of two variables ("circle-critical-points"): the critical
   points of the squared norm on the circle, solved outright by a rational
   parametrization and companion-matrix root-finding, so the pick is the
-  global maximum to near machine precision.  The stack shares the work:
-  every N_i(t) is built at once, one np.linalg.eigvals runs per companion
-  size, and one monomial table serves all the candidates;
+  global maximum to near machine precision.  Every N_i(t) of the stack is
+  built at once, and one np.linalg.eigvals runs per companion size;
 * other maps of three or more variables, and two-variable maps whose
   coefficients span more than MAX_CIRCLE_SPREAD binary orders of magnitude
-  ("sobol+gradient-ascent"): a random sample floor of normalized
-  standard-normal vectors, which are uniform on the sphere.
+  ("sobol+gradient-ascent"), map by map: the points that batched projected
+  gradient ascent, with per-restart adaptive step and backtracking, reaches
+  from the best of a random sample floor of normalized standard-normal
+  vectors (uniform on the sphere) and the other candidates, then the best
+  of those.
 
-Two methods add a step after the pick.  The circle pass is cross-checked by
-a few hundred random circle points, the same for every map of a seed and
-drawn once, none of which may beat it, so a root-finder that misses the
-maximum fails loudly.  The search runs batched projected gradient ascent,
-with per-restart adaptive step and backtracking, from the best candidates,
-map by map, and its best point replaces the pick if it is at least as good.
-The tail is stacked: each pick is renormalized onto the sphere and its map
-evaluated there, which gives the certified lower bound, asserted below the
-Euclidean norm of the coefficient absolute sums and scaled back if the map
-was measured scaled.  Every slice of a stacked step computes what the map
-alone would, so an estimate has the same bits in a stack as by itself.
+The candidate of largest value is then picked once for the whole stack, by
+one monomial table and one stacked matmul; the first maximum wins, so an
+ascent point at least as good as the floor's best replaces it.  Random
+circle points, the same for every map of a seed and drawn once, may not
+beat a circle pass's pick, so a root-finder that misses the maximum fails
+loudly.  The tail is stacked too: each pick is renormalized onto the sphere
+and its map evaluated there, which gives the certified lower bound, asserted
+below the Euclidean norm of the coefficient absolute sums and scaled back if
+the map was measured scaled.  Every slice of a stacked step computes what
+the map alone would, so an estimate has the same bits in a stack as by
+itself.
 
 Only the closed form also carries an upper bound ``upper = value (1 +
 2^-40)``, proven map by map in exact integer arithmetic (`_proves_upper`);
@@ -328,47 +329,6 @@ def _coefficient_stack(maps: Sequence[PolyMap]) -> tuple[_Shape, np.ndarray]:
     return shape, coeffs
 
 
-class _CompiledMap:
-    """One float map for the search's bulk evaluation: one power table per
-    batch of points yields the values and, through the shared degree-(m-1)
-    table from which each dP/dx_j reads its monomials, the whole gradient."""
-
-    def __init__(self, shape: _Shape, coeffs: np.ndarray):
-        self.shape, self.coeffs = shape, coeffs  # (e, T)
-        self.d, self.m, self.e = shape.d, shape.m, coeffs.shape[0]
-
-    # only the ascent needs the partials, so they are built on its first use
-    @functools.cached_property
-    def partials(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """dP/dx_j for each variable x_j, in order (each occurs at m >= 1):
-        where alpha - e_j sits in the lower table, for each monomial alpha
-        containing x_j, and the coefficients times alpha_j."""
-        return [(idx, self.coeffs[:, mask] * weights)
-                for mask, idx, weights in self.shape.partials]
-
-    def values_and_lower(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(N, e) values at the rows of X and their (N, T') lower table."""
-        mon, low = self.shape.monomials(X, lower=True)
-        return mon @ self.coeffs.T, low
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """X: (N, d) points -> (N, e) values."""
-        return self.shape.monomials(X)[0] @ self.coeffs.T
-
-    def norms(self, X: np.ndarray) -> np.ndarray:
-        return _row_norms(self.values(X))
-
-    def gradient(self, V: np.ndarray, low: np.ndarray) -> np.ndarray:
-        """Gradient of f(x) = |P(x)|_2^2 at N points, given their values V
-        and their degree-(m-1) monomial table ``low``."""
-        dV = np.empty((V.shape[0], self.d, self.e))
-        for j, (idx, dcoeffs) in enumerate(self.partials):
-            # take, not low[:, idx], which is F-ordered: the last bits of
-            # the matmul follow the layout of its operands
-            dV[:, j] = low.take(idx, axis=1) @ dcoeffs.T
-        return 2.0 * (V[:, None, :] * dV).sum(axis=2)
-
-
 def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V * V).sum(axis=1))
 
@@ -487,53 +447,63 @@ def _cross_check_points(seed: int) -> np.ndarray:
     return _read_only(_sphere_samples(2, CROSS_CHECK, _np_rng(seed, "sup-norm-l2-2")))[0]
 
 
-def _circle_picks(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig,
-                  starts: np.ndarray) -> np.ndarray:
-    """(B, 2): the best candidate of each map of the (B, e, T) stack (d =
-    2), its circle points then ``starts``.  The circle pass is exhaustive
-    (t = infinity is +-e_1), so that is the maximum; random circle points,
-    none of which may beat it, only guard the root-finder.  One monomial
-    table serves every map's candidates, each map its own matmul; one
-    serves the random points, with one stacked matmul."""
-    heads = _circle_points(coeffs, shape.m)
-    X = np.concatenate([rows for head in heads for rows in (head, starts)])
-    mon = shape.monomials(X)[0]
-    ends = np.cumsum([len(head) + len(starts) for head in heads]).tolist()
-    picks, tops = np.empty((len(heads), 2)), []
-    for b, (at, end) in enumerate(zip([0] + ends, ends)):
-        vals = _row_norms(mon[at:end] @ coeffs[b].T)
-        picks[b] = X[at + int(vals.argmax())]
-        tops.append(float(vals.max()))
+def _cross_check(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, tops: np.ndarray) -> None:
+    """Random circle points may not beat ``tops``, the picked value of each
+    map of the (B, e, T) stack (d = 2).  The circle pass is exhaustive (t =
+    infinity is +-e_1), so its pick is the maximum, and the points only
+    guard the root-finder; one monomial table serves them, with one stacked
+    matmul."""
     V = shape.monomials(_cross_check_points(cfg.seed))[0] @ coeffs.transpose(0, 2, 1)
     checks = _row_norms(V.reshape(-1, V.shape[2])).reshape(len(V), -1).max(axis=1)
-    for check, top in zip(checks.tolist(), tops):
+    for check, top in zip(checks.tolist(), tops.tolist()):
         if check > top * (1.0 + 1e-9):
             raise AssertionError(
                 f"a random circle point reaches {check}, above the circle "
                 f"critical-point maximum {top}")
-    return picks
 
 
-def _ascend_batch(cm: _CompiledMap, X: np.ndarray) -> tuple[np.ndarray, int]:
-    """Projected gradient ascent on the Euclidean sphere, all rows at once.
+def _gradient(partials: list[tuple[np.ndarray, np.ndarray]], V: np.ndarray,
+              low: np.ndarray) -> np.ndarray:
+    """Gradient of f(x) = |P(x)|_2^2 at N points, given their values V,
+    their degree-(m-1) monomial table ``low`` and, for each variable x_j in
+    order, dP/dx_j: where alpha - e_j sits in the lower table, for each
+    monomial alpha containing x_j, and the coefficients times alpha_j."""
+    dV = np.empty((V.shape[0], len(partials), V.shape[1]))
+    for j, (idx, dcoeffs) in enumerate(partials):
+        # take, not low[:, idx], which is F-ordered: the last bits of
+        # the matmul follow the layout of its operands
+        dV[:, j] = low.take(idx, axis=1) @ dcoeffs.T
+    return 2.0 * (V[:, None, :] * dV).sum(axis=2)
+
+
+def _ascend_batch(shape: _Shape, coeffs: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, int]:
+    """Projected gradient ascent on the Euclidean sphere for the map of (e,
+    T) coefficients, all rows at once.  One power table per batch of points
+    yields the values and, through the shared degree-(m-1) table, the whole
+    gradient.
 
     Per-row adaptive step with backtracking: a step is kept only if it
     improves the squared norm; the step then grows, otherwise it shrinks.
     """
+    # only the ascent needs the partials, so it builds them, once per map;
+    # each x_j occurs at m >= 1, so every variable has one
+    partials = [(idx, coeffs[:, mask] * weights) for mask, idx, weights in shape.partials]
     X = X / np.sqrt((X * X).sum(axis=1, keepdims=True))
-    V, low = cm.values_and_lower(X)
+    mon, low = shape.monomials(X, lower=True)
+    V = mon @ coeffs.T
     f = (V * V).sum(axis=1)
     eta = np.full(X.shape[0], 0.1)
     iters = 0
     stall = 0
     for _ in range(MAX_ASCENT_ITERS):
         iters += 1
-        G = cm.gradient(V, low)
+        G = _gradient(partials, V, low)
         # tangential component; near a maximizer it vanishes
         Gt = G - ((G * X).sum(axis=1, keepdims=True)) * X
         cand = X + eta[:, None] * Gt
         cand /= np.sqrt((cand * cand).sum(axis=1, keepdims=True))
-        Vc, low_c = cm.values_and_lower(cand)
+        mon, low_c = shape.monomials(cand, lower=True)
+        Vc = mon @ coeffs.T
         f_new = (Vc * Vc).sum(axis=1)
         better = f_new > f
         rows = better[:, None]
@@ -693,29 +663,34 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
         if n > 1e-300:
             rows.append((v / n)[None, :])
     starts = np.vstack(rows)
-    B = len(maps)
-    if d == 1 or closed_form:
-        # the head is none for d = 1, whose endpoints are the +-e_1, and the
-        # top eigenvector for the closed form: one row at most, so the
-        # candidates of the whole stack are evaluated at once
-        h = int(closed_form)
-        X = np.empty((B, h + len(starts), d))
-        if closed_form:
-            X[:, 0] = _top_eigenvectors(coeffs, d, m)
-        X[:, h:] = starts
-        best = X[np.arange(B), shape.norms(X, coeffs).argmax(axis=1)]
-        iters = [0] * B
-        method = ["closed-form" if closed_form else "endpoint-enumeration"] * B
+    B, iters = len(maps), [0] * len(maps)
+    circle = [b for b, s in enumerate(search) if d == 2 and not (s or closed_form)]
+    if closed_form:
+        heads = _top_eigenvectors(coeffs, d, m)[:, None]
+    elif d == 1:
+        # no head: the endpoints +-e_1 are the first starts
+        heads = np.empty((B, 0, d))
     else:
-        best, iters = np.empty((B, d)), [0] * B
-        circle = [b for b, s in enumerate(search) if not s]
-        if circle:
-            best[circle] = _circle_picks(shape, coeffs[circle], cfg, starts)
+        ragged = dict(zip(circle, _circle_points(coeffs[circle], m))) if circle else {}
         for b in np.flatnonzero(search).tolist():
-            best[b], iters[b] = _refined_pick(_CompiledMap(shape, coeffs[b]), cfg, starts)
-        # `norm` prints this label and the benchmark counts by it, so it
-        # keeps its name although the samples are now Gaussian
-        method = ["sobol+gradient-ascent" if s else "circle-critical-points" for s in search]
+            ragged[b], iters[b] = _search_head(shape, coeffs[b], cfg, starts)
+        # each head is padded to one length by copies of its last row, which
+        # follow that row, so they never win: the pick takes the first maximum
+        heads = np.empty((B, max(map(len, ragged.values())), d))
+        for b, head in ragged.items():
+            heads[b, :len(head)], heads[b, len(head):] = head, head[-1]
+    # `norm` prints these labels and the benchmark counts by them; the
+    # search keeps its name although the samples are now Gaussian
+    label = "closed-form" if closed_form else "endpoint-enumeration" if d == 1 else None
+    method = [label or ("sobol+gradient-ascent" if s else "circle-critical-points")
+              for s in search]
+
+    # one pick for every method, over each map's head and then the starts
+    X = np.concatenate([heads, starts[None].repeat(B, axis=0)], axis=1)
+    vals = shape.norms(X, coeffs)
+    best = X[np.arange(B), vals.argmax(axis=1)]
+    if circle:
+        _cross_check(shape, coeffs[circle], cfg, vals[circle].max(axis=1))
 
     # renormalize exactly onto the sphere and re-evaluate: the value reported
     # is an evaluation, hence a certified lower bound
@@ -741,21 +716,19 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     return out
 
 
-def _refined_pick(cm: _CompiledMap, cfg: NormConfig,
-                  starts: np.ndarray) -> tuple[np.ndarray, int]:
-    """The best point the search finds for one map, and the ascent's
-    iterations: the best of the sample floor and ``starts``, refined by
-    gradient ascent from the best candidates."""
-    rng = _np_rng(cfg.seed, f"sup-norm-l2-{cm.d}")
-    X = np.vstack([_sphere_samples(cm.d, cfg.samples, rng), starts])
+def _search_head(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig,
+                 starts: np.ndarray) -> tuple[np.ndarray, int]:
+    """The search's head for the map of (e, T) coefficients, and the
+    ascent's iterations: the rows gradient ascent refined from the best
+    candidates of the sample floor and ``starts``, then the best of those
+    candidates, which the pick keeps only if no refined row is as good."""
+    rng = _np_rng(cfg.seed, f"sup-norm-l2-{shape.d}")
+    X = np.vstack([_sphere_samples(shape.d, cfg.samples, rng), starts])
     # the sample floor's many rows take the prefix walk, to the same bits
-    vals = _row_norms(cm.shape.floor_monomials(X) @ cm.coeffs.T)
-    i = int(vals.argmax())
+    vals = _row_norms(shape.floor_monomials(X) @ coeffs.T)
     order = np.argsort(vals)[::-1]
-    refined, iters = _ascend_batch(cm, X[order[: min(cfg.restarts, X.shape[0])]])
-    rvals = cm.norms(refined)
-    j = int(rvals.argmax())
-    return (refined[j] if float(rvals[j]) >= float(vals[i]) else X[i]), iters
+    refined, iters = _ascend_batch(shape, coeffs, X[order[: min(cfg.restarts, X.shape[0])]])
+    return np.vstack([refined, X[vals.argmax()]]), iters
 
 
 def _certified_upper(raw: np.ndarray, d: int, m: int, value: float, shift: int) -> float:
@@ -778,12 +751,13 @@ def _certified_upper(raw: np.ndarray, d: int, m: int, value: float, shift: int) 
 
 def norming_functional(y: Sequence) -> HomPoly:
     """The inner product with y/|y|: a linear functional of dual norm one
-    with phi(y) = |y|."""
+    with phi(y) = |y|.  y is normalized at unit scale, as 2^-e y with 2^e
+    its largest entry, which is exact, so a y of any nonzero size has one."""
     v = np.asarray(y, dtype=float)
-    n = vector_norm(v)
-    if n < 1e-300:
+    if not v.any():
         raise DegenerateInputError("cannot norm the zero vector")
-    return HomPoly.linear_form([float(c) for c in v / n], F64)
+    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+    return HomPoly.linear_form([float(c) for c in v / vector_norm(v)], F64)
 
 
 def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> Report:

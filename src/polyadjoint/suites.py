@@ -221,22 +221,29 @@ def claim_homogeneity(cfg: SuiteConfig) -> ClaimResult:
 
 def claim_nonadditivity(cfg: SuiteConfig) -> ClaimResult:
     """Witnesses must exist whenever kn > 1, and a missing one is a defect
-    of 1; for k = n = 1 the adjoint is additive in the map on 100 random
-    instances."""
+    of 1, as is any error of a witness's value against q(P(x) + Q(x))^n -
+    q(P(x))^n - q(Q(x))^n, evaluated directly at its point x, without the
+    adjoint's expansion; for k = n = 1 the adjoint is additive in the map on
+    100 random instances."""
     rng = sampling.rng(cfg.seed, "nonadditivity")
 
-    def witness(k: int, n: int) -> str:
+    def witness(k: int, n: int) -> tuple[str, Fraction | int]:
+        """The witness's value, or "NOT FOUND", and its defect."""
         try:
-            return _frac_str(nonadditivity_witness(1, n, k)[4])
+            P, Q, q, x, val = nonadditivity_witness(1, n, k)
         except SearchBudgetError:
-            return "NOT FOUND"
+            return "NOT FOUND", 1
+        p, r = P.eval_map(x), Q.eval_map(x)
+        direct = q.eval([a + b for a, b in zip(p, r)]) ** n - q.eval(p) ** n - q.eval(r) ** n
+        return _frac_str(val), abs(val - direct)
 
-    found = {f"k={k},n={n}": witness(k, n)
-             for k, n in _grid(6, 6, limit=6) if (k, n) != (1, 1)}
+    witnesses = {f"k={k},n={n}": witness(k, n)
+                 for k, n in _grid(6, 6, limit=6) if (k, n) != (1, 1)}
+    found = {key: text for key, (text, _) in witnesses.items()}
 
     def defects():
-        for w in found.values():
-            yield int(w == "NOT FOUND")
+        for _, defect in witnesses.values():
+            yield defect
         for t in range(100):
             d, e = _dims_cycle(cfg, t), _dims_cycle(cfg, t + 1)
             m = 1 + (t % 2)
@@ -359,11 +366,16 @@ def claim_inverse_identity(cfg: SuiteConfig) -> ClaimResult:
 
 
 def claim_injectivity(cfg: SuiteConfig) -> ClaimResult:
-    """Each instance that the witness fails to separate is a defect of 1."""
+    """Each instance that the witness fails to separate is a defect of 1;
+    each side of a separation, the adjoint of P_i on q at x0, adds its error
+    against q(P_i(x0))^n, evaluated directly, without the adjoint's
+    expansion."""
     rng = sampling.rng(cfg.seed, "injectivity")
     pairs = ((1, 1), (3, 1), (1, 3))
 
-    def separates(t: int) -> bool:
+    def separation(t: int) -> tuple[bool, Fraction | int]:
+        """Whether the witness separates the instance's maps, and the error
+        of its two sides."""
         k, n = pairs[t % len(pairs)]
         d, e = _dims_cycle(cfg, t), _dims_cycle(cfg, t + 1)
         m = 1 + (t % 2)
@@ -375,13 +387,15 @@ def claim_injectivity(cfg: SuiteConfig) -> ClaimResult:
                 for _ in range(e)))
         witness = injectivity_witness(P1, P2, n, k)
         if witness is None:
-            return False
+            return False, 0
         q, x0 = witness
-        return adjoint_apply(P1, n, k, q).eval(x0) != adjoint_apply(P2, n, k, q).eval(x0)
+        sides = [adjoint_apply(P, n, k, q).eval(x0) for P in (P1, P2)]
+        error = sum(abs(side - q.eval(P.eval_map(x0)) ** n) for side, P in zip(sides, (P1, P2)))
+        return sides[0] != sides[1], error
 
-    hits = [separates(t) for t in range(100)]
-    return _exact_claim("injectivity_separation", (int(not hit) for hit in hits),
-                        {"separated": sum(hits)})
+    results = [separation(t) for t in range(100)]
+    return _exact_claim("injectivity_separation", (int(not hit) + error for hit, error in results),
+                        {"separated": sum(hit for hit, _ in results)})
 
 
 def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:

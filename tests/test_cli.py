@@ -122,8 +122,14 @@ TINY, HUGE = (1e-200, 1e-200), (1e200, 1.0)
 
 @pytest.mark.parametrize("coeffs, argv, code, message", [
     # the norming functional of P(x) = 1e-200 (1, 1) at its maximizer used
-    # to fail as "cannot norm the zero vector" (exit 2)
+    # to fail as "cannot norm the zero vector" (exit 2), and so did those of
+    # 1e-302 (1, 1) and 1e-305 (1, 1), whose |P| are normal doubles
     (TINY, ["norm", "--claim", "delta", "--n", "1", "--k", "1"], 0, "wall_ms="),
+    ((1e-302,) * 2, ["norm", "--claim", "delta", "--n", "1", "--k", "1"], 0, "wall_ms="),
+    ((1e-305,) * 2, ["norm", "--claim", "delta", "--n", "1", "--k", "1"], 0, "wall_ms="),
+    # |P| = 1.4e-310 is subnormal: too few bits to compare with
+    ((1e-310,) * 2, ["norm", "--claim", "delta", "--n", "1", "--k", "1"], 3,
+     "does not fit a double"),
     # |P|^2 = 2e-400 underflows to 0 and (1e200)^2 overflows: the claim
     # cannot be compared in doubles, which ended in exit 2 and in an
     # OverflowError traceback (exit 1)
@@ -135,7 +141,8 @@ TINY, HUGE = (1e-200, 1e-200), (1e200, 1.0)
     # every coefficient of P^2, about 1e-400, underflows: it used to exit 0
     # with three empty components
     (TINY, ["adjoint", "--n", "2", "--k", "1"], 3, "below the smallest double"),
-], ids=["tiny-delta-n1", "tiny-delta-n2", "huge-delta-n2", "huge-adjoint", "tiny-adjoint"])
+], ids=["tiny-delta-n1", "tiny-302-delta-n1", "tiny-305-delta-n1", "subnormal-delta-n1",
+        "tiny-delta-n2", "huge-delta-n2", "huge-adjoint", "tiny-adjoint"])
 def test_f64_requests_far_from_unit_scale_end_in_their_exit(tmp_path, coeffs, argv, code,
                                                             message):
     # the map x |-> c1 x1 + c2 x2

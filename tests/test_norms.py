@@ -34,9 +34,12 @@ from polyadjoint.errors import (DegenerateInputError, DimensionError, FieldError
                                PreconditionError)
 
 
-def compiled(P: PolyMap) -> norms._CompiledMap:
+def ascent_kernel(P: PolyMap) -> tuple:
+    """The shape, (e, T) coefficients and partials the ascent reads for one
+    map, the partials built as `_ascend_batch` builds them."""
     shape, (coeffs,) = norms._coefficient_stack([P])
-    return norms._CompiledMap(shape, coeffs)
+    return shape, coeffs, [(idx, coeffs[:, mask] * weights)
+                           for mask, idx, weights in shape.partials]
 
 
 def linear_map(rows) -> PolyMap:
@@ -186,9 +189,9 @@ def test_integer_check_rejects_an_under_reported_eigenvalue():
     M = rotated([-3.0, 1.0, 2.0], seed=4)
     for P, top in ((linear_map(A), float(np.linalg.svd(A, compute_uv=False)[0])),
                    (quadratic_form(M), float(np.abs(np.linalg.eigvalsh(M)).max()))):
-        cm = compiled(PolyMap((P,)) if isinstance(P, HomPoly) else P)
-        assert norms._proves_upper(cm.coeffs, 3, cm.m, top * (1.0 + 2.0 ** -40))
-        assert not norms._proves_upper(cm.coeffs, 3, cm.m, top * (1.0 - 2.0 ** -40))
+        _, (coeffs,) = norms._coefficient_stack([PolyMap((P,)) if isinstance(P, HomPoly) else P])
+        assert norms._proves_upper(coeffs, 3, P.degree, top * (1.0 + 2.0 ** -40))
+        assert not norms._proves_upper(coeffs, 3, P.degree, top * (1.0 - 2.0 ** -40))
 
 
 def _det(rows) -> Fraction:
@@ -317,11 +320,12 @@ def test_kernel_values_and_gradients_match_exact_evaluation(data):
                                 min_size=1, max_size=4))
     P = PolyMap(tuple(HomPoly(d, m, dict(zip(basis, row))) for row in rows))
     X = [[Fraction(p, 32) for p in point] for point in points]
-    cm = compiled(P.as_field(F64))
+    shape, coeffs, partials = ascent_kernel(P.as_field(F64))
     Xf = np.array([[float(v) for v in x] for x in X])
-    V, low = cm.values_and_lower(Xf)
-    assert np.array_equal(V, cm.values(Xf))
-    G = cm.gradient(V, low)
+    mon, low = shape.monomials(Xf, lower=True)
+    assert np.array_equal(mon, shape.monomials(Xf)[0])
+    V = mon @ coeffs.T
+    G = norms._gradient(partials, V, low)
     for x, v, g in zip(X, V, G):
         absx = [abs(t) for t in x]
         exact = [(p.eval(x), sum(abs(c) * _exact_monomial(a, absx) for a, c in p.coeffs.items()))
@@ -369,15 +373,14 @@ def test_monomial_tables_equal_the_per_variable_product_bit_for_bit(d):
     # reproduce every bit of the reference, C-ordered as the matmul needs
     rng = np.random.default_rng(d)
     for m in range(1, 6):
-        P = PolyMap((HomPoly(d, m, {(m,) + (0,) * (d - 1): 1.0}, F64),))
-        cm = compiled(P)
+        shape = norms._shape(d, m)
         basis, lower = enumerate_multi_indices(d, m), enumerate_multi_indices(d, m - 1)
         for N in (1, 7, 64, 16394):
             X = norms._sphere_samples(d, N, rng)
             mon, low = _per_variable_tables(X, basis, lower, m)
-            assert _same_bits(cm.shape.floor_monomials(X), mon), (d, m, N)
+            assert _same_bits(shape.floor_monomials(X), mon), (d, m, N)
             if N <= 64:
-                got, got_low = cm.shape.monomials(X, lower=True)
+                got, got_low = shape.monomials(X, lower=True)
                 assert _same_bits(got, mon) and _same_bits(got_low, low), (d, m, N)
 
 
@@ -390,30 +393,31 @@ def test_gradient_equals_one_reduction_per_variable_bit_for_bit(e):
         basis, lower = enumerate_multi_indices(d, m), enumerate_multi_indices(d, m - 1)
         P = PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, rng.standard_normal(len(basis))))),
                                   F64) for _ in range(e)))
-        cm = compiled(P)
+        shape, coeffs, partials = ascent_kernel(P)
         X = norms._sphere_samples(d, 64, rng)
-        V, low = cm.values_and_lower(X)
+        mon, low = shape.monomials(X, lower=True)
+        V = mon @ coeffs.T
         where = {a: i for i, a in enumerate(lower)}
         want = np.zeros((64, d))
         for j in range(d):
             keep = [t for t, a in enumerate(basis) if a[j]]
             idx = np.array([where[basis[t][:j] + (basis[t][j] - 1,) + basis[t][j + 1:]]
                             for t in keep], dtype=np.intp)
-            dcoeffs = cm.coeffs[:, keep] * np.array([basis[t][j] for t in keep])
+            dcoeffs = coeffs[:, keep] * np.array([basis[t][j] for t in keep])
             want[:, j] = 2.0 * (V * (low.take(idx, axis=1) @ dcoeffs.T)).sum(axis=1)
-        assert _same_bits(cm.gradient(V, low), want), (d, m)
+        assert _same_bits(norms._gradient(partials, V, low), want), (d, m)
 
 
 def _closed_form_reference(P: PolyMap, starts) -> tuple[float, tuple, float]:
     """(value, maximizer, upper) of one linear map or quadratic form as the
     closed form ran map by map: its own eigh, candidate rows and
     evaluations."""
-    cm = compiled(P)
-    raw, d = cm.coeffs, cm.d
+    shape, (raw,) = norms._coefficient_stack([P])
+    d, m = shape.d, shape.m
     shift = math.frexp(float(np.abs(raw).max(initial=0.0)))[1]
     shift = shift if abs(shift) > norms.MAX_SCALE_EXP else 0
     C = np.ldexp(raw, -shift)
-    if cm.m == 1:
+    if m == 1:
         w, V = np.linalg.eigh(C.T @ C)
     else:
         i, j = np.triu_indices(d)
@@ -430,14 +434,14 @@ def _closed_form_reference(P: PolyMap, starts) -> tuple[float, tuple, float]:
     X = np.vstack(rows)
 
     def norms_at(Y):
-        values = cm.shape.monomials(Y)[0] @ C.T
+        values = shape.monomials(Y)[0] @ C.T
         return np.sqrt((values * values).sum(axis=1))
     best = X[int(norms_at(X).argmax())]
     n = vector_norm(best)
     if n > 0:
         best = best / n
     value = float(norms_at(best[None, :])[0])
-    upper = norms._certified_upper(raw, d, cm.m, value, shift)
+    upper = norms._certified_upper(raw, d, m, value, shift)
     return math.ldexp(value, shift), tuple(best.tolist()), upper
 
 
@@ -465,44 +469,15 @@ def closed_form_stacks():
             yield maps, ([rng.standard_normal(d).tolist(), [0.0] * d] if d % 2 else [])
 
 
-def test_stacked_closed_form_equals_single_maps_bit_for_bit():
+def test_closed_form_equals_the_per_map_reference_bit_for_bit():
     # signed zeros count: float.hex tells -0.0 from 0.0
     for maps, starts in closed_form_stacks():
-        stacked = norms._sup_norms(maps, NormConfig(), starts)
-        for P, est in zip(maps, stacked):
-            alone, = norms._sup_norms([P], NormConfig(), starts)
-            assert est == alone
-            assert _hex(est) == _hex(alone) == tuple(
+        for P in maps:
+            est = sup_norm(P, NormConfig(), starts)
+            assert _hex(est) == tuple(
                 x.hex() if isinstance(x, float) else tuple(v.hex() for v in x)
                 for x in _closed_form_reference(P, starts)), (P.domain_dim, P.degree)
             assert (est.method, est.iterations) == ("closed-form", 0)
-            assert sup_norm(P, NormConfig(), starts) == est
-        assert stacked[0].upper == 0.0 and stacked[0].value == 0.0
-
-
-def test_stacked_norms_take_every_method_map_by_map():
-    # the circle pass and the search refine one map at a time; a stack of
-    # them gives each the estimate it gets alone, as does a stack of points
-    rng = np.random.default_rng(7)
-    cfg = NormConfig(samples=512, restarts=8, seed=3)
-    # over 270 binary orders, so this d = 2 map takes the search
-    wide = PolyMap((HomPoly(2, 3, {(3, 0): 1e-150, (2, 1): 1.0, (0, 3): 1e120}, F64),))
-    methods = {}
-    for d, m, e in ((1, 3, 2), (2, 3, 1), (2, 4, 2), (3, 2, 2)):
-        basis = enumerate_multi_indices(d, m)
-        maps = [PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, rng.standard_normal(
-            len(basis))))), F64) for _ in range(e))) for _ in range(4)]
-        if (d, m, e) == (2, 3, 1):
-            maps.insert(2, wide)
-        stacked = norms._sup_norms(maps, cfg, [[1.0] * d])
-        assert stacked == [sup_norm(P, cfg, [[1.0] * d]) for P in maps]
-        assert [_hex(est) for est in stacked] == [
-            _hex(sup_norm(P, cfg, [[1.0] * d])) for P in maps]
-        methods[d, m, e] = [est.method for est in stacked]
-    assert methods[1, 3, 2] == ["endpoint-enumeration"] * 4
-    assert methods[2, 3, 1] == ["circle-critical-points"] * 2 + ["sobol+gradient-ascent"] + [
-        "circle-critical-points"] * 2
-    assert methods[3, 2, 2] == ["sobol+gradient-ascent"] * 4
 
 
 def _circle_points_reference(c: np.ndarray, m: int) -> np.ndarray:
@@ -571,8 +546,12 @@ def circle_stack(rng, m: int, e: int, size: int) -> np.ndarray:
 
 
 def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatch):
+    # the heads, and the picks the stacked pick of _sup_norms makes from
+    # them, where maps past 2^+-256 are measured scaled; with no closed
+    # form, the linear maps and quadratic forms take the circle pass too
     rng = np.random.default_rng(2310)
-    starts = np.vstack([norms._signed_basis(2), [[0.6, -0.8]]])
+    start = [0.6, -0.8]
+    starts = np.vstack([norms._signed_basis(2), np.array([start]) / vector_norm(start)])
     sizes = []
 
     def eigvals(C):
@@ -580,6 +559,7 @@ def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatc
         return real(C)
     real = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(norms, "MAX_CLOSED_FORM_DIM", 1)
     for m in range(1, 9):
         shape = norms._shape(2, m)
         for e in (1, 2, 3):
@@ -595,8 +575,13 @@ def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatc
                 assert len(sizes) >= 2 or size < 100 or m == 1
                 for c, got in zip(C, points):
                     assert _same_bits(got, _circle_points_reference(c, m)), (m, e, size)
-                assert _same_bits(norms._circle_picks(shape, C, cfg, starts),
-                                  _circle_picks_reference(shape, C, cfg, starts)), (m, e, size)
+                ests = norms._sup_norms([PolyMap(tuple(
+                    HomPoly(2, m, dict(zip(shape.basis, map(float, row))), F64) for row in c))
+                    for c in C], cfg, [start])
+                assert {est.method for est in ests} == {"circle-critical-points"}
+                picks = _circle_picks_reference(shape, C, cfg, starts)
+                assert _same_bits(np.array([est.maximizer for est in ests]),
+                                  picks / np.sqrt((picks * picks).sum(axis=1))[:, None]), (m, e, size)
                 if size == 100 and e >= 2:
                     # |z^m| = 1 on the circle: no critical point beyond +-e_1
                     assert _same_bits(points[4], AXES)
@@ -623,25 +608,101 @@ def test_circle_pass_on_a_map_of_constant_norm():
     assert (est.value, est.maximizer) == (1.0, (-1.0, 0.0))
 
 
-def test_stacked_circle_pass_in_sup_norm_equals_the_per_map_reference(monkeypatch):
+def random_maps(rng, d: int, m: int, e: int, count: int) -> list:
+    basis = enumerate_multi_indices(d, m)
+    return [PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, rng.standard_normal(
+        len(basis))))), F64) for _ in range(e))) for _ in range(count)]
+
+
+# over 270 binary orders, so this d = 2 map takes the search
+WIDE = PolyMap((HomPoly(2, 3, {(3, 0): 1e-150, (2, 1): 1.0, (0, 3): 1e120}, F64),
+                HomPoly(2, 3, {(1, 2): 1.0}, F64)))
+
+
+def stacks(method: str):
+    """(maps, cfg, starts, methods) of the stacks a case runs."""
+    rng = np.random.default_rng(7)
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    if method == "endpoint-enumeration":
+        for m, e in ((3, 2), (1, 1), (4, 3)):
+            maps = random_maps(rng, 1, m, e, 4) + [random_maps(rng, 1, m, e, 1)[0].scale(0.0)]
+            yield maps, cfg, [[1.0]], [method] * 5
+    elif method == "closed-form":
+        for maps, starts in closed_form_stacks():
+            yield maps, NormConfig(), starts, [method] * len(maps)
+    elif method == "circle-critical-points":
+        for m, e in ((3, 1), (4, 2), (5, 3)):
+            yield random_maps(rng, 2, m, e, 4), cfg, [[1.0, 1.0]], [method] * 4
+        basis = enumerate_multi_indices(2, 5)
+        yield [PolyMap(tuple(HomPoly(2, 5, dict(zip(basis, map(float, row))), F64) for row in c))
+               for c in circle_stack(rng, 5, 3, 100)], cfg, [[1.0, 2.0]], [method] * 100
+    else:
+        for d, m, e in ((3, 2, 2), (4, 3, 1), (17, 1, 2)):
+            yield random_maps(rng, d, m, e, 4), cfg, [[1.0] * d], [method] * 4
+        yield [wide_range_map(seed) for seed in (1, 2)], cfg, [], [method] * 2
+
+
+@pytest.mark.parametrize("method", ["endpoint-enumeration", "closed-form", "circle-critical-points",
+                                    "sobol+gradient-ascent"])
+def test_a_stack_gives_each_map_the_bits_it_gets_alone(method):
+    # signed zeros count: float.hex tells -0.0 from 0.0
+    for maps, cfg, starts, methods in stacks(method):
+        stacked = norms._sup_norms(maps, cfg, starts)
+        alone = [sup_norm(P, cfg, starts) for P in maps]
+        assert stacked == alone
+        assert [_hex(est) for est in stacked] == [_hex(est) for est in alone]
+        assert [est.method for est in stacked] == methods
+        if method == "closed-form":
+            assert stacked[0].upper == 0.0 and stacked[0].value == 0.0
+
+
+def test_stacked_norms_take_every_method_map_by_map():
+    # the circle pass and the search refine one map at a time; a stack of
+    # them gives each the estimate it gets alone, as does a stack of points
+    rng = np.random.default_rng(7)
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    # over 270 binary orders, so this d = 2 map takes the search
+    wide = PolyMap((HomPoly(2, 3, {(3, 0): 1e-150, (2, 1): 1.0, (0, 3): 1e120}, F64),))
+    methods = {}
+    for d, m, e in ((1, 3, 2), (2, 3, 1), (2, 4, 2), (3, 2, 2)):
+        basis = enumerate_multi_indices(d, m)
+        maps = [PolyMap(tuple(HomPoly(d, m, dict(zip(basis, map(float, rng.standard_normal(
+            len(basis))))), F64) for _ in range(e))) for _ in range(4)]
+        if (d, m, e) == (2, 3, 1):
+            maps.insert(2, wide)
+        stacked = norms._sup_norms(maps, cfg, [[1.0] * d])
+        assert stacked == [sup_norm(P, cfg, [[1.0] * d]) for P in maps]
+        assert [_hex(est) for est in stacked] == [
+            _hex(sup_norm(P, cfg, [[1.0] * d])) for P in maps]
+        methods[d, m, e] = [est.method for est in stacked]
+    assert methods[1, 3, 2] == ["endpoint-enumeration"] * 4
+    assert methods[2, 3, 1] == ["circle-critical-points"] * 2 + ["sobol+gradient-ascent"] + [
+        "circle-critical-points"] * 2
+    assert methods[3, 2, 2] == ["sobol+gradient-ascent"] * 4
+
+
+def test_stacked_circle_pass_in_sup_norm_equals_the_per_map_reference():
     # whole estimates through _sup_norms, where maps past 2^+-256 are measured
-    # scaled and a map past MAX_CIRCLE_SPREAD takes the search mid-stack
+    # scaled and a map past MAX_CIRCLE_SPREAD takes the search mid-stack;
+    # every circle map keeps the pick the per-map reference makes
     rng = np.random.default_rng(2311)
     cfg = NormConfig(samples=512, restarts=8, seed=6)
-    wide = PolyMap((HomPoly(2, 3, {(3, 0): 1e-150, (2, 1): 1.0, (0, 3): 1e120}, F64),
-                    HomPoly(2, 3, {(1, 2): 1.0}, F64)))
     basis = enumerate_multi_indices(2, 3)
+    C = circle_stack(rng, 3, 2, 100)
     maps = [PolyMap(tuple(HomPoly(2, 3, dict(zip(basis, map(float, row))), F64) for row in c))
-            for c in circle_stack(rng, 3, 2, 100)]
-    maps.insert(50, wide)
-    starts = [[1.0, 2.0]]
-    got = norms._sup_norms(maps, cfg, starts)
-    monkeypatch.setattr(norms, "_circle_picks", _circle_picks_reference)
-    want = norms._sup_norms(maps, cfg, starts)
-    assert [_hex(est) for est in got] == [_hex(est) for est in want]
-    assert got == want
+            for c in C]
+    maps.insert(50, WIDE)
+    start = [1.0, 2.0]
+    got = norms._sup_norms(maps, cfg, [start])
+    alone = [sup_norm(P, cfg, [start]) for P in maps]
+    assert [_hex(est) for est in got] == [_hex(est) for est in alone]
+    assert got == alone
     assert [est.method for est in got] == ["circle-critical-points"] * 50 + [
         "sobol+gradient-ascent"] + ["circle-critical-points"] * 50
+    starts = np.vstack([norms._signed_basis(2), np.array([start]) / vector_norm(start)])
+    picks = _circle_picks_reference(norms._shape(2, 3), C, cfg, starts)
+    assert _same_bits(np.array([est.maximizer for est in got[:50] + got[51:]]),
+                      picks / np.sqrt((picks * picks).sum(axis=1))[:, None])
 
 
 def test_stacked_norms_refuse_mixed_shapes_and_fields():
@@ -880,6 +941,17 @@ def test_vector_norm_and_norming_functional():
             vector_norm([float(v) for v in z]) + 1e-12
     with pytest.raises(DegenerateInputError):
         norming_functional([0.0, 0.0])
+
+
+def test_norming_functional_refuses_only_the_zero_vector():
+    # it normalizes 2^-e y, exactly: below 1e-300, where every vector used
+    # to be refused, and among subnormals the functional is that of (3, -4)
+    unit = norming_functional([3.0, -4.0]).coeffs
+    for e in (-1000, -1070):
+        assert norming_functional([math.ldexp(3.0, e), math.ldexp(-4.0, e)]).coeffs == unit
+    assert norming_functional([5e-324, 0.0]).coeffs == norming_functional([1.0, 0.0]).coeffs
+    with pytest.raises(DegenerateInputError):
+        norming_functional([0.0, -0.0])
 
 
 @pytest.mark.parametrize("scale", [-700, -300, 300, 700])

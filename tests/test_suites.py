@@ -242,10 +242,12 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_diagram_identity": "fail",
         "claim_homogeneity": "fail",
         "claim_additivity_formula": "fail",
+        "claim_nonadditivity": "fail",
         "claim_linearization_transpose": "fail",
         "claim_rank_bound": "fail",
         "claim_finite_type": "fail",
         "claim_inverse_identity": "fail",
+        "claim_injectivity": "fail",
         "claim_factorizations": "fail",
     }
 
