@@ -51,10 +51,15 @@ square underflows or overflows; `vector_norm` scales a vector the same way.
 
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
-polynomials, drawn first and normed in one stack, confirm the upper bound
-is never exceeded.  Each returns a `Report`, which passes exactly when its
-relative error is within its tolerance.  No check reads the clock, so
-same-seed reports are equal.
+polynomials confirm the upper bound is never exceeded.  The upper side
+takes two steps: `_unit_trials` draws one stream's polynomials first and
+norms them to unit sup norm in one stack, and each instance is measured
+against those unit trials.  A claim of the suite keeps them in a dict of
+its own (`_stream`), so each stream is drawn and normed once per claim and
+its instances share it; the public checks run both steps for one instance.
+Each returns a `Report`, which passes exactly when its relative error is
+within its tolerance.  No check reads the clock, so same-seed reports are
+equal.
 """
 from __future__ import annotations
 
@@ -62,7 +67,7 @@ import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -613,7 +618,8 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
              extra_starts: Sequence[Sequence[float]] = ()) -> NormEstimate:
     """Certified lower-bound estimate of the sup norm on the unit ball, on
     the f64 field; see the module docstring for the methods.
-    ``extra_starts`` are known good points, projected to the sphere.  Only
+    ``extra_starts`` are known good points, projected to the sphere (the
+    zero vector is dropped, a non-finite one raises FieldError).  Only
     the search iterates (every other method reports ``iterations == 0``):
     ``cfg.samples`` and ``cfg.restarts`` size it, and ``(samples + 2d)``
     times the monomial count may not exceed MAX_SAMPLE_ENTRIES
@@ -655,13 +661,17 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     shifts[np.abs(shifts) <= MAX_SCALE_EXP] = 0
     coeffs = np.ldexp(raw, -shifts[:, None, None])
 
-    # the candidate rows after each method's head: +-e_i and the extra starts
+    # the candidate rows after each method's head: +-e_i and the extra
+    # starts, each normalized at unit scale, as 2^-e v with 2^e its largest
+    # entry, which is exact, so that only the zero vector is dropped
     rows = [_signed_basis(d)]
     for s in extra_starts:
         v = np.asarray(s, dtype=float)
-        n = vector_norm(v)
-        if n > 1e-300:
-            rows.append((v / n)[None, :])
+        if not np.isfinite(v).all():
+            raise FieldError("non-finite extra start")
+        if v.any():
+            v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+            rows.append((v / vector_norm(v))[None, :])
     starts = np.vstack(rows)
     B, iters = len(maps), [0] * len(maps)
     circle = [b for b, s in enumerate(search) if d == 2 and not (s or closed_form)]
@@ -780,22 +790,37 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> R
                            {"attaining_sup_norm": qn.value, "degree": m})
 
 
-def _upper_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
-                  cfg: NormConfig, ratios) -> tuple[float, int]:
-    """The upper side of a norm identity on q_trials random degree-k
-    polynomials on R^d.  All of them are drawn from rng first, in order, and
-    normed in one stack; each is scaled to sup norm one (those below 1e-12
-    are skipped) and ``ratios`` maps the list of those to their ratios.
-    Returns the worst ratio, NaN if any ratio is, and how many q were
-    tested."""
+def _unit_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
+                 cfg: NormConfig) -> tuple[HomPoly, ...]:
+    """One stream of upper-side trials: q_trials random degree-k polynomials
+    on R^d, all drawn from rng first, in order, normed in one stack and each
+    scaled to sup norm one (those below 1e-12 are skipped).  A stream
+    depends on the seed and label of rng, on d, k and q_trials and, through
+    the norming, on cfg; not on the instance measured against it, so the
+    instances of one claim that draw on one label can share it."""
     qs = [_random_hompoly_f64(rng, d, k) for _ in range(q_trials)]
-    unit = [q.scale(1.0 / est.value) for q, est in zip(qs, _sup_norms(qs, cfg))
-            if not est.value < 1e-12]
-    worst_ratio = 0.0
-    for ratio in ratios(unit):
-        # np.maximum, unlike max, keeps a NaN on either side
-        worst_ratio = float(np.maximum(worst_ratio, ratio))
-    return worst_ratio, len(unit)
+    return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, _sup_norms(qs, cfg))
+                 if not est.value < 1e-12)
+
+
+def _stream(streams: dict, cfg: NormConfig, label: str, d: int, k: int,
+            q_trials: int) -> tuple[HomPoly, ...]:
+    """The unit trials drawn on ``label`` at this seed: from ``streams`` if
+    an earlier instance put them there, else drawn, normed and put there.
+    Only unit trials are kept, never an instance's ratios."""
+    key = (cfg, label, d, k, q_trials)
+    if key not in streams:
+        streams[key] = _unit_trials(_np_rng(cfg.seed, label), d, k, q_trials, cfg)
+    return streams[key]
+
+
+def _worst_ratio(ratios: Iterable[float]) -> float:
+    """The largest ratio, NaN if any ratio is: np.maximum, unlike max, keeps
+    a NaN on either side."""
+    worst = 0.0
+    for ratio in ratios:
+        worst = float(np.maximum(worst, ratio))
+    return worst
 
 
 def check_adjoint_norm(P: PolyMap, n: int, k: int,
@@ -805,6 +830,13 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
     power of a functional norming P at its maximizer, and never exceeded on
     normalized random test polynomials.  CapacityError when |P|^{kn} is not
     a normal double."""
+    return _adjoint_norm_report(P, n, k, cfg, q_trials, {})
+
+
+def _adjoint_norm_report(P: PolyMap, n: int, k: int, cfg: NormConfig, q_trials: int,
+                         streams: dict) -> Report:
+    """`check_adjoint_norm`, its unit trials read from ``streams``: their
+    stream depends on n, k and the codomain of P."""
     P = P.as_field(F64)
     est = sup_norm(P, cfg)
     if est.value <= 0.0:
@@ -823,15 +855,14 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
     lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg,
                      extra_starts=[est.maximizer]).value
     rel_lower = abs(lower / target - 1.0)
-    rng = _np_rng(cfg.seed, f"adjoint-norm-q-{n}-{k}")
-    worst_ratio, tested = _upper_trials(
-        rng, P.codomain_dim, k, q_trials, cfg,
-        lambda qs: [est.value / target
-                    for est in _sup_norms([adjoint_apply(P, n, k, q) for q in qs], cfg)])
+    unit = _stream(streams, cfg, f"adjoint-norm-q-{n}-{k}", P.codomain_dim, k, q_trials)
+    worst_ratio = _worst_ratio(
+        trial.value / target
+        for trial in _sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg))
     return Report.measured("adjoint_norm", cfg, lower, target,
                            float(np.maximum(rel_lower, worst_ratio - 1.0)),
                            {"sup_norm_P": est.value, "worst_upper_ratio": worst_ratio,
-                            "q_instances": tested, "n": n, "k": k})
+                            "q_instances": len(unit), "n": n, "k": k})
 
 
 def check_embedding_norm(x: Sequence, m: int, n: int,
@@ -840,6 +871,13 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     """The power evaluation embedding of x has norm |x|^{mn}: attained by the
     n-th power of a norming functional of x, never exceeded by normalized
     random q."""
+    return _embedding_norm_report(x, m, n, cfg, q_trials, {})
+
+
+def _embedding_norm_report(x: Sequence, m: int, n: int, cfg: NormConfig, q_trials: int,
+                           streams: dict) -> Report:
+    """`check_embedding_norm`, its unit trials read from ``streams``: their
+    stream depends on m, n and the dimension of x."""
     xv = [float(v) for v in x]
     d = len(xv)
     nx = vector_norm(xv)
@@ -851,10 +889,8 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     q_star = phi ** n
     lower = abs(jp.eval(q_star.coeff_vector()))
     rel_lower = abs(lower / target - 1.0)
-    rng = _np_rng(cfg.seed, f"embedding-norm-q-{m}-{n}-{d}")
-    worst_ratio, _ = _upper_trials(
-        rng, d, n, q_trials, cfg,
-        lambda qs: [abs(jp.eval(q.coeff_vector())) / target for q in qs])
+    unit = _stream(streams, cfg, f"embedding-norm-q-{m}-{n}-{d}", d, n, q_trials)
+    worst_ratio = _worst_ratio(abs(jp.eval(q.coeff_vector())) / target for q in unit)
     return Report.measured("embedding_norm", cfg, lower, target,
                            float(np.maximum(rel_lower, worst_ratio - 1.0)),
                            {"worst_upper_ratio": worst_ratio, "m": m, "n": n})
@@ -875,9 +911,14 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     if q.domain_dim != e:
         raise DimensionError("q must live on the codomain of proj")
     q = q.as_field(F64)
-    rhs_est = sup_norm(q, cfg)
-    if rhs_est.value < 1e-300:
+    if q.is_zero:
         raise DegenerateInputError("q is zero")
+    rhs_est = sup_norm(q, cfg)
+    # below the smallest normal double the norm keeps too few bits to
+    # compare with, or none
+    if not rhs_est.value >= sys.float_info.min:
+        raise CapacityError(f"the sup norm of q, {rhs_est.value!r}, is below the "
+                            f"smallest normal double")
     lifted_start = (A.T @ np.asarray(rhs_est.maximizer)).tolist()
     lhs_est = sup_norm(compose_scalar(q, proj), cfg, extra_starts=[lifted_start])
     return Report.measured("metric_injection", cfg, lhs_est.value, rhs_est.value,

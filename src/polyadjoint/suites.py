@@ -33,7 +33,7 @@ from .errors import PreconditionError, SearchBudgetError
 from .finite_type import expand_adjoint, expansion_defect, finite_rank_rep
 from .linearization import (adjoint_matrix, adjoint_rank_bound, linearization_matrix,
                             map_rank, tensor_power)
-from .norms import (NormConfig, Report, check_adjoint_norm, check_embedding_norm,
+from .norms import (NormConfig, Report, _adjoint_norm_report, _embedding_norm_report,
                     check_metric_injection, check_norm_duality)
 from . import sampling
 from .sampling import (_np_rng, _random_f64_map, _random_hompoly_f64,
@@ -473,19 +473,26 @@ def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
 
 
 def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
+    """The report of `check_adjoint_norm` on each instance.  The instances
+    on one stream of upper-side trials share its unit trials, drawn and
+    normed once per claim; nothing outlives the claim."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "adjoint-norm-P")
-    reports = (check_adjoint_norm(_random_f64_map(rng, 2, 2, m), n, k, ncfg, q_trials=100)
+    streams: dict = {}
+    reports = (_adjoint_norm_report(_random_f64_map(rng, 2, 2, m), n, k, ncfg, 100, streams)
                for m, (n, k) in itertools.product(range(1, cfg.max_m + 1),
                                                   ((1, 1), (1, 2), (2, 1))))
     return _norm_claim("adjoint_norm", cfg, reports, q_trials=100)
 
 
 def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
+    """The report of `check_embedding_norm` on each instance, its unit
+    trials shared as in `claim_adjoint_norm`."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "embedding-norm-x")
-    reports = (check_embedding_norm(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2),
-                                    m, n, ncfg, q_trials=12)
+    streams: dict = {}
+    reports = (_embedding_norm_report(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2),
+                                      m, n, ncfg, 12, streams)
                for m, n in _grid(cfg.max_m, cfg.max_n)
                for t in range(20))
     return _norm_claim("embedding_norm", cfg, reports)

@@ -656,16 +656,25 @@ PINNED_OUTPUT_SHA256 = {
 }
 
 
-# sha256 of what `polyadjoint verify --seed 20260815 --field f64` writes;
-# like the norm digests above it follows numpy's float results, and it was
-# recorded with numpy 2.4 on x86-64
+# sha256 of what `polyadjoint verify --seed 20260815 --field f64` writes,
+# and of the same at --seed 7; like the norm digests above they follow
+# numpy's float results, and they were recorded with numpy 2.4 on x86-64
 PINNED_F64_REPORT_SHA256 = "520c6183160fc73b160d9682dfe9bbf71724519abdc45f0b5192a507f797e479"
+PINNED_F64_REPORT_SEED7_SHA256 = "285bfdc6731ae4e47f9f569414a3647bc61286f5ce754cfa63ea0523cfb87ace"
+
+
+def _f64_report_digest(tmp_path, seed: str) -> str:
+    out = tmp_path / "f64.json"
+    assert cli.main(["verify", "--seed", seed, "--field", "f64", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_f64_report_bytes_are_pinned(tmp_path):
-    out = tmp_path / "f64.json"
-    assert cli.main(["verify", "--seed", "20260815", "--field", "f64", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_F64_REPORT_SHA256
+    assert _f64_report_digest(tmp_path, "20260815") == PINNED_F64_REPORT_SHA256
+
+
+def test_f64_report_bytes_at_seed_7_are_pinned(tmp_path):
+    assert _f64_report_digest(tmp_path, "7") == PINNED_F64_REPORT_SEED7_SHA256
 
 
 def _pinned_requests(tmp_path) -> tuple[dict[str, bytes], list[tuple[str, list[str]]]]:

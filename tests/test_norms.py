@@ -30,8 +30,8 @@ from polyadjoint import (
     vector_norm,
 )
 from polyadjoint import norms
-from polyadjoint.errors import (DegenerateInputError, DimensionError, FieldError,
-                               PreconditionError)
+from polyadjoint.errors import (CapacityError, DegenerateInputError, DimensionError,
+                               FieldError, PreconditionError)
 
 
 def ascent_kernel(P: PolyMap) -> tuple:
@@ -752,8 +752,8 @@ def test_upper_trials_draw_in_order_and_match_a_per_q_loop(d, k):
         return measure
     loop_rng, stack_rng = norms._np_rng(5, "trials"), norms._np_rng(5, "trials")
     want = _upper_trials_per_q(loop_rng, d, k, 12, cfg, ratio("loop"))
-    got = norms._upper_trials(stack_rng, d, k, 12, cfg,
-                              lambda qs: [ratio("stack")(q) for q in qs])
+    unit = norms._unit_trials(stack_rng, d, k, 12, cfg)
+    got = norms._worst_ratio(ratio("stack")(q) for q in unit), len(unit)
     assert got == want and got[1] == 12
     assert seen["stack"] == seen["loop"]
     # both consumed the same draws
@@ -763,10 +763,7 @@ def test_upper_trials_draw_in_order_and_match_a_per_q_loop(d, k):
 @pytest.mark.parametrize("position", range(10))
 def test_a_nan_ratio_anywhere_fails_the_upper_side(monkeypatch, position):
     # the worst-ratio fold keeps a NaN wherever it sits, and the report fails
-    worst, tested = norms._upper_trials(
-        norms._np_rng(1, "nan"), 2, 2, 10, NormConfig(),
-        lambda qs: [math.nan if t == position else 0.5 for t in range(len(qs))])
-    assert math.isnan(worst) and tested == 10
+    assert math.isnan(norms._worst_ratio(math.nan if t == position else 0.5 for t in range(10)))
     real = norms.evaluation_embedding
 
     class NanAt:
@@ -782,6 +779,62 @@ def test_a_nan_ratio_anywhere_fails_the_upper_side(monkeypatch, position):
     rep = check_embedding_norm([0.6, -1.1], 2, 2, NormConfig(seed=5), q_trials=10)
     assert math.isnan(rep.details["worst_upper_ratio"]) and math.isnan(rep.rel_err)
     assert not rep.passed
+
+
+EMBEDDING_POINTS = ([0.6, -1.1], [1.5, 0.25], [-0.3, 0.9], [2.0, -0.5])
+
+
+@pytest.mark.parametrize("position", [0, 4, 9])
+def test_a_nan_ratio_against_shared_trials_fails_every_instance_that_reads_it(
+        monkeypatch, position):
+    # the instances of a claim share one stream's unit trials: a trial whose
+    # ratio is NaN fails each instance measured against it
+    cfg, streams = NormConfig(seed=5), {}
+    norms._embedding_norm_report(EMBEDDING_POINTS[0], 2, 2, cfg, 10, streams)
+    (unit,) = streams.values()
+    poisoned = unit[position].coeff_vector()
+    real = norms.evaluation_embedding
+
+    class NanOn:
+        """The embedding, but NaN at the poisoned trial."""
+
+        def __init__(self, jp):
+            self.jp = jp
+
+        def eval(self, v):
+            return math.nan if list(v) == list(poisoned) else self.jp.eval(v)
+    monkeypatch.setattr(norms, "evaluation_embedding", lambda *a, **kw: NanOn(real(*a, **kw)))
+    reps = [norms._embedding_norm_report(x, 2, 2, cfg, 10, streams) for x in EMBEDDING_POINTS]
+    (shared,) = streams.values()
+    assert shared is unit
+    assert all(math.isnan(rep.rel_err) and not rep.passed for rep in reps)
+
+
+def test_instances_share_unit_trials_but_never_ratios(monkeypatch):
+    # a NaN in one instance's ratios stays its own: the instances after it,
+    # reading the same unit trials, pass as they do alone
+    cfg, streams = NormConfig(seed=5), {}
+    real = norms.evaluation_embedding
+
+    class NanAll:
+        def __init__(self, jp):
+            self.jp, self.calls = jp, 0
+
+        def eval(self, v):
+            self.calls += 1
+            # call 1 is the lower side
+            return self.jp.eval(v) if self.calls == 1 else math.nan
+
+    def embedding(x, *a, **kw):
+        jp = real(x, *a, **kw)
+        return NanAll(jp) if list(x) == EMBEDDING_POINTS[0] else jp
+    monkeypatch.setattr(norms, "evaluation_embedding", embedding)
+    first, *rest = [norms._embedding_norm_report(x, 2, 2, cfg, 10, streams)
+                    for x in EMBEDDING_POINTS]
+    assert math.isnan(first.rel_err) and not first.passed
+    monkeypatch.setattr(norms, "evaluation_embedding", real)
+    assert rest == [check_embedding_norm(x, 2, 2, cfg, q_trials=10) for x in EMBEDDING_POINTS[1:]]
+    assert all(rep.passed for rep in rest)
 
 
 def test_sup_norm_diagonal_quadratic_frozen():
@@ -1018,6 +1071,39 @@ def test_check_metric_injection_requires_orthonormal_rows():
     q = HomPoly(2, 2, {(2, 0): 1.0}, F64)
     with pytest.raises(PreconditionError):
         check_metric_injection(bad, q, NormConfig(seed=1))
+
+
+def test_check_metric_injection_measures_q_of_any_normal_size():
+    # a q of any size whose norm is a normal double is measured, and only
+    # the zero q is refused as zero
+    proj = linear_map([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for scale in (1e-290, 1e-302, 1e-305):
+        q = HomPoly(2, 2, {(2, 0): scale, (1, 1): scale}, F64)
+        rep = check_metric_injection(proj, q, NormConfig(seed=1))
+        assert rep.passed and rep.rel_err == 0.0
+    with pytest.raises(CapacityError):
+        check_metric_injection(proj, HomPoly(2, 2, {(2, 0): 1e-310, (1, 1): 1e-310}, F64),
+                               NormConfig(seed=1))
+    with pytest.raises(DegenerateInputError, match="q is zero"):
+        check_metric_injection(proj, HomPoly(2, 2, {}, F64), NormConfig(seed=1))
+
+
+def test_an_extra_start_of_any_nonzero_size_joins_the_candidates():
+    # normalized at unit scale, exactly, a tiny start is the start itself:
+    # the search ascends from it as from the unit-scale one
+    P = HomPoly(3, 3, {(3, 0, 0): 1.0, (1, 1, 1): 6.0, (0, 0, 3): -0.5}, F64)
+    cfg = NormConfig(samples=1, restarts=1, seed=2)
+    start = [0.6, 0.55, 0.58]
+    want = sup_norm(P, cfg, extra_starts=[start])
+    assert want != sup_norm(P, cfg)
+    # normal doubles all, so 2^e start keeps the bits of start
+    for e in (-1000, -1020):
+        tiny = [math.ldexp(v, e) for v in start]
+        assert sup_norm(P, cfg, extra_starts=[tiny]) == want
+    assert sup_norm(P, cfg, extra_starts=[[0.0, -0.0, 0.0]]) == sup_norm(P, cfg)
+    for bad in ([math.nan, 1.0, 0.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(FieldError):
+            sup_norm(P, cfg, extra_starts=[bad])
 
 
 def test_check_metric_injection_passes_for_projection():

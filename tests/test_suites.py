@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from polyadjoint import algebra, linearization, sampling, suites
+from polyadjoint import algebra, linearization, norms, sampling, suites
 from polyadjoint.algebra import HomPoly
 from polyadjoint.errors import PreconditionError, SearchBudgetError
 from polyadjoint.linearization import transpose_identity_defect
+from polyadjoint.norms import check_adjoint_norm, check_embedding_norm
 from polyadjoint.suites import (
     EXACT_CLAIMS,
     SuiteConfig,
@@ -316,3 +317,49 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_inverse_identity": "SingularMatrixError",
     }
     assert _exact_verdicts(cfg) == clean
+
+
+def _adjoint_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
+    # the reference: the public check on each instance, drawing and norming
+    # its own trials
+    ncfg = cfg.norm_config()
+    rng = sampling._np_rng(cfg.seed, "adjoint-norm-P")
+    reports = (check_adjoint_norm(sampling._random_f64_map(rng, 2, 2, m), n, k, ncfg,
+                                  q_trials=100)
+               for m in range(1, cfg.max_m + 1) for n, k in ((1, 1), (1, 2), (2, 1)))
+    return suites._norm_claim("adjoint_norm", cfg, reports, q_trials=100)
+
+
+def _embedding_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
+    ncfg = cfg.norm_config()
+    rng = sampling._np_rng(cfg.seed, "embedding-norm-x")
+    reports = (check_embedding_norm(sampling._random_nonzero_f64_point(
+                   rng, 3 if t % 5 == 4 else 2), m, n, ncfg, q_trials=12)
+               for m in range(1, cfg.max_m + 1) for n in range(1, cfg.max_n + 1)
+               for t in range(20))
+    return suites._norm_claim("embedding_norm", cfg, reports)
+
+
+@pytest.mark.parametrize("claim, reference, shared, per_instance", [
+    (suites.claim_embedding_norm, _embedding_norm_per_instance, 8, 80),
+    (suites.claim_adjoint_norm, _adjoint_norm_per_instance, 3, 6),
+], ids=["embedding", "adjoint"])
+@pytest.mark.parametrize("seed", [1729, 20260815])
+def test_norm_claims_draw_each_trial_stream_once_and_fold_as_the_checks(
+        monkeypatch, claim, reference, shared, per_instance, seed):
+    # a claim draws and norms each stream of unit trials once, and its
+    # result is the fold of the public check run instance by instance
+    draws = []
+    real = norms._unit_trials
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+    monkeypatch.setattr(norms, "_unit_trials", counted)
+    cfg = SuiteConfig(seed=seed, field="f64")
+    got = claim(cfg)
+    assert len(draws) == shared
+    draws.clear()
+    want = reference(cfg)
+    assert len(draws) == per_instance
+    assert got == want and got.passed
