@@ -6,11 +6,13 @@ Subcommands:
   norm       certify sup-norm or adjoint-norm claims for a map from JSON
   decompose  finite-type representation and expansion terms for a map
 
+Every default is the `SuiteConfig` field of the flag's name.
 POLYADJOINT_SEED, POLYADJOINT_TOL, POLYADJOINT_DIMS, POLYADJOINT_FIELD and
-POLYADJOINT_RESTARTS supply defaults; explicit flags always win.  --seed,
+POLYADJOINT_RESTARTS stand in for it; explicit flags always win.  --seed,
 --tol and --restarts belong to verify and norm, the two commands that run a
 numeric search, and --dims and --field to verify; a variable is read only
 by a command that takes its flag, so a bad value fails that command alone.
+verify checks every setting before any claim runs.
 
 Exit codes: 0 all claims hold, 1 a claim failed, 2 bad input, 3 a size cap
 would be exceeded (an input integer longer than the interpreter's limit for
@@ -19,6 +21,7 @@ integer string conversion counts as one).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -45,30 +48,30 @@ from .suites import SuiteConfig, run_all, report_to_json
 INPUT_ERRORS = (SearchBudgetError, KeyError, TypeError, ValueError, OSError)
 
 
-def _env_defaults(args: argparse.Namespace, **extra) -> None:
-    """Fill each flag left out with POLYADJOINT_<FLAG>, else its fallback:
-    the numeric-search flags and any ``extra`` ones, each given as
-    flag=(convert, fallback).  Only verify and norm call this, so no other
-    command reads the environment; a value that does not convert is bad
-    input, and the error names its variable."""
-    table = dict(seed=(int, 1729), tol=(float, 1e-6), restarts=(int, 64), **extra)
-    for flag, (convert, fallback) in table.items():
-        if getattr(args, flag) is not None:
-            continue
-        name = f"POLYADJOINT_{flag.upper()}"
-        raw = os.environ.get(name)
-        try:
-            value = fallback if raw is None else convert(raw)
-        except ValueError as exc:
-            raise ValueError(f"bad environment variable {name}={raw!r}: {exc}") from None
-        setattr(args, flag, value)
-
-
 def _parse_dims(raw: str) -> tuple[int, ...]:
     dims = tuple(int(p) for p in raw.split(",") if p.strip())
     if not dims:
         raise ValueError(f"empty dims spec: {raw!r}")
     return dims
+
+
+def _env_defaults(args: argparse.Namespace) -> None:
+    """Fill each flag the command takes but was left out with
+    POLYADJOINT_<FLAG>, read by the flag's converter, else with the
+    `SuiteConfig` field of its name.  Only verify and norm call this, so no
+    other command reads the environment; a value that does not convert is
+    bad input, and the error names its variable."""
+    table = dict(seed=int, tol=float, restarts=int, dims=_parse_dims, field=str)
+    for flag, convert in table.items():
+        if flag not in args or getattr(args, flag) is not None:
+            continue
+        name = f"POLYADJOINT_{flag.upper()}"
+        raw = os.environ.get(name)
+        try:
+            value = getattr(SuiteConfig, flag) if raw is None else convert(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad environment variable {name}={raw!r}: {exc}") from None
+        setattr(args, flag, value)
 
 
 @functools.cache
@@ -95,12 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     out(pv)
     numeric(pv)
     pv.add_argument("--dims", type=_parse_dims)
-    pv.add_argument("--max-m", type=int, default=2)
-    pv.add_argument("--max-n", type=int, default=2)
-    pv.add_argument("--max-k", type=int, default=2)
-    pv.add_argument("--max-r", type=int, default=2)
-    pv.add_argument("--max-s", type=int, default=2)
-    pv.add_argument("--trials", type=int, default=20)
+    for cap in ("max_m", "max_n", "max_k", "max_r", "max_s", "trials"):
+        pv.add_argument(f"--{cap.replace('_', '-')}", type=int,
+                        default=getattr(SuiteConfig, cap))
     pv.add_argument("--field", choices=("rational", "f64", "both"))
 
     pa = sub.add_parser("adjoint", help="materialize the adjoint of a map")
@@ -150,11 +150,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _env_defaults(args, dims=(_parse_dims, (2, 3)), field=(str, "both"))
-    cfg = SuiteConfig(seed=args.seed, dims=tuple(args.dims),
-                      max_m=args.max_m, max_n=args.max_n, max_k=args.max_k,
-                      max_r=args.max_r, max_s=args.max_s, trials=args.trials,
-                      tol=args.tol, restarts=args.restarts, field=args.field)
+    _env_defaults(args)
+    # every flag of verify but --out sets the SuiteConfig field of its name
+    cfg = SuiteConfig(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(SuiteConfig) if f.name in args})
     report = run_all(cfg)
     for claim in report["claims"]:
         status = "PASS" if claim["passed"] else "FAIL"

@@ -422,9 +422,7 @@ def _circle_points(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
                   -_trimmed((4.0 * m) * _trimmed(np.convolve(_T, S))))
         if h.size > 1 and np.abs(h).max() > 0:
             h = _trimmed(h / np.abs(h).max())
-            if h.size == 2:
-                roots[b] = np.array([-h[0] / h[1]])
-            elif h.size > 2:
+            if h.size > 1:
                 companions.setdefault(h.size - 1, []).append((b, h))
     for n, group in companions.items():
         H = np.array([h for _, h in group])
@@ -626,7 +624,7 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     (CapacityError).  Only the closed form carries ``upper``.  A map whose
     largest coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as
     2^-e P and its value scaled back, both exactly; a norm past the
-    largest double raises PreconditionError."""
+    largest double raises CapacityError."""
     return _sup_norms([P], cfg, extra_starts)[0]
 
 
@@ -720,7 +718,7 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
             if shift:
                 value = math.ldexp(value, shift)
         except OverflowError:
-            raise PreconditionError(
+            raise CapacityError(
                 f"the sup norm, {value} * 2^{shift}, exceeds the largest double") from None
         out.append(NormEstimate(value, tuple(best[b].tolist()), True, iters[b], method[b], upper))
     return out
@@ -770,19 +768,42 @@ def norming_functional(y: Sequence) -> HomPoly:
     return HomPoly.linear_form([float(c) for c in v / vector_norm(v)], F64)
 
 
+def _normal_power(base: float, power: int, name: str) -> float:
+    """base^power, the target of a norm identity, which must be a normal
+    double: past the largest (an OverflowError counts as inf) or below the
+    smallest normal one, where it keeps too few bits, CapacityError."""
+    try:
+        target = base ** power
+    except OverflowError:
+        target = math.inf
+    if not sys.float_info.min <= target <= sys.float_info.max:
+        raise CapacityError(f"{name} = ({base!r})^{power} does not fit a double")
+    return target
+
+
+def _point_target(x: Sequence, power: int, name: str) -> tuple[list[float], float, float]:
+    """x as floats, |x| and the target |x|^power (`_normal_power`); x must
+    be finite (FieldError) and nonzero (DegenerateInputError)."""
+    xv = [float(v) for v in x]
+    if not np.isfinite(xv).all():
+        raise FieldError("x must be finite")
+    nx = vector_norm(xv)
+    if nx == 0.0:
+        raise DegenerateInputError("x must be nonzero")
+    return xv, nx, _normal_power(nx, power, name)
+
+
 def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> Report:
     """|x|^m is attained by the m-th power of a norming functional, and that
     power has sup norm at most one.  The error brackets both sides: the
-    relative attainment gap and the excess of that sup norm over one."""
-    xv = [float(v) for v in x]
-    target = vector_norm(xv) ** m
-    if target == 0.0:
-        raise DegenerateInputError("x must be nonzero")
+    relative attainment gap and the excess of that sup norm over one.
+    CapacityError when |x|^m is not a normal double."""
+    xv, nx, target = _point_target(x, m, f"|x|^{m}")
     phi = norming_functional(xv)
     q = phi ** m
     lhs = abs(q.eval(xv))
     rel_lower = abs(lhs / target - 1.0)
-    unit = (np.asarray(xv) / vector_norm(xv)).tolist()
+    unit = (np.asarray(xv) / nx).tolist()
     qn = sup_norm(q, cfg, extra_starts=[unit])
     # np.maximum, unlike max, keeps a NaN on either side, which then fails
     rel = float(np.maximum(rel_lower, qn.value - 1.0))
@@ -841,15 +862,7 @@ def _adjoint_norm_report(P: PolyMap, n: int, k: int, cfg: NormConfig, q_trials: 
     est = sup_norm(P, cfg)
     if est.value <= 0.0:
         raise DegenerateInputError("zero map has no norming direction")
-    try:
-        target = est.value ** (k * n)
-    except OverflowError:
-        target = math.inf
-    # past the largest double, or below the smallest normal one, where it
-    # keeps too few bits to compare with, or none
-    if not sys.float_info.min <= target <= sys.float_info.max:
-        raise CapacityError(f"the adjoint's norm |P|^{k * n} = ({est.value!r})^{k * n} "
-                            f"does not fit a double")
+    target = _normal_power(est.value, k * n, f"the adjoint's norm |P|^{k * n}")
     phi = norming_functional(P.eval_map(est.maximizer))
     q_star = phi ** k
     lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg,
@@ -870,7 +883,7 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
                          q_trials: int = 32) -> Report:
     """The power evaluation embedding of x has norm |x|^{mn}: attained by the
     n-th power of a norming functional of x, never exceeded by normalized
-    random q."""
+    random q.  CapacityError when |x|^{mn} is not a normal double."""
     return _embedding_norm_report(x, m, n, cfg, q_trials, {})
 
 
@@ -878,12 +891,8 @@ def _embedding_norm_report(x: Sequence, m: int, n: int, cfg: NormConfig, q_trial
                            streams: dict) -> Report:
     """`check_embedding_norm`, its unit trials read from ``streams``: their
     stream depends on m, n and the dimension of x."""
-    xv = [float(v) for v in x]
+    xv, _, target = _point_target(x, m * n, f"the embedding's norm |x|^{m * n}")
     d = len(xv)
-    nx = vector_norm(xv)
-    if nx == 0.0:
-        raise DegenerateInputError("x must be nonzero")
-    target = nx ** (m * n)
     jp = evaluation_embedding(xv, m, n, field=F64)
     phi = norming_functional(xv)
     q_star = phi ** n
@@ -900,7 +909,7 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
                            cfg: NormConfig = NormConfig()) -> Report:
     """Precomposition with a surjection that maps the ball onto the ball
     preserves the sup norm; here the surjection is a matrix with orthonormal
-    rows acting between Euclidean balls."""
+    rows acting between Euclidean balls.  CapacityError unless |q| is normal."""
     proj = proj.as_field(F64)
     if proj.degree != 1:
         raise PreconditionError("proj must be linear")
@@ -914,11 +923,7 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     if q.is_zero:
         raise DegenerateInputError("q is zero")
     rhs_est = sup_norm(q, cfg)
-    # below the smallest normal double the norm keeps too few bits to
-    # compare with, or none
-    if not rhs_est.value >= sys.float_info.min:
-        raise CapacityError(f"the sup norm of q, {rhs_est.value!r}, is below the "
-                            f"smallest normal double")
+    _normal_power(rhs_est.value, 1, "the sup norm of q")
     lifted_start = (A.T @ np.asarray(rhs_est.maximizer)).tolist()
     lhs_est = sup_norm(compose_scalar(q, proj), cfg, extra_starts=[lifted_start])
     return Report.measured("metric_injection", cfg, lhs_est.value, rhs_est.value,

@@ -53,9 +53,10 @@ class SuiteConfig:
     max_r: int = 2
     max_s: int = 2
     trials: int = 20
-    tol: float = 1e-6
-    restarts: int = 64
-    samples: int = 1 << 14
+    # the pass's NormConfig states these three defaults and checks them
+    tol: float = NormConfig.tol
+    restarts: int = NormConfig.restarts
+    samples: int = NormConfig.samples
     field: str = "both"
 
     def __post_init__(self):
@@ -67,8 +68,7 @@ class SuiteConfig:
             raise PreconditionError("grid caps must be >= 1")
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise PreconditionError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        self.norm_config()
 
     def norm_config(self) -> NormConfig:
         return NormConfig(restarts=self.restarts, samples=self.samples,

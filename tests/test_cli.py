@@ -3,6 +3,7 @@ and environment-variable defaults."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -118,6 +119,8 @@ def test_norm_sup_on_a_wide_range_two_variable_map(tmp_path):
 
 
 TINY, HUGE = (1e-200, 1e-200), (1e200, 1.0)
+# |P| = 1.5e308 sqrt(2) is past the largest double
+HUGER = (1.5e308, 1.5e308)
 
 
 @pytest.mark.parametrize("coeffs, argv, code, message", [
@@ -141,8 +144,13 @@ TINY, HUGE = (1e-200, 1e-200), (1e200, 1.0)
     # every coefficient of P^2, about 1e-400, underflows: it used to exit 0
     # with three empty components
     (TINY, ["adjoint", "--n", "2", "--k", "1"], 3, "below the smallest double"),
+    # a sup norm past the largest double is a size cap too: it exited 2
+    (HUGER, ["norm", "--claim", "sup"], 3, "exceeds the largest double"),
+    (HUGER, ["norm", "--claim", "delta", "--n", "1", "--k", "1"], 3,
+     "exceeds the largest double"),
 ], ids=["tiny-delta-n1", "tiny-302-delta-n1", "tiny-305-delta-n1", "subnormal-delta-n1",
-        "tiny-delta-n2", "huge-delta-n2", "huge-adjoint", "tiny-adjoint"])
+        "tiny-delta-n2", "huge-delta-n2", "huge-adjoint", "tiny-adjoint", "huger-sup",
+        "huger-delta-n1"])
 def test_f64_requests_far_from_unit_scale_end_in_their_exit(tmp_path, coeffs, argv, code,
                                                             message):
     # the map x |-> c1 x1 + c2 x2
@@ -482,6 +490,65 @@ def test_bad_env_value_exits_2():
     proc = run_cli("verify", env_extra={"POLYADJOINT_SEED": "not-a-number"})
     assert proc.returncode == 2
     assert "environment" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--field", "rational", "--restarts", "0"],
+                                  ["--restarts", "0"], ["--field", "f64", "--restarts", "0"]],
+                         ids=["rational", "both", "f64"])
+def test_verify_refuses_bad_settings_before_any_claim_runs(tmp_path, capsys, monkeypatch,
+                                                          argv):
+    # the rational pass runs no search, yet a bad --restarts is still bad
+    # input: it used to exit 0, and the full pass ran every exact claim first
+    runs = []
+    monkeypatch.setattr(cli, "run_all", runs.append)
+    out = tmp_path / "out.json"
+    assert cli.main(["verify", *argv, "--out", str(out)]) == 2
+    assert runs == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert "restarts and samples must be >= 1" in err
+    assert "PASS" not in err and "FAIL" not in err
+
+
+@dataclasses.dataclass(frozen=True)
+class OtherDefaults(cli.SuiteConfig):
+    """SuiteConfig with every default the CLI could restate changed."""
+
+    seed: int = 5
+    dims: tuple[int, ...] = (2,)
+    max_m: int = 1
+    max_n: int = 3
+    max_k: int = 1
+    max_r: int = 3
+    max_s: int = 1
+    trials: int = 4
+    tol: float = 1e-3
+    restarts: int = 8
+    field: str = "f64"
+
+
+@pytest.mark.parametrize("config", [cli.SuiteConfig, OtherDefaults], ids=["real", "other"])
+def test_verify_defaults_are_the_suite_configs(tmp_path, monkeypatch, config):
+    # verify without flags hands run_all the default config; with the
+    # defaults changed in the class, verify follows, as it states none
+    for flag in ("SEED", "TOL", "RESTARTS", "DIMS", "FIELD"):
+        monkeypatch.delenv(f"POLYADJOINT_{flag}", raising=False)
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return {"claims": [], "passed": True}
+
+    monkeypatch.setattr(cli, "run_all", record)
+    monkeypatch.setattr(cli, "SuiteConfig", config)
+    # the parser reads its defaults when it is built: build it afresh, and
+    # again after the test, for the real class
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.main(["verify", "--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
+    assert seen == [config()]
 
 
 def test_bad_env_value_leaves_commands_without_its_flag_alone(tmp_path, monkeypatch):

@@ -926,9 +926,10 @@ def test_wide_range_two_variable_maps_take_the_search(seed):
 
 
 def test_sup_norm_past_the_largest_double_raises():
-    # (c x, c x) has norm c sqrt(2), which no double holds for c = 1.5e308
+    # (c x, c x) has norm c sqrt(2), which no double holds for c = 1.5e308:
+    # a size cap, as every other f64 result past the largest double
     P = PolyMap((HomPoly(1, 1, {(1,): 1.5e308}, F64),) * 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(CapacityError, match="exceeds the largest double"):
         sup_norm(P)
 
 
@@ -1086,6 +1087,28 @@ def test_check_metric_injection_measures_q_of_any_normal_size():
                                NormConfig(seed=1))
     with pytest.raises(DegenerateInputError, match="q is zero"):
         check_metric_injection(proj, HomPoly(2, 2, {}, F64), NormConfig(seed=1))
+
+
+@pytest.mark.parametrize("check", [
+    lambda x: check_norm_duality(x, 2, NormConfig(seed=1)),
+    lambda x: check_embedding_norm(x, 2, 2, NormConfig(seed=1)),
+], ids=["duality", "embedding"])
+def test_norm_identity_targets_far_from_unit_scale_are_refused_as_a_size_cap(check):
+    # |x|^2 and |x|^4 overflow at 1e200 and underflow at 1e-200: they ended
+    # in a bare OverflowError, and duality refused the nonzero 1e-200 x as
+    # "x must be nonzero"; only the zero x is degenerate
+    for scale in (1e200, 1e-200):
+        with pytest.raises(CapacityError, match="does not fit a double"):
+            check([scale, scale])
+    with pytest.raises(DegenerateInputError, match="x must be nonzero"):
+        check([0.0, 0.0])
+    # a non-finite x is bad input, not a size cap: the embedding refused a
+    # NaN x as a coefficient past the largest double
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FieldError, match="x must be finite"):
+            check([bad, 1.0])
+    # a target that is a normal double is measured
+    assert check([1e-60, 1e-60]).passed
 
 
 def test_an_extra_start_of_any_nonzero_size_joins_the_candidates():

@@ -31,6 +31,10 @@ def test_config_validation():
         SuiteConfig(dims=())
     with pytest.raises(PreconditionError):
         SuiteConfig(trials=0)
+    # restarts and samples are checked by the pass's NormConfig, as tol is
+    for bad in ({"restarts": 0}, {"samples": 0}):
+        with pytest.raises(PreconditionError, match="must be >= 1"):
+            SuiteConfig(**bad)
     for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(PreconditionError):
             SuiteConfig(tol=tol)
