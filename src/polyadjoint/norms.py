@@ -49,14 +49,22 @@ The index tables a map evaluates with depend only on its shape (d, m), so
 from unit scale is measured scaled by a power of two, which is exact, so no
 square underflows or overflows; `vector_norm` scales a vector the same way.
 
+The search's sample floor, its points and their monomial table, depends
+only on the seed, the shape (d, m) and the sample count, so it is drawn and
+tabulated once per stack and read from a dict after (`_floor`): a stack
+makes its own, and a caller that keeps one, as a claim of the suite does,
+lends it to every later search at that key, to the same bits.
+
 Verification helpers bracket each norm identity from both sides: an
 explicit norming construction certifies the lower bound, random normalized
 polynomials confirm the upper bound is never exceeded.  The upper side
 takes two steps: `_unit_trials` draws one stream's polynomials first and
 norms them to unit sup norm in one stack, and each instance is measured
 against those unit trials.  A claim of the suite keeps them in a dict of
-its own (`_stream`), so each stream is drawn and normed once per claim and
-its instances share it; the public checks run both steps for one instance.
+its own (`_stream`), beside the floors, so each stream is drawn and normed
+once per claim and each floor drawn once per claim, and its instances
+share them; the public checks run both steps for one instance, with a
+fresh dict.
 Each returns a `Report`, which passes exactly when its relative error is
 within its tolerance.  No check reads the clock, so same-seed reports are
 equal.
@@ -74,8 +82,8 @@ import numpy as np
 from .algebra import (DEFAULT_SIZE_CAP, F64, HomPoly, PolyMap, _basis_size_exceeds,
                       _common_denominator, compose_scalar, enumerate_multi_indices)
 from .adjoint import adjoint_apply, evaluation_embedding
-from .errors import (CapacityError, DegenerateInputError, DimensionError, FieldError,
-                     PreconditionError)
+from .errors import (CapacityError, DegenerateInputError, DegreeError, DimensionError,
+                     FieldError, PreconditionError)
 from .sampling import _np_rng, _random_hompoly_f64
 
 MAX_ASCENT_ITERS = 400
@@ -613,7 +621,8 @@ def _proves_upper(coeffs: np.ndarray, d: int, m: int, u: float) -> bool:
 
 
 def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
-             extra_starts: Sequence[Sequence[float]] = ()) -> NormEstimate:
+             extra_starts: Sequence[Sequence[float]] = (), *,
+             memo: dict | None = None) -> NormEstimate:
     """Certified lower-bound estimate of the sup norm on the unit ball, on
     the f64 field; see the module docstring for the methods.
     ``extra_starts`` are known good points, projected to the sphere (the
@@ -624,14 +633,20 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     (CapacityError).  Only the closed form carries ``upper``.  A map whose
     largest coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as
     2^-e P and its value scaled back, both exactly; a norm past the
-    largest double raises CapacityError."""
-    return _sup_norms([P], cfg, extra_starts)[0]
+    largest double raises CapacityError.  ``memo``, a dict the caller
+    keeps, lends the search a sample floor drawn at the same seed, shape and
+    sample count by an earlier call, which gives the same bits (`_floor`)."""
+    return _sup_norms([P], cfg, extra_starts, memo)[0]
 
 
 def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
-               extra_starts: Sequence[Sequence[float]] = ()) -> list[NormEstimate]:
+               extra_starts: Sequence[Sequence[float]] = (),
+               memo: dict | None = None) -> list[NormEstimate]:
     """`sup_norm` of each map of a stack that shares one shape (d, m, e),
-    each to the bits it gets alone; only the search works map by map."""
+    each to the bits it gets alone; only the search works map by map.  The
+    search reads its sample floor from ``memo`` (`_floor`), a fresh dict
+    unless the caller keeps one, so the maps of a stack share one floor."""
+    memo = {} if memo is None else memo
     maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
     if not maps:
         return []
@@ -681,7 +696,7 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     else:
         ragged = dict(zip(circle, _circle_points(coeffs[circle], m))) if circle else {}
         for b in np.flatnonzero(search).tolist():
-            ragged[b], iters[b] = _search_head(shape, coeffs[b], cfg, starts)
+            ragged[b], iters[b] = _search_head(shape, coeffs[b], cfg, starts, memo)
         # each head is padded to one length by copies of its last row, which
         # follow that row, so they never win: the pick takes the first maximum
         heads = np.empty((B, max(map(len, ragged.values())), d))
@@ -724,19 +739,49 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     return out
 
 
-def _search_head(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig,
-                 starts: np.ndarray) -> tuple[np.ndarray, int]:
+def _search_head(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, starts: np.ndarray,
+                 memo: dict) -> tuple[np.ndarray, int]:
     """The search's head for the map of (e, T) coefficients, and the
     ascent's iterations: the rows gradient ascent refined from the best
     candidates of the sample floor and ``starts``, then the best of those
-    candidates, which the pick keeps only if no refined row is as good."""
-    rng = _np_rng(cfg.seed, f"sup-norm-l2-{shape.d}")
-    X = np.vstack([_sphere_samples(shape.d, cfg.samples, rng), starts])
-    # the sample floor's many rows take the prefix walk, to the same bits
-    vals = _row_norms(shape.floor_monomials(X) @ coeffs.T)
+    candidates, which the pick keeps only if no refined row is as good.
+    The floor is drawn and tabulated once per ``memo`` (`_floor`)."""
+    X, mon = _floor(memo, shape, cfg, starts)
+    vals = _row_norms(mon @ coeffs.T)
     order = np.argsort(vals)[::-1]
     refined, iters = _ascend_batch(shape, coeffs, X[order[: min(cfg.restarts, X.shape[0])]])
     return np.vstack([refined, X[vals.argmax()]]), iters
+
+
+def _floor(memo: dict, shape: _Shape, cfg: NormConfig,
+           starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the sample floor and then ``starts``, and their monomial
+    table, as one (N + s, d) and one (N + s, T) operand.
+
+    The floor, cfg.samples points uniform on the sphere, is the first draw
+    of a fresh stream, so its points depend on the seed, d and the sample
+    count alone, and their table on m too: both are made, the table by the
+    prefix walk, on the first search at that key, and read from ``memo``
+    after, where only the tail rows are rewritten for the starts.  A table
+    row is its point's alone, so a held row has the bits a fresh table
+    would give it; the values are then one matmul over the whole operand,
+    as for a fresh floor."""
+    key = ("floor", cfg.seed, shape.d, shape.m, cfg.samples)
+    N = cfg.samples
+    if key not in memo:
+        rng = _np_rng(cfg.seed, f"sup-norm-l2-{shape.d}")
+        X = np.vstack([_sphere_samples(shape.d, N, rng), starts])
+        memo[key] = X, shape.floor_monomials(X)
+        return memo[key]
+    X, mon = memo[key]
+    if len(X) != N + len(starts):
+        # another count of starts: the floor moves to operands of the new height
+        X = np.vstack([X[:N], starts])
+        mon = np.vstack([mon[:N], np.empty((len(starts), mon.shape[1]))])
+        memo[key] = X, mon
+    X[N:] = starts
+    mon[N:] = shape.floor_monomials(starts)
+    return X, mon
 
 
 def _certified_upper(raw: np.ndarray, d: int, m: int, value: float, shift: int) -> float:
@@ -798,13 +843,18 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> R
     power has sup norm at most one.  The error brackets both sides: the
     relative attainment gap and the excess of that sup norm over one.
     CapacityError when |x|^m is not a normal double."""
+    return _norm_duality_report(x, m, cfg, {})
+
+
+def _norm_duality_report(x: Sequence, m: int, cfg: NormConfig, memo: dict) -> Report:
+    """`check_norm_duality`, its sup norm's floor read from ``memo``."""
     xv, nx, target = _point_target(x, m, f"|x|^{m}")
     phi = norming_functional(xv)
     q = phi ** m
     lhs = abs(q.eval(xv))
     rel_lower = abs(lhs / target - 1.0)
     unit = (np.asarray(xv) / nx).tolist()
-    qn = sup_norm(q, cfg, extra_starts=[unit])
+    qn = sup_norm(q, cfg, [unit], memo=memo)
     # np.maximum, unlike max, keeps a NaN on either side, which then fails
     rel = float(np.maximum(rel_lower, qn.value - 1.0))
     return Report.measured("norm_duality", cfg, lhs, target, rel,
@@ -812,27 +862,28 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> R
 
 
 def _unit_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
-                 cfg: NormConfig) -> tuple[HomPoly, ...]:
+                 cfg: NormConfig, memo: dict | None = None) -> tuple[HomPoly, ...]:
     """One stream of upper-side trials: q_trials random degree-k polynomials
-    on R^d, all drawn from rng first, in order, normed in one stack and each
-    scaled to sup norm one (those below 1e-12 are skipped).  A stream
-    depends on the seed and label of rng, on d, k and q_trials and, through
-    the norming, on cfg; not on the instance measured against it, so the
-    instances of one claim that draw on one label can share it."""
+    on R^d, all drawn from rng first, in order, normed in one stack (its
+    floor read from ``memo``) and each scaled to sup norm one (those below
+    1e-12 are skipped).  A stream depends on the seed and label of rng, on
+    d, k and q_trials and, through the norming, on cfg; not on the instance
+    measured against it, so the instances of one claim that draw on one
+    label can share it."""
     qs = [_random_hompoly_f64(rng, d, k) for _ in range(q_trials)]
-    return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, _sup_norms(qs, cfg))
+    return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, _sup_norms(qs, cfg, memo=memo))
                  if not est.value < 1e-12)
 
 
-def _stream(streams: dict, cfg: NormConfig, label: str, d: int, k: int,
+def _stream(memo: dict, cfg: NormConfig, label: str, d: int, k: int,
             q_trials: int) -> tuple[HomPoly, ...]:
-    """The unit trials drawn on ``label`` at this seed: from ``streams`` if
-    an earlier instance put them there, else drawn, normed and put there.
-    Only unit trials are kept, never an instance's ratios."""
-    key = (cfg, label, d, k, q_trials)
-    if key not in streams:
-        streams[key] = _unit_trials(_np_rng(cfg.seed, label), d, k, q_trials, cfg)
-    return streams[key]
+    """The unit trials drawn on ``label`` at this seed: from ``memo`` if an
+    earlier instance put them there, else drawn, normed and put there.  Only
+    unit trials are kept, never an instance's ratios."""
+    key = ("stream", cfg, label, d, k, q_trials)
+    if key not in memo:
+        memo[key] = _unit_trials(_np_rng(cfg.seed, label), d, k, q_trials, cfg, memo)
+    return memo[key]
 
 
 def _worst_ratio(ratios: Iterable[float]) -> float:
@@ -850,28 +901,29 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
     """The adjoint's norm equals |P|^{kn}: certified from below by the k-th
     power of a functional norming P at its maximizer, and never exceeded on
     normalized random test polynomials.  CapacityError when |P|^{kn} is not
-    a normal double."""
+    a normal double; n and k are checked before any sup norm runs."""
     return _adjoint_norm_report(P, n, k, cfg, q_trials, {})
 
 
 def _adjoint_norm_report(P: PolyMap, n: int, k: int, cfg: NormConfig, q_trials: int,
-                         streams: dict) -> Report:
-    """`check_adjoint_norm`, its unit trials read from ``streams``: their
-    stream depends on n, k and the codomain of P."""
+                         memo: dict) -> Report:
+    """`check_adjoint_norm`, its unit trials and floors read from ``memo``:
+    the trials' stream depends on n, k and the codomain of P."""
+    if n < 1 or k < 1:
+        raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
     P = P.as_field(F64)
-    est = sup_norm(P, cfg)
+    est = sup_norm(P, cfg, memo=memo)
     if est.value <= 0.0:
         raise DegenerateInputError("zero map has no norming direction")
     target = _normal_power(est.value, k * n, f"the adjoint's norm |P|^{k * n}")
     phi = norming_functional(P.eval_map(est.maximizer))
     q_star = phi ** k
-    lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg,
-                     extra_starts=[est.maximizer]).value
+    lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg, [est.maximizer], memo=memo).value
     rel_lower = abs(lower / target - 1.0)
-    unit = _stream(streams, cfg, f"adjoint-norm-q-{n}-{k}", P.codomain_dim, k, q_trials)
+    unit = _stream(memo, cfg, f"adjoint-norm-q-{n}-{k}", P.codomain_dim, k, q_trials)
     worst_ratio = _worst_ratio(
         trial.value / target
-        for trial in _sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg))
+        for trial in _sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo))
     return Report.measured("adjoint_norm", cfg, lower, target,
                            float(np.maximum(rel_lower, worst_ratio - 1.0)),
                            {"sup_norm_P": est.value, "worst_upper_ratio": worst_ratio,
@@ -888,8 +940,8 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
 
 
 def _embedding_norm_report(x: Sequence, m: int, n: int, cfg: NormConfig, q_trials: int,
-                           streams: dict) -> Report:
-    """`check_embedding_norm`, its unit trials read from ``streams``: their
+                           memo: dict) -> Report:
+    """`check_embedding_norm`, its unit trials read from ``memo``: their
     stream depends on m, n and the dimension of x."""
     xv, _, target = _point_target(x, m * n, f"the embedding's norm |x|^{m * n}")
     d = len(xv)
@@ -898,7 +950,7 @@ def _embedding_norm_report(x: Sequence, m: int, n: int, cfg: NormConfig, q_trial
     q_star = phi ** n
     lower = abs(jp.eval(q_star.coeff_vector()))
     rel_lower = abs(lower / target - 1.0)
-    unit = _stream(streams, cfg, f"embedding-norm-q-{m}-{n}-{d}", d, n, q_trials)
+    unit = _stream(memo, cfg, f"embedding-norm-q-{m}-{n}-{d}", d, n, q_trials)
     worst_ratio = _worst_ratio(abs(jp.eval(q.coeff_vector())) / target for q in unit)
     return Report.measured("embedding_norm", cfg, lower, target,
                            float(np.maximum(rel_lower, worst_ratio - 1.0)),
@@ -910,6 +962,12 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     """Precomposition with a surjection that maps the ball onto the ball
     preserves the sup norm; here the surjection is a matrix with orthonormal
     rows acting between Euclidean balls.  CapacityError unless |q| is normal."""
+    return _metric_injection_report(proj, q, cfg, {})
+
+
+def _metric_injection_report(proj: PolyMap, q: HomPoly, cfg: NormConfig,
+                             memo: dict) -> Report:
+    """`check_metric_injection`, its sup norms' floors read from ``memo``."""
     proj = proj.as_field(F64)
     if proj.degree != 1:
         raise PreconditionError("proj must be linear")
@@ -922,10 +980,10 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     q = q.as_field(F64)
     if q.is_zero:
         raise DegenerateInputError("q is zero")
-    rhs_est = sup_norm(q, cfg)
+    rhs_est = sup_norm(q, cfg, memo=memo)
     _normal_power(rhs_est.value, 1, "the sup norm of q")
     lifted_start = (A.T @ np.asarray(rhs_est.maximizer)).tolist()
-    lhs_est = sup_norm(compose_scalar(q, proj), cfg, extra_starts=[lifted_start])
+    lhs_est = sup_norm(compose_scalar(q, proj), cfg, [lifted_start], memo=memo)
     return Report.measured("metric_injection", cfg, lhs_est.value, rhs_est.value,
                            abs(lhs_est.value / rhs_est.value - 1.0),
                            {"domain_dim": g, "codomain_dim": e, "k": q.degree})

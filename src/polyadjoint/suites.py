@@ -34,7 +34,7 @@ from .finite_type import expand_adjoint, expansion_defect, finite_rank_rep
 from .linearization import (adjoint_matrix, adjoint_rank_bound, linearization_matrix,
                             map_rank, tensor_power)
 from .norms import (NormConfig, Report, _adjoint_norm_report, _embedding_norm_report,
-                    check_metric_injection, check_norm_duality)
+                    _metric_injection_report, _norm_duality_report)
 from . import sampling
 from .sampling import (_np_rng, _random_f64_map, _random_hompoly_f64,
                        _random_nonzero_f64_point)
@@ -464,10 +464,14 @@ def _norm_claim(name: str, cfg: SuiteConfig, reports: Iterable[Report],
 
 
 def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
+    """The report of `check_norm_duality` on each instance.  The instances
+    share the searches' sample floors, drawn once per claim in a dict of
+    its own; nothing outlives the claim."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "norm-duality-x")
-    reports = (check_norm_duality(_random_nonzero_f64_point(rng, _dims_cycle(cfg, t)),
-                                  1 + t % 3, ncfg)
+    memo: dict = {}
+    reports = (_norm_duality_report(_random_nonzero_f64_point(rng, _dims_cycle(cfg, t)),
+                                    1 + t % 3, ncfg, memo)
                for t in range(50))
     return _norm_claim("norm_duality", cfg, reports)
 
@@ -475,11 +479,12 @@ def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
 def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
     """The report of `check_adjoint_norm` on each instance.  The instances
     on one stream of upper-side trials share its unit trials, drawn and
-    normed once per claim; nothing outlives the claim."""
+    normed once per claim, as they share the searches' sample floors;
+    nothing outlives the claim."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "adjoint-norm-P")
-    streams: dict = {}
-    reports = (_adjoint_norm_report(_random_f64_map(rng, 2, 2, m), n, k, ncfg, 100, streams)
+    memo: dict = {}
+    reports = (_adjoint_norm_report(_random_f64_map(rng, 2, 2, m), n, k, ncfg, 100, memo)
                for m, (n, k) in itertools.product(range(1, cfg.max_m + 1),
                                                   ((1, 1), (1, 2), (2, 1))))
     return _norm_claim("adjoint_norm", cfg, reports, q_trials=100)
@@ -490,17 +495,20 @@ def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
     trials shared as in `claim_adjoint_norm`."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "embedding-norm-x")
-    streams: dict = {}
+    memo: dict = {}
     reports = (_embedding_norm_report(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2),
-                                      m, n, ncfg, 12, streams)
+                                      m, n, ncfg, 12, memo)
                for m, n in _grid(cfg.max_m, cfg.max_n)
                for t in range(20))
     return _norm_claim("embedding_norm", cfg, reports)
 
 
 def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
+    """The report of `check_metric_injection` on each instance, the
+    searches' sample floors shared as in `claim_norm_duality`."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "metric-injection")
+    memo: dict = {}
     drop_last = PolyMap.from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], F64)
 
     def reports():
@@ -511,7 +519,8 @@ def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
                 # orthonormal rows from a seeded QR factorization
                 Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
                 proj = PolyMap.from_matrix(Q[:, :2].T.tolist(), F64)
-            yield check_metric_injection(proj, _random_hompoly_f64(rng, 2, 1 + t % 3), ncfg)
+            yield _metric_injection_report(proj, _random_hompoly_f64(rng, 2, 1 + t % 3), ncfg,
+                                           memo)
 
     return _norm_claim("metric_injection", cfg, reports())
 

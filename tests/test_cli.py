@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyadjoint import F64, HomPoly, PolyMap, enumerate_multi_indices, polymap_dumps
-from polyadjoint import cli
+from polyadjoint import cli, norms
 
 CLI = [sys.executable, "-m", "polyadjoint.cli"]
 
@@ -197,6 +197,28 @@ def test_norm_delta_subcommand(tmp_path):
     assert obj["passed"] is True
     # the wall time goes to stderr, never into the report
     assert "wall_ms" not in obj
+
+
+# x |-> (x1^2/2 - 5/4 x1 x2 + 2 x2 x3, 3/4 x1 x3 - 3/2 x3^2), whose sup norm
+# takes the search, as in CI
+SEARCH_MAP = PolyMap((HomPoly(3, 2, {(2, 0, 0): 0.5, (1, 1, 0): -1.25, (0, 1, 1): 2.0}, F64),
+                      HomPoly(3, 2, {(1, 0, 1): 0.75, (0, 0, 2): -1.5}, F64)))
+
+
+@pytest.mark.parametrize("flags, named", [(["--k", "0"], "n=1, k=0"),
+                                          (["--k", "-1"], "n=1, k=-1"),
+                                          (["--n", "0"], "n=0, k=1")])
+def test_norm_delta_refuses_bad_adjoint_parameters_before_the_search(
+        tmp_path, capsys, monkeypatch, flags, named):
+    # --k 0 and --k -1 exited 2 with "power requires n >= 1" only after the
+    # sup norm of P had run the search
+    def no_sup_norm(*args, **kwargs):
+        raise AssertionError("a sup norm ran")
+    monkeypatch.setattr(norms, "_sup_norms", no_sup_norm)
+    src = tmp_path / "map.json"
+    src.write_text(polymap_dumps(SEARCH_MAP))
+    assert cli.main(["norm", str(src), "--claim", "delta", *flags]) == 2
+    assert capsys.readouterr().err == f"error: adjoint parameters must be >= 1, got {named}\n"
 
 
 def test_norm_delta_stdout_is_byte_stable(tmp_path):

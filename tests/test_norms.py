@@ -30,8 +30,8 @@ from polyadjoint import (
     vector_norm,
 )
 from polyadjoint import norms
-from polyadjoint.errors import (CapacityError, DegenerateInputError, DimensionError,
-                               FieldError, PreconditionError)
+from polyadjoint.errors import (CapacityError, DegenerateInputError, DegreeError,
+                               DimensionError, FieldError, PreconditionError)
 
 
 def ascent_kernel(P: PolyMap) -> tuple:
@@ -656,6 +656,65 @@ def test_a_stack_gives_each_map_the_bits_it_gets_alone(method):
             assert stacked[0].upper == 0.0 and stacked[0].value == 0.0
 
 
+def _counting_floor_draws(monkeypatch) -> list:
+    """The (d, samples) of every sample floor drawn from now on."""
+    draws = []
+    real = norms._sphere_samples
+
+    def counted(d, n, rng):
+        # the circle pass's cross-check points are drawn once per process
+        if n != norms.CROSS_CHECK:
+            draws.append((d, n))
+        return real(d, n, rng)
+    monkeypatch.setattr(norms, "_sphere_samples", counted)
+    return draws
+
+
+def test_a_stack_of_search_maps_draws_its_floor_once(monkeypatch):
+    # with no memo given a stack still shares one floor among its maps; a
+    # memo the caller keeps lends it to later calls, to the same bits
+    rng = np.random.default_rng(29)
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    maps = random_maps(rng, 3, 3, 2, 5)
+    alone = [sup_norm(P, cfg, [[1.0, 0.5, 0.25]]) for P in maps]
+    draws = _counting_floor_draws(monkeypatch)
+    assert norms._sup_norms(maps, cfg, [[1.0, 0.5, 0.25]]) == alone
+    assert draws == [(3, 512)]
+    draws.clear()
+    memo = {}
+    kept = [sup_norm(P, cfg, [[1.0, 0.5, 0.25]], memo=memo) for P in maps]
+    assert [_hex(est) for est in kept] == [_hex(est) for est in alone]
+    assert draws == [(3, 512)]
+    assert list(memo) == [("floor", 3, 3, 3, 512)]
+
+
+def test_a_held_floor_is_served_only_to_its_seed_shape_and_sample_count(monkeypatch):
+    # one memo across seeds, shapes, sample counts and counts of starts:
+    # every estimate has the bits of a fresh call, each key is drawn once,
+    # and the restarts, which size only the ascent, share a floor
+    rng = np.random.default_rng(31)
+    calls = []
+    for seed, d, m, samples, restarts in ((3, 3, 3, 512, 8), (4, 3, 3, 512, 8),
+                                          (3, 3, 2, 512, 8), (3, 4, 3, 512, 8),
+                                          (3, 3, 3, 384, 8), (3, 3, 3, 512, 4)):
+        cfg = NormConfig(samples=samples, restarts=restarts, seed=seed)
+        for starts in ([], [[1.0] * d], [[1.0] * d, [-2.0] + [0.5] * (d - 1)]):
+            calls.append((random_maps(rng, d, m, 2, 1)[0], cfg, starts))
+    calls.append((WIDE, NormConfig(samples=512, restarts=8, seed=3), [[1.0, 2.0]]))
+    fresh = [_hex(sup_norm(P, cfg, starts)) for P, cfg, starts in calls]
+    draws = _counting_floor_draws(monkeypatch)
+    memo = {}
+    # twice over, the second time in reverse, so every key is read back
+    # after other keys and other counts of starts have used the memo
+    for order in (calls, calls[::-1]):
+        got = [_hex(sup_norm(P, cfg, starts, memo=memo)) for P, cfg, starts in order]
+        assert got == (fresh if order is calls else fresh[::-1])
+    keys = [("floor", 3, 3, 3, 512), ("floor", 4, 3, 3, 512), ("floor", 3, 3, 2, 512),
+            ("floor", 3, 4, 3, 512), ("floor", 3, 3, 3, 384), ("floor", 3, 2, 3, 512)]
+    assert list(memo) == keys
+    assert draws == [(3, 512), (3, 512), (3, 512), (4, 512), (3, 384), (2, 512)]
+
+
 def test_stacked_norms_take_every_method_map_by_map():
     # the circle pass and the search refine one map at a time; a stack of
     # them gives each the estimate it gets alone, as does a stack of points
@@ -1044,6 +1103,19 @@ def test_check_adjoint_norm_report():
     # no clock in the report: equal checks give equal reports
     assert "wall_ms" not in d
     assert check_adjoint_norm(P, 1, 2, NormConfig(seed=31), q_trials=25) == rep
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (1, -1), (0, 1), (-2, 0)])
+def test_check_adjoint_norm_checks_n_and_k_before_any_sup_norm(monkeypatch, n, k):
+    # with adjoint_apply's message: a bad k used to reach HomPoly.__pow__,
+    # which named it n, only after the sup norm of P had run
+    def no_sup_norm(*args, **kwargs):
+        raise AssertionError("a sup norm ran")
+    monkeypatch.setattr(norms, "_sup_norms", no_sup_norm)
+    P = linear_map([[1.0, 2.0], [0.5, -1.0]])
+    with pytest.raises(DegreeError,
+                       match=rf"^adjoint parameters must be >= 1, got n={n}, k={k}$"):
+        check_adjoint_norm(P, n, k, NormConfig(seed=3))
 
 
 @pytest.mark.parametrize("rel_err, passed", [

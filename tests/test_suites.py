@@ -6,15 +6,18 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polyadjoint import algebra, linearization, norms, sampling, suites
 from polyadjoint.algebra import HomPoly
 from polyadjoint.errors import PreconditionError, SearchBudgetError
 from polyadjoint.linearization import transpose_identity_defect
-from polyadjoint.norms import check_adjoint_norm, check_embedding_norm
+from polyadjoint.norms import (check_adjoint_norm, check_embedding_norm, check_metric_injection,
+                               check_norm_duality)
 from polyadjoint.suites import (
     EXACT_CLAIMS,
+    NUMERIC_CLAIMS,
     SuiteConfig,
     claim_factorizations,
     claim_inverse_identity,
@@ -151,14 +154,15 @@ def test_missing_nonadditivity_witness_is_a_defect(monkeypatch):
     assert set(result.details["witness_defects"].values()) == {"NOT FOUND"}
 
 
-def _exact_verdicts(cfg: SuiteConfig) -> dict[str, str]:
-    """Each exact claim's verdict: "pass", "fail", or the name of the error
-    it raised, so one claim that stops on a fault hides none of the others."""
+def _verdicts(cfg: SuiteConfig, claims=EXACT_CLAIMS) -> dict[str, str]:
+    """Each claim's verdict: "pass", "fail", or the name of the error it
+    raised, so one claim that stops on a fault hides none of the others; a
+    failed assertion inside sup_norm is a verdict of its own."""
     out = {}
-    for claim in EXACT_CLAIMS:
+    for claim in claims:
         try:
             out[claim.__name__] = "pass" if claim(cfg).passed else "fail"
-        except (ValueError, RuntimeError) as exc:
+        except (AssertionError, ValueError, RuntimeError) as exc:
             out[claim.__name__] = type(exc).__name__
     return out
 
@@ -235,13 +239,13 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     # blinds the suite to one of them breaks this test
     cfg = SuiteConfig(seed=5, dims=(2,), max_m=2, max_n=2, max_k=2, max_r=1,
                       max_s=1, trials=1, field="rational")
-    clean = _exact_verdicts(cfg)
+    clean = _verdicts(cfg)
     assert set(clean.values()) == {"pass"}
 
     with monkeypatch.context() as patch:
         patch.setattr(algebra.HomPoly, "__mul__",
                       _doubled_product_coefficient(algebra.HomPoly.__mul__))
-        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
     assert caught == {
         "claim_composition_identity": "fail",
         "claim_diagram_identity": "fail",
@@ -262,7 +266,7 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(algebra.HomPoly, "__getattr__",
                       _view_off_by_one(algebra.HomPoly.__getattr__))
-        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
     assert caught == {
         "claim_diagram_identity": "fail",
         "claim_additivity_formula": "fail",
@@ -273,7 +277,7 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(linearization, "_matrix",
                       _first_numerator_bumped(linearization._matrix))
-        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
     assert caught == {
         "claim_linearization_transpose": "fail",
         "claim_rank_bound": "fail",
@@ -284,13 +288,13 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(linearization.LinearMap, "__matmul__",
                       _product_entry_off(linearization.LinearMap.__matmul__))
-        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
     assert caught == {"claim_inverse_identity": "fail"}
 
     with monkeypatch.context() as patch:
         patch.setattr(linearization, "_eliminate",
                       _last_pivot_row_perturbed(linearization._eliminate))
-        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
     assert caught == {
         "claim_finite_type": "fail",
         "claim_inverse_identity": "fail",
@@ -298,7 +302,7 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "_orderings", _one_ordering_skipped(algebra._orderings))
-        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
     # only the polarization side of additivity and the finite-type psi
     # evaluate the symmetric form
     assert caught == {
@@ -314,13 +318,85 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         eliminate = linearization._eliminate
         patch.setattr(linearization, "_eliminate", _last_pivot_dropped(eliminate))
         patch.setattr(sampling, "_eliminate", eliminate)
-        caught = {k: v for k, v in _exact_verdicts(cfg).items() if v != "pass"}
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
     assert caught == {
         "claim_rank_bound": "fail",
         "claim_finite_type": "fail",
         "claim_inverse_identity": "SingularMatrixError",
     }
-    assert _exact_verdicts(cfg) == clean
+    assert _verdicts(cfg) == clean
+
+
+def _top_root_dropped(circle_points):
+    # each map's critical points on the circle without the top root; its
+    # antipode has the same value, |P(-x)| = |P(x)|, so it goes too, while
+    # the axes -e_1 and e_1 stay
+    def faulty(coeffs, m):
+        shape, heads = norms._shape(2, m), []
+        for b, head in enumerate(circle_points(coeffs, m)):
+            roots = shape.norms(head[None], coeffs[b:b + 1])[0, 2:]
+            if roots.size:
+                head = head[np.concatenate([[True, True],
+                                            roots < roots.max() * (1.0 - 1e-9)])]
+            heads.append(head)
+        return heads
+    return faulty
+
+
+def _bottom_eigenvectors(coeffs, d, m):
+    # the closed form's head at the eigenvalue smallest in absolute value,
+    # not the largest
+    if m == 1:
+        w, V = np.linalg.eigh(coeffs.transpose(0, 2, 1) @ coeffs)
+    else:
+        w, V = np.linalg.eigh(norms._form_matrices(coeffs[:, 0], d))
+        w = np.abs(w)
+    return V[np.arange(len(V)), :, w.argmin(axis=1)]
+
+
+def _no_step_accepted(shape, coeffs, X):
+    # the ascent refuses every step: each row stays where it starts, and
+    # four stalled iterations end it
+    return X / np.sqrt((X * X).sum(axis=1, keepdims=True)), 4
+
+
+def test_numeric_suite_catches_injected_sup_norm_faults(monkeypatch):
+    # the numeric row of the fault table: one fault in each head of
+    # sup_norm, and the claims that catch it
+    cfg = SuiteConfig(seed=5, field="f64")
+    clean = _verdicts(cfg, NUMERIC_CLAIMS)
+    assert set(clean.values()) == {"pass"}
+
+    # the pick falls below the maximum, and the random circle points beat it
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_circle_points", _top_root_dropped(norms._circle_points))
+        caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
+    assert caught == {
+        "claim_adjoint_norm": "AssertionError",
+        "claim_metric_injection": "AssertionError",
+        "claim_two_sided_bound": "AssertionError",
+    }
+
+    # the value falls short of the norm, so the exact upper-bound proof fails
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_top_eigenvectors", _bottom_eigenvectors)
+        caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
+    assert caught == {
+        "claim_adjoint_norm": "AssertionError",
+        "claim_embedding_norm": "AssertionError",
+        "claim_metric_injection": "AssertionError",
+        "claim_two_sided_bound": "AssertionError",
+    }
+
+    # a blind spot: every d >= 3 search of the suite is handed a start that
+    # already attains the norm (the unit point of norm_duality, the lifted
+    # maximizer of metric_injection), so a search that never climbs from
+    # its sample floor passes every claim
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_ascend_batch", _no_step_accepted)
+        caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
+    assert caught == {}
+    assert _verdicts(cfg, NUMERIC_CLAIMS) == clean
 
 
 def _adjoint_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
@@ -366,4 +442,58 @@ def test_norm_claims_draw_each_trial_stream_once_and_fold_as_the_checks(
     draws.clear()
     want = reference(cfg)
     assert len(draws) == per_instance
+    assert got == want and got.passed
+
+
+def _norm_duality_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
+    # the reference: the public check on each instance, each search drawing
+    # its own floor
+    ncfg = cfg.norm_config()
+    rng = sampling._np_rng(cfg.seed, "norm-duality-x")
+    reports = (check_norm_duality(sampling._random_nonzero_f64_point(
+                   rng, cfg.dims[t % len(cfg.dims)]), 1 + t % 3, ncfg)
+               for t in range(50))
+    return suites._norm_claim("norm_duality", cfg, reports)
+
+
+def _metric_injection_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
+    ncfg = cfg.norm_config()
+    rng = sampling._np_rng(cfg.seed, "metric-injection")
+    drop_last = algebra.PolyMap.from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], algebra.F64)
+
+    def reports():
+        for t in range(20):
+            if t % 2 == 0:
+                proj = drop_last
+            else:
+                Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+                proj = algebra.PolyMap.from_matrix(Q[:, :2].T.tolist(), algebra.F64)
+            yield check_metric_injection(proj, sampling._random_hompoly_f64(rng, 2, 1 + t % 3),
+                                         ncfg)
+    return suites._norm_claim("metric_injection", cfg, reports())
+
+
+@pytest.mark.parametrize("claim, reference, per_instance", [
+    (suites.claim_norm_duality, _norm_duality_per_instance, 8),
+    (suites.claim_metric_injection, _metric_injection_per_instance, 6),
+], ids=["duality", "injection"])
+@pytest.mark.parametrize("seed", [1729, 20260815])
+def test_norm_claims_draw_each_search_floor_once_and_fold_as_the_checks(
+        monkeypatch, claim, reference, per_instance, seed):
+    # a claim draws the d = 3 sample floor of its searches once, and its
+    # result is the fold of the public check run instance by instance
+    draws = []
+    real = norms._sphere_samples
+
+    def counted(d, n, rng):
+        if d >= 3:
+            draws.append((d, n))
+        return real(d, n, rng)
+    monkeypatch.setattr(norms, "_sphere_samples", counted)
+    cfg = SuiteConfig(seed=seed, field="f64")
+    got = claim(cfg)
+    assert draws == [(3, cfg.samples)]
+    draws.clear()
+    want = reference(cfg)
+    assert draws == [(3, cfg.samples)] * per_instance
     assert got == want and got.passed
