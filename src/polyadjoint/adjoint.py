@@ -29,8 +29,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
-    F64,
-    RATIONAL,
     HomPoly,
     MultiIndex,
     PolyMap,
@@ -38,7 +36,6 @@ from .algebra import (
     _built,
     _cleared,
     _eval_monomial,
-    _refuse_lost_terms,
     compose_map,
     compose_scalar,
     enumerate_multi_indices,
@@ -47,7 +44,6 @@ from .algebra import (
     multinomial,
 )
 from .errors import (
-    CapacityError,
     DegreeError,
     DimensionError,
     FieldError,
@@ -113,13 +109,11 @@ def materialize_adjoint(P: PolyMap, n: int, k: int) -> MaterializedAdjoint:
     # g = sum_beta mu_beta beta, read from P's own memo.  With P^g = sum
     # n_gamma x^gamma / D_mu and L the lcm of every D_mu, component gamma
     # gets n_gamma f_mu / L at mu, f_mu = w L / D_mu, written in one pass in
-    # mu order; ``_built`` reduces each to its least denominator.  For f64,
-    # D_mu = L = 1, so f_mu = w.  An f64 P^g that underflowed was refused
-    # where it was multiplied, and w >= 1, so no term here rounds to zero.
+    # mu order; ``_built`` reduces each to its least denominator.
     gs = [tuple(sum(c * b for c, b in zip(mu, col)) for col in zip(*q_basis)) for mu in mus]
     powers = list(map_powers(P, gs))
     den = math.lcm(*[g._terms[0] for g in powers])
-    data: dict[MultiIndex, dict[MultiIndex, Scalar]] = {gamma: {} for gamma in out_basis}
+    data: dict[MultiIndex, dict[MultiIndex, int]] = {gamma: {} for gamma in out_basis}
     for mu, g_mu in zip(mus, powers):
         dm, nums = g_mu._terms
         f = multinomial(n, mu) * (den // dm)
@@ -136,42 +130,26 @@ def evaluation_embedding(x: Sequence, m: int, n: int,
     Variables are the coefficients of a degree-n polynomial q on R^len(x) in
     canonical order; evaluating the result at q.coeff_vector() yields q(x)^m.
     With m = n = 1 this is evaluation at x itself.  x = 0 gives the zero
-    polynomial.  On f64, a coefficient past the largest double, or one that
-    rounds to zero although no coordinate among its factors is zero, raises
-    CapacityError.
+    polynomial.  An f64 result is exact, like every f64 result, until its
+    ``coeffs`` or a value is read.
     """
     if m < 1 or n < 1:
         raise DegreeError(f"embedding parameters must be >= 1, got m={m}, n={n}")
     if field is None:
         field = infer_field(x)
     basis = enumerate_multi_indices(len(x), n)
-    # a rational point x = X / r puts every coefficient over r^(nm), so the
+    # a point x = X / r puts every coefficient over r^(nm), so the
     # numerators are built on X and the result from its integer form
     r, X = _cleared(x, field)
-    coeffs: dict[MultiIndex, Scalar] = {}
-    try:
-        xpow = [_eval_monomial(beta, X) for beta in basis]
-        for mu in enumerate_multi_indices(len(basis), m):
-            v = multinomial(m, mu)
-            for j, mj in enumerate(mu):
-                if mj:
-                    v = v * xpow[j] ** mj
-            coeffs[mu] = v if field == RATIONAL else float(v)
-    except OverflowError:
-        # float ** raises past the largest double, where float * gives inf
-        raise CapacityError(f"a degree-{m} f64 result on R^{len(basis)} has a coefficient "
-                            f"past the largest double") from None
-    if field == F64:
-        out = _built(len(basis), m, coeffs, F64)
-        if len(out.coeffs) < len(coeffs):
-            # a coefficient is a true zero only when a zero coordinate is
-            # among its factors; _built dropped every other zero as well,
-            # though it is a value below the smallest double
-            zero = [any(a and not v for a, v in zip(beta, X)) for beta in basis]
-            _refuse_lost_terms(len(basis), m, ((mu, v) for mu, v in coeffs.items() if not any(
-                mj and zero[j] for j, mj in enumerate(mu))), out.coeffs)
-        return out
-    return _built(len(basis), m, coeffs, RATIONAL, r ** (n * m))
+    xpow = [_eval_monomial(beta, X) for beta in basis]
+    coeffs: dict[MultiIndex, int] = {}
+    for mu in enumerate_multi_indices(len(basis), m):
+        v = multinomial(m, mu)
+        for j, mj in enumerate(mu):
+            if mj:
+                v = v * xpow[j] ** mj
+        coeffs[mu] = v
+    return _built(len(basis), m, coeffs, field, r ** (n * m))
 
 
 def composition_identity_defect(P: PolyMap, Q: PolyMap, n: int, k: int, s: int,

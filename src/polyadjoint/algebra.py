@@ -11,24 +11,28 @@ construction, so equality of the dicts is equality of polynomials.
 
 Every polynomial holds its integer form ``_terms = (D, {alpha: c*D})``, D
 the least common denominator of its coefficients; the form is canonical
-(zeros dropped, D least), so equal forms are equal polynomials.  An f64
-polynomial has D = 1 and its float coefficients as the numerators.  Sums,
-products, scaling, composition, evaluation, ``is_zero`` and ``==`` read the
-integer form alone, with one code path for both fields.  ``coeffs`` is a
-view of that form: for rational, the dict of Fractions, built on first read
-and then cached, so a product that is only composed, evaluated, compared
-or folded into a defect never builds a Fraction; for f64, the same dict as
-the numerators.  There are two constructors: the public ``HomPoly(...)``
-checks every index and coefficient (an f64 one must be a finite double),
-and ``_built`` stores what the algebra computes from validated operands
-without re-checking it.
+(zeros dropped, D least), so equal forms are equal polynomials.  A double
+is a dyadic rational, so an f64 polynomial built from doubles has a power
+of two for D.  Sums, products, scaling, composition, evaluation,
+``is_zero`` and ``==`` read the integer form alone, with one code path for
+both fields, and are exact on both: an f64 result is exact until it is
+read.  ``coeffs`` is a view of that form, built on first read and then
+cached: for rational, the dict of Fractions, so a product that is only
+composed, evaluated, compared or folded into a defect never builds a
+Fraction; for f64, each coefficient n/D rounded once to the nearest double.
+That rounding, like the one of an f64 value of ``eval``, ``max_abs`` or
+``SymForm.apply``, refuses what does not fit a double: a value past the
+largest double, or a nonzero one that rounds to 0.0, raises CapacityError.
+There are two constructors: the public ``HomPoly(...)`` checks every index
+and coefficient (an f64 one must be a finite double), and ``_built`` stores
+what the algebra computes from validated operands without re-checking it.
 
 The canonical basis order everywhere is descending lexicographic on the
 exponent tuples — e.g. for d=2, m=2: (2,0), (1,1), (0,2) — and the
 coefficient-vector helpers read and write that order.
 
-A rational product of degree m on R^d is one big-integer multiplication
-(Kronecker substitution).  The monomial alpha goes to the slot
+A product of degree m on R^d is one big-integer multiplication (Kronecker
+substitution).  The monomial alpha goes to the slot
 sum_{i<d-1} alpha_i (m+1)^(d-2-i); the last exponent follows from
 homogeneity, and no exponent exceeds m, so slots add without carries.  Every
 product coefficient is at most N = |v1|_1 * |v2|_1 in absolute value, so a
@@ -39,9 +43,7 @@ slots of the product's basis are read back, in canonical order.  Two kinds of
 product keep the pair-by-pair loop: a shape whose slot box (m+1)^(d-1)
 exceeds 8 times the basis C(d+m-1, m) (every d >= 6, and d = 5 from m = 4;
 every d <= 4 packs), and a product with fewer than two term pairs per basis
-monomial.  f64 products always take the loop, and keep its order (each
-monomial where it first appears), which fixes the summation order of f64
-evaluation.
+monomial.
 
 A polynomial map R^d -> R^e is a tuple of e scalar polynomials sharing
 domain dimension, degree and field.  Every substituted monomial P^beta that
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DegreeError, DimensionError, FieldError
 
@@ -181,62 +183,70 @@ def _common_denominator(values: Iterable) -> tuple[int, list[int]]:
     return den, [p * (den // q) for p, q in ratios]
 
 
-def _cleared(x: Sequence, field: str) -> tuple[int, Sequence]:
-    """(r, X) with x = X / r.  On the rational field r is the least common
-    denominator of the point and X its integer numerators, and a float in
-    the point raises FieldError, as does anything else that is not an int
-    or a Fraction; on f64 the point is left as it is (r = 1)."""
-    if field == F64:
-        return 1, x
-    if not all(isinstance(v, _RATIONALS) for v in x):
-        raise FieldError("the rational field takes points of ints and Fractions only")
-    return _common_denominator(x)
+def _cleared(x: Sequence, field: str) -> tuple[int, list[int]]:
+    """(r, X) with x = X / r, r the least common denominator of the point
+    and X its integer numerators.  The rational field takes ints and
+    Fractions only, f64 finite doubles too; anything else, a NaN or an
+    infinity among them, raises FieldError."""
+    if field == RATIONAL:
+        if not all(isinstance(v, _RATIONALS) for v in x):
+            raise FieldError("the rational field takes points of ints and Fractions only")
+        return _common_denominator(x)
+    try:
+        return _common_denominator(x)
+    except (AttributeError, ValueError, OverflowError):  # no exact integer ratio
+        raise FieldError("the f64 field takes points of ints, Fractions and finite "
+                         "doubles only") from None
 
 
-def _built(d: int, m: int, values: dict[MultiIndex, Scalar], field: str,
+def _rounded(nums: Collection[int], den: int, d: int, m: int,
+             what: str = "coefficient") -> list[float]:
+    """[n / den for n in nums], each correctly rounded to a double: the one
+    rounding of an f64 read of a degree-m result on R^d.  CapacityError when
+    one is past the largest double, or when n is nonzero and it rounds to
+    0.0, which would lose the value unseen."""
+    try:
+        out = [n / den for n in nums]
+    except OverflowError:
+        raise CapacityError(f"a degree-{m} f64 result on R^{d} has a {what} "
+                            f"past the largest double") from None
+    if 0.0 in out and any(n for n, v in zip(nums, out) if not v):
+        raise CapacityError(f"a degree-{m} f64 result on R^{d} has a {what} "
+                            f"below the smallest double")
+    return out
+
+
+def _built(d: int, m: int, values: dict[MultiIndex, int], field: str,
            den: int = 1) -> HomPoly:
-    """The polynomial with coefficients values[alpha] / den, built without
-    re-validation.  The result takes ``values`` as its own when no value is
-    zero, so the caller hands over a dict it no longer uses; otherwise the
-    zeros are dropped in a copy.  Rational values are integer numerators:
-    dividing out the gcd of den and every numerator, in place, leaves the
-    least common denominator, and the result stores that integer form; its
-    ``coeffs`` view is built only if something reads it.  f64 values are the
-    coefficients themselves (den = 1), stored as both the numerators and
-    ``coeffs``; one that overflowed raises CapacityError, as the result does
-    not fit a double."""
+    """The polynomial with coefficients values[alpha] / den, values integer
+    numerators, built without re-validation.  The result takes ``values``
+    as its own when no value is zero, so the caller hands over a dict it no
+    longer uses; otherwise the zeros are dropped in a copy.  Dividing out
+    the gcd of den and every numerator, in place, leaves the least common
+    denominator, and the result stores that integer form; its ``coeffs``
+    view is built only if something reads it."""
     nums = values
     if 0 in values.values():
         nums = {a: v for a, v in values.items() if v != 0}
+    g = math.gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        for a, v in nums.items():
+            nums[a] = v // g
     self = object.__new__(HomPoly)
-    if field == F64:
-        # finite operands overflow to an infinity, or to NaN as inf - inf
-        if not all(map(math.isfinite, nums.values())):
-            raise CapacityError(f"a degree-{m} f64 result on R^{d} has a coefficient "
-                                f"past the largest double")
-        self.__dict__["coeffs"] = nums
-    else:
-        g = math.gcd(den, *nums.values())
-        if g > 1:
-            den //= g
-            for a, v in nums.items():
-                nums[a] = v // g
     self.__dict__.update(domain_dim=d, degree=m, field=field, _terms=(den, nums))
     return self
 
 
-def _refuse_lost_terms(d: int, m: int, terms: Iterable[tuple[MultiIndex, float]],
-                       out: dict[MultiIndex, float]) -> None:
-    """CapacityError when a coefficient of ``out`` is zero although a
-    product summed into it, (alpha, product) in ``terms``, is one of nonzero
-    doubles that rounded to zero: the coefficient is below the smallest
-    double, and dropping it as a zero would lose it unseen.  A refused
-    coefficient is a zero, so callers run this only on an f64 result that
-    holds or dropped one; a zero from a true cancellation passes."""
-    for alpha, product in terms:
-        if product == 0.0 and not out.get(alpha):
-            raise CapacityError(f"a degree-{m} f64 result on R^{d} has a coefficient "
-                                f"below the smallest double")
+def _of_doubles(d: int, m: int, values: dict[MultiIndex, float]) -> HomPoly:
+    """The f64 polynomial with these finite double coefficients, built from
+    their integer form without re-validation.  Its ``coeffs`` view is the
+    nonzero values themselves, which rounding the form would give back."""
+    den, nums = _common_denominator(values.values())
+    out = _built(d, m, dict(zip(values, nums)), F64, den)
+    kept = out._terms[1]
+    out.__dict__["coeffs"] = values if len(kept) == len(values) else {a: values[a] for a in kept}
+    return out
 
 
 # a rational product packs when its slot box (m+1)^(d-1) is at most
@@ -328,21 +338,21 @@ class HomPoly:
             if c != 0:
                 clean[alpha] = c
         object.__setattr__(self, "coeffs", clean)
-        if self.field == F64:
-            terms = 1, clean
-        else:
-            den, nums = _common_denominator(clean.values())
-            terms = den, dict(zip(clean, nums))
-        object.__setattr__(self, "_terms", terms)
+        den, nums = _common_denominator(clean.values())
+        object.__setattr__(self, "_terms", (den, dict(zip(clean, nums))))
 
     def __getattr__(self, name: str):
-        """Build the ``coeffs`` view of a rational result of ``_built``, the
-        one attribute that can be missing, from its integer form, once."""
+        """Build the ``coeffs`` view of a result of ``_built``, the one
+        attribute that can be missing, from its integer form, once: Fractions
+        on the rational field, each rounded once to a double on f64."""
         terms = self.__dict__.get("_terms")
         if name != "coeffs" or terms is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         den, nums = terms
-        coeffs = {a: Fraction(v, den) for a, v in nums.items()}
+        if self.field == RATIONAL:
+            coeffs = {a: Fraction(v, den) for a, v in nums.items()}
+        else:
+            coeffs = dict(zip(nums, _rounded(nums.values(), den, self.domain_dim, self.degree)))
         self.__dict__["coeffs"] = coeffs
         return coeffs
 
@@ -394,7 +404,9 @@ class HomPoly:
         """Largest absolute coefficient; the field's zero for the zero polynomial."""
         den, nums = self._terms
         top = max(map(abs, nums.values()), default=0)
-        return float(top) if self.field == F64 else Fraction(top, den)
+        if self.field == RATIONAL:
+            return Fraction(top, den)
+        return _rounded([top], den, self.domain_dim, self.degree)[0]
 
     def coeff_vector(self) -> list[Scalar]:
         """Coefficients in canonical (descending lex) basis order."""
@@ -402,18 +414,19 @@ class HomPoly:
         return [self.coeffs.get(a, zero) for a in enumerate_multi_indices(self.domain_dim, self.degree)]
 
     def eval(self, x: Sequence) -> Scalar:
+        """p(x), exactly; on f64 the exact value rounded once to a double."""
         if len(x) != self.domain_dim:
             raise DimensionError(f"point has length {len(x)}, expected {self.domain_dim}")
         # homogeneity: with x = X/r, p(x) = sum n_alpha X^alpha / (D r^m)
         den, nums = self._terms
         r, X = _cleared(x, self.field)
-        # a plain loop: sum() compensates float rounding from Python 3.12 on
         total = 0
         for alpha, n in nums.items():
             total += n * _eval_monomial(alpha, X)
-        if self.field == F64:
-            return float(total)
-        return Fraction(total, den * r ** self.degree)
+        den *= r ** self.degree
+        if self.field == RATIONAL:
+            return Fraction(total, den)
+        return _rounded([total], den, self.domain_dim, self.degree, "value")[0]
 
     # -- arithmetic ---------------------------------------------------
     def _require_same_shape(self, other: HomPoly) -> None:
@@ -446,37 +459,29 @@ class HomPoly:
         return self._combine(other, -1)
 
     def scale(self, c) -> HomPoly:
-        c = _coerce(c, self.field)
-        num, cden = (c, 1) if self.field == F64 else c.as_integer_ratio()
+        num, cden = _coerce(c, self.field).as_integer_ratio()
         den, nums = self._terms
         data = {a: num * v for a, v in nums.items()}
-        if self.field == F64 and num and 0 in data.values():
-            _refuse_lost_terms(self.domain_dim, self.degree, data.items(), data)
         return _built(self.domain_dim, self.degree, data, self.field, den * cden)
 
     def __mul__(self, other: HomPoly) -> HomPoly:
         """Pointwise product; degrees add.  The integer numerators are
-        multiplied, over the denominator D1*D2: on the rational field as one
-        packed integer product where the shape allows, otherwise pair by pair
-        (see the module docstring)."""
+        multiplied, over the denominator D1*D2: as one packed integer product
+        where the shape allows, otherwise pair by pair (see the module
+        docstring)."""
         self._require_same_shape(other)
         (d1, v1), (d2, v2) = self._terms, other._terms
         d, m = self.domain_dim, self.degree + other.degree
-        slots = _product_slots(d, m) if self.field == RATIONAL else None
+        slots = _product_slots(d, m)
         if slots is not None and len(v1) * len(v2) >= _PAIRS_PER_BASIS * len(slots[1]):
             data = _packed_product(v1, v2, *slots)
         else:
-            # each monomial where it first appears: that order fixes the
-            # summation order of f64 eval
             right = list(v2.items())
             data = {}
             for a1, c1 in v1.items():
                 for a2, c2 in right:
                     a = tuple(map(add, a1, a2))
                     data[a] = data.get(a, 0) + c1 * c2
-            if self.field == F64 and 0 in data.values():
-                _refuse_lost_terms(d, m, ((tuple(map(add, a1, a2)), c1 * c2)
-                                          for a1, c1 in v1.items() for a2, c2 in right), data)
         return _built(d, m, data, self.field, d1 * d2)
 
     def __pow__(self, n: int) -> HomPoly:
@@ -491,23 +496,13 @@ class HomPoly:
         _check_field(field)
         if field == self.field:
             return self
+        den, nums = self._terms
+        d, m = self.domain_dim, self.degree
         if field == RATIONAL:
-            # the rational constructor takes floats only as Fractions
-            return HomPoly(self.domain_dim, self.degree,
-                           {a: Fraction(c) for a, c in self.coeffs.items()}, field)
-        # a rational coefficient past the largest double does not fit one,
-        # and one that rounds to zero is refused too: it is nonzero, as
-        # every stored coefficient is, though _built drops it as a zero
-        try:
-            values = {a: float(c) for a, c in self.coeffs.items()}
-        except OverflowError:
-            raise CapacityError(f"a degree-{self.degree} f64 result on R^{self.domain_dim} "
-                                f"has a coefficient past the largest double") from None
-        out = _built(self.domain_dim, self.degree, values, field)
-        if len(out.coeffs) < len(values):
-            raise CapacityError(f"a degree-{self.degree} f64 result on R^{self.domain_dim} "
-                                f"has a coefficient below the smallest double")
-        return out
+            # the exact value, which an f64 polynomial holds until it is read
+            return _built(d, m, dict(nums), field, den)
+        # each coefficient rounded once, as the f64 view rounds it
+        return _of_doubles(d, m, dict(zip(nums, _rounded(nums.values(), den, d, m))))
 
 
 @dataclass(frozen=True)
@@ -590,13 +585,10 @@ def map_powers(P: PolyMap, betas: Iterable[MultiIndex]) -> Iterator[HomPoly]:
     beta (a tuple, |beta| >= 1), in order.
 
     Each P^beta is built once per map: the map keeps a memo (in its
-    ``__dict__``, as a rational ``HomPoly`` keeps its ``coeffs`` view) of
-    the component powers P_i^a and of every P^beta asked for, which lives
-    and dies with the map.  So every caller, and every call with the same
-    map, gets the same ``HomPoly`` objects, which are immutable and shared.
-    The product order never depends on the memo: P_i^a is P_i^(a-1) * P_i,
-    and P^beta the left-to-right product of its component powers, so f64
-    results are the same bits whatever was asked for before."""
+    ``__dict__``, as a ``HomPoly`` keeps its ``coeffs`` view) of the
+    component powers P_i^a and of every P^beta asked for, which lives and
+    dies with the map.  So every caller, and every call with the same map,
+    gets the same ``HomPoly`` objects, which are immutable and shared."""
     memo = P.__dict__.get("_powers")
     if memo is None:
         # powers[i][a - 1] = P_i ** a; products[beta] = P ** beta
@@ -629,24 +621,12 @@ def compose_scalar(q: HomPoly, P: PolyMap) -> HomPoly:
     # with q = sum c_beta x^beta / Q and P^beta = sum n_gamma x^gamma / D_beta,
     # every term goes over Q * lcm(D_beta)
     den = math.lcm(*[t._terms[0] for t in terms])
-    out: dict[MultiIndex, Scalar] = {}
-    dropped = False
+    out: dict[MultiIndex, int] = {}
     for c, term in zip(qnums.values(), terms):
         tden, values = term._terms
         c *= den // tden
         for gamma, v in values.items():
-            total = out.get(gamma, 0) + c * v
-            # a cancelled coefficient leaves at once, keeping the key order of
-            # term-by-term HomPoly addition (it fixes eval's f64 summation order)
-            if total:
-                out[gamma] = total
-            else:
-                out.pop(gamma, None)
-                dropped = True
-    if dropped and q.field == F64:
-        _refuse_lost_terms(P.domain_dim, P.degree * q.degree,
-                           ((gamma, c * v) for c, t in zip(qnums.values(), terms)
-                            for gamma, v in t._terms[1].items()), out)
+            out[gamma] = out.get(gamma, 0) + c * v
     return _built(P.domain_dim, P.degree * q.degree, out, q.field, qden * den)
 
 
@@ -679,42 +659,39 @@ class SymForm:
         object.__setattr__(self, "entries", clean)
 
     @cached_property
-    def _int_entries(self) -> tuple[int, dict[tuple[int, ...], int | float]]:
-        """(E, {t: v*E}), E the least common denominator of the entries;
-        an f64 form has E = 1 and its own entries."""
-        if self.field == F64:
-            return 1, self.entries
+    def _int_entries(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """(E, {t: v*E}), E the least common denominator of the entries."""
         den, nums = _common_denominator(self.entries.values())
         return den, dict(zip(self.entries, nums))
 
     def apply(self, args: Sequence[Sequence]) -> Scalar:
         """Evaluate on arity-many vectors: each entry times the sum, over the
         distinct orderings of its index tuple, of the product of the
-        argument coordinates."""
+        argument coordinates, exactly; on f64 the exact value rounded once
+        to a double."""
         if len(args) != self.arity:
             raise DimensionError(f"expected {self.arity} vectors, got {len(args)}")
         for v in args:
             if len(v) != self.domain_dim:
                 raise DimensionError("argument vector has wrong length")
         # with vector j = X_j / r_j and entry t = e_t / E the value is
-        # sum_t e_t S_t(X) / (E prod r_j); an f64 sum S_t starts from 0.0,
-        # so a sum of exact Fraction or int products rounds term by term
+        # sum_t e_t S_t(X) / (E prod r_j)
         cleared = [_cleared(v, self.field) for v in args]
         den, entries = self._int_entries
         rows = [X for _, X in cleared]
-        start = 0.0 if self.field == F64 else 0
         total = 0
         for t, e in entries.items():
-            s = start
+            s = 0
             for order in _orderings(t):
                 prod = 1
                 for X, i in zip(rows, order):
                     prod *= X[i]
                 s += prod
             total += e * s
-        if self.field == F64:
-            return float(total)
-        return Fraction(total, den * math.prod(r for r, _ in cleared))
+        den *= math.prod(r for r, _ in cleared)
+        if self.field == RATIONAL:
+            return Fraction(total, den)
+        return _rounded([total], den, self.domain_dim, self.arity, "value")[0]
 
 
 @lru_cache(maxsize=1024)

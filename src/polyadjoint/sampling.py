@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import F64, RATIONAL, HomPoly, PolyMap, _built, enumerate_multi_indices
+from .algebra import RATIONAL, HomPoly, PolyMap, _built, _of_doubles, enumerate_multi_indices
 from .linearization import _eliminate
 
 
@@ -75,10 +75,11 @@ def random_invertible_matrix(r: random.Random, d: int) -> list[list[Fraction]]:
 
 
 def _random_hompoly_f64(rng: np.random.Generator, d: int, k: int) -> HomPoly:
-    """Standard-normal coefficients in basis order, built without
-    re-validating them: they are finite doubles by construction."""
+    """Standard-normal coefficients in basis order, built from their integer
+    form without re-validating them: they are finite doubles by
+    construction."""
     basis = enumerate_multi_indices(d, k)
-    return _built(d, k, dict(zip(basis, rng.standard_normal(len(basis)).tolist())), F64)
+    return _of_doubles(d, k, dict(zip(basis, rng.standard_normal(len(basis)).tolist())))
 
 
 def _random_f64_map(rng: np.random.Generator, d: int, e: int, m: int) -> PolyMap:

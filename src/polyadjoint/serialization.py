@@ -20,9 +20,10 @@ infinities raise ValueError instead of being written as bare ``NaN`` or
 ``Infinity``.  The tree makers (``polymap_to_obj``, ``materialized_to_obj``,
 ``expansion_to_obj``) put each ``HomPoly`` itself where its term list goes,
 so their trees are the writer's input, not plain JSON data.  The writer
-renders a ``HomPoly`` straight from its integer form ``(D, {alpha: n})``: a
-rational value as n/D in lowest terms, an f64 value as the float it is,
-and the text of each term up to its value once per multi-index and depth,
+renders a rational ``HomPoly`` straight from its integer form
+``(D, {alpha: n})``, each value as n/D in lowest terms, and an f64 one from
+its view, each value n/D rounded once to a double (CapacityError when
+that does not fit one), and the text of each term up to its value once per multi-index and depth,
 so no dict is built per term.
 
 Integers of any length are written, past CPython's limit on int-to-text
@@ -125,6 +126,8 @@ def _json_dumps(obj) -> str:
         key_line = "\n" + _INDENT * (depth + 2)
         tail = "\n" + _INDENT * (depth + 1) + "}"
         rational = p.field == RATIONAL
+        # an f64 value is the double its view rounds it to
+        values = nums if rational else p.coeffs
         out = []
         for alpha in sorted(nums, reverse=True):
             head = at.get(alpha)
@@ -132,7 +135,7 @@ def _json_dumps(obj) -> str:
                 head = at[alpha] = ("{" + key_line + '"alpha": '
                                     + _block(list(map(str, alpha)), depth + 2, "[]")
                                     + "," + key_line + '"value": ')
-            n = nums[alpha]
+            n = values[alpha]
             if rational:
                 # _ratio_text inlined: a call per term costs about a seventh
                 # of the writer's time on request outputs

@@ -25,6 +25,7 @@ from polyadjoint import (
     materialize_adjoint,
     multinomial,
     nonadditivity_witness,
+    polymap_dumps,
 )
 from polyadjoint.algebra import _built, map_powers
 from polyadjoint.errors import (
@@ -128,18 +129,24 @@ def test_materialize_reads_its_products_from_the_map_memo(monkeypatch):
 
 @pytest.mark.parametrize("field", [RATIONAL, F64])
 def test_materialized_components_equal_their_validated_copies(field):
-    # the components skip re-validation: each must be what the public
-    # constructor would have built from the same data, key order included
+    # the components skip re-validation: each rational one must be what the
+    # public constructor would have built from the same data, key order
+    # included; each f64 one is the rational component of the same map
+    # until read, and its view rounds each coefficient of it once
     rng = sampling.rng(19, "trusted")
     for (d, e, m, n, k) in ((2, 2, 2, 2, 1), (2, 3, 1, 3, 2), (3, 2, 2, 1, 2)):
         P = sampling.random_polymap(rng, d, e, m).as_field(field)
         mat = materialize_adjoint(P, n, k)
+        exact = materialize_adjoint(P.as_field(RATIONAL), n, k)
         kind = Fraction if field == RATIONAL else float
-        for c in mat.polymap.components:
+        for c, want in zip(mat.polymap.components, exact.polymap.components):
             assert all(type(v) is kind and v != 0 for v in c.coeffs.values())
-            copy = HomPoly(c.domain_dim, c.degree, dict(c.coeffs), field)
-            assert copy == c
-            assert list(copy.coeffs) == list(c.coeffs)
+            assert c.as_field(RATIONAL) == want
+            assert c.coeffs == {a: kind(v) for a, v in want.coeffs.items()}
+            if field == RATIONAL:
+                copy = HomPoly(c.domain_dim, c.degree, dict(c.coeffs), field)
+                assert copy == c
+                assert list(copy.coeffs) == list(c.coeffs)
 
 
 def _two_pass_components(P: PolyMap, n: int, k: int) -> list[HomPoly]:
@@ -164,16 +171,12 @@ def _two_pass_components(P: PolyMap, n: int, k: int) -> list[HomPoly]:
 
 
 def _same_components(got: list[HomPoly], want: list[HomPoly]) -> None:
-    """Equal integer forms, key order included; f64 values bit for bit."""
+    """Equal integer forms, key order included."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.field == w.field and g._terms[0] == w._terms[0]
         assert list(g._terms[1]) == list(w._terms[1])
-        if g.field == F64:
-            assert [v.hex() for v in g._terms[1].values()] == [
-                v.hex() for v in w._terms[1].values()]
-        else:
-            assert g._terms == w._terms
+        assert g._terms == w._terms
 
 
 def test_materialized_components_equal_the_two_pass_reference():
@@ -246,11 +249,14 @@ def test_evaluation_embedding_zero_point():
 
 
 def test_f64_evaluation_embedding_refuses_values_below_the_smallest_double():
-    # x1^2 = 1e-400 rounds to zero, although neither factor is zero
+    # x1^2 = 1e-400 rounds to zero, although neither factor is zero: the
+    # embedding holds it exactly, and refuses it where it is read
     for x, m, n in (([1e-200, 1.0], 1, 2), ([1.0, 1e-200], 1, 2), ([1e-100, 1.0], 3, 2),
                     ([1e-200, 1e-200], 2, 1)):
-        with pytest.raises(CapacityError, match="below the smallest double"):
-            evaluation_embedding(x, m, n, field=F64)
+        J = evaluation_embedding(x, m, n, field=F64)
+        for read in (lambda: J.coeffs, lambda: polymap_dumps(PolyMap((J,)))):
+            with pytest.raises(CapacityError, match="below the smallest double"):
+                read()
     # a zero coordinate gives true zeros, which are dropped
     assert evaluation_embedding([0.0, 1.0], 1, 2, field=F64).coeffs == {(0, 0, 1): 1.0}
     assert evaluation_embedding([0.0, 0.0], 2, 2, field=F64).is_zero
@@ -262,13 +268,17 @@ def test_f64_evaluation_embedding_refuses_values_below_the_smallest_double():
 
 
 @pytest.mark.parametrize("x, m, n", [
-    ([1e200, 1.0], 1, 2),     # x1^2 raises OverflowError as a float power
-    ([1e160, 1e160], 2, 1),   # so does (x1)^2 among the m-th powers
-    ([1e154, 1e154], 2, 1),   # 2 x1 x2 = 2e308 rounds to inf as a product
+    ([1e200, 1.0], 1, 2),     # x1^2 = 1e400, a power of a coordinate
+    ([1e160, 1e160], 2, 1),   # (x1)^2 = 1e320 among the m-th powers
+    ([1e154, 1e154], 2, 1),   # 2 x1 x2 = 2e308, just past it
 ], ids=["power-of-coordinate", "power-of-monomial", "product"])
 def test_f64_evaluation_embedding_refuses_values_past_the_largest_double(x, m, n):
-    with pytest.raises(CapacityError, match="past the largest double"):
-        evaluation_embedding(x, m, n, field=F64)
+    # the embedding holds the value exactly, and refuses it where it is read
+    J = evaluation_embedding(x, m, n, field=F64)
+    for read in (lambda: J.coeffs, lambda: polymap_dumps(PolyMap((J,))),
+                 lambda: J.eval([1.0] * J.domain_dim)):
+        with pytest.raises(CapacityError, match="past the largest double"):
+            read()
 
 
 def test_composition_identity_exact():

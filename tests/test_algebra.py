@@ -33,6 +33,8 @@ from polyadjoint import (
     materialize_adjoint,
     multinomial,
     polarize,
+    polymap_dumps,
+    sup_norm,
 )
 from polyadjoint.errors import CapacityError, DegreeError, DimensionError, FieldError
 from polyadjoint import algebra, sampling
@@ -77,28 +79,43 @@ def test_enumerate_owns_the_size_cap():
         enumerate_multi_indices(3004, 1)
 
 
+def _refused_where_read(result: HomPoly, edge: str) -> None:
+    """Each read of an f64 result's coefficients refuses it: the view, the
+    writer and sup_norm, every time it is asked."""
+    reads = (lambda: result.coeffs, lambda: polymap_dumps(PolyMap((result,))),
+             lambda: sup_norm(result), lambda: result.coeffs)
+    for read in reads:
+        with pytest.raises(CapacityError, match=f"{edge} double"):
+            read()
+
+
 def test_f64_result_past_the_largest_double_is_refused():
+    # an f64 result is exact until read, and refused where it is read
     p = HomPoly(2, 1, {(1, 0): 1e200, (0, 1): 1.0}, F64)
     q = HomPoly(2, 1, {(1, 0): 1.5e308}, F64)
-    for build in (lambda: p * p, lambda: p ** 2, lambda: p.scale(1e200), lambda: q + q):
-        with pytest.raises(CapacityError, match="past the largest double"):
-            build()
+    for result in (p * p, p ** 2, p.scale(1e200), q + q):
+        _refused_where_read(result, "past the largest")
     # finite products of the same operands are kept
     assert (p * p.scale(1e-200)).coeffs[(2, 0)] == pytest.approx(1e200)
+    # and so is a result whose value passed the largest double on the way:
+    # the x1^2 coefficient of (p * p) * 1e-300 is 1e400 * 1e-300 = 1e100
+    back = (p * p).scale(1e-300)
+    assert back.coeffs[(2, 0)] == float(Fraction(1e200) ** 2 * Fraction(1e-300))
+    assert back.coeffs[(2, 0)] == pytest.approx(1e100)
 
 
 def test_f64_result_below_the_smallest_double_is_refused():
-    # each product of 1e-200 and 1e-200 rounds to zero, so P^2, 1e-200 P and
-    # q o P would come out zero where they are not; q o P with q = 1e-200 t
-    # multiplies in compose_scalar itself, and with q = t^2 in P^2
+    # each product of 1e-200 and 1e-200 is below the smallest double, so
+    # P^2, 1e-200 P and q o P would read as zero where they are not; q o P
+    # with q = 1e-200 t multiplies in compose_scalar itself, and with q = t^2
+    # in P^2
     p = HomPoly(2, 1, {(1, 0): 1e-200, (0, 1): 1e-200}, F64)
-    builds = (lambda: p * p, lambda: p ** 2, lambda: p.scale(1e-200),
-              lambda: compose_scalar(HomPoly(1, 1, {(1,): 1e-200}, F64), PolyMap((p,))),
-              lambda: compose_scalar(HomPoly(1, 2, {(2,): 1.0}, F64), PolyMap((p,))),
-              lambda: materialize_adjoint(PolyMap((p,)), 2, 1))
-    for build in builds:
-        with pytest.raises(CapacityError, match="below the smallest double"):
-            build()
+    results = (p * p, p ** 2, p.scale(1e-200),
+               compose_scalar(HomPoly(1, 1, {(1,): 1e-200}, F64), PolyMap((p,))),
+               compose_scalar(HomPoly(1, 2, {(2,): 1.0}, F64), PolyMap((p,))),
+               materialize_adjoint(PolyMap((p,)), 2, 1).polymap.components[0])
+    for result in results:
+        _refused_where_read(result, "below the smallest")
     # zeros that are exact are kept: a scale by zero, a cancellation, and a
     # coefficient whose lost term sits beside one that holds it
     assert p.scale(0.0).is_zero
@@ -112,6 +129,8 @@ def test_f64_result_below_the_smallest_double_is_refused():
                            (0, 0, 0, 1): -1.0}, F64)
     product = (left * right).coeffs
     assert product[(1, 1, 0, 0)] == 1.0 and (0, 0, 1, 1) not in product
+    # and a value below the smallest double on the way comes back
+    assert (p * p).scale(1e300).coeffs[(2, 0)] == float(Fraction(1e-200) ** 2 * Fraction(1e300))
     # products that stay above zero, subnormal or not, are kept
     assert (p * p.scale(1e200)).coeffs[(2, 0)] == pytest.approx(1e-200)
     assert p.scale(1e-110).coeffs[(1, 0)] == 1e-200 * 1e-110
@@ -496,9 +515,7 @@ def _plain_sum(*terms: dict) -> dict:
 
 
 def _plain_product(c1: dict, c2: dict) -> dict:
-    """Product in double-loop order; each monomial keeps the place where it
-    first appears, and the zero sums are dropped at the end.  The order
-    counts for f64 only, where it fixes eval's summation order."""
+    """Product in double-loop order, the zero sums dropped at the end."""
     out: dict = {}
     for a1, v1 in c1.items():
         for a2, v2 in c2.items():
@@ -530,50 +547,81 @@ def _int_form(p: HomPoly) -> tuple:
 
 
 def _assert_built_like_validated(result: HomPoly, expected: dict) -> None:
-    """Same values as the plain-dict oracle, and for f64 its key order too,
-    which fixes eval's summation order; no zero coefficient; equal to its
-    re-validated copy, so the integer form is canonical (D least, no zero
-    numerator).  Rational key order is not promised: exact evaluation does
-    not depend on it, and the writer sorts terms itself."""
-    if result.field == RATIONAL:
-        assert result.coeffs == expected
-    else:
-        assert list(result.coeffs.items()) == list(expected.items())
-    kind = Fraction if result.field == RATIONAL else float
-    assert all(type(c) is kind and c != 0 for c in result.coeffs.values())
+    """A rational result: the values of the plain-dict oracle; no zero
+    coefficient; equal to its re-validated copy, so the integer form is
+    canonical (D least, no zero numerator).  Key order is not promised:
+    evaluation does not depend on it, and the writer sorts terms itself."""
+    assert result.field == RATIONAL
+    assert result.coeffs == expected
+    assert all(type(c) is Fraction and c != 0 for c in result.coeffs.values())
     copy = HomPoly(result.domain_dim, result.degree, dict(result.coeffs), result.field)
     assert copy == result
     assert copy._terms == result._terms
 
 
+def _assert_rounds_the_exact(result: HomPoly, exact: HomPoly) -> None:
+    """An f64 result is the exact result of the same operation on the
+    rational copies of its operands until it is read, and its view rounds
+    each of that result's coefficients once: float() of the Fraction."""
+    assert result.field == F64 and exact.field == RATIONAL
+    assert result.as_field(RATIONAL) == exact
+    assert result.coeffs == {a: float(c) for a, c in exact.coeffs.items()}
+    assert all(type(c) is float and c != 0 for c in result.coeffs.values())
+
+
+def _exact(x) -> list[Fraction]:
+    return [Fraction(v) for v in x]
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(ring_instances(), st.sampled_from((RATIONAL, F64)))
 def test_algebra_results_equal_their_validated_copies(instance, field):
-    p, q, s, P, Q, n, _ = instance
-    p, q, s, P = p.as_field(field), q.as_field(field), s.as_field(field), P.as_field(field)
-    c = Fraction(-7, 3) if field == RATIONAL else -2.5
-    cases = [
-        (p + q, _plain_sum(p.coeffs, q.coeffs)),
-        (p * q, _plain_product(p.coeffs, q.coeffs)),
-        (p.scale(c), {a: c * v for a, v in p.coeffs.items()}),
-        (p.scale(0), {}),
-        (compose_scalar(s, P), _plain_compose(s, P)),
-    ]
-    for result, expected in cases:
-        _assert_built_like_validated(result, expected)
+    p, q, s, P, Q, n, x = instance
+    if field == RATIONAL:
+        c = Fraction(-7, 3)
+        cases = [
+            (p + q, _plain_sum(p.coeffs, q.coeffs)),
+            (p * q, _plain_product(p.coeffs, q.coeffs)),
+            (p.scale(c), {a: c * v for a, v in p.coeffs.items()}),
+            (p.scale(0), {}),
+            (compose_scalar(s, P), _plain_compose(s, P)),
+        ]
+        for result, expected in cases:
+            _assert_built_like_validated(result, expected)
+        return
+    # each f64 operation against the same one on the rational copies of its
+    # operands, coefficient by coefficient, and at a point of doubles
+    fp, fq, fs, fP = (v.as_field(F64) for v in (p, q, s, P))
+    rp, rq, rs, rP = (v.as_field(RATIONAL) for v in (fp, fq, fs, fP))
+    cases = [(fp + fq, rp + rq), (fp - fq, rp - rq), (fp * fq, rp * rq), (fp ** n, rp ** n),
+             (fp.scale(-2.5), rp.scale(Fraction(-2.5))), (fp.scale(0), rp.scale(0)),
+             (compose_scalar(fs, fP), compose_scalar(rs, rP))]
+    point = [float(v) for v in x]
+    for result, exact in cases:
+        _assert_rounds_the_exact(result, exact)
+        assert _same_double(result.eval(point), float(exact.eval(_exact(point))))
+    form = polarize(fp)
+    exact_form = SymForm(form.domain_dim, form.arity,
+                         {t: Fraction(v) for t, v in form.entries.items()})
+    args = [[v + j for v in point] for j in range(form.arity)]
+    assert _same_double(form.apply(args), float(exact_form.apply([_exact(v) for v in args])))
 
 
 @pytest.mark.parametrize("field", [RATIONAL, F64])
-def test_compose_scalar_keeps_term_by_term_order(field):
+def test_compose_scalar_drops_a_coefficient_that_cancels_and_returns(field):
     # q = u + v + w on P = (x^2 + y^2, -x^2, x^2): x^2 cancels after the
-    # second term and comes back with the third, so term-by-term addition
-    # puts it after y^2; f64 eval sums in this order
+    # second term and comes back with the third
     x2, y2 = HomPoly.monomial(2, (2, 0), 1, field), HomPoly.monomial(2, (0, 2), 1, field)
     P = PolyMap((x2 + y2, -x2, x2))
     q = HomPoly.linear_form([1, 1, 1], field)
     result = compose_scalar(q, P)
-    assert list(result.coeffs) == [(0, 2), (2, 0)]
-    _assert_built_like_validated(result, _plain_compose(q, P))
+    assert result == x2 + y2
+    assert result.coeffs == {(2, 0): 1, (0, 2): 1}
+    if field == RATIONAL:
+        _assert_built_like_validated(result, _plain_compose(q, P))
+    else:
+        _assert_rounds_the_exact(result, compose_scalar(q.as_field(RATIONAL),
+                                                        P.as_field(RATIONAL)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -581,25 +629,34 @@ def test_compose_scalar_keeps_term_by_term_order(field):
 def test_stored_form_behaves_like_its_validated_copy(instance, field, seed):
     # a result holds its integer form and builds the coeffs view on first
     # read; copies and pickles taken before that read, and the view itself,
-    # must be indistinguishable from the re-validated polynomial
+    # must be indistinguishable from the same result read first and, on the
+    # rational field, from the re-validated polynomial.  An f64 result has
+    # no re-validated copy: its view rounds the exact value it holds
     p, q, s, P, Q, n, _ = instance
     p, q, s, P = p.as_field(field), q.as_field(field), s.as_field(field), P.as_field(field)
     c = Fraction(-7, 3) if field == RATIONAL else -2.5
-    results = [p + q, p * q, p ** n, p.scale(c), compose_scalar(s, P),
-               sampling.random_hompoly(sampling.rng(seed, "stored-form"), p.domain_dim, p.degree)]
-    for result in results:
+
+    def results() -> list[HomPoly]:
+        return [p + q, p * q, p ** n, p.scale(c), compose_scalar(s, P),
+                sampling.random_hompoly(sampling.rng(seed, "stored-form"), p.domain_dim,
+                                        p.degree)]
+    for result, read in zip(results(), results()):
         int_form = _int_form(result)
         early = [copy.deepcopy(result), pickle.loads(pickle.dumps(result))]
-        validated = HomPoly(result.domain_dim, result.degree, dict(result.coeffs), result.field)
-        assert int_form == _int_form(validated)
-        assert result == validated and validated == result
-        for other in [result, *early, copy.deepcopy(validated),
-                      pickle.loads(pickle.dumps(validated))]:
-            assert other == validated
-            assert repr(other) == repr(validated)
-            assert dataclasses.asdict(other) == dataclasses.asdict(validated)
-            assert list(other.coeffs) == list(validated.coeffs)
-            assert _int_form(other) == _int_form(validated)
+        read.coeffs
+        references = [read]
+        if result.field == RATIONAL:
+            validated = HomPoly(result.domain_dim, result.degree, dict(read.coeffs), RATIONAL)
+            assert int_form == _int_form(validated)
+            references.append(validated)
+        for ref in references:
+            assert result == ref and ref == result
+            for other in [result, *early, copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))]:
+                assert other == ref
+                assert repr(other) == repr(ref)
+                assert dataclasses.asdict(other) == dataclasses.asdict(ref)
+                assert list(other.coeffs) == list(ref.coeffs)
+                assert _int_form(other) == _int_form(ref)
 
 
 def test_composed_power_builds_one_fraction_for_its_value(monkeypatch):
@@ -627,32 +684,14 @@ def test_composed_power_builds_one_fraction_for_its_value(monkeypatch):
 
 # -- one integer form for both fields ------------------------------------
 
-def _generic_eval(p: HomPoly, x) -> float:
-    """Reference f64 evaluation on the coefficients themselves: a float
-    total, terms added in coeffs order."""
-    total = 0.0
-    for alpha, c in p.coeffs.items():
-        v = 1
-        for xi, a in zip(x, alpha):
-            if a:
-                v = v * xi ** a
-        total += c * v
-    return total
-
-
-def _generic_apply(form: SymForm, args) -> float:
-    """Reference f64 symmetric-form evaluation on the entries themselves:
-    float sums, over every distinct ordering of each index tuple."""
-    total = 0.0
-    for t, val in form.entries.items():
-        s = 0.0
-        for order in sorted(set(itertools.permutations(t))):
-            prod = 1
-            for j, idx in enumerate(order):
-                prod = prod * args[j][idx]
-            s += prod
-        total += val * s
-    return total
+def _read_once(exact: Fraction):
+    """float(exact), or the CapacityError of an f64 read when that is past
+    the largest double or rounds a nonzero value to 0.0."""
+    try:
+        out = float(exact)
+    except OverflowError:
+        return "past the largest double"
+    return "below the smallest double" if exact and not out else out
 
 
 def _same_double(got, expected) -> bool:
@@ -687,12 +726,53 @@ def f64_operands(draw):
     return HomPoly(d, m, coeffs, F64), SymForm(d, m, entries, F64), points
 
 
+def _assert_read_once(read, exact: Fraction) -> None:
+    """read() gives the double that exact rounds to, or is refused."""
+    want = _read_once(exact)
+    if isinstance(want, str):
+        with pytest.raises(CapacityError, match=want):
+            read()
+    else:
+        assert _same_double(read(), want)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(f64_operands())
-def test_f64_eval_and_apply_match_the_generic_loops_bit_for_bit(operands):
+def test_f64_eval_and_apply_round_the_exact_value_once(operands):
+    # the exact value, from the rational copies of the polynomial, the form
+    # and the points, rounded once, or refused when it does not fit
     p, form, points = operands
-    assert _same_double(p.eval(points[0]), _generic_eval(p, points[0]))
-    assert _same_double(form.apply(points), _generic_apply(form, points))
+    exact_points = [_exact(x) for x in points]
+    _assert_read_once(lambda: p.eval(points[0]), p.as_field(RATIONAL).eval(exact_points[0]))
+    exact_form = SymForm(form.domain_dim, form.arity,
+                         {t: Fraction(v) for t, v in form.entries.items()})
+    _assert_read_once(lambda: form.apply(points), exact_form.apply(exact_points))
+
+
+def test_f64_eval_and_apply_refuse_a_value_that_does_not_fit_a_double():
+    # 1e200 * 1e200 and (1e200)^2 are past the largest double, (1e-200)^2
+    # below the smallest: refused where the value is rounded, as a size cap
+    p = HomPoly(2, 1, {(1, 0): 1e200, (0, 1): 1.0}, F64)
+    square = HomPoly(2, 2, {(2, 0): 1.0}, F64)
+    form = SymForm(2, 2, {(0, 0): 1.0}, F64)
+    cases = ((lambda: p.eval([1e200, 0.0]), "past the largest"),
+             (lambda: square.eval([1e200, 0.0]), "past the largest"),
+             (lambda: form.apply([[1e200, 0.0], [1e200, 0.0]]), "past the largest"),
+             (lambda: square.eval([1e-200, 0.0]), "below the smallest"),
+             (lambda: form.apply([[1e-200, 0.0], [1e-200, 0.0]]), "below the smallest"))
+    for read, edge in cases:
+        with pytest.raises(CapacityError, match=f"has a value {edge} double"):
+            read()
+    # a point of a NaN or an infinity has no exact value: bad input
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FieldError):
+            p.eval([bad, 1.0])
+        with pytest.raises(FieldError):
+            form.apply([[1.0, 0.0], [1.0, bad]])
+    # a value that fits is exact, whatever its terms passed on the way
+    assert HomPoly(2, 2, {(2, 0): 1.0, (0, 2): -1.0}, F64).eval([1e200, 1e200]) == 0.0
+    assert square.eval([1e154, 0.0]) == float(Fraction(1e154) ** 2)
+    assert form.apply([[1e-160, 1.0], [1e-160, 5.0]]) == float(Fraction(1e-160) ** 2)
 
 
 def test_f64_zero_polynomial_and_form_evaluate_to_float_zero():
@@ -921,9 +1001,10 @@ def test_dense_products_take_the_packed_path_by_the_box_rule(monkeypatch):
         expected = _packs(d, m1 + m2) and pairs >= 2 * math.comb(d + m1 + m2 - 1, m1 + m2)
         assert len(packed) == expected, (d, m1, m2)
         sides.add(expected)
-        # the f64 product never packs
-        p.as_field(F64) * q.as_field(F64)
-        assert len(packed) == expected
+        # the f64 product and its exact copy take the same path as p * q
+        fp, fq = p.as_field(F64), q.as_field(F64)
+        _assert_rounds_the_exact(fp * fq, fp.as_field(RATIONAL) * fq.as_field(RATIONAL))
+        assert len(packed) == 3 * expected
     assert sides == {False, True}
 
 

@@ -277,12 +277,13 @@ def test_json_writer_refuses_other_types(obj):
 
 
 def test_polymap_dumps_refuses_nan():
-    # the public constructor refuses non-finite values, and f64 arithmetic
-    # that overflows, which used to reach inf and then NaN as inf - inf,
-    # now refuses its result where it is built; a polynomial forged to hold
-    # either is still not written, as polymap_loads would refuse the file
-    with pytest.raises(CapacityError):
-        HomPoly(2, 1, {(1, 0): 1e308}, F64).scale(10.0)
+    # the public constructor refuses non-finite values, and an f64 result
+    # past the largest double, which f64 arithmetic once carried as inf and
+    # then NaN as inf - inf, is refused where the writer reads it; a
+    # polynomial forged to hold either is still not written, as
+    # polymap_loads would refuse the file
+    with pytest.raises(CapacityError, match="past the largest double"):
+        polymap_dumps(PolyMap((HomPoly(2, 1, {(1, 0): 1e308}, F64).scale(10.0),)))
     for value in (math.inf, math.nan):
         poly = object.__new__(HomPoly)
         poly.__dict__.update(domain_dim=2, degree=1, field=F64, coeffs={(1, 0): value},
