@@ -18,7 +18,7 @@ checkers for the recovery and factorization identities:
 * with scalar test spaces the operator recovers R itself.
 
 The numeric two-sided bound |R o P o Q| <= |R| |P|^deg(R) |Q|^{deg(P) deg(R)}
-is checked with certified lower-bound sup norms.
+is checked with sup norms that are lower bounds up to float rounding.
 """
 from __future__ import annotations
 
@@ -213,7 +213,7 @@ def check_two_sided_norm(R: PolyMap, P: PolyMap, Q: PolyMap,
                          cfg: NormConfig = NormConfig()) -> Report:
     """|R o P o Q| <= |R| * |P|^deg(R) * |Q|^(deg(P)*deg(R)), numerically.
 
-    All four sup norms are certified lower bounds, so a genuine violation
+    All four sup norms are lower bounds up to float rounding, so a violation
     beyond tolerance would be meaningful; the reported slack is relative,
     and the error is the relative violation, checked at a fixed 1e-9.
     """

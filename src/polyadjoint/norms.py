@@ -1,9 +1,10 @@
 """Sup norms of polynomial maps on the Euclidean unit ball, with certificates.
 
 The sup norm is the maximum of |P(x)| over the Euclidean unit ball; for a
-homogeneous map it sits on the unit sphere.  Every estimate is a certified
-lower bound: its value is P evaluated at its maximizer, which lies on the
-sphere up to machine precision.
+homogeneous map it sits on the unit sphere.  Every estimate's value is P
+evaluated in floats at its maximizer, which lies on the sphere up to machine
+precision.  It is a lower bound up to that rounding, not to the last bit:
+it may exceed the exact |P(x)|/|x|^m at its own maximizer x by a few ulps.
 
 `sup_norm` runs one pipeline over a stack of maps of one shape (d, m, e);
 a single map is a stack of one.  A method, chosen by shape, supplies the
@@ -34,9 +35,9 @@ ascent point at least as good as the floor's best replaces it.  Random
 circle points, the same for every map of a seed and drawn once, may not
 beat a circle pass's pick, so a root-finder that misses the maximum fails
 loudly.  The tail is stacked too: each pick is renormalized onto the sphere
-and its map evaluated there, which gives the certified lower bound, asserted
-below the Euclidean norm of the coefficient absolute sums and scaled back if
-the map was measured scaled.  Every slice of a stacked step computes what
+and its map evaluated there, which gives the value, asserted below the
+Euclidean norm of the coefficient absolute sums and scaled back if the map
+was measured scaled.  Every slice of a stacked step computes what
 the map alone would, so an estimate has the same bits in a stack as by
 itself.
 
@@ -55,16 +56,17 @@ tabulated once per stack and read from a dict after (`_floor`): a stack
 makes its own, and a caller that keeps one, as a claim of the suite does,
 lends it to every later search at that key, to the same bits.
 
-Verification helpers bracket each norm identity from both sides: an
-explicit norming construction certifies the lower bound, random normalized
+The four `check_*` functions bracket each norm identity from both sides:
+an explicit norming construction gives the lower side, random normalized
 polynomials confirm the upper bound is never exceeded.  The upper side
 takes two steps: `_unit_trials` draws one stream's polynomials first and
 norms them to unit sup norm in one stack, and each instance is measured
-against those unit trials.  A claim of the suite keeps them in a dict of
-its own (`_stream`), beside the floors, so each stream is drawn and normed
-once per claim and each floor drawn once per claim, and its instances
-share them; the public checks run both steps for one instance, with a
-fresh dict.
+against those unit trials.  Each check takes a keyword-only ``memo``, the
+dict that keeps the unit trials (`_stream`) beside the floors, a fresh one
+by default.  `verify` lends one dict per claim, so each stream is drawn and
+normed once per claim and each floor drawn once per claim, and the claim's
+instances share them; a dict never changes a report, only how much work
+is shared.
 Each returns a `Report`, which passes exactly when its relative error is
 within its tolerance.  No check reads the clock, so same-seed reports are
 equal.
@@ -167,8 +169,9 @@ class Report:
     def measured(cls, claim: str, cfg: NormConfig, lhs: float, rhs: float,
                  rel_err: float, details: dict, tol: float | None = None) -> Report:
         """The report of a check run at ``cfg``, whose tolerance it takes
-        unless ``tol`` is given; every lower side is an evaluation, hence
-        certified."""
+        unless ``tol`` is given.  Every lower side is a float evaluation at
+        an attaining point, so ``certified_lower`` holds up to the rounding
+        of that evaluation (a few ulps relative), not to the last bit."""
         return cls(claim, lhs, rhs, rel_err, cfg.tol if tol is None else tol, True,
                    cfg.samples, cfg.seed, details)
 
@@ -623,8 +626,8 @@ def _proves_upper(coeffs: np.ndarray, d: int, m: int, u: float) -> bool:
 def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
              extra_starts: Sequence[Sequence[float]] = (), *,
              memo: dict | None = None) -> NormEstimate:
-    """Certified lower-bound estimate of the sup norm on the unit ball, on
-    the f64 field; see the module docstring for the methods.
+    """Lower-bound estimate, up to float rounding, of the sup norm on the
+    unit ball, on the f64 field; see the module docstring for the methods.
     ``extra_starts`` are known good points, projected to the sphere (the
     zero vector is dropped, a non-finite one raises FieldError).  Only
     the search iterates (every other method reports ``iterations == 0``):
@@ -716,7 +719,7 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
         _cross_check(shape, coeffs[circle], cfg, vals[circle].max(axis=1))
 
     # renormalize exactly onto the sphere and re-evaluate: the value reported
-    # is an evaluation, hence a certified lower bound
+    # is an evaluation, hence a lower bound up to its rounding
     best = best / np.sqrt((best * best).sum(axis=1))[:, None]
     values = shape.norms(best[:, None], coeffs)[:, 0]
     bounds = _row_norms(np.abs(coeffs).sum(axis=2))
@@ -838,16 +841,13 @@ def _point_target(x: Sequence, power: int, name: str) -> tuple[list[float], floa
     return xv, nx, _normal_power(nx, power, name)
 
 
-def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig()) -> Report:
+def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig(), *,
+                       memo: dict | None = None) -> Report:
     """|x|^m is attained by the m-th power of a norming functional, and that
     power has sup norm at most one.  The error brackets both sides: the
     relative attainment gap and the excess of that sup norm over one.
-    CapacityError when |x|^m is not a normal double."""
-    return _norm_duality_report(x, m, cfg, {})
-
-
-def _norm_duality_report(x: Sequence, m: int, cfg: NormConfig, memo: dict) -> Report:
-    """`check_norm_duality`, its sup norm's floor read from ``memo``."""
+    CapacityError when |x|^m is not a normal double.  ``memo`` is passed
+    to `sup_norm`."""
     xv, nx, target = _point_target(x, m, f"|x|^{m}")
     phi = norming_functional(xv)
     q = phi ** m
@@ -897,18 +897,14 @@ def _worst_ratio(ratios: Iterable[float]) -> float:
 
 def check_adjoint_norm(P: PolyMap, n: int, k: int,
                        cfg: NormConfig = NormConfig(),
-                       q_trials: int = ADJOINT_Q_TRIALS) -> Report:
+                       q_trials: int = ADJOINT_Q_TRIALS, *, memo: dict | None = None) -> Report:
     """The adjoint's norm equals |P|^{kn}: certified from below by the k-th
     power of a functional norming P at its maximizer, and never exceeded on
     normalized random test polynomials.  CapacityError when |P|^{kn} is not
-    a normal double; n and k are checked before any sup norm runs."""
-    return _adjoint_norm_report(P, n, k, cfg, q_trials, {})
-
-
-def _adjoint_norm_report(P: PolyMap, n: int, k: int, cfg: NormConfig, q_trials: int,
-                         memo: dict) -> Report:
-    """`check_adjoint_norm`, its unit trials and floors read from ``memo``:
-    the trials' stream depends on n, k and the codomain of P."""
+    a normal double; n and k are checked before any sup norm runs.  The
+    unit trials and floors are read from ``memo`` (`_stream`), a fresh dict
+    by default: the trials' stream depends on n, k and the codomain of P."""
+    memo = {} if memo is None else memo
     if n < 1 or k < 1:
         raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
     P = P.as_field(F64)
@@ -932,17 +928,13 @@ def _adjoint_norm_report(P: PolyMap, n: int, k: int, cfg: NormConfig, q_trials: 
 
 def check_embedding_norm(x: Sequence, m: int, n: int,
                          cfg: NormConfig = NormConfig(),
-                         q_trials: int = 32) -> Report:
+                         q_trials: int = 32, *, memo: dict | None = None) -> Report:
     """The power evaluation embedding of x has norm |x|^{mn}: attained by the
     n-th power of a norming functional of x, never exceeded by normalized
-    random q.  CapacityError when |x|^{mn} is not a normal double."""
-    return _embedding_norm_report(x, m, n, cfg, q_trials, {})
-
-
-def _embedding_norm_report(x: Sequence, m: int, n: int, cfg: NormConfig, q_trials: int,
-                           memo: dict) -> Report:
-    """`check_embedding_norm`, its unit trials read from ``memo``: their
-    stream depends on m, n and the dimension of x."""
+    random q.  CapacityError when |x|^{mn} is not a normal double.  The unit
+    trials are read from ``memo`` (`_stream`), a fresh dict by default:
+    their stream depends on m, n and the dimension of x."""
+    memo = {} if memo is None else memo
     xv, _, target = _point_target(x, m * n, f"the embedding's norm |x|^{m * n}")
     d = len(xv)
     jp = evaluation_embedding(xv, m, n, field=F64)
@@ -958,16 +950,13 @@ def _embedding_norm_report(x: Sequence, m: int, n: int, cfg: NormConfig, q_trial
 
 
 def check_metric_injection(proj: PolyMap, q: HomPoly,
-                           cfg: NormConfig = NormConfig()) -> Report:
+                           cfg: NormConfig = NormConfig(), *,
+                           memo: dict | None = None) -> Report:
     """Precomposition with a surjection that maps the ball onto the ball
     preserves the sup norm; here the surjection is a matrix with orthonormal
-    rows acting between Euclidean balls.  CapacityError unless |q| is normal."""
-    return _metric_injection_report(proj, q, cfg, {})
-
-
-def _metric_injection_report(proj: PolyMap, q: HomPoly, cfg: NormConfig,
-                             memo: dict) -> Report:
-    """`check_metric_injection`, its sup norms' floors read from ``memo``."""
+    rows acting between Euclidean balls.  CapacityError unless |q| is normal.
+    ``memo`` is passed to `sup_norm`.  Neither search is handed a start, so
+    the norm of q(proj x) is measured against a value it was not given."""
     proj = proj.as_field(F64)
     if proj.degree != 1:
         raise PreconditionError("proj must be linear")
@@ -982,8 +971,7 @@ def _metric_injection_report(proj: PolyMap, q: HomPoly, cfg: NormConfig,
         raise DegenerateInputError("q is zero")
     rhs_est = sup_norm(q, cfg, memo=memo)
     _normal_power(rhs_est.value, 1, "the sup norm of q")
-    lifted_start = (A.T @ np.asarray(rhs_est.maximizer)).tolist()
-    lhs_est = sup_norm(compose_scalar(q, proj), cfg, [lifted_start], memo=memo)
+    lhs_est = sup_norm(compose_scalar(q, proj), cfg, memo=memo)
     return Report.measured("metric_injection", cfg, lhs_est.value, rhs_est.value,
                            abs(lhs_est.value / rhs_est.value - 1.0),
                            {"domain_dim": g, "codomain_dim": e, "k": q.degree})

@@ -33,8 +33,8 @@ from .errors import PreconditionError, SearchBudgetError
 from .finite_type import expand_adjoint, expansion_defect, finite_rank_rep
 from .linearization import (adjoint_matrix, adjoint_rank_bound, linearization_matrix,
                             map_rank, tensor_power)
-from .norms import (NormConfig, Report, _adjoint_norm_report, _embedding_norm_report,
-                    _metric_injection_report, _norm_duality_report)
+from .norms import (NormConfig, Report, check_adjoint_norm, check_embedding_norm,
+                    check_metric_injection, check_norm_duality)
 from . import sampling
 from .sampling import (_np_rng, _random_f64_map, _random_hompoly_f64,
                        _random_nonzero_f64_point)
@@ -470,8 +470,8 @@ def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "norm-duality-x")
     memo: dict = {}
-    reports = (_norm_duality_report(_random_nonzero_f64_point(rng, _dims_cycle(cfg, t)),
-                                    1 + t % 3, ncfg, memo)
+    reports = (check_norm_duality(_random_nonzero_f64_point(rng, _dims_cycle(cfg, t)),
+                                  1 + t % 3, ncfg, memo=memo)
                for t in range(50))
     return _norm_claim("norm_duality", cfg, reports)
 
@@ -484,7 +484,7 @@ def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "adjoint-norm-P")
     memo: dict = {}
-    reports = (_adjoint_norm_report(_random_f64_map(rng, 2, 2, m), n, k, ncfg, 100, memo)
+    reports = (check_adjoint_norm(_random_f64_map(rng, 2, 2, m), n, k, ncfg, 100, memo=memo)
                for m, (n, k) in itertools.product(range(1, cfg.max_m + 1),
                                                   ((1, 1), (1, 2), (2, 1))))
     return _norm_claim("adjoint_norm", cfg, reports, q_trials=100)
@@ -496,8 +496,8 @@ def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "embedding-norm-x")
     memo: dict = {}
-    reports = (_embedding_norm_report(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2),
-                                      m, n, ncfg, 12, memo)
+    reports = (check_embedding_norm(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2),
+                                    m, n, ncfg, 12, memo=memo)
                for m, n in _grid(cfg.max_m, cfg.max_n)
                for t in range(20))
     return _norm_claim("embedding_norm", cfg, reports)
@@ -519,8 +519,8 @@ def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
                 # orthonormal rows from a seeded QR factorization
                 Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
                 proj = PolyMap.from_matrix(Q[:, :2].T.tolist(), F64)
-            yield _metric_injection_report(proj, _random_hompoly_f64(rng, 2, 1 + t % 3), ncfg,
-                                           memo)
+            yield check_metric_injection(proj, _random_hompoly_f64(rng, 2, 1 + t % 3), ncfg,
+                                         memo=memo)
 
     return _norm_claim("metric_injection", cfg, reports())
 

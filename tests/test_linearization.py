@@ -120,11 +120,32 @@ def test_rank_bound_holds_and_is_tight_for_rank_one():
         P = sampling.random_polymap(rng, 2, 3, 2)
         k = 2
         assert adjoint_matrix(P, k).rank() <= adjoint_rank_bound(P, k)
-    # rank-one map: adjoint matrix rank is at most C(1+k-1, k) = 1
+    # rank-one map: adjoint matrix rank is C(1+k-1, k) = 1
     p = sampling.random_hompoly(rng, 2, 2)
     R1 = PolyMap((p, p.scale(Fraction(2)), p.scale(Fraction(-1))))
-    assert adjoint_matrix(R1, 3).rank() <= 1
+    assert adjoint_matrix(R1, 3).rank() == 1
     assert adjoint_rank_bound(R1, 3) == 1
+
+
+@pytest.mark.parametrize("d,e", [(2, 2), (3, 2), (3, 3)])
+def test_rank_bound_is_attained_when_the_codomain_is_no_wider(d, e):
+    # with e <= d the components of a random map are algebraically
+    # independent, so q -> q(P) is injective on degree-k polynomials on R^e
+    # and the rank is C(e+k-1, k): a bound one larger fails here.  A draw
+    # whose components are linearly dependent (some terms are dropped) has
+    # a smaller bound, which it must attain too
+    rng = sampling.rng(9, f"bound-attained-{d}-{e}")
+    full = 0
+    for m in (1, 2):
+        for k in (1, 2, 3):
+            for _ in range(5):
+                P = sampling.random_polymap(rng, d, e, m)
+                assert adjoint_matrix(P, k).rank() == adjoint_rank_bound(P, k)
+                if map_rank(P) == e:
+                    full += 1
+                    assert adjoint_rank_bound(P, k) == math.comb(e + k - 1, k)
+    # nearly every draw has full rank, so the equality with C(e+k-1, k) runs
+    assert full >= 25
 
 
 def test_linear_map_inverse_and_rank():

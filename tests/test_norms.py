@@ -849,7 +849,7 @@ def test_a_nan_ratio_against_shared_trials_fails_every_instance_that_reads_it(
     # the instances of a claim share one stream's unit trials: a trial whose
     # ratio is NaN fails each instance measured against it
     cfg, streams = NormConfig(seed=5), {}
-    norms._embedding_norm_report(EMBEDDING_POINTS[0], 2, 2, cfg, 10, streams)
+    check_embedding_norm(EMBEDDING_POINTS[0], 2, 2, cfg, 10, memo=streams)
     (unit,) = streams.values()
     poisoned = unit[position].coeff_vector()
     real = norms.evaluation_embedding
@@ -863,7 +863,7 @@ def test_a_nan_ratio_against_shared_trials_fails_every_instance_that_reads_it(
         def eval(self, v):
             return math.nan if list(v) == list(poisoned) else self.jp.eval(v)
     monkeypatch.setattr(norms, "evaluation_embedding", lambda *a, **kw: NanOn(real(*a, **kw)))
-    reps = [norms._embedding_norm_report(x, 2, 2, cfg, 10, streams) for x in EMBEDDING_POINTS]
+    reps = [check_embedding_norm(x, 2, 2, cfg, 10, memo=streams) for x in EMBEDDING_POINTS]
     (shared,) = streams.values()
     assert shared is unit
     assert all(math.isnan(rep.rel_err) and not rep.passed for rep in reps)
@@ -888,7 +888,7 @@ def test_instances_share_unit_trials_but_never_ratios(monkeypatch):
         jp = real(x, *a, **kw)
         return NanAll(jp) if list(x) == EMBEDDING_POINTS[0] else jp
     monkeypatch.setattr(norms, "evaluation_embedding", embedding)
-    first, *rest = [norms._embedding_norm_report(x, 2, 2, cfg, 10, streams)
+    first, *rest = [check_embedding_norm(x, 2, 2, cfg, 10, memo=streams)
                     for x in EMBEDDING_POINTS]
     assert math.isnan(first.rel_err) and not first.passed
     monkeypatch.setattr(norms, "evaluation_embedding", real)

@@ -388,14 +388,15 @@ def test_numeric_suite_catches_injected_sup_norm_faults(monkeypatch):
         "claim_two_sided_bound": "AssertionError",
     }
 
-    # a blind spot: every d >= 3 search of the suite is handed a start that
-    # already attains the norm (the unit point of norm_duality, the lifted
-    # maximizer of metric_injection), so a search that never climbs from
-    # its sample floor passes every claim
+    # a search that never climbs from its sample floor: metric_injection
+    # hands neither of its searches a start, so the search on q(proj x)
+    # falls short of the norm of q and the claim fails.  norm_duality still
+    # hands its search the unit point, which attains the norm, and its upper
+    # side fails only on an excess over one, so it cannot catch this
     with monkeypatch.context() as patch:
         patch.setattr(norms, "_ascend_batch", _no_step_accepted)
         caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
-    assert caught == {}
+    assert caught == {"claim_metric_injection": "fail"}
     assert _verdicts(cfg, NUMERIC_CLAIMS) == clean
 
 
