@@ -22,6 +22,8 @@ is checked with sup norms that are lower bounds up to float rounding.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +37,8 @@ from .algebra import (
     compose_scalar,
 )
 from .adjoint import adjoint_apply, integer_points
-from .errors import DegreeError, DimensionError, PreconditionError, SearchBudgetError
+from .errors import (CapacityError, DegreeError, DimensionError, PreconditionError,
+                     SearchBudgetError)
 from .norms import NormConfig, Report, sup_norm
 
 
@@ -210,25 +213,33 @@ def check_factorization_identities(m: int, B: PolyMap,
 
 
 def check_two_sided_norm(R: PolyMap, P: PolyMap, Q: PolyMap,
-                         cfg: NormConfig = NormConfig()) -> Report:
+                         cfg: NormConfig = NormConfig(), *,
+                         memo: dict | None = None) -> Report:
     """|R o P o Q| <= |R| * |P|^deg(R) * |Q|^(deg(P)*deg(R)), numerically.
 
     All four sup norms are lower bounds up to float rounding, so a violation
     beyond tolerance would be meaningful; the reported slack is relative,
-    and the error is the relative violation, checked at a fixed 1e-9.
+    and the error is the relative violation, checked at a fixed 1e-9.  A
+    zero factor makes the bound 0, which only a zero composite meets; any
+    other bound must be a normal double (CapacityError).  ``memo`` is
+    passed to `sup_norm`.
     """
+    memo = {} if memo is None else memo
     R, P, Q = R.as_field(F64), P.as_field(F64), Q.as_field(F64)
     if Q.codomain_dim != P.domain_dim or P.codomain_dim != R.domain_dim:
         raise DimensionError("R o P o Q is not composable")
     k, m = R.degree, P.degree
-    comp = compose_map(R, compose_map(P, Q))
-    lhs = sup_norm(comp, cfg).value
-    bound = (sup_norm(R, cfg).value
-             * sup_norm(P, cfg).value ** k
-             * sup_norm(Q, cfg).value ** (m * k))
-    slack = (bound - lhs) / bound if bound > 0 else 0.0
-    # a NaN slack stays NaN, and fails
-    violation = 0.0 if slack >= 0 else -slack
-    return Report.measured("two_sided_bound", cfg, lhs, bound, violation,
-                           {"slack": slack, "deg_R": k, "deg_P": m, "deg_Q": Q.degree},
-                           tol=1e-9)
+    lhs, nR, nP, nQ = (sup_norm(M, cfg, memo=memo).value
+                       for M in (compose_map(R, compose_map(P, Q)), R, P, Q))
+    bound, slack = 0.0, 0.0 if lhs == 0 else -math.inf
+    if nR and nP and nQ:
+        try:
+            bound = nR * nP ** k * nQ ** (m * k)
+        except OverflowError:
+            bound = math.inf
+        # an inf times an underflowed 0 is NaN, which this refuses too
+        if not sys.float_info.min <= bound <= sys.float_info.max:
+            raise CapacityError(f"the bound |R| |P|^{k} |Q|^{m * k} does not fit a double")
+        slack = (bound - lhs) / bound
+    return Report("two_sided_bound", lhs, bound, max(0.0, -slack), 1e-9, True, cfg.samples,
+                  cfg.seed, {"slack": slack, "deg_R": k, "deg_P": m, "deg_Q": Q.degree})

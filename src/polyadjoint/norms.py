@@ -32,14 +32,13 @@ projected to the sphere, follow it.  The heads:
 The candidate of largest value is then picked once for the whole stack, by
 one monomial table and one stacked matmul; the first maximum wins, so an
 ascent point at least as good as the floor's best replaces it.  Random
-circle points, the same for every map of a seed and drawn once, may not
-beat a circle pass's pick, so a root-finder that misses the maximum fails
-loudly.  The tail is stacked too: each pick is renormalized onto the sphere
-and its map evaluated there, which gives the value, asserted below the
-Euclidean norm of the coefficient absolute sums and scaled back if the map
-was measured scaled.  Every slice of a stacked step computes what
-the map alone would, so an estimate has the same bits in a stack as by
-itself.
+circle points, the same for every map of a seed, may not beat a circle
+pass's pick, so a root-finder that misses the maximum fails loudly.  The
+tail is stacked too: each pick is renormalized onto the sphere and its map
+evaluated there, which gives the value, asserted below the Euclidean norm
+of the coefficient absolute sums and scaled back if the map was measured
+scaled.  Every slice of a stacked step computes what the map alone would,
+so an estimate has the same bits in a stack as by itself.
 
 Only the closed form also carries an upper bound ``upper = value (1 +
 2^-40)``, proven map by map in exact integer arithmetic (`_proves_upper`);
@@ -50,26 +49,26 @@ The index tables a map evaluates with depend only on its shape (d, m), so
 from unit scale is measured scaled by a power of two, which is exact, so no
 square underflows or overflows; `vector_norm` scales a vector the same way.
 
-The search's sample floor, its points and their monomial table, depends
-only on the seed, the shape (d, m) and the sample count, so it is drawn and
-tabulated once per stack and read from a dict after (`_floor`): a stack
-makes its own, and a caller that keeps one, as a claim of the suite does,
-lends it to every later search at that key, to the same bits.
+The search's sample floor (its points and their monomial table) depends
+only on the seed, the shape (d, m) and the sample count, and the circle
+pass's cross-check points only on the seed, so each is drawn once per stack
+and read from a dict after (`_floor`, `_cross_check`): a stack makes its
+own, and a caller that keeps one, as a claim of the suite does, lends it
+to every later call at that key, to the same bits.  No draw outlives it.
 
-The four `check_*` functions bracket each norm identity from both sides:
-an explicit norming construction gives the lower side, random normalized
-polynomials confirm the upper bound is never exceeded.  The upper side
-takes two steps: `_unit_trials` draws one stream's polynomials first and
-norms them to unit sup norm in one stack, and each instance is measured
-against those unit trials.  Each check takes a keyword-only ``memo``, the
-dict that keeps the unit trials (`_stream`) beside the floors, a fresh one
-by default.  `verify` lends one dict per claim, so each stream is drawn and
-normed once per claim and each floor drawn once per claim, and the claim's
-instances share them; a dict never changes a report, only how much work
-is shared.
-Each returns a `Report`, which passes exactly when its relative error is
-within its tolerance.  No check reads the clock, so same-seed reports are
-equal.
+The four `check_*` functions bracket a norm identity lhs = rhs
+(`Report.bracket`): a norming construction attains lhs from below, and on
+the upper side no measurement over rhs may exceed one.  The error is the
+worse of the two sides, and a report passes exactly when it is within its
+tolerance.  Random normalized polynomials make the upper side of the
+adjoint and the embedding: `_unit_trials` draws one stream's polynomials
+first and norms them to unit sup norm in one stack, and each instance is
+measured against those unit trials.  Each check takes a keyword-only
+``memo``, the dict that keeps the unit trials (`_stream`) beside the floors
+and the cross-check points, a fresh one by default; `verify` lends one per
+claim, so the claim's instances share them.  A dict never changes a
+report, only how much work is shared.  No check reads the clock, so
+same-seed reports are equal.
 """
 from __future__ import annotations
 
@@ -149,7 +148,7 @@ class Report:
     """One verified norm claim, bracketed from below and above.
 
     ``passed`` is not an argument: it is ``rel_err <= tol``, so a NaN error
-    fails.  ``measured`` is the constructor the checks use."""
+    fails.  ``bracket`` is the constructor the identity checks use."""
 
     claim: str
     lhs: float
@@ -166,14 +165,19 @@ class Report:
         object.__setattr__(self, "passed", self.rel_err <= self.tol)
 
     @classmethod
-    def measured(cls, claim: str, cfg: NormConfig, lhs: float, rhs: float,
-                 rel_err: float, details: dict, tol: float | None = None) -> Report:
-        """The report of a check run at ``cfg``, whose tolerance it takes
-        unless ``tol`` is given.  Every lower side is a float evaluation at
-        an attaining point, so ``certified_lower`` holds up to the rounding
-        of that evaluation (a few ulps relative), not to the last bit."""
-        return cls(claim, lhs, rhs, rel_err, cfg.tol if tol is None else tol, True,
-                   cfg.samples, cfg.seed, details)
+    def bracket(cls, claim: str, cfg: NormConfig, lhs: float, rhs: float,
+                ratios: Iterable[float], details: dict) -> Report:
+        """The report of the identity lhs = rhs at ``cfg``, lhs attained
+        from below and ``ratios``, the upper side's measurements over rhs,
+        at most one.  Its error is max(|lhs/rhs - 1|, max(ratios) - 1), NaN
+        if any term is (np.maximum, unlike max, keeps it), and the largest
+        ratio (0.0 for none) joins ``details`` as ``worst_upper_ratio``.
+        Every lower side is a float evaluation at an attaining point, so
+        ``certified_lower`` holds up to its rounding (a few ulps relative)."""
+        worst = float(functools.reduce(np.maximum, ratios, 0.0))
+        rel_err = float(np.maximum(abs(lhs / rhs - 1.0), worst - 1.0))
+        return cls(claim, lhs, rhs, rel_err, cfg.tol, True, cfg.samples, cfg.seed,
+                   {**details, "worst_upper_ratio": worst})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -454,20 +458,18 @@ def _circle_points(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
     return heads
 
 
-@functools.lru_cache(maxsize=4)
-def _cross_check_points(seed: int) -> np.ndarray:
-    """The circle pass's CROSS_CHECK random circle points at this seed, the
-    first draw of a fresh stream: the same for every map, so drawn once."""
-    return _read_only(_sphere_samples(2, CROSS_CHECK, _np_rng(seed, "sup-norm-l2-2")))[0]
-
-
-def _cross_check(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, tops: np.ndarray) -> None:
+def _cross_check(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, tops: np.ndarray,
+                 memo: dict) -> None:
     """Random circle points may not beat ``tops``, the picked value of each
     map of the (B, e, T) stack (d = 2).  The circle pass is exhaustive (t =
     infinity is +-e_1), so its pick is the maximum, and the points only
     guard the root-finder; one monomial table serves them, with one stacked
-    matmul."""
-    V = shape.monomials(_cross_check_points(cfg.seed))[0] @ coeffs.transpose(0, 2, 1)
+    matmul.  The CROSS_CHECK points are the first draw of a fresh stream,
+    the same for every map of a seed, so each ``memo`` draws them once."""
+    key = ("cross-check", cfg.seed)
+    if key not in memo:
+        memo[key] = _sphere_samples(2, CROSS_CHECK, _np_rng(cfg.seed, "sup-norm-l2-2"))
+    V = shape.monomials(memo[key])[0] @ coeffs.transpose(0, 2, 1)
     checks = _row_norms(V.reshape(-1, V.shape[2])).reshape(len(V), -1).max(axis=1)
     for check, top in zip(checks.tolist(), tops.tolist()):
         if check > top * (1.0 + 1e-9):
@@ -507,10 +509,8 @@ def _ascend_batch(shape: _Shape, coeffs: np.ndarray, X: np.ndarray) -> tuple[np.
     V = mon @ coeffs.T
     f = (V * V).sum(axis=1)
     eta = np.full(X.shape[0], 0.1)
-    iters = 0
     stall = 0
-    for _ in range(MAX_ASCENT_ITERS):
-        iters += 1
+    for iters in range(1, MAX_ASCENT_ITERS + 1):
         G = _gradient(partials, V, low)
         # tangential component; near a maximizer it vanishes
         Gt = G - ((G * X).sum(axis=1, keepdims=True)) * X
@@ -637,8 +637,9 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     largest coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as
     2^-e P and its value scaled back, both exactly; a norm past the
     largest double raises CapacityError.  ``memo``, a dict the caller
-    keeps, lends the search a sample floor drawn at the same seed, shape and
-    sample count by an earlier call, which gives the same bits (`_floor`)."""
+    keeps, lends the search a sample floor and the circle pass its
+    cross-check points, drawn at the same key by an earlier call, which
+    gives the same bits (`_floor`, `_cross_check`)."""
     return _sup_norms([P], cfg, extra_starts, memo)[0]
 
 
@@ -647,8 +648,7 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
                memo: dict | None = None) -> list[NormEstimate]:
     """`sup_norm` of each map of a stack that shares one shape (d, m, e),
     each to the bits it gets alone; only the search works map by map.  The
-    search reads its sample floor from ``memo`` (`_floor`), a fresh dict
-    unless the caller keeps one, so the maps of a stack share one floor."""
+    draws are read from ``memo``, a fresh dict unless the caller keeps one."""
     memo = {} if memo is None else memo
     maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
     if not maps:
@@ -658,14 +658,20 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     d, m, e = maps[0].domain_dim, maps[0].degree, maps[0].codomain_dim
     if any((P.domain_dim, P.degree, P.codomain_dim) != (d, m, e) for P in maps):
         raise DimensionError("a stack of maps shares one shape (d, m, e)")
-    # a linear map or a scalar quadratic form
-    closed_form = 2 <= d <= MAX_CLOSED_FORM_DIM and (m == 1 or (m == 2 and e == 1))
-    search = [not closed_form and (d > 2 or (d == 2 and _exponent_spread(P) > MAX_CIRCLE_SPREAD))
-              for P in maps]
+    # each map's method, which `norm` prints and the benchmark counts (the
+    # search keeps its name although its samples are now Gaussian); the shape
+    # alone decides it for a linear map or a scalar quadratic form, and on R^1
+    by_shape = ("closed-form" if 2 <= d <= MAX_CLOSED_FORM_DIM and (m == 1 or (m == 2 and e == 1))
+                else "endpoint-enumeration" if d == 1 else None)
+    method = [by_shape or ("sobol+gradient-ascent"
+                           if d > 2 or _exponent_spread(P) > MAX_CIRCLE_SPREAD
+                           else "circle-critical-points") for P in maps]
+    search = [b for b, name in enumerate(method) if name == "sobol+gradient-ascent"]
+    circle = [b for b, name in enumerate(method) if name == "circle-critical-points"]
     points = cfg.samples + 2 * d
     # checked before the coefficients are read, as the exponent and
     # derivative tables alone grow with d times the monomial count
-    if any(search) and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
+    if search and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
         raise CapacityError(
             f"{points} sphere points times C({d + m - 1}, {m}) monomials "
             f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
@@ -678,45 +684,37 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     coeffs = np.ldexp(raw, -shifts[:, None, None])
 
     # the candidate rows after each method's head: +-e_i and the extra
-    # starts, each normalized at unit scale, as 2^-e v with 2^e its largest
-    # entry, which is exact, so that only the zero vector is dropped
+    # starts, each projected to the sphere; only the zero vector is dropped
     rows = [_signed_basis(d)]
     for s in extra_starts:
         v = np.asarray(s, dtype=float)
         if not np.isfinite(v).all():
             raise FieldError("non-finite extra start")
         if v.any():
-            v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
-            rows.append((v / vector_norm(v))[None, :])
+            rows.append(_unit_direction(v)[None, :])
     starts = np.vstack(rows)
     B, iters = len(maps), [0] * len(maps)
-    circle = [b for b, s in enumerate(search) if d == 2 and not (s or closed_form)]
-    if closed_form:
+    if by_shape == "closed-form":
         heads = _top_eigenvectors(coeffs, d, m)[:, None]
-    elif d == 1:
+    elif by_shape:
         # no head: the endpoints +-e_1 are the first starts
         heads = np.empty((B, 0, d))
     else:
         ragged = dict(zip(circle, _circle_points(coeffs[circle], m))) if circle else {}
-        for b in np.flatnonzero(search).tolist():
+        for b in search:
             ragged[b], iters[b] = _search_head(shape, coeffs[b], cfg, starts, memo)
         # each head is padded to one length by copies of its last row, which
         # follow that row, so they never win: the pick takes the first maximum
         heads = np.empty((B, max(map(len, ragged.values())), d))
         for b, head in ragged.items():
             heads[b, :len(head)], heads[b, len(head):] = head, head[-1]
-    # `norm` prints these labels and the benchmark counts by them; the
-    # search keeps its name although the samples are now Gaussian
-    label = "closed-form" if closed_form else "endpoint-enumeration" if d == 1 else None
-    method = [label or ("sobol+gradient-ascent" if s else "circle-critical-points")
-              for s in search]
 
     # one pick for every method, over each map's head and then the starts
     X = np.concatenate([heads, starts[None].repeat(B, axis=0)], axis=1)
     vals = shape.norms(X, coeffs)
     best = X[np.arange(B), vals.argmax(axis=1)]
     if circle:
-        _cross_check(shape, coeffs[circle], cfg, vals[circle].max(axis=1))
+        _cross_check(shape, coeffs[circle], cfg, vals[circle].max(axis=1), memo)
 
     # renormalize exactly onto the sphere and re-evaluate: the value reported
     # is an evaluation, hence a lower bound up to its rounding
@@ -732,7 +730,8 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     for b, value in enumerate(values.tolist()):
         shift = int(shifts[b])
         try:
-            upper = _certified_upper(raw[b], d, m, value, shift) if closed_form else None
+            upper = (_certified_upper(raw[b], d, m, value, shift)
+                     if method[b] == "closed-form" else None)
             if shift:
                 value = math.ldexp(value, shift)
         except OverflowError:
@@ -805,15 +804,20 @@ def _certified_upper(raw: np.ndarray, d: int, m: int, value: float, shift: int) 
     return upper
 
 
+def _unit_direction(v: np.ndarray) -> np.ndarray:
+    """v/|v| for a finite nonzero v of any size, which is first brought to
+    unit scale as 2^-e v, with 2^e its largest entry, exactly."""
+    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+    return v / vector_norm(v)
+
+
 def norming_functional(y: Sequence) -> HomPoly:
-    """The inner product with y/|y|: a linear functional of dual norm one
-    with phi(y) = |y|.  y is normalized at unit scale, as 2^-e y with 2^e
-    its largest entry, which is exact, so a y of any nonzero size has one."""
+    """The inner product with y/|y| (`_unit_direction`): a linear functional
+    of dual norm one with phi(y) = |y|."""
     v = np.asarray(y, dtype=float)
     if not v.any():
         raise DegenerateInputError("cannot norm the zero vector")
-    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
-    return HomPoly.linear_form([float(c) for c in v / vector_norm(v)], F64)
+    return HomPoly.linear_form([float(c) for c in _unit_direction(v)], F64)
 
 
 def _normal_power(base: float, power: int, name: str) -> float:
@@ -844,21 +848,15 @@ def _point_target(x: Sequence, power: int, name: str) -> tuple[list[float], floa
 def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig(), *,
                        memo: dict | None = None) -> Report:
     """|x|^m is attained by the m-th power of a norming functional, and that
-    power has sup norm at most one.  The error brackets both sides: the
-    relative attainment gap and the excess of that sup norm over one.
+    power has sup norm at most one, the bracket's one upper ratio.
     CapacityError when |x|^m is not a normal double.  ``memo`` is passed
     to `sup_norm`."""
     xv, nx, target = _point_target(x, m, f"|x|^{m}")
-    phi = norming_functional(xv)
-    q = phi ** m
-    lhs = abs(q.eval(xv))
-    rel_lower = abs(lhs / target - 1.0)
+    q = norming_functional(xv) ** m
     unit = (np.asarray(xv) / nx).tolist()
     qn = sup_norm(q, cfg, [unit], memo=memo)
-    # np.maximum, unlike max, keeps a NaN on either side, which then fails
-    rel = float(np.maximum(rel_lower, qn.value - 1.0))
-    return Report.measured("norm_duality", cfg, lhs, target, rel,
-                           {"attaining_sup_norm": qn.value, "degree": m})
+    return Report.bracket("norm_duality", cfg, abs(q.eval(xv)), target, [qn.value],
+                          {"degree": m})
 
 
 def _unit_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
@@ -886,44 +884,34 @@ def _stream(memo: dict, cfg: NormConfig, label: str, d: int, k: int,
     return memo[key]
 
 
-def _worst_ratio(ratios: Iterable[float]) -> float:
-    """The largest ratio, NaN if any ratio is: np.maximum, unlike max, keeps
-    a NaN on either side."""
-    worst = 0.0
-    for ratio in ratios:
-        worst = float(np.maximum(worst, ratio))
-    return worst
-
-
 def check_adjoint_norm(P: PolyMap, n: int, k: int,
                        cfg: NormConfig = NormConfig(),
                        q_trials: int = ADJOINT_Q_TRIALS, *, memo: dict | None = None) -> Report:
     """The adjoint's norm equals |P|^{kn}: certified from below by the k-th
     power of a functional norming P at its maximizer, and never exceeded on
     normalized random test polynomials.  CapacityError when |P|^{kn} is not
-    a normal double; n and k are checked before any sup norm runs.  The
-    unit trials and floors are read from ``memo`` (`_stream`), a fresh dict
-    by default: the trials' stream depends on n, k and the codomain of P."""
+    a normal double; n, k and q_trials are checked before any sup norm
+    runs.  The unit trials and floors are read from ``memo`` (`_stream`), a
+    fresh dict by default: the trials' stream depends on n, k and the
+    codomain of P."""
     memo = {} if memo is None else memo
     if n < 1 or k < 1:
         raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
+    # with no trial, the bracket would pass on its lower side alone
+    if q_trials < 1:
+        raise PreconditionError(f"q_trials must be >= 1, got {q_trials}")
     P = P.as_field(F64)
     est = sup_norm(P, cfg, memo=memo)
     if est.value <= 0.0:
         raise DegenerateInputError("zero map has no norming direction")
     target = _normal_power(est.value, k * n, f"the adjoint's norm |P|^{k * n}")
-    phi = norming_functional(P.eval_map(est.maximizer))
-    q_star = phi ** k
+    q_star = norming_functional(P.eval_map(est.maximizer)) ** k
     lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg, [est.maximizer], memo=memo).value
-    rel_lower = abs(lower / target - 1.0)
     unit = _stream(memo, cfg, f"adjoint-norm-q-{n}-{k}", P.codomain_dim, k, q_trials)
-    worst_ratio = _worst_ratio(
-        trial.value / target
-        for trial in _sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo))
-    return Report.measured("adjoint_norm", cfg, lower, target,
-                           float(np.maximum(rel_lower, worst_ratio - 1.0)),
-                           {"sup_norm_P": est.value, "worst_upper_ratio": worst_ratio,
-                            "q_instances": len(unit), "n": n, "k": k})
+    trials = _sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo)
+    return Report.bracket("adjoint_norm", cfg, lower, target,
+                          (trial.value / target for trial in trials),
+                          {"sup_norm_P": est.value, "q_instances": len(unit), "n": n, "k": k})
 
 
 def check_embedding_norm(x: Sequence, m: int, n: int,
@@ -931,22 +919,21 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
                          q_trials: int = 32, *, memo: dict | None = None) -> Report:
     """The power evaluation embedding of x has norm |x|^{mn}: attained by the
     n-th power of a norming functional of x, never exceeded by normalized
-    random q.  CapacityError when |x|^{mn} is not a normal double.  The unit
-    trials are read from ``memo`` (`_stream`), a fresh dict by default:
+    random q.  CapacityError when |x|^{mn} is not a normal double, and
+    PreconditionError, before any sup norm runs, unless q_trials >= 1.  The
+    unit trials are read from ``memo`` (`_stream`), a fresh dict by default:
     their stream depends on m, n and the dimension of x."""
     memo = {} if memo is None else memo
+    if q_trials < 1:
+        raise PreconditionError(f"q_trials must be >= 1, got {q_trials}")
     xv, _, target = _point_target(x, m * n, f"the embedding's norm |x|^{m * n}")
     d = len(xv)
     jp = evaluation_embedding(xv, m, n, field=F64)
-    phi = norming_functional(xv)
-    q_star = phi ** n
-    lower = abs(jp.eval(q_star.coeff_vector()))
-    rel_lower = abs(lower / target - 1.0)
+    q_star = norming_functional(xv) ** n
     unit = _stream(memo, cfg, f"embedding-norm-q-{m}-{n}-{d}", d, n, q_trials)
-    worst_ratio = _worst_ratio(abs(jp.eval(q.coeff_vector())) / target for q in unit)
-    return Report.measured("embedding_norm", cfg, lower, target,
-                           float(np.maximum(rel_lower, worst_ratio - 1.0)),
-                           {"worst_upper_ratio": worst_ratio, "m": m, "n": n})
+    return Report.bracket("embedding_norm", cfg, abs(jp.eval(q_star.coeff_vector())), target,
+                          (abs(jp.eval(q.coeff_vector())) / target for q in unit),
+                          {"m": m, "n": n})
 
 
 def check_metric_injection(proj: PolyMap, q: HomPoly,
@@ -969,9 +956,8 @@ def check_metric_injection(proj: PolyMap, q: HomPoly,
     q = q.as_field(F64)
     if q.is_zero:
         raise DegenerateInputError("q is zero")
-    rhs_est = sup_norm(q, cfg, memo=memo)
-    _normal_power(rhs_est.value, 1, "the sup norm of q")
-    lhs_est = sup_norm(compose_scalar(q, proj), cfg, memo=memo)
-    return Report.measured("metric_injection", cfg, lhs_est.value, rhs_est.value,
-                           abs(lhs_est.value / rhs_est.value - 1.0),
-                           {"domain_dim": g, "codomain_dim": e, "k": q.degree})
+    rhs = _normal_power(sup_norm(q, cfg, memo=memo).value, 1, "the sup norm of q")
+    lhs = sup_norm(compose_scalar(q, proj), cfg, memo=memo).value
+    # the ratio's excess over one adds nothing to |lhs/rhs - 1|
+    return Report.bracket("metric_injection", cfg, lhs, rhs, [lhs / rhs],
+                          {"domain_dim": g, "codomain_dim": e, "k": q.degree})

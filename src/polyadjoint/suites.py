@@ -465,8 +465,8 @@ def _norm_claim(name: str, cfg: SuiteConfig, reports: Iterable[Report],
 
 def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
     """The report of `check_norm_duality` on each instance.  The instances
-    share the searches' sample floors, drawn once per claim in a dict of
-    its own; nothing outlives the claim."""
+    share the sample floors and cross-check points, drawn once per claim
+    in a dict of its own; nothing outlives the claim."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "norm-duality-x")
     memo: dict = {}
@@ -527,13 +527,15 @@ def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
 
 def claim_two_sided_bound(cfg: SuiteConfig) -> ClaimResult:
     """The bound's report error is its relative violation, max(0, -slack),
-    checked at the report's own fixed tolerance rather than ``cfg.tol``."""
+    checked at the report's own fixed tolerance rather than ``cfg.tol``;
+    the draws are shared as in `claim_norm_duality`."""
     ncfg = cfg.norm_config()
     rng = _np_rng(cfg.seed, "two-sided")
+    memo: dict = {}
     # the degrees of R, P and Q, drawn in that order
     degs = ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2), (2, 1, 2))
     reports = (check_two_sided_norm(*(_random_f64_map(rng, 2, 2, deg)
-                                      for deg in degs[t % len(degs)]), ncfg)
+                                      for deg in degs[t % len(degs)]), ncfg, memo=memo)
                for t in range(20))
     worst, count, passed = _numeric_fold(reports)
     return ClaimResult("two_sided_bound", F64, count, worst, passed,

@@ -26,6 +26,7 @@ from polyadjoint import (
     rank_one_map,
 )
 from polyadjoint.errors import (
+    CapacityError,
     DegreeError,
     DimensionError,
     PreconditionError,
@@ -188,8 +189,37 @@ def test_two_sided_norm_bound():
                     F64)
             for _ in range(2)))
 
+    # the instances share one memo, as a claim lends them, to the same bits
+    memo: dict = {}
     for (kr, mp, nq) in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 1, 2)):
-        rep = check_two_sided_norm(f64_map(kr), f64_map(mp), f64_map(nq),
-                                   NormConfig(seed=37))
+        maps = f64_map(kr), f64_map(mp), f64_map(nq)
+        rep = check_two_sided_norm(*maps, NormConfig(seed=37), memo=memo)
+        assert rep == check_two_sided_norm(*maps, NormConfig(seed=37))
         assert rep.passed
         assert rep.details["slack"] >= -1e-9
+    # the composites of degree 2 and 4 on R^2 take the circle pass
+    assert ("cross-check", 37) in memo
+
+
+def test_two_sided_bound_with_a_zero_factor_is_zero():
+    # |R| |P|^k overflows and |Q| is 0: inf * 0 made the bound NaN, which
+    # passed with rel_err 0.  A zero factor bounds the composite by 0
+    big = 1e200
+    R = PolyMap.from_matrix([[big, 0.0], [0.0, big]], F64)
+    P = PolyMap((HomPoly(2, 2, {(2, 0): big}, F64), HomPoly(2, 2, {(0, 2): big}, F64)))
+    Q = PolyMap.from_matrix([[0.0, 0.0], [0.0, 0.0]], F64)
+    rep = check_two_sided_norm(R, P, Q, NormConfig(seed=3))
+    assert (rep.passed, rep.lhs, rep.rhs, rep.rel_err) == (True, 0.0, 0.0, 0.0)
+    assert rep.details["slack"] == 0.0
+
+
+def test_two_sided_bound_past_the_largest_double_is_a_size_cap():
+    # |R| |P| = 2e400 overflows: the bound was inf and the check failed
+    # with a NaN error; R o P is zero, as its two terms cancel exactly
+    Q = PolyMap.from_matrix([[1.0, 0.0], [0.0, 1.0]], F64)
+    # and below the smallest normal double, where 2e-400 underflows to 0
+    for scale in (1e200, 1e-200):
+        R = PolyMap.from_matrix([[scale, -scale]], F64)
+        P = PolyMap((HomPoly(2, 2, {(2, 0): scale}, F64), HomPoly(2, 2, {(2, 0): scale}, F64)))
+        with pytest.raises(CapacityError, match="does not fit a double"):
+            check_two_sided_norm(R, P, Q, NormConfig(seed=3))

@@ -588,12 +588,22 @@ def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatc
 
 
 def test_cross_check_points_are_the_first_draw_of_their_stream():
-    # drawn once per seed, as each map of that seed drew them alone
+    # drawn once per memo and seed, as each map of that seed drew them alone,
+    # and kept in the caller's memo, so no draw outlives it
+    P = PolyMap((HomPoly(2, 3, {(3, 0): 1.0, (2, 1): -2.0, (0, 3): 0.5}, F64),))
     for seed in (0, 1, 2 ** 40):
-        X = norms._cross_check_points(seed)
+        cfg, memo = NormConfig(seed=seed), {}
+        est = sup_norm(P, cfg, memo=memo)
+        assert est.method == "circle-critical-points"
+        X = memo[("cross-check", seed)]
         want = norms._sphere_samples(2, norms.CROSS_CHECK, norms._np_rng(seed, "sup-norm-l2-2"))
-        assert _same_bits(X, want) and not X.flags.writeable
-        assert norms._cross_check_points(seed) is X
+        assert _same_bits(X, want)
+        assert sup_norm(P, cfg, memo=memo) == est and memo[("cross-check", seed)] is X
+        assert sup_norm(P, cfg) == est
+    # only the circle pass draws them
+    memo = {}
+    sup_norm(linear_map([[1.0, 2.0], [0.5, -1.0]]), NormConfig(seed=1), memo=memo)
+    assert memo == {}
 
 
 def test_circle_pass_on_a_map_of_constant_norm():
@@ -812,7 +822,8 @@ def test_upper_trials_draw_in_order_and_match_a_per_q_loop(d, k):
     loop_rng, stack_rng = norms._np_rng(5, "trials"), norms._np_rng(5, "trials")
     want = _upper_trials_per_q(loop_rng, d, k, 12, cfg, ratio("loop"))
     unit = norms._unit_trials(stack_rng, d, k, 12, cfg)
-    got = norms._worst_ratio(ratio("stack")(q) for q in unit), len(unit)
+    rep = norms.Report.bracket("c", cfg, 1.0, 1.0, (ratio("stack")(q) for q in unit), {})
+    got = rep.details["worst_upper_ratio"], len(unit)
     assert got == want and got[1] == 12
     assert seen["stack"] == seen["loop"]
     # both consumed the same draws
@@ -821,8 +832,11 @@ def test_upper_trials_draw_in_order_and_match_a_per_q_loop(d, k):
 
 @pytest.mark.parametrize("position", range(10))
 def test_a_nan_ratio_anywhere_fails_the_upper_side(monkeypatch, position):
-    # the worst-ratio fold keeps a NaN wherever it sits, and the report fails
-    assert math.isnan(norms._worst_ratio(math.nan if t == position else 0.5 for t in range(10)))
+    # the bracket's fold keeps a NaN wherever it sits, and the report fails
+    rep = norms.Report.bracket("c", NormConfig(), 1.0, 1.0,
+                               (math.nan if t == position else 0.5 for t in range(10)), {})
+    assert math.isnan(rep.details["worst_upper_ratio"]) and math.isnan(rep.rel_err)
+    assert not rep.passed
     real = norms.evaluation_embedding
 
     class NanAt:
@@ -1083,7 +1097,8 @@ def test_check_norm_duality_report():
     rep = check_norm_duality([1.5, -2.0], 3, NormConfig(seed=2))
     assert rep.passed
     assert rep.rel_err <= 1e-9
-    assert rep.details["attaining_sup_norm"] <= 1.0 + 1e-9
+    # the sup norm of the attaining power is the bracket's one upper ratio
+    assert rep.details["worst_upper_ratio"] <= 1.0 + 1e-9
     with pytest.raises(DegenerateInputError):
         check_norm_duality([0.0, 0.0], 2, NormConfig(seed=2))
 
@@ -1118,6 +1133,21 @@ def test_check_adjoint_norm_checks_n_and_k_before_any_sup_norm(monkeypatch, n, k
         check_adjoint_norm(P, n, k, NormConfig(seed=3))
 
 
+@pytest.mark.parametrize("check", [
+    lambda: check_adjoint_norm(linear_map([[1.0, 2.0], [0.5, -1.0]]), 1, 2, NormConfig(seed=3),
+                               q_trials=0),
+    lambda: check_embedding_norm([0.6, -1.1], 2, 2, NormConfig(seed=5), q_trials=-3),
+], ids=["adjoint", "embedding"])
+def test_a_check_with_no_upper_trial_is_refused_before_any_sup_norm(monkeypatch, check):
+    # with no trial the bracket passed on its lower side alone, reporting
+    # q_instances 0
+    def no_sup_norm(*args, **kwargs):
+        raise AssertionError("a sup norm ran")
+    monkeypatch.setattr(norms, "_sup_norms", no_sup_norm)
+    with pytest.raises(PreconditionError, match=r"^q_trials must be >= 1, got -?\d+$"):
+        check()
+
+
 @pytest.mark.parametrize("rel_err, passed", [
     (1e-6, True),                                  # at the tolerance
     (math.nextafter(1e-6, math.inf), False),       # one rounding above it
@@ -1125,12 +1155,41 @@ def test_check_adjoint_norm_checks_n_and_k_before_any_sup_norm(monkeypatch, n, k
 ])
 def test_report_verdict_is_error_within_tolerance(rel_err, passed):
     cfg = NormConfig(tol=1e-6, seed=3)
-    rep = norms.Report.measured("c", cfg, 1.0, 1.0, rel_err, {})
+    rep = norms.Report("c", 1.0, 1.0, rel_err, cfg.tol, True, cfg.samples, cfg.seed)
     assert rep.passed is passed
+    # a bracket takes the tolerance, sample count and seed of its config
+    rep = norms.Report.bracket("c", cfg, 1.0, 1.0, [], {})
     assert (rep.tol, rep.samples, rep.seed, rep.certified_lower) == (1e-6, cfg.samples, 3, True)
-    assert norms.Report.measured("c", cfg, 1.0, 1.0, 1e-9, {}, tol=1e-9).passed
+    assert rep.passed
     with pytest.raises(TypeError):
         norms.Report("c", 1.0, 1.0, 2.0, 1e-6, True, 1, 0, passed=True)
+
+
+@pytest.mark.parametrize("lhs, rhs, ratios, rel_err, worst", [
+    (1.0, 1.0, [], 0.0, 0.0),                      # no upper side: 0.0 for none
+    (0.75, 1.0, [0.5], 0.25, 0.5),                 # the lower gap
+    (1.0, 2.0, [1.0, 1.25, 0.5], 0.5, 1.25),       # the larger of the two sides
+    (2.0, 2.0, [0.5, 1.5], 0.5, 1.5),              # the upper excess alone
+    (math.nan, 1.0, [0.5], math.nan, 0.5),
+    (1.0, 1.0, [math.nan, 0.5], math.nan, math.nan),
+])
+def test_bracket_error_is_the_worse_of_its_two_sides(lhs, rhs, ratios, rel_err, worst):
+    # a NaN on either side stays NaN, and fails
+    details = {"k": 2}
+    rep = norms.Report.bracket("c", NormConfig(), lhs, rhs, ratios, details)
+    assert details == {"k": 2} and list(rep.details) == ["k", "worst_upper_ratio"]
+    assert np.array_equal([rep.rel_err, rep.details["worst_upper_ratio"]], [rel_err, worst],
+                          equal_nan=True)
+    assert rep.passed is (rel_err <= 1e-6)
+
+
+def test_a_ratio_as_its_only_upper_side_keeps_the_bits_of_its_gap():
+    # metric injection hands the bracket lhs/rhs: max(|r - 1|, r - 1) = |r - 1|
+    rng = np.random.default_rng(17)
+    for lhs, rhs in itertools.chain(rng.lognormal(0.0, 1e-6, (200, 2)).tolist(),
+                                    [(1.0, 1.0), (0.0, 1.0), (3.0, 1.5), (1e-300, 1e300)]):
+        rep = norms.Report.bracket("c", NormConfig(), lhs, rhs, [lhs / rhs], {})
+        assert rep.rel_err.hex() == abs(lhs / rhs - 1.0).hex()
 
 
 def test_check_embedding_norm_report():
