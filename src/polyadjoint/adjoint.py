@@ -210,7 +210,9 @@ def inverse_adjoint_defects(u: PolyMap, k: int) -> tuple[LinearMap, LinearMap]:
 
 def integer_points(d: int, budget: int = 10_000) -> Iterator[tuple[Fraction, ...]]:
     """Deterministic rational point stream: integer grid points ordered by
-    max-norm shell, lexicographically within a shell."""
+    max-norm shell, lexicographically within a shell; d must be >= 1."""
+    if d < 1:
+        raise DimensionError(f"need at least one variable, got d={d}")
     count = 0
     shell = 0
     while count < budget:

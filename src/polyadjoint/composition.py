@@ -5,17 +5,17 @@ and R (degree r, from the middle codomain onward), composing a degree-m map
 P on both sides yields a degree-mrs map; the operator taking P to that
 composite is itself r-homogeneous in P.  This module builds the operator,
 the rank-one building blocks that factor operators through it, and exact
-checkers for the recovery and factorization identities:
+checkers, on either field, for six identities that take four routes:
 
-* evaluating the composite of a rank-one lift of x at a normalized point
-  recovers R(x);
-* sandwiching rank-one lifts of a linear form through the operator recovers
-  the (mr-fold) adjoint of B on powers of forms — on all of the degree-m
-  space when R is linear;
+* recovery (a): evaluating the composite of a rank-one lift of x at a
+  normalized point recovers R(x); with B the identity of R^1 this is the
+  unit factorization;
+* recovery (b): sandwiching rank-one lifts of a linear form through the
+  operator recovers the (mr-fold) adjoint of B on powers of forms, and on
+  all of the degree-m space when R is linear (linear recovery);
 * the operator of a rank-one linear map factors through the adjoint of B;
 * left/right multiplying R by linear maps conjugates the operator by
-  left-composition operators;
-* with scalar test spaces the operator recovers R itself.
+  left-composition operators (the sandwich).
 
 The numeric two-sided bound |R o P o Q| <= |R| |P|^deg(R) |Q|^{deg(P) deg(R)}
 is checked with sup norms that are lower bounds up to float rounding.
@@ -26,10 +26,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (
     F64,
+    RATIONAL,
     HomPoly,
     PolyMap,
     Scalar,
@@ -37,8 +38,8 @@ from .algebra import (
     compose_scalar,
 )
 from .adjoint import adjoint_apply, integer_points
-from .errors import (CapacityError, DegreeError, DimensionError, PreconditionError,
-                     SearchBudgetError)
+from .errors import (CapacityError, DegreeError, DimensionError, FieldError,
+                     PreconditionError, SearchBudgetError)
 from .norms import NormConfig, Report, sup_norm
 
 
@@ -83,19 +84,49 @@ def normalization_witness(B: PolyMap) -> tuple[HomPoly, tuple[Fraction, ...]]:
     """Deterministic (phi, z) with phi a linear form and phi(B(z)) = 1.
 
     Walks the integer grid for a z with B(z) != 0, then rescales the first
-    nonvanishing coordinate functional.
+    nonvanishing coordinate functional.  Exact only: 1/B_i(z) is not a
+    double in general, so an f64 map raises FieldError.
     """
+    if B.field != RATIONAL:
+        raise FieldError("the witness is exact only; convert the map to rational first")
     for z in integer_points(B.domain_dim):
         w = B.eval_map(z)
         for i, wi in enumerate(w):
             if wi != 0:
                 coeffs = [Fraction(0)] * B.codomain_dim
                 coeffs[i] = Fraction(1) / wi
-                return HomPoly.linear_form(coeffs, B.field), z
+                return HomPoly.linear_form(coeffs), z
     raise SearchBudgetError("no point with B(z) != 0 found (is B zero?)")
 
 
 # -- identity checkers -----------------------------------------------------
+
+def _check_normalizer(form: HomPoly, M: PolyMap, z: Sequence, name: str, image: str) -> None:
+    """DegreeError unless ``form`` is a linear form, PreconditionError
+    unless form(M(z)) = 1."""
+    if form.degree != 1:
+        raise DegreeError(f"{name} must be a linear form")
+    if form.eval(M.eval_map(z)) != 1:
+        raise PreconditionError(f"{name}({image}) must equal 1")
+
+
+def _recovery_a_defect(inst: CompositionInstance, phi: HomPoly, z: Sequence,
+                       points: Sequence[Sequence]) -> Scalar:
+    """max |operator(phi^m tensor x)(z) - outer(x)| over the points and the
+    coordinates, for phi(inner(z)) = 1."""
+    lift = phi ** inst.middle_degree
+    return max((abs(g - w) for x in points
+                for g, w in zip(compose_three(inst, rank_one_map(lift, x)).eval_map(z),
+                                inst.outer.eval_map(x))), default=Fraction(0))
+
+
+def _recovery_b_defect(inst: CompositionInstance, psi: HomPoly, z: Sequence,
+                       pairs: Iterable[tuple[HomPoly, HomPoly]]) -> Scalar:
+    """Coefficient-wise max |psi o operator(q tensor z) - want| over the
+    (q, want) pairs, for psi(outer(z)) = 1."""
+    return max(((compose_scalar(psi, compose_three(inst, rank_one_map(q, z))) - want).max_abs()
+                for q, want in pairs), default=Fraction(0))
+
 
 def check_recovery_identities(inst: CompositionInstance,
                               phi: HomPoly, z_a: Sequence,
@@ -114,27 +145,12 @@ def check_recovery_identities(inst: CompositionInstance,
     Raises DegreeError unless phi and psi are linear forms, and
     PreconditionError when a normalization fails.
     """
-    m = inst.middle_degree
-    r = inst.outer.degree
-    if phi.degree != 1 or psi.degree != 1:
-        raise DegreeError("phi and psi must be linear forms")
-    if phi.eval(inst.inner.eval_map(z_a)) != 1:
-        raise PreconditionError("phi(inner(z_a)) must equal 1")
-    if psi.eval(inst.outer.eval_map(z_b)) != 1:
-        raise PreconditionError("psi(outer(z_b)) must equal 1")
-    phi_m = phi ** m
-    defect_a = Fraction(0)
-    for x in test_points:
-        got = compose_three(inst, rank_one_map(phi_m, x)).eval_map(z_a)
-        want = inst.outer.eval_map(x)
-        defect_a = max(defect_a, max(map(abs, (g - w for g, w in zip(got, want))),
-                                     default=Fraction(0)))
-    defect_b = Fraction(0)
-    for form in test_forms:
-        got_poly = compose_scalar(psi, compose_three(inst, rank_one_map(form ** m, z_b)))
-        want_poly = adjoint_apply(inst.inner, m * r, 1, form)
-        defect_b = max(defect_b, (got_poly - want_poly).max_abs())
-    return defect_a, defect_b
+    _check_normalizer(phi, inst.inner, z_a, "phi", "inner(z_a)")
+    _check_normalizer(psi, inst.outer, z_b, "psi", "outer(z_b)")
+    m, r = inst.middle_degree, inst.outer.degree
+    pairs = ((form ** m, adjoint_apply(inst.inner, m * r, 1, form)) for form in test_forms)
+    return (_recovery_a_defect(inst, phi, z_a, test_points),
+            _recovery_b_defect(inst, psi, z_b, pairs))
 
 
 def check_linear_recovery(inst: CompositionInstance,
@@ -145,16 +161,9 @@ def check_linear_recovery(inst: CompositionInstance,
     space, not only on powers of forms."""
     if inst.outer.degree != 1:
         raise PreconditionError("this identity needs a linear outer map")
-    if psi.degree != 1:
-        raise DegreeError("psi must be a linear form")
-    if psi.eval(inst.outer.eval_map(z)) != 1:
-        raise PreconditionError("psi(outer(z)) must equal 1")
-    worst = Fraction(0)
-    for q in test_qs:
-        got = compose_scalar(psi, compose_three(inst, rank_one_map(q, z)))
-        want = adjoint_apply(inst.inner, 1, inst.middle_degree, q)
-        worst = max(worst, (got - want).max_abs())
-    return worst
+    _check_normalizer(psi, inst.outer, z, "psi", "outer(z)")
+    return _recovery_b_defect(inst, psi, z, (
+        (q, adjoint_apply(inst.inner, 1, inst.middle_degree, q)) for q in test_qs))
 
 
 def check_factorization_identities(m: int, B: PolyMap,
@@ -163,53 +172,34 @@ def check_factorization_identities(m: int, B: PolyMap,
                                    R_scalar: PolyMap,
                                    test_maps: Sequence[PolyMap],
                                    test_points: Sequence[Sequence]) -> dict[str, Scalar]:
-    """Max abs defects of the three operator factorizations, all exact.
+    """Max abs defects of the three operator factorizations, all exact, on
+    either field.
 
     rank_one:  the operator with outer map phi tensor b equals
                (tensor with b) o (adjoint of B on degree m) o (phi o .).
     sandwich:  the operator of C o R_mid o A equals left-composition by C,
                then the operator of R_mid, then left-composition by A.
-    unit:      over scalar test spaces, evaluating at 1 after the operator
-               of R_scalar undoes the rank-one scalar lift: recovers R_scalar.
+    unit:      recovery (a) for R_scalar with the identity of R^1 inside,
+               phi = t and z = 1: it recovers R_scalar.
 
     ``test_maps`` supplies the P arguments (degree m, mapping B's codomain
     into A's domain for the sandwich; into phi's space for rank_one);
     ``test_points`` supplies evaluation points for the unit identity.
     """
-    defects: dict[str, Scalar] = {}
-
-    # rank-one factorization: operator outer = phi (x) b, inner = B
-    rank_one_outer = rank_one_map(phi, b)
-    inst1 = CompositionInstance(rank_one_outer, B, m)
-    worst = Fraction(0)
-    for P in test_maps:
-        lhs = compose_three(inst1, P)
-        rhs = rank_one_map(adjoint_apply(B, 1, m, compose_scalar(phi, P)), b)
-        worst = max(worst, (lhs - rhs).max_abs())
-    defects["rank_one"] = worst
-
-    # sandwich factorization
-    outer_full = compose_map(C, compose_map(R_mid, A))
-    inst_full = CompositionInstance(outer_full, B, m)
+    inst_rank_one = CompositionInstance(rank_one_map(phi, b), B, m)
+    inst_full = CompositionInstance(compose_map(C, compose_map(R_mid, A)), B, m)
     inst_mid = CompositionInstance(R_mid, B, m)
-    worst = Fraction(0)
-    for P in test_maps:
-        lhs = compose_three(inst_full, P)
-        rhs = compose_map(C, compose_three(inst_mid, compose_map(A, P)))
-        worst = max(worst, (lhs - rhs).max_abs())
-    defects["sandwich"] = worst
-
-    # unit factorization over scalar test spaces
-    inst_unit = CompositionInstance(R_scalar, PolyMap.identity(1), m)
-    t_m = HomPoly.monomial(1, (m,), 1)
-    worst = Fraction(0)
-    for x in test_points:
-        got = compose_three(inst_unit, rank_one_map(t_m, x)).eval_map((Fraction(1),))
-        want = R_scalar.eval_map(x)
-        worst = max(worst, max(map(abs, (g - w for g, w in zip(got, want))),
-                               default=Fraction(0)))
-    defects["unit"] = worst
-    return defects
+    line = PolyMap.identity(1, R_scalar.field)
+    return {
+        "rank_one": max(((compose_three(inst_rank_one, P)
+                          - rank_one_map(adjoint_apply(B, 1, m, compose_scalar(phi, P)), b)
+                          ).max_abs() for P in test_maps), default=Fraction(0)),
+        "sandwich": max(((compose_three(inst_full, P)
+                          - compose_map(C, compose_three(inst_mid, compose_map(A, P)))
+                          ).max_abs() for P in test_maps), default=Fraction(0)),
+        "unit": _recovery_a_defect(CompositionInstance(R_scalar, line, m),
+                                   line.components[0], (1,), test_points),
+    }
 
 
 def check_two_sided_norm(R: PolyMap, P: PolyMap, Q: PolyMap,

@@ -629,7 +629,8 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     """Lower-bound estimate, up to float rounding, of the sup norm on the
     unit ball, on the f64 field; see the module docstring for the methods.
     ``extra_starts`` are known good points, projected to the sphere (the
-    zero vector is dropped, a non-finite one raises FieldError).  Only
+    zero vector is dropped, a non-finite one raises FieldError, and one
+    of another length DimensionError before any coefficient is read).  Only
     the search iterates (every other method reports ``iterations == 0``):
     ``cfg.samples`` and ``cfg.restarts`` size it, and ``(samples + 2d)``
     times the monomial count may not exceed MAX_SAMPLE_ENTRIES
@@ -675,6 +676,8 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
         raise CapacityError(
             f"{points} sphere points times C({d + m - 1}, {m}) monomials "
             f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
+    if bad := [len(s) for s in extra_starts if len(s) != d]:
+        raise DimensionError(f"extra start has length {bad[0]}, expected {d}")
     shape, raw = _coefficient_stack(maps)
     # |2^-s P| = 2^-s |P|: far from unit scale the squares of the values
     # would underflow or overflow, so there the map measured is 2^-s P, with
@@ -849,8 +852,10 @@ def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig(), *,
                        memo: dict | None = None) -> Report:
     """|x|^m is attained by the m-th power of a norming functional, and that
     power has sup norm at most one, the bracket's one upper ratio.
-    CapacityError when |x|^m is not a normal double.  ``memo`` is passed
-    to `sup_norm`."""
+    DegreeError unless m >= 1; CapacityError when |x|^m is not a normal
+    double.  ``memo`` is passed to `sup_norm`."""
+    if m < 1:
+        raise DegreeError(f"the duality needs m >= 1, got m={m}")
     xv, nx, target = _point_target(x, m, f"|x|^{m}")
     q = norming_functional(xv) ** m
     unit = (np.asarray(xv) / nx).tolist()

@@ -399,9 +399,9 @@ def claim_injectivity(cfg: SuiteConfig) -> ClaimResult:
 
 
 def claim_factorizations(cfg: SuiteConfig) -> ClaimResult:
-    """The five exact factorization identities of the two-sided composition
-    operator: the two recovery identities, the rank-one factorization, the
-    sandwich conjugation and the scalar unit identity."""
+    """Six exact defects of the two-sided composition operator from four
+    routes: recovery (a), and the unit identity as (a) on R^1; recovery (b),
+    and linear recovery for linear R; the rank-one and sandwich ones."""
     rng = sampling.rng(cfg.seed, "factorizations")
     names = ("recovery_a", "recovery_b", "rank_one", "sandwich", "unit",
              "linear_recovery")

@@ -338,6 +338,14 @@ def test_integer_points_deterministic_prefix():
     assert pts == [(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1)]
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_integer_points_refuse_fewer_than_one_variable(d):
+    # R^0 has one point, (), after which every shell is empty and the
+    # stream never reached its budget; d = -1 ended in itertools' message
+    with pytest.raises(DimensionError, match=rf"^need at least one variable, got d={d}$"):
+        next(integer_points(d))
+
+
 def test_injectivity_witness_separates():
     rng = sampling.rng(41, "inject")
     for (n, k) in ((1, 1), (1, 3), (3, 1)):

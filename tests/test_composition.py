@@ -29,10 +29,11 @@ from polyadjoint.errors import (
     CapacityError,
     DegreeError,
     DimensionError,
+    FieldError,
     PreconditionError,
     SearchBudgetError,
 )
-from polyadjoint import sampling
+from polyadjoint import composition, sampling, suites
 
 
 def nonzero_polymap(rng, d, e, m):
@@ -101,6 +102,14 @@ def test_normalization_witness_property():
         assert phi.eval(B.eval_map(z)) == 1
     with pytest.raises(SearchBudgetError):
         normalization_witness(PolyMap.zero(2, 2, 2))
+
+
+def test_normalization_witness_refuses_an_f64_map():
+    # 1/w is not a double in general: on this map the f64 witness read
+    # phi(B(z)) = 0.9999999999999999, which the recovery check refused
+    B = sampling._random_f64_map(sampling._np_rng(3, "x"), 2, 2, 1)
+    with pytest.raises(FieldError, match="exact only"):
+        normalization_witness(B)
 
 
 def test_recovery_identities_exact():
@@ -174,6 +183,41 @@ def test_factorization_identities_exact():
             m, B, phi, b, A, R_mid, C, R_scalar, maps, pts)
         assert set(defects) == {"rank_one", "sandwich", "unit"}
         assert all(v == 0 for v in defects.values())
+
+
+def test_factorization_identities_are_exact_on_f64():
+    # the unit identity built its R^1 identity and t^m on the rational
+    # field, so f64 maps raised FieldError; every product is exact on f64
+    rng = sampling._np_rng(3, "x")
+    B, A, C = (sampling._random_f64_map(rng, 2, 2, 1) for _ in range(3))
+    R_mid, R_scalar = (sampling._random_f64_map(rng, 2, 2, 2) for _ in range(2))
+    phi = sampling._random_hompoly_f64(rng, 2, 1)
+    b = sampling._random_nonzero_f64_point(rng, 2)
+    maps = [sampling._random_f64_map(rng, 2, 2, 2) for _ in range(3)]
+    pts = [sampling._random_nonzero_f64_point(rng, 2) for _ in range(4)]
+    defects = check_factorization_identities(2, B, phi, b, A, R_mid, C, R_scalar, maps, pts)
+    assert defects == {"rank_one": 0.0, "sandwich": 0.0, "unit": 0.0}
+
+
+def _first_component_scaled(S: PolyMap) -> PolyMap:
+    return PolyMap((S.components[0].scale(Fraction(3, 2)), *S.components[1:]))
+
+
+@pytest.mark.parametrize("name, fault, caught", [
+    # b's last coordinate doubled: the rank-one factorization lifts both
+    # of its sides through the faulty map and the sandwich never calls it
+    ("rank_one_map", lambda real: lambda q, b: real(q, (*b[:-1], 2 * b[-1])),
+     {"recovery_a", "recovery_b", "unit", "linear_recovery"}),
+    ("compose_three", lambda real: lambda inst, P: _first_component_scaled(real(inst, P)),
+     {"recovery_a", "recovery_b", "rank_one", "sandwich", "unit", "linear_recovery"}),
+], ids=["rank-one-map", "compose-three"])
+def test_each_fault_is_caught_by_its_factorization_defects(monkeypatch, name, fault, caught):
+    # the shared routes must not blind any identity that caught the fault
+    monkeypatch.setattr(composition, name, fault(getattr(composition, name)))
+    res = suites.claim_factorizations(suites.SuiteConfig(
+        seed=5, dims=(2,), max_m=2, max_n=2, max_k=2, max_r=2, max_s=2, trials=1,
+        field="rational"))
+    assert {key for key, v in res.details.items() if v != "0/1"} == caught
 
 
 def test_two_sided_norm_bound():

@@ -932,6 +932,15 @@ def test_sup_norm_univariate_endpoints():
         assert sup_norm(p, NormConfig(seed=1), extra_starts=starts) == est
 
 
+def test_an_extra_start_of_another_length_is_refused_before_the_coefficients(monkeypatch):
+    # it ended in numpy's "array dimensions must match", after the read
+    def no_read(*args):
+        raise AssertionError("the coefficients were read")
+    monkeypatch.setattr(norms, "_coefficient_stack", no_read)
+    with pytest.raises(DimensionError, match=r"^extra start has length 3, expected 2$"):
+        sup_norm(linear_map([[1.0, 2.0], [0.5, -1.0]]), NormConfig(seed=1), [[1.0, 2.0, 3.0]])
+
+
 def test_sup_norm_scaling_homogeneity():
     rng = np.random.default_rng(777)
     from polyadjoint import enumerate_multi_indices
@@ -1101,6 +1110,13 @@ def test_check_norm_duality_report():
     assert rep.details["worst_upper_ratio"] <= 1.0 + 1e-9
     with pytest.raises(DegenerateInputError):
         check_norm_duality([0.0, 0.0], 2, NormConfig(seed=2))
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_check_norm_duality_checks_m_before_its_power(m):
+    # the power of the norming functional refused m first, naming it n
+    with pytest.raises(DegreeError, match=rf"^the duality needs m >= 1, got m={m}$"):
+        check_norm_duality([1.0, 2.0], m)
 
 
 def test_check_adjoint_norm_report():
