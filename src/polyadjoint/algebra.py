@@ -29,7 +29,8 @@ what the algebra computes from validated operands without re-checking it.
 
 The canonical basis order everywhere is descending lexicographic on the
 exponent tuples — e.g. for d=2, m=2: (2,0), (1,1), (0,2) — and the
-coefficient-vector helpers read and write that order.
+coefficient-vector helpers read and write that order.  Each basis is built
+once per shape (d, m) and kept; every caller gets a list of its own.
 
 A product of degree m on R^d is one big-integer multiplication (Kronecker
 substitution).  The monomial alpha goes to the slot
@@ -46,13 +47,15 @@ every d <= 4 packs), and a product with fewer than two term pairs per basis
 monomial.
 
 A polynomial map R^d -> R^e is a tuple of e scalar polynomials sharing
-domain dimension, degree and field.  Every substituted monomial P^beta that
-composition and the adjoint build comes from ``map_powers``, which keeps
-them in a memo on the map: each is built once per map, the memo lives and
-dies with its map, and every caller gets the same (immutable) component
-objects.  A symmetric m-linear form is stored by
-its entries on sorted index tuples i_1 <= ... <= i_m; `polarize` produces the
-unique symmetric form whose diagonal restriction recovers the polynomial.
+domain dimension, degree and field.  ``eval_map`` clears a point once for
+the whole map and computes each monomial x^alpha once for all components,
+with the numerator routine ``eval`` uses.  Every substituted monomial P^beta
+that composition and the adjoint build comes from ``map_powers``, which
+keeps them in a memo on the map: each is built once per map, the memo lives
+and dies with its map, and every caller gets the same (immutable) component
+objects.  A symmetric m-linear form is stored by its entries on sorted index
+tuples i_1 <= ... <= i_m; `polarize` produces the unique symmetric form
+whose diagonal restriction recovers the polynomial.
 """
 from __future__ import annotations
 
@@ -131,7 +134,9 @@ def enumerate_multi_indices(d: int, m: int) -> list[MultiIndex]:
     The count is C(d+m-1, m).  d must be >= 1; m >= 0 is allowed (m=0 yields
     the single all-zero index).  Every coefficient space the package builds
     comes from here, so this is where the size cap is enforced: a basis over
-    DEFAULT_SIZE_CAP raises CapacityError before anything is built.
+    DEFAULT_SIZE_CAP raises CapacityError before anything is built.  Each
+    basis is built once per (d, m); every call checks d, m and the cap and
+    gets a list of its own.
     """
     if d < 1:
         raise DimensionError(f"need at least one variable, got d={d}")
@@ -140,6 +145,11 @@ def enumerate_multi_indices(d: int, m: int) -> list[MultiIndex]:
     if _basis_size_exceeds(d, m, DEFAULT_SIZE_CAP):
         raise CapacityError(f"degree-{m} monomial basis on R^{d} has dimension "
                             f"C({d + m - 1}, {m}), exceeding the size cap {DEFAULT_SIZE_CAP}")
+    return list(_basis(d, m))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _basis(d: int, m: int) -> tuple[MultiIndex, ...]:
     # each index follows from the previous one: move one unit from the
     # rightmost nonzero entry before the last into the next entry, together
     # with everything in the last entry; (0, ..., 0, m) comes last
@@ -154,7 +164,7 @@ def enumerate_multi_indices(d: int, m: int) -> list[MultiIndex]:
         a[i] -= 1
         a[i + 1] = tail + 1
         out.append(tuple(a))
-    return out
+    return tuple(out)
 
 
 def multinomial(m: int, alpha: MultiIndex) -> int:
@@ -168,11 +178,21 @@ def multinomial(m: int, alpha: MultiIndex) -> int:
 
 
 def _eval_monomial(alpha: MultiIndex, x: Sequence):
-    v = 1
-    for xi, a in zip(x, alpha):
-        if a:
-            v = v * xi ** a
-    return v
+    return math.prod(map(pow, x, alpha))
+
+
+def _numerator(nums: dict[MultiIndex, int], X: Sequence[int],
+               table: dict[MultiIndex, int]) -> int:
+    """sum n_alpha X^alpha over the numerators at the integer point X;
+    ``table`` holds the monomials X^alpha of that point as they are first
+    read, so polynomials evaluated at one point compute each of them once."""
+    total = 0
+    for alpha, n in nums.items():
+        v = table.get(alpha)
+        if v is None:
+            v = table[alpha] = _eval_monomial(alpha, X)
+        total += n * v
+    return total
 
 
 def _common_denominator(values: Iterable) -> tuple[int, list[int]]:
@@ -197,6 +217,13 @@ def _cleared(x: Sequence, field: str) -> tuple[int, list[int]]:
     except (AttributeError, ValueError, OverflowError):  # no exact integer ratio
         raise FieldError("the f64 field takes points of ints, Fractions and finite "
                          "doubles only") from None
+
+
+def _point(x: Sequence, d: int, field: str) -> tuple[int, list[int]]:
+    """_cleared(x) of a point that must lie in R^d."""
+    if len(x) != d:
+        raise DimensionError(f"point has length {len(x)}, expected {d}")
+    return _cleared(x, field)
 
 
 def _rounded(nums: Collection[int], den: int, d: int, m: int,
@@ -269,7 +296,7 @@ def _product_slots(d: int, m: int) -> tuple[tuple[int, ...], ...] | None:
     basis[j], the basis in canonical order and so the slots descending."""
     if _basis_size_exceeds(d, m, DEFAULT_SIZE_CAP):
         return None
-    basis = tuple(enumerate_multi_indices(d, m))
+    basis = _basis(d, m)
     if (m + 1) ** (d - 1) > _BOX_PER_BASIS * len(basis):
         return None
     weights = tuple((m + 1) ** (d - 2 - i) for i in range(d - 1)) + (0,)
@@ -415,15 +442,13 @@ class HomPoly:
 
     def eval(self, x: Sequence) -> Scalar:
         """p(x), exactly; on f64 the exact value rounded once to a double."""
-        if len(x) != self.domain_dim:
-            raise DimensionError(f"point has length {len(x)}, expected {self.domain_dim}")
-        # homogeneity: with x = X/r, p(x) = sum n_alpha X^alpha / (D r^m)
-        den, nums = self._terms
-        r, X = _cleared(x, self.field)
-        total = 0
-        for alpha, n in nums.items():
-            total += n * _eval_monomial(alpha, X)
-        den *= r ** self.degree
+        r, X = _point(x, self.domain_dim, self.field)
+        return self._value(_numerator(self._terms[1], X, {}), r)
+
+    def _value(self, total: int, r: int) -> Scalar:
+        """p(X / r) from its numerator total = sum n_alpha X^alpha: by
+        homogeneity the value is total / (D r^m)."""
+        den = self._terms[0] * r ** self.degree
         if self.field == RATIONAL:
             return Fraction(total, den)
         return _rounded([total], den, self.domain_dim, self.degree, "value")[0]
@@ -561,7 +586,11 @@ class PolyMap:
         return cls(tuple(HomPoly.linear_form(r, field) for r in rows))
 
     def eval_map(self, x: Sequence) -> tuple[Scalar, ...]:
-        return tuple(c.eval(x) for c in self.components)
+        """(P_1(x), ..., P_e(x)), each as ``HomPoly.eval`` gives it; x is
+        cleared once and each monomial x^alpha computed once for the map."""
+        r, X = _point(x, self.domain_dim, self.field)
+        table: dict[MultiIndex, int] = {}
+        return tuple(c._value(_numerator(c._terms[1], X, table), r) for c in self.components)
 
     def __add__(self, other: PolyMap) -> PolyMap:
         if self.codomain_dim != other.codomain_dim:
@@ -678,20 +707,28 @@ class SymForm:
         # sum_t e_t S_t(X) / (E prod r_j)
         cleared = [_cleared(v, self.field) for v in args]
         den, entries = self._int_entries
-        rows = [X for _, X in cleared]
-        total = 0
-        for t, e in entries.items():
-            s = 0
-            for order in _orderings(t):
-                prod = 1
-                for X, i in zip(rows, order):
-                    prod *= X[i]
-                s += prod
-            total += e * s
+        total = _form_numerator(entries, [X for _, X in cleared])
         den *= math.prod(r for r, _ in cleared)
         if self.field == RATIONAL:
             return Fraction(total, den)
         return _rounded([total], den, self.domain_dim, self.arity, "value")[0]
+
+
+def _form_numerator(entries: dict[tuple[int, ...], int], rows: Sequence[Sequence[int]]) -> int:
+    """sum_t e_t * S_t, S_t the sum over the distinct orderings of the index
+    tuple t of prod_j rows[j][order_j]: a symmetric form's value on integer
+    vectors, over the form's denominator.  ``_orderings`` is looked up at
+    call time, so a replacement on the module reaches every caller."""
+    total = 0
+    for t, e in entries.items():
+        s = 0
+        for order in _orderings(t):
+            prod = 1
+            for X, i in zip(rows, order):
+                prod *= X[i]
+            s += prod
+        total += e * s
+    return total
 
 
 @lru_cache(maxsize=1024)

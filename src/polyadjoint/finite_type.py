@@ -28,12 +28,17 @@ from .algebra import (
     PolyMap,
     Scalar,
     _built,
+    _cleared,
+    _common_denominator,
+    _form_numerator,
+    _numerator,
+    _point,
     enumerate_multi_indices,
     map_powers,
     polarize,
 )
 from .adjoint import adjoint_apply
-from .errors import DegreeError, DimensionError, PreconditionError
+from .errors import DegreeError, DimensionError, FieldError, PreconditionError
 from . import linearization, sampling
 
 
@@ -69,7 +74,7 @@ def finite_rank_rep(P: PolyMap) -> FiniteRankRep:
     column's expansion in that pivot basis.  The zero map has rank 0.
     """
     if P.field != RATIONAL:
-        raise PreconditionError("finite-rank extraction is exact-only; convert to rational first")
+        raise FieldError("finite-rank extraction is exact only; convert the map to rational first")
     den, rows = linearization.coefficient_matrix(P)._rows
     basis = enumerate_multi_indices(P.domain_dim, P.degree)
     # read from the module at call time, as rank and inverse read it, so a
@@ -127,27 +132,42 @@ class FiniteTypeExpansion:
     vectors: tuple[tuple[Scalar, ...], ...]
     terms: tuple[ExpansionTerm, ...]
 
-    def evaluate(self, q: HomPoly, x: Sequence) -> Scalar:
+    def evaluate(self, q: HomPoly, x: Sequence) -> Fraction:
+        """The adjoint applied to q, at x: the sum over the terms of
+        theta * p_alpha(x) * prod psi(c)^e, psi(c) the symmetric form of q
+        on the vectors, vector j taken c_j times.  Exact only: an f64 q
+        raises FieldError, as does a point that is not rational.
+
+        The sum is one integer over one denominator.  x is cleared once to
+        X / r and the vectors together to B / s.  With E the denominator of
+        q's form, each psi(c) is an integer over E s^k, and each p_alpha(x)
+        an integer N_alpha(X) over D_alpha r^M, M = m k n.  The terms go
+        over the lcm L of the denominators of their theta / D_alpha, and the
+        value is total / (L E^n s^(kn) r^M), one Fraction.
+        """
         if q.domain_dim != self.source_codomain_dim or q.degree != self.k:
             raise DimensionError("q does not match the expansion's codomain and k")
-        qform = polarize(q)
-        psi_cache: dict[MultiIndex, Scalar] = {}
-
-        def psi(comp: MultiIndex) -> Scalar:
-            if comp not in psi_cache:
-                args: list[Sequence] = []
-                for vec, mult in zip(self.vectors, comp):
-                    args.extend([vec] * mult)
-                psi_cache[comp] = qform.apply(args)
-            return psi_cache[comp]
-
-        total = Fraction(0) if q.field == RATIONAL else 0.0
-        for t in self.terms:
-            v = t.theta * t.p_alpha.eval(x)
+        if q.field != RATIONAL:
+            raise FieldError("the expansion is exact only; convert q to rational first")
+        r, X = _point(x, self.source_domain_dim, RATIONAL)
+        qden, entries = polarize(q)._int_entries
+        e = self.source_codomain_dim
+        s, B = _cleared([c for b in self.vectors for c in b], RATIONAL)
+        rows = [B[j:j + e] for j in range(0, len(B), e)]
+        den, weights = _common_denominator([t.theta / t.p_alpha._terms[0] for t in self.terms])
+        psi: dict[MultiIndex, int] = {}
+        table: dict[MultiIndex, int] = {}
+        total = 0
+        for w, t in zip(weights, self.terms):
+            v = w * _numerator(t.p_alpha._terms[1], X, table)
             for comp, exp in t.psi_powers:
-                v = v * psi(comp) ** exp
+                if comp not in psi:
+                    psi[comp] = _form_numerator(
+                        entries, [row for row, c in zip(rows, comp) for _ in range(c)])
+                v *= psi[comp] ** exp
             total += v
-        return total
+        kn = self.k * self.n
+        return Fraction(total, den * qden ** self.n * s ** kn * r ** (self.source_degree * kn))
 
 
 def expand_adjoint(rep: FiniteRankRep, n: int, k: int) -> FiniteTypeExpansion:

@@ -79,6 +79,25 @@ def test_enumerate_owns_the_size_cap():
         enumerate_multi_indices(3004, 1)
 
 
+def test_enumerate_hands_out_lists_of_their_own_and_checks_every_call():
+    # each basis is built once per shape: a caller that changes its list
+    # changes nothing the next caller gets, and the checks run on every call
+    first = enumerate_multi_indices(3, 2)
+    want = brute_force_indices(3, 2)
+    first.reverse()
+    first[0] = (9, 9, 9)
+    first.append((0, 0, 0))
+    assert enumerate_multi_indices(3, 2) == want
+    assert enumerate_multi_indices(3, 2) is not enumerate_multi_indices(3, 2)
+    for _ in range(3):
+        with pytest.raises(CapacityError):
+            enumerate_multi_indices(10, 6)
+        with pytest.raises(DimensionError):
+            enumerate_multi_indices(0, 2)
+        with pytest.raises(DegreeError):
+            enumerate_multi_indices(2, -1)
+
+
 def _refused_where_read(result: HomPoly, edge: str) -> None:
     """Each read of an f64 result's coefficients refuses it: the view, the
     writer and sup_norm, every time it is asked."""
@@ -839,6 +858,55 @@ def test_rational_evaluation_refuses_float_points(x):
         PolyMap((p, p)).eval_map(x)
     with pytest.raises(FieldError):
         polarize(p).apply([(Fraction(1), 2), x])
+
+
+def _eval_map_points(rng, d: int, field: str) -> list[tuple]:
+    """Seeded points of R^d: Fractions, some coordinates zero, the origin,
+    and on f64 also doubles and doubles mixed with Fractions and ints."""
+    points = [sampling.random_point(rng, d) for _ in range(3)]
+    points.append(tuple(Fraction(0) if i % 2 else c for i, c in enumerate(points[0])))
+    points.append((Fraction(0),) * d)
+    if field == F64:
+        points.append(tuple(float(c) * 1.1 for c in points[1]))
+        points.append(tuple(float(c) if i % 2 else c for i, c in enumerate(points[2])))
+        points.append((0.0,) * (d - 1) + (-0.0,))
+        points.append(tuple(i + 1 for i in range(d)))
+    return points
+
+
+@pytest.mark.parametrize("field", [RATIONAL, F64])
+def test_eval_map_gives_each_component_its_own_eval(field):
+    # eval_map clears the point once and shares the monomials of the map;
+    # every value must still be the one (and on f64 the double) of eval
+    rng = sampling.rng(41, "eval-map")
+    for d, e, m in ((1, 2, 3), (2, 3, 2), (3, 2, 3), (4, 3, 1), (2, 2, 5)):
+        P = sampling.random_polymap(rng, d, e, m).as_field(field)
+        for x in _eval_map_points(rng, d, field):
+            got = P.eval_map(x)
+            want = tuple(c.eval(x) for c in P.components)
+            assert len(got) == e
+            if field == F64:
+                assert all(_same_double(g, w) for g, w in zip(got, want))
+            else:
+                assert all(type(g) is Fraction for g in got)
+                assert got == want
+
+
+def test_eval_map_refuses_what_eval_refuses():
+    # the second component is 1e-300 * (1e-100)^2, nonzero and below the
+    # smallest double, while the first fits; float points on the rational
+    # field are in test_rational_evaluation_refuses_float_points
+    P = PolyMap((HomPoly(1, 2, {(2,): 1.0}, F64), HomPoly(1, 2, {(2,): 1e-300}, F64)))
+    assert _same_double(P.components[0].eval([1e-100]), float(Fraction(1e-100) ** 2))
+    for read in (lambda: P.components[1].eval([1e-100]), lambda: P.eval_map([1e-100])):
+        with pytest.raises(CapacityError, match="below the smallest"):
+            read()
+    Q = PolyMap((HomPoly(2, 2, {(2, 0): Fraction(1, 3), (1, 1): 2}),
+                 HomPoly(2, 2, {(0, 2): Fraction(-5, 7)})))
+    for M in (Q, Q.as_field(F64)):
+        for x in ((Fraction(1),), (1, 2, 3)):
+            with pytest.raises(DimensionError):
+                M.eval_map(x)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400])

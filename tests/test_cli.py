@@ -256,6 +256,16 @@ def test_decompose_subcommand(tmp_path):
     assert all("theta" in t for t in obj["terms"])
 
 
+def test_decompose_of_an_f64_map_exits_2(tmp_path, capsys):
+    # finite-rank extraction is exact only: a FieldError, an input error
+    src = tmp_path / "map.json"
+    src.write_text(polymap_dumps(PolyMap((HomPoly(2, 1, {(1, 0): 1.5, (0, 1): -2.0}, F64),))))
+    out = tmp_path / "out.json"
+    assert cli.main(["decompose", str(src), "--n", "1", "--k", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "exact only" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2(tmp_path):
     src = tmp_path / "bad.json"
     src.write_text("this is not json")
@@ -752,19 +762,28 @@ PINNED_OUTPUT_SHA256 = {
 PINNED_F64_REPORT_SHA256 = "e7bc4cb37fb26df46865a70b2ca6d940d23e4c57ad0cdde4bedf650286dfd5d1"
 PINNED_F64_REPORT_SEED7_SHA256 = "5b609192e6c94c050e0393dae57f6256f9ed3bddc7a8cf445709f942e53be5eb"
 
+# sha256 of what `polyadjoint verify --seed 7 --field rational` writes: a
+# second exact report beside the refactor oracle's seed 20260815 (held in
+# perfbench/oracle.json), on other draws; exact, so it follows no library
+PINNED_RATIONAL_SEED7_SHA256 = "6137119f00084b7b689d68b0008677953c3c70a62c28f0779d0712829c95b34d"
 
-def _f64_report_digest(tmp_path, seed: str) -> str:
-    out = tmp_path / "f64.json"
-    assert cli.main(["verify", "--seed", seed, "--field", "f64", "--out", str(out)]) == 0
+
+def _report_digest(tmp_path, seed: str, field: str = "f64") -> str:
+    out = tmp_path / f"{field}.json"
+    assert cli.main(["verify", "--seed", seed, "--field", field, "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_f64_report_bytes_are_pinned(tmp_path):
-    assert _f64_report_digest(tmp_path, "20260815") == PINNED_F64_REPORT_SHA256
+    assert _report_digest(tmp_path, "20260815") == PINNED_F64_REPORT_SHA256
 
 
 def test_f64_report_bytes_at_seed_7_are_pinned(tmp_path):
-    assert _f64_report_digest(tmp_path, "7") == PINNED_F64_REPORT_SEED7_SHA256
+    assert _report_digest(tmp_path, "7") == PINNED_F64_REPORT_SEED7_SHA256
+
+
+def test_rational_report_bytes_at_seed_7_are_pinned(tmp_path):
+    assert _report_digest(tmp_path, "7", "rational") == PINNED_RATIONAL_SEED7_SHA256
 
 
 def _pinned_requests(tmp_path) -> tuple[dict[str, bytes], list[tuple[str, list[str]]]]:

@@ -21,7 +21,6 @@ from polyadjoint import (
     compose_scalar,
     compose_three,
     enumerate_multi_indices,
-    integer_points,
     normalization_witness,
     rank_one_map,
 )
@@ -41,18 +40,6 @@ def nonzero_polymap(rng, d, e, m):
     while P.is_zero:
         P = sampling.random_polymap(rng, d, e, m)
     return P
-
-
-def find_normalizer(R: PolyMap):
-    """(psi, z) with psi linear and psi(R(z)) = 1."""
-    for z in integer_points(R.domain_dim, 500):
-        w = R.eval_map(z)
-        for i, wi in enumerate(w):
-            if wi != 0:
-                coeffs = [Fraction(0)] * R.codomain_dim
-                coeffs[i] = Fraction(1) / wi
-                return HomPoly.linear_form(coeffs), z
-    raise AssertionError("test map is zero")
 
 
 def test_compose_three_pointwise_oracle():
@@ -119,7 +106,7 @@ def test_recovery_identities_exact():
         R = nonzero_polymap(rng, 2, 2, r)
         inst = CompositionInstance(R, B, m)
         phi, z_a = normalization_witness(B)
-        psi, z_b = find_normalizer(R)
+        psi, z_b = normalization_witness(R)
         pts = [sampling.random_point(rng, 2) for _ in range(4)]
         forms = [sampling.random_hompoly(rng, 2, 1) for _ in range(4)]
         da, db = check_recovery_identities(inst, phi, z_a, psi, z_b, pts, forms)
@@ -133,7 +120,7 @@ def test_recovery_rejects_bad_normalization():
     R = nonzero_polymap(rng, 2, 2, 1)
     inst = CompositionInstance(R, B, 1)
     phi, z_a = normalization_witness(B)
-    psi, z_b = find_normalizer(R)
+    psi, z_b = normalization_witness(R)
     with pytest.raises(PreconditionError):
         check_recovery_identities(inst, phi.scale(Fraction(2)), z_a, psi, z_b,
                                   [(Fraction(1), Fraction(0))], [])
@@ -148,7 +135,7 @@ def test_recovery_b_is_the_iterated_adjoint():
     R = nonzero_polymap(rng, 2, 2, 2)
     m = 2
     inst = CompositionInstance(R, B, m)
-    psi, z_b = find_normalizer(R)
+    psi, z_b = normalization_witness(R)
     phi = sampling.random_hompoly(rng, 2, 1)
     lift = rank_one_map(phi ** m, z_b)
     routed = compose_scalar(psi, compose_three(inst, lift))
@@ -162,7 +149,7 @@ def test_linear_recovery_full_space():
     while R.is_zero:
         R = sampling.random_polymap(rng, 2, 2, 1)
     inst = CompositionInstance(R, B, 2)
-    psi, z = find_normalizer(R)
+    psi, z = normalization_witness(R)
     qs = [sampling.random_hompoly(rng, 2, 2) for _ in range(4)]
     assert check_linear_recovery(inst, psi, z, qs) == 0
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from polyadjoint import (
+    F64,
     HomPoly,
     PolyMap,
     adjoint_apply,
@@ -18,7 +19,7 @@ from polyadjoint import (
     multilinear_functional,
     polarize,
 )
-from polyadjoint.errors import DegreeError, DimensionError
+from polyadjoint.errors import DegreeError, DimensionError, FieldError
 from polyadjoint import sampling
 from polyadjoint.linearization import _eliminate, coefficient_matrix
 
@@ -184,6 +185,59 @@ def test_expansion_evaluate_validates_q():
     bad = sampling.random_hompoly(rng, 3, 2)
     with pytest.raises(DimensionError):
         exp.evaluate(bad, (Fraction(1), Fraction(0)))
+
+
+def test_exact_only_inputs_raise_field_error():
+    rng = sampling.rng(29, "exact-only")
+    P = rank_l_map(rng, 2, 2, 2)
+    with pytest.raises(FieldError, match="exact only"):
+        finite_rank_rep(P.as_field(F64))
+    exp = expand_adjoint(finite_rank_rep(P), 1, 2)
+    q = sampling.random_hompoly(rng, 2, 2)
+    with pytest.raises(FieldError, match="exact only"):
+        exp.evaluate(q.as_field(F64), (Fraction(1), Fraction(2)))
+    with pytest.raises(FieldError):
+        exp.evaluate(q, (0.5, Fraction(2)))
+    with pytest.raises(DimensionError):
+        exp.evaluate(q, (Fraction(1),))
+
+
+def _term_by_term(exp, q: HomPoly, x) -> Fraction:
+    """The expansion's value as the sum of its terms, each a product of
+    Fractions: theta * p_alpha(x) * prod psi(c)^e, psi through
+    polarize(q).apply on the vectors with their multiplicities."""
+    form = polarize(q)
+    total = Fraction(0)
+    for t in exp.terms:
+        v = t.theta * t.p_alpha.eval(x)
+        for comp, e in t.psi_powers:
+            v *= form.apply([b for b, c in zip(exp.vectors, comp) for _ in range(c)]) ** e
+        total += v
+    return total
+
+
+def test_evaluate_equals_the_term_by_term_formula():
+    # evaluate builds one integer over one denominator; the plain Fraction
+    # sum of its terms must give the same value.  The maps have rank 1 to 3
+    # on the six monomials of degree 2 on R^3, so the p_j and the vectors
+    # have denominators, and a dependent extra component
+    rng = sampling.rng(37, "term-by-term")
+    for l in (1, 2, 3):
+        for n in (1, 2, 3):
+            for k in (1, 2, 3):
+                comps = sampling.random_polymap(rng, 3, l, 2).components
+                P = PolyMap(comps + (comps[0].scale(Fraction(-2, 3)) + comps[-1],))
+                rep = finite_rank_rep(P)
+                assert rep.rank == l
+                assert any(p._terms[0] > 1 for p in rep.scalars)
+                exp = expand_adjoint(rep, n, k)
+                q = sampling.random_hompoly(rng, l + 1, k)
+                x = sampling.random_point(rng, 3)
+                for point in (x, (Fraction(0), x[1], x[2]), (x[0], Fraction(0), Fraction(0)),
+                              (Fraction(0),) * 3):
+                    got = exp.evaluate(q, point)
+                    assert type(got) is Fraction
+                    assert got == _term_by_term(exp, q, point)
 
 
 def test_theta_values_sum_against_direct_square():

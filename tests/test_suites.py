@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyadjoint import algebra, linearization, norms, sampling, suites
+from polyadjoint import algebra, finite_type, linearization, norms, sampling, suites
 from polyadjoint.algebra import HomPoly
 from polyadjoint.errors import PreconditionError, SearchBudgetError
 from polyadjoint.linearization import transpose_identity_defect
@@ -228,6 +228,13 @@ def _last_pivot_row_perturbed(eliminate):
     return faulty
 
 
+def _numerators_only(cleared):
+    # vectors read as their integer numerators X, without the r of X / r
+    def faulty(x, field):
+        return 1, cleared(x, field)[1]
+    return faulty
+
+
 def _last_pivot_dropped(eliminate):
     def faulty(rows, ncols):
         reduced, pivots = eliminate(rows, ncols)
@@ -310,6 +317,13 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_additivity_formula": "fail",
         "claim_finite_type": "fail",
     }
+
+    # in finite_type only FiniteTypeExpansion.evaluate clears vectors: the
+    # expansion's vectors, once for all its psi values
+    with monkeypatch.context() as patch:
+        patch.setattr(finite_type, "_cleared", _numerators_only(finite_type._cleared))
+        caught = {k: v for k, v in _verdicts(cfg).items() if v != "pass"}
+    assert caught == {"claim_finite_type": "fail"}
 
     # a dropped pivot reaches rank, inverse and finite_rank_rep, which all
     # eliminate with linearization._eliminate; the sampler keeps the true
