@@ -21,6 +21,7 @@ from polyadjoint import (
     check_norm_duality,
     norming_functional,
     sup_norm,
+    sup_norms,
 )
 
 cfg = NormConfig(seed=7)
@@ -39,7 +40,14 @@ print("maximizer on the sphere:", est.maximizer)
 y = [3.0, -4.0]
 phi = norming_functional(y)
 print("phi(y) =", phi.eval(y), "against |y| = 5")
-print("duality report passes:", check_norm_duality(y, 3, cfg).passed)
+# the duality check takes a batch of (x, m) and norms every power at once
+reports = check_norm_duality([(y, 1), (y, 3), ([1.0, 2.0, -2.0], 2)], cfg)
+print("duality reports pass:", [rep.passed for rep in reports])
+
+# sup_norms norms maps of any shapes in one call, one stack per shape, each
+# with its own extra starts
+ests = sup_norms([lin, phi ** 3], cfg, [[], [y]])
+print("stacked sup norms:", [est.value for est in ests])
 
 # the adjoint norm over the unit ball of degree-k polynomials is bracketed:
 # a norming construction from below, normalized random q from above

@@ -55,6 +55,7 @@ from .norms import (
     check_norm_duality,
     norming_functional,
     sup_norm,
+    sup_norms,
     vector_norm,
 )
 from .composition import (

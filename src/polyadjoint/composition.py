@@ -18,7 +18,9 @@ checkers, on either field, for six identities that take four routes:
   left-composition operators (the sandwich).
 
 The numeric two-sided bound |R o P o Q| <= |R| |P|^deg(R) |Q|^{deg(P) deg(R)}
-is checked with sup norms that are lower bounds up to float rounding.
+is checked with sup norms that are lower bounds up to float rounding; the
+check takes a sequence of instances (R, P, Q) and norms the four maps of
+every instance in one `sup_norms` call.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from .algebra import (
 from .adjoint import adjoint_apply, integer_points
 from .errors import (CapacityError, DegreeError, DimensionError, FieldError,
                      PreconditionError, SearchBudgetError)
-from .norms import NormConfig, Report, sup_norm
+from .norms import NormConfig, Report, sup_norms
 
 
 @dataclass(frozen=True)
@@ -202,34 +204,43 @@ def check_factorization_identities(m: int, B: PolyMap,
     }
 
 
-def check_two_sided_norm(R: PolyMap, P: PolyMap, Q: PolyMap,
+def check_two_sided_norm(instances: Iterable[tuple[PolyMap, PolyMap, PolyMap]],
                          cfg: NormConfig = NormConfig(), *,
-                         memo: dict | None = None) -> Report:
-    """|R o P o Q| <= |R| * |P|^deg(R) * |Q|^(deg(P)*deg(R)), numerically.
+                         memo: dict | None = None) -> list[Report]:
+    """The report of each instance (R, P, Q), in order:
+    |R o P o Q| <= |R| * |P|^deg(R) * |Q|^(deg(P)*deg(R)), numerically.
 
     All four sup norms are lower bounds up to float rounding, so a violation
     beyond tolerance would be meaningful; the reported slack is relative,
     and the error is the relative violation, checked at a fixed 1e-9.  A
     zero factor makes the bound 0, which only a zero composite meets; any
-    other bound must be a normal double (CapacityError).  ``memo`` is
-    passed to `sup_norm`.
+    other bound must be a normal double (CapacityError).  Every instance is
+    checked to compose (DimensionError) before any sup norm runs; then the
+    four maps of every instance are normed in one `sup_norms` call, with
+    ``memo``.
     """
-    memo = {} if memo is None else memo
-    R, P, Q = R.as_field(F64), P.as_field(F64), Q.as_field(F64)
-    if Q.codomain_dim != P.domain_dim or P.codomain_dim != R.domain_dim:
-        raise DimensionError("R o P o Q is not composable")
-    k, m = R.degree, P.degree
-    lhs, nR, nP, nQ = (sup_norm(M, cfg, memo=memo).value
-                       for M in (compose_map(R, compose_map(P, Q)), R, P, Q))
-    bound, slack = 0.0, 0.0 if lhs == 0 else -math.inf
-    if nR and nP and nQ:
-        try:
-            bound = nR * nP ** k * nQ ** (m * k)
-        except OverflowError:
-            bound = math.inf
-        # an inf times an underflowed 0 is NaN, which this refuses too
-        if not sys.float_info.min <= bound <= sys.float_info.max:
-            raise CapacityError(f"the bound |R| |P|^{k} |Q|^{m * k} does not fit a double")
-        slack = (bound - lhs) / bound
-    return Report("two_sided_bound", lhs, bound, max(0.0, -slack), 1e-9, True, cfg.samples,
-                  cfg.seed, {"slack": slack, "deg_R": k, "deg_P": m, "deg_Q": Q.degree})
+    checked = []
+    for R, P, Q in instances:
+        R, P, Q = R.as_field(F64), P.as_field(F64), Q.as_field(F64)
+        if Q.codomain_dim != P.domain_dim or P.codomain_dim != R.domain_dim:
+            raise DimensionError("R o P o Q is not composable")
+        checked.append((compose_map(R, compose_map(P, Q)), R, P, Q))
+    values = iter(est.value for est in sup_norms([M for maps in checked for M in maps], cfg,
+                                                 memo=memo))
+    reports = []
+    for (_, R, P, Q), lhs, nR, nP, nQ in zip(checked, values, values, values, values):
+        k, m = R.degree, P.degree
+        bound, slack = 0.0, 0.0 if lhs == 0 else -math.inf
+        if nR and nP and nQ:
+            try:
+                bound = nR * nP ** k * nQ ** (m * k)
+            except OverflowError:
+                bound = math.inf
+            # an inf times an underflowed 0 is NaN, which this refuses too
+            if not sys.float_info.min <= bound <= sys.float_info.max:
+                raise CapacityError(f"the bound |R| |P|^{k} |Q|^{m * k} does not fit a double")
+            slack = (bound - lhs) / bound
+        reports.append(Report("two_sided_bound", lhs, bound, max(0.0, -slack), 1e-9, True,
+                              cfg.samples, cfg.seed,
+                              {"slack": slack, "deg_R": k, "deg_P": m, "deg_Q": Q.degree}))
+    return reports

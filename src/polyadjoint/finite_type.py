@@ -35,6 +35,7 @@ from .algebra import (
     _point,
     enumerate_multi_indices,
     map_powers,
+    multinomial,
     polarize,
 )
 from .adjoint import adjoint_apply
@@ -139,9 +140,11 @@ class FiniteTypeExpansion:
         raises FieldError, as does a point that is not rational.
 
         The sum is one integer over one denominator.  x is cleared once to
-        X / r and the vectors together to B / s.  With E the denominator of
-        q's form, each psi(c) is an integer over E s^k, and each p_alpha(x)
-        an integer N_alpha(X) over D_alpha r^M, M = m k n.  The terms go
+        X / r and the vectors together to B / s.  q's form is read from its
+        integer form n_alpha / D, over E = D times the lcm of the
+        multinomial weights, so each psi(c) is an integer over E s^k, and
+        each p_alpha(x) an integer N_alpha(X) over D_alpha r^M, M = m k n.
+        The terms go
         over the lcm L of the denominators of their theta / D_alpha, and the
         value is total / (L E^n s^(kn) r^M), one Fraction.
         """
@@ -150,7 +153,14 @@ class FiniteTypeExpansion:
         if q.field != RATIONAL:
             raise FieldError("the expansion is exact only; convert q to rational first")
         r, X = _point(x, self.source_domain_dim, RATIONAL)
-        qden, entries = polarize(q)._int_entries
+        # q's form has entry n_alpha / (D w_alpha) at the index tuple of
+        # alpha, w_alpha the multinomial weight: E = D lcm(w) clears them all
+        D, nums = q._terms
+        multis = [multinomial(self.k, alpha) for alpha in nums]
+        lcm = math.lcm(*multis)
+        qden = D * lcm
+        entries = {tuple(i for i, a in enumerate(alpha) for _ in range(a)): v * (lcm // w)
+                   for (alpha, v), w in zip(nums.items(), multis)}
         e = self.source_codomain_dim
         s, B = _cleared([c for b in self.vectors for c in b], RATIONAL)
         rows = [B[j:j + e] for j in range(0, len(B), e)]

@@ -6,10 +6,11 @@ evaluated in floats at its maximizer, which lies on the sphere up to machine
 precision.  It is a lower bound up to that rounding, not to the last bit:
 it may exceed the exact |P(x)|/|x|^m at its own maximizer x by a few ulps.
 
-`sup_norm` runs one pipeline over a stack of maps of one shape (d, m, e);
-a single map is a stack of one.  A method, chosen by shape, supplies the
-head of each map's candidate points; the points +-e_i and any extra starts,
-projected to the sphere, follow it.  The heads:
+`sup_norms` norms maps of any shapes, one stack per shape (d, m, e), and
+runs one pipeline over each stack; `sup_norm` of a single map is a stack of
+one.  A method, chosen by shape, supplies the head of each map's candidate
+points; the points +-e_i and the map's own extra starts, projected to the
+sphere, follow it.  The heads:
 
 * one variable ("endpoint-enumeration"): none, the endpoints are +-e_1;
 * linear maps x -> Ax and scalar quadratic forms x^T M x on 2 to
@@ -30,8 +31,10 @@ projected to the sphere, follow it.  The heads:
   of those.
 
 The candidate of largest value is then picked once for the whole stack, by
-one monomial table and one stacked matmul; the first maximum wins, so an
-ascent point at least as good as the floor's best replaces it.  Random
+one monomial table and one stacked matmul over each map's rows, padded to
+one length with copies of its last row; the first maximum wins, so a copy
+never beats its row and an ascent point at least as good as the floor's
+best replaces it.  Random
 circle points, the same for every map of a seed, may not beat a circle
 pass's pick, so a root-finder that misses the maximum fails loudly.  The
 tail is stacked too: each pick is renormalized onto the sphere and its map
@@ -51,24 +54,30 @@ square underflows or overflows; `vector_norm` scales a vector the same way.
 
 The search's sample floor (its points and their monomial table) depends
 only on the seed, the shape (d, m) and the sample count, and the circle
-pass's cross-check points only on the seed, so each is drawn once per stack
-and read from a dict after (`_floor`, `_cross_check`): a stack makes its
-own, and a caller that keeps one, as a claim of the suite does, lends it
-to every later call at that key, to the same bits.  No draw outlives it.
+pass's cross-check points only on the seed, so each is drawn once per
+`sup_norms` call and read from a dict after (`_floor`, `_cross_check`): a
+call makes its own, and a caller that keeps one, as a claim of the suite
+does, lends it to every later call at that key, to the same bits.  No
+draw outlives it.
 
 The four `check_*` functions bracket a norm identity lhs = rhs
 (`Report.bracket`): a norming construction attains lhs from below, and on
 the upper side no measurement over rhs may exceed one.  The error is the
 worse of the two sides, and a report passes exactly when it is within its
-tolerance.  Random normalized polynomials make the upper side of the
-adjoint and the embedding: `_unit_trials` draws one stream's polynomials
-first and norms them to unit sup norm in one stack, and each instance is
-measured against those unit trials.  Each check takes a keyword-only
-``memo``, the dict that keeps the unit trials (`_stream`) beside the floors
-and the cross-check points, a fresh one by default; `verify` lends one per
-claim, so the claim's instances share them.  A dict never changes a
-report, only how much work is shared.  No check reads the clock, so
-same-seed reports are equal.
+tolerance.  `check_norm_duality` and `check_metric_injection` take a
+sequence of instances, check every one before any sup norm runs, and norm
+all their maps in one `sup_norms` call, as `composition.check_two_sided_norm`
+does; they return one report per instance, in order.  Random normalized
+polynomials make the upper side of the adjoint and the embedding, which
+take one instance: `_unit_trials` draws one stream's polynomials first and
+norms them to unit sup norm in one stack, and each instance is measured
+against those unit trials, the embedding at each trial's point cleared
+once (`_trial_points`).  Each check takes a keyword-only ``memo``, the dict
+that keeps the unit trials (`_stream`) beside the floors and the
+cross-check points, a fresh one by default; `verify` lends one per claim
+of the adjoint and the embedding, so the claim's instances share them.  A
+dict never changes a report, only how much work is shared.  No check reads
+the clock, so same-seed reports are equal.
 """
 from __future__ import annotations
 
@@ -80,8 +89,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (DEFAULT_SIZE_CAP, F64, HomPoly, PolyMap, _basis_size_exceeds,
-                      _common_denominator, compose_scalar, enumerate_multi_indices)
+from .algebra import (DEFAULT_SIZE_CAP, F64, HomPoly, PolyMap, _basis_size_exceeds, _cleared,
+                      _common_denominator, _numerator, compose_scalar, enumerate_multi_indices)
 from .adjoint import adjoint_apply, evaluation_embedding
 from .errors import (CapacityError, DegenerateInputError, DegreeError, DimensionError,
                      FieldError, PreconditionError)
@@ -259,25 +268,35 @@ class _Shape:
     def floor_monomials(self, X: np.ndarray) -> np.ndarray:
         """The (N, T) table of `monomials` at the many rows of the sample
         floor, equal to it bit for bit, built column by column by the
-        prefix walk from one power row per variable and exponent."""
-        N = X.shape[0]
-        # row a - 1 holds x_j^a: the walk reads no zero exponent
-        powers = np.empty((self.d, self.m, N))
-        powers[:, 0] = X.T
-        for a in range(1, self.m):
-            np.multiply(powers[:, a - 1], powers[:, 0], out=powers[:, a])
+        prefix walk from one power row per variable and exponent.  The
+        floor is the largest operand a pass builds, so the walk holds as
+        few rows beside the table as it can: x_j is read from X, x_j^m,
+        which only the monomial x_j^m reads, is written straight into its
+        column, and a depth-0 path is its factor itself.  A column-major X
+        gives each x_j as one contiguous row (`_floor` holds it so)."""
+        N, XT, m = X.shape[0], X.T, self.m
+        # row a - 2 holds x_j^a for 2 <= a < m; the walk reads no zero exponent
+        powers = np.empty((self.d, max(m - 2, 0), N))
+        for a in range(2, m):
+            np.multiply(powers[:, a - 3] if a > 2 else XT, XT, out=powers[:, a - 2])
+
+        def factor(j: int, a: int) -> np.ndarray:
+            return XT[j] if a == 1 else powers[j, a - 2]
         mon = np.empty((N, len(self.basis)))
-        # a monomial has at most min(d, m) factors, so the walk as many depths
-        held = np.empty((min(self.d, self.m), N))
-        path = [None] * len(held)
+        # a monomial of k <= min(d, m) factors keeps the paths of depths 1
+        # to k - 2, depth i in row i - 1; depth 0 is a factor row itself
+        held = np.empty((max(min(self.d, m) - 2, 0), N))
+        path = [None] * min(self.d, m)
         for i, j, a, t in self.walk:
-            factor = powers[j, a - 1]
-            if t < 0:
-                path[i] = np.multiply(path[i - 1], factor, out=held[i]) if i else factor
+            if a == m > 1:
+                np.multiply(factor(j, m - 1), XT[j], out=mon[:, t])
+            elif t < 0:
+                path[i] = np.multiply(path[i - 1], factor(j, a), out=held[i - 1]) if i \
+                    else factor(j, a)
             elif i:
-                np.multiply(path[i - 1], factor, out=mon[:, t])
+                np.multiply(path[i - 1], factor(j, a), out=mon[:, t])
             else:
-                mon[:, t] = factor
+                mon[:, t] = factor(j, a)
         return mon
 
     def norms(self, X: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -640,25 +659,48 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     largest double raises CapacityError.  ``memo``, a dict the caller
     keeps, lends the search a sample floor and the circle pass its
     cross-check points, drawn at the same key by an earlier call, which
-    gives the same bits (`_floor`, `_cross_check`)."""
-    return _sup_norms([P], cfg, extra_starts, memo)[0]
+    gives the same bits (`_floor`, `_cross_check`).  A stack of one
+    (`sup_norms`)."""
+    return sup_norms([P], cfg, [extra_starts], memo=memo)[0]
 
 
-def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
-               extra_starts: Sequence[Sequence[float]] = (),
-               memo: dict | None = None) -> list[NormEstimate]:
-    """`sup_norm` of each map of a stack that shares one shape (d, m, e),
-    each to the bits it gets alone; only the search works map by map.  The
-    draws are read from ``memo``, a fresh dict unless the caller keeps one."""
+def sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig = NormConfig(),
+              starts: Sequence[Sequence[Sequence[float]]] | None = None, *,
+              memo: dict | None = None) -> list[NormEstimate]:
+    """`sup_norm` of each map, in order, ``starts[b]`` the extra starts of
+    ``maps[b]`` (none for every map when None).  The maps of each shape
+    (d, m, e) are normed as one stack, in the order each shape first
+    appears, and each gets the bits it gets alone; only the search works
+    map by map.  Every map and start is checked, as `sup_norm` checks them,
+    before any is normed, and a count of start lists other than the count
+    of maps raises DimensionError.  The draws are read from ``memo``, a
+    fresh dict unless the caller keeps one."""
     memo = {} if memo is None else memo
     maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
-    if not maps:
-        return []
+    starts = [()] * len(maps) if starts is None else list(starts)
+    if len(starts) != len(maps):
+        raise DimensionError(f"{len(starts)} lists of extra starts for {len(maps)} maps")
     if any(P.field != F64 for P in maps):
         raise FieldError("sup_norm runs on the f64 field; convert with as_field")
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for b, P in enumerate(maps):
+        groups.setdefault((P.domain_dim, P.degree, P.codomain_dim), []).append(b)
+    stacks = [_stack([maps[b] for b in group], [starts[b] for b in group], cfg)
+              for group in groups.values()]
+    out: list[NormEstimate] = [None] * len(maps)
+    for group, stack in zip(groups.values(), stacks):
+        for b, est in zip(group, _stack_norms(*stack, cfg, memo)):
+            out[b] = est
+    return out
+
+
+def _stack(maps: list[PolyMap], extra_starts: list[Sequence[Sequence[float]]],
+           cfg: NormConfig) -> tuple[_Shape, np.ndarray, list[str], list[np.ndarray]]:
+    """The checked stack of maps of one shape: its `_Shape`, (B, e, T)
+    coefficients, each map's method and each map's candidate rows after
+    its head, +-e_i and then its extra starts, projected to the sphere
+    (only the zero vector is dropped)."""
     d, m, e = maps[0].domain_dim, maps[0].degree, maps[0].codomain_dim
-    if any((P.domain_dim, P.degree, P.codomain_dim) != (d, m, e) for P in maps):
-        raise DimensionError("a stack of maps shares one shape (d, m, e)")
     # each map's method, which `norm` prints and the benchmark counts (the
     # search keeps its name although its samples are now Gaussian); the shape
     # alone decides it for a linear map or a scalar quadratic form, and on R^1
@@ -667,53 +709,68 @@ def _sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig,
     method = [by_shape or ("sobol+gradient-ascent"
                            if d > 2 or _exponent_spread(P) > MAX_CIRCLE_SPREAD
                            else "circle-critical-points") for P in maps]
-    search = [b for b, name in enumerate(method) if name == "sobol+gradient-ascent"]
-    circle = [b for b, name in enumerate(method) if name == "circle-critical-points"]
     points = cfg.samples + 2 * d
     # checked before the coefficients are read, as the exponent and
     # derivative tables alone grow with d times the monomial count
-    if search and _basis_size_exceeds(d, m, MAX_SAMPLE_ENTRIES // points):
+    if "sobol+gradient-ascent" in method and _basis_size_exceeds(
+            d, m, MAX_SAMPLE_ENTRIES // points):
         raise CapacityError(
             f"{points} sphere points times C({d + m - 1}, {m}) monomials "
             f"exceed the sample size cap {MAX_SAMPLE_ENTRIES}")
-    if bad := [len(s) for s in extra_starts if len(s) != d]:
+    if bad := [len(s) for group in extra_starts for s in group if len(s) != d]:
         raise DimensionError(f"extra start has length {bad[0]}, expected {d}")
     shape, raw = _coefficient_stack(maps)
+    rows = []
+    for group in extra_starts:
+        units = []
+        for s in group:
+            v = np.asarray(s, dtype=float)
+            if not np.isfinite(v).all():
+                raise FieldError("non-finite extra start")
+            if v.any():
+                units.append(_unit_direction(v)[None, :])
+        rows.append(np.vstack([_signed_basis(d), *units]) if units else _signed_basis(d))
+    return shape, raw, method, rows
+
+
+def _padded(rows: list[np.ndarray], d: int) -> np.ndarray:
+    """(B, R, d): each map's rows, padded to one length R with copies of its
+    last row.  A copy follows the row it copies, so it never wins the pick,
+    which takes the first maximum."""
+    if all(r is rows[0] for r in rows):
+        return np.broadcast_to(rows[0], (len(rows), *rows[0].shape))
+    out = np.empty((len(rows), max(map(len, rows)), d))
+    for b, r in enumerate(rows):
+        out[b, :len(r)], out[b, len(r):] = r, r[-1]
+    return out
+
+
+def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list[np.ndarray],
+                 cfg: NormConfig, memo: dict) -> list[NormEstimate]:
+    """The estimates of a checked stack (`_stack`)."""
+    d, m = shape.d, shape.m
     # |2^-s P| = 2^-s |P|: far from unit scale the squares of the values
     # would underflow or overflow, so there the map measured is 2^-s P, with
     # s the binary exponent of its largest coefficient
     shifts = np.frexp(np.abs(raw).reshape(len(raw), -1).max(axis=1, initial=0.0))[1]
     shifts[np.abs(shifts) <= MAX_SCALE_EXP] = 0
     coeffs = np.ldexp(raw, -shifts[:, None, None])
-
-    # the candidate rows after each method's head: +-e_i and the extra
-    # starts, each projected to the sphere; only the zero vector is dropped
-    rows = [_signed_basis(d)]
-    for s in extra_starts:
-        v = np.asarray(s, dtype=float)
-        if not np.isfinite(v).all():
-            raise FieldError("non-finite extra start")
-        if v.any():
-            rows.append(_unit_direction(v)[None, :])
-    starts = np.vstack(rows)
-    B, iters = len(maps), [0] * len(maps)
-    if by_shape == "closed-form":
+    B, iters = len(raw), [0] * len(raw)
+    circle = [b for b, name in enumerate(method) if name == "circle-critical-points"]
+    if method[0] == "closed-form":
         heads = _top_eigenvectors(coeffs, d, m)[:, None]
-    elif by_shape:
+    elif method[0] == "endpoint-enumeration":
         # no head: the endpoints +-e_1 are the first starts
         heads = np.empty((B, 0, d))
     else:
         ragged = dict(zip(circle, _circle_points(coeffs[circle], m))) if circle else {}
-        for b in search:
-            ragged[b], iters[b] = _search_head(shape, coeffs[b], cfg, starts, memo)
-        # each head is padded to one length by copies of its last row, which
-        # follow that row, so they never win: the pick takes the first maximum
-        heads = np.empty((B, max(map(len, ragged.values())), d))
-        for b, head in ragged.items():
-            heads[b, :len(head)], heads[b, len(head):] = head, head[-1]
+        for b, name in enumerate(method):
+            if name == "sobol+gradient-ascent":
+                ragged[b], iters[b] = _search_head(shape, coeffs[b], cfg, starts[b], memo)
+        heads = _padded([ragged[b] for b in range(B)], d)
 
-    # one pick for every method, over each map's head and then the starts
-    X = np.concatenate([heads, starts[None].repeat(B, axis=0)], axis=1)
+    # one pick for every method, over each map's head and then its starts
+    X = np.concatenate([heads, _padded(starts, d)], axis=1)
     vals = shape.norms(X, coeffs)
     best = X[np.arange(B), vals.argmax(axis=1)]
     if circle:
@@ -770,23 +827,34 @@ def _floor(memo: dict, shape: _Shape, cfg: NormConfig,
     after, where only the tail rows are rewritten for the starts.  A table
     row is its point's alone, so a held row has the bits a fresh table
     would give it; the values are then one matmul over the whole operand,
-    as for a fresh floor."""
+    as for a fresh floor.  The points are held column by column, so that
+    the prefix walk reads each coordinate as one contiguous row; the rows
+    the search takes from them are copied out C-ordered, as fancy indexing
+    gives them."""
     key = ("floor", cfg.seed, shape.d, shape.m, cfg.samples)
     N = cfg.samples
     if key not in memo:
         rng = _np_rng(cfg.seed, f"sup-norm-l2-{shape.d}")
-        X = np.vstack([_sphere_samples(shape.d, N, rng), starts])
+        X = _by_columns(_sphere_samples(shape.d, N, rng), starts)
         memo[key] = X, shape.floor_monomials(X)
         return memo[key]
     X, mon = memo[key]
     if len(X) != N + len(starts):
         # another count of starts: the floor moves to operands of the new height
-        X = np.vstack([X[:N], starts])
+        X = _by_columns(X[:N], starts)
         mon = np.vstack([mon[:N], np.empty((len(starts), mon.shape[1]))])
         memo[key] = X, mon
     X[N:] = starts
     mon[N:] = shape.floor_monomials(starts)
     return X, mon
+
+
+def _by_columns(points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` and then of ``starts`` as one column-major
+    (N + s, d) array."""
+    XT = np.empty((points.shape[1], len(points) + len(starts)))
+    XT[:, :len(points)], XT[:, len(points):] = points.T, starts.T
+    return XT.T
 
 
 def _certified_upper(raw: np.ndarray, d: int, m: int, value: float, shift: int) -> float:
@@ -848,20 +916,27 @@ def _point_target(x: Sequence, power: int, name: str) -> tuple[list[float], floa
     return xv, nx, _normal_power(nx, power, name)
 
 
-def check_norm_duality(x: Sequence, m: int, cfg: NormConfig = NormConfig(), *,
-                       memo: dict | None = None) -> Report:
-    """|x|^m is attained by the m-th power of a norming functional, and that
-    power has sup norm at most one, the bracket's one upper ratio.
-    DegreeError unless m >= 1; CapacityError when |x|^m is not a normal
-    double.  ``memo`` is passed to `sup_norm`."""
-    if m < 1:
-        raise DegreeError(f"the duality needs m >= 1, got m={m}")
-    xv, nx, target = _point_target(x, m, f"|x|^{m}")
-    q = norming_functional(xv) ** m
-    unit = (np.asarray(xv) / nx).tolist()
-    qn = sup_norm(q, cfg, [unit], memo=memo)
-    return Report.bracket("norm_duality", cfg, abs(q.eval(xv)), target, [qn.value],
-                          {"degree": m})
+def check_norm_duality(instances: Iterable[tuple[Sequence, int]],
+                       cfg: NormConfig = NormConfig(), *,
+                       memo: dict | None = None) -> list[Report]:
+    """The report of each instance (x, m), in order: |x|^m is attained by
+    the m-th power of a norming functional, and that power has sup norm at
+    most one, the bracket's one upper ratio.  DegreeError unless m >= 1;
+    CapacityError when |x|^m is not a normal double; every instance is
+    checked before any sup norm runs.  The powers are normed in one
+    `sup_norms` call, each handed its unit point, with ``memo``."""
+    checked = []
+    for x, m in instances:
+        if m < 1:
+            raise DegreeError(f"the duality needs m >= 1, got m={m}")
+        xv, nx, target = _point_target(x, m, f"|x|^{m}")
+        checked.append((xv, m, target, norming_functional(xv) ** m,
+                        (np.asarray(xv) / nx).tolist()))
+    ests = sup_norms([q for *_, q, _ in checked], cfg, [[unit] for *_, unit in checked],
+                     memo=memo)
+    return [Report.bracket("norm_duality", cfg, abs(q.eval(xv)), target, [est.value],
+                           {"degree": m})
+            for (xv, m, target, q, _), est in zip(checked, ests)]
 
 
 def _unit_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
@@ -874,7 +949,7 @@ def _unit_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
     measured against it, so the instances of one claim that draw on one
     label can share it."""
     qs = [_random_hompoly_f64(rng, d, k) for _ in range(q_trials)]
-    return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, _sup_norms(qs, cfg, memo=memo))
+    return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, sup_norms(qs, cfg, memo=memo))
                  if not est.value < 1e-12)
 
 
@@ -886,6 +961,19 @@ def _stream(memo: dict, cfg: NormConfig, label: str, d: int, k: int,
     key = ("stream", cfg, label, d, k, q_trials)
     if key not in memo:
         memo[key] = _unit_trials(_np_rng(cfg.seed, label), d, k, q_trials, cfg, memo)
+    return memo[key]
+
+
+def _trial_points(memo: dict, cfg: NormConfig, label: str, d: int, k: int,
+                  q_trials: int) -> list[tuple[int, list[int]]]:
+    """The coefficient vector of each unit trial of `_stream`, cleared to
+    its integer point (r, X), the vector X / r: kept in ``memo`` beside the
+    stream, so each trial is cleared once per memo, however many instances
+    are measured against it."""
+    key = ("points", cfg, label, d, k, q_trials)
+    if key not in memo:
+        memo[key] = [_cleared(q.coeff_vector(), F64)
+                     for q in _stream(memo, cfg, label, d, k, q_trials)]
     return memo[key]
 
 
@@ -913,7 +1001,7 @@ def check_adjoint_norm(P: PolyMap, n: int, k: int,
     q_star = norming_functional(P.eval_map(est.maximizer)) ** k
     lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg, [est.maximizer], memo=memo).value
     unit = _stream(memo, cfg, f"adjoint-norm-q-{n}-{k}", P.codomain_dim, k, q_trials)
-    trials = _sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo)
+    trials = sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo)
     return Report.bracket("adjoint_norm", cfg, lower, target,
                           (trial.value / target for trial in trials),
                           {"sup_norm_P": est.value, "q_instances": len(unit), "n": n, "k": k})
@@ -935,34 +1023,45 @@ def check_embedding_norm(x: Sequence, m: int, n: int,
     d = len(xv)
     jp = evaluation_embedding(xv, m, n, field=F64)
     q_star = norming_functional(xv) ** n
-    unit = _stream(memo, cfg, f"embedding-norm-q-{m}-{n}-{d}", d, n, q_trials)
+    points = _trial_points(memo, cfg, f"embedding-norm-q-{m}-{n}-{d}", d, n, q_trials)
     return Report.bracket("embedding_norm", cfg, abs(jp.eval(q_star.coeff_vector())), target,
-                          (abs(jp.eval(q.coeff_vector())) / target for q in unit),
+                          (abs(jp._value(_numerator(jp._terms[1], X, {}), r)) / target
+                           for r, X in points),
                           {"m": m, "n": n})
 
 
-def check_metric_injection(proj: PolyMap, q: HomPoly,
+def check_metric_injection(instances: Iterable[tuple[PolyMap, HomPoly]],
                            cfg: NormConfig = NormConfig(), *,
-                           memo: dict | None = None) -> Report:
-    """Precomposition with a surjection that maps the ball onto the ball
-    preserves the sup norm; here the surjection is a matrix with orthonormal
-    rows acting between Euclidean balls.  CapacityError unless |q| is normal.
-    ``memo`` is passed to `sup_norm`.  Neither search is handed a start, so
-    the norm of q(proj x) is measured against a value it was not given."""
-    proj = proj.as_field(F64)
-    if proj.degree != 1:
-        raise PreconditionError("proj must be linear")
-    e, g = proj.codomain_dim, proj.domain_dim
-    A = np.array([c.coeff_vector() for c in proj.components], dtype=float)
-    if np.abs(A @ A.T - np.eye(e)).max() > 1e-12:
-        raise PreconditionError("proj rows are not orthonormal (not a metric surjection)")
-    if q.domain_dim != e:
-        raise DimensionError("q must live on the codomain of proj")
-    q = q.as_field(F64)
-    if q.is_zero:
-        raise DegenerateInputError("q is zero")
-    rhs = _normal_power(sup_norm(q, cfg, memo=memo).value, 1, "the sup norm of q")
-    lhs = sup_norm(compose_scalar(q, proj), cfg, memo=memo).value
-    # the ratio's excess over one adds nothing to |lhs/rhs - 1|
-    return Report.bracket("metric_injection", cfg, lhs, rhs, [lhs / rhs],
-                          {"domain_dim": g, "codomain_dim": e, "k": q.degree})
+                           memo: dict | None = None) -> list[Report]:
+    """The report of each instance (proj, q), in order: precomposition with
+    a surjection that maps the ball onto the ball preserves the sup norm;
+    here the surjection is a matrix with orthonormal rows acting between
+    Euclidean balls.  Every instance is checked before any sup norm runs;
+    then each q and each q(proj x) are normed in one `sup_norms` call, with
+    ``memo``, and CapacityError unless each |q| is normal.  No search is
+    handed a start, so the norm of q(proj x) is measured against a value it
+    was not given."""
+    checked = []
+    for proj, q in instances:
+        proj = proj.as_field(F64)
+        if proj.degree != 1:
+            raise PreconditionError("proj must be linear")
+        e, g = proj.codomain_dim, proj.domain_dim
+        A = np.array([c.coeff_vector() for c in proj.components], dtype=float)
+        if np.abs(A @ A.T - np.eye(e)).max() > 1e-12:
+            raise PreconditionError("proj rows are not orthonormal (not a metric surjection)")
+        if q.domain_dim != e:
+            raise DimensionError("q must live on the codomain of proj")
+        q = q.as_field(F64)
+        if q.is_zero:
+            raise DegenerateInputError("q is zero")
+        checked.append((q, compose_scalar(q, proj), {"domain_dim": g, "codomain_dim": e,
+                                                     "k": q.degree}))
+    ests = iter(sup_norms([M for q, pulled, _ in checked for M in (q, pulled)], cfg, memo=memo))
+    reports = []
+    for (_, _, details), qn, pulled in zip(checked, ests, ests):
+        rhs = _normal_power(qn.value, 1, "the sup norm of q")
+        # the ratio's excess over one adds nothing to |lhs/rhs - 1|
+        reports.append(Report.bracket("metric_injection", cfg, pulled.value, rhs,
+                                      [pulled.value / rhs], details))
+    return reports

@@ -9,7 +9,10 @@ reproducible byte for byte for a fixed configuration.
 Each claim draws its instances over a parameter grid (`_grid`) and folds
 them once per field: an exact claim yields one defect per instance to
 `_exact_claim`, a failed side condition counting as a defect of 1, and a
-numeric claim one `Report` per instance to `_numeric_fold`.
+numeric claim one `Report` per instance to `_numeric_fold`.  The duality,
+metric-injection and two-sided claims draw every instance first, in the
+order they always drew them, and check them all in one call, which norms
+their maps in one `sup_norms` call.
 """
 from __future__ import annotations
 
@@ -464,16 +467,13 @@ def _norm_claim(name: str, cfg: SuiteConfig, reports: Iterable[Report],
 
 
 def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
-    """The report of `check_norm_duality` on each instance.  The instances
-    share the sample floors and cross-check points, drawn once per claim
-    in a dict of its own; nothing outlives the claim."""
-    ncfg = cfg.norm_config()
+    """The reports of `check_norm_duality` on every instance, all drawn
+    first and checked in one call, so they share the sample floors and
+    cross-check points; nothing outlives the claim."""
     rng = _np_rng(cfg.seed, "norm-duality-x")
-    memo: dict = {}
-    reports = (check_norm_duality(_random_nonzero_f64_point(rng, _dims_cycle(cfg, t)),
-                                  1 + t % 3, ncfg, memo=memo)
-               for t in range(50))
-    return _norm_claim("norm_duality", cfg, reports)
+    instances = [(_random_nonzero_f64_point(rng, _dims_cycle(cfg, t)), 1 + t % 3)
+                 for t in range(50)]
+    return _norm_claim("norm_duality", cfg, check_norm_duality(instances, cfg.norm_config()))
 
 
 def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
@@ -504,40 +504,33 @@ def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
 
 
 def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
-    """The report of `check_metric_injection` on each instance, the
-    searches' sample floors shared as in `claim_norm_duality`."""
-    ncfg = cfg.norm_config()
+    """The reports of `check_metric_injection` on every instance, drawn
+    and checked as in `claim_norm_duality`."""
     rng = _np_rng(cfg.seed, "metric-injection")
-    memo: dict = {}
     drop_last = PolyMap.from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], F64)
-
-    def reports():
-        for t in range(20):
-            if t % 2 == 0:
-                proj = drop_last
-            else:
-                # orthonormal rows from a seeded QR factorization
-                Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-                proj = PolyMap.from_matrix(Q[:, :2].T.tolist(), F64)
-            yield check_metric_injection(proj, _random_hompoly_f64(rng, 2, 1 + t % 3), ncfg,
-                                         memo=memo)
-
-    return _norm_claim("metric_injection", cfg, reports())
+    instances = []
+    for t in range(20):
+        if t % 2 == 0:
+            proj = drop_last
+        else:
+            # orthonormal rows from a seeded QR factorization
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            proj = PolyMap.from_matrix(Q[:, :2].T.tolist(), F64)
+        instances.append((proj, _random_hompoly_f64(rng, 2, 1 + t % 3)))
+    return _norm_claim("metric_injection", cfg,
+                       check_metric_injection(instances, cfg.norm_config()))
 
 
 def claim_two_sided_bound(cfg: SuiteConfig) -> ClaimResult:
     """The bound's report error is its relative violation, max(0, -slack),
     checked at the report's own fixed tolerance rather than ``cfg.tol``;
-    the draws are shared as in `claim_norm_duality`."""
-    ncfg = cfg.norm_config()
+    the instances are drawn and checked as in `claim_norm_duality`."""
     rng = _np_rng(cfg.seed, "two-sided")
-    memo: dict = {}
     # the degrees of R, P and Q, drawn in that order
     degs = ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2), (2, 1, 2))
-    reports = (check_two_sided_norm(*(_random_f64_map(rng, 2, 2, deg)
-                                      for deg in degs[t % len(degs)]), ncfg, memo=memo)
-               for t in range(20))
-    worst, count, passed = _numeric_fold(reports)
+    instances = [tuple(_random_f64_map(rng, 2, 2, deg) for deg in degs[t % len(degs)])
+                 for t in range(20)]
+    worst, count, passed = _numeric_fold(check_two_sided_norm(instances, cfg.norm_config()))
     return ClaimResult("two_sided_bound", F64, count, worst, passed,
                        {"worst_violation": worst})
 

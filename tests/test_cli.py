@@ -214,7 +214,7 @@ def test_norm_delta_refuses_bad_adjoint_parameters_before_the_search(
     # sup norm of P had run the search
     def no_sup_norm(*args, **kwargs):
         raise AssertionError("a sup norm ran")
-    monkeypatch.setattr(norms, "_sup_norms", no_sup_norm)
+    monkeypatch.setattr(norms, "sup_norms", no_sup_norm)
     src = tmp_path / "map.json"
     src.write_text(polymap_dumps(SEARCH_MAP))
     assert cli.main(["norm", str(src), "--claim", "delta", *flags]) == 2

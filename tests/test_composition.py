@@ -32,7 +32,7 @@ from polyadjoint.errors import (
     PreconditionError,
     SearchBudgetError,
 )
-from polyadjoint import composition, sampling, suites
+from polyadjoint import composition, norms, sampling, suites
 
 
 def nonzero_polymap(rng, d, e, m):
@@ -224,8 +224,8 @@ def test_two_sided_norm_bound():
     memo: dict = {}
     for (kr, mp, nq) in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 1, 2)):
         maps = f64_map(kr), f64_map(mp), f64_map(nq)
-        rep = check_two_sided_norm(*maps, NormConfig(seed=37), memo=memo)
-        assert rep == check_two_sided_norm(*maps, NormConfig(seed=37))
+        [rep] = check_two_sided_norm([maps], NormConfig(seed=37), memo=memo)
+        assert [rep] == check_two_sided_norm([maps], NormConfig(seed=37))
         assert rep.passed
         assert rep.details["slack"] >= -1e-9
     # the composites of degree 2 and 4 on R^2 take the circle pass
@@ -239,7 +239,7 @@ def test_two_sided_bound_with_a_zero_factor_is_zero():
     R = PolyMap.from_matrix([[big, 0.0], [0.0, big]], F64)
     P = PolyMap((HomPoly(2, 2, {(2, 0): big}, F64), HomPoly(2, 2, {(0, 2): big}, F64)))
     Q = PolyMap.from_matrix([[0.0, 0.0], [0.0, 0.0]], F64)
-    rep = check_two_sided_norm(R, P, Q, NormConfig(seed=3))
+    [rep] = check_two_sided_norm([(R, P, Q)], NormConfig(seed=3))
     assert (rep.passed, rep.lhs, rep.rhs, rep.rel_err) == (True, 0.0, 0.0, 0.0)
     assert rep.details["slack"] == 0.0
 
@@ -253,4 +253,30 @@ def test_two_sided_bound_past_the_largest_double_is_a_size_cap():
         R = PolyMap.from_matrix([[scale, -scale]], F64)
         P = PolyMap((HomPoly(2, 2, {(2, 0): scale}, F64), HomPoly(2, 2, {(2, 0): scale}, F64)))
         with pytest.raises(CapacityError, match="does not fit a double"):
-            check_two_sided_norm(R, P, Q, NormConfig(seed=3))
+            check_two_sided_norm([(R, P, Q)], NormConfig(seed=3))
+
+
+def test_two_sided_bound_refuses_a_batch_with_a_bad_triple_before_any_sup_norm(monkeypatch):
+    # the last triple cannot be composed: nothing is normed
+    def no_sup_norm(*args, **kwargs):
+        raise AssertionError("a sup norm ran")
+    monkeypatch.setattr(norms, "sup_norms", no_sup_norm)
+    monkeypatch.setattr(composition, "sup_norms", no_sup_norm)
+    square = PolyMap.from_matrix([[1.0, 2.0], [0.5, -1.0]], F64)
+    wide = PolyMap.from_matrix([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]], F64)
+    with pytest.raises(DimensionError, match="not composable"):
+        check_two_sided_norm([(square, square, square), (square, square, wide),
+                              (square, wide, square)], NormConfig(seed=3))
+
+
+def test_two_sided_bound_batch_equals_its_one_instance_calls():
+    rng = np.random.default_rng(43)
+
+    def f64_map(deg):
+        basis = enumerate_multi_indices(2, deg)
+        return PolyMap(tuple(HomPoly(2, deg, dict(zip(basis, map(float, rng.standard_normal(
+            len(basis))))), F64) for _ in range(2)))
+    triples = [tuple(map(f64_map, degs)) for degs in ((1, 1, 1), (2, 1, 2), (1, 2, 1), (1, 1, 1))]
+    cfg = NormConfig(seed=43)
+    assert check_two_sided_norm(triples, cfg) == [check_two_sided_norm([t], cfg)[0]
+                                                  for t in triples]

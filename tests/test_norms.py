@@ -107,13 +107,13 @@ def test_circle_pass_missing_one_maximum_in_a_stack_fails_loudly(monkeypatch):
     faulty = HomPoly(2, 3, {(2, 1): 1.0, (1, 2): -1.0}, F64)
     cube = HomPoly(2, 3, {(3, 0): 1.0}, F64)
     real = norms._circle_points
-    want = norms._sup_norms([outer[0], cube, outer[1]], NormConfig(seed=1))
-    assert norms._sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
+    want = norms.sup_norms([outer[0], cube, outer[1]], NormConfig(seed=1))
+    assert norms.sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
     monkeypatch.setattr(norms, "_circle_points", lambda coeffs, m: [
         AXES if b == 1 else points for b, points in enumerate(real(coeffs, m))])
     with pytest.raises(AssertionError, match="random circle point"):
-        norms._sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
-    assert norms._sup_norms([outer[0], cube, outer[1]], NormConfig(seed=1)) == want
+        norms.sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
+    assert norms.sup_norms([outer[0], cube, outer[1]], NormConfig(seed=1)) == want
 
 
 def quadratic_form(M) -> HomPoly:
@@ -546,7 +546,7 @@ def circle_stack(rng, m: int, e: int, size: int) -> np.ndarray:
 
 
 def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatch):
-    # the heads, and the picks the stacked pick of _sup_norms makes from
+    # the heads, and the picks the stacked pick of sup_norms makes from
     # them, where maps past 2^+-256 are measured scaled; with no closed
     # form, the linear maps and quadratic forms take the circle pass too
     rng = np.random.default_rng(2310)
@@ -575,9 +575,9 @@ def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatc
                 assert len(sizes) >= 2 or size < 100 or m == 1
                 for c, got in zip(C, points):
                     assert _same_bits(got, _circle_points_reference(c, m)), (m, e, size)
-                ests = norms._sup_norms([PolyMap(tuple(
+                ests = norms.sup_norms([PolyMap(tuple(
                     HomPoly(2, m, dict(zip(shape.basis, map(float, row))), F64) for row in c))
-                    for c in C], cfg, [start])
+                    for c in C], cfg, [[start]] * size)
                 assert {est.method for est in ests} == {"circle-critical-points"}
                 picks = _circle_picks_reference(shape, C, cfg, starts)
                 assert _same_bits(np.array([est.maximizer for est in ests]),
@@ -657,13 +657,28 @@ def stacks(method: str):
 def test_a_stack_gives_each_map_the_bits_it_gets_alone(method):
     # signed zeros count: float.hex tells -0.0 from 0.0
     for maps, cfg, starts, methods in stacks(method):
-        stacked = norms._sup_norms(maps, cfg, starts)
+        stacked = norms.sup_norms(maps, cfg, [starts] * len(maps))
         alone = [sup_norm(P, cfg, starts) for P in maps]
         assert stacked == alone
         assert [_hex(est) for est in stacked] == [_hex(est) for est in alone]
         assert [est.method for est in stacked] == methods
         if method == "closed-form":
             assert stacked[0].upper == 0.0 and stacked[0].value == 0.0
+    # one call over the first two maps of every stack of this method and a
+    # map of each other method, interleaved, each map with starts of its own
+    rng = np.random.default_rng(35)
+    maps = [P for stack, *_ in stacks(method) for P in stack[:2]]
+    for other in ("endpoint-enumeration", "closed-form", "circle-critical-points",
+                  "sobol+gradient-ascent"):
+        if other != method:
+            maps.insert(len(maps) // 2, next(stacks(other))[0][-1])
+    starts = [rng.standard_normal((b % 3, P.domain_dim)).tolist() for b, P in enumerate(maps)]
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    mixed = norms.sup_norms(maps, cfg, starts)
+    assert [_hex(est) for est in mixed] == [
+        _hex(sup_norm(P, cfg, own)) for P, own in zip(maps, starts)]
+    assert {est.method for est in mixed} == {"endpoint-enumeration", "closed-form",
+                                              "circle-critical-points", "sobol+gradient-ascent"}
 
 
 def _counting_floor_draws(monkeypatch) -> list:
@@ -688,7 +703,7 @@ def test_a_stack_of_search_maps_draws_its_floor_once(monkeypatch):
     maps = random_maps(rng, 3, 3, 2, 5)
     alone = [sup_norm(P, cfg, [[1.0, 0.5, 0.25]]) for P in maps]
     draws = _counting_floor_draws(monkeypatch)
-    assert norms._sup_norms(maps, cfg, [[1.0, 0.5, 0.25]]) == alone
+    assert norms.sup_norms(maps, cfg, [[[1.0, 0.5, 0.25]]] * len(maps)) == alone
     assert draws == [(3, 512)]
     draws.clear()
     memo = {}
@@ -739,7 +754,7 @@ def test_stacked_norms_take_every_method_map_by_map():
             len(basis))))), F64) for _ in range(e))) for _ in range(4)]
         if (d, m, e) == (2, 3, 1):
             maps.insert(2, wide)
-        stacked = norms._sup_norms(maps, cfg, [[1.0] * d])
+        stacked = norms.sup_norms(maps, cfg, [[[1.0] * d]] * len(maps))
         assert stacked == [sup_norm(P, cfg, [[1.0] * d]) for P in maps]
         assert [_hex(est) for est in stacked] == [
             _hex(sup_norm(P, cfg, [[1.0] * d])) for P in maps]
@@ -751,7 +766,7 @@ def test_stacked_norms_take_every_method_map_by_map():
 
 
 def test_stacked_circle_pass_in_sup_norm_equals_the_per_map_reference():
-    # whole estimates through _sup_norms, where maps past 2^+-256 are measured
+    # whole estimates through sup_norms, where maps past 2^+-256 are measured
     # scaled and a map past MAX_CIRCLE_SPREAD takes the search mid-stack;
     # every circle map keeps the pick the per-map reference makes
     rng = np.random.default_rng(2311)
@@ -762,7 +777,7 @@ def test_stacked_circle_pass_in_sup_norm_equals_the_per_map_reference():
             for c in C]
     maps.insert(50, WIDE)
     start = [1.0, 2.0]
-    got = norms._sup_norms(maps, cfg, [start])
+    got = norms.sup_norms(maps, cfg, [[start]] * len(maps))
     alone = [sup_norm(P, cfg, [start]) for P in maps]
     assert [_hex(est) for est in got] == [_hex(est) for est in alone]
     assert got == alone
@@ -774,13 +789,28 @@ def test_stacked_circle_pass_in_sup_norm_equals_the_per_map_reference():
                       picks / np.sqrt((picks * picks).sum(axis=1))[:, None])
 
 
-def test_stacked_norms_refuse_mixed_shapes_and_fields():
+def test_stacked_norms_refuse_mixed_shapes_and_fields(monkeypatch):
+    # maps of several shapes are normed, one stack per shape; a count of
+    # start lists other than the count of maps, a bad start in any stack and
+    # a map of another field are refused before any stack is normed
     P = PolyMap.from_matrix([[1.0, 2.0]], F64)
-    assert norms._sup_norms([], NormConfig()) == []
-    with pytest.raises(DimensionError):
-        norms._sup_norms([P, PolyMap.from_matrix([[1.0, 2.0], [3.0, 4.0]], F64)], NormConfig())
+    square = PolyMap.from_matrix([[1.0, 2.0], [3.0, 4.0]], F64)
+    cube = PolyMap((HomPoly(3, 3, {(3, 0, 0): 1.0, (1, 1, 1): -2.0}, F64),))
+    assert norms.sup_norms([], NormConfig()) == []
+    assert norms.sup_norms([P, square, P], NormConfig()) == [sup_norm(P), sup_norm(square),
+                                                             sup_norm(P)]
+
+    def no_stack_norms(*args, **kwargs):
+        raise AssertionError("a stack was normed")
+    monkeypatch.setattr(norms, "_stack_norms", no_stack_norms)
+    with pytest.raises(DimensionError, match="^1 lists of extra starts for 2 maps$"):
+        norms.sup_norms([P, square], NormConfig(), [[]])
+    with pytest.raises(DimensionError, match="^extra start has length 2, expected 3$"):
+        norms.sup_norms([P, cube], NormConfig(), [[], [[1.0, 0.0]]])
     with pytest.raises(FieldError):
-        norms._sup_norms([P, PolyMap.from_matrix([[1, 2]])], NormConfig())
+        norms.sup_norms([P, cube], NormConfig(), [[], [[math.nan, 0.0, 1.0]]])
+    with pytest.raises(FieldError):
+        norms.sup_norms([P, PolyMap.from_matrix([[1, 2]])], NormConfig())
 
 
 def _upper_trials_per_q(rng, d, k, q_trials, cfg, ratio):
@@ -837,19 +867,16 @@ def test_a_nan_ratio_anywhere_fails_the_upper_side(monkeypatch, position):
                                (math.nan if t == position else 0.5 for t in range(10)), {})
     assert math.isnan(rep.details["worst_upper_ratio"]) and math.isnan(rep.rel_err)
     assert not rep.passed
-    real = norms.evaluation_embedding
+    # the embedding's value is NaN at one trial: its numerator there, which
+    # the upper side reads trial by trial, is NaN
+    real, calls = norms._numerator, []
 
-    class NanAt:
-        """The embedding, but NaN at one trial (call 0 is the lower side)."""
-
-        def __init__(self, jp):
-            self.jp, self.calls = jp, 0
-
-        def eval(self, v):
-            self.calls += 1
-            return math.nan if self.calls == position + 2 else self.jp.eval(v)
-    monkeypatch.setattr(norms, "evaluation_embedding", lambda *a, **kw: NanAt(real(*a, **kw)))
+    def nan_at(nums, X, table):
+        calls.append(X)
+        return math.nan if len(calls) == position + 1 else real(nums, X, table)
+    monkeypatch.setattr(norms, "_numerator", nan_at)
     rep = check_embedding_norm([0.6, -1.1], 2, 2, NormConfig(seed=5), q_trials=10)
+    assert len(calls) == 10
     assert math.isnan(rep.details["worst_upper_ratio"]) and math.isnan(rep.rel_err)
     assert not rep.passed
 
@@ -864,22 +891,20 @@ def test_a_nan_ratio_against_shared_trials_fails_every_instance_that_reads_it(
     # ratio is NaN fails each instance measured against it
     cfg, streams = NormConfig(seed=5), {}
     check_embedding_norm(EMBEDDING_POINTS[0], 2, 2, cfg, 10, memo=streams)
-    (unit,) = streams.values()
-    poisoned = unit[position].coeff_vector()
-    real = norms.evaluation_embedding
+    # the unit trials, and beside them each trial's cleared point
+    unit, points = streams.values()
+    assert [key[0] for key in streams] == ["stream", "points"]
+    assert points == [norms._cleared(q.coeff_vector(), norms.F64) for q in unit]
+    poisoned = points[position][1]
+    real = norms._numerator
 
-    class NanOn:
-        """The embedding, but NaN at the poisoned trial."""
-
-        def __init__(self, jp):
-            self.jp = jp
-
-        def eval(self, v):
-            return math.nan if list(v) == list(poisoned) else self.jp.eval(v)
-    monkeypatch.setattr(norms, "evaluation_embedding", lambda *a, **kw: NanOn(real(*a, **kw)))
+    def nan_on(nums, X, table):
+        # the embedding's value at the poisoned trial is NaN
+        return math.nan if X is poisoned else real(nums, X, table)
+    monkeypatch.setattr(norms, "_numerator", nan_on)
     reps = [check_embedding_norm(x, 2, 2, cfg, 10, memo=streams) for x in EMBEDDING_POINTS]
-    (shared,) = streams.values()
-    assert shared is unit
+    shared, kept = streams.values()
+    assert shared is unit and kept is points
     assert all(math.isnan(rep.rel_err) and not rep.passed for rep in reps)
 
 
@@ -887,25 +912,27 @@ def test_instances_share_unit_trials_but_never_ratios(monkeypatch):
     # a NaN in one instance's ratios stays its own: the instances after it,
     # reading the same unit trials, pass as they do alone
     cfg, streams = NormConfig(seed=5), {}
-    real = norms.evaluation_embedding
-
-    class NanAll:
-        def __init__(self, jp):
-            self.jp, self.calls = jp, 0
-
-        def eval(self, v):
-            self.calls += 1
-            # call 1 is the lower side
-            return self.jp.eval(v) if self.calls == 1 else math.nan
+    real, real_numerator = norms.evaluation_embedding, norms._numerator
+    poisoned = []
 
     def embedding(x, *a, **kw):
         jp = real(x, *a, **kw)
-        return NanAll(jp) if list(x) == EMBEDDING_POINTS[0] else jp
+        if list(x) == EMBEDDING_POINTS[0]:
+            poisoned.append(jp._terms[1])
+        return jp
+
+    def nan_all(nums, X, table):
+        # every trial value of the first instance's embedding is NaN; its
+        # lower side is evaluated on its own
+        return math.nan if any(nums is p for p in poisoned) else real_numerator(nums, X, table)
     monkeypatch.setattr(norms, "evaluation_embedding", embedding)
+    monkeypatch.setattr(norms, "_numerator", nan_all)
     first, *rest = [check_embedding_norm(x, 2, 2, cfg, 10, memo=streams)
                     for x in EMBEDDING_POINTS]
     assert math.isnan(first.rel_err) and not first.passed
+    assert math.isnan(first.details["worst_upper_ratio"]) and abs(first.lhs / first.rhs - 1) < 1e-9
     monkeypatch.setattr(norms, "evaluation_embedding", real)
+    monkeypatch.setattr(norms, "_numerator", real_numerator)
     assert rest == [check_embedding_norm(x, 2, 2, cfg, q_trials=10) for x in EMBEDDING_POINTS[1:]]
     assert all(rep.passed for rep in rest)
 
@@ -1103,20 +1130,21 @@ def test_vector_norm_far_from_unit_scale(scale):
 
 
 def test_check_norm_duality_report():
-    rep = check_norm_duality([1.5, -2.0], 3, NormConfig(seed=2))
+    [rep] = check_norm_duality([([1.5, -2.0], 3)], NormConfig(seed=2))
     assert rep.passed
     assert rep.rel_err <= 1e-9
     # the sup norm of the attaining power is the bracket's one upper ratio
     assert rep.details["worst_upper_ratio"] <= 1.0 + 1e-9
     with pytest.raises(DegenerateInputError):
-        check_norm_duality([0.0, 0.0], 2, NormConfig(seed=2))
+        check_norm_duality([([0.0, 0.0], 2)], NormConfig(seed=2))
+    assert check_norm_duality([], NormConfig(seed=2)) == []
 
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_check_norm_duality_checks_m_before_its_power(m):
     # the power of the norming functional refused m first, naming it n
     with pytest.raises(DegreeError, match=rf"^the duality needs m >= 1, got m={m}$"):
-        check_norm_duality([1.0, 2.0], m)
+        check_norm_duality([([1.0, 2.0], m)])
 
 
 def test_check_adjoint_norm_report():
@@ -1142,11 +1170,46 @@ def test_check_adjoint_norm_checks_n_and_k_before_any_sup_norm(monkeypatch, n, k
     # which named it n, only after the sup norm of P had run
     def no_sup_norm(*args, **kwargs):
         raise AssertionError("a sup norm ran")
-    monkeypatch.setattr(norms, "_sup_norms", no_sup_norm)
+    monkeypatch.setattr(norms, "sup_norms", no_sup_norm)
     P = linear_map([[1.0, 2.0], [0.5, -1.0]])
     with pytest.raises(DegreeError,
                        match=rf"^adjoint parameters must be >= 1, got n={n}, k={k}$"):
         check_adjoint_norm(P, n, k, NormConfig(seed=3))
+
+
+ORTHONORMAL = linear_map([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+QUADRATIC = HomPoly(2, 2, {(2, 0): 1.0, (1, 1): -0.5}, F64)
+
+
+@pytest.mark.parametrize("check, error", [
+    (lambda: check_norm_duality([([1.0, 2.0], 2), ([0.5, -1.0, 2.0], 3), ([1.0, 2.0], 0)]),
+     DegreeError),
+    (lambda: check_metric_injection([(ORTHONORMAL, QUADRATIC),
+                                     (linear_map([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), QUADRATIC)]),
+     PreconditionError),
+], ids=["duality", "injection"])
+def test_a_bad_instance_last_in_a_batch_is_refused_before_any_sup_norm(monkeypatch, check, error):
+    def no_sup_norm(*args, **kwargs):
+        raise AssertionError("a sup norm ran")
+    monkeypatch.setattr(norms, "sup_norms", no_sup_norm)
+    with pytest.raises(error):
+        check()
+
+
+def test_batched_identity_checks_equal_their_one_instance_calls():
+    # one report per instance, in order, each the report of that instance
+    # checked alone, whether or not a memo is lent
+    cfg = NormConfig(seed=4)
+    rng = np.random.default_rng(41)
+    points = [(rng.standard_normal(d).tolist(), m) for d in (2, 3, 2) for m in (1, 2, 3)]
+    memo = {}
+    assert check_norm_duality(points, cfg, memo=memo) == [
+        check_norm_duality([p], cfg)[0] for p in points]
+    assert check_norm_duality(points, cfg, memo=memo) == check_norm_duality(points, cfg)
+    cubic = HomPoly(2, 3, {(3, 0): 1.0, (1, 2): 2.5, (0, 3): -0.75}, F64)
+    pairs = [(ORTHONORMAL, QUADRATIC), (ORTHONORMAL, cubic), (ORTHONORMAL, QUADRATIC)]
+    assert check_metric_injection(pairs, cfg) == [
+        check_metric_injection([p], cfg)[0] for p in pairs]
 
 
 @pytest.mark.parametrize("check", [
@@ -1159,7 +1222,7 @@ def test_a_check_with_no_upper_trial_is_refused_before_any_sup_norm(monkeypatch,
     # q_instances 0
     def no_sup_norm(*args, **kwargs):
         raise AssertionError("a sup norm ran")
-    monkeypatch.setattr(norms, "_sup_norms", no_sup_norm)
+    monkeypatch.setattr(norms, "sup_norms", no_sup_norm)
     with pytest.raises(PreconditionError, match=r"^q_trials must be >= 1, got -?\d+$"):
         check()
 
@@ -1218,7 +1281,7 @@ def test_check_metric_injection_requires_orthonormal_rows():
     bad = linear_map([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     q = HomPoly(2, 2, {(2, 0): 1.0}, F64)
     with pytest.raises(PreconditionError):
-        check_metric_injection(bad, q, NormConfig(seed=1))
+        check_metric_injection([(bad, q)], NormConfig(seed=1))
 
 
 def test_check_metric_injection_measures_q_of_any_normal_size():
@@ -1227,17 +1290,17 @@ def test_check_metric_injection_measures_q_of_any_normal_size():
     proj = linear_map([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     for scale in (1e-290, 1e-302, 1e-305):
         q = HomPoly(2, 2, {(2, 0): scale, (1, 1): scale}, F64)
-        rep = check_metric_injection(proj, q, NormConfig(seed=1))
+        [rep] = check_metric_injection([(proj, q)], NormConfig(seed=1))
         assert rep.passed and rep.rel_err == 0.0
     with pytest.raises(CapacityError):
-        check_metric_injection(proj, HomPoly(2, 2, {(2, 0): 1e-310, (1, 1): 1e-310}, F64),
+        check_metric_injection([(proj, HomPoly(2, 2, {(2, 0): 1e-310, (1, 1): 1e-310}, F64))],
                                NormConfig(seed=1))
     with pytest.raises(DegenerateInputError, match="q is zero"):
-        check_metric_injection(proj, HomPoly(2, 2, {}, F64), NormConfig(seed=1))
+        check_metric_injection([(proj, HomPoly(2, 2, {}, F64))], NormConfig(seed=1))
 
 
 @pytest.mark.parametrize("check", [
-    lambda x: check_norm_duality(x, 2, NormConfig(seed=1)),
+    lambda x: check_norm_duality([(x, 2)], NormConfig(seed=1))[0],
     lambda x: check_embedding_norm(x, 2, 2, NormConfig(seed=1)),
 ], ids=["duality", "embedding"])
 def test_norm_identity_targets_far_from_unit_scale_are_refused_as_a_size_cap(check):
@@ -1282,7 +1345,7 @@ def test_check_metric_injection_passes_for_projection():
     from polyadjoint import enumerate_multi_indices
     basis = enumerate_multi_indices(2, 3)
     q = HomPoly(2, 3, dict(zip(basis, (float(v) for v in rng.standard_normal(len(basis))))), F64)
-    rep = check_metric_injection(proj, q, NormConfig(seed=17))
+    [rep] = check_metric_injection([(proj, q)], NormConfig(seed=17))
     assert rep.passed
     assert rep.rel_err <= 1e-6
 

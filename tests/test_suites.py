@@ -12,6 +12,7 @@ import pytest
 
 from polyadjoint import algebra, finite_type, linearization, norms, sampling, suites
 from polyadjoint.algebra import HomPoly
+from polyadjoint.composition import check_two_sided_norm
 from polyadjoint.errors import PreconditionError, SearchBudgetError
 from polyadjoint.linearization import transpose_identity_defect
 from polyadjoint.norms import (check_adjoint_norm, check_embedding_norm, check_metric_injection,
@@ -270,7 +271,7 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
 
     # a wrong coeffs view reaches every claim that reads coefficients one by
     # one (coefficient vectors, polarization) while the kernel and the
-    # matrices read the integer form
+    # matrices read the integer form, as the finite-type expansion reads q
     with monkeypatch.context() as patch:
         patch.setattr(algebra.HomPoly, "__getattr__",
                       _view_off_by_one(algebra.HomPoly.__getattr__))
@@ -279,7 +280,6 @@ def test_exact_suite_catches_injected_kernel_faults(monkeypatch):
         "claim_diagram_identity": "fail",
         "claim_additivity_formula": "fail",
         "claim_rank_bound": "fail",
-        "claim_finite_type": "fail",
     }
 
     with monkeypatch.context() as patch:
@@ -531,8 +531,8 @@ def _norm_duality_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
     # its own floor
     ncfg = cfg.norm_config()
     rng = sampling._np_rng(cfg.seed, "norm-duality-x")
-    reports = (check_norm_duality(sampling._random_nonzero_f64_point(
-                   rng, cfg.dims[t % len(cfg.dims)]), 1 + t % 3, ncfg)
+    reports = (check_norm_duality([(sampling._random_nonzero_f64_point(
+                   rng, cfg.dims[t % len(cfg.dims)]), 1 + t % 3)], ncfg)[0]
                for t in range(50))
     return suites._norm_claim("norm_duality", cfg, reports)
 
@@ -549,8 +549,8 @@ def _metric_injection_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
             else:
                 Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
                 proj = algebra.PolyMap.from_matrix(Q[:, :2].T.tolist(), algebra.F64)
-            yield check_metric_injection(proj, sampling._random_hompoly_f64(rng, 2, 1 + t % 3),
-                                         ncfg)
+            yield check_metric_injection(
+                [(proj, sampling._random_hompoly_f64(rng, 2, 1 + t % 3))], ncfg)[0]
     return suites._norm_claim("metric_injection", cfg, reports())
 
 
@@ -578,3 +578,27 @@ def test_norm_claims_draw_each_search_floor_once_and_fold_as_the_checks(
     want = reference(cfg)
     assert draws == [(3, cfg.samples)] * per_instance
     assert got == want and got.passed
+
+
+def _two_sided_bound_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
+    # the reference: the check on each instance alone, drawn in the claim's
+    # order
+    ncfg = cfg.norm_config()
+    rng = sampling._np_rng(cfg.seed, "two-sided")
+    degs = ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2), (2, 1, 2))
+    reports = (check_two_sided_norm([tuple(sampling._random_f64_map(rng, 2, 2, deg)
+                                           for deg in degs[t % len(degs)])], ncfg)[0]
+               for t in range(20))
+    worst, count, passed = suites._numeric_fold(reports)
+    return suites.ClaimResult("two_sided_bound", algebra.F64, count, worst, passed,
+                              {"worst_violation": worst})
+
+
+@pytest.mark.parametrize("seed", [1729, 20260815])
+def test_two_sided_bound_claim_folds_as_the_check(seed):
+    # the claim checks its instances in one call; its result is the fold of
+    # the check run instance by instance
+    cfg = SuiteConfig(seed=seed, field="f64")
+    got = suites.claim_two_sided_bound(cfg)
+    assert got == _two_sided_bound_per_instance(cfg) and got.passed
+    assert got.instances == 20
