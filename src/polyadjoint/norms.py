@@ -24,11 +24,12 @@ sphere, follow it.  The heads:
   built at once, and one np.linalg.eigvals runs per companion size;
 * other maps of three or more variables, and two-variable maps whose
   coefficients span more than MAX_CIRCLE_SPREAD binary orders of magnitude
-  ("sobol+gradient-ascent"), map by map: the points that batched projected
-  gradient ascent, with per-restart adaptive step and backtracking, reaches
-  from the best of a random sample floor of normalized standard-normal
-  vectors (uniform on the sphere) and the other candidates, then the best
-  of those.
+  ("sobol+gradient-ascent"): the points that projected gradient ascent,
+  with per-restart adaptive step and backtracking, reaches from the best
+  of a random sample floor of normalized standard-normal vectors (uniform
+  on the sphere) and the other candidates, then the best of those.  One
+  ascent refines the restarts of every map, each map stopping by its own
+  rule.
 
 The candidate of largest value is then picked once for the whole stack, by
 one monomial table and one stacked matmul over each map's rows, padded to
@@ -209,9 +210,9 @@ def vector_norm(y: Sequence) -> float:
 class _Shape:
     """What every degree-m map on R^d evaluates with, built once per (d, m)
     by `_shape`: where each monomial, and on first use each degree-(m-1)
-    one, reads its factors in a point's power table, the partials' index
-    arrays and the sample floor's prefix walk; and the monomial tables of
-    points, which maps of one shape share."""
+    one after them, reads its factors in a point's power table, the
+    partials' index arrays and the sample floor's prefix walk; and the
+    monomial tables of points, which maps of one shape share."""
 
     def __init__(self, d: int, m: int):
         self.d, self.m = d, m
@@ -220,19 +221,20 @@ class _Shape:
 
     @functools.cached_property
     def lower_gather(self) -> tuple[np.ndarray, ...]:
-        return _gather_index(enumerate_multi_indices(self.d, self.m - 1), self.d, self.m)
+        lower = _gather_index(enumerate_multi_indices(self.d, self.m - 1), self.d, self.m)
+        return _read_only(*map(np.concatenate, zip(self.gather, lower)))
 
     @functools.cached_property
     def partials(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """(mask, idx, alpha_j) for each variable x_j, in order: which
-        monomials alpha contain x_j, where alpha - e_j sits in the lower
-        table, and their exponents of x_j."""
+        monomials alpha contain x_j, where alpha - e_j sits in the table
+        `monomials` gives with ``lower``, and their exponents of x_j."""
         where = {a: i for i, a in enumerate(enumerate_multi_indices(self.d, self.m - 1))}
         expts = np.array(self.basis, dtype=np.int64)
         partials = []
         for j in range(self.d):
             mask = expts[:, j] > 0
-            idx = np.array([where[a[:j] + (a[j] - 1,) + a[j + 1:]]
+            idx = np.array([len(self.basis) + where[a[:j] + (a[j] - 1,) + a[j + 1:]]
                             for a, keep in zip(self.basis, mask.tolist()) if keep],
                            dtype=np.intp)
             partials.append(_read_only(mask, idx, expts[mask, j]))
@@ -242,28 +244,27 @@ class _Shape:
     def walk(self) -> tuple[tuple[int, int, int, int], ...]:
         return _prefix_walk(self.basis)
 
-    def monomials(self, X: np.ndarray,
-                  lower: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-        """(N, T) degree-m monomial values at the rows of X and, with
-        ``lower``, the (N, T') degree-(m-1) ones (else None), both read from
-        one cumulative power table per point: each is the product over the
-        variables in turn of the powers gathered from it, a 1.0 for each
-        zero exponent included.  Row for row, so a stack of maps may share
-        one call."""
-        N = X.shape[0]
-        powers = np.empty((N, self.d, self.m + 1))
-        powers[:, :, 0] = 1.0
-        powers[:, :, 1] = X
+    def monomials(self, X: np.ndarray, lower: bool = False) -> np.ndarray:
+        """(..., T) degree-m monomial values at the (..., d) points X, read
+        from one cumulative power table per point: each is the product over
+        the variables in turn of the powers gathered from it, a 1.0 for each
+        zero exponent included.  With ``lower`` the T' degree-(m-1) values
+        follow in the same rows, read by the same take per variable, so the
+        gradient's operands are columns of the value's table.  Point for
+        point, so a stack of maps may share one call."""
+        powers = np.empty((*X.shape, self.m + 1))
+        powers[..., 0] = 1.0
+        powers[..., 1] = X
         for a in range(2, self.m + 1):
-            np.multiply(powers[:, :, a - 1], X, out=powers[:, :, a])
-        flat = powers.reshape(N, -1)
+            np.multiply(powers[..., a - 1], X, out=powers[..., a])
+        flat = powers.reshape(*X.shape[:-1], -1)
 
         def table(gather: tuple[np.ndarray, ...]) -> np.ndarray:
-            out = flat.take(gather[0], axis=1)
+            out = flat.take(gather[0], axis=-1)
             for index in gather[1:]:
-                out *= flat.take(index, axis=1)
+                out *= flat.take(index, axis=-1)
             return out
-        return table(self.gather), table(self.lower_gather) if lower else None
+        return table(self.lower_gather if lower else self.gather)
 
     def floor_monomials(self, X: np.ndarray) -> np.ndarray:
         """The (N, T) table of `monomials` at the many rows of the sample
@@ -303,10 +304,7 @@ class _Shape:
         """(B, R) norms |P_b(x)| at the (B, R, d) stack of points X for the
         (B, e, T) stack of coefficients: one monomial table and one stacked
         matmul, each slice of which is the product of one map alone."""
-        B, R, d = X.shape
-        mon = self.monomials(X.reshape(B * R, d))[0].reshape(B, R, -1)
-        V = mon @ coeffs.transpose(0, 2, 1)
-        return _row_norms(V.reshape(B * R, -1)).reshape(B, R)
+        return _row_norms(self.monomials(X) @ coeffs.transpose(0, 2, 1))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -369,7 +367,7 @@ def _coefficient_stack(maps: Sequence[PolyMap]) -> tuple[_Shape, np.ndarray]:
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
-    return np.sqrt((V * V).sum(axis=1))
+    return np.sqrt((V * V).sum(axis=-1))
 
 
 def _sphere_samples(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -488,7 +486,7 @@ def _cross_check(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, tops: np.nd
     key = ("cross-check", cfg.seed)
     if key not in memo:
         memo[key] = _sphere_samples(2, CROSS_CHECK, _np_rng(cfg.seed, "sup-norm-l2-2"))
-    V = shape.monomials(memo[key])[0] @ coeffs.transpose(0, 2, 1)
+    V = shape.monomials(memo[key]) @ coeffs.transpose(0, 2, 1)
     checks = _row_norms(V.reshape(-1, V.shape[2])).reshape(len(V), -1).max(axis=1)
     for check, top in zip(checks.tolist(), tops.tolist()):
         if check > top * (1.0 + 1e-9):
@@ -498,65 +496,73 @@ def _cross_check(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, tops: np.nd
 
 
 def _gradient(partials: list[tuple[np.ndarray, np.ndarray]], V: np.ndarray,
-              low: np.ndarray) -> np.ndarray:
-    """Gradient of f(x) = |P(x)|_2^2 at N points, given their values V,
-    their degree-(m-1) monomial table ``low`` and, for each variable x_j in
-    order, dP/dx_j: where alpha - e_j sits in the lower table, for each
-    monomial alpha containing x_j, and the coefficients times alpha_j."""
-    dV = np.empty((V.shape[0], len(partials), V.shape[1]))
+              tables: np.ndarray) -> np.ndarray:
+    """Gradient of f(x) = |P(x)|_2^2 at points given their (..., e) values
+    V, their monomial ``tables`` with the lower ones (`monomials` with
+    ``lower``) and, for each variable x_j in order, dP/dx_j: where alpha -
+    e_j sits in the tables, for each monomial alpha containing x_j, and the
+    (e, T_j) coefficients times alpha_j, or a (B, e, T_j) stack of them for
+    the (B, R) points of B maps, one matmul slice per map."""
+    dV = np.empty((*V.shape[:-1], len(partials), V.shape[-1]))
     for j, (idx, dcoeffs) in enumerate(partials):
-        # take, not low[:, idx], which is F-ordered: the last bits of
+        # take, not tables[..., idx], which is F-ordered: the last bits of
         # the matmul follow the layout of its operands
-        dV[:, j] = low.take(idx, axis=1) @ dcoeffs.T
-    return 2.0 * (V[:, None, :] * dV).sum(axis=2)
+        dV[..., j, :] = tables.take(idx, axis=-1) @ dcoeffs.swapaxes(-1, -2)
+    return 2.0 * (V[..., None, :] * dV).sum(axis=-1)
 
 
-def _ascend_batch(shape: _Shape, coeffs: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, int]:
-    """Projected gradient ascent on the Euclidean sphere for the map of (e,
-    T) coefficients, all rows at once.  One power table per batch of points
-    yields the values and, through the shared degree-(m-1) table, the whole
-    gradient.
+def _ascend(shape: _Shape, coeffs: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Projected gradient ascent on the Euclidean sphere from the (B, R, d)
+    rows X, slice b for the map of coefficients coeffs[b], all rows at
+    once: the (B, R, d) rows reached and each map's iterations.  One
+    monomial table per batch of points, the degree-(m-1) monomials beside
+    the degree-m ones, yields the values and the whole gradient; each
+    matmul is stacked, each slice the product of one map alone.
 
     Per-row adaptive step with backtracking: a step is kept only if it
     improves the squared norm; the step then grows, otherwise it shrinks.
+    Each map stops by the rule it follows alone, on its own rows, which
+    then leave the stack.
     """
-    # only the ascent needs the partials, so it builds them, once per map;
+    B, R, d = X.shape
+    out, iters, stall, live = np.empty((B, R, d)), [0] * B, [0] * B, list(range(B))
+    # only the ascent needs the partials, so it builds them, once per stack;
     # each x_j occurs at m >= 1, so every variable has one
-    partials = [(idx, coeffs[:, mask] * weights) for mask, idx, weights in shape.partials]
-    X = X / np.sqrt((X * X).sum(axis=1, keepdims=True))
-    mon, low = shape.monomials(X, lower=True)
-    V = mon @ coeffs.T
-    f = (V * V).sum(axis=1)
-    eta = np.full(X.shape[0], 0.1)
-    stall = 0
-    for iters in range(1, MAX_ASCENT_ITERS + 1):
-        G = _gradient(partials, V, low)
+    partials = [(idx, coeffs[:, :, mask] * weights) for mask, idx, weights in shape.partials]
+    X = X / np.sqrt((X * X).sum(axis=2, keepdims=True))
+    T, tables = len(shape.basis), shape.monomials(X, lower=True)
+    V = tables[..., :T] @ coeffs.transpose(0, 2, 1)
+    f = (V * V).sum(axis=2)
+    eta = np.full((B, R), 0.1)
+    while live:
+        G = _gradient(partials, V, tables)
         # tangential component; near a maximizer it vanishes
-        Gt = G - ((G * X).sum(axis=1, keepdims=True)) * X
-        cand = X + eta[:, None] * Gt
-        cand /= np.sqrt((cand * cand).sum(axis=1, keepdims=True))
-        mon, low_c = shape.monomials(cand, lower=True)
-        Vc = mon @ coeffs.T
-        f_new = (Vc * Vc).sum(axis=1)
+        Gt = G - ((G * X).sum(axis=2, keepdims=True)) * X
+        cand = X + eta[..., None] * Gt
+        cand /= np.sqrt((cand * cand).sum(axis=2, keepdims=True))
+        tables_c = shape.monomials(cand, lower=True)
+        Vc = tables_c[..., :T] @ coeffs.transpose(0, 2, 1)
+        f_new = (Vc * Vc).sum(axis=2)
         better = f_new > f
-        rows = better[:, None]
+        rows = better[..., None]
         np.copyto(X, cand, where=rows)
         np.copyto(V, Vc, where=rows)
-        # the accepted rows' lower table is the next gradient's input
-        np.copyto(low, low_c, where=rows)
+        # the accepted rows' tables are the next gradient's input
+        np.copyto(tables, tables_c, where=rows)
         improvement = np.where(better, f_new - f, 0.0)
         f = np.where(better, f_new, f)
         eta *= np.where(better, 1.3, 0.4)
-        rel = improvement.max() / max(f.max(), 1e-300)
-        if rel < 1e-16:
-            stall += 1
-            if stall >= 4:
-                break
-        else:
-            stall = 0
-        if eta.max() < 1e-18:
-            break
-    return X, iters
+        rel = improvement.max(axis=1) / np.maximum(f.max(axis=1), 1e-300)
+        keep = []
+        for b, r, top in zip(live, rel.tolist(), eta.max(axis=1).tolist()):
+            stall[b], iters[b] = stall[b] + 1 if r < 1e-16 else 0, iters[b] + 1
+            keep.append(not (stall[b] >= 4 or top < 1e-18 or iters[b] == MAX_ASCENT_ITERS))
+        if not all(keep):
+            out[[b for b, k in zip(live, keep) if not k]] = X[~np.array(keep)]
+            live = [b for b, k in zip(live, keep) if k]
+            X, V, tables, f, eta, coeffs = (a[keep] for a in (X, V, tables, f, eta, coeffs))
+            partials = [(idx, dcoeffs[keep]) for idx, dcoeffs in partials]
+    return out, iters
 
 
 @functools.lru_cache(maxsize=16)
@@ -670,11 +676,11 @@ def sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig = NormConfig(),
     """`sup_norm` of each map, in order, ``starts[b]`` the extra starts of
     ``maps[b]`` (none for every map when None).  The maps of each shape
     (d, m, e) are normed as one stack, in the order each shape first
-    appears, and each gets the bits it gets alone; only the search works
-    map by map.  Every map and start is checked, as `sup_norm` checks them,
-    before any is normed, and a count of start lists other than the count
-    of maps raises DimensionError.  The draws are read from ``memo``, a
-    fresh dict unless the caller keeps one."""
+    appears, and each gets the bits it gets alone.  Every map and start is
+    checked, as `sup_norm` checks them, before any is normed, and a count
+    of start lists other than the count of maps raises DimensionError.  The
+    draws are read from ``memo``, a fresh dict unless the caller keeps
+    one."""
     memo = {} if memo is None else memo
     maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
     starts = [()] * len(maps) if starts is None else list(starts)
@@ -755,7 +761,7 @@ def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list
     shifts = np.frexp(np.abs(raw).reshape(len(raw), -1).max(axis=1, initial=0.0))[1]
     shifts[np.abs(shifts) <= MAX_SCALE_EXP] = 0
     coeffs = np.ldexp(raw, -shifts[:, None, None])
-    B, iters = len(raw), [0] * len(raw)
+    B, iters = len(raw), {}
     circle = [b for b, name in enumerate(method) if name == "circle-critical-points"]
     if method[0] == "closed-form":
         heads = _top_eigenvectors(coeffs, d, m)[:, None]
@@ -764,9 +770,11 @@ def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list
         heads = np.empty((B, 0, d))
     else:
         ragged = dict(zip(circle, _circle_points(coeffs[circle], m))) if circle else {}
-        for b, name in enumerate(method):
-            if name == "sobol+gradient-ascent":
-                ragged[b], iters[b] = _search_head(shape, coeffs[b], cfg, starts[b], memo)
+        if search := [b for b, name in enumerate(method) if name == "sobol+gradient-ascent"]:
+            found, counts = _search_heads(shape, coeffs[search], cfg, [starts[b] for b in search],
+                                          memo)
+            ragged.update(zip(search, found))
+            iters = dict(zip(search, counts))
         heads = _padded([ragged[b] for b in range(B)], d)
 
     # one pick for every method, over each map's head and then its starts
@@ -797,22 +805,35 @@ def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list
         except OverflowError:
             raise CapacityError(
                 f"the sup norm, {value} * 2^{shift}, exceeds the largest double") from None
-        out.append(NormEstimate(value, tuple(best[b].tolist()), True, iters[b], method[b], upper))
+        out.append(NormEstimate(value, tuple(best[b].tolist()), True, iters.get(b, 0), method[b], upper))
     return out
 
 
-def _search_head(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, starts: np.ndarray,
-                 memo: dict) -> tuple[np.ndarray, int]:
-    """The search's head for the map of (e, T) coefficients, and the
+def _search_heads(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig,
+                  starts: list[np.ndarray], memo: dict) -> tuple[list[np.ndarray], list[int]]:
+    """The search's head for each map of the (B, e, T) stack, and the
     ascent's iterations: the rows gradient ascent refined from the best
-    candidates of the sample floor and ``starts``, then the best of those
-    candidates, which the pick keeps only if no refined row is as good.
-    The floor is drawn and tabulated once per ``memo`` (`_floor`)."""
-    X, mon = _floor(memo, shape, cfg, starts)
-    vals = _row_norms(mon @ coeffs.T)
-    order = np.argsort(vals)[::-1]
-    refined, iters = _ascend_batch(shape, coeffs, X[order[: min(cfg.restarts, X.shape[0])]])
-    return np.vstack([refined, X[vals.argmax()]]), iters
+    candidates of the sample floor and the map's ``starts``, then the best
+    of those candidates, which the pick keeps only if no refined row is as
+    good.  The floor is drawn and tabulated once per ``memo`` (`_floor`).
+    One ascent (`_ascend`) refines the rows of all maps with as many rows,
+    which is every map unless the floor and starts number under
+    cfg.restarts: a matmul's last bits follow its row count, so no map's
+    rows are padded."""
+    seeds, tops, groups = [], [], {}
+    for b, (c, s) in enumerate(zip(coeffs, starts)):
+        X, mon = _floor(memo, shape, cfg, s)
+        vals = _row_norms(mon @ c.T)
+        # copied out, as the next map's starts overwrite the floor's tail
+        seeds.append(X[np.argsort(vals)[::-1][:cfg.restarts]])
+        tops.append(X[[vals.argmax()]])
+        groups.setdefault(len(seeds[b]), []).append(b)
+    heads, iters = [None] * len(coeffs), [0] * len(coeffs)
+    for group in groups.values():
+        refined, counts = _ascend(shape, coeffs[group], np.array([seeds[b] for b in group]))
+        for b, rows, n in zip(group, refined, counts):
+            heads[b], iters[b] = np.vstack([rows, tops[b]]), n
+    return heads, iters
 
 
 def _floor(memo: dict, shape: _Shape, cfg: NormConfig,
@@ -824,26 +845,28 @@ def _floor(memo: dict, shape: _Shape, cfg: NormConfig,
     of a fresh stream, so its points depend on the seed, d and the sample
     count alone, and their table on m too: both are made, the table by the
     prefix walk, on the first search at that key, and read from ``memo``
-    after, where only the tail rows are rewritten for the starts.  A table
-    row is its point's alone, so a held row has the bits a fresh table
-    would give it; the values are then one matmul over the whole operand,
-    as for a fresh floor.  The points are held column by column, so that
+    after, where only the tail rows are rewritten for the starts.  Both are
+    held for the most starts seen at the key, and a search reads the (N +
+    s)-row prefix, which a C-ordered table gives the matmul as a fresh one.
+    A table row is its point's alone, so a held row has the bits a fresh
+    table would give it.  The points are held column by column, so that
     the prefix walk reads each coordinate as one contiguous row; the rows
     the search takes from them are copied out C-ordered, as fancy indexing
     gives them."""
     key = ("floor", cfg.seed, shape.d, shape.m, cfg.samples)
-    N = cfg.samples
+    N, n = cfg.samples, cfg.samples + len(starts)
     if key not in memo:
         rng = _np_rng(cfg.seed, f"sup-norm-l2-{shape.d}")
         X = _by_columns(_sphere_samples(shape.d, N, rng), starts)
         memo[key] = X, shape.floor_monomials(X)
         return memo[key]
     X, mon = memo[key]
-    if len(X) != N + len(starts):
-        # another count of starts: the floor moves to operands of the new height
+    if len(X) < n:
+        # more starts than ever at this key: the floor moves to taller operands
         X = _by_columns(X[:N], starts)
         mon = np.vstack([mon[:N], np.empty((len(starts), mon.shape[1]))])
         memo[key] = X, mon
+    X, mon = X[:n], mon[:n]
     X[N:] = starts
     mon[N:] = shape.floor_monomials(starts)
     return X, mon

@@ -36,7 +36,7 @@ from polyadjoint.errors import (CapacityError, DegenerateInputError, DegreeError
 
 def ascent_kernel(P: PolyMap) -> tuple:
     """The shape, (e, T) coefficients and partials the ascent reads for one
-    map, the partials built as `_ascend_batch` builds them."""
+    map: each partial as one slice of those `_ascend` builds for a stack."""
     shape, (coeffs,) = norms._coefficient_stack([P])
     return shape, coeffs, [(idx, coeffs[:, mask] * weights)
                            for mask, idx, weights in shape.partials]
@@ -322,10 +322,11 @@ def test_kernel_values_and_gradients_match_exact_evaluation(data):
     X = [[Fraction(p, 32) for p in point] for point in points]
     shape, coeffs, partials = ascent_kernel(P.as_field(F64))
     Xf = np.array([[float(v) for v in x] for x in X])
-    mon, low = shape.monomials(Xf, lower=True)
-    assert np.array_equal(mon, shape.monomials(Xf)[0])
+    tables = shape.monomials(Xf, lower=True)
+    mon = tables[:, :len(basis)]
+    assert np.array_equal(mon, shape.monomials(Xf))
     V = mon @ coeffs.T
-    G = norms._gradient(partials, V, low)
+    G = norms._gradient(partials, V, tables)
     for x, v, g in zip(X, V, G):
         absx = [abs(t) for t in x]
         exact = [(p.eval(x), sum(abs(c) * _exact_monomial(a, absx) for a, c in p.coeffs.items()))
@@ -370,7 +371,9 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("d", range(2, 7))
 def test_monomial_tables_equal_the_per_variable_product_bit_for_bit(d):
     # the sample floor's prefix walk and the ascent's gathered product both
-    # reproduce every bit of the reference, C-ordered as the matmul needs
+    # reproduce every bit of the reference, C-ordered as the matmul needs;
+    # with the lower table the gathered product reads both tables in one
+    # take per variable, side by side, and a stack of points is row for row
     rng = np.random.default_rng(d)
     for m in range(1, 6):
         shape = norms._shape(d, m)
@@ -380,8 +383,10 @@ def test_monomial_tables_equal_the_per_variable_product_bit_for_bit(d):
             mon, low = _per_variable_tables(X, basis, lower, m)
             assert _same_bits(shape.floor_monomials(X), mon), (d, m, N)
             if N <= 64:
-                got, got_low = shape.monomials(X, lower=True)
-                assert _same_bits(got, mon) and _same_bits(got_low, low), (d, m, N)
+                assert _same_bits(shape.monomials(X), mon), (d, m, N)
+                both = shape.monomials(X, lower=True)
+                assert _same_bits(both, np.hstack([mon, low])), (d, m, N)
+                assert _same_bits(shape.monomials(X[None], lower=True)[0], both), (d, m, N)
 
 
 @pytest.mark.parametrize("e", [1, 2, 9])
@@ -395,8 +400,8 @@ def test_gradient_equals_one_reduction_per_variable_bit_for_bit(e):
                                   F64) for _ in range(e)))
         shape, coeffs, partials = ascent_kernel(P)
         X = norms._sphere_samples(d, 64, rng)
-        mon, low = shape.monomials(X, lower=True)
-        V = mon @ coeffs.T
+        tables = shape.monomials(X, lower=True)
+        V, low = tables[:, :len(basis)] @ coeffs.T, tables[:, len(basis):]
         where = {a: i for i, a in enumerate(lower)}
         want = np.zeros((64, d))
         for j in range(d):
@@ -405,7 +410,7 @@ def test_gradient_equals_one_reduction_per_variable_bit_for_bit(e):
                             for t in keep], dtype=np.intp)
             dcoeffs = coeffs[:, keep] * np.array([basis[t][j] for t in keep])
             want[:, j] = 2.0 * (V * (low.take(idx, axis=1) @ dcoeffs.T)).sum(axis=1)
-        assert _same_bits(norms._gradient(partials, V, low), want), (d, m)
+        assert _same_bits(norms._gradient(partials, V, tables), want), (d, m)
 
 
 def _closed_form_reference(P: PolyMap, starts) -> tuple[float, tuple, float]:
@@ -434,7 +439,7 @@ def _closed_form_reference(P: PolyMap, starts) -> tuple[float, tuple, float]:
     X = np.vstack(rows)
 
     def norms_at(Y):
-        values = shape.monomials(Y)[0] @ C.T
+        values = shape.monomials(Y) @ C.T
         return np.sqrt((values * values).sum(axis=1))
     best = X[int(norms_at(X).argmax())]
     n = vector_norm(best)
@@ -513,11 +518,11 @@ def _circle_picks_reference(shape, coeffs, cfg, starts) -> np.ndarray:
     picks = []
     for c in coeffs:
         X = np.vstack([_circle_points_reference(c, shape.m), starts])
-        vals = norms._row_norms(shape.monomials(X)[0] @ c.T)
+        vals = norms._row_norms(shape.monomials(X) @ c.T)
         i = int(vals.argmax())
         rng = norms._np_rng(cfg.seed, "sup-norm-l2-2")
         check = float(norms._row_norms(shape.monomials(
-            norms._sphere_samples(2, norms.CROSS_CHECK, rng))[0] @ c.T).max())
+            norms._sphere_samples(2, norms.CROSS_CHECK, rng)) @ c.T).max())
         if check > float(vals[i]) * (1.0 + 1e-9):
             raise AssertionError(f"a random circle point reaches {check}")
         picks.append(X[i])
@@ -630,40 +635,56 @@ WIDE = PolyMap((HomPoly(2, 3, {(3, 0): 1e-150, (2, 1): 1.0, (0, 3): 1e120}, F64)
 
 
 def stacks(method: str):
-    """(maps, cfg, starts, methods) of the stacks a case runs."""
+    """(maps, cfg, starts, methods) of the stacks a case runs, with one
+    list of extra starts per map."""
     rng = np.random.default_rng(7)
     cfg = NormConfig(samples=512, restarts=8, seed=3)
     if method == "endpoint-enumeration":
         for m, e in ((3, 2), (1, 1), (4, 3)):
             maps = random_maps(rng, 1, m, e, 4) + [random_maps(rng, 1, m, e, 1)[0].scale(0.0)]
-            yield maps, cfg, [[1.0]], [method] * 5
+            yield maps, cfg, [[[1.0]]] * 5, [method] * 5
     elif method == "closed-form":
         for maps, starts in closed_form_stacks():
-            yield maps, NormConfig(), starts, [method] * len(maps)
+            yield maps, NormConfig(), [starts] * len(maps), [method] * len(maps)
     elif method == "circle-critical-points":
         for m, e in ((3, 1), (4, 2), (5, 3)):
-            yield random_maps(rng, 2, m, e, 4), cfg, [[1.0, 1.0]], [method] * 4
+            yield random_maps(rng, 2, m, e, 4), cfg, [[[1.0, 1.0]]] * 4, [method] * 4
         basis = enumerate_multi_indices(2, 5)
         yield [PolyMap(tuple(HomPoly(2, 5, dict(zip(basis, map(float, row))), F64) for row in c))
-               for c in circle_stack(rng, 5, 3, 100)], cfg, [[1.0, 2.0]], [method] * 100
+               for c in circle_stack(rng, 5, 3, 100)], cfg, [[[1.0, 2.0]]] * 100, [method] * 100
     else:
         for d, m, e in ((3, 2, 2), (4, 3, 1), (17, 1, 2)):
-            yield random_maps(rng, d, m, e, 4), cfg, [[1.0] * d], [method] * 4
-        yield [wide_range_map(seed) for seed in (1, 2)], cfg, [], [method] * 2
+            yield random_maps(rng, d, m, e, 4), cfg, [[[1.0] * d]] * 4, [method] * 4
+        yield [wide_range_map(seed) for seed in (1, 2)], cfg, [[]] * 2, [method] * 2
+        # maps whose ascents stop far apart, so each leaves the stacked
+        # ascent at another iteration: 25 to 125 for the first stack, over
+        # 275 for one map of each other
+        for seed, d, m, e in ((26, 3, 4, 1), (2, 4, 3, 2), (13, 5, 4, 1), (1, 5, 3, 2)):
+            yield random_maps(np.random.default_rng(seed), d, m, e, 6), cfg, [[]] * 6, [method] * 6
+        # a floor of 4 points, so a map keeps 14, 15 or 16 rows by its count
+        # of starts and the ascent runs one stack per count: padded to one
+        # count, the first map here would stop at another iteration
+        rng, few = np.random.default_rng(7), NormConfig(samples=4, restarts=64, seed=3)
+        yield (random_maps(rng, 5, 4, 2, 6), few, [rng.standard_normal((b % 3, 5)).tolist()
+                                                   for b in range(6)], [method] * 6)
 
 
 @pytest.mark.parametrize("method", ["endpoint-enumeration", "closed-form", "circle-critical-points",
                                     "sobol+gradient-ascent"])
 def test_a_stack_gives_each_map_the_bits_it_gets_alone(method):
-    # signed zeros count: float.hex tells -0.0 from 0.0
+    # signed zeros count: float.hex tells -0.0 from 0.0; == compares the
+    # iterations too
     for maps, cfg, starts, methods in stacks(method):
-        stacked = norms.sup_norms(maps, cfg, [starts] * len(maps))
-        alone = [sup_norm(P, cfg, starts) for P in maps]
+        stacked = norms.sup_norms(maps, cfg, starts)
+        alone = [sup_norm(P, cfg, own) for P, own in zip(maps, starts)]
         assert stacked == alone
         assert [_hex(est) for est in stacked] == [_hex(est) for est in alone]
         assert [est.method for est in stacked] == methods
         if method == "closed-form":
             assert stacked[0].upper == 0.0 and stacked[0].value == 0.0
+        if len(maps) == 6 and cfg.samples == 512:
+            its = [est.iterations for est in stacked]
+            assert max(its) >= 4 * min(its), its
     # one call over the first two maps of every stack of this method and a
     # map of each other method, interleaved, each map with starts of its own
     rng = np.random.default_rng(35)
@@ -738,6 +759,32 @@ def test_a_held_floor_is_served_only_to_its_seed_shape_and_sample_count(monkeypa
             ("floor", 3, 4, 3, 512), ("floor", 3, 3, 3, 384), ("floor", 3, 2, 3, 512)]
     assert list(memo) == keys
     assert draws == [(3, 512), (3, 512), (3, 512), (4, 512), (3, 384), (2, 512)]
+
+
+def test_a_held_floor_grows_only_for_more_starts_than_it_holds(monkeypatch):
+    # counts of extra starts alternating 0, 2 and 1 on one memo: every
+    # estimate has the bits of a fresh call, and once the floor holds the
+    # most starts, each search reads a prefix of the same buffers
+    rng = np.random.default_rng(36)
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    P = random_maps(rng, 3, 3, 2, 1)[0]
+    served = []
+    real = norms._floor
+
+    def recorded(*args):
+        served.append(real(*args))
+        return served[-1]
+    monkeypatch.setattr(norms, "_floor", recorded)
+    memo = {}
+    for count in (0, 2, 1, 0, 2, 1):
+        starts = rng.standard_normal((count, 3)).tolist()
+        assert _hex(sup_norm(P, cfg, starts, memo=memo)) == _hex(sup_norm(P, cfg, starts))
+    held = served[::2]
+    assert [len(X) for X, _ in held] == [518, 520, 519, 518, 520, 519]
+    assert not np.shares_memory(held[0][1], held[1][1])
+    for X, mon in held[2:]:
+        assert np.shares_memory(X, held[1][0]) and np.shares_memory(mon, held[1][1])
+        assert mon.flags.c_contiguous
 
 
 def test_stacked_norms_take_every_method_map_by_map():

@@ -436,8 +436,8 @@ def _bottom_eigenvectors(coeffs, d, m):
 
 def _no_step_accepted(shape, coeffs, X):
     # the ascent refuses every step: each row stays where it starts, and
-    # four stalled iterations end it
-    return X / np.sqrt((X * X).sum(axis=1, keepdims=True)), 4
+    # four stalled iterations end each map's
+    return X / np.sqrt((X * X).sum(axis=2, keepdims=True)), [4] * len(X)
 
 
 def test_numeric_suite_catches_injected_sup_norm_faults(monkeypatch):
@@ -474,7 +474,13 @@ def test_numeric_suite_catches_injected_sup_norm_faults(monkeypatch):
     # hands its search the unit point, which attains the norm, and its upper
     # side fails only on an excess over one, so it cannot catch this
     with monkeypatch.context() as patch:
-        patch.setattr(norms, "_ascend_batch", _no_step_accepted)
+        patch.setattr(norms, "_ascend", _no_step_accepted)
+        caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
+    assert caught == {"claim_metric_injection": "fail"}
+
+    # an ascent cut off after its first step falls short in the same place
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "MAX_ASCENT_ITERS", 1)
         caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
     assert caught == {"claim_metric_injection": "fail"}
     assert _verdicts(cfg, NUMERIC_CLAIMS) == clean
