@@ -50,14 +50,17 @@ ests = sup_norms([lin, phi ** 3], cfg, [[], [y]])
 print("stacked sup norms:", [est.value for est in ests])
 
 # the adjoint norm over the unit ball of degree-k polynomials is bracketed:
-# a norming construction from below, normalized random q from above
+# a norming construction from below, normalized random q from above; like
+# every check it takes a batch, here of (P, n, k)
 P = PolyMap((
     HomPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0}, F64),
     HomPoly(2, 2, {(1, 1): 2.0}, F64),
 ))
-rep = check_adjoint_norm(P, 1, 2, cfg, q_trials=40)
+[rep] = check_adjoint_norm([(P, 1, 2)], cfg, q_trials=40)
 print("adjoint norm bracket rel err:", rep.rel_err, "passed:", rep.passed)
 
-# the evaluation embedding x |-> (q |-> q(x)^m) has norm exactly |x|^(m*n)
-rep2 = check_embedding_norm([0.8, -0.6], 2, 2, cfg, q_trials=20)
-print("embedding norm rel err:", rep2.rel_err, "passed:", rep2.passed)
+# the evaluation embedding x |-> (q |-> q(x)^m) has norm exactly |x|^(m*n);
+# the two points of this batch, both in R^2, share one stream of random q
+reports = check_embedding_norm([([0.8, -0.6], 2, 2), ([1.5, 2.0], 2, 2)], cfg, q_trials=20)
+print("embedding norm rel errs:", [rep.rel_err for rep in reports],
+      "passed:", [rep.passed for rep in reports])

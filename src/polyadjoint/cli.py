@@ -165,8 +165,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_adjoint(args: argparse.Namespace) -> int:
     obj, raw = _read_input(args.input)
-    # the map, with the memo of powers it keeps, is freed before the writer
-    # runs: the memo holds as many terms as the adjoint
+    # the map, with the powers it keeps, is freed before the writer runs:
+    # those powers hold as many terms as the adjoint
     mat = materialize_adjoint(polymap_from_obj(obj), args.n, args.k)
     out_obj = materialized_to_obj(mat, sha256_hex(raw))
     _emit(_json_dumps(out_obj), args.out)
@@ -194,7 +194,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
         return 0
     # the wall time goes to stderr, so same-seed stdout stays byte-identical
     t0 = time.perf_counter()
-    rep = check_adjoint_norm(P, args.n, args.k, cfg)
+    [rep] = check_adjoint_norm([(P, args.n, args.k)], cfg)
     print(f"wall_ms={(time.perf_counter() - t0) * 1000.0:.3f}", file=sys.stderr)
     _emit(_json_dumps(rep.to_dict()), args.out)
     return 0 if rep.passed else 1

@@ -205,8 +205,7 @@ def check_factorization_identities(m: int, B: PolyMap,
 
 
 def check_two_sided_norm(instances: Iterable[tuple[PolyMap, PolyMap, PolyMap]],
-                         cfg: NormConfig = NormConfig(), *,
-                         memo: dict | None = None) -> list[Report]:
+                         cfg: NormConfig = NormConfig()) -> list[Report]:
     """The report of each instance (R, P, Q), in order:
     |R o P o Q| <= |R| * |P|^deg(R) * |Q|^(deg(P)*deg(R)), numerically.
 
@@ -216,8 +215,7 @@ def check_two_sided_norm(instances: Iterable[tuple[PolyMap, PolyMap, PolyMap]],
     zero factor makes the bound 0, which only a zero composite meets; any
     other bound must be a normal double (CapacityError).  Every instance is
     checked to compose (DimensionError) before any sup norm runs; then the
-    four maps of every instance are normed in one `sup_norms` call, with
-    ``memo``.
+    four maps of every instance are normed in one `sup_norms` call.
     """
     checked = []
     for R, P, Q in instances:
@@ -225,8 +223,7 @@ def check_two_sided_norm(instances: Iterable[tuple[PolyMap, PolyMap, PolyMap]],
         if Q.codomain_dim != P.domain_dim or P.codomain_dim != R.domain_dim:
             raise DimensionError("R o P o Q is not composable")
         checked.append((compose_map(R, compose_map(P, Q)), R, P, Q))
-    values = iter(est.value for est in sup_norms([M for maps in checked for M in maps], cfg,
-                                                 memo=memo))
+    values = iter(est.value for est in sup_norms([M for maps in checked for M in maps], cfg))
     reports = []
     for (_, R, P, Q), lhs, nR, nP, nQ in zip(checked, values, values, values, values):
         k, m = R.degree, P.degree

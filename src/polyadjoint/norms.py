@@ -55,30 +55,26 @@ square underflows or overflows; `vector_norm` scales a vector the same way.
 
 The search's sample floor (its points and their monomial table) depends
 only on the seed, the shape (d, m) and the sample count, and the circle
-pass's cross-check points only on the seed, so each is drawn once per
-`sup_norms` call and read from a dict after (`_floor`, `_cross_check`): a
-call makes its own, and a caller that keeps one, as a claim of the suite
-does, lends it to every later call at that key, to the same bits.  No
-draw outlives it.
+pass's cross-check points only on the seed, so each is drawn once per dict
+and read from it after (`_floor`, `_cross_check`): `sup_norms` makes a
+fresh dict unless it is handed one, and one that is handed on to later
+calls gives them the same bits.  Only the checks below hand one on.
 
 The four `check_*` functions bracket a norm identity lhs = rhs
 (`Report.bracket`): a norming construction attains lhs from below, and on
 the upper side no measurement over rhs may exceed one.  The error is the
 worse of the two sides, and a report passes exactly when it is within its
-tolerance.  `check_norm_duality` and `check_metric_injection` take a
-sequence of instances, check every one before any sup norm runs, and norm
-all their maps in one `sup_norms` call, as `composition.check_two_sided_norm`
-does; they return one report per instance, in order.  Random normalized
-polynomials make the upper side of the adjoint and the embedding, which
-take one instance: `_unit_trials` draws one stream's polynomials first and
-norms them to unit sup norm in one stack, and each instance is measured
-against those unit trials, the embedding at each trial's point cleared
-once (`_trial_points`).  Each check takes a keyword-only ``memo``, the dict
-that keeps the unit trials (`_stream`) beside the floors and the
-cross-check points, a fresh one by default; `verify` lends one per claim
-of the adjoint and the embedding, so the claim's instances share them.  A
-dict never changes a report, only how much work is shared.  No check reads
-the clock, so same-seed reports are equal.
+tolerance.  Each check, like `composition.check_two_sided_norm`, takes a
+sequence of instances, checks every one before any sup norm runs and
+returns one report per instance, in order; it makes one dict for the draws
+of all its sup norms and drops it on return, so no draw outlives the call.
+`check_norm_duality` and `check_metric_injection` norm all their maps in
+one `sup_norms` call.  Random normalized polynomials make the upper side
+of the adjoint and the embedding: `_unit_trials` draws one stream's
+polynomials first and norms them to unit sup norm in one stack, and every
+instance on that stream is measured against those unit trials, drawn once
+per call; the embedding evaluates at each trial's point, cleared once per
+call.  No check reads the clock, so same-seed reports are equal.
 """
 from __future__ import annotations
 
@@ -940,14 +936,13 @@ def _point_target(x: Sequence, power: int, name: str) -> tuple[list[float], floa
 
 
 def check_norm_duality(instances: Iterable[tuple[Sequence, int]],
-                       cfg: NormConfig = NormConfig(), *,
-                       memo: dict | None = None) -> list[Report]:
+                       cfg: NormConfig = NormConfig()) -> list[Report]:
     """The report of each instance (x, m), in order: |x|^m is attained by
     the m-th power of a norming functional, and that power has sup norm at
     most one, the bracket's one upper ratio.  DegreeError unless m >= 1;
     CapacityError when |x|^m is not a normal double; every instance is
     checked before any sup norm runs.  The powers are normed in one
-    `sup_norms` call, each handed its unit point, with ``memo``."""
+    `sup_norms` call, each handed its unit point."""
     checked = []
     for x, m in instances:
         if m < 1:
@@ -955,8 +950,7 @@ def check_norm_duality(instances: Iterable[tuple[Sequence, int]],
         xv, nx, target = _point_target(x, m, f"|x|^{m}")
         checked.append((xv, m, target, norming_functional(xv) ** m,
                         (np.asarray(xv) / nx).tolist()))
-    ests = sup_norms([q for *_, q, _ in checked], cfg, [[unit] for *_, unit in checked],
-                     memo=memo)
+    ests = sup_norms([q for *_, q, _ in checked], cfg, [[unit] for *_, unit in checked])
     return [Report.bracket("norm_duality", cfg, abs(q.eval(xv)), target, [est.value],
                            {"degree": m})
             for (xv, m, target, q, _), est in zip(checked, ests)]
@@ -969,101 +963,94 @@ def _unit_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
     floor read from ``memo``) and each scaled to sup norm one (those below
     1e-12 are skipped).  A stream depends on the seed and label of rng, on
     d, k and q_trials and, through the norming, on cfg; not on the instance
-    measured against it, so the instances of one claim that draw on one
-    label can share it."""
+    measured against it, so the instances of one check that draw on one
+    label share it."""
     qs = [_random_hompoly_f64(rng, d, k) for _ in range(q_trials)]
     return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, sup_norms(qs, cfg, memo=memo))
                  if not est.value < 1e-12)
 
 
-def _stream(memo: dict, cfg: NormConfig, label: str, d: int, k: int,
-            q_trials: int) -> tuple[HomPoly, ...]:
-    """The unit trials drawn on ``label`` at this seed: from ``memo`` if an
-    earlier instance put them there, else drawn, normed and put there.  Only
-    unit trials are kept, never an instance's ratios."""
-    key = ("stream", cfg, label, d, k, q_trials)
-    if key not in memo:
-        memo[key] = _unit_trials(_np_rng(cfg.seed, label), d, k, q_trials, cfg, memo)
-    return memo[key]
-
-
-def _trial_points(memo: dict, cfg: NormConfig, label: str, d: int, k: int,
-                  q_trials: int) -> list[tuple[int, list[int]]]:
-    """The coefficient vector of each unit trial of `_stream`, cleared to
-    its integer point (r, X), the vector X / r: kept in ``memo`` beside the
-    stream, so each trial is cleared once per memo, however many instances
-    are measured against it."""
-    key = ("points", cfg, label, d, k, q_trials)
-    if key not in memo:
-        memo[key] = [_cleared(q.coeff_vector(), F64)
-                     for q in _stream(memo, cfg, label, d, k, q_trials)]
-    return memo[key]
-
-
-def check_adjoint_norm(P: PolyMap, n: int, k: int,
+def check_adjoint_norm(instances: Iterable[tuple[PolyMap, int, int]],
                        cfg: NormConfig = NormConfig(),
-                       q_trials: int = ADJOINT_Q_TRIALS, *, memo: dict | None = None) -> Report:
-    """The adjoint's norm equals |P|^{kn}: certified from below by the k-th
-    power of a functional norming P at its maximizer, and never exceeded on
-    normalized random test polynomials.  CapacityError when |P|^{kn} is not
-    a normal double; n, k and q_trials are checked before any sup norm
-    runs.  The unit trials and floors are read from ``memo`` (`_stream`), a
-    fresh dict by default: the trials' stream depends on n, k and the
-    codomain of P."""
-    memo = {} if memo is None else memo
-    if n < 1 or k < 1:
-        raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
+                       q_trials: int = ADJOINT_Q_TRIALS) -> list[Report]:
+    """The report of each instance (P, n, k), in order: the adjoint's norm
+    equals |P|^{kn}, certified from below by the k-th power of a functional
+    norming P at its maximizer, and never exceeded on normalized random test
+    polynomials.  n and k of every instance, and q_trials, are checked
+    before any sup norm runs; CapacityError, once P is normed, when
+    |P|^{kn} is not a normal double.  The instances on one stream of trials,
+    one per (n, k) and codomain of P, share its unit trials (`_unit_trials`);
+    P, its lower side and the images of the trials are normed instance by
+    instance."""
+    instances = list(instances)
+    for _, n, k in instances:
+        if n < 1 or k < 1:
+            raise DegreeError(f"adjoint parameters must be >= 1, got n={n}, k={k}")
     # with no trial, the bracket would pass on its lower side alone
     if q_trials < 1:
         raise PreconditionError(f"q_trials must be >= 1, got {q_trials}")
-    P = P.as_field(F64)
-    est = sup_norm(P, cfg, memo=memo)
-    if est.value <= 0.0:
-        raise DegenerateInputError("zero map has no norming direction")
-    target = _normal_power(est.value, k * n, f"the adjoint's norm |P|^{k * n}")
-    q_star = norming_functional(P.eval_map(est.maximizer)) ** k
-    lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg, [est.maximizer], memo=memo).value
-    unit = _stream(memo, cfg, f"adjoint-norm-q-{n}-{k}", P.codomain_dim, k, q_trials)
-    trials = sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo)
-    return Report.bracket("adjoint_norm", cfg, lower, target,
-                          (trial.value / target for trial in trials),
-                          {"sup_norm_P": est.value, "q_instances": len(unit), "n": n, "k": k})
+    memo, streams, reports = {}, {}, []
+    # P and its lower side go through sup_norm, whose calls perfbench's
+    # tracer counts; one stack of every instance's trial images would hold
+    # a larger circle cross-check table and gave no time back
+    for P, n, k in instances:
+        P = P.as_field(F64)
+        est = sup_norm(P, cfg, memo=memo)
+        if est.value <= 0.0:
+            raise DegenerateInputError("zero map has no norming direction")
+        target = _normal_power(est.value, k * n, f"the adjoint's norm |P|^{k * n}")
+        q_star = norming_functional(P.eval_map(est.maximizer)) ** k
+        lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg, [est.maximizer], memo=memo).value
+        label, e = f"adjoint-norm-q-{n}-{k}", P.codomain_dim
+        if (label, e) not in streams:
+            streams[label, e] = _unit_trials(_np_rng(cfg.seed, label), e, k, q_trials, cfg, memo)
+        unit = streams[label, e]
+        trials = sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo)
+        reports.append(Report.bracket(
+            "adjoint_norm", cfg, lower, target, (trial.value / target for trial in trials),
+            {"sup_norm_P": est.value, "q_instances": len(unit), "n": n, "k": k}))
+    return reports
 
 
-def check_embedding_norm(x: Sequence, m: int, n: int,
-                         cfg: NormConfig = NormConfig(),
-                         q_trials: int = 32, *, memo: dict | None = None) -> Report:
-    """The power evaluation embedding of x has norm |x|^{mn}: attained by the
-    n-th power of a norming functional of x, never exceeded by normalized
-    random q.  CapacityError when |x|^{mn} is not a normal double, and
-    PreconditionError, before any sup norm runs, unless q_trials >= 1.  The
-    unit trials are read from ``memo`` (`_stream`), a fresh dict by default:
-    their stream depends on m, n and the dimension of x."""
-    memo = {} if memo is None else memo
+def check_embedding_norm(instances: Iterable[tuple[Sequence, int, int]],
+                         cfg: NormConfig = NormConfig(), q_trials: int = 32) -> list[Report]:
+    """The report of each instance (x, m, n), in order: the power evaluation
+    embedding of x has norm |x|^{mn}, attained by the n-th power of a
+    norming functional of x and never exceeded by normalized random q.
+    q_trials >= 1 (PreconditionError), and every x, its target and its
+    embedding are checked before any sup norm runs; CapacityError when
+    |x|^{mn} is not a normal double.  The instances on one stream of
+    trials, one per (m, n) and dimension of x, share its unit trials, each
+    cleared once to its integer point (r, X), the vector X / r, where every
+    such embedding is evaluated."""
     if q_trials < 1:
         raise PreconditionError(f"q_trials must be >= 1, got {q_trials}")
-    xv, _, target = _point_target(x, m * n, f"the embedding's norm |x|^{m * n}")
-    d = len(xv)
-    jp = evaluation_embedding(xv, m, n, field=F64)
-    q_star = norming_functional(xv) ** n
-    points = _trial_points(memo, cfg, f"embedding-norm-q-{m}-{n}-{d}", d, n, q_trials)
-    return Report.bracket("embedding_norm", cfg, abs(jp.eval(q_star.coeff_vector())), target,
-                          (abs(jp._value(_numerator(jp._terms[1], X, {}), r)) / target
-                           for r, X in points),
-                          {"m": m, "n": n})
+    checked = []
+    for x, m, n in instances:
+        xv, _, target = _point_target(x, m * n, f"the embedding's norm |x|^{m * n}")
+        checked.append((xv, n, target, evaluation_embedding(xv, m, n, field=F64),
+                        f"embedding-norm-q-{m}-{n}-{len(xv)}", {"m": m, "n": n}))
+    memo, points = {}, {}
+    for xv, n, _, _, label, _ in checked:
+        if label not in points:
+            points[label] = [_cleared(q.coeff_vector(), F64) for q in _unit_trials(
+                _np_rng(cfg.seed, label), len(xv), n, q_trials, cfg, memo)]
+    return [Report.bracket("embedding_norm", cfg,
+                           abs(jp.eval((norming_functional(xv) ** n).coeff_vector())), target,
+                           (abs(jp._value(_numerator(jp._terms[1], X, {}), r)) / target
+                            for r, X in points[label]), details)
+            for xv, n, target, jp, label, details in checked]
 
 
 def check_metric_injection(instances: Iterable[tuple[PolyMap, HomPoly]],
-                           cfg: NormConfig = NormConfig(), *,
-                           memo: dict | None = None) -> list[Report]:
+                           cfg: NormConfig = NormConfig()) -> list[Report]:
     """The report of each instance (proj, q), in order: precomposition with
     a surjection that maps the ball onto the ball preserves the sup norm;
     here the surjection is a matrix with orthonormal rows acting between
     Euclidean balls.  Every instance is checked before any sup norm runs;
-    then each q and each q(proj x) are normed in one `sup_norms` call, with
-    ``memo``, and CapacityError unless each |q| is normal.  No search is
-    handed a start, so the norm of q(proj x) is measured against a value it
-    was not given."""
+    then each q and each q(proj x) are normed in one `sup_norms` call, and
+    CapacityError unless each |q| is normal.  No search is handed a start,
+    so the norm of q(proj x) is measured against a value it was not given."""
     checked = []
     for proj, q in instances:
         proj = proj.as_field(F64)
@@ -1080,7 +1067,7 @@ def check_metric_injection(instances: Iterable[tuple[PolyMap, HomPoly]],
             raise DegenerateInputError("q is zero")
         checked.append((q, compose_scalar(q, proj), {"domain_dim": g, "codomain_dim": e,
                                                      "k": q.degree}))
-    ests = iter(sup_norms([M for q, pulled, _ in checked for M in (q, pulled)], cfg, memo=memo))
+    ests = iter(sup_norms([M for q, pulled, _ in checked for M in (q, pulled)], cfg))
     reports = []
     for (_, _, details), qn, pulled in zip(checked, ests, ests):
         rhs = _normal_power(qn.value, 1, "the sup norm of q")

@@ -9,10 +9,9 @@ reproducible byte for byte for a fixed configuration.
 Each claim draws its instances over a parameter grid (`_grid`) and folds
 them once per field: an exact claim yields one defect per instance to
 `_exact_claim`, a failed side condition counting as a defect of 1, and a
-numeric claim one `Report` per instance to `_numeric_fold`.  The duality,
-metric-injection and two-sided claims draw every instance first, in the
-order they always drew them, and check them all in one call, which norms
-their maps in one `sup_norms` call.
+numeric claim one `Report` per instance to `_numeric_fold`.  Every numeric
+claim draws all its instances first, in the order they always drew them,
+and checks them in one call, which shares the draws of its sup norms.
 """
 from __future__ import annotations
 
@@ -262,8 +261,8 @@ def claim_nonadditivity(cfg: SuiteConfig) -> ClaimResult:
 def claim_linearization_transpose(cfg: SuiteConfig) -> ClaimResult:
     """The adjoint matrix is the transpose of the linearization matrix, and
     the linearization matrix sends x^(tensor mk) to P(x)^(tensor k) at a
-    random rational point.  Both matrices read the same memoized P^beta
-    objects (``map_powers``), so the transpose comparison checks only what
+    random rational point.  Both matrices read the P^beta objects the map
+    keeps (``map_powers``), so the transpose comparison checks only what
     lies between those and the matrices: the accumulation in
     ``compose_scalar`` that builds each adjoint column, and
     ``coefficient_matrix`` and ``transpose``.  A fault in the products
@@ -477,30 +476,25 @@ def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
 
 
 def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
-    """The report of `check_adjoint_norm` on each instance.  The instances
-    on one stream of upper-side trials share its unit trials, drawn and
-    normed once per claim, as they share the searches' sample floors;
-    nothing outlives the claim."""
-    ncfg = cfg.norm_config()
+    """The reports of `check_adjoint_norm` on every instance, drawn and
+    checked as in `claim_norm_duality`: the instances on one stream of
+    upper-side trials share its unit trials, drawn and normed once."""
     rng = _np_rng(cfg.seed, "adjoint-norm-P")
-    memo: dict = {}
-    reports = (check_adjoint_norm(_random_f64_map(rng, 2, 2, m), n, k, ncfg, 100, memo=memo)
-               for m, (n, k) in itertools.product(range(1, cfg.max_m + 1),
-                                                  ((1, 1), (1, 2), (2, 1))))
-    return _norm_claim("adjoint_norm", cfg, reports, q_trials=100)
+    instances = [(_random_f64_map(rng, 2, 2, m), n, k)
+                 for m, (n, k) in itertools.product(range(1, cfg.max_m + 1),
+                                                    ((1, 1), (1, 2), (2, 1)))]
+    return _norm_claim("adjoint_norm", cfg,
+                       check_adjoint_norm(instances, cfg.norm_config(), 100), q_trials=100)
 
 
 def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
-    """The report of `check_embedding_norm` on each instance, its unit
-    trials shared as in `claim_adjoint_norm`."""
-    ncfg = cfg.norm_config()
+    """The reports of `check_embedding_norm` on every instance, drawn and
+    checked as in `claim_adjoint_norm`."""
     rng = _np_rng(cfg.seed, "embedding-norm-x")
-    memo: dict = {}
-    reports = (check_embedding_norm(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2),
-                                    m, n, ncfg, 12, memo=memo)
-               for m, n in _grid(cfg.max_m, cfg.max_n)
-               for t in range(20))
-    return _norm_claim("embedding_norm", cfg, reports)
+    instances = [(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2), m, n)
+                 for m, n in _grid(cfg.max_m, cfg.max_n) for t in range(20)]
+    return _norm_claim("embedding_norm", cfg,
+                       check_embedding_norm(instances, cfg.norm_config(), 12))
 
 
 def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:

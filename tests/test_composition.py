@@ -207,7 +207,7 @@ def test_each_fault_is_caught_by_its_factorization_defects(monkeypatch, name, fa
     assert {key for key, v in res.details.items() if v != "0/1"} == caught
 
 
-def test_two_sided_norm_bound():
+def test_two_sided_norm_bound(monkeypatch):
     rng = np.random.default_rng(37)
     basis1 = enumerate_multi_indices(2, 1)
     basis2 = enumerate_multi_indices(2, 2)
@@ -220,16 +220,23 @@ def test_two_sided_norm_bound():
                     F64)
             for _ in range(2)))
 
-    # the instances share one memo, as a claim lends them, to the same bits
-    memo: dict = {}
-    for (kr, mp, nq) in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 1, 2)):
-        maps = f64_map(kr), f64_map(mp), f64_map(nq)
-        [rep] = check_two_sided_norm([maps], NormConfig(seed=37), memo=memo)
-        assert [rep] == check_two_sided_norm([maps], NormConfig(seed=37))
+    triples = [(f64_map(kr), f64_map(mp), f64_map(nq))
+               for kr, mp, nq in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 1, 2))]
+    # the instances of a batch share its draws, to the bits each gets alone:
+    # the composites of degree 2 and 4 on R^2 take the circle pass, and the
+    # batch draws its cross-check points once
+    real, draws = norms._sphere_samples, []
+
+    def counted(d, n, rng):
+        draws.append((d, n))
+        return real(d, n, rng)
+    monkeypatch.setattr(norms, "_sphere_samples", counted)
+    reports = check_two_sided_norm(triples, NormConfig(seed=37))
+    assert draws == [(2, norms.CROSS_CHECK)]
+    assert reports == [check_two_sided_norm([t], NormConfig(seed=37))[0] for t in triples]
+    for rep in reports:
         assert rep.passed
         assert rep.details["slack"] >= -1e-9
-    # the composites of degree 2 and 4 on R^2 take the circle pass
-    assert ("cross-check", 37) in memo
 
 
 def test_two_sided_bound_with_a_zero_factor_is_zero():

@@ -30,6 +30,7 @@ from polyadjoint import (
     vector_norm,
 )
 from polyadjoint import norms
+from polyadjoint.composition import check_two_sided_norm
 from polyadjoint.errors import (CapacityError, DegenerateInputError, DegreeError,
                                DimensionError, FieldError, PreconditionError)
 
@@ -922,7 +923,7 @@ def test_a_nan_ratio_anywhere_fails_the_upper_side(monkeypatch, position):
         calls.append(X)
         return math.nan if len(calls) == position + 1 else real(nums, X, table)
     monkeypatch.setattr(norms, "_numerator", nan_at)
-    rep = check_embedding_norm([0.6, -1.1], 2, 2, NormConfig(seed=5), q_trials=10)
+    [rep] = check_embedding_norm([([0.6, -1.1], 2, 2)], NormConfig(seed=5), q_trials=10)
     assert len(calls) == 10
     assert math.isnan(rep.details["worst_upper_ratio"]) and math.isnan(rep.rel_err)
     assert not rep.passed
@@ -934,33 +935,34 @@ EMBEDDING_POINTS = ([0.6, -1.1], [1.5, 0.25], [-0.3, 0.9], [2.0, -0.5])
 @pytest.mark.parametrize("position", [0, 4, 9])
 def test_a_nan_ratio_against_shared_trials_fails_every_instance_that_reads_it(
         monkeypatch, position):
-    # the instances of a claim share one stream's unit trials: a trial whose
-    # ratio is NaN fails each instance measured against it
-    cfg, streams = NormConfig(seed=5), {}
-    check_embedding_norm(EMBEDDING_POINTS[0], 2, 2, cfg, 10, memo=streams)
-    # the unit trials, and beside them each trial's cleared point
-    unit, points = streams.values()
-    assert [key[0] for key in streams] == ["stream", "points"]
-    assert points == [norms._cleared(q.coeff_vector(), norms.F64) for q in unit]
-    poisoned = points[position][1]
-    real = norms._numerator
+    # the instances of a batch on one stream share its unit trials, each
+    # cleared once to its point: a trial whose ratio is NaN fails each
+    # instance measured against it
+    cfg = NormConfig(seed=5)
+    real_cleared, real_numerator, points = norms._cleared, norms._numerator, []
+
+    def cleared(x, field):
+        points.append(real_cleared(x, field))
+        return points[-1]
 
     def nan_on(nums, X, table):
         # the embedding's value at the poisoned trial is NaN
-        return math.nan if X is poisoned else real(nums, X, table)
+        return math.nan if X is points[position][1] else real_numerator(nums, X, table)
+    monkeypatch.setattr(norms, "_cleared", cleared)
     monkeypatch.setattr(norms, "_numerator", nan_on)
-    reps = [check_embedding_norm(x, 2, 2, cfg, 10, memo=streams) for x in EMBEDDING_POINTS]
-    shared, kept = streams.values()
-    assert shared is unit and kept is points
+    reps = check_embedding_norm([(x, 2, 2) for x in EMBEDDING_POINTS], cfg, 10)
+    unit = norms._unit_trials(norms._np_rng(5, "embedding-norm-q-2-2-2"), 2, 2, 10, cfg)
+    assert points == [real_cleared(q.coeff_vector(), norms.F64) for q in unit]
     assert all(math.isnan(rep.rel_err) and not rep.passed for rep in reps)
 
 
 def test_instances_share_unit_trials_but_never_ratios(monkeypatch):
     # a NaN in one instance's ratios stays its own: the instances after it,
-    # reading the same unit trials, pass as they do alone
-    cfg, streams = NormConfig(seed=5), {}
-    real, real_numerator = norms.evaluation_embedding, norms._numerator
-    poisoned = []
+    # reading the same unit trials, drawn once, report as they do alone
+    cfg = NormConfig(seed=5)
+    real, real_numerator, real_trials = (norms.evaluation_embedding, norms._numerator,
+                                         norms._unit_trials)
+    poisoned, draws = [], []
 
     def embedding(x, *a, **kw):
         jp = real(x, *a, **kw)
@@ -972,15 +974,21 @@ def test_instances_share_unit_trials_but_never_ratios(monkeypatch):
         # every trial value of the first instance's embedding is NaN; its
         # lower side is evaluated on its own
         return math.nan if any(nums is p for p in poisoned) else real_numerator(nums, X, table)
+
+    def counted(*args):
+        draws.append(args)
+        return real_trials(*args)
     monkeypatch.setattr(norms, "evaluation_embedding", embedding)
     monkeypatch.setattr(norms, "_numerator", nan_all)
-    first, *rest = [check_embedding_norm(x, 2, 2, cfg, 10, memo=streams)
-                    for x in EMBEDDING_POINTS]
+    monkeypatch.setattr(norms, "_unit_trials", counted)
+    first, *rest = check_embedding_norm([(x, 2, 2) for x in EMBEDDING_POINTS], cfg, 10)
+    assert len(draws) == 1
     assert math.isnan(first.rel_err) and not first.passed
     assert math.isnan(first.details["worst_upper_ratio"]) and abs(first.lhs / first.rhs - 1) < 1e-9
     monkeypatch.setattr(norms, "evaluation_embedding", real)
     monkeypatch.setattr(norms, "_numerator", real_numerator)
-    assert rest == [check_embedding_norm(x, 2, 2, cfg, q_trials=10) for x in EMBEDDING_POINTS[1:]]
+    assert rest == [check_embedding_norm([(x, 2, 2)], cfg, q_trials=10)[0]
+                    for x in EMBEDDING_POINTS[1:]]
     assert all(rep.passed for rep in rest)
 
 
@@ -1201,14 +1209,14 @@ def test_check_adjoint_norm_report():
     P = PolyMap(tuple(
         HomPoly(2, 2, dict(zip(basis, (float(v) for v in rng.standard_normal(len(basis))))), F64)
         for _ in range(2)))
-    rep = check_adjoint_norm(P, 1, 2, NormConfig(seed=31), q_trials=25)
+    [rep] = check_adjoint_norm([(P, 1, 2)], NormConfig(seed=31), q_trials=25)
     assert rep.passed
     assert rep.rel_err <= 1e-6
     assert rep.details["worst_upper_ratio"] <= 1.0 + 1e-9
     d = rep.to_dict()
     # no clock in the report: equal checks give equal reports
     assert "wall_ms" not in d
-    assert check_adjoint_norm(P, 1, 2, NormConfig(seed=31), q_trials=25) == rep
+    assert check_adjoint_norm([(P, 1, 2)], NormConfig(seed=31), q_trials=25) == [rep]
 
 
 @pytest.mark.parametrize("n, k", [(1, 0), (1, -1), (0, 1), (-2, 0)])
@@ -1221,7 +1229,7 @@ def test_check_adjoint_norm_checks_n_and_k_before_any_sup_norm(monkeypatch, n, k
     P = linear_map([[1.0, 2.0], [0.5, -1.0]])
     with pytest.raises(DegreeError,
                        match=rf"^adjoint parameters must be >= 1, got n={n}, k={k}$"):
-        check_adjoint_norm(P, n, k, NormConfig(seed=3))
+        check_adjoint_norm([(P, 1, 1), (P, n, k)], NormConfig(seed=3))
 
 
 ORTHONORMAL = linear_map([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -1234,7 +1242,13 @@ QUADRATIC = HomPoly(2, 2, {(2, 0): 1.0, (1, 1): -0.5}, F64)
     (lambda: check_metric_injection([(ORTHONORMAL, QUADRATIC),
                                      (linear_map([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), QUADRATIC)]),
      PreconditionError),
-], ids=["duality", "injection"])
+    (lambda: check_adjoint_norm([(linear_map([[1.0, 2.0], [0.5, -1.0]]), 1, 2),
+                                 (linear_map([[1.0, 2.0], [0.5, -1.0]]), 0, 1)]),
+     DegreeError),
+    (lambda: check_embedding_norm([([0.6, -1.1], 2, 2), ([1e200, 1e200], 2, 2)]),
+     CapacityError),
+    (lambda: check_embedding_norm([([0.6, -1.1], 2, 2), ([1.0, 2.0], 0, 2)]), DegreeError),
+], ids=["duality", "injection", "adjoint", "embedding-target", "embedding-degree"])
 def test_a_bad_instance_last_in_a_batch_is_refused_before_any_sup_norm(monkeypatch, check, error):
     def no_sup_norm(*args, **kwargs):
         raise AssertionError("a sup norm ran")
@@ -1243,26 +1257,48 @@ def test_a_bad_instance_last_in_a_batch_is_refused_before_any_sup_norm(monkeypat
         check()
 
 
-def test_batched_identity_checks_equal_their_one_instance_calls():
-    # one report per instance, in order, each the report of that instance
-    # checked alone, whether or not a memo is lent
-    cfg = NormConfig(seed=4)
-    rng = np.random.default_rng(41)
+def _report_hex(rep) -> tuple:
+    return rep.lhs.hex(), rep.rhs.hex(), rep.rel_err.hex()
+
+
+def _batches(seed: int) -> list[tuple]:
+    """(check, instances, keyword arguments) of each of the five checks."""
+    rng = np.random.default_rng(seed)
+
+    def f64_map(d, e, deg):
+        basis = enumerate_multi_indices(d, deg)
+        return PolyMap(tuple(HomPoly(d, deg, dict(zip(basis, map(float, rng.standard_normal(
+            len(basis))))), F64) for _ in range(e)))
     points = [(rng.standard_normal(d).tolist(), m) for d in (2, 3, 2) for m in (1, 2, 3)]
-    memo = {}
-    assert check_norm_duality(points, cfg, memo=memo) == [
-        check_norm_duality([p], cfg)[0] for p in points]
-    assert check_norm_duality(points, cfg, memo=memo) == check_norm_duality(points, cfg)
     cubic = HomPoly(2, 3, {(3, 0): 1.0, (1, 2): 2.5, (0, 3): -0.75}, F64)
     pairs = [(ORTHONORMAL, QUADRATIC), (ORTHONORMAL, cubic), (ORTHONORMAL, QUADRATIC)]
-    assert check_metric_injection(pairs, cfg) == [
-        check_metric_injection([p], cfg)[0] for p in pairs]
+    # m = 1 and 2 at one (n, k) and codomain: both read one stream of trials
+    adjoint = [(f64_map(2, 2, 1), 1, 2), (f64_map(2, 2, 2), 1, 2), (f64_map(2, 2, 1), 2, 1)]
+    embedding = [(rng.standard_normal(d).tolist(), 2, n) for d in (2, 3, 2) for n in (1, 2)]
+    triples = [tuple(f64_map(2, 2, deg) for deg in degs) for degs in ((1, 1, 1), (2, 1, 2))]
+    return [(check_norm_duality, points, {}), (check_metric_injection, pairs, {}),
+            (check_adjoint_norm, adjoint, {"q_trials": 12}),
+            (check_embedding_norm, embedding, {"q_trials": 12}),
+            (check_two_sided_norm, triples, {})]
+
+
+def test_batched_identity_checks_equal_their_one_instance_calls():
+    # one report per instance, in order, each the report of that instance
+    # checked alone, to the bit
+    for seed in (4, 41):
+        cfg = NormConfig(seed=seed)
+        for check, instances, kwargs in _batches(seed):
+            batch = check(instances, cfg, **kwargs)
+            alone = [check([inst], cfg, **kwargs)[0] for inst in instances]
+            assert batch == alone, (seed, check.__name__)
+            assert list(map(_report_hex, batch)) == list(map(_report_hex, alone))
+            assert len(batch) == len(instances) and all(rep.passed for rep in batch)
 
 
 @pytest.mark.parametrize("check", [
-    lambda: check_adjoint_norm(linear_map([[1.0, 2.0], [0.5, -1.0]]), 1, 2, NormConfig(seed=3),
-                               q_trials=0),
-    lambda: check_embedding_norm([0.6, -1.1], 2, 2, NormConfig(seed=5), q_trials=-3),
+    lambda: check_adjoint_norm([(linear_map([[1.0, 2.0], [0.5, -1.0]]), 1, 2)],
+                               NormConfig(seed=3), q_trials=0),
+    lambda: check_embedding_norm([([0.6, -1.1], 2, 2)], NormConfig(seed=5), q_trials=-3),
 ], ids=["adjoint", "embedding"])
 def test_a_check_with_no_upper_trial_is_refused_before_any_sup_norm(monkeypatch, check):
     # with no trial the bracket passed on its lower side alone, reporting
@@ -1319,7 +1355,7 @@ def test_a_ratio_as_its_only_upper_side_keeps_the_bits_of_its_gap():
 
 
 def test_check_embedding_norm_report():
-    rep = check_embedding_norm([0.6, -1.1], 2, 2, NormConfig(seed=5), q_trials=10)
+    [rep] = check_embedding_norm([([0.6, -1.1], 2, 2)], NormConfig(seed=5), q_trials=10)
     assert rep.passed
     assert rep.rel_err <= 1e-6
 
@@ -1348,7 +1384,7 @@ def test_check_metric_injection_measures_q_of_any_normal_size():
 
 @pytest.mark.parametrize("check", [
     lambda x: check_norm_duality([(x, 2)], NormConfig(seed=1))[0],
-    lambda x: check_embedding_norm(x, 2, 2, NormConfig(seed=1)),
+    lambda x: check_embedding_norm([(x, 2, 2)], NormConfig(seed=1))[0],
 ], ids=["duality", "embedding"])
 def test_norm_identity_targets_far_from_unit_scale_are_refused_as_a_size_cap(check):
     # |x|^2 and |x|^4 overflow at 1e200 and underflow at 1e-200: they ended

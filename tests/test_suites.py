@@ -434,6 +434,11 @@ def _bottom_eigenvectors(coeffs, d, m):
     return V[np.arange(len(V)), :, w.argmin(axis=1)]
 
 
+def _against_the_gradient(gradient):
+    # the ascent steps downhill: every gradient it reads is negated
+    return lambda partials, V, tables: -gradient(partials, V, tables)
+
+
 def _no_step_accepted(shape, coeffs, X):
     # the ascent refuses every step: each row stays where it starts, and
     # four stalled iterations end each map's
@@ -483,6 +488,12 @@ def test_numeric_suite_catches_injected_sup_norm_faults(monkeypatch):
         patch.setattr(norms, "MAX_ASCENT_ITERS", 1)
         caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
     assert caught == {"claim_metric_injection": "fail"}
+
+    # and so does an ascent that steps against the gradient
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_gradient", _against_the_gradient(norms._gradient))
+        caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
+    assert caught == {"claim_metric_injection": "fail"}
     assert _verdicts(cfg, NUMERIC_CLAIMS) == clean
 
 
@@ -491,8 +502,8 @@ def _adjoint_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
     # its own trials
     ncfg = cfg.norm_config()
     rng = sampling._np_rng(cfg.seed, "adjoint-norm-P")
-    reports = (check_adjoint_norm(sampling._random_f64_map(rng, 2, 2, m), n, k, ncfg,
-                                  q_trials=100)
+    reports = (check_adjoint_norm([(sampling._random_f64_map(rng, 2, 2, m), n, k)], ncfg,
+                                  q_trials=100)[0]
                for m in range(1, cfg.max_m + 1) for n, k in ((1, 1), (1, 2), (2, 1)))
     return suites._norm_claim("adjoint_norm", cfg, reports, q_trials=100)
 
@@ -500,8 +511,8 @@ def _adjoint_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
 def _embedding_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
     ncfg = cfg.norm_config()
     rng = sampling._np_rng(cfg.seed, "embedding-norm-x")
-    reports = (check_embedding_norm(sampling._random_nonzero_f64_point(
-                   rng, 3 if t % 5 == 4 else 2), m, n, ncfg, q_trials=12)
+    reports = (check_embedding_norm([(sampling._random_nonzero_f64_point(
+                   rng, 3 if t % 5 == 4 else 2), m, n)], ncfg, q_trials=12)[0]
                for m in range(1, cfg.max_m + 1) for n in range(1, cfg.max_n + 1)
                for t in range(20))
     return suites._norm_claim("embedding_norm", cfg, reports)

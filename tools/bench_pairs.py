@@ -13,9 +13,9 @@ PYTHONDONTWRITEBYTECODE=1 on both sides.  The JSON written holds, per workload
 and per end-to-end metric of the change's BENCHMARK.json, every run, each
 side's median and quartiles (statistics.quantiles, n=4, inclusive), the
 ratio of the medians, the pairs the change won (ties count for neither side),
-the parent's quartile spread and the gap between the medians: the record a
-`BENCH_*.json` cites.  The exit code is 1 when a run's outputs were not all
-correct.
+the parent's quartile spread, the gap between the medians and a verdict
+against the metric's bound (`summarize`): the record a `BENCH_*.json`
+cites.  The exit code is 1 when a run's outputs were not all correct.
 """
 from __future__ import annotations
 
@@ -86,19 +86,38 @@ def quartiles(xs: list[float]) -> list[float]:
     return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """The comparison of one metric over pairs: parent[i] and change[i] are
-    the runs of pair i, and ``better`` is "lower" or "higher"."""
+    the runs of pair i, ``better`` is "lower" or "higher" and ``bound`` the
+    fraction of the parent's median by which the change may read worse (the
+    metric's bound in BENCHMARK.json).  The verdict is
+
+    * "worse" when the change's median is worse by more than the bound;
+    * "better" when the change wins at least nine tenths of the pairs (ties
+      count for neither side) and its median is better by more than the
+      parent's quartile spread;
+    * "unresolved" when that spread exceeds the bound and not every change
+      run is better than every parent run, so a reading within the bound
+      does not show that nothing changed;
+    * "within bound" otherwise."""
     pm, cm = statistics.median(parent), statistics.median(change)
     pq = quartiles(parent)
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    spread, gap, limit = pq[2] - pq[0], sign * (pm - cm), bound * abs(pm)
+    if gap < -limit:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(parent) and gap > spread:
+        verdict = "better"
+    elif spread > limit and not all(sign * (p - c) > 0 for p in parent for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     return {"parent_median": pm, "parent_quartiles": pq,
             "change_median": cm, "change_quartiles": quartiles(change),
             "ratio": cm / pm if pm else None,
             "change_better_in": f"{wins} of {len(parent)}",
-            "parent_quartile_spread": pq[2] - pq[0],
-            "median_gap": sign * (pm - cm),
+            "parent_quartile_spread": spread, "median_gap": gap, "verdict": verdict,
             "parent_runs": parent, "change_runs": change}
 
 
@@ -120,7 +139,7 @@ def compare(args: argparse.Namespace, trees: dict[str, Path], spec: dict) -> tup
             "correct": all(r["correct"] for side in SIDES for r in runs[side]),
             "summary": {m["name"]: summarize(
                 *([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES),
-                m["better"]) for m in spec["end_to_end"]}}
+                m["better"], m["bound"]) for m in spec["end_to_end"]}}
     return out, env
 
 
