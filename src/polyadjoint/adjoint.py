@@ -52,6 +52,9 @@ from .errors import (
 )
 from .linearization import LinearMap, adjoint_matrix, coefficient_matrix
 
+# grid points `integer_points` yields, and so `injectivity_witness` tries
+INTEGER_POINT_BUDGET = 10_000
+
 
 def adjoint_apply(P: PolyMap, n: int, k: int, q: HomPoly) -> HomPoly:
     """x |-> q(P(x))^n, expanded exactly."""
@@ -208,20 +211,21 @@ def inverse_adjoint_defects(u: PolyMap, k: int) -> tuple[LinearMap, LinearMap]:
     return (a @ b) - ident, (b @ a) - ident
 
 
-def integer_points(d: int, budget: int = 10_000) -> Iterator[tuple[Fraction, ...]]:
-    """Deterministic rational point stream: integer grid points ordered by
-    max-norm shell, lexicographically within a shell; d must be >= 1."""
+def integer_points(d: int) -> Iterator[tuple[Fraction, ...]]:
+    """Deterministic rational point stream: the first INTEGER_POINT_BUDGET
+    integer grid points ordered by max-norm shell, lexicographically within
+    a shell; d must be >= 1."""
     if d < 1:
         raise DimensionError(f"need at least one variable, got d={d}")
     count = 0
     shell = 0
-    while count < budget:
+    while count < INTEGER_POINT_BUDGET:
         pts = (p for p in itertools.product(range(-shell, shell + 1), repeat=d)
                if max((abs(c) for c in p), default=0) == shell)
         for p in sorted(pts):
             yield tuple(Fraction(c) for c in p)
             count += 1
-            if count >= budget:
+            if count >= INTEGER_POINT_BUDGET:
                 return
         shell += 1
 
@@ -234,8 +238,8 @@ def injectivity_witness(P1: PolyMap, P2: PolyMap, n: int, k: int
     Returns None when P1 == P2.  Distinct maps differ at some rational grid
     point x0 in some coordinate i; q = (y_i)^k works because t |-> t^{kn} is
     injective on the reals for odd kn.  Raises SearchBudgetError if the
-    first 10000 grid points do not separate them (cannot happen for the
-    supported degrees and dimensions).
+    first INTEGER_POINT_BUDGET grid points do not separate them (cannot
+    happen for the supported degrees and dimensions).
     """
     if (P1.domain_dim, P1.codomain_dim, P1.degree) != (P2.domain_dim, P2.codomain_dim, P2.degree):
         raise DimensionError("maps must share domain, codomain and degree")
@@ -252,7 +256,8 @@ def injectivity_witness(P1: PolyMap, P2: PolyMap, n: int, k: int
                 alpha = tuple(k if j == i else 0 for j in range(e))
                 q = HomPoly.monomial(e, alpha, 1, P1.field)
                 return q, x0
-    raise SearchBudgetError("no separating point among the first 10000 grid points")
+    raise SearchBudgetError(
+        f"no separating point among the first {INTEGER_POINT_BUDGET} grid points")
 
 
 def nonadditivity_witness(m: int, n: int, k: int,

@@ -53,12 +53,11 @@ The index tables a map evaluates with depend only on its shape (d, m), so
 from unit scale is measured scaled by a power of two, which is exact, so no
 square underflows or overflows; `vector_norm` scales a vector the same way.
 
-The search's sample floor (its points and their monomial table) depends
-only on the seed, the shape (d, m) and the sample count, and the circle
-pass's cross-check points only on the seed, so each is drawn once per dict
-and read from it after (`_floor`, `_cross_check`): `sup_norms` makes a
-fresh dict unless it is handed one, and one that is handed on to later
-calls gives them the same bits.  Only the checks below hand one on.
+Each `sup_norms` call owns its random draws, in one dict that its stacks
+share and that it drops on return.  A call has one cfg, so the search's
+sample floor (its points and their monomial table) depends only on the
+shape (d, m), and the circle pass's cross-check points on nothing more:
+each is drawn once per call (`_floor`, `_cross_check`).
 
 The four `check_*` functions bracket a norm identity lhs = rhs
 (`Report.bracket`): a norming construction attains lhs from below, and on
@@ -66,15 +65,14 @@ the upper side no measurement over rhs may exceed one.  The error is the
 worse of the two sides, and a report passes exactly when it is within its
 tolerance.  Each check, like `composition.check_two_sided_norm`, takes a
 sequence of instances, checks every one before any sup norm runs and
-returns one report per instance, in order; it makes one dict for the draws
-of all its sup norms and drops it on return, so no draw outlives the call.
-`check_norm_duality` and `check_metric_injection` norm all their maps in
-one `sup_norms` call.  Random normalized polynomials make the upper side
-of the adjoint and the embedding: `_unit_trials` draws one stream's
-polynomials first and norms them to unit sup norm in one stack, and every
-instance on that stream is measured against those unit trials, drawn once
-per call; the embedding evaluates at each trial's point, cleared once per
-call.  No check reads the clock, so same-seed reports are equal.
+returns one report per instance, in order.  `check_norm_duality` and
+`check_metric_injection` norm all their maps in one `sup_norms` call.
+Random normalized polynomials make the upper side of the adjoint and the
+embedding: `_unit_trials` draws one stream's polynomials first and norms
+them to unit sup norm in one stack, and every instance on that stream is
+measured against those unit trials, drawn once per check call; the
+embedding evaluates at each trial's point, cleared once per check call.
+No check reads the clock, so same-seed reports are equal.
 """
 from __future__ import annotations
 
@@ -472,19 +470,17 @@ def _circle_points(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
 
 
 def _cross_check(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, tops: np.ndarray,
-                 memo: dict) -> None:
+                 draws: dict) -> None:
     """Random circle points may not beat ``tops``, the picked value of each
     map of the (B, e, T) stack (d = 2).  The circle pass is exhaustive (t =
     infinity is +-e_1), so its pick is the maximum, and the points only
     guard the root-finder; one monomial table serves them, with one stacked
     matmul.  The CROSS_CHECK points are the first draw of a fresh stream,
-    the same for every map of a seed, so each ``memo`` draws them once."""
-    key = ("cross-check", cfg.seed)
-    if key not in memo:
-        memo[key] = _sphere_samples(2, CROSS_CHECK, _np_rng(cfg.seed, "sup-norm-l2-2"))
-    V = shape.monomials(memo[key]) @ coeffs.transpose(0, 2, 1)
-    checks = _row_norms(V.reshape(-1, V.shape[2])).reshape(len(V), -1).max(axis=1)
-    for check, top in zip(checks.tolist(), tops.tolist()):
+    the same for every map of a seed, so a call draws them once."""
+    if "cross-check" not in draws:
+        draws["cross-check"] = _sphere_samples(2, CROSS_CHECK, _np_rng(cfg.seed, "sup-norm-l2-2"))
+    V = shape.monomials(draws["cross-check"]) @ coeffs.transpose(0, 2, 1)
+    for check, top in zip(_row_norms(V).max(axis=1).tolist(), tops.tolist()):
         if check > top * (1.0 + 1e-9):
             raise AssertionError(
                 f"a random circle point reaches {check}, above the circle "
@@ -645,8 +641,7 @@ def _proves_upper(coeffs: np.ndarray, d: int, m: int, u: float) -> bool:
 
 
 def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
-             extra_starts: Sequence[Sequence[float]] = (), *,
-             memo: dict | None = None) -> NormEstimate:
+             extra_starts: Sequence[Sequence[float]] = ()) -> NormEstimate:
     """Lower-bound estimate, up to float rounding, of the sup norm on the
     unit ball, on the f64 field; see the module docstring for the methods.
     ``extra_starts`` are known good points, projected to the sphere (the
@@ -658,26 +653,21 @@ def sup_norm(P: PolyMap | HomPoly, cfg: NormConfig = NormConfig(),
     (CapacityError).  Only the closed form carries ``upper``.  A map whose
     largest coefficient is 2^e with |e| > MAX_SCALE_EXP is measured as
     2^-e P and its value scaled back, both exactly; a norm past the
-    largest double raises CapacityError.  ``memo``, a dict the caller
-    keeps, lends the search a sample floor and the circle pass its
-    cross-check points, drawn at the same key by an earlier call, which
-    gives the same bits (`_floor`, `_cross_check`).  A stack of one
-    (`sup_norms`)."""
-    return sup_norms([P], cfg, [extra_starts], memo=memo)[0]
+    largest double raises CapacityError.  A stack of one (`sup_norms`),
+    so its random draws are its own."""
+    return sup_norms([P], cfg, [extra_starts])[0]
 
 
 def sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig = NormConfig(),
-              starts: Sequence[Sequence[Sequence[float]]] | None = None, *,
-              memo: dict | None = None) -> list[NormEstimate]:
+              starts: Sequence[Sequence[Sequence[float]]] | None = None) -> list[NormEstimate]:
     """`sup_norm` of each map, in order, ``starts[b]`` the extra starts of
     ``maps[b]`` (none for every map when None).  The maps of each shape
     (d, m, e) are normed as one stack, in the order each shape first
     appears, and each gets the bits it gets alone.  Every map and start is
     checked, as `sup_norm` checks them, before any is normed, and a count
-    of start lists other than the count of maps raises DimensionError.  The
-    draws are read from ``memo``, a fresh dict unless the caller keeps
-    one."""
-    memo = {} if memo is None else memo
+    of start lists other than the count of maps raises DimensionError.
+    The call's random draws, its sample floors and cross-check points, sit
+    in one dict that its stacks share and that is dropped on return."""
     maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
     starts = [()] * len(maps) if starts is None else list(starts)
     if len(starts) != len(maps):
@@ -690,8 +680,9 @@ def sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig = NormConfig(),
     stacks = [_stack([maps[b] for b in group], [starts[b] for b in group], cfg)
               for group in groups.values()]
     out: list[NormEstimate] = [None] * len(maps)
+    draws: dict = {}
     for group, stack in zip(groups.values(), stacks):
-        for b, est in zip(group, _stack_norms(*stack, cfg, memo)):
+        for b, est in zip(group, _stack_norms(*stack, cfg, draws)):
             out[b] = est
     return out
 
@@ -748,8 +739,9 @@ def _padded(rows: list[np.ndarray], d: int) -> np.ndarray:
 
 
 def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list[np.ndarray],
-                 cfg: NormConfig, memo: dict) -> list[NormEstimate]:
-    """The estimates of a checked stack (`_stack`)."""
+                 cfg: NormConfig, draws: dict) -> list[NormEstimate]:
+    """The estimates of a checked stack (`_stack`), its random draws read
+    from the call's ``draws``."""
     d, m = shape.d, shape.m
     # |2^-s P| = 2^-s |P|: far from unit scale the squares of the values
     # would underflow or overflow, so there the map measured is 2^-s P, with
@@ -768,7 +760,7 @@ def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list
         ragged = dict(zip(circle, _circle_points(coeffs[circle], m))) if circle else {}
         if search := [b for b, name in enumerate(method) if name == "sobol+gradient-ascent"]:
             found, counts = _search_heads(shape, coeffs[search], cfg, [starts[b] for b in search],
-                                          memo)
+                                          draws)
             ragged.update(zip(search, found))
             iters = dict(zip(search, counts))
         heads = _padded([ragged[b] for b in range(B)], d)
@@ -778,7 +770,7 @@ def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list
     vals = shape.norms(X, coeffs)
     best = X[np.arange(B), vals.argmax(axis=1)]
     if circle:
-        _cross_check(shape, coeffs[circle], cfg, vals[circle].max(axis=1), memo)
+        _cross_check(shape, coeffs[circle], cfg, vals[circle].max(axis=1), draws)
 
     # renormalize exactly onto the sphere and re-evaluate: the value reported
     # is an evaluation, hence a lower bound up to its rounding
@@ -806,19 +798,19 @@ def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list
 
 
 def _search_heads(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig,
-                  starts: list[np.ndarray], memo: dict) -> tuple[list[np.ndarray], list[int]]:
+                  starts: list[np.ndarray], draws: dict) -> tuple[list[np.ndarray], list[int]]:
     """The search's head for each map of the (B, e, T) stack, and the
     ascent's iterations: the rows gradient ascent refined from the best
     candidates of the sample floor and the map's ``starts``, then the best
     of those candidates, which the pick keeps only if no refined row is as
-    good.  The floor is drawn and tabulated once per ``memo`` (`_floor`).
+    good.  The floor is drawn and tabulated once per call (`_floor`).
     One ascent (`_ascend`) refines the rows of all maps with as many rows,
     which is every map unless the floor and starts number under
     cfg.restarts: a matmul's last bits follow its row count, so no map's
     rows are padded."""
     seeds, tops, groups = [], [], {}
     for b, (c, s) in enumerate(zip(coeffs, starts)):
-        X, mon = _floor(memo, shape, cfg, s)
+        X, mon = _floor(draws, shape, cfg, s)
         vals = _row_norms(mon @ c.T)
         # copied out, as the next map's starts overwrite the floor's tail
         seeds.append(X[np.argsort(vals)[::-1][:cfg.restarts]])
@@ -832,36 +824,37 @@ def _search_heads(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig,
     return heads, iters
 
 
-def _floor(memo: dict, shape: _Shape, cfg: NormConfig,
+def _floor(draws: dict, shape: _Shape, cfg: NormConfig,
            starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the sample floor and then ``starts``, and their monomial
     table, as one (N + s, d) and one (N + s, T) operand.
 
     The floor, cfg.samples points uniform on the sphere, is the first draw
-    of a fresh stream, so its points depend on the seed, d and the sample
-    count alone, and their table on m too: both are made, the table by the
-    prefix walk, on the first search at that key, and read from ``memo``
-    after, where only the tail rows are rewritten for the starts.  Both are
-    held for the most starts seen at the key, and a search reads the (N +
-    s)-row prefix, which a C-ordered table gives the matmul as a fresh one.
-    A table row is its point's alone, so a held row has the bits a fresh
-    table would give it.  The points are held column by column, so that
-    the prefix walk reads each coordinate as one contiguous row; the rows
-    the search takes from them are copied out C-ordered, as fancy indexing
-    gives them."""
-    key = ("floor", cfg.seed, shape.d, shape.m, cfg.samples)
+    of a fresh stream, so within one call, whose cfg is one, its points
+    depend on d alone and their table on m too: both are made, the table
+    by the prefix walk, on the call's first search of shape (d, m), and
+    read from the call's ``draws`` after, where only the tail rows are
+    rewritten for the starts.  Both are held for the most starts seen at
+    the shape, as the maps of one call may bring different numbers, and a
+    search reads the (N + s)-row prefix, which a C-ordered table gives the
+    matmul as a fresh one.  A table row is its point's alone, so a held
+    row has the bits a fresh table would give it.  The points are held
+    column by column, so that the prefix walk reads each coordinate as one
+    contiguous row; the rows the search takes from them are copied out
+    C-ordered, as fancy indexing gives them."""
+    key = (shape.d, shape.m)
     N, n = cfg.samples, cfg.samples + len(starts)
-    if key not in memo:
+    if key not in draws:
         rng = _np_rng(cfg.seed, f"sup-norm-l2-{shape.d}")
         X = _by_columns(_sphere_samples(shape.d, N, rng), starts)
-        memo[key] = X, shape.floor_monomials(X)
-        return memo[key]
-    X, mon = memo[key]
+        draws[key] = X, shape.floor_monomials(X)
+        return draws[key]
+    X, mon = draws[key]
     if len(X) < n:
-        # more starts than ever at this key: the floor moves to taller operands
+        # more starts than ever at this shape: the floor moves to taller operands
         X = _by_columns(X[:N], starts)
         mon = np.vstack([mon[:N], np.empty((len(starts), mon.shape[1]))])
-        memo[key] = X, mon
+        draws[key] = X, mon
     X, mon = X[:n], mon[:n]
     X[N:] = starts
     mon[N:] = shape.floor_monomials(starts)
@@ -957,16 +950,15 @@ def check_norm_duality(instances: Iterable[tuple[Sequence, int]],
 
 
 def _unit_trials(rng: np.random.Generator, d: int, k: int, q_trials: int,
-                 cfg: NormConfig, memo: dict | None = None) -> tuple[HomPoly, ...]:
+                 cfg: NormConfig) -> tuple[HomPoly, ...]:
     """One stream of upper-side trials: q_trials random degree-k polynomials
-    on R^d, all drawn from rng first, in order, normed in one stack (its
-    floor read from ``memo``) and each scaled to sup norm one (those below
-    1e-12 are skipped).  A stream depends on the seed and label of rng, on
-    d, k and q_trials and, through the norming, on cfg; not on the instance
-    measured against it, so the instances of one check that draw on one
-    label share it."""
+    on R^d, all drawn from rng first, in order, normed in one `sup_norms`
+    call and each scaled to sup norm one (those below 1e-12 are skipped).
+    A stream depends on the seed and label of rng, on d, k and q_trials
+    and, through the norming, on cfg; not on the instance measured against
+    it, so the instances of one check that draw on one label share it."""
     qs = [_random_hompoly_f64(rng, d, k) for _ in range(q_trials)]
-    return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, sup_norms(qs, cfg, memo=memo))
+    return tuple(q.scale(1.0 / est.value) for q, est in zip(qs, sup_norms(qs, cfg))
                  if not est.value < 1e-12)
 
 
@@ -989,23 +981,23 @@ def check_adjoint_norm(instances: Iterable[tuple[PolyMap, int, int]],
     # with no trial, the bracket would pass on its lower side alone
     if q_trials < 1:
         raise PreconditionError(f"q_trials must be >= 1, got {q_trials}")
-    memo, streams, reports = {}, {}, []
+    streams, reports = {}, []
     # P and its lower side go through sup_norm, whose calls perfbench's
     # tracer counts; one stack of every instance's trial images would hold
     # a larger circle cross-check table and gave no time back
     for P, n, k in instances:
         P = P.as_field(F64)
-        est = sup_norm(P, cfg, memo=memo)
+        est = sup_norm(P, cfg)
         if est.value <= 0.0:
             raise DegenerateInputError("zero map has no norming direction")
         target = _normal_power(est.value, k * n, f"the adjoint's norm |P|^{k * n}")
         q_star = norming_functional(P.eval_map(est.maximizer)) ** k
-        lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg, [est.maximizer], memo=memo).value
+        lower = sup_norm(adjoint_apply(P, n, k, q_star), cfg, [est.maximizer]).value
         label, e = f"adjoint-norm-q-{n}-{k}", P.codomain_dim
         if (label, e) not in streams:
-            streams[label, e] = _unit_trials(_np_rng(cfg.seed, label), e, k, q_trials, cfg, memo)
+            streams[label, e] = _unit_trials(_np_rng(cfg.seed, label), e, k, q_trials, cfg)
         unit = streams[label, e]
-        trials = sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg, memo=memo)
+        trials = sup_norms([adjoint_apply(P, n, k, q) for q in unit], cfg)
         reports.append(Report.bracket(
             "adjoint_norm", cfg, lower, target, (trial.value / target for trial in trials),
             {"sup_norm_P": est.value, "q_instances": len(unit), "n": n, "k": k}))
@@ -1030,11 +1022,11 @@ def check_embedding_norm(instances: Iterable[tuple[Sequence, int, int]],
         xv, _, target = _point_target(x, m * n, f"the embedding's norm |x|^{m * n}")
         checked.append((xv, n, target, evaluation_embedding(xv, m, n, field=F64),
                         f"embedding-norm-q-{m}-{n}-{len(xv)}", {"m": m, "n": n}))
-    memo, points = {}, {}
+    points = {}
     for xv, n, _, _, label, _ in checked:
         if label not in points:
             points[label] = [_cleared(q.coeff_vector(), F64) for q in _unit_trials(
-                _np_rng(cfg.seed, label), len(xv), n, q_trials, cfg, memo)]
+                _np_rng(cfg.seed, label), len(xv), n, q_trials, cfg)]
     return [Report.bracket("embedding_norm", cfg,
                            abs(jp.eval((norming_functional(xv) ** n).coeff_vector())), target,
                            (abs(jp._value(_numerator(jp._terms[1], X, {}), r)) / target

@@ -1,5 +1,6 @@
 """Layering: no module of the package reaches into the private names of
-`norms`, and only `norms` decides how long the draws of a sup norm live."""
+`norms`, and each sup norm call owns its draws: no public callable takes a
+``memo`` and no call anywhere passes one."""
 from __future__ import annotations
 
 import ast
@@ -9,8 +10,6 @@ from pathlib import Path
 import pytest
 
 import polyadjoint
-from polyadjoint import (check_adjoint_norm, check_embedding_norm, check_metric_injection,
-                         check_norm_duality, check_two_sided_norm)
 
 PACKAGE = Path(polyadjoint.__file__).parent
 
@@ -52,9 +51,10 @@ def _memo_keywords(tree: ast.Module) -> list[int]:
             for kw in node.keywords if kw.arg == "memo"]
 
 
-def test_only_norms_passes_a_memo():
-    offenders = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "norms.py"
+def test_no_call_passes_a_memo():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "norms.py" in {path.name for path in modules}
+    offenders = {path.name: lines for path in modules
                  if (lines := _memo_keywords(ast.parse(path.read_text())))}
     assert offenders == {}
 
@@ -67,9 +67,34 @@ def test_the_memo_check_sees_a_memo_keyword():
     assert _memo_keywords(ast.parse(source)) == [2, 4]
 
 
-@pytest.mark.parametrize("check", [check_norm_duality, check_adjoint_norm, check_embedding_norm,
-                                   check_metric_injection, check_two_sided_norm],
-                         ids=lambda check: check.__name__)
-def test_no_check_takes_a_memo(check):
-    # each check makes the dict for its own draws and drops it on return
-    assert "memo" not in inspect.signature(check).parameters
+def _public_callables() -> dict[str, object]:
+    """Every public function the package exports and every public method of
+    the classes it exports, by name."""
+    found = {}
+    for name in dir(polyadjoint):
+        obj = getattr(polyadjoint, name)
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        if inspect.isclass(obj):
+            found.update((f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                         if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)))
+        elif callable(obj):
+            found[name] = obj
+    return found
+
+
+PUBLIC = _public_callables()
+
+
+def test_the_public_callables_are_the_exports_and_their_methods():
+    assert {"sup_norm", "sup_norms", "check_norm_duality", "check_adjoint_norm",
+            "check_embedding_norm", "check_metric_injection", "check_two_sided_norm",
+            "integer_points", "PolyMap.eval_map", "HomPoly.linear_form",
+            "LinearMap.identity"} <= set(PUBLIC)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_no_check_takes_a_memo(name):
+    # every sup norm call makes the dict for its own draws and drops it on
+    # return, so no public function or method takes one
+    assert "memo" not in inspect.signature(PUBLIC[name]).parameters

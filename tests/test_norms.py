@@ -593,23 +593,52 @@ def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatc
                     assert _same_bits(points[4], AXES)
 
 
-def test_cross_check_points_are_the_first_draw_of_their_stream():
-    # drawn once per memo and seed, as each map of that seed drew them alone,
-    # and kept in the caller's memo, so no draw outlives it
-    P = PolyMap((HomPoly(2, 3, {(3, 0): 1.0, (2, 1): -2.0, (0, 3): 0.5}, F64),))
+def _recording_draws(monkeypatch) -> list:
+    """(d, n, points) of every draw of points on the sphere from now on: the
+    sample floors and the circle pass's cross-check points."""
+    draws = []
+    real = norms._sphere_samples
+
+    def recorded(d, n, rng):
+        draws.append((d, n, real(d, n, rng)))
+        return draws[-1][2]
+    monkeypatch.setattr(norms, "_sphere_samples", recorded)
+    return draws
+
+
+def test_cross_check_points_are_the_first_draw_of_their_stream(monkeypatch):
+    # one call draws them once for its circle maps in stacks of three
+    # shapes, as each map drew them alone, and every stack reads that one
+    # draw; the next call draws them again, to equal estimates
+    rng = np.random.default_rng(30)
+    maps = [P for d, m, e in ((2, 3, 1), (2, 4, 2), (2, 2, 2)) for P in random_maps(rng, d, m, e, 2)]
+    stream = norms._sphere_samples
+    drawn, read = _recording_draws(monkeypatch), []
+    check = norms._cross_check
+
+    def recorded(shape, coeffs, cfg, tops, draws):
+        check(shape, coeffs, cfg, tops, draws)
+        read.append(draws["cross-check"])
+    monkeypatch.setattr(norms, "_cross_check", recorded)
     for seed in (0, 1, 2 ** 40):
-        cfg, memo = NormConfig(seed=seed), {}
-        est = sup_norm(P, cfg, memo=memo)
-        assert est.method == "circle-critical-points"
-        X = memo[("cross-check", seed)]
-        want = norms._sphere_samples(2, norms.CROSS_CHECK, norms._np_rng(seed, "sup-norm-l2-2"))
-        assert _same_bits(X, want)
-        assert sup_norm(P, cfg, memo=memo) == est and memo[("cross-check", seed)] is X
-        assert sup_norm(P, cfg) == est
+        cfg = NormConfig(seed=seed)
+        alone = [_hex(sup_norm(P, cfg)) for P in maps]
+        want = stream(2, norms.CROSS_CHECK, norms._np_rng(seed, "sup-norm-l2-2"))
+        del drawn[:], read[:]
+        first = norms.sup_norms(maps, cfg)
+        assert {est.method for est in first} == {"circle-critical-points"}
+        assert [_hex(est) for est in first] == alone
+        assert [(d, n) for d, n, _ in drawn] == [(2, norms.CROSS_CHECK)]
+        assert _same_bits(drawn[0][2], want)
+        assert len(read) == 3 and all(X is drawn[0][2] for X in read)
+        assert norms.sup_norms(maps, cfg) == first
+        assert len(drawn) == 2 and drawn[1][2] is not drawn[0][2]
+        assert _same_bits(drawn[1][2], want)
     # only the circle pass draws them
-    memo = {}
-    sup_norm(linear_map([[1.0, 2.0], [0.5, -1.0]]), NormConfig(seed=1), memo=memo)
-    assert memo == {}
+    del drawn[:]
+    norms.sup_norms([linear_map([[1.0, 2.0], [0.5, -1.0]]),
+                     quadratic_form(np.array([[1.0, 0.5], [0.5, -2.0]]))], NormConfig(seed=1))
+    assert drawn == []
 
 
 def test_circle_pass_on_a_map_of_constant_norm():
@@ -703,84 +732,54 @@ def test_a_stack_gives_each_map_the_bits_it_gets_alone(method):
                                               "circle-critical-points", "sobol+gradient-ascent"}
 
 
-def _counting_floor_draws(monkeypatch) -> list:
-    """The (d, samples) of every sample floor drawn from now on."""
-    draws = []
-    real = norms._sphere_samples
-
-    def counted(d, n, rng):
-        # the circle pass's cross-check points are drawn once per process
-        if n != norms.CROSS_CHECK:
-            draws.append((d, n))
-        return real(d, n, rng)
-    monkeypatch.setattr(norms, "_sphere_samples", counted)
-    return draws
-
-
-def test_a_stack_of_search_maps_draws_its_floor_once(monkeypatch):
-    # with no memo given a stack still shares one floor among its maps; a
-    # memo the caller keeps lends it to later calls, to the same bits
-    rng = np.random.default_rng(29)
-    cfg = NormConfig(samples=512, restarts=8, seed=3)
-    maps = random_maps(rng, 3, 3, 2, 5)
-    alone = [sup_norm(P, cfg, [[1.0, 0.5, 0.25]]) for P in maps]
-    draws = _counting_floor_draws(monkeypatch)
-    assert norms.sup_norms(maps, cfg, [[[1.0, 0.5, 0.25]]] * len(maps)) == alone
-    assert draws == [(3, 512)]
-    draws.clear()
-    memo = {}
-    kept = [sup_norm(P, cfg, [[1.0, 0.5, 0.25]], memo=memo) for P in maps]
-    assert [_hex(est) for est in kept] == [_hex(est) for est in alone]
-    assert draws == [(3, 512)]
-    assert list(memo) == [("floor", 3, 3, 3, 512)]
-
-
-def test_a_held_floor_is_served_only_to_its_seed_shape_and_sample_count(monkeypatch):
-    # one memo across seeds, shapes, sample counts and counts of starts:
-    # every estimate has the bits of a fresh call, each key is drawn once,
-    # and the restarts, which size only the ascent, share a floor
-    rng = np.random.default_rng(31)
-    calls = []
-    for seed, d, m, samples, restarts in ((3, 3, 3, 512, 8), (4, 3, 3, 512, 8),
-                                          (3, 3, 2, 512, 8), (3, 4, 3, 512, 8),
-                                          (3, 3, 3, 384, 8), (3, 3, 3, 512, 4)):
-        cfg = NormConfig(samples=samples, restarts=restarts, seed=seed)
-        for starts in ([], [[1.0] * d], [[1.0] * d, [-2.0] + [0.5] * (d - 1)]):
-            calls.append((random_maps(rng, d, m, 2, 1)[0], cfg, starts))
-    calls.append((WIDE, NormConfig(samples=512, restarts=8, seed=3), [[1.0, 2.0]]))
-    fresh = [_hex(sup_norm(P, cfg, starts)) for P, cfg, starts in calls]
-    draws = _counting_floor_draws(monkeypatch)
-    memo = {}
-    # twice over, the second time in reverse, so every key is read back
-    # after other keys and other counts of starts have used the memo
-    for order in (calls, calls[::-1]):
-        got = [_hex(sup_norm(P, cfg, starts, memo=memo)) for P, cfg, starts in order]
-        assert got == (fresh if order is calls else fresh[::-1])
-    keys = [("floor", 3, 3, 3, 512), ("floor", 4, 3, 3, 512), ("floor", 3, 3, 2, 512),
-            ("floor", 3, 4, 3, 512), ("floor", 3, 3, 3, 384), ("floor", 3, 2, 3, 512)]
-    assert list(memo) == keys
-    assert draws == [(3, 512), (3, 512), (3, 512), (4, 512), (3, 384), (2, 512)]
-
-
-def test_a_held_floor_grows_only_for_more_starts_than_it_holds(monkeypatch):
-    # counts of extra starts alternating 0, 2 and 1 on one memo: every
-    # estimate has the bits of a fresh call, and once the floor holds the
-    # most starts, each search reads a prefix of the same buffers
-    rng = np.random.default_rng(36)
-    cfg = NormConfig(samples=512, restarts=8, seed=3)
-    P = random_maps(rng, 3, 3, 2, 1)[0]
+def _recording_floors(monkeypatch) -> list:
+    """(draws, served) of every sample floor served from now on: the dict
+    of draws it was served from and the (X, mon) operands it was served."""
     served = []
     real = norms._floor
 
-    def recorded(*args):
-        served.append(real(*args))
-        return served[-1]
+    def recorded(draws, *args):
+        served.append((draws, real(draws, *args)))
+        return served[-1][1]
     monkeypatch.setattr(norms, "_floor", recorded)
-    memo = {}
-    for count in (0, 2, 1, 0, 2, 1):
-        starts = rng.standard_normal((count, 3)).tolist()
-        assert _hex(sup_norm(P, cfg, starts, memo=memo)) == _hex(sup_norm(P, cfg, starts))
-    held = served[::2]
+    return served
+
+
+def test_a_stack_of_search_maps_draws_its_floor_once(monkeypatch):
+    # one call draws one floor per (d, m), which its stacks of every
+    # codomain and count of starts share, and each estimate keeps the bits
+    # of a call of its own
+    rng = np.random.default_rng(29)
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    maps, starts = [], []
+    for d, m, e in ((3, 3, 2), (3, 3, 1), (3, 2, 2), (4, 3, 1), (3, 3, 3), (3, 2, 3)):
+        for count in (0, 2, 1):
+            maps += random_maps(rng, d, m, e, 1)
+            starts.append(rng.standard_normal((count, d)).tolist())
+    maps.append(WIDE)
+    starts.append([[1.0, 2.0]])
+    alone = [_hex(sup_norm(P, cfg, own)) for P, own in zip(maps, starts)]
+    drawn, served = _recording_draws(monkeypatch), _recording_floors(monkeypatch)
+    got = norms.sup_norms(maps, cfg, starts)
+    assert [_hex(est) for est in got] == alone
+    assert {est.method for est in got} == {"sobol+gradient-ascent"}
+    assert [(d, n) for d, n, _ in drawn] == [(3, 512), (3, 512), (4, 512), (2, 512)]
+    assert len(served) == len(maps) and all(draws is served[0][0] for draws, _ in served)
+    assert list(served[0][0]) == [(3, 3), (3, 2), (4, 3), (2, 3)]
+
+
+def test_a_held_floor_grows_only_for_more_starts_than_it_holds(monkeypatch):
+    # one call whose maps bring 0, 2, 1, 0, 2 and 1 extra starts: every
+    # estimate has the bits of a call of its own, and once the floor holds
+    # the most starts, each search reads a prefix of the same buffers
+    rng = np.random.default_rng(36)
+    cfg = NormConfig(samples=512, restarts=8, seed=3)
+    maps = random_maps(rng, 3, 3, 2, 6)
+    starts = [rng.standard_normal((count, 3)).tolist() for count in (0, 2, 1, 0, 2, 1)]
+    alone = [_hex(sup_norm(P, cfg, own)) for P, own in zip(maps, starts)]
+    served = _recording_floors(monkeypatch)
+    assert [_hex(est) for est in norms.sup_norms(maps, cfg, starts)] == alone
+    held = [floor for _, floor in served]
     assert [len(X) for X, _ in held] == [518, 520, 519, 518, 520, 519]
     assert not np.shares_memory(held[0][1], held[1][1])
     for X, mon in held[2:]:

@@ -55,3 +55,19 @@ def test_each_metric_gets_a_verdict_by_its_bound(change, better, bound, want):
 def test_pairs_must_be_at_least_one():
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["HEAD", "HEAD", "--pairs", "0"])
+
+
+@pytest.mark.parametrize("failed, attempted, shares, more", [
+    ({"parent": 0, "change": 0}, {"parent": 40, "change": 50}, (0.0, 0.0), False),
+    ({"parent": 1, "change": 1}, {"parent": 40, "change": 50}, (0.025, 0.02), False),
+    # more operations attempted can hide one more failure: the share decides
+    ({"parent": 1, "change": 2}, {"parent": 40, "change": 100}, (0.025, 0.02), False),
+    ({"parent": 1, "change": 2}, {"parent": 40, "change": 50}, (0.025, 0.04), True),
+    ({"parent": 0, "change": 1}, {"parent": 0, "change": 50}, (None, 0.02), True),
+    ({"parent": 0, "change": 0}, {"parent": 50, "change": 0}, (0.0, None), False),
+], ids=["none", "fewer", "more-failed-smaller-share", "larger-share", "parent-idle",
+        "change-idle"])
+def test_a_larger_failure_share_is_flagged(failed, attempted, shares, more):
+    got = bench_pairs.failure_shares(failed, attempted)
+    assert got == {"failure_share": dict(zip(bench_pairs.SIDES, shares)),
+                   "more_failures": more}

@@ -14,8 +14,10 @@ and per end-to-end metric of the change's BENCHMARK.json, every run, each
 side's median and quartiles (statistics.quantiles, n=4, inclusive), the
 ratio of the medians, the pairs the change won (ties count for neither side),
 the parent's quartile spread, the gap between the medians and a verdict
-against the metric's bound (`summarize`): the record a `BENCH_*.json`
-cites.  The exit code is 1 when a run's outputs were not all correct.
+against the metric's bound (`summarize`), and per workload each side's
+share of failed operations and whether the change's is larger
+(`failure_shares`): the record a `BENCH_*.json` cites.  The exit code is 1
+when a run's outputs were not all correct.
 """
 from __future__ import annotations
 
@@ -121,6 +123,16 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
             "parent_runs": parent, "change_runs": change}
 
 
+def failure_shares(failed: dict[str, int], attempted: dict[str, int]) -> dict:
+    """Each side's share of failed operations (None when it attempted
+    none) and ``more_failures``, whether the change's share is larger than
+    the parent's: a larger share fails a change whatever its metrics read."""
+    share = {side: failed[side] / attempted[side] if attempted[side] else None
+             for side in SIDES}
+    return {"failure_share": share,
+            "more_failures": (share["change"] or 0.0) > (share["parent"] or 0.0)}
+
+
 def compare(args: argparse.Namespace, trees: dict[str, Path], spec: dict) -> tuple[dict, dict]:
     """Every workload's pairs and summary, and the environment of a run."""
     out, env = {}, {}
@@ -131,11 +143,12 @@ def compare(args: argparse.Namespace, trees: dict[str, Path], spec: dict) -> tup
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 runs[side].append(run_once(trees[side], workload, seed, args))
                 env = env or runs[side][-1]["env"]
+        failed, attempted = ({side: sum(r[key] for r in runs[side]) for side in SIDES}
+                             for key in ("failed", "attempted"))
         out[workload] = {
             "pairs": args.pairs, "seeds": seeds,
             "first": [SIDES[i % 2] for i in range(args.pairs)],
-            "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-            "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+            "failed": failed, "attempted": attempted, **failure_shares(failed, attempted),
             "correct": all(r["correct"] for side in SIDES for r in runs[side]),
             "summary": {m["name"]: summarize(
                 *([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES),
