@@ -150,19 +150,13 @@ def enumerate_multi_indices(d: int, m: int) -> list[MultiIndex]:
 
 @lru_cache(maxsize=256, typed=True)
 def _basis(d: int, m: int) -> tuple[MultiIndex, ...]:
-    # each index follows from the previous one: move one unit from the
-    # rightmost nonzero entry before the last into the next entry, together
-    # with everything in the last entry; (0, ..., 0, m) comes last
-    a = [m] + [0] * (d - 1)
-    out = [tuple(a)]
-    while a[-1] != m:
-        i = d - 2
-        while not a[i]:
-            i -= 1
-        tail = a[-1]
-        a[-1] = 0
-        a[i] -= 1
-        a[i + 1] = tail + 1
+    # the exponent counts of each sorted tuple of m variable indices: the
+    # tuples come in lex order, and a lex-smaller tuple has the larger counts
+    out = []
+    for indices in itertools.combinations_with_replacement(range(d), m):
+        a = [0] * d
+        for i in indices:
+            a[i] += 1
         out.append(tuple(a))
     return tuple(out)
 

@@ -35,8 +35,7 @@ The candidate of largest value is then picked once for the whole stack, by
 one monomial table and one stacked matmul over each map's rows, padded to
 one length with copies of its last row; the first maximum wins, so a copy
 never beats its row and an ascent point at least as good as the floor's
-best replaces it.  Random
-circle points, the same for every map of a seed, may not beat a circle
+best replaces it.  No point of a fixed half-circle grid may beat a circle
 pass's pick, so a root-finder that misses the maximum fails loudly.  The
 tail is stacked too: each pick is renormalized onto the sphere and its map
 evaluated there, which gives the value, asserted below the Euclidean norm
@@ -53,11 +52,10 @@ The index tables a map evaluates with depend only on its shape (d, m), so
 from unit scale is measured scaled by a power of two, which is exact, so no
 square underflows or overflows; `vector_norm` scales a vector the same way.
 
-Each `sup_norms` call owns its random draws, in one dict that its stacks
-share and that it drops on return.  A call has one cfg, so the search's
-sample floor (its points and their monomial table) depends only on the
-shape (d, m), and the circle pass's cross-check points on nothing more:
-each is drawn once per call (`_floor`, `_cross_check`).
+Each `sup_norms` call owns its only random draws, the search's sample
+floors, in one dict that its stacks share and that it drops on return.  A
+call has one cfg, so a floor (its points and their monomial table) depends
+only on the shape (d, m) and is drawn once per call (`_floor`).
 
 The four `check_*` functions bracket a norm identity lhs = rhs
 (`Report.bracket`): a norming construction attains lhs from below, and on
@@ -92,7 +90,7 @@ from .errors import (CapacityError, DegenerateInputError, DegreeError, Dimension
 from .sampling import _np_rng, _random_hompoly_f64
 
 MAX_ASCENT_ITERS = 400
-# random circle points that must not beat the circle pass's maximum (d = 2)
+# points of the grid that may not beat the circle pass's maximum (d = 2)
 CROSS_CHECK = 256
 # largest (points x monomials) value table the d >= 3 sample floor may build
 MAX_SAMPLE_ENTRIES = 1 << 24
@@ -295,9 +293,9 @@ class _Shape:
         return mon
 
     def norms(self, X: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """(B, R) norms |P_b(x)| at the (B, R, d) stack of points X for the
-        (B, e, T) stack of coefficients: one monomial table and one stacked
-        matmul, each slice of which is the product of one map alone."""
+        """(B, R) norms |P_b(x)| at the (B, R, d) stack of points X (or at
+        (R, d) points for all) for the (B, e, T) stack of coefficients: one
+        monomial table and one stacked matmul, each slice one map's alone."""
         return _row_norms(self.monomials(X) @ coeffs.transpose(0, 2, 1))
 
 
@@ -396,6 +394,10 @@ def _exponent_spread(P: PolyMap) -> int:
 # 1 + t^2 and t as coefficient series, and the critical points t = +-infinity
 _ONE_PLUS_T2, _T = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0])
 _AXES = _read_only(np.array([[-1.0, 0.0], [1.0, 0.0]]))[0]
+# the cross-check's grid: the upper half circle at the angles (j + 1/2) pi /
+# CROSS_CHECK, as |P(-x)| = |P(x)| repeats every pi on the circle
+_HALF_CIRCLE = _read_only(np.array([[math.cos(t), math.sin(t)] for t in (
+    (j + 0.5) * math.pi / CROSS_CHECK for j in range(CROSS_CHECK))]))[0]
 
 
 def _trimmed(c: np.ndarray) -> np.ndarray:
@@ -469,21 +471,15 @@ def _circle_points(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
     return heads
 
 
-def _cross_check(shape: _Shape, coeffs: np.ndarray, cfg: NormConfig, tops: np.ndarray,
-                 draws: dict) -> None:
-    """Random circle points may not beat ``tops``, the picked value of each
-    map of the (B, e, T) stack (d = 2).  The circle pass is exhaustive (t =
-    infinity is +-e_1), so its pick is the maximum, and the points only
-    guard the root-finder; one monomial table serves them, with one stacked
-    matmul.  The CROSS_CHECK points are the first draw of a fresh stream,
-    the same for every map of a seed, so a call draws them once."""
-    if "cross-check" not in draws:
-        draws["cross-check"] = _sphere_samples(2, CROSS_CHECK, _np_rng(cfg.seed, "sup-norm-l2-2"))
-    V = shape.monomials(draws["cross-check"]) @ coeffs.transpose(0, 2, 1)
-    for check, top in zip(_row_norms(V).max(axis=1).tolist(), tops.tolist()):
+def _cross_check(shape: _Shape, coeffs: np.ndarray, tops: np.ndarray) -> None:
+    """No point of the fixed grid _HALF_CIRCLE may beat ``tops``, the
+    picked value of each map of the (B, e, T) stack (d = 2).  The circle
+    pass is exhaustive (t = infinity is +-e_1), so its pick is the maximum,
+    and the grid only guards the root-finder."""
+    for check, top in zip(shape.norms(_HALF_CIRCLE, coeffs).max(axis=1).tolist(), tops.tolist()):
         if check > top * (1.0 + 1e-9):
             raise AssertionError(
-                f"a random circle point reaches {check}, above the circle "
+                f"a circle grid point reaches {check}, above the circle "
                 f"critical-point maximum {top}")
 
 
@@ -666,8 +662,8 @@ def sup_norms(maps: Sequence[PolyMap | HomPoly], cfg: NormConfig = NormConfig(),
     appears, and each gets the bits it gets alone.  Every map and start is
     checked, as `sup_norm` checks them, before any is normed, and a count
     of start lists other than the count of maps raises DimensionError.
-    The call's random draws, its sample floors and cross-check points, sit
-    in one dict that its stacks share and that is dropped on return."""
+    The call's random draws, its sample floors keyed by (d, m), sit in one
+    dict that its stacks share and that is dropped on return."""
     maps = [PolyMap((P,)) if isinstance(P, HomPoly) else P for P in maps]
     starts = [()] * len(maps) if starts is None else list(starts)
     if len(starts) != len(maps):
@@ -770,7 +766,7 @@ def _stack_norms(shape: _Shape, raw: np.ndarray, method: list[str], starts: list
     vals = shape.norms(X, coeffs)
     best = X[np.arange(B), vals.argmax(axis=1)]
     if circle:
-        _cross_check(shape, coeffs[circle], cfg, vals[circle].max(axis=1), draws)
+        _cross_check(shape, coeffs[circle], vals[circle].max(axis=1))
 
     # renormalize exactly onto the sphere and re-evaluate: the value reported
     # is an evaluation, hence a lower bound up to its rounding

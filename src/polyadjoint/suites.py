@@ -453,26 +453,22 @@ def _numeric_fold(reports: Iterable[Report]) -> tuple[float, int, bool]:
     return worst, count, passed
 
 
-def _norm_claim(name: str, cfg: SuiteConfig, reports: Iterable[Report],
-                **details) -> ClaimResult:
-    """A norm identity bracketed at ``cfg.tol``: its reports pass and its
-    worst relative error is recorded; at tol 0 an error within 1e-9 is
-    flagged as the tolerance bound."""
+def _norm_claim(name: str, reports: Iterable[Report], **details) -> ClaimResult:
+    """A norm identity bracketed at its reports' tolerance: its reports pass
+    and its worst relative error is recorded."""
     worst, count, passed = _numeric_fold(reports)
     details["worst_rel_err"] = worst
-    if cfg.tol == 0 and worst <= 1e-9:
-        details["tolerance_bound"] = True
     return ClaimResult(name, F64, count, worst, passed, details)
 
 
 def claim_norm_duality(cfg: SuiteConfig) -> ClaimResult:
     """The reports of `check_norm_duality` on every instance, all drawn
-    first and checked in one call, so they share the sample floors and
-    cross-check points; nothing outlives the claim."""
+    first and checked in one call, so they share the sample floors;
+    nothing outlives the claim."""
     rng = _np_rng(cfg.seed, "norm-duality-x")
     instances = [(_random_nonzero_f64_point(rng, _dims_cycle(cfg, t)), 1 + t % 3)
                  for t in range(50)]
-    return _norm_claim("norm_duality", cfg, check_norm_duality(instances, cfg.norm_config()))
+    return _norm_claim("norm_duality", check_norm_duality(instances, cfg.norm_config()))
 
 
 def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
@@ -483,8 +479,8 @@ def claim_adjoint_norm(cfg: SuiteConfig) -> ClaimResult:
     instances = [(_random_f64_map(rng, 2, 2, m), n, k)
                  for m, (n, k) in itertools.product(range(1, cfg.max_m + 1),
                                                     ((1, 1), (1, 2), (2, 1)))]
-    return _norm_claim("adjoint_norm", cfg,
-                       check_adjoint_norm(instances, cfg.norm_config(), 100), q_trials=100)
+    return _norm_claim("adjoint_norm", check_adjoint_norm(instances, cfg.norm_config(), 100),
+                       q_trials=100)
 
 
 def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
@@ -493,8 +489,7 @@ def claim_embedding_norm(cfg: SuiteConfig) -> ClaimResult:
     rng = _np_rng(cfg.seed, "embedding-norm-x")
     instances = [(_random_nonzero_f64_point(rng, 3 if t % 5 == 4 else 2), m, n)
                  for m, n in _grid(cfg.max_m, cfg.max_n) for t in range(20)]
-    return _norm_claim("embedding_norm", cfg,
-                       check_embedding_norm(instances, cfg.norm_config(), 12))
+    return _norm_claim("embedding_norm", check_embedding_norm(instances, cfg.norm_config(), 12))
 
 
 def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
@@ -511,8 +506,7 @@ def claim_metric_injection(cfg: SuiteConfig) -> ClaimResult:
             Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             proj = PolyMap.from_matrix(Q[:, :2].T.tolist(), F64)
         instances.append((proj, _random_hompoly_f64(rng, 2, 1 + t % 3)))
-    return _norm_claim("metric_injection", cfg,
-                       check_metric_injection(instances, cfg.norm_config()))
+    return _norm_claim("metric_injection", check_metric_injection(instances, cfg.norm_config()))
 
 
 def claim_two_sided_bound(cfg: SuiteConfig) -> ClaimResult:

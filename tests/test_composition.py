@@ -222,9 +222,8 @@ def test_two_sided_norm_bound(monkeypatch):
 
     triples = [(f64_map(kr), f64_map(mp), f64_map(nq))
                for kr, mp, nq in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 1, 2))]
-    # the instances of a batch share its draws, to the bits each gets alone:
-    # the composites of degree 2 and 4 on R^2 take the circle pass, and the
-    # batch draws its cross-check points once
+    # each instance of a batch gets the bits it gets alone: the composites of
+    # degree 2 and 4 on R^2 take the circle pass, whose guard draws nothing
     real, draws = norms._sphere_samples, []
 
     def counted(d, n, rng):
@@ -232,7 +231,7 @@ def test_two_sided_norm_bound(monkeypatch):
         return real(d, n, rng)
     monkeypatch.setattr(norms, "_sphere_samples", counted)
     reports = check_two_sided_norm(triples, NormConfig(seed=37))
-    assert draws == [(2, norms.CROSS_CHECK)]
+    assert draws == []
     assert reports == [check_two_sided_norm([t], NormConfig(seed=37))[0] for t in triples]
     for rep in reports:
         assert rep.passed

@@ -92,7 +92,7 @@ AXES = np.array([[-1.0, 0.0], [1.0, 0.0]])
 
 def test_circle_pass_missing_the_maximum_fails_loudly(monkeypatch):
     # x^2 y - x y^2 vanishes on the axes and not elsewhere on the circle: a
-    # circle pass that returns only +-e_1 must trip the random cross-check
+    # circle pass that returns only +-e_1 must trip the half-circle grid
     monkeypatch.setattr(norms, "_circle_points", lambda coeffs, m: [AXES] * len(coeffs))
     with pytest.raises(AssertionError):
         sup_norm(HomPoly(2, 3, {(2, 1): 1.0, (1, 2): -1.0}, F64), NormConfig(seed=1))
@@ -112,7 +112,7 @@ def test_circle_pass_missing_one_maximum_in_a_stack_fails_loudly(monkeypatch):
     assert norms.sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
     monkeypatch.setattr(norms, "_circle_points", lambda coeffs, m: [
         AXES if b == 1 else points for b, points in enumerate(real(coeffs, m))])
-    with pytest.raises(AssertionError, match="random circle point"):
+    with pytest.raises(AssertionError, match="circle grid point"):
         norms.sup_norms([outer[0], faulty, outer[1]], NormConfig(seed=1))
     assert norms.sup_norms([outer[0], cube, outer[1]], NormConfig(seed=1)) == want
 
@@ -513,7 +513,7 @@ def _circle_points_reference(c: np.ndarray, m: int) -> np.ndarray:
     return np.array(pts)
 
 
-def _circle_picks_reference(shape, coeffs, cfg, starts) -> np.ndarray:
+def _circle_picks_reference(shape, coeffs, starts) -> np.ndarray:
     """The picks of a stack of maps as the circle pass made them map by map:
     each map's critical points, candidates and cross-check on its own."""
     picks = []
@@ -521,11 +521,9 @@ def _circle_picks_reference(shape, coeffs, cfg, starts) -> np.ndarray:
         X = np.vstack([_circle_points_reference(c, shape.m), starts])
         vals = norms._row_norms(shape.monomials(X) @ c.T)
         i = int(vals.argmax())
-        rng = norms._np_rng(cfg.seed, "sup-norm-l2-2")
-        check = float(norms._row_norms(shape.monomials(
-            norms._sphere_samples(2, norms.CROSS_CHECK, rng)) @ c.T).max())
+        check = float(norms._row_norms(shape.monomials(norms._HALF_CIRCLE) @ c.T).max())
         if check > float(vals[i]) * (1.0 + 1e-9):
-            raise AssertionError(f"a random circle point reaches {check}")
+            raise AssertionError(f"a circle grid point reaches {check}")
         picks.append(X[i])
     return np.array(picks)
 
@@ -585,7 +583,7 @@ def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatc
                     HomPoly(2, m, dict(zip(shape.basis, map(float, row))), F64) for row in c))
                     for c in C], cfg, [[start]] * size)
                 assert {est.method for est in ests} == {"circle-critical-points"}
-                picks = _circle_picks_reference(shape, C, cfg, starts)
+                picks = _circle_picks_reference(shape, C, starts)
                 assert _same_bits(np.array([est.maximizer for est in ests]),
                                   picks / np.sqrt((picks * picks).sum(axis=1))[:, None]), (m, e, size)
                 if size == 100 and e >= 2:
@@ -595,7 +593,7 @@ def test_stacked_circle_head_equals_the_per_map_reference_bit_for_bit(monkeypatc
 
 def _recording_draws(monkeypatch) -> list:
     """(d, n, points) of every draw of points on the sphere from now on: the
-    sample floors and the circle pass's cross-check points."""
+    search's sample floors, the only draws of a sup-norm call."""
     draws = []
     real = norms._sphere_samples
 
@@ -606,39 +604,47 @@ def _recording_draws(monkeypatch) -> list:
     return draws
 
 
-def test_cross_check_points_are_the_first_draw_of_their_stream(monkeypatch):
-    # one call draws them once for its circle maps in stacks of three
-    # shapes, as each map drew them alone, and every stack reads that one
-    # draw; the next call draws them again, to equal estimates
+def test_the_cross_check_grid_is_the_fixed_half_circle():
+    # CROSS_CHECK points at the angles (j + 1/2) pi / CROSS_CHECK, read-only,
+    # so each value of |P| on the circle is seen once
+    grid = norms._HALF_CIRCLE
+    assert not grid.flags.writeable
+    assert grid.shape == (norms.CROSS_CHECK, 2) == (256, 2)
+    angles = (np.arange(256) + 0.5) * (math.pi / 256)
+    assert np.abs(np.arctan2(grid[:, 1], grid[:, 0]) - angles).max() < 1e-15
+    assert np.abs(vector_norm(grid[0]) - 1.0) < 1e-15 and (grid[:, 1] > 0).all()
+
+
+def test_a_call_without_a_search_draws_nothing(monkeypatch):
+    # circle maps in stacks of three shapes, with closed forms and endpoint
+    # maps: no call calls the sampler or makes a stream, every stack's guard
+    # reads the one grid, and each estimate has the bits of a call of its own
+    # at every seed
     rng = np.random.default_rng(30)
     maps = [P for d, m, e in ((2, 3, 1), (2, 4, 2), (2, 2, 2)) for P in random_maps(rng, d, m, e, 2)]
-    stream = norms._sphere_samples
-    drawn, read = _recording_draws(monkeypatch), []
-    check = norms._cross_check
+    maps += [linear_map([[1.0, 2.0], [0.5, -1.0]]),
+             quadratic_form(np.array([[1.0, 0.5], [0.5, -2.0]])), random_maps(rng, 1, 3, 2, 1)[0]]
+    alone = [_hex(sup_norm(P)) for P in maps]
 
-    def recorded(shape, coeffs, cfg, tops, draws):
-        check(shape, coeffs, cfg, tops, draws)
-        read.append(draws["cross-check"])
-    monkeypatch.setattr(norms, "_cross_check", recorded)
+    def refused(*args):
+        raise AssertionError("drew")
+    monkeypatch.setattr(norms, "_sphere_samples", refused)
+    monkeypatch.setattr(norms, "_np_rng", refused)
+    read, evaluate = [], norms._Shape.norms
+
+    def recorded(shape, X, coeffs):
+        read.append(X)
+        return evaluate(shape, X, coeffs)
+    monkeypatch.setattr(norms._Shape, "norms", recorded)
     for seed in (0, 1, 2 ** 40):
-        cfg = NormConfig(seed=seed)
-        alone = [_hex(sup_norm(P, cfg)) for P in maps]
-        want = stream(2, norms.CROSS_CHECK, norms._np_rng(seed, "sup-norm-l2-2"))
-        del drawn[:], read[:]
-        first = norms.sup_norms(maps, cfg)
-        assert {est.method for est in first} == {"circle-critical-points"}
-        assert [_hex(est) for est in first] == alone
-        assert [(d, n) for d, n, _ in drawn] == [(2, norms.CROSS_CHECK)]
-        assert _same_bits(drawn[0][2], want)
-        assert len(read) == 3 and all(X is drawn[0][2] for X in read)
-        assert norms.sup_norms(maps, cfg) == first
-        assert len(drawn) == 2 and drawn[1][2] is not drawn[0][2]
-        assert _same_bits(drawn[1][2], want)
-    # only the circle pass draws them
-    del drawn[:]
-    norms.sup_norms([linear_map([[1.0, 2.0], [0.5, -1.0]]),
-                     quadratic_form(np.array([[1.0, 0.5], [0.5, -2.0]]))], NormConfig(seed=1))
-    assert drawn == []
+        got = norms.sup_norms(maps, NormConfig(seed=seed))
+        assert [_hex(est) for est in got] == alone
+        assert [est.method for est in got] == ["circle-critical-points"] * 6 + [
+            "closed-form"] * 2 + ["endpoint-enumeration"]
+    # each stack evaluates its candidates and its picks, and each circle
+    # stack the grid between them
+    assert [X is norms._HALF_CIRCLE for X in read] == (
+        [False, True, False] * 3 + [False, False] * 3) * 3
 
 
 def test_circle_pass_on_a_map_of_constant_norm():
@@ -768,6 +774,19 @@ def test_a_stack_of_search_maps_draws_its_floor_once(monkeypatch):
     assert list(served[0][0]) == [(3, 3), (3, 2), (4, 3), (2, 3)]
 
 
+def test_a_call_holds_only_its_search_floors(monkeypatch):
+    # circle maps, closed forms and searches in one call: the dict of the
+    # call's draws holds one floor per (d, m) of its searches, nothing else
+    rng = np.random.default_rng(31)
+    maps = random_maps(rng, 2, 3, 2, 2) + [WIDE] + random_maps(rng, 3, 3, 1, 2) + [
+        linear_map([[1.0, 2.0], [0.5, -1.0]])]
+    served = _recording_floors(monkeypatch)
+    got = norms.sup_norms(maps, NormConfig(samples=512, restarts=8, seed=3))
+    assert [est.method for est in got] == ["circle-critical-points"] * 2 + [
+        "sobol+gradient-ascent"] * 3 + ["closed-form"]
+    assert len(served) == 3 and list(served[0][0]) == [(2, 3), (3, 3)]
+
+
 def test_a_held_floor_grows_only_for_more_starts_than_it_holds(monkeypatch):
     # one call whose maps bring 0, 2, 1, 0, 2 and 1 extra starts: every
     # estimate has the bits of a call of its own, and once the floor holds
@@ -831,7 +850,7 @@ def test_stacked_circle_pass_in_sup_norm_equals_the_per_map_reference():
     assert [est.method for est in got] == ["circle-critical-points"] * 50 + [
         "sobol+gradient-ascent"] + ["circle-critical-points"] * 50
     starts = np.vstack([norms._signed_basis(2), np.array([start]) / vector_norm(start)])
-    picks = _circle_picks_reference(norms._shape(2, 3), C, cfg, starts)
+    picks = _circle_picks_reference(norms._shape(2, 3), C, starts)
     assert _same_bits(np.array([est.maximizer for est in got[:50] + got[51:]]),
                       picks / np.sqrt((picks * picks).sum(axis=1))[:, None])
 

@@ -452,7 +452,7 @@ def test_numeric_suite_catches_injected_sup_norm_faults(monkeypatch):
     clean = _verdicts(cfg, NUMERIC_CLAIMS)
     assert set(clean.values()) == {"pass"}
 
-    # the pick falls below the maximum, and the random circle points beat it
+    # the pick falls below the maximum, and the half-circle grid beats it
     with monkeypatch.context() as patch:
         patch.setattr(norms, "_circle_points", _top_root_dropped(norms._circle_points))
         caught = {k: v for k, v in _verdicts(cfg, NUMERIC_CLAIMS).items() if v != "pass"}
@@ -505,7 +505,7 @@ def _adjoint_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
     reports = (check_adjoint_norm([(sampling._random_f64_map(rng, 2, 2, m), n, k)], ncfg,
                                   q_trials=100)[0]
                for m in range(1, cfg.max_m + 1) for n, k in ((1, 1), (1, 2), (2, 1)))
-    return suites._norm_claim("adjoint_norm", cfg, reports, q_trials=100)
+    return suites._norm_claim("adjoint_norm", reports, q_trials=100)
 
 
 def _embedding_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
@@ -515,7 +515,7 @@ def _embedding_norm_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
                    rng, 3 if t % 5 == 4 else 2), m, n)], ncfg, q_trials=12)[0]
                for m in range(1, cfg.max_m + 1) for n in range(1, cfg.max_n + 1)
                for t in range(20))
-    return suites._norm_claim("embedding_norm", cfg, reports)
+    return suites._norm_claim("embedding_norm", reports)
 
 
 @pytest.mark.parametrize("claim, reference, shared, per_instance", [
@@ -551,7 +551,7 @@ def _norm_duality_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
     reports = (check_norm_duality([(sampling._random_nonzero_f64_point(
                    rng, cfg.dims[t % len(cfg.dims)]), 1 + t % 3)], ncfg)[0]
                for t in range(50))
-    return suites._norm_claim("norm_duality", cfg, reports)
+    return suites._norm_claim("norm_duality", reports)
 
 
 def _metric_injection_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
@@ -568,7 +568,7 @@ def _metric_injection_per_instance(cfg: SuiteConfig) -> suites.ClaimResult:
                 proj = algebra.PolyMap.from_matrix(Q[:, :2].T.tolist(), algebra.F64)
             yield check_metric_injection(
                 [(proj, sampling._random_hompoly_f64(rng, 2, 1 + t % 3))], ncfg)[0]
-    return suites._norm_claim("metric_injection", cfg, reports())
+    return suites._norm_claim("metric_injection", reports())
 
 
 @pytest.mark.parametrize("claim, reference, per_instance", [

@@ -6,10 +6,18 @@ from pathlib import Path
 
 import pytest
 
-SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(bench_pairs)
+from polyadjoint.norms import NormEstimate
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs, numeric_bits = _tool("bench_pairs"), _tool("numeric_bits")
 
 
 def test_pair_summary_counts_wins_by_the_metric_direction():
@@ -71,3 +79,24 @@ def test_a_larger_failure_share_is_flagged(failed, attempted, shares, more):
     got = bench_pairs.failure_shares(failed, attempted)
     assert got == {"failure_share": dict(zip(bench_pairs.SIDES, shares)),
                    "more_failures": more}
+
+
+def test_the_estimates_digest_sees_every_bit_and_the_order():
+    a = NormEstimate(1.5, (0.6, -0.8), True, 0, "circle-critical-points")
+    b = NormEstimate(2.0, (1.0, 0.0), True, 12, "sobol+gradient-ascent")
+    c = NormEstimate(0.25, (0.0, 1.0), True, 0, "closed-form", upper=0.25 * (1 + 2 ** -40))
+    digest = numeric_bits.estimates_digest
+    assert digest([a, b, c]) == digest([a, b, c]) != digest([b, a, c])
+    assert digest([]) != digest([a])
+    # a sign of zero, one ulp, the upper bound, the method and the count each show
+    changed = [NormEstimate(1.5, (0.6, -0.8), True, 0, "circle-critical-points", upper=1.5),
+               NormEstimate(1.5, (0.6, -0.8), True, 1, "circle-critical-points"),
+               NormEstimate(1.5, (0.6, -0.8), True, 0, "closed-form"),
+               NormEstimate(1.5, (0.6, float.fromhex("-0x1.999999999999bp-1")), True, 0,
+                            "circle-critical-points")]
+    assert len({digest([e]) for e in [a, *changed]}) == 5
+    zeros = [NormEstimate(0.0, (1.0, 0.0), True, 0, "closed-form", upper=0.0),
+             NormEstimate(0.0, (1.0, -0.0), True, 0, "closed-form", upper=0.0),
+             NormEstimate(-0.0, (1.0, 0.0), True, 0, "closed-form", upper=0.0),
+             NormEstimate(0.0, (1.0, 0.0), True, 0, "closed-form", upper=-0.0)]
+    assert len({digest([e]) for e in zeros}) == 4
